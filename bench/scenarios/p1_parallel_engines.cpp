@@ -1,21 +1,16 @@
-// Intra-run parallelism scenario (DESIGN.md §11): the sharded multibatch
-// round core and the SoA ensemble engine.
+// Parallel-engines scenario (DESIGN.md §11): the multibatch engine's
+// seed-deterministic work profile and the SoA ensemble engine.
 //
-//  - Sharded rounds: one dense hawk-dove trajectory advanced by multibatch
-//    engines at 1 / 2 / 8 shard threads. The decomposition is a fixed law
-//    (shard count is a function of the round length, never the thread
-//    count), so the full snapshots — census, counters, residual carry, RNG
-//    position — must be bitwise identical; that pass flag and the engine's
-//    seed-deterministic work counters (rounds, collisions, aggregation
-//    factor) are the gated metrics.
+//  - Solo multibatch: one dense hawk-dove trajectory; its work counters
+//    (rounds, collisions, aggregation factor) are the gated metrics.
 //  - Ensemble: R lockstep replicas on SoA planes, checked bitwise against
 //    R solo multibatch engines under the batch_runner stream law, and for
 //    thread-count independence; ensemble totals gate alongside the flags.
 //
-// Wall-clock rates and speedups (shards > 1 vs 1, ensemble vs solo loop)
-// are recorded for the trajectory but carry no regression goal: CI core
-// counts and cache hierarchies vary, so only seed-deterministic quantities
-// gate — the same split every perf scenario here uses.
+// Wall-clock rates and speedups (ensemble vs solo loop) are recorded for
+// the trajectory but carry no regression goal: CI core counts and cache
+// hierarchies vary, so only seed-deterministic quantities gate — the same
+// split every perf scenario here uses.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -52,47 +47,16 @@ scenario_result run_parallel(const scenario_context& ctx) {
   scenario_result result;
   const auto proto = dense_proto();
 
-  // --- Sharded multibatch rounds -------------------------------------
+  // --- Solo multibatch work profile -----------------------------------
   const std::uint64_t n = ctx.pick<std::uint64_t>(8'000'000, 1'000'000);
   const std::uint64_t steps = ctx.pick<std::uint64_t>(4'000'000, 400'000);
   result.param("n", n);
   result.param("steps", steps);
   result.param("game", "hawk-dove v=1 c=2, logit tau=0.5, two-way");
-
-  auto& shard_table = result.table(
-      "sharded multibatch rounds: one seed, one trajectory, varying shard "
-      "threads\n(snapshots must be bitwise identical)",
-      {"shard threads", "interactions/s", "identical"});
-  std::string reference_state;
-  double base_rate = 0.0;
-  bool shard_deterministic = true;
-  std::uint64_t rounds = 0;
-  std::uint64_t collisions = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    multibatch_engine engine(proto, half_split(n), ctx.make_rng(1));
-    engine.set_shards(threads);
-    const timer clock;
-    engine.run(steps);
-    const double rate = static_cast<double>(steps) / clock.seconds();
-    const std::string state = engine.save_state().dump_string(false);
-    if (threads == 1) {
-      reference_state = state;
-      base_rate = rate;
-      rounds = engine.rounds();
-      collisions = engine.collisions();
-    } else if (state != reference_state) {
-      shard_deterministic = false;
-    }
-    result.metric("ips_sharded_t" +
-                      format_metric(static_cast<double>(threads)),
-                  rate);
-    shard_table.add_row({format_metric(static_cast<double>(threads)),
-                         format_metric(rate, 4),
-                         state == reference_state ? "yes" : "NO"});
-  }
-  result.metric("shard_determinism", shard_deterministic ? 1.0 : 0.0,
-                metric_goal::maximize);
+  multibatch_engine solo(proto, half_split(n), ctx.make_rng(1));
+  solo.run(steps);
+  const std::uint64_t rounds = solo.rounds();
+  const std::uint64_t collisions = solo.collisions();
   // The engine's seed-deterministic work profile: identical on every
   // machine at a fixed (smoke, seed), so exact-value drifts surface in the
   // refresh diff and real regressions (lost aggregation) gate.
@@ -181,25 +145,22 @@ scenario_result run_parallel(const scenario_context& ctx) {
                 static_cast<double>(ensemble_collisions),
                 metric_goal::maximize);
 
-  // Wall-clock-derived ratios: trajectory only, no goals (hardware-bound).
-  result.metric("speedup_sharded_t8_vs_t1",
-                result.metric_value("ips_sharded_t8") / base_rate);
+  // Wall-clock-derived ratio: trajectory only, no goal (hardware-bound).
   result.metric("speedup_ensemble_vs_solo_loop",
                 ensemble_base_rate *
                     (solo_seconds / total_steps));
   result.note(
-      "Expected shape: bitwise-identical snapshots at every shard thread "
-      "count\n(shard_determinism = 1), bitwise replica twins and "
-      "thread-independence for\nthe ensemble (ensemble_twins = "
-      "ensemble_thread_determinism = 1), and\nwall-clock speedups that "
-      "track the host's core count (informational only).");
+      "Expected shape: bitwise replica twins and thread-independence for "
+      "the\nensemble (ensemble_twins = ensemble_thread_determinism = 1), "
+      "an aggregation\nfactor of order sqrt(n), and wall-clock speedups that "
+      "track the host's core count\n(informational only).");
   return result;
 }
 
 [[maybe_unused]] const bool registered = register_scenario(
     "p1_parallel_engines", "parallel,threads,engines,multibatch,perf",
-    "Sharded multibatch determinism across thread counts and the SoA "
-    "ensemble engine vs solo replication",
+    "Multibatch work profile and the SoA ensemble engine vs solo "
+    "replication",
     run_parallel);
 
 }  // namespace

@@ -39,7 +39,6 @@
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/ensemble_engine.hpp"
-#include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
@@ -216,30 +215,16 @@ scenario_result run_engines(const scenario_context& ctx) {
                          fmt_count(row.n), format_metric(ips, 4)});
   }
 
-  // Intra-run parallelism (DESIGN.md §11) on the dense hawk-dove workload:
-  // the sharded multibatch round core at the host's thread count, and the
-  // SoA ensemble engine's aggregate rate. Wall-clock only — the bitwise
-  // determinism gates for both paths live in p1_parallel_engines.
+  // Replica parallelism (DESIGN.md §11) on the dense hawk-dove workload:
+  // the SoA ensemble engine's aggregate rate at the host's thread count.
+  // Wall-clock only — its bitwise determinism gates live in
+  // p1_parallel_engines.
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   auto& par_table = result.table(
-      "intra-run parallelism on dense hawk-dove (wall-clock only; "
+      "replica parallelism on dense hawk-dove (wall-clock only; "
       "determinism\ngates live in p1_parallel_engines)",
       {"path", "threads", "n", "interactions/s"});
-  for (const auto pn :
-       {std::uint64_t{1'000'000}, std::uint64_t{100'000'000}}) {
-    if (pn == 100'000'000 && ctx.smoke) continue;
-    multibatch_engine engine(hd_proto, {pn / 2, pn - pn / 2},
-                             ctx.make_rng(pn + 31));
-    engine.set_shards(hw);
-    constexpr std::uint64_t chunk = 65536;
-    const double ips = measure_rate(
-        [&] { engine.run(chunk); }, static_cast<double>(chunk), min_seconds);
-    result.metric(
-        "ips_hawk_dove_multibatch_sharded_n" + std::to_string(pn), ips);
-    par_table.add_row({"multibatch sharded", std::to_string(hw),
-                       fmt_count(pn), format_metric(ips, 4)});
-  }
   {
     constexpr std::size_t replicas = 16;
     constexpr std::uint64_t en = 1'000'000;

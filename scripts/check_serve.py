@@ -20,6 +20,9 @@ prints), then drives one full session lifecycle through the wire protocol:
   - error paths: unknown id 404, malformed recipe 400, wrong method 405
   - GET /stats                    -> 200, per-session interactions and
                                      kernel-cache hit counters add up
+  - /proc/<pid>/task/*/status     -> every thread but the main one has
+                                     SIGTERM and SIGINT in SigBlk, so only
+                                     main can take the shutdown signal
 
 Exits nonzero with a pointed message on the first violation, and always
 tears the daemon down. This is the CI complement to tests/test_serve.cpp:
@@ -163,6 +166,35 @@ def run_smoke(port):
     return stats
 
 
+def check_signal_masks(pid):
+    """Every non-main thread must block SIGTERM and SIGINT (bits signo-1 of
+    the SigBlk mask); otherwise the kernel may run the shutdown handler on a
+    worker and the main thread, parked in sigsuspend, never wakes."""
+    required = (1 << (signal.SIGTERM - 1)) | (1 << (signal.SIGINT - 1))
+    task_dir = f"/proc/{pid}/task"
+    workers = 0
+    for tid in sorted(os.listdir(task_dir)):
+        if int(tid) == pid:
+            continue
+        try:
+            with open(f"{task_dir}/{tid}/status") as status:
+                fields = dict(
+                    line.split(":", 1) for line in status if ":" in line
+                )
+        except FileNotFoundError:
+            continue  # the thread exited between listdir and open
+        blocked = int(fields["SigBlk"].strip(), 16)
+        if blocked & required != required:
+            fail(
+                f"thread {tid} ({fields['Name'].strip()}) leaves "
+                f"SIGTERM/SIGINT unblocked: SigBlk={fields['SigBlk'].strip()}"
+            )
+        workers += 1
+    if workers == 0:
+        fail(f"no worker threads found under {task_dir}")
+    return workers
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip())
@@ -170,6 +202,7 @@ def main(argv):
     daemon, port = start_daemon(argv[1])
     try:
         stats = run_smoke(port)
+        workers = check_signal_masks(daemon.pid)
     except Failure as failure:
         print(f"FAIL: {failure}")
         return 1
@@ -184,7 +217,8 @@ def main(argv):
     print(
         f"OK   ppg-serve on 127.0.0.1:{port}: full session lifecycle, "
         f"{stats['requests']} requests, "
-        f"{stats['kernel_cache']['hits']} warm kernel hits"
+        f"{stats['kernel_cache']['hits']} warm kernel hits, "
+        f"{workers} worker threads block SIGTERM/SIGINT"
     )
     return 0
 

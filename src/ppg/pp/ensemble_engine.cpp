@@ -190,6 +190,9 @@ void ensemble_engine::set_threads(std::size_t threads) {
 
 void ensemble_engine::run(std::uint64_t steps) {
   const auto advance = [&](std::size_t worker, std::size_t r) {
+    // Every round draw advances the generator; a local copy keeps those
+    // writes off the cache lines neighbouring replicas' generators share.
+    rng gen = gens_[r];
     multibatch_state st;
     st.counts = counts_.data() + r * width_;
     st.untouched = untouched_.data() + r * width_;
@@ -197,7 +200,7 @@ void ensemble_engine::run(std::uint64_t steps) {
     st.width = width_;
     st.n = n_;
     st.untouched_total = untouched_total_[r];
-    st.gen = &gens_[r];
+    st.gen = &gen;
     st.interactions = interactions_[r];
     st.rounds = rounds_[r];
     st.collisions = collisions_[r];
@@ -210,6 +213,7 @@ void ensemble_engine::run(std::uint64_t steps) {
     collisions_[r] = st.collisions;
     pending_free_[r] = st.pending_free;
     collision_pending_[r] = st.collision_pending ? 1 : 0;
+    gens_[r] = gen;
   };
   if (pool_) {
     pool_->run_sharded(replicas_, advance);

@@ -30,16 +30,16 @@
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
 // agent/census/batched engines (DESIGN.md §8 gives the argument). Work per
-// round is O(q^2 + log n) plus O(q) for the collision, i.e.
-// O((q^2 + log n)/sqrt(n)) per interaction. Rounds shrink with n (the
-// birthday law adapts by itself), and sub-q^2 rounds take a sequential
-// per-pair path, so small populations degrade gracefully to exactly the
-// census engine's per-interaction cost.
+// round is O(q^2 + sum over occupied pair cells of the cell's outcome
+// support) plus O(q) for the collision; dense two-way kernels have support
+// q^2, so a round costs up to O(q^4) split steps, amortized over ~sqrt(n)
+// interactions. Rounds shrink with n (the birthday law adapts by itself),
+// and rounds below ~4q^2 pairs take a sequential per-pair path, so small
+// populations degrade gracefully to exactly the census engine's
+// per-interaction cost.
 //
-// Steps 2–3 are decomposed into fixed-law shards executed by the round core
-// (pp/multibatch_round.hpp, DESIGN.md §11): set_shards() chooses how many
-// threads execute them, and the trajectory is bit-identical at every
-// setting, checkpoints included.
+// Steps 1–4 run in the shared round core (pp/multibatch_round.hpp), every
+// draw on the engine's one generator.
 #pragma once
 
 #include <cstdint>
@@ -84,18 +84,17 @@ class multibatch_engine final : public sim_engine {
     return engine_kind::multibatch;
   }
 
-  /// Number of threads executing the round core's shard sub-draws; <= 1
-  /// (the default) runs them inline. The decomposition itself is a fixed
-  /// law — the trajectory, draw for draw, and every snapshot are
-  /// bit-identical at any setting (pp/multibatch_round.hpp).
-  void set_shards(std::size_t threads) { executor_.set_threads(threads); }
-  [[nodiscard]] std::size_t shards() const { return executor_.threads(); }
-
   /// Aggregated rounds started and collisions resolved so far: the engine's
   /// seed-deterministic work metric. interactions() / (rounds() +
   /// collisions()) is the aggregation factor — ~sqrt(n) on any kernel.
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
+
+  /// Collision-free runs shorter than this take the sequential per-pair
+  /// path; longer ones are applied in aggregate.
+  [[nodiscard]] std::uint64_t aggregate_threshold() const {
+    return executor_.aggregate_threshold();
+  }
 
   /// The residual-round carry: collision-free interactions of the current
   /// round drawn but not yet applied because a run() budget truncated the
@@ -115,8 +114,6 @@ class multibatch_engine final : public sim_engine {
   /// round/collision counters, and the residual-round carry
   /// (pending_free / collision_pending) — a checkpoint taken inside a
   /// budget-truncated round resumes the same round, same law, same draws.
-  /// Sharding adds no persistent state (shard streams are derived per
-  /// aggregate application), so the schema is shard-count-independent.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
 

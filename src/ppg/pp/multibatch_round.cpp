@@ -43,44 +43,25 @@ multibatch_executor::multibatch_executor(
   scratch_.resize(1);
 }
 
-std::uint64_t multibatch_executor::shard_count(
-    std::uint64_t free, std::uint64_t aggregate_threshold) {
-  // Grain: no shard smaller than the aggregate threshold (its tables must
-  // amortize) or 512 pairs (below that, per-shard setup dominates).
-  const std::uint64_t grain =
-      std::max<std::uint64_t>(min_shard_grain, aggregate_threshold);
-  return std::clamp<std::uint64_t>(free / grain, 1, max_shards);
-}
-
-void multibatch_executor::set_threads(std::size_t threads) {
-  if (threads <= 1) {
-    pool_.reset();
-    return;
-  }
-  if (!pool_ || pool_->size() != threads) {
-    pool_ = std::make_unique<thread_pool>(threads);
-  }
-  if (scratch_.size() < threads) scratch_.resize(threads);
-}
-
 void multibatch_executor::set_workers(std::size_t workers) {
-  pool_.reset();
   scratch_.resize(std::max<std::size_t>(1, workers));
 }
 
-void multibatch_executor::apply_pair_type(agent_state u, agent_state v,
-                                          std::uint64_t m, rng& gen,
+void multibatch_executor::apply_pair_type(multibatch_state& st, agent_state u,
+                                          agent_state v, std::uint64_t m,
                                           worker_scratch& ws) {
-  ws.delta[u] -= static_cast<std::int64_t>(m);
-  ws.delta[v] -= static_cast<std::int64_t>(m);
+  // The run's initiators and responders are untouched agents, so these
+  // removals never exceed the census, whatever outcomes were added first.
+  st.counts[u] -= m;
+  st.counts[v] -= m;
   const std::size_t support = kernel_->num_outcomes(u, v);
   if (support == 1) {
     // Deterministic pair: no draws, mirroring every engine's fast path.
     const outcome o = kernel_->outcome_at(u, v, 0);
-    ws.delta[o.initiator] += static_cast<std::int64_t>(m);
-    ws.delta[o.responder] += static_cast<std::int64_t>(m);
-    ws.touched_add[o.initiator] += m;
-    ws.touched_add[o.responder] += m;
+    st.counts[o.initiator] += m;
+    st.counts[o.responder] += m;
+    st.touched[o.initiator] += m;
+    st.touched[o.responder] += m;
     return;
   }
   ws.probs.resize(support);
@@ -88,119 +69,51 @@ void multibatch_executor::apply_pair_type(agent_state u, agent_state v,
   for (std::size_t k = 0; k < support; ++k) {
     ws.probs[k] = kernel_->outcome_at(u, v, k).probability;
   }
-  sample_multinomial(m, ws.probs.data(), support, gen, ws.split.data());
+  sample_multinomial(m, ws.probs.data(), support, *st.gen, ws.split.data());
   for (std::size_t k = 0; k < support; ++k) {
     if (ws.split[k] == 0) continue;
     const outcome o = kernel_->outcome_at(u, v, k);
-    ws.delta[o.initiator] += static_cast<std::int64_t>(ws.split[k]);
-    ws.delta[o.responder] += static_cast<std::int64_t>(ws.split[k]);
-    ws.touched_add[o.initiator] += ws.split[k];
-    ws.touched_add[o.responder] += ws.split[k];
-  }
-}
-
-void multibatch_executor::run_shard(std::size_t width,
-                                    const std::uint64_t* initiators,
-                                    std::uint64_t* responders, rng& gen,
-                                    worker_scratch& ws) {
-  // Conditioned on the shard's initiator and responder multisets, the
-  // initiator-responder matching is uniform — realized by splitting the
-  // responder multiset across initiator groups with sequential conditional
-  // MVH rows, exactly as the unsharded round did.
-  const std::size_t q = kernel_->num_states();
-  ws.row.resize(width);
-  for (std::size_t u = 0; u < q; ++u) {
-    if (initiators[u] == 0) continue;
-    sample_multivariate_hypergeometric(responders, width, initiators[u], gen,
-                                       ws.row.data());
-    for (std::size_t v = 0; v < width; ++v) {
-      responders[v] -= ws.row[v];
-      if (ws.row[v] > 0) {
-        apply_pair_type(static_cast<agent_state>(u),
-                        static_cast<agent_state>(v), ws.row[v], gen, ws);
-      }
-    }
-  }
-}
-
-void multibatch_executor::merge_scratch(multibatch_state& st,
-                                        worker_scratch& ws) const {
-  for (std::size_t s = 0; s < st.width; ++s) {
-    if (ws.delta[s] != 0) {
-      st.counts[s] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(st.counts[s]) + ws.delta[s]);
-    }
-    st.touched[s] += ws.touched_add[s];
+    st.counts[o.initiator] += ws.split[k];
+    st.counts[o.responder] += ws.split[k];
+    st.touched[o.initiator] += ws.split[k];
+    st.touched[o.responder] += ws.split[k];
   }
 }
 
 void multibatch_executor::apply_free_aggregate(multibatch_state& st,
                                                std::uint64_t free,
                                                std::size_t worker) {
-  PPG_DCHECK(!pool_ || worker == 0,
-             "sharded aggregate phases are single-caller");
   worker_scratch& ws = scratch_[worker];
-  const std::uint64_t shards = shard_count(free, aggregate_threshold_);
-  // One master draw seeds every shard stream of this application; the
-  // split sizes are deterministic (free/L, remainder to the first shards).
-  const std::uint64_t app_seed = (*st.gen)();
-  const std::uint64_t base = free / shards;
-  const std::uint64_t extra = free % shards;
-  ws.shard_init.assign(static_cast<std::size_t>(shards) * st.width, 0);
-  ws.shard_resp.assign(static_cast<std::size_t>(shards) * st.width, 0);
-  // Conditional MVH splits on the master stream, in shard order: shard k
-  // draws its initiator then responder multiset from the pool remaining
-  // after shards < k, which gives the union of all shards the law of one
-  // joint 2*free-agent draw (without-replacement sampling is exchangeable
-  // and consistent under sequential subsampling).
-  for (std::uint64_t k = 0; k < shards; ++k) {
-    const std::uint64_t fk = base + (k < extra ? 1 : 0);
-    std::uint64_t* init =
-        ws.shard_init.data() + static_cast<std::size_t>(k) * st.width;
-    std::uint64_t* resp =
-        ws.shard_resp.data() + static_cast<std::size_t>(k) * st.width;
-    sample_multivariate_hypergeometric(st.untouched, st.width, fk, *st.gen,
-                                       init);
-    for (std::size_t s = 0; s < st.width; ++s) st.untouched[s] -= init[s];
-    st.untouched_total -= fk;
-    sample_multivariate_hypergeometric(st.untouched, st.width, fk, *st.gen,
-                                       resp);
-    for (std::size_t s = 0; s < st.width; ++s) st.untouched[s] -= resp[s];
-    st.untouched_total -= fk;
-  }
-  if (pool_ && shards > 1) {
-    // Parallel phase: each task owns its scratch slot and accumulates the
-    // shards it claims into an integer delta; the merge below is a plain
-    // sum, so the census is bit-identical whatever the shard-to-worker
-    // assignment.
-    const std::size_t tasks =
-        std::min<std::size_t>(pool_->size(), static_cast<std::size_t>(shards));
-    for (std::size_t t = 0; t < tasks; ++t) {
-      scratch_[t].delta.assign(st.width, 0);
-      scratch_[t].touched_add.assign(st.width, 0);
+  const std::size_t width = st.width;
+  ws.initiators.resize(width);
+  ws.responders.resize(width);
+  ws.row.resize(width);
+  // The 2*free agents of a collision-free run are a uniform sample without
+  // replacement from the untouched pool; odd positions (initiators) are a
+  // simple random sample, even positions (responders) one from the
+  // remainder, and conditioned on both multisets the initiator-responder
+  // matching is uniform — realized by splitting the responder multiset
+  // across initiator groups with sequential multivariate hypergeometrics.
+  sample_multivariate_hypergeometric(st.untouched, width, free, *st.gen,
+                                     ws.initiators.data());
+  for (std::size_t s = 0; s < width; ++s) st.untouched[s] -= ws.initiators[s];
+  sample_multivariate_hypergeometric(st.untouched, width, free, *st.gen,
+                                     ws.responders.data());
+  for (std::size_t s = 0; s < width; ++s) st.untouched[s] -= ws.responders[s];
+  st.untouched_total -= 2 * free;
+  const std::size_t q = kernel_->num_states();
+  for (std::size_t u = 0; u < q; ++u) {
+    if (ws.initiators[u] == 0) continue;
+    sample_multivariate_hypergeometric(ws.responders.data(), width,
+                                       ws.initiators[u], *st.gen,
+                                       ws.row.data());
+    for (std::size_t v = 0; v < width; ++v) {
+      ws.responders[v] -= ws.row[v];
+      if (ws.row[v] > 0) {
+        apply_pair_type(st, static_cast<agent_state>(u),
+                        static_cast<agent_state>(v), ws.row[v], ws);
+      }
     }
-    pool_->run_sharded(
-        static_cast<std::size_t>(shards),
-        [&](std::size_t w, std::size_t k) {
-          worker_scratch& sw = scratch_[w];
-          rng shard_gen(derive_stream_seed(app_seed, k));
-          run_shard(st.width, ws.shard_init.data() + k * st.width,
-                    ws.shard_resp.data() + k * st.width, shard_gen, sw);
-        });
-    for (std::size_t t = 0; t < tasks; ++t) {
-      merge_scratch(st, scratch_[t]);
-    }
-  } else {
-    ws.delta.assign(st.width, 0);
-    ws.touched_add.assign(st.width, 0);
-    for (std::uint64_t k = 0; k < shards; ++k) {
-      rng shard_gen(derive_stream_seed(app_seed, k));
-      run_shard(st.width,
-                ws.shard_init.data() + static_cast<std::size_t>(k) * st.width,
-                ws.shard_resp.data() + static_cast<std::size_t>(k) * st.width,
-                shard_gen, ws);
-    }
-    merge_scratch(st, ws);
   }
 }
 

@@ -3,27 +3,16 @@
 // splits, DESIGN.md §8) factored out of the engine class so that two
 // executors can drive it —
 //
-//   * multibatch_engine: one trajectory, with the round's aggregate phase
-//     optionally *sharded* across a worker pool (DESIGN.md §11);
+//   * multibatch_engine: one trajectory;
 //   * ensemble_engine: R replicas in lockstep over structure-of-arrays
 //     planes, sharing one kernel and one tabulated birthday sampler.
 //
-// Sharded rounds. A collision-free run of `free` pairs is decomposed into
-// L sub-draws by a fixed law, L = clamp(free / max(512, aggregate
-// threshold), 1, 16) — a pure function of the run length, never of the
-// thread count. The split is exact: drawing shard k's initiator and
-// responder multisets from the pool *remaining* after shards < k (the
-// conditional-split property of without-replacement sampling) gives the
-// union the same law as one joint draw, and conditioned on the multisets
-// the per-shard matchings and outcome splits are independent. The master
-// stream performs the O(L·q) conditional splits and contributes one draw,
-// `app_seed`; shard k's matching + multinomials then run on the derived
-// stream rng(derive_stream_seed(app_seed, k)). Shard outputs are pure
-// integer census deltas, so any execution order — inline, or any number of
-// pool workers — merges to the bit-identical census and leaves every RNG at
-// the bit-identical position. Sharding adds no persistent state: snapshots
-// keep the unchanged multibatch schema and restore bit-exactly at any
-// thread count.
+// Every draw of a round comes from the trajectory's one generator, in a
+// fixed order: the birthday length, the initiator and responder MVH
+// samples over the untouched pool, the conditional MVH matching rows, the
+// per-cell outcome multinomials, and the collision. A round is therefore
+// one exact draw of the census Markov chain's aggregated step, and a
+// trajectory is a pure function of its seed and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +22,13 @@
 #include "ppg/pp/kernel.hpp"
 #include "ppg/stats/discrete_sampling.hpp"
 #include "ppg/util/rng.hpp"
-#include "ppg/util/thread_pool.hpp"
 
 namespace ppg {
 
 /// A pointer view of one trajectory's multibatch round state: the census,
 /// the untouched/touched pools (arrays of `width` counts owned by the
 /// caller — an engine's vectors or one replica's slice of an ensemble's
-/// SoA planes), the master RNG, and the round/carry scalars. The executor
+/// SoA planes), the RNG, and the round/carry scalars. The executor
 /// mutates everything through this view; callers copy the scalars back out
 /// after run().
 struct multibatch_state {
@@ -50,7 +38,7 @@ struct multibatch_state {
   std::size_t width = 0;  ///< state-space width of the three arrays
   std::uint64_t n = 0;
   std::uint64_t untouched_total = 0;
-  rng* gen = nullptr;  ///< the trajectory's master stream
+  rng* gen = nullptr;  ///< the trajectory's generator
   std::uint64_t interactions = 0;
   std::uint64_t rounds = 0;
   std::uint64_t collisions = 0;
@@ -63,14 +51,11 @@ struct multibatch_state {
 /// Executes multibatch rounds against multibatch_state views. Holds
 /// everything a round needs that is *not* trajectory state: the compiled
 /// kernel, the tabulated birthday sampler (one O(sqrt(n)) table shared by
-/// every round of every replica), per-worker scratch buffers, and an
-/// optional worker pool for sharded aggregate phases.
+/// every round of every replica), and per-worker scratch buffers.
 ///
 /// Thread contract: concurrent run() calls on *distinct* states are safe
 /// iff each caller passes a distinct `worker` index below the set_workers()
-/// bound and the executor has no shard pool (ensemble mode). With a shard
-/// pool (set_threads > 1), run() must be called from a single thread with
-/// worker 0 (solo-engine mode); the pool parallelizes inside the round.
+/// bound.
 class multibatch_executor {
  public:
   /// `width` is the census width (>= kernel->num_states(); higher states
@@ -84,18 +69,8 @@ class multibatch_executor {
   /// the scratch slot (see the thread contract above).
   void run(multibatch_state& st, std::uint64_t steps, std::size_t worker = 0);
 
-  /// Number of worker threads executing shard sub-draws: <= 1 runs shards
-  /// inline on the calling thread, > 1 spins up an internal pool. The
-  /// trajectory is bit-identical at every setting — the decomposition law
-  /// is fixed and shard streams are derived, so threads only change which
-  /// core runs a shard.
-  void set_threads(std::size_t threads);
-  [[nodiscard]] std::size_t threads() const {
-    return pool_ ? pool_->size() : 1;
-  }
-
   /// Reserves scratch for `workers` concurrent run() callers (ensemble
-  /// mode). Implies no shard pool.
+  /// mode).
   void set_workers(std::size_t workers);
 
   /// Runs below this take the sequential per-pair path (the O(q^2)
@@ -103,16 +78,6 @@ class multibatch_executor {
   [[nodiscard]] std::uint64_t aggregate_threshold() const {
     return aggregate_threshold_;
   }
-
-  /// The shard-decomposition law: how many sub-draws a collision-free run
-  /// of `free` pairs splits into. Deliberately a function of the run length
-  /// and the threshold only — never the thread count — so the trajectory is
-  /// a fixed sequence of draws that any number of threads reproduces.
-  [[nodiscard]] static std::uint64_t shard_count(
-      std::uint64_t free, std::uint64_t aggregate_threshold);
-
-  static constexpr std::uint64_t max_shards = 16;
-  static constexpr std::uint64_t min_shard_grain = 512;
 
   [[nodiscard]] const kernel_table& kernel() const { return *kernel_; }
   [[nodiscard]] const collision_run_sampler& birthday() const {
@@ -123,24 +88,19 @@ class multibatch_executor {
   struct worker_scratch {
     std::vector<double> probs;             ///< outcome-split probabilities
     std::vector<std::uint64_t> split;      ///< multinomial outcome counts
+    std::vector<std::uint64_t> initiators; ///< initiator census of a run
+    std::vector<std::uint64_t> responders; ///< responder census (consumed)
     std::vector<std::uint64_t> row;        ///< one matching row
-    std::vector<std::uint64_t> shard_init; ///< L x width initiator censuses
-    std::vector<std::uint64_t> shard_resp; ///< L x width responder censuses
-    std::vector<std::int64_t> delta;       ///< accumulated census delta
-    std::vector<std::uint64_t> touched_add;  ///< accumulated touched counts
   };
 
   void apply_free_aggregate(multibatch_state& st, std::uint64_t free,
                             std::size_t worker);
   void apply_free_sequential(multibatch_state& st, std::uint64_t free);
-  /// One shard: matches `initiators` against `responders` (consumed) by
-  /// conditional MVH rows, splitting each pair type's outcomes on `gen`
-  /// (the shard's derived stream); accumulates into ws.delta/touched_add.
-  void run_shard(std::size_t width, const std::uint64_t* initiators,
-                 std::uint64_t* responders, rng& gen, worker_scratch& ws);
-  void apply_pair_type(agent_state u, agent_state v, std::uint64_t m,
-                       rng& gen, worker_scratch& ws);
-  void merge_scratch(multibatch_state& st, worker_scratch& ws) const;
+  /// Applies `m` disjoint (u, v) interactions: removes the pairs from the
+  /// census and adds their multinomially split outcomes to the census and
+  /// the touched pool.
+  void apply_pair_type(multibatch_state& st, agent_state u, agent_state v,
+                       std::uint64_t m, worker_scratch& ws);
   void resolve_collision(multibatch_state& st);
   static void merge_touched(multibatch_state& st);
 
@@ -150,7 +110,6 @@ class multibatch_executor {
   std::uint64_t aggregate_threshold_;
   collision_run_sampler birthday_;
   std::vector<worker_scratch> scratch_;
-  std::unique_ptr<thread_pool> pool_;
 };
 
 }  // namespace ppg

@@ -11,6 +11,8 @@
 // Exit codes: 0 = clean shutdown (drain complete, or forced-but-spilled);
 // 1 = startup failure (bad port, unreadable store, bad fault plan);
 // 2 = usage error.
+#include <pthread.h>
+
 #include <csignal>
 #include <ctime>
 
@@ -74,6 +76,15 @@ std::shared_ptr<ppg::fault_plan> parse_fault_plan(const char* text) {
   return ppg::fault_plan::parse(ppg::json::parse(source));
 }
 
+/// {SIGTERM, SIGINT}: the signals that start (and then force) shutdown.
+sigset_t termination_set() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGTERM);
+  sigaddset(&set, SIGINT);
+  return set;
+}
+
 void install_signal_handlers() {
   // sigaction, not std::signal: handler semantics are specified (no
   // SA_RESETHAND surprises), and we pick SA_RESTART off so blocking calls
@@ -84,6 +95,12 @@ void install_signal_handlers() {
   action.sa_flags = 0;
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
+  // Block both before any thread exists, so every scheduler and connection
+  // thread inherits the mask and the kernel can only deliver them to the
+  // main thread's sigsuspend/sigtimedwait. A handler run on another thread
+  // would never wake main, and the daemon would outlive its SIGTERM.
+  const sigset_t blocked = termination_set();
+  pthread_sigmask(SIG_BLOCK, &blocked, nullptr);
   // A peer that vanished mid-write must surface as EPIPE, never kill the
   // daemon (belt to http.cpp's MSG_NOSIGNAL braces).
   struct sigaction ignore {};
@@ -169,12 +186,12 @@ int main(int argc, char** argv) {
   std::cout << "ppg-serve listening on 127.0.0.1:" << server.port()
             << std::endl;
 
-  sigset_t mask;
-  sigemptyset(&mask);
-  while (termination_signals == 0) {
-    sigsuspend(&mask);  // park until SIGINT/SIGTERM; connections run on
-                        // their own threads
-  }
+  // Park until SIGINT/SIGTERM: sigsuspend atomically unblocks them, so a
+  // signal that arrived before this point is pending and wakes it at once.
+  // Connections run on their own threads.
+  sigset_t unblocked;
+  sigemptyset(&unblocked);
+  while (termination_signals == 0) sigsuspend(&unblocked);
 
   // Graceful drain on a helper thread so the main thread stays responsive
   // to a second signal (impatient operators, supervisor kill escalation).
@@ -194,9 +211,12 @@ int main(int argc, char** argv) {
       std::cout.flush();
       std::_Exit(0);
     }
-    timespec nap{};
-    nap.tv_nsec = 50'000'000;  // 50ms
-    nanosleep(&nap, nullptr);
+    // The signals are blocked again once sigsuspend returns, so a second
+    // one stays pending until this wait takes it.
+    const sigset_t waited = termination_set();
+    timespec timeout{};
+    timeout.tv_nsec = 50'000'000;  // 50ms
+    if (sigtimedwait(&waited, nullptr, &timeout) > 0) ++termination_signals;
   }
   drainer.join();
   std::cout << "ppg-serve: drained, shutting down\n";

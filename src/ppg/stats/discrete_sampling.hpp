@@ -43,9 +43,9 @@ namespace ppg {
     const std::vector<std::uint64_t>& counts, std::uint64_t draws, rng& gen);
 
 /// Allocation-free form of the multivariate hypergeometric draw over a raw
-/// census slice (the ensemble engine's SoA planes and the sharded
-/// multibatch's per-shard splits): writes the per-category counts into
-/// `out[0..size)`. Draw-for-draw identical to the vector overload.
+/// census slice (the multibatch round core's pools and scratch rows):
+/// writes the per-category counts into `out[0..size)`. Draw-for-draw
+/// identical to the vector overload.
 void sample_multivariate_hypergeometric(const std::uint64_t* counts,
                                         std::size_t size, std::uint64_t draws,
                                         rng& gen, std::uint64_t* out);

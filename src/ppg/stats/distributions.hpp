@@ -11,7 +11,7 @@ namespace ppg {
 
 /// Thread-safe log Γ(x). std::lgamma is NOT reentrant on glibc (it writes
 /// the process-global `signgam`), which is a data race once samplers run on
-/// shard workers; every lgamma in the library goes through this wrapper,
+/// worker threads; every lgamma in the library goes through this wrapper,
 /// which uses the reentrant lgamma_r where the platform provides it.
 [[nodiscard]] double log_gamma(double x);
 

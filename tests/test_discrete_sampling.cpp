@@ -255,8 +255,8 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
 }
 
 TEST(DiscreteSampling, PointerOverloadsAreDrawForDrawIdentical) {
-  // The allocation-free MVH/multinomial forms (the ensemble and sharded
-  // paths) must consume the exact draw sequence of the vector forms.
+  // The allocation-free MVH/multinomial forms (the multibatch round core)
+  // must consume the exact draw sequence of the vector forms.
   rng gen_a(55);
   rng gen_b(55);
   const std::vector<std::uint64_t> counts = {700, 250, 50, 0, 1000};

@@ -1,9 +1,7 @@
-// The intra-run parallelism contracts (DESIGN.md §11): the sharded
-// multibatch round is bit-identical at every thread count — census,
-// counters, residual carry, and the full snapshot including the RNG
-// position, checkpoints taken mid-residual-round included — and the SoA
-// ensemble engine's replicas are bitwise twins of solo multibatch engines
-// under the batch_runner stream law, agree across threads, and agree in
+// The SoA ensemble engine's contracts (DESIGN.md §11): its replicas are
+// bitwise twins of solo multibatch engines under the batch_runner stream
+// law, results never depend on the thread count, snapshots resume
+// bit-exactly through the shared solo schema, and the ensemble agrees in
 // distribution with all four single-trajectory engines.
 #include <gtest/gtest.h>
 
@@ -19,8 +17,6 @@
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/ensemble_engine.hpp"
-#include "ppg/pp/multibatch_engine.hpp"
-#include "ppg/pp/multibatch_round.hpp"
 #include "ppg/util/error.hpp"
 #include "ppg/util/json.hpp"
 #include "ppg/util/rng.hpp"
@@ -29,7 +25,7 @@ namespace ppg {
 namespace {
 
 /// Dense two-way hawk-dove: every pair randomizes both sides, so rounds
-/// exercise the MVH tables, the multinomial splits, and the shard merge.
+/// exercise the MVH tables and the multinomial splits.
 game_protocol dense_proto() {
   return {hawk_dove_matrix(1.0, 2.0),
           std::make_shared<logit_response_rule>(0.5),
@@ -38,95 +34,6 @@ game_protocol dense_proto() {
 
 std::vector<std::uint64_t> half_split(std::uint64_t n) {
   return {n / 2, n - n / 2};
-}
-
-/// Everything observable about a multibatch engine, as one string.
-std::string full_state(const multibatch_engine& engine) {
-  return engine.save_state().dump_string(false);
-}
-
-TEST(ShardLaw, IsAFixedFunctionOfTheRunLength) {
-  // q = 2 games have threshold 16 < the 512-pair grain.
-  const std::uint64_t thr = 16;
-  EXPECT_EQ(multibatch_executor::shard_count(1, thr), 1u);
-  EXPECT_EQ(multibatch_executor::shard_count(511, thr), 1u);
-  EXPECT_EQ(multibatch_executor::shard_count(1023, thr), 1u);
-  EXPECT_EQ(multibatch_executor::shard_count(1024, thr), 2u);
-  EXPECT_EQ(multibatch_executor::shard_count(512 * 7, thr), 7u);
-  EXPECT_EQ(multibatch_executor::shard_count(512 * 16, thr), 16u);
-  EXPECT_EQ(multibatch_executor::shard_count(1u << 30, thr), 16u);
-  // A larger aggregate threshold raises the grain with it.
-  EXPECT_EQ(multibatch_executor::shard_count(4096, 4096), 1u);
-  EXPECT_EQ(multibatch_executor::shard_count(3 * 4096, 4096), 3u);
-}
-
-TEST(ShardedMultibatch, TrajectoryBitwiseIdenticalAtAnyThreadCount) {
-  const auto proto = dense_proto();
-  const std::uint64_t n = 8'000'000;  // E[round] ~ 2500 pairs => 4-8 shards
-  std::vector<std::unique_ptr<multibatch_engine>> engines;
-  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
-    auto engine = std::make_unique<multibatch_engine>(proto, half_split(n),
-                                                      rng(987));
-    engine->set_shards(threads);
-    EXPECT_EQ(engine->shards(), threads);
-    engines.push_back(std::move(engine));
-  }
-  // Odd chunk sizes end mid-round essentially always, so the sweep also
-  // covers the residual-carry path at every thread count.
-  bool saw_mid_round = false;
-  for (const std::uint64_t chunk : {37'777u, 4'001u, 60'000u, 1u, 25'913u}) {
-    for (auto& engine : engines) engine->run(chunk);
-    const std::string reference = full_state(*engines.front());
-    for (std::size_t i = 1; i < engines.size(); ++i) {
-      ASSERT_EQ(full_state(*engines[i]), reference)
-          << "diverged at chunk " << chunk << " with "
-          << engines[i]->shards() << " threads";
-      ASSERT_EQ(engines[i]->census().counts(),
-                engines.front()->census().counts());
-      ASSERT_EQ(engines[i]->interactions(), engines.front()->interactions());
-      ASSERT_EQ(engines[i]->rounds(), engines.front()->rounds());
-      ASSERT_EQ(engines[i]->collisions(), engines.front()->collisions());
-      ASSERT_EQ(engines[i]->residual_free(), engines.front()->residual_free());
-    }
-    saw_mid_round = saw_mid_round || engines.front()->mid_round();
-  }
-  EXPECT_TRUE(saw_mid_round);
-  // The sweep must actually have exercised multi-shard aggregates.
-  EXPECT_GT(engines.front()->rounds(), 20u);
-}
-
-TEST(ShardedMultibatch, MidResidualRoundCheckpointRestoresAtAnyThreadCount) {
-  const auto proto = dense_proto();
-  const std::uint64_t n = 8'000'000;
-  multibatch_engine source(proto, half_split(n), rng(4242));
-  source.set_shards(3);
-  // Park the engine mid-round with residual carry: a chunk far smaller
-  // than the expected round length truncates the collision-free run.
-  source.run(200'000);
-  source.run(643);
-  ASSERT_TRUE(source.mid_round());
-  ASSERT_GT(source.residual_free(), 0u);
-  const json snapshot = source.save_state();
-
-  // Restore into engines at different thread counts (fresh RNGs — the
-  // snapshot's RNG position must win) and continue everything in lockstep.
-  std::vector<std::unique_ptr<multibatch_engine>> resumed;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    auto engine = std::make_unique<multibatch_engine>(proto, half_split(n),
-                                                      rng(1));
-    engine->set_shards(threads);
-    engine->restore_state(snapshot);
-    ASSERT_TRUE(engine->mid_round());
-    ASSERT_EQ(engine->residual_free(), source.residual_free());
-    resumed.push_back(std::move(engine));
-  }
-  for (const std::uint64_t chunk : {777u, 123'456u, 50'000u}) {
-    source.run(chunk);
-    for (auto& engine : resumed) {
-      engine->run(chunk);
-      ASSERT_EQ(full_state(*engine), full_state(source));
-    }
-  }
 }
 
 TEST(EnsembleEngine, ReplicasAreBitwiseTwinsOfSoloMultibatch) {

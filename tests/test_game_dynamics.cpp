@@ -12,6 +12,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/kernel.hpp"
+#include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/stats/chi_square.hpp"
 #include "ppg/util/error.hpp"
 
@@ -344,6 +346,68 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
     EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4) << c.label;
     EXPECT_GT(testing::two_sample_p(agent, batched, 8), 1e-4) << c.label;
     EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4) << c.label;
+  }
+}
+
+// At the n <= 240 of the suite above, collision-free runs of ~8-10 pairs
+// never reach the aggregate threshold, so only the sequential path runs.
+// At n = 20,000 rounds average ~90 pairs and the aggregate path (MVH pair
+// tables + multinomial outcome splits) carries nearly every interaction;
+// its law must still match the census engine's.
+TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
+  struct aggregate_case {
+    std::string label;
+    game_protocol proto;
+    std::vector<std::uint64_t> initial_counts;
+  };
+  const std::vector<aggregate_case> cases = {
+      // v/c = 1/3 puts the logit fixed point off the symmetric point, so
+      // a biased outcome split moves the census the test observes.
+      {"logit/hawk-dove two-way",
+       game_protocol(hawk_dove_matrix(1.0, 3.0),
+                     std::make_shared<logit_response_rule>(0.5),
+                     revision_discipline::two_way),
+       {16'000, 4'000}},
+      {"proportional/rps",
+       game_protocol(rock_paper_scissors_matrix(),
+                     std::make_shared<proportional_imitation_rule>(0.8)),
+       {9'000, 7'000, 4'000}},
+  };
+  const auto statistic = [](const census_view& census) {
+    double mass = 0.0;
+    for (std::size_t s = 0; s < census.num_state_kinds(); ++s) {
+      mass += static_cast<double>(s + 1) *
+              static_cast<double>(census.count(static_cast<agent_state>(s)));
+    }
+    return mass;
+  };
+  constexpr std::size_t replicas = 200;
+  std::uint64_t master = 700;
+  for (const auto& c : cases) {
+    const sim_spec spec(c.proto, c.initial_counts);
+    const std::uint64_t steps = 2 * spec.population_size();
+    const auto census = testing::replica_statistics(
+        spec, engine_kind::census, replicas, steps, master++, statistic);
+    std::vector<double> multibatch;
+    multibatch.reserve(replicas);
+    std::uint64_t interactions = 0;
+    std::uint64_t rounds = 0;
+    std::uint64_t threshold = 0;
+    for (std::size_t r = 0; r < replicas; ++r) {
+      rng gen = make_stream_rng(master, r);
+      const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+      engine->run(steps);
+      multibatch.push_back(statistic(engine->census()));
+      const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+      interactions += mb.interactions();
+      rounds += mb.rounds();
+      threshold = mb.aggregate_threshold();
+    }
+    ++master;
+    EXPECT_GT(static_cast<double>(interactions) / static_cast<double>(rounds),
+              2.0 * static_cast<double>(threshold))
+        << c.label << ": rounds too short to exercise the aggregate path";
+    EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4) << c.label;
   }
 }
 

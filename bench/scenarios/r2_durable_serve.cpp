@@ -108,34 +108,35 @@ scenario_result run_r2(const scenario_context& ctx) {
   serve_config plain_config = durable_config;
   plain_config.store_dir.clear();
 
-  // --- spill overhead: the same advance schedule with and without a store.
-  const timer plain_clock;
+  // --- spill overhead: the identical request sequence (create s1, then
+  // `rounds` advances) timed with and without a store.
+  const auto timed_requests = [&](serve_app& app) {
+    const timer clock;
+    (void)must(app, make_request("POST", "/sessions", create_body(1)));
+    for (std::uint64_t round = 0; round < rounds; ++round) {
+      (void)must(app,
+                 make_request("POST", "/sessions/s1/advance", advance_body));
+    }
+    return clock.seconds();
+  };
+  double plain_s = 0.0;
   {
     serve_app plain(plain_config);
-    (void)must(plain, make_request("POST", "/sessions", create_body(1)));
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-      (void)must(plain,
-                 make_request("POST", "/sessions/s1/advance", advance_body));
-    }
+    plain_s = timed_requests(plain);
   }
-  const double plain_s = plain_clock.seconds();
 
   std::string final_checkpoint;
-  const timer durable_clock;
+  double durable_s = 0.0;
   {
     serve_app durable(durable_config);
-    (void)must(durable, make_request("POST", "/sessions", create_body(1)));
+    durable_s = timed_requests(durable);
+    // Untimed: s2 exists only for the quarantine step below.
     (void)must(durable, make_request("POST", "/sessions", create_body(2)));
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-      (void)must(durable,
-                 make_request("POST", "/sessions/s1/advance", advance_body));
-    }
     final_checkpoint =
         must(durable, make_request("GET", "/sessions/s1/checkpoint")).body;
     // No drain: the serve_app dies like a crashed daemon — the idle spill
     // already made the last advance recoverable.
   }
-  const double durable_s = durable_clock.seconds();
   const double overhead_pct =
       plain_s > 0.0 ? (durable_s / plain_s - 1.0) * 100.0 : 0.0;
 

@@ -22,6 +22,7 @@
 // seed-deterministic quantities (here: the thread-determinism flag) gate
 // the regression check — see scripts/check_bench.py.
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "ppg/core/igt_protocol.hpp"
 #include "ppg/ehrenfest/exact_chain.hpp"
 #include "ppg/ehrenfest/process.hpp"
+#include "ppg/exp/batch_runner.hpp"
 #include "ppg/exp/replicate.hpp"
 #include "ppg/exp/scenario.hpp"
 #include "ppg/games/closed_form.hpp"
@@ -38,7 +40,6 @@
 #include "ppg/games/rollout.hpp"
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/pp/ensemble_engine.hpp"
 #include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
@@ -216,9 +217,9 @@ scenario_result run_engines(const scenario_context& ctx) {
   }
 
   // Replica parallelism (DESIGN.md §11) on the dense hawk-dove workload:
-  // the SoA ensemble engine's aggregate rate at the host's thread count.
-  // Wall-clock only — its bitwise determinism gates live in
-  // p1_parallel_engines.
+  // batch_runner over multibatch engines sharing one compiled kernel, at the
+  // host's thread count. Wall-clock only — its bitwise determinism gates
+  // live in p1_parallel_engines.
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   auto& par_table = result.table(
@@ -228,17 +229,28 @@ scenario_result run_engines(const scenario_context& ctx) {
   {
     constexpr std::size_t replicas = 16;
     constexpr std::uint64_t en = 1'000'000;
-    ensemble_engine ensemble(hd_proto, {en / 2, en - en / 2},
-                             derive_stream_seed(ctx.seed, 61), replicas);
-    ensemble.set_threads(hw);
     constexpr std::uint64_t chunk = 8192;
-    const double ips = measure_rate(
-        [&] { ensemble.run(chunk); },
-        static_cast<double>(replicas) * static_cast<double>(chunk),
-        min_seconds);
-    result.metric("ips_hawk_dove_ensemble_r16_n" + std::to_string(en), ips);
-    par_table.add_row({"ensemble x16", std::to_string(hw), fmt_count(en),
-                       format_metric(ips, 4)});
+    constexpr std::uint64_t batch_chunks = 40;
+    const sim_spec spec(hd_proto, {en / 2, en - en / 2});
+    const auto kernel = std::make_shared<const kernel_table>(hd_proto);
+    const batch_runner runner({replicas, derive_stream_seed(ctx.seed, 61), hw});
+    // Engines persist across batches; replica i only ever touches its own.
+    const auto engines = runner.run([&](const replica_context&, rng& gen) {
+      return spec.make_engine(engine_kind::multibatch, gen, kernel);
+    });
+    const auto batch = [&] {
+      runner.run([&](const replica_context& replica, rng&) {
+        for (std::uint64_t c = 0; c < batch_chunks; ++c) {
+          engines[replica.index]->run(chunk);
+        }
+        return 0;
+      });
+    };
+    const double items = static_cast<double>(replicas * batch_chunks * chunk);
+    const double ips = measure_rate(batch, items, min_seconds);
+    result.metric("ips_hawk_dove_batch_runner_r16_n" + std::to_string(en), ips);
+    par_table.add_row({"batch_runner multibatch x16", std::to_string(hw),
+                       fmt_count(en), format_metric(ips, 4)});
   }
 
   // Cross-engine ratios land in the trajectory but carry no regression

@@ -7,6 +7,24 @@
 #include "ppg/util/error.hpp"
 
 namespace ppg {
+namespace {
+
+constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
+
+/// The state holding the `target`-th agent (0-indexed) of the pool when its
+/// agents are ordered by state; `excluded` removes one agent of that state
+/// first (no_excluded_state removes none).
+agent_state locate(const std::vector<std::uint64_t>& pool,
+                   std::uint64_t target, agent_state excluded) {
+  for (std::size_t s = 0; s < pool.size(); ++s) {
+    const std::uint64_t c = pool[s] - (s == excluded ? 1u : 0u);
+    if (target < c) return static_cast<agent_state>(s);
+    target -= c;
+  }
+  PPG_CHECK(false, "multibatch sampling target out of range");
+}
+
+}  // namespace
 
 multibatch_engine::multibatch_engine(const protocol& proto,
                                      std::vector<std::uint64_t> initial_counts,
@@ -21,7 +39,12 @@ multibatch_engine::multibatch_engine(const protocol& proto,
         return n;
       }()),
       gen_(gen),
-      executor_(kernel_, counts_.size(), n_) {
+      birthday_(n_) {
+  PPG_CHECK(counts_.size() >= kernel_->num_states(),
+            "census state space smaller than the protocol's");
+  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
+  // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
+  PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
   PPG_CHECK(sampling == pair_sampling::distinct,
             "multibatch engine supports pair_sampling::distinct only; use "
             "the census engine for with_replacement sampling");
@@ -33,6 +56,12 @@ multibatch_engine::multibatch_engine(const protocol& proto,
               "multibatch engine: agents in states outside the protocol's "
               "space");
   }
+  const auto q = static_cast<std::uint64_t>(kernel_->num_states());
+  // Below ~4q^2 interactions the aggregate path's O(q^2) hypergeometric
+  // table costs more than per-pair O(q) sampling, so short runs (small n:
+  // the birthday law scales them as ~sqrt(n)) fall back to the sequential
+  // path and the engine degrades to census-engine cost.
+  aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * q * q);
   untouched_ = counts_;
   touched_.assign(counts_.size(), 0);
   untouched_total_ = n_;
@@ -61,28 +90,27 @@ void multibatch_engine::check_round_invariants() const {
 #endif
 }
 
-json dump_multibatch_snapshot(const multibatch_snapshot& state) {
+json multibatch_engine::save_state() const {
   json snapshot = json::object();
   snapshot["state_version"] = engine_state_version;
   snapshot["engine"] = engine_kind_name(engine_kind::multibatch);
-  snapshot["interactions"] = state.interactions;
-  const auto words = state.gen.save();
+  snapshot["interactions"] = interactions_;
+  const auto words = gen_.save();
   snapshot["rng"] = json_uint_array({words[0], words[1], words[2], words[3]});
-  snapshot["counts"] = json_uint_array(state.counts);
-  snapshot["untouched"] = json_uint_array(state.untouched);
-  snapshot["touched"] = json_uint_array(state.touched);
-  snapshot["untouched_total"] = state.untouched_total;
-  snapshot["rounds"] = state.rounds;
-  snapshot["collisions"] = state.collisions;
-  snapshot["pending_free"] = state.pending_free;
-  snapshot["collision_pending"] = state.collision_pending;
+  snapshot["counts"] = json_uint_array(counts_);
+  snapshot["untouched"] = json_uint_array(untouched_);
+  snapshot["touched"] = json_uint_array(touched_);
+  snapshot["untouched_total"] = untouched_total_;
+  snapshot["rounds"] = rounds_;
+  snapshot["collisions"] = collisions_;
+  snapshot["pending_free"] = pending_free_;
+  snapshot["collision_pending"] = collision_pending_;
   return snapshot;
 }
 
-multibatch_snapshot parse_multibatch_snapshot(const json& snapshot,
-                                              std::size_t width,
-                                              std::uint64_t n,
-                                              std::size_t num_states) {
+void multibatch_engine::restore_state(const json& snapshot) {
+  // Everything is parsed and validated into locals first; the engine is
+  // mutated only once the whole snapshot has passed.
   const char* where = "multibatch snapshot";
   json_require_keys(snapshot,
                     {"state_version", "engine", "interactions", "rng",
@@ -99,104 +127,231 @@ multibatch_snapshot parse_multibatch_snapshot(const json& snapshot,
   const std::string& name = json_require_string(snapshot, "engine", where);
   PPG_CHECK(name == engine_kind_name(engine_kind::multibatch),
             "multibatch snapshot: engine kind is '" + name + "'");
-  multibatch_snapshot state;
-  state.interactions = json_require_uint(snapshot, "interactions", where);
+  const std::uint64_t interactions =
+      json_require_uint(snapshot, "interactions", where);
   const auto words = json_require_uint_array(snapshot, "rng", where);
   PPG_CHECK(words.size() == 4,
             "multibatch snapshot: rng state must be 4 words of 64 bits");
-  state.gen.restore({words[0], words[1], words[2], words[3]});
-  state.counts = json_require_uint_array(snapshot, "counts", where);
-  state.untouched = json_require_uint_array(snapshot, "untouched", where);
-  state.touched = json_require_uint_array(snapshot, "touched", where);
-  PPG_CHECK(state.counts.size() == width &&
-                state.untouched.size() == width &&
-                state.touched.size() == width,
+  rng gen;
+  gen.restore({words[0], words[1], words[2], words[3]});
+  auto counts = json_require_uint_array(snapshot, "counts", where);
+  auto untouched = json_require_uint_array(snapshot, "untouched", where);
+  auto touched = json_require_uint_array(snapshot, "touched", where);
+  const std::size_t width = counts_.size();
+  PPG_CHECK(counts.size() == width && untouched.size() == width &&
+                touched.size() == width,
             "multibatch snapshot: state-space width mismatch");
-  state.untouched_total =
+  const std::uint64_t untouched_total =
       json_require_uint(snapshot, "untouched_total", where);
-  state.rounds = json_require_uint(snapshot, "rounds", where);
-  state.collisions = json_require_uint(snapshot, "collisions", where);
-  state.pending_free = json_require_uint(snapshot, "pending_free", where);
-  state.collision_pending =
+  const std::uint64_t rounds = json_require_uint(snapshot, "rounds", where);
+  const std::uint64_t collisions =
+      json_require_uint(snapshot, "collisions", where);
+  const std::uint64_t pending_free =
+      json_require_uint(snapshot, "pending_free", where);
+  const bool collision_pending =
       json_require_bool(snapshot, "collision_pending", where);
   std::uint64_t total = 0;
   std::uint64_t untouched_sum = 0;
   for (std::size_t s = 0; s < width; ++s) {
-    PPG_CHECK(s < num_states || state.counts[s] == 0,
+    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
               "multibatch snapshot: agents in states outside the protocol's "
               "space");
-    PPG_CHECK(state.untouched[s] + state.touched[s] == state.counts[s],
+    PPG_CHECK(untouched[s] + touched[s] == counts[s],
               "multibatch snapshot: pools do not partition the census");
-    total += state.counts[s];
-    untouched_sum += state.untouched[s];
+    total += counts[s];
+    untouched_sum += untouched[s];
   }
-  PPG_CHECK(total == n, "multibatch snapshot: population size mismatch");
-  PPG_CHECK(untouched_sum == state.untouched_total,
+  PPG_CHECK(total == n_, "multibatch snapshot: population size mismatch");
+  PPG_CHECK(untouched_sum == untouched_total,
             "multibatch snapshot: untouched_total disagrees with the pool");
-  PPG_CHECK(state.collision_pending || state.pending_free == 0,
+  PPG_CHECK(collision_pending || pending_free == 0,
             "multibatch snapshot: residual carry outside a round");
-  PPG_CHECK(state.collision_pending || state.untouched_total == n,
+  PPG_CHECK(collision_pending || untouched_total == n_,
             "multibatch snapshot: touched agents outside a round");
-  PPG_CHECK(2 * state.pending_free <= state.untouched_total,
+  PPG_CHECK(2 * pending_free <= untouched_total,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
-  return state;
+  counts_ = std::move(counts);
+  untouched_ = std::move(untouched);
+  touched_ = std::move(touched);
+  untouched_total_ = untouched_total;
+  pending_free_ = pending_free;
+  collision_pending_ = collision_pending;
+  rounds_ = rounds;
+  collisions_ = collisions;
+  interactions_ = interactions;
+  gen_ = gen;
 }
 
-json multibatch_engine::save_state() const {
-  multibatch_snapshot state;
-  state.counts = counts_;
-  state.untouched = untouched_;
-  state.touched = touched_;
-  state.untouched_total = untouched_total_;
-  state.interactions = interactions_;
-  state.rounds = rounds_;
-  state.collisions = collisions_;
-  state.pending_free = pending_free_;
-  state.collision_pending = collision_pending_;
-  state.gen = gen_;
-  return dump_multibatch_snapshot(state);
+void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
+                                        std::uint64_t m) {
+  // The run's initiators and responders are untouched agents, so these
+  // removals never exceed the census, whatever outcomes were added first.
+  counts_[u] -= m;
+  counts_[v] -= m;
+  const std::size_t support = kernel_->num_outcomes(u, v);
+  if (support == 1) {
+    // Deterministic pair: no draws, mirroring every engine's fast path.
+    const outcome o = kernel_->outcome_at(u, v, 0);
+    counts_[o.initiator] += m;
+    counts_[o.responder] += m;
+    touched_[o.initiator] += m;
+    touched_[o.responder] += m;
+    return;
+  }
+  probs_.resize(support);
+  split_.resize(support);
+  for (std::size_t k = 0; k < support; ++k) {
+    probs_[k] = kernel_->outcome_at(u, v, k).probability;
+  }
+  sample_multinomial(m, probs_.data(), support, gen_, split_.data());
+  for (std::size_t k = 0; k < support; ++k) {
+    if (split_[k] == 0) continue;
+    const outcome o = kernel_->outcome_at(u, v, k);
+    counts_[o.initiator] += split_[k];
+    counts_[o.responder] += split_[k];
+    touched_[o.initiator] += split_[k];
+    touched_[o.responder] += split_[k];
+  }
 }
 
-void multibatch_engine::restore_state(const json& snapshot) {
-  auto state = parse_multibatch_snapshot(snapshot, counts_.size(), n_,
-                                         kernel_->num_states());
-  counts_ = std::move(state.counts);
-  untouched_ = std::move(state.untouched);
-  touched_ = std::move(state.touched);
-  untouched_total_ = state.untouched_total;
-  pending_free_ = state.pending_free;
-  collision_pending_ = state.collision_pending;
-  rounds_ = state.rounds;
-  collisions_ = state.collisions;
-  interactions_ = state.interactions;
-  gen_ = state.gen;
+void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
+  const std::size_t width = counts_.size();
+  initiators_.resize(width);
+  responders_.resize(width);
+  row_.resize(width);
+  // The 2*free agents of a collision-free run are a uniform sample without
+  // replacement from the untouched pool; odd positions (initiators) are a
+  // simple random sample, even positions (responders) one from the
+  // remainder, and conditioned on both multisets the initiator-responder
+  // matching is uniform — realized by splitting the responder multiset
+  // across initiator groups with sequential multivariate hypergeometrics.
+  sample_multivariate_hypergeometric(untouched_.data(), width, free, gen_,
+                                     initiators_.data());
+  for (std::size_t s = 0; s < width; ++s) untouched_[s] -= initiators_[s];
+  sample_multivariate_hypergeometric(untouched_.data(), width, free, gen_,
+                                     responders_.data());
+  for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
+  untouched_total_ -= 2 * free;
+  const std::size_t q = kernel_->num_states();
+  for (std::size_t u = 0; u < q; ++u) {
+    if (initiators_[u] == 0) continue;
+    sample_multivariate_hypergeometric(responders_.data(), width,
+                                       initiators_[u], gen_, row_.data());
+    for (std::size_t v = 0; v < width; ++v) {
+      responders_[v] -= row_[v];
+      if (row_[v] > 0) {
+        apply_pair_type(static_cast<agent_state>(u),
+                        static_cast<agent_state>(v), row_[v]);
+      }
+    }
+  }
+}
+
+void multibatch_engine::apply_free_sequential(std::uint64_t free) {
+  for (std::uint64_t i = 0; i < free; ++i) {
+    const agent_state u = locate(untouched_, gen_.next_below(untouched_total_),
+                                 no_excluded_state);
+    const agent_state v =
+        locate(untouched_, gen_.next_below(untouched_total_ - 1), u);
+    const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
+    --untouched_[u];
+    --untouched_[v];
+    untouched_total_ -= 2;
+    ++touched_[next_initiator];
+    ++touched_[next_responder];
+    --counts_[u];
+    --counts_[v];
+    ++counts_[next_initiator];
+    ++counts_[next_responder];
+  }
+}
+
+void multibatch_engine::resolve_collision() {
+  const std::uint64_t u_total = untouched_total_;
+  const std::uint64_t t_total = n_ - u_total;
+  // An ordered pair of distinct agents conditioned on >= 1 touched agent:
+  // categories touched-touched, touched-untouched, untouched-touched with
+  // weights t(t-1), t*u, u*t (their sum is n(n-1) - u(u-1)).
+  const std::uint64_t tt = t_total * (t_total - 1);
+  const std::uint64_t tu = t_total * u_total;
+  std::uint64_t x = gen_.next_below(tt + 2 * tu);
+  agent_state initiator;
+  agent_state responder;
+  bool initiator_touched;
+  bool responder_touched;
+  if (x < tt) {
+    initiator = locate(touched_, gen_.next_below(t_total), no_excluded_state);
+    responder = locate(touched_, gen_.next_below(t_total - 1), initiator);
+    initiator_touched = responder_touched = true;
+  } else if (x < tt + tu) {
+    initiator = locate(touched_, gen_.next_below(t_total), no_excluded_state);
+    responder = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
+    initiator_touched = true;
+    responder_touched = false;
+  } else {
+    initiator = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
+    responder = locate(touched_, gen_.next_below(t_total), no_excluded_state);
+    initiator_touched = false;
+    responder_touched = true;
+  }
+  const auto [next_initiator, next_responder] =
+      kernel_->sample(initiator, responder, gen_);
+  --(initiator_touched ? touched_ : untouched_)[initiator];
+  --(responder_touched ? touched_ : untouched_)[responder];
+  untouched_total_ -=
+      (initiator_touched ? 0u : 1u) + (responder_touched ? 0u : 1u);
+  ++touched_[next_initiator];
+  ++touched_[next_responder];
+  --counts_[initiator];
+  --counts_[responder];
+  ++counts_[next_initiator];
+  ++counts_[next_responder];
+}
+
+void multibatch_engine::merge_touched() {
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    untouched_[s] += touched_[s];
+    touched_[s] = 0;
+  }
+  untouched_total_ = n_;
 }
 
 void multibatch_engine::step() { run(1); }
 
 void multibatch_engine::run(std::uint64_t steps) {
   check_round_invariants();
-  multibatch_state st;
-  st.counts = counts_.data();
-  st.untouched = untouched_.data();
-  st.touched = touched_.data();
-  st.width = counts_.size();
-  st.n = n_;
-  st.untouched_total = untouched_total_;
-  st.gen = &gen_;
-  st.interactions = interactions_;
-  st.rounds = rounds_;
-  st.collisions = collisions_;
-  st.pending_free = pending_free_;
-  st.collision_pending = collision_pending_;
-  executor_.run(st, steps);
-  untouched_total_ = st.untouched_total;
-  interactions_ = st.interactions;
-  rounds_ = st.rounds;
-  collisions_ = st.collisions;
-  pending_free_ = st.pending_free;
-  collision_pending_ = st.collision_pending;
+  std::uint64_t remaining = steps;
+  while (remaining > 0) {
+    if (!collision_pending_) {
+      // New round: every agent is untouched (merge_touched ran), so the
+      // birthday law starts from the full pool.
+      pending_free_ = birthday_.sample(gen_);
+      collision_pending_ = true;
+      ++rounds_;
+    }
+    if (pending_free_ > 0) {
+      // A run truncated by the step budget stays lawful: the remainder is
+      // carried in pending_free_ and continues in the next call, so no
+      // redraw is needed (and the birthday law is not memoryless).
+      const std::uint64_t free = std::min(pending_free_, remaining);
+      if (free < aggregate_threshold_) {
+        apply_free_sequential(free);
+      } else {
+        apply_free_aggregate(free);
+      }
+      pending_free_ -= free;
+      remaining -= free;
+      interactions_ += free;
+    }
+    if (remaining == 0) break;
+    resolve_collision();
+    ++collisions_;
+    ++interactions_;
+    --remaining;
+    collision_pending_ = false;
+    merge_touched();
+  }
 }
 
 }  // namespace ppg

@@ -38,8 +38,12 @@
 // populations degrade gracefully to exactly the census engine's
 // per-interaction cost.
 //
-// Steps 1–4 run in the shared round core (pp/multibatch_round.hpp), every
-// draw on the engine's one generator.
+// Every draw of a round comes from the engine's one generator, in a fixed
+// order: the birthday length, the initiator and responder MVH samples over
+// the untouched pool, the conditional MVH matching rows, the per-cell
+// outcome multinomials, and the collision. A round is therefore one exact
+// draw of the census Markov chain's aggregated step, and a trajectory is a
+// pure function of its seed and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +52,7 @@
 
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/kernel.hpp"
-#include "ppg/pp/multibatch_round.hpp"
+#include "ppg/stats/discrete_sampling.hpp"
 
 namespace ppg {
 
@@ -93,7 +97,7 @@ class multibatch_engine final : public sim_engine {
   /// Collision-free runs shorter than this take the sequential per-pair
   /// path; longer ones are applied in aggregate.
   [[nodiscard]] std::uint64_t aggregate_threshold() const {
-    return executor_.aggregate_threshold();
+    return aggregate_threshold_;
   }
 
   /// The residual-round carry: collision-free interactions of the current
@@ -115,6 +119,13 @@ class multibatch_engine final : public sim_engine {
   /// (pending_free / collision_pending) — a checkpoint taken inside a
   /// budget-truncated round resumes the same round, same law, same draws.
   [[nodiscard]] json save_state() const override;
+
+  /// Validates the whole snapshot before touching the engine: exact key
+  /// set, known state_version, engine == "multibatch", width/population/
+  /// state-space agreement, and the round-state invariants (pools
+  /// partition the census, untouched_total matches the pool, residual
+  /// carry consistent). Throws invariant_error and leaves the engine
+  /// unchanged on any violation.
   void restore_state(const json& snapshot) override;
 
  private:
@@ -123,6 +134,15 @@ class multibatch_engine final : public sim_engine {
   /// compiled out in Release. restore_state enforces the same relations
   /// unconditionally via PPG_CHECK.
   void check_round_invariants() const;
+
+  void apply_free_aggregate(std::uint64_t free);
+  void apply_free_sequential(std::uint64_t free);
+  /// Applies `m` disjoint (u, v) interactions: removes the pairs from the
+  /// census and adds their multinomially split outcomes to the census and
+  /// the touched pool.
+  void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);
+  void resolve_collision();
+  void merge_touched();
 
   std::shared_ptr<const kernel_table> kernel_;
   std::vector<std::uint64_t> counts_;     ///< current census
@@ -138,37 +158,16 @@ class multibatch_engine final : public sim_engine {
   /// it reaches 0 with collision_pending_, the next interaction collides.
   std::uint64_t pending_free_ = 0;
   bool collision_pending_ = false;
-  multibatch_executor executor_;  ///< the shared round core
+  /// The birthday law's log-survival table: one O(sqrt(n)) table shared by
+  /// every round of the trajectory.
+  collision_run_sampler birthday_;
+  std::uint64_t aggregate_threshold_;
+  // Round scratch, reused across rounds (no per-round allocation).
+  std::vector<double> probs_;              ///< outcome-split probabilities
+  std::vector<std::uint64_t> split_;       ///< multinomial outcome counts
+  std::vector<std::uint64_t> initiators_;  ///< initiator census of a run
+  std::vector<std::uint64_t> responders_;  ///< responder census (consumed)
+  std::vector<std::uint64_t> row_;         ///< one matching row
 };
-
-/// One multibatch engine's complete dynamical state, decoded from or
-/// encoded into the solo v1 snapshot schema (DESIGN.md §9). This is also
-/// the ensemble engine's per-replica serialization unit: each entry of an
-/// ensemble snapshot's "replicas" array is exactly this schema, so a
-/// replica's entry restores into a solo engine and a solo snapshot slots
-/// into an ensemble (DESIGN.md §11).
-struct multibatch_snapshot {
-  std::vector<std::uint64_t> counts;
-  std::vector<std::uint64_t> untouched;
-  std::vector<std::uint64_t> touched;
-  std::uint64_t untouched_total = 0;
-  std::uint64_t interactions = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t pending_free = 0;
-  bool collision_pending = false;
-  rng gen;
-};
-
-/// Serializes to the solo multibatch schema, canonical key order.
-[[nodiscard]] json dump_multibatch_snapshot(const multibatch_snapshot& state);
-
-/// Parses and validates a solo multibatch snapshot: exact key set, known
-/// state_version, engine == "multibatch", width/population/state-space
-/// agreement, and the round-state invariants (pools partition the census,
-/// residual carry consistent). Throws invariant_error on any violation.
-[[nodiscard]] multibatch_snapshot parse_multibatch_snapshot(
-    const json& snapshot, std::size_t width, std::uint64_t n,
-    std::size_t num_states);
 
 }  // namespace ppg

@@ -43,7 +43,7 @@ namespace ppg {
     const std::vector<std::uint64_t>& counts, std::uint64_t draws, rng& gen);
 
 /// Allocation-free form of the multivariate hypergeometric draw over a raw
-/// census slice (the multibatch round core's pools and scratch rows):
+/// census slice (the multibatch engine's pools and scratch rows):
 /// writes the per-category counts into `out[0..size)`. Draw-for-draw
 /// identical to the vector overload.
 void sample_multivariate_hypergeometric(const std::uint64_t* counts,
@@ -73,8 +73,8 @@ void sample_multinomial(std::uint64_t m, const double* probs,
 /// finest level a 53-bit uniform can resolve after ~sqrt(19 n) pairs — so
 /// each draw is one uniform plus a binary search with no lgamma calls
 /// (previously ~2 lgammas per probe, the dominant per-round cost on dense
-/// low-q games). The table depends only on n: one sampler is shared across
-/// every replica of an ensemble and across all rounds of a trajectory.
+/// low-q games). The table depends only on n: a multibatch engine builds it
+/// once and reuses it for every round of its trajectory.
 class collision_run_sampler {
  public:
   explicit collision_run_sampler(std::uint64_t n);

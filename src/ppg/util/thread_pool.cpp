@@ -1,8 +1,6 @@
 #include "ppg/util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 
 namespace ppg {
@@ -39,42 +37,6 @@ void thread_pool::submit(std::function<void()> task) {
 void thread_pool::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void thread_pool::run_sharded(
-    std::size_t count,
-    const std::function<void(std::size_t worker, std::size_t index)>& body) {
-  if (count == 0) return;
-  // Per-call completion state: shared_ptr keeps it alive until the last
-  // task's final notify even if the caller's wait races ahead.
-  struct job_state {
-    std::atomic<std::size_t> next{0};
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    std::size_t live_tasks = 0;
-  };
-  auto job = std::make_shared<job_state>();
-  const std::size_t tasks = std::min(size(), count);
-  job->live_tasks = tasks;
-  for (std::size_t w = 0; w < tasks; ++w) {
-    // `body` is captured by reference: the caller blocks below until every
-    // task has exited, so the reference outlives all uses.
-    submit([job, w, count, &body] {
-      for (;;) {
-        const std::size_t i =
-            job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        body(w, i);
-      }
-      {
-        const std::lock_guard<std::mutex> lock(job->done_mutex);
-        --job->live_tasks;
-      }
-      job->done_cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(job->done_mutex);
-  job->done_cv.wait(lock, [&] { return job->live_tasks == 0; });
 }
 
 std::size_t thread_pool::queued() const {

@@ -38,19 +38,6 @@ class thread_pool {
   /// Blocks until the queue is empty and no task is executing.
   void wait_idle();
 
-  /// Runs `body(worker, index)` exactly once for every index in [0, count),
-  /// spread across min(size(), count) pool tasks, and blocks the caller
-  /// until all indices have finished. `worker` is the task's slot in
-  /// [0, min(size(), count)) — stable for the task's lifetime, so callers
-  /// can hand each concurrent task its own scratch buffer. Indices are
-  /// claimed from a shared counter, so which worker runs which index is
-  /// scheduling-dependent; only use `worker` for scratch, never for
-  /// index-dependent results. Completion is tracked per call (not via
-  /// wait_idle), so a shared pool with unrelated queued tasks still works.
-  void run_sharded(std::size_t count,
-                   const std::function<void(std::size_t worker,
-                                            std::size_t index)>& body);
-
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Tasks submitted but not yet picked up by a worker. A point-in-time

@@ -425,6 +425,60 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     file["schema_version"] = std::uint64_t{2};
     EXPECT_THROW((void)restore_checkpoint(file), invariant_error);
   }
+
+  // The multibatch round state, from a snapshot taken mid-round with free
+  // pairs pending: each tampered copy breaks exactly one invariant, and
+  // the rejection names that invariant.
+  const sim_recipe hd_recipe =
+      sim_recipe::from_json(json::parse(hawk_dove_recipe_text()));
+  rng mb_gen(807);
+  const auto mb_engine = hd_recipe.spec().make_engine(engine_kind::multibatch,
+                                                      mb_gen);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*mb_engine);
+  for (int i = 0; i < 200 && mb.residual_free() == 0; ++i) mb_engine->run(7);
+  ASSERT_GT(mb.residual_free(), 0u) << "never parked mid-round";
+  const json mid = mb_engine->save_state();
+  const std::string mid_bytes = mid.dump_string(false);
+  const auto expect_rejected = [&](const json& bad, const std::string& why) {
+    try {
+      mb_engine->restore_state(bad);
+      ADD_FAILURE() << "accepted a snapshot with " << why;
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
+    // A failed restore leaves the engine exactly as it was.
+    EXPECT_EQ(mb_engine->save_state().dump_string(false), mid_bytes);
+  };
+  const char* where = "multibatch snapshot";
+  const std::uint64_t untouched_total =
+      json_require_uint(mid, "untouched_total", where);
+  {  // The pools no longer partition the census (population kept).
+    auto counts = json_require_uint_array(mid, "counts", where);
+    ASSERT_GT(counts[0], 0u);
+    --counts[0];
+    ++counts[1];
+    json bad = mid;
+    bad["counts"] = json_uint_array(counts);
+    expect_rejected(bad, "pools do not partition the census");
+  }
+  {  // A stale untouched_total.
+    json bad = mid;
+    bad["untouched_total"] = untouched_total + 1;
+    expect_rejected(bad, "untouched_total disagrees with the pool");
+  }
+  {  // pending_free > 0 outside a round.
+    json bad = mid;
+    bad["collision_pending"] = false;
+    expect_rejected(bad, "residual carry outside a round");
+  }
+  {  // 2 * pending_free > untouched_total.
+    json bad = mid;
+    bad["pending_free"] = untouched_total / 2 + 1;
+    expect_rejected(bad, "residual free run exceeds the untouched pool");
+  }
+  // The untampered snapshot still restores.
+  mb_engine->restore_state(mid);
+  EXPECT_EQ(mb_engine->save_state().dump_string(false), mid_bytes);
 }
 
 // --- resumable sweeps -----------------------------------------------------

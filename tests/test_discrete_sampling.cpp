@@ -255,7 +255,7 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
 }
 
 TEST(DiscreteSampling, PointerOverloadsAreDrawForDrawIdentical) {
-  // The allocation-free MVH/multinomial forms (the multibatch round core)
+  // The allocation-free MVH/multinomial forms (the multibatch engine's rounds)
   // must consume the exact draw sequence of the vector forms.
   rng gen_a(55);
   rng gen_b(55);

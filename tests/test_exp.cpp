@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -15,6 +16,10 @@
 #include "ppg/core/igt_count_chain.hpp"
 #include "ppg/core/igt_protocol.hpp"
 #include "ppg/exp/replicate.hpp"
+#include "ppg/games/game_matrix.hpp"
+#include "ppg/games/game_protocol.hpp"
+#include "ppg/games/update_rule.hpp"
+#include "ppg/pp/kernel.hpp"
 #include "ppg/stats/ecdf.hpp"
 #include "ppg/util/thread_pool.hpp"
 
@@ -156,6 +161,29 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
     // reduction order at any thread count.
     EXPECT_EQ(serial.mean()[j], parallel.mean()[j]);
     EXPECT_EQ(serial.ci_half_width()[j], parallel.ci_half_width()[j]);
+  }
+
+  // Census-level replicas that share one precompiled kernel across
+  // threads: dense two-way hawk-dove multibatch engines, whose rounds
+  // exercise the MVH tables and the multinomial splits concurrently.
+  const game_protocol dense(hawk_dove_matrix(1.0, 2.0),
+                            std::make_shared<logit_response_rule>(0.5),
+                            revision_discipline::two_way);
+  const sim_spec dense_spec(dense, {25'000, 25'000});
+  const auto kernel = std::make_shared<const kernel_table>(dense);
+  const auto dense_body = [&](const replica_context&, rng& gen) {
+    const auto engine = dense_spec.make_engine(engine_kind::multibatch, gen,
+                                               kernel);
+    engine->run(40'000);
+    return engine->census().fractions();
+  };
+  const auto reference = replicate_census({9, 123, 1}, dense_body);
+  for (const std::size_t threads : {3u, 8u}) {
+    const auto batch = replicate_census({9, 123, threads}, dense_body);
+    ASSERT_EQ(batch.count(), 9u);
+    EXPECT_EQ(batch.mean(), reference.mean()) << threads << " threads";
+    EXPECT_EQ(batch.ci_half_width(), reference.ci_half_width())
+        << threads << " threads";
   }
 }
 

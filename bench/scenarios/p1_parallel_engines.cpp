@@ -63,7 +63,8 @@ scenario_result run_parallel(const scenario_context& ctx) {
   result.param("n", n);
   result.param("steps", steps);
   result.param("game", "hawk-dove v=1 c=2, logit tau=0.5, two-way");
-  multibatch_engine solo(proto, half_split(n), ctx.make_rng(1));
+  multibatch_engine solo(std::make_shared<const kernel_table>(proto),
+                         half_split(n), ctx.make_rng(1));
   solo.run(steps);
   const std::uint64_t rounds = solo.rounds();
   const std::uint64_t collisions = solo.collisions();

@@ -58,9 +58,9 @@ void remove_tree(const std::string& where) {
 /// POSTs and asserts 2xx (scenario-level sanity, not a gated metric).
 http_response must(serve_app& app, const http_request& request) {
   http_response response = app.handle(request);
-  PPG_CHECK(response.status < 300, request.method + " " + request.target +
-                                       " -> " + std::to_string(response.status) +
-                                       " " + response.body);
+  PPG_CHECK(response.status < 300,
+            request.method + " " + request.target + " -> " +
+                std::to_string(response.status) + " " + response.body);
   return response;
 }
 

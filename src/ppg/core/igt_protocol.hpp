@@ -52,8 +52,8 @@ using igt_discipline = revision_discipline;
 /// Definition 2.1 dynamics (type-keyed transitions): the game_protocol
 /// compilation of the paper's strategy set and laddered adjustment rule.
 /// The kernel is deterministic (a single support point per pair); it is
-/// what the census and batched engines execute, cross-checked against
-/// igt_count_chain (equation (5)) in the tests.
+/// what the census, batched and multibatch engines execute, cross-checked
+/// against igt_count_chain (equation (5)) in the tests.
 class igt_protocol final : public game_protocol {
  public:
   explicit igt_protocol(std::size_t k,

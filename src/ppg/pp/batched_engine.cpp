@@ -1,28 +1,15 @@
 #include "ppg/pp/batched_engine.hpp"
 
+#include <utility>
+
 #include "ppg/util/error.hpp"
 
 namespace ppg {
 
-batched_engine::batched_engine(const protocol& proto,
+batched_engine::batched_engine(std::shared_ptr<const kernel_table> kernel,
                                std::vector<std::uint64_t> initial_counts,
-                               rng gen, pair_sampling sampling,
-                               std::shared_ptr<const kernel_table> kernel)
-    : kernel_(kernel ? std::move(kernel)
-                       : std::make_shared<const kernel_table>(proto)), counts_(std::move(initial_counts)), n_(0), gen_(gen) {
-  PPG_CHECK(sampling == pair_sampling::distinct,
-            "batched engine supports pair_sampling::distinct only; use the "
-            "census engine for with_replacement sampling");
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "batched engine: precompiled kernel does not match the protocol");
-  PPG_CHECK(counts_.size() >= kernel_->num_states(),
-            "census state space smaller than the protocol's");
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
-              "batched engine: agents in states outside the protocol's space");
-    n_ += counts_[s];
-  }
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
+                               rng gen)
+    : census_level_engine(std::move(kernel), std::move(initial_counts), gen) {
   // c_u * c_v must not overflow: n^2 < 2^63 keeps every weight and the
   // non-identity mass (at most n(n-1) total) in range.
   PPG_CHECK(n_ <= 3'000'000'000ull, "batched engine caps n at 3e9");
@@ -43,60 +30,49 @@ batched_engine::batched_engine(const protocol& proto,
       is_active_row_[u] = 1;
     }
   }
-  rebuild_row_sums();
+  active_weight_ = derive_row_sums(counts_, row_responder_sum_);
 }
 
-void batched_engine::rebuild_row_sums() {
+std::uint64_t batched_engine::derive_row_sums(
+    const std::vector<std::uint64_t>& counts,
+    std::vector<std::uint64_t>& sums) const {
   const std::size_t q = kernel_->num_states();
-  row_responder_sum_.assign(q, 0);
+  sums.assign(q, 0);
   for (agent_state u = 0; u < q; ++u) {
     for (agent_state v = 0; v < q; ++v) {
       if (responder_in_row_[u * q + v] != 0) {
-        row_responder_sum_[u] += counts_[v];
+        sums[u] += counts[v];
       }
     }
   }
-  active_weight_ = 0;
+  std::uint64_t mass = 0;
   for (const auto u : active_rows_) {
-    active_weight_ += row_weight(u);
+    const std::uint64_t self = responder_in_row_[u * q + u];
+    mass += counts[u] * (sums[u] - self);
   }
+  return mass;
 }
 
 json batched_engine::save_state() const {
-  json snapshot = snapshot_envelope(interactions_, gen_);
-  snapshot["counts"] = json_uint_array(counts_);
+  json snapshot = save_counts();
   snapshot["batches"] = batches_;
   snapshot["active_weight"] = active_weight_;
   return snapshot;
 }
 
 void batched_engine::restore_state(const json& snapshot) {
-  json_require_keys(snapshot,
-                    {"state_version", "engine", "interactions", "rng",
-                     "counts", "batches", "active_weight"},
-                    "batched snapshot");
-  const auto core = check_snapshot_envelope(snapshot);
-  const auto counts =
-      json_require_uint_array(snapshot, "counts", "batched snapshot");
-  PPG_CHECK(counts.size() == counts_.size(),
-            "batched snapshot: state-space width mismatch");
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
-              "batched snapshot: agents in states outside the protocol's "
-              "space");
-    total += counts[s];
-  }
-  PPG_CHECK(total == n_, "batched snapshot: population size mismatch");
-  counts_ = counts;
-  rebuild_row_sums();
-  PPG_CHECK(json_require_uint(snapshot, "active_weight", "batched snapshot") ==
-                active_weight_,
+  const char* where = "batched snapshot";
+  auto state = check_counts(snapshot, {"batches", "active_weight"});
+  std::vector<std::uint64_t> sums;
+  const std::uint64_t mass = derive_row_sums(state.counts, sums);
+  PPG_CHECK(json_require_uint(snapshot, "active_weight", where) == mass,
             "batched snapshot: stored non-identity mass disagrees with the "
             "census (corrupt checkpoint)");
-  batches_ = json_require_uint(snapshot, "batches", "batched snapshot");
-  interactions_ = core.interactions;
-  gen_ = core.gen;
+  const std::uint64_t batches = json_require_uint(snapshot, "batches", where);
+  commit(std::move(state));
+  row_responder_sum_ = std::move(sums);
+  active_weight_ = mass;
+  batches_ = batches;
 }
 
 std::uint64_t batched_engine::row_weight(std::size_t row) const {
@@ -165,8 +141,6 @@ void batched_engine::apply_active(std::uint64_t active) {
   }
   PPG_CHECK(false, "active pair sampling target out of range");
 }
-
-void batched_engine::step() { run(1); }
 
 std::uint64_t batched_engine::advance_batch(std::uint64_t budget) {
   ++batches_;

@@ -28,30 +28,19 @@
 
 namespace ppg {
 
-class batched_engine final : public sim_engine {
+class batched_engine final : public census_level_engine {
  public:
-  /// Same contract as census_engine, but restricted to
-  /// pair_sampling::distinct (the standard PP scheduler). Population sizes
-  /// up to ~3e9 are supported: pair weights c_u * c_v must fit in 64 bits.
-  /// When `kernel` is non-null the engine uses that precompiled table
-  /// instead of compiling its own — the ppg-serve warm-cache path; it must
-  /// have been compiled from a protocol with the same canonical form (the
-  /// constructor checks the state-space size, the caller owns semantic
-  /// equality). Null compiles from `proto` as before.
-  batched_engine(const protocol& proto,
-                 std::vector<std::uint64_t> initial_counts, rng gen,
-                 pair_sampling sampling = pair_sampling::distinct,
-                               std::shared_ptr<const kernel_table> kernel = nullptr);
+  /// The census_level_engine contract under pair_sampling::distinct (the
+  /// standard PP scheduler; sim_spec::make_engine rejects with_replacement).
+  /// Population sizes up to ~3e9 are supported: pair weights c_u * c_v must
+  /// fit in 64 bits.
+  batched_engine(std::shared_ptr<const kernel_table> kernel,
+                 std::vector<std::uint64_t> initial_counts, rng gen);
 
-  void step() override;
   void run(std::uint64_t steps) override;
   std::uint64_t run_until(const census_predicate& converged,
                           std::uint64_t max_steps) override;
 
-  [[nodiscard]] census_view census() const override { return {counts_, n_}; }
-  [[nodiscard]] std::uint64_t interactions() const override {
-    return interactions_;
-  }
   [[nodiscard]] engine_kind kind() const override {
     return engine_kind::batched;
   }
@@ -63,16 +52,20 @@ class batched_engine final : public sim_engine {
 
   /// Snapshot payload: counts, the batch counter, and the incrementally
   /// maintained non-identity mass. restore_state re-derives the mass from
-  /// the restored counts and cross-checks it against the stored value, so a
-  /// checkpoint whose census and mass disagree is rejected instead of
+  /// the snapshot's counts and cross-checks it against the stored value
+  /// before committing anything, so a checkpoint whose census and mass
+  /// disagree is rejected — leaving the engine unmodified — instead of
   /// silently corrupting the geometric batch law.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
 
  private:
-  /// Recomputes the responder sums R_u and the total non-identity mass from
-  /// counts_ (construction and restore; every other update is incremental).
-  void rebuild_row_sums();
+  /// Computes the responder sums R_u of `counts` into `sums` and returns
+  /// the total non-identity mass, touching no member (construction and
+  /// restore; every other update is incremental).
+  [[nodiscard]] std::uint64_t derive_row_sums(
+      const std::vector<std::uint64_t>& counts,
+      std::vector<std::uint64_t>& sums) const;
 
   /// Number of ordered agent pairs realizing initiator row u: the weight of
   /// row u is c_u * (R_u - [u in S_u]).
@@ -92,11 +85,6 @@ class batched_engine final : public sim_engine {
   /// non-identity weight active_weight_.
   void add_count(agent_state state, std::int64_t delta);
 
-  std::shared_ptr<const kernel_table> kernel_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t n_;
-  rng gen_;
-  std::uint64_t interactions_ = 0;
   std::uint64_t batches_ = 0;
   /// Initiator states with at least one non-identity pair.
   std::vector<agent_state> active_rows_;

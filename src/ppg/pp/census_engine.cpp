@@ -1,109 +1,51 @@
 #include "ppg/pp/census_engine.hpp"
 
-#include "ppg/util/error.hpp"
+#include <utility>
 
 namespace ppg {
 
-namespace {
-constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
-}  // namespace
-
-census_engine::census_engine(const protocol& proto,
+census_engine::census_engine(std::shared_ptr<const kernel_table> kernel,
                              std::vector<std::uint64_t> initial_counts,
-                             rng gen, pair_sampling sampling,
-                             std::shared_ptr<const kernel_table> kernel)
-    : kernel_(kernel ? std::move(kernel)
-                       : std::make_shared<const kernel_table>(proto)),
-      counts_(std::move(initial_counts)),
-      n_(0),
-      gen_(gen),
-      sampling_(sampling) {
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "census engine: precompiled kernel does not match the protocol");
-  PPG_CHECK(counts_.size() >= kernel_->num_states(),
-            "census state space smaller than the protocol's");
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
-              "census engine: agents in states outside the protocol's space");
-    n_ += counts_[s];
-  }
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
-}
+                             rng gen, pair_sampling sampling)
+    : census_level_engine(std::move(kernel), std::move(initial_counts), gen),
+      sampling_(sampling) {}
 
-agent_state census_engine::locate(std::uint64_t target,
-                                  agent_state excluded) const {
-  const std::size_t q = kernel_->num_states();
-  for (std::size_t s = 0; s < q; ++s) {
-    const std::uint64_t c = counts_[s] - (s == excluded ? 1u : 0u);
-    if (target < c) return static_cast<agent_state>(s);
-    target -= c;
-  }
-  PPG_CHECK(false, "census sampling target out of range");
-}
-
-void census_engine::step() {
-  if (sampling_ == pair_sampling::with_replacement &&
-      gen_.next_below(n_) == 0) {
-    // A self-interaction (probability 1/n): the ordered pair lands on one
-    // agent twice; only the initiator update applies, mirroring the agent
-    // engine's self-pair handling.
-    const agent_state u = locate(gen_.next_below(n_), no_excluded_state);
-    const auto [next_initiator, next_responder] = kernel_->sample(u, u, gen_);
-    (void)next_responder;
-    --counts_[u];
-    ++counts_[next_initiator];
-    ++interactions_;
-    return;
-  }
-  // Ordered pair of distinct agents: initiator state u with probability
-  // c_u / n, then responder state v with probability (c_v - [v==u]) / (n-1)
-  // — the census marginal of a uniform ordered agent pair.
-  const agent_state u = locate(gen_.next_below(n_), no_excluded_state);
-  const agent_state v = locate(gen_.next_below(n_ - 1), u);
-  const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
-  --counts_[u];
-  --counts_[v];
-  ++counts_[next_initiator];
-  ++counts_[next_responder];
-  ++interactions_;
-}
-
-json census_engine::save_state() const {
-  json snapshot = snapshot_envelope(interactions_, gen_);
-  snapshot["counts"] = json_uint_array(counts_);
-  return snapshot;
-}
-
-void census_engine::restore_state(const json& snapshot) {
-  json_require_keys(
-      snapshot, {"state_version", "engine", "interactions", "rng", "counts"},
-      "census snapshot");
-  const auto core = check_snapshot_envelope(snapshot);
-  const auto counts =
-      json_require_uint_array(snapshot, "counts", "census snapshot");
-  PPG_CHECK(counts.size() == counts_.size(),
-            "census snapshot: state-space width mismatch");
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
-              "census snapshot: agents in states outside the protocol's "
-              "space");
-    total += counts[s];
-  }
-  PPG_CHECK(total == n_, "census snapshot: population size mismatch");
-  counts_ = counts;
-  interactions_ = core.interactions;
-  gen_ = core.gen;
-}
-
-// Identical loop to the sim_engine default, but compiled against the final
-// class: step() dispatches statically here, which is worth ~15% on the
-// per-interaction hot path (the base-class loop pays a virtual call per
-// step).
 void census_engine::run(std::uint64_t steps) {
   for (std::uint64_t i = 0; i < steps; ++i) {
-    step();
+    if (sampling_ == pair_sampling::with_replacement &&
+        gen_.next_below(n_) == 0) {
+      // A self-interaction (probability 1/n): the ordered pair lands on one
+      // agent twice; only the initiator update applies, mirroring the agent
+      // engine's self-pair handling.
+      const agent_state u =
+          locate(counts_, gen_.next_below(n_), no_excluded_state);
+      const auto [next_initiator, next_responder] =
+          kernel_->sample(u, u, gen_);
+      (void)next_responder;
+      --counts_[u];
+      ++counts_[next_initiator];
+      ++interactions_;
+      continue;
+    }
+    // Ordered pair of distinct agents: initiator state u with probability
+    // c_u / n, then responder state v with probability (c_v - [v==u]) /
+    // (n-1) — the census marginal of a uniform ordered agent pair.
+    const agent_state u =
+        locate(counts_, gen_.next_below(n_), no_excluded_state);
+    const agent_state v = locate(counts_, gen_.next_below(n_ - 1), u);
+    const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
+    --counts_[u];
+    --counts_[v];
+    ++counts_[next_initiator];
+    ++counts_[next_responder];
+    ++interactions_;
   }
+}
+
+json census_engine::save_state() const { return save_counts(); }
+
+void census_engine::restore_state(const json& snapshot) {
+  commit(check_counts(snapshot));
 }
 
 }  // namespace ppg

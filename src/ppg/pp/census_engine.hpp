@@ -16,29 +16,17 @@
 
 namespace ppg {
 
-class census_engine final : public sim_engine {
+class census_engine final : public census_level_engine {
  public:
-  /// `initial_counts[s]` is the number of agents starting in state s; its
-  /// length is the census width (may exceed the protocol's state count, but
-  /// states outside the protocol's space must be empty). The protocol must
-  /// expose a kernel and must outlive the engine.
-  /// When `kernel` is non-null the engine uses that precompiled table
-  /// instead of compiling its own — the ppg-serve warm-cache path; it must
-  /// have been compiled from a protocol with the same canonical form (the
-  /// constructor checks the state-space size, the caller owns semantic
-  /// equality). Null compiles from `proto` as before.
-  census_engine(const protocol& proto,
+  /// The census_level_engine contract (a compiled kernel, an initial census
+  /// whose out-of-space states are empty, n >= 2); the only census-level
+  /// engine that also supports pair_sampling::with_replacement.
+  census_engine(std::shared_ptr<const kernel_table> kernel,
                 std::vector<std::uint64_t> initial_counts, rng gen,
-                pair_sampling sampling = pair_sampling::distinct,
-                              std::shared_ptr<const kernel_table> kernel = nullptr);
+                pair_sampling sampling = pair_sampling::distinct);
 
-  void step() override;
   void run(std::uint64_t steps) override;
 
-  [[nodiscard]] census_view census() const override { return {counts_, n_}; }
-  [[nodiscard]] std::uint64_t interactions() const override {
-    return interactions_;
-  }
   [[nodiscard]] engine_kind kind() const override {
     return engine_kind::census;
   }
@@ -49,18 +37,7 @@ class census_engine final : public sim_engine {
   void restore_state(const json& snapshot) override;
 
  private:
-  /// The state holding the `target`-th agent (0-indexed) when agents are
-  /// ordered by state; `excluded` removes one agent of that state first
-  /// (agent_state(-1) removes none).
-  [[nodiscard]] agent_state locate(std::uint64_t target,
-                                   agent_state excluded) const;
-
-  std::shared_ptr<const kernel_table> kernel_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t n_;
-  rng gen_;
   pair_sampling sampling_;
-  std::uint64_t interactions_ = 0;
 };
 
 }  // namespace ppg

@@ -67,12 +67,6 @@ sim_engine::snapshot_core sim_engine::check_snapshot_envelope(
   return core;
 }
 
-void sim_engine::run(std::uint64_t steps) {
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    step();
-  }
-}
-
 std::uint64_t sim_engine::run_until(const census_predicate& converged,
                                     std::uint64_t max_steps) {
   std::uint64_t executed = 0;
@@ -114,32 +108,28 @@ simulation::simulation(const protocol& proto, population agents, rng gen,
   PPG_CHECK(agents_.size() >= 2, "a protocol needs at least two agents");
 }
 
-void simulation::step() {
-  const interaction pair =
-      sampling_ == pair_sampling::distinct
-          ? sample_distinct_pair(agents_.size(), gen_)
-          : sample_with_replacement_pair(agents_.size(), gen_);
-  const auto [next_initiator, next_responder] =
-      proto_->interact(agents_.state_of(pair.initiator),
-                       agents_.state_of(pair.responder), gen_);
-  // Catch rogue protocols loudly in every build type; the applications below
-  // then take the debug-checked fast path (the pair indices come from the
-  // scheduler, which guarantees they are in range).
-  PPG_CHECK(next_initiator < agents_.num_state_kinds() &&
-                next_responder < agents_.num_state_kinds(),
-            "protocol emitted a state outside the population's space");
-  agents_.apply_interaction(pair.initiator, next_initiator);
-  // Self-interactions can occur under with_replacement sampling; applying
-  // the responder update second would clobber the initiator's, so skip it.
-  if (pair.responder != pair.initiator) {
-    agents_.apply_interaction(pair.responder, next_responder);
-  }
-  ++interactions_;
-}
-
 void simulation::run(std::uint64_t steps) {
   for (std::uint64_t i = 0; i < steps; ++i) {
-    step();
+    const interaction pair =
+        sampling_ == pair_sampling::distinct
+            ? sample_distinct_pair(agents_.size(), gen_)
+            : sample_with_replacement_pair(agents_.size(), gen_);
+    const auto [next_initiator, next_responder] =
+        proto_->interact(agents_.state_of(pair.initiator),
+                         agents_.state_of(pair.responder), gen_);
+    // Catch rogue protocols loudly in every build type; the applications
+    // below then take the debug-checked fast path (the pair indices come
+    // from the scheduler, which guarantees they are in range).
+    PPG_CHECK(next_initiator < agents_.num_state_kinds() &&
+                  next_responder < agents_.num_state_kinds(),
+              "protocol emitted a state outside the population's space");
+    agents_.apply_interaction(pair.initiator, next_initiator);
+    // Self-interactions can occur under with_replacement sampling; applying
+    // the responder update second would clobber the initiator's: skip it.
+    if (pair.responder != pair.initiator) {
+      agents_.apply_interaction(pair.responder, next_responder);
+    }
+    ++interactions_;
   }
 }
 
@@ -159,7 +149,8 @@ void simulation::restore_state(const json& snapshot) {
       snapshot, {"state_version", "engine", "interactions", "rng", "states"},
       "agent snapshot");
   const auto core = check_snapshot_envelope(snapshot);
-  const auto raw = json_require_uint_array(snapshot, "states", "agent snapshot");
+  const auto raw =
+      json_require_uint_array(snapshot, "states", "agent snapshot");
   PPG_CHECK(raw.size() == agents_.size(),
             "agent snapshot: population size mismatch");
   std::vector<agent_state> states;
@@ -174,6 +165,59 @@ void simulation::restore_state(const json& snapshot) {
   agents_ = population(std::move(states), agents_.num_state_kinds());
   interactions_ = core.interactions;
   gen_ = core.gen;
+}
+
+census_level_engine::census_level_engine(
+    std::shared_ptr<const kernel_table> kernel,
+    std::vector<std::uint64_t> initial_counts, rng gen)
+    : kernel_(std::move(kernel)),
+      counts_(std::move(initial_counts)),
+      gen_(gen) {
+  PPG_CHECK(kernel_ != nullptr, "census-level engines need a kernel");
+  PPG_CHECK(counts_.size() >= kernel_->num_states(),
+            "census state space smaller than the protocol's");
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
+              "census-level engine: agents in states outside the "
+              "protocol's space");
+    n_ += counts_[s];
+  }
+  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
+}
+
+json census_level_engine::save_counts() const {
+  json snapshot = snapshot_envelope(interactions_, gen_);
+  snapshot["counts"] = json_uint_array(counts_);
+  return snapshot;
+}
+
+census_level_engine::counts_state census_level_engine::check_counts(
+    const json& snapshot,
+    std::initializer_list<std::string_view> extra_keys) const {
+  const std::string where = std::string(engine_kind_name(kind())) + " snapshot";
+  std::vector<std::string_view> keys = {"state_version", "engine",
+                                        "interactions", "rng", "counts"};
+  keys.insert(keys.end(), extra_keys);
+  json_require_keys(snapshot, keys, where);
+  auto core = check_snapshot_envelope(snapshot);
+  counts_state state{core.interactions, core.gen,
+                     json_require_uint_array(snapshot, "counts", where)};
+  PPG_CHECK(state.counts.size() == counts_.size(),
+            where + ": state-space width mismatch");
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < state.counts.size(); ++s) {
+    PPG_CHECK(s < kernel_->num_states() || state.counts[s] == 0,
+              where + ": agents in states outside the protocol's space");
+    total += state.counts[s];
+  }
+  PPG_CHECK(total == n_, where + ": population size mismatch");
+  return state;
+}
+
+void census_level_engine::commit(counts_state state) {
+  counts_ = std::move(state.counts);
+  interactions_ = state.interactions;
+  gen_ = state.gen;
 }
 
 namespace {
@@ -239,24 +283,34 @@ simulation sim_spec::instantiate(rng& gen) const {
 std::unique_ptr<sim_engine> sim_spec::make_engine(
     engine_kind kind, rng& gen,
     std::shared_ptr<const kernel_table> kernel) const {
+  if (kind == engine_kind::agent) {
+    PPG_CHECK(kernel == nullptr,
+              "the agent engine interprets the protocol directly and "
+              "takes no precompiled kernel");
+    return std::make_unique<simulation>(instantiate(gen));
+  }
+  if (kernel == nullptr) {
+    kernel = std::make_shared<const kernel_table>(*proto_);
+  }
+  PPG_CHECK(kernel->num_states() == proto_->num_states(),
+            "precompiled kernel does not match the protocol");
+  PPG_CHECK(kind == engine_kind::census ||
+                sampling_ == pair_sampling::distinct,
+            std::string(engine_kind_name(kind)) +
+                " engine supports pair_sampling::distinct only; use the "
+                "census engine for with_replacement sampling");
   switch (kind) {
-    case engine_kind::agent:
-      PPG_CHECK(kernel == nullptr,
-                "the agent engine interprets the protocol directly and "
-                "takes no precompiled kernel");
-      return std::make_unique<simulation>(instantiate(gen));
     case engine_kind::census:
-      return std::make_unique<census_engine>(*proto_, initial_counts_,
-                                             gen.split(), sampling_,
-                                             std::move(kernel));
+      return std::make_unique<census_engine>(
+          std::move(kernel), initial_counts_, gen.split(), sampling_);
     case engine_kind::batched:
-      return std::make_unique<batched_engine>(*proto_, initial_counts_,
-                                              gen.split(), sampling_,
-                                              std::move(kernel));
+      return std::make_unique<batched_engine>(std::move(kernel),
+                                              initial_counts_, gen.split());
     case engine_kind::multibatch:
-      return std::make_unique<multibatch_engine>(*proto_, initial_counts_,
-                                                 gen.split(), sampling_,
-                                                 std::move(kernel));
+      return std::make_unique<multibatch_engine>(std::move(kernel),
+                                                 initial_counts_, gen.split());
+    case engine_kind::agent:
+      break;
   }
   PPG_CHECK(false, "unknown engine kind");
 }

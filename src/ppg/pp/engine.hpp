@@ -1,13 +1,17 @@
 // The uniform simulation-engine interface: every execution backend —
-// agent-level loop, census-only sampler, batched geometric-skip sampler —
-// exposes the same surface (step / run / run_until / run_with_snapshots /
-// census / interactions / parallel_time), so drivers and experiments are
-// written once and the backend is a runtime choice (sim_spec::make_engine).
+// agent-level loop, census-only sampler, batched geometric-skip sampler,
+// multibatch aggregated-round sampler — exposes the same surface (step /
+// run / run_until / run_with_snapshots / census / interactions /
+// parallel_time), so drivers and experiments are written once and the
+// backend is a runtime choice (sim_spec::make_engine). The three
+// census-level backends share one shell, census_level_engine, that owns
+// their count vector, construction checks and snapshot codec.
 // The protocol abstraction itself lives in pp/kernel.hpp.
 // See DESIGN.md §3 for the engine architecture.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -16,6 +20,7 @@
 #include "ppg/pp/census.hpp"
 #include "ppg/pp/kernel.hpp"
 #include "ppg/pp/scheduler.hpp"
+#include "ppg/util/error.hpp"
 #include "ppg/util/json.hpp"
 
 namespace ppg {
@@ -55,12 +60,12 @@ class sim_engine {
   virtual ~sim_engine() = default;
 
   /// Executes one interaction.
-  virtual void step() = 0;
+  void step() { run(1); }
 
-  /// Executes `steps` interactions. Engines override this when they can
-  /// advance faster than step-at-a-time (the batched engine skips runs of
-  /// identity interactions in one geometric draw).
-  virtual void run(std::uint64_t steps);
+  /// Executes `steps` interactions. Each engine advances in its own unit:
+  /// one interaction (agent, census), one geometric batch of identity
+  /// interactions (batched), or one aggregated round (multibatch).
+  virtual void run(std::uint64_t steps) = 0;
 
   /// Runs until `converged(census())` is true or `max_steps` is reached;
   /// returns the number of interactions executed in this call.
@@ -69,7 +74,7 @@ class sim_engine {
 
   /// Runs `steps` interactions, recording a census every `snapshot_every`
   /// interactions (including one at the end).
-  [[nodiscard]] virtual std::vector<census_snapshot> run_with_snapshots(
+  [[nodiscard]] std::vector<census_snapshot> run_with_snapshots(
       std::uint64_t steps, std::uint64_t snapshot_every);
 
   /// The current census.
@@ -97,8 +102,8 @@ class sim_engine {
   /// kind and spec. Strict: unknown keys, a foreign engine name, a version
   /// this build does not know, or counts inconsistent with the engine's
   /// population all throw ppg::invariant_error and leave the engine
-  /// unmodified only up to the first failed check — treat a throwing
-  /// restore as fatal for this engine instance and rebuild it.
+  /// unmodified — every engine validates the whole snapshot before it
+  /// commits any of it.
   virtual void restore_state(const json& snapshot) = 0;
 
   [[nodiscard]] std::uint64_t population_size() const {
@@ -142,7 +147,6 @@ class simulation final : public sim_engine {
   simulation(const protocol& proto, population agents, rng gen,
              pair_sampling sampling = pair_sampling::distinct);
 
-  void step() override;
   void run(std::uint64_t steps) override;
 
   [[nodiscard]] const population& agents() const { return agents_; }
@@ -165,6 +169,75 @@ class simulation final : public sim_engine {
   std::uint64_t interactions_ = 0;
 };
 
+/// The shell of the census-level engines (census, batched, multibatch): the
+/// state they share is the per-state count vector, so the shell owns it —
+/// the compiled kernel, counts, population size, generator and interaction
+/// counter — together with its construction checks and its snapshot codec
+/// (the shared envelope plus "counts"). Each derived engine adds only its
+/// own sampling law and its own extra snapshot fields.
+class census_level_engine : public sim_engine {
+ public:
+  [[nodiscard]] census_view census() const override { return {counts_, n_}; }
+  [[nodiscard]] std::uint64_t interactions() const override {
+    return interactions_;
+  }
+
+ protected:
+  /// `initial_counts[s]` is the number of agents starting in state s; its
+  /// length is the census width (may exceed the kernel's state count, but
+  /// states outside the kernel's space must be empty). `kernel` must be
+  /// non-null; sim_spec::make_engine compiles it and checks it against the
+  /// protocol.
+  census_level_engine(std::shared_ptr<const kernel_table> kernel,
+                      std::vector<std::uint64_t> initial_counts, rng gen);
+
+  /// Marks "no excluded agent" for locate.
+  static constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
+
+  /// The state holding the `target`-th agent (0-indexed) of `pool` when its
+  /// agents are ordered by state; `excluded` removes one agent of that
+  /// state first (no_excluded_state removes none).
+  [[nodiscard]] static agent_state locate(
+      const std::vector<std::uint64_t>& pool, std::uint64_t target,
+      agent_state excluded) {
+    for (std::size_t s = 0; s < pool.size(); ++s) {
+      const std::uint64_t c = pool[s] - (s == excluded ? 1u : 0u);
+      if (target < c) return static_cast<agent_state>(s);
+      target -= c;
+    }
+    PPG_CHECK(false, "census sampling target out of range");
+  }
+
+  /// The shared snapshot: the envelope followed by "counts". Engines with
+  /// extra state append their fields to it.
+  [[nodiscard]] json save_counts() const;
+
+  /// A parsed and validated snapshot core, not yet committed.
+  struct counts_state {
+    std::uint64_t interactions = 0;
+    rng gen;
+    std::vector<std::uint64_t> counts;
+  };
+
+  /// Parses and validates a snapshot's envelope and counts into locals —
+  /// exact key set (the shared keys plus `extra_keys`), known version,
+  /// this engine's kind, width, population size and state-space agreement
+  /// — without touching the engine, so the caller can check its own extra
+  /// fields before anything is committed.
+  [[nodiscard]] counts_state check_counts(
+      const json& snapshot,
+      std::initializer_list<std::string_view> extra_keys = {}) const;
+
+  /// Commits a validated snapshot core.
+  void commit(counts_state state);
+
+  std::shared_ptr<const kernel_table> kernel_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t n_ = 0;
+  rng gen_;
+  std::uint64_t interactions_ = 0;
+};
+
 /// A seedless recipe for a simulation: protocol, initial condition, and
 /// sampling discipline. Replica R of a batch is `instantiate(gen_R)` (or
 /// `make_engine(kind, gen_R)`) — every replica starts from the identical
@@ -174,8 +247,8 @@ class simulation final : public sim_engine {
 ///
 /// The initial condition may be given per-agent (a population) or as a bare
 /// census (counts per state). The census form never allocates per-agent
-/// state, so census/batched engines scale to populations far beyond what an
-/// agent array can hold; the agent engine materializes agents from the
+/// state, so the census-level engines scale to populations far beyond what
+/// an agent array can hold; the agent engine materializes agents from the
 /// census (grouped by state) on demand.
 class sim_spec {
  public:
@@ -195,16 +268,17 @@ class sim_spec {
   /// A fresh engine of the requested kind at the initial condition, seeded
   /// from gen.split() exactly like instantiate — make_engine(agent, gen) and
   /// instantiate(gen) from equal generator states produce bitwise-identical
-  /// trajectories. The census and batched engines require the protocol to
-  /// expose a kernel; the batched engine additionally requires
-  /// pair_sampling::distinct.
+  /// trajectories. The census, batched and multibatch engines require the
+  /// protocol to expose a kernel; the batched and multibatch engines
+  /// additionally require pair_sampling::distinct.
   ///
-  /// A non-null `kernel` hands the census-level engines a precompiled
-  /// kernel table instead of compiling one from the protocol — the
-  /// ppg-serve warm-cache path; it never changes any draw (the table is
-  /// immutable shared data) and must match the protocol's canonical form.
-  /// The agent engine interprets the protocol directly and rejects a
-  /// precompiled kernel.
+  /// A null `kernel` compiles one from the protocol. A non-null `kernel`
+  /// hands the census-level engines a precompiled kernel table instead —
+  /// the ppg-serve warm-cache path; it never changes any draw (the table is
+  /// immutable shared data) and must match the protocol's canonical form
+  /// (checked here on the state-space size; the caller owns semantic
+  /// equality). The agent engine interprets the protocol directly and
+  /// rejects a precompiled kernel.
   [[nodiscard]] std::unique_ptr<sim_engine> make_engine(
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;

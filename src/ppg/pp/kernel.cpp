@@ -37,8 +37,9 @@ std::string protocol::state_name(agent_state state) const {
 
 kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
   PPG_CHECK(proto.has_kernel(),
-            "protocol exposes no transition kernel; census/batched engines "
-            "require outcome_distribution (agent engine works without one)");
+            "protocol exposes no transition kernel; census/batched/"
+            "multibatch engines require outcome_distribution (agent engine "
+            "works without one)");
   PPG_CHECK(q_ >= 1, "protocol must have at least one state");
   offsets_.reserve(q_ * q_ + 1);
   identity_.assign(q_ * q_, 0);

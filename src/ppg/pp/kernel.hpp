@@ -1,9 +1,9 @@
 // The protocol abstraction and its transition kernel. A population protocol
 // is described once by its state-pair kernel (outcome_distribution); the
-// kernel_table below is the flattened, validated form the census and batched
-// engines sample from, so per-interaction work is independent of the
-// population size. Execution backends live in pp/engine.hpp. See DESIGN.md
-// §2 for the kernel contract.
+// kernel_table below is the flattened, validated form the census, batched
+// and multibatch engines sample from, so per-interaction work is independent
+// of the population size. Execution backends live in pp/engine.hpp. See
+// DESIGN.md §2 for the kernel contract.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,7 @@ class protocol {
   [[nodiscard]] virtual std::size_t num_states() const = 0;
 
   /// Whether outcome_distribution is implemented. Engines that execute at
-  /// the census level (census, batched) require a kernel.
+  /// the census level (census, batched, multibatch) require a kernel.
   [[nodiscard]] virtual bool has_kernel() const { return false; }
 
   /// The finite distribution over post-interaction (q_i', q_r') pairs for an

@@ -1,61 +1,19 @@
 #include "ppg/pp/multibatch_engine.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "ppg/util/error.hpp"
 
 namespace ppg {
-namespace {
 
-constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
-
-/// The state holding the `target`-th agent (0-indexed) of the pool when its
-/// agents are ordered by state; `excluded` removes one agent of that state
-/// first (no_excluded_state removes none).
-agent_state locate(const std::vector<std::uint64_t>& pool,
-                   std::uint64_t target, agent_state excluded) {
-  for (std::size_t s = 0; s < pool.size(); ++s) {
-    const std::uint64_t c = pool[s] - (s == excluded ? 1u : 0u);
-    if (target < c) return static_cast<agent_state>(s);
-    target -= c;
-  }
-  PPG_CHECK(false, "multibatch sampling target out of range");
-}
-
-}  // namespace
-
-multibatch_engine::multibatch_engine(const protocol& proto,
-                                     std::vector<std::uint64_t> initial_counts,
-                                     rng gen, pair_sampling sampling,
-                                     std::shared_ptr<const kernel_table> kernel)
-    : kernel_(kernel ? std::move(kernel)
-                     : std::make_shared<const kernel_table>(proto)),
-      counts_(std::move(initial_counts)),
-      n_([&] {
-        std::uint64_t n = 0;
-        for (const auto c : counts_) n += c;
-        return n;
-      }()),
-      gen_(gen),
+multibatch_engine::multibatch_engine(
+    std::shared_ptr<const kernel_table> kernel,
+    std::vector<std::uint64_t> initial_counts, rng gen)
+    : census_level_engine(std::move(kernel), std::move(initial_counts), gen),
       birthday_(n_) {
-  PPG_CHECK(counts_.size() >= kernel_->num_states(),
-            "census state space smaller than the protocol's");
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
   // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
   PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
-  PPG_CHECK(sampling == pair_sampling::distinct,
-            "multibatch engine supports pair_sampling::distinct only; use "
-            "the census engine for with_replacement sampling");
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "multibatch engine: precompiled kernel does not match the "
-            "protocol");
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
-              "multibatch engine: agents in states outside the protocol's "
-              "space");
-  }
   const auto q = static_cast<std::uint64_t>(kernel_->num_states());
   // Below ~4q^2 interactions the aggregate path's O(q^2) hypergeometric
   // table costs more than per-pair O(q) sampling, so short runs (small n:
@@ -91,13 +49,7 @@ void multibatch_engine::check_round_invariants() const {
 }
 
 json multibatch_engine::save_state() const {
-  json snapshot = json::object();
-  snapshot["state_version"] = engine_state_version;
-  snapshot["engine"] = engine_kind_name(engine_kind::multibatch);
-  snapshot["interactions"] = interactions_;
-  const auto words = gen_.save();
-  snapshot["rng"] = json_uint_array({words[0], words[1], words[2], words[3]});
-  snapshot["counts"] = json_uint_array(counts_);
+  json snapshot = save_counts();
   snapshot["untouched"] = json_uint_array(untouched_);
   snapshot["touched"] = json_uint_array(touched_);
   snapshot["untouched_total"] = untouched_total_;
@@ -112,34 +64,13 @@ void multibatch_engine::restore_state(const json& snapshot) {
   // Everything is parsed and validated into locals first; the engine is
   // mutated only once the whole snapshot has passed.
   const char* where = "multibatch snapshot";
-  json_require_keys(snapshot,
-                    {"state_version", "engine", "interactions", "rng",
-                     "counts", "untouched", "touched", "untouched_total",
-                     "rounds", "collisions", "pending_free",
-                     "collision_pending"},
-                    where);
-  const std::uint64_t version =
-      json_require_uint(snapshot, "state_version", where);
-  PPG_CHECK(version == engine_state_version,
-            "multibatch snapshot: unsupported state_version " +
-                std::to_string(version) + " (this build reads " +
-                std::to_string(engine_state_version) + ")");
-  const std::string& name = json_require_string(snapshot, "engine", where);
-  PPG_CHECK(name == engine_kind_name(engine_kind::multibatch),
-            "multibatch snapshot: engine kind is '" + name + "'");
-  const std::uint64_t interactions =
-      json_require_uint(snapshot, "interactions", where);
-  const auto words = json_require_uint_array(snapshot, "rng", where);
-  PPG_CHECK(words.size() == 4,
-            "multibatch snapshot: rng state must be 4 words of 64 bits");
-  rng gen;
-  gen.restore({words[0], words[1], words[2], words[3]});
-  auto counts = json_require_uint_array(snapshot, "counts", where);
+  auto state = check_counts(
+      snapshot, {"untouched", "touched", "untouched_total", "rounds",
+                 "collisions", "pending_free", "collision_pending"});
   auto untouched = json_require_uint_array(snapshot, "untouched", where);
   auto touched = json_require_uint_array(snapshot, "touched", where);
   const std::size_t width = counts_.size();
-  PPG_CHECK(counts.size() == width && untouched.size() == width &&
-                touched.size() == width,
+  PPG_CHECK(untouched.size() == width && touched.size() == width,
             "multibatch snapshot: state-space width mismatch");
   const std::uint64_t untouched_total =
       json_require_uint(snapshot, "untouched_total", where);
@@ -150,18 +81,12 @@ void multibatch_engine::restore_state(const json& snapshot) {
       json_require_uint(snapshot, "pending_free", where);
   const bool collision_pending =
       json_require_bool(snapshot, "collision_pending", where);
-  std::uint64_t total = 0;
   std::uint64_t untouched_sum = 0;
   for (std::size_t s = 0; s < width; ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
-              "multibatch snapshot: agents in states outside the protocol's "
-              "space");
-    PPG_CHECK(untouched[s] + touched[s] == counts[s],
+    PPG_CHECK(untouched[s] + touched[s] == state.counts[s],
               "multibatch snapshot: pools do not partition the census");
-    total += counts[s];
     untouched_sum += untouched[s];
   }
-  PPG_CHECK(total == n_, "multibatch snapshot: population size mismatch");
   PPG_CHECK(untouched_sum == untouched_total,
             "multibatch snapshot: untouched_total disagrees with the pool");
   PPG_CHECK(collision_pending || pending_free == 0,
@@ -171,7 +96,7 @@ void multibatch_engine::restore_state(const json& snapshot) {
   PPG_CHECK(2 * pending_free <= untouched_total,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
-  counts_ = std::move(counts);
+  commit(std::move(state));
   untouched_ = std::move(untouched);
   touched_ = std::move(touched);
   untouched_total_ = untouched_total;
@@ -179,8 +104,6 @@ void multibatch_engine::restore_state(const json& snapshot) {
   collision_pending_ = collision_pending;
   rounds_ = rounds;
   collisions_ = collisions;
-  interactions_ = interactions;
-  gen_ = gen;
 }
 
 void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
@@ -316,8 +239,6 @@ void multibatch_engine::merge_touched() {
   }
   untouched_total_ = n_;
 }
-
-void multibatch_engine::step() { run(1); }
 
 void multibatch_engine::run(std::uint64_t steps) {
   check_round_invariants();

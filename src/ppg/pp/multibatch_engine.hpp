@@ -56,22 +56,14 @@
 
 namespace ppg {
 
-class multibatch_engine final : public sim_engine {
+class multibatch_engine final : public census_level_engine {
  public:
-  /// Same contract as the batched engine: a kernel-bearing protocol,
-  /// pair_sampling::distinct only, and n capped at ~3e9 so pair weights
-  /// c_u * c_v fit in 64 bits.
-  /// When `kernel` is non-null the engine uses that precompiled table
-  /// instead of compiling its own — the ppg-serve warm-cache path; it must
-  /// have been compiled from a protocol with the same canonical form (the
-  /// constructor checks the state-space size, the caller owns semantic
-  /// equality). Null compiles from `proto` as before.
-  multibatch_engine(const protocol& proto,
-                    std::vector<std::uint64_t> initial_counts, rng gen,
-                    pair_sampling sampling = pair_sampling::distinct,
-                    std::shared_ptr<const kernel_table> kernel = nullptr);
+  /// Same contract as the batched engine: the census_level_engine contract
+  /// under pair_sampling::distinct only, and n capped at ~3e9 so pair
+  /// weights c_u * c_v fit in 64 bits.
+  multibatch_engine(std::shared_ptr<const kernel_table> kernel,
+                    std::vector<std::uint64_t> initial_counts, rng gen);
 
-  void step() override;
   void run(std::uint64_t steps) override;
 
   /// Predicate semantics are per-interaction on every engine, and a round
@@ -80,10 +72,6 @@ class multibatch_engine final : public sim_engine {
   /// census checks when aggregation throughput matters.
   using sim_engine::run_until;
 
-  [[nodiscard]] census_view census() const override { return {counts_, n_}; }
-  [[nodiscard]] std::uint64_t interactions() const override {
-    return interactions_;
-  }
   [[nodiscard]] engine_kind kind() const override {
     return engine_kind::multibatch;
   }
@@ -144,14 +132,9 @@ class multibatch_engine final : public sim_engine {
   void resolve_collision();
   void merge_touched();
 
-  std::shared_ptr<const kernel_table> kernel_;
-  std::vector<std::uint64_t> counts_;     ///< current census
   std::vector<std::uint64_t> untouched_;  ///< untouched agents by state
   std::vector<std::uint64_t> touched_;    ///< touched agents by current state
   std::uint64_t untouched_total_ = 0;
-  std::uint64_t n_;
-  rng gen_;
-  std::uint64_t interactions_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t collisions_ = 0;
   /// Collision-free interactions of the current round not yet applied; when

@@ -177,14 +177,6 @@ void sample_multivariate_hypergeometric(const std::uint64_t* counts,
   out[size - 1] += remaining_draws;
 }
 
-std::vector<std::uint64_t> sample_multivariate_hypergeometric(
-    const std::vector<std::uint64_t>& counts, std::uint64_t draws, rng& gen) {
-  std::vector<std::uint64_t> out(counts.size(), 0);
-  sample_multivariate_hypergeometric(counts.data(), counts.size(), draws, gen,
-                                     out.data());
-  return out;
-}
-
 void sample_multinomial(std::uint64_t m, const double* probs,
                         std::size_t size, rng& gen, std::uint64_t* out) {
   PPG_CHECK(size > 0, "sample_multinomial needs a non-empty support");
@@ -255,22 +247,6 @@ std::uint64_t collision_run_sampler::sample(rng& gen) const {
     }
   }
   return std::max<std::uint64_t>(lo, 1);
-}
-
-std::size_t sample_categorical(const std::vector<double>& probs, rng& gen) {
-  PPG_CHECK(!probs.empty(), "sample_categorical needs a non-empty support");
-  double total = 0.0;
-  for (const double p : probs) {
-    PPG_CHECK(p >= 0.0, "categorical weights must be non-negative");
-    total += p;
-  }
-  PPG_CHECK(total > 0.0, "categorical weights must have positive sum");
-  double u = gen.next_double() * total;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    u -= probs[i];
-    if (u < 0.0) return i;
-  }
-  return probs.size() - 1;  // guard against accumulated rounding
 }
 
 }  // namespace ppg

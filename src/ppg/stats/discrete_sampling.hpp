@@ -1,6 +1,7 @@
 // Exact samplers for the discrete distributions the engines aggregate with:
-// binomial, hypergeometric, multivariate hypergeometric, multinomial, and
-// categorical draws, all built on the deterministic ppg::rng. Closed-form
+// binomial, hypergeometric, multivariate hypergeometric, and multinomial
+// draws, and the multibatch engine's birthday law, all built on the
+// deterministic ppg::rng. Closed-form
 // PMFs live in stats/distributions.hpp; this layer is the sampling side.
 //
 // Every sampler is exact in law (up to double rounding of the PMF
@@ -38,14 +39,9 @@ namespace ppg {
 /// Draws the per-category counts of a uniform sample of `draws` items,
 /// without replacement, from a population with `counts[i]` items of category
 /// i (multivariate hypergeometric), by sequential conditional univariate
-/// hypergeometric draws. Requires draws <= sum(counts).
-[[nodiscard]] std::vector<std::uint64_t> sample_multivariate_hypergeometric(
-    const std::vector<std::uint64_t>& counts, std::uint64_t draws, rng& gen);
-
-/// Allocation-free form of the multivariate hypergeometric draw over a raw
-/// census slice (the multibatch engine's pools and scratch rows):
-/// writes the per-category counts into `out[0..size)`. Draw-for-draw
-/// identical to the vector overload.
+/// hypergeometric draws, and writes them into `out[0..size)`. Allocation-
+/// free over a raw census slice (the multibatch engine's pools and scratch
+/// rows). Requires size > 0 and draws <= sum(counts).
 void sample_multivariate_hypergeometric(const std::uint64_t* counts,
                                         std::size_t size, std::uint64_t draws,
                                         rng& gen, std::uint64_t* out);
@@ -95,10 +91,5 @@ class collision_run_sampler {
   std::uint64_t n_;
   std::vector<double> log_survival_;  ///< index j = 0..j_max
 };
-
-/// Draws an index from a finite categorical distribution (probs need not be
-/// normalized; they must be non-negative with a positive sum).
-[[nodiscard]] std::size_t sample_categorical(const std::vector<double>& probs,
-                                             rng& gen);
 
 }  // namespace ppg

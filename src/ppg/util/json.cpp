@@ -576,7 +576,7 @@ const std::vector<json>& json_require_array(const json& object,
 }
 
 void json_require_keys(const json& object,
-                       std::initializer_list<std::string_view> keys,
+                       const std::vector<std::string_view>& keys,
                        std::string_view where) {
   PPG_CHECK(object.is_object(),
             std::string(where) + ": expected a JSON object");

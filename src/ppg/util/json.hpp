@@ -170,7 +170,7 @@ class json {
 /// exactly `keys` (unknown keys are rejected — a key this version does not
 /// understand could change the meaning of the state being restored).
 void json_require_keys(const json& object,
-                       std::initializer_list<std::string_view> keys,
+                       const std::vector<std::string_view>& keys,
                        std::string_view where);
 
 /// Reads an array of exact unsigned integers (a census, an RNG state).

@@ -414,23 +414,70 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     auto e = fresh_engine(engine_kind::census);
     EXPECT_THROW(e->restore_state(bad), invariant_error);
   }
-  {  // Census total inconsistent with the spec's population.
-    json bad = good;
-    bad["counts"] = json_uint_array({1, 1});
-    auto e = fresh_engine(engine_kind::census);
-    EXPECT_THROW(e->restore_state(bad), invariant_error);
-  }
   {  // Unsupported outer schema version.
     json file = save_checkpoint(recipe, *engine);
     file["schema_version"] = std::uint64_t{2};
     EXPECT_THROW((void)restore_checkpoint(file), invariant_error);
   }
 
+  // Every kind validates the whole snapshot before it commits any of it: a
+  // tampered snapshot restored into an engine whose state differs from the
+  // snapshot's is rejected with a message naming the broken field, and the
+  // target is left byte-for-byte as it was.
+  const sim_recipe hd_recipe =
+      sim_recipe::from_json(json::parse(hawk_dove_recipe_text()));
+  const auto expect_rejected = [](sim_engine& target, const json& bad,
+                                  const std::string& why) {
+    const std::string before = target.save_state().dump_string(false);
+    try {
+      target.restore_state(bad);
+      ADD_FAILURE() << "accepted a snapshot with " << why;
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(target.save_state().dump_string(false), before) << why;
+  };
+  const auto diverged_target = [&hd_recipe](engine_kind kind) {
+    rng target_gen(808);
+    auto target = hd_recipe.spec().make_engine(kind, target_gen);
+    target->run(300);
+    return target;
+  };
+  for (const auto kind : all_kinds) {
+    SCOPED_TRACE(engine_kind_name(kind));
+    rng source_gen(809);
+    const auto source = hd_recipe.spec().make_engine(kind, source_gen);
+    source->run(500);
+    const json snapshot = source->save_state();
+    const auto target = diverged_target(kind);
+    ASSERT_NE(target->save_state(), snapshot);
+    const char* where = "tampered snapshot";
+    if (kind == engine_kind::agent) {
+      auto states = json_require_uint_array(snapshot, "states", where);
+      states.back() = 99;
+      json bad = snapshot;
+      bad["states"] = json_uint_array(states);
+      expect_rejected(*target, bad, "state outside the population's space");
+      continue;
+    }
+    {  // One agent too many: the census no longer sums to the population.
+      auto counts = json_require_uint_array(snapshot, "counts", where);
+      ++counts.back();
+      json bad = snapshot;
+      bad["counts"] = json_uint_array(counts);
+      expect_rejected(*target, bad, "population size mismatch");
+    }
+    if (kind == engine_kind::batched) {  // A stale non-identity mass.
+      json bad = snapshot;
+      bad["active_weight"] =
+          json_require_uint(snapshot, "active_weight", where) + 1;
+      expect_rejected(*target, bad, "stored non-identity mass disagrees");
+    }
+  }
+
   // The multibatch round state, from a snapshot taken mid-round with free
   // pairs pending: each tampered copy breaks exactly one invariant, and
   // the rejection names that invariant.
-  const sim_recipe hd_recipe =
-      sim_recipe::from_json(json::parse(hawk_dove_recipe_text()));
   rng mb_gen(807);
   const auto mb_engine = hd_recipe.spec().make_engine(engine_kind::multibatch,
                                                       mb_gen);
@@ -438,17 +485,8 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
   for (int i = 0; i < 200 && mb.residual_free() == 0; ++i) mb_engine->run(7);
   ASSERT_GT(mb.residual_free(), 0u) << "never parked mid-round";
   const json mid = mb_engine->save_state();
-  const std::string mid_bytes = mid.dump_string(false);
-  const auto expect_rejected = [&](const json& bad, const std::string& why) {
-    try {
-      mb_engine->restore_state(bad);
-      ADD_FAILURE() << "accepted a snapshot with " << why;
-    } catch (const invariant_error& e) {
-      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
-    }
-    // A failed restore leaves the engine exactly as it was.
-    EXPECT_EQ(mb_engine->save_state().dump_string(false), mid_bytes);
-  };
+  const auto mb_target = diverged_target(engine_kind::multibatch);
+  ASSERT_NE(mb_target->save_state(), mid);
   const char* where = "multibatch snapshot";
   const std::uint64_t untouched_total =
       json_require_uint(mid, "untouched_total", where);
@@ -459,26 +497,28 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     ++counts[1];
     json bad = mid;
     bad["counts"] = json_uint_array(counts);
-    expect_rejected(bad, "pools do not partition the census");
+    expect_rejected(*mb_target, bad, "pools do not partition the census");
   }
   {  // A stale untouched_total.
     json bad = mid;
     bad["untouched_total"] = untouched_total + 1;
-    expect_rejected(bad, "untouched_total disagrees with the pool");
+    expect_rejected(*mb_target, bad, "untouched_total disagrees with the pool");
   }
   {  // pending_free > 0 outside a round.
     json bad = mid;
     bad["collision_pending"] = false;
-    expect_rejected(bad, "residual carry outside a round");
+    expect_rejected(*mb_target, bad, "residual carry outside a round");
   }
   {  // 2 * pending_free > untouched_total.
     json bad = mid;
     bad["pending_free"] = untouched_total / 2 + 1;
-    expect_rejected(bad, "residual free run exceeds the untouched pool");
+    expect_rejected(*mb_target, bad,
+                    "residual free run exceeds the untouched pool");
   }
   // The untampered snapshot still restores.
-  mb_engine->restore_state(mid);
-  EXPECT_EQ(mb_engine->save_state().dump_string(false), mid_bytes);
+  mb_target->restore_state(mid);
+  EXPECT_EQ(mb_target->save_state().dump_string(false),
+            mid.dump_string(false));
 }
 
 // --- resumable sweeps -----------------------------------------------------

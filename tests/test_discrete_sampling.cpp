@@ -154,8 +154,10 @@ TEST(DiscreteSampling, MultivariateHypergeometricJointChiSquare) {
     }
   }
   constexpr int trials = 40000;
+  std::vector<std::uint64_t> x(counts.size());
   for (int t = 0; t < trials; ++t) {
-    const auto x = sample_multivariate_hypergeometric(counts, draws, gen);
+    sample_multivariate_hypergeometric(counts.data(), counts.size(), draws,
+                                       gen, x.data());
     std::uint64_t total = 0;
     for (const auto xi : x) total += xi;
     ASSERT_EQ(total, draws);
@@ -173,9 +175,11 @@ TEST(DiscreteSampling, MultivariateHypergeometricMarginals) {
   std::vector<std::vector<std::uint64_t>> observed(
       3, std::vector<std::uint64_t>(draws + 1, 0));
   constexpr int trials = 30000;
+  std::vector<std::uint64_t> sample(counts.size());
   for (int t = 0; t < trials; ++t) {
-    const auto x = sample_multivariate_hypergeometric(counts, draws, gen);
-    for (std::size_t i = 0; i < 3; ++i) ++observed[i][x[i]];
+    sample_multivariate_hypergeometric(counts.data(), counts.size(), draws,
+                                       gen, sample.data());
+    for (std::size_t i = 0; i < 3; ++i) ++observed[i][sample[i]];
   }
   for (std::size_t i = 0; i < 3; ++i) {
     std::vector<double> expected(draws + 1);
@@ -190,15 +194,24 @@ TEST(DiscreteSampling, MultivariateHypergeometricMarginals) {
 TEST(DiscreteSampling, MultivariateHypergeometricBoundaries) {
   rng gen(31);
   const std::vector<std::uint64_t> counts = {4, 0, 3};
+  std::vector<std::uint64_t> out(counts.size(), 99);
   // draws = population returns the census itself.
-  EXPECT_EQ(sample_multivariate_hypergeometric(counts, 7, gen), counts);
-  EXPECT_EQ(sample_multivariate_hypergeometric(counts, 0, gen),
-            (std::vector<std::uint64_t>{0, 0, 0}));
+  sample_multivariate_hypergeometric(counts.data(), 3, 7, gen, out.data());
+  EXPECT_EQ(out, counts);
+  // Zero draws overwrite the whole output slice with zeros.
+  sample_multivariate_hypergeometric(counts.data(), 3, 0, gen, out.data());
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 0, 0}));
   // Single category: everything lands there.
-  EXPECT_EQ(sample_multivariate_hypergeometric({9}, 4, gen),
-            (std::vector<std::uint64_t>{4}));
-  EXPECT_THROW((void)sample_multivariate_hypergeometric(counts, 8, gen),
-               invariant_error);
+  const std::uint64_t single = 9;
+  std::uint64_t single_out = 0;
+  sample_multivariate_hypergeometric(&single, 1, 4, gen, &single_out);
+  EXPECT_EQ(single_out, 4u);
+  EXPECT_THROW(
+      sample_multivariate_hypergeometric(counts.data(), 3, 8, gen, out.data()),
+      invariant_error);
+  EXPECT_THROW(
+      sample_multivariate_hypergeometric(counts.data(), 0, 0, gen, out.data()),
+      invariant_error);
 }
 
 TEST(DiscreteSampling, MultinomialJointChiSquare) {
@@ -238,35 +251,30 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
   const auto draw_all = [](rng gen) {
     std::vector<std::uint64_t> log;
     const std::vector<std::uint64_t> counts = {500, 300, 200};
+    std::vector<std::uint64_t> mvh(counts.size());
     for (int t = 0; t < 200; ++t) {
       log.push_back(sample_binomial(40, 0.3, gen));
       log.push_back(sample_binomial(5000, 0.4, gen));
       log.push_back(sample_hypergeometric(1000, 400, 6, gen));
       log.push_back(sample_hypergeometric(1000, 400, 300, gen));
-      const auto mvh = sample_multivariate_hypergeometric(counts, 100, gen);
+      sample_multivariate_hypergeometric(counts.data(), counts.size(), 100,
+                                         gen, mvh.data());
       log.insert(log.end(), mvh.begin(), mvh.end());
       const auto mn = sample_multinomial(100, {0.25, 0.25, 0.5}, gen);
       log.insert(log.end(), mn.begin(), mn.end());
-      log.push_back(sample_categorical({1.0, 2.0, 3.0}, gen));
     }
     return log;
   };
   EXPECT_EQ(draw_all(rng(777)), draw_all(rng(777)));
 }
 
-TEST(DiscreteSampling, PointerOverloadsAreDrawForDrawIdentical) {
-  // The allocation-free MVH/multinomial forms (the multibatch engine's rounds)
-  // must consume the exact draw sequence of the vector forms.
+TEST(DiscreteSampling, PointerMultinomialIsDrawForDrawIdentical) {
+  // The allocation-free multinomial form (the multibatch engine's rounds)
+  // must consume the exact draw sequence of the vector form.
   rng gen_a(55);
   rng gen_b(55);
-  const std::vector<std::uint64_t> counts = {700, 250, 50, 0, 1000};
   const std::vector<double> probs = {0.1, 0.4, 0.2, 0.3};
   for (int t = 0; t < 200; ++t) {
-    const auto mvh = sample_multivariate_hypergeometric(counts, 333, gen_a);
-    std::vector<std::uint64_t> mvh_out(counts.size());
-    sample_multivariate_hypergeometric(counts.data(), counts.size(), 333,
-                                       gen_b, mvh_out.data());
-    ASSERT_EQ(mvh_out, mvh);
     const auto mn = sample_multinomial(500, probs, gen_a);
     std::vector<std::uint64_t> mn_out(probs.size());
     sample_multinomial(500, probs.data(), probs.size(), gen_b,

@@ -12,6 +12,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "engine_agreement.hpp"
 #include "ppg/core/igt_count_chain.hpp"
@@ -129,6 +132,28 @@ TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {
   EXPECT_THROW((void)spec.make_engine(engine_kind::multibatch, gen),
                invariant_error);
   EXPECT_NO_THROW((void)spec.make_engine(engine_kind::census, gen));
+}
+
+TEST(Engines, MakeEngineRejectsAKernelOfAnotherProtocol) {
+  // A precompiled kernel must come from the spec's protocol; make_engine
+  // checks the state-space size for every census-level kind.
+  const rumor_protocol proto;
+  const sim_spec spec(proto, std::vector<std::uint64_t>{3, 1, 0});
+  const auto foreign =
+      std::make_shared<const kernel_table>(approximate_majority_protocol{});
+  ASSERT_NE(foreign->num_states(), proto.num_states());
+  rng gen(6);
+  for (const auto kind :
+       {engine_kind::census, engine_kind::batched, engine_kind::multibatch}) {
+    try {
+      (void)spec.make_engine(kind, gen, foreign);
+      ADD_FAILURE() << engine_kind_name(kind) << " accepted a foreign kernel";
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find("kernel does not match"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Engines, AgentEngineIsBitwiseTheLegacySimulation) {

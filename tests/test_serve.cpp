@@ -138,7 +138,8 @@ TEST(ServeApp, SessionLifecycle) {
   serve_app app;
   const json created = handle_json(
       app,
-      make_request("POST", "/sessions", create_body(rumor_recipe(), "census", 7)),
+      make_request("POST", "/sessions",
+                   create_body(rumor_recipe(), "census", 7)),
       201);
   const std::string id = created.find("id")->as_string();
   EXPECT_EQ(created.find("state")->as_string(), "created");
@@ -334,7 +335,8 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
   EXPECT_FALSE(third.find("kernel_cache_hit")->as_bool());
   const json fourth = handle_json(
       app,
-      make_request("POST", "/sessions", create_body(rumor_recipe(), "agent", 4)),
+      make_request("POST", "/sessions",
+                   create_body(rumor_recipe(), "agent", 4)),
       201);
   EXPECT_FALSE(fourth.find("kernel_cache_hit")->as_bool());
 

@@ -157,10 +157,7 @@ TEST(ChiSquare, TailKnownValues) {
 TEST(ChiSquare, GofAcceptsTrueDistribution) {
   rng gen(101);
   const std::vector<double> probs = {0.2, 0.3, 0.5};
-  std::vector<std::uint64_t> counts(3, 0);
-  for (int i = 0; i < 30000; ++i) {
-    ++counts[sample_categorical(probs, gen)];
-  }
+  const auto counts = sample_multinomial(30000, probs, gen);
   const auto result = chi_square_gof(counts, probs);
   EXPECT_GT(result.p_value, 0.001);
 }
@@ -169,10 +166,7 @@ TEST(ChiSquare, GofRejectsWrongDistribution) {
   rng gen(102);
   const std::vector<double> truth = {0.5, 0.5};
   const std::vector<double> claimed = {0.8, 0.2};
-  std::vector<std::uint64_t> counts(2, 0);
-  for (int i = 0; i < 10000; ++i) {
-    ++counts[sample_categorical(truth, gen)];
-  }
+  const auto counts = sample_multinomial(10000, truth, gen);
   const auto result = chi_square_gof(counts, claimed);
   EXPECT_LT(result.p_value, 1e-6);
 }
@@ -273,24 +267,6 @@ TEST(Distributions, SampleMultinomialMeans) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(sums[i] / trials, 30.0 * probs[i], 0.15);
   }
-}
-
-TEST(Distributions, CategoricalRespectsWeights) {
-  rng gen(11);
-  const std::vector<double> weights = {1.0, 3.0};  // not normalized
-  int ones = 0;
-  constexpr int trials = 40000;
-  for (int i = 0; i < trials; ++i) {
-    if (sample_categorical(weights, gen) == 1) ++ones;
-  }
-  EXPECT_NEAR(ones / static_cast<double>(trials), 0.75, 0.01);
-}
-
-TEST(Distributions, CategoricalRejectsBadWeights) {
-  rng gen(12);
-  EXPECT_THROW((void)sample_categorical({}, gen), invariant_error);
-  EXPECT_THROW((void)sample_categorical({0.0, 0.0}, gen), invariant_error);
-  EXPECT_THROW((void)sample_categorical({-1.0, 2.0}, gen), invariant_error);
 }
 
 TEST(Distributions, GeometricWeightsShape) {

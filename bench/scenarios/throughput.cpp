@@ -5,7 +5,9 @@
 //  - throughput_engines: interactions per second of the pluggable
 //    simulation engines (agent / census / batched / multibatch, selected
 //    via sim_spec::make_engine) on the one-way IGT kernel (dense and
-//    dilute) and on dense matrix games (hawk-dove, rock-paper-scissors).
+//    dilute) and on dense matrix games (hawk-dove, rock-paper-scissors,
+//    and at n = 10^8 a random q = 8 game under two-way logit, whose 64
+//    outcomes per pair cell make the multibatch outcome splits dominate).
 //    The census engine's per-interaction cost is O(q) and independent of
 //    n, the batched engine skips runs of identity interactions in one
 //    geometric draw (huge in the dilute regime, inert on dense games), and
@@ -15,7 +17,9 @@
 //    batch-replication engine, plus the bit-identical-aggregates
 //    determinism check across thread counts.
 //  - throughput_micro: single-component rates (count chains, exact-chain
-//    distribution step, payoff oracles, rollouts).
+//    distribution step, payoff oracles, rollouts), and the multibatch
+//    engine's per-cell outcome split timed both ways (alias draws vs one
+//    multinomial), the grid its alias/multinomial crossover is read from.
 //
 // Everything wall-clock-derived (rates AND cross-engine speedups) is
 // recorded without a regression goal: CI hardware varies, so only
@@ -38,8 +42,11 @@
 #include "ppg/games/exact_payoff.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/rollout.hpp"
+#include "ppg/games/solver/zoo.hpp"
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/engine.hpp"
+#include "ppg/pp/kernel.hpp"
+#include "ppg/stats/discrete_sampling.hpp"
 #include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
@@ -170,8 +177,12 @@ scenario_result run_engines(const scenario_context& ctx) {
                                std::make_shared<logit_response_rule>(0.5));
   const game_protocol rps_proto(
       rps, std::make_shared<proportional_imitation_rule>(0.8));
+  const game_protocol q8_proto(random_zoo_game(1, 8, 0).game,
+                               std::make_shared<logit_response_rule>(0.5),
+                               revision_discipline::two_way);
   result.param("hawk_dove", "v=1 c=2, logit tau=0.5");
   result.param("rps", "proportional imitation rate=0.8");
+  result.param("logit_q8", "random_zoo_game(1, 8, 0), two-way logit tau=0.5");
   struct game_row {
     const char* game;  ///< table label
     const char* key;   ///< metric-key fragment (doubles as the rng salt)
@@ -191,6 +202,10 @@ scenario_result run_engines(const scenario_context& ctx) {
                            full_only});
       game_rows.push_back({"rps", "rps", &rps_proto, kind, n, full_only});
     }
+  }
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
+    game_rows.push_back(
+        {"rand-q8", "logit_q8", &q8_proto, kind, 100'000'000, true});
   }
   auto& games_table = result.table(
       "interactions/second on dense games (every interaction samples a "
@@ -332,6 +347,29 @@ scenario_result run_batch(const scenario_context& ctx) {
   return result;
 }
 
+// Every ordered pair draws from the same `support` outcomes, weighted
+// 1 : 2 : ... : support: one multibatch pair cell of that support.
+class split_cell_protocol final : public protocol {
+ public:
+  explicit split_cell_protocol(std::size_t support) : support_(support) {}
+  [[nodiscard]] std::size_t num_states() const override { return 8; }
+  [[nodiscard]] bool has_kernel() const override { return true; }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state /*initiator*/, agent_state /*responder*/) const override {
+    const auto size = static_cast<double>(support_);
+    std::vector<outcome> out;
+    for (std::size_t k = 0; k < support_; ++k) {
+      out.push_back({static_cast<agent_state>(k / 8),
+                     static_cast<agent_state>(k % 8),
+                     static_cast<double>(k + 1) / (size * (size + 1) / 2)});
+    }
+    return out;
+  }
+
+ private:
+  std::size_t support_;
+};
+
 scenario_result run_micro(const scenario_context& ctx) {
   scenario_result result;
   const double min_seconds = ctx.pick(0.4, 0.06);
@@ -422,9 +460,76 @@ scenario_result run_micro(const scenario_context& ctx) {
     result.param("rollout_sink", sink != 0.0);
   }
 
+  {
+    // The multibatch engine's split of one cell of m pairs (DESIGN.md §8),
+    // census updates included: m alias draws, or one conditional-binomial
+    // multinomial read off outcome_at as the engine does.
+    const double split_seconds = ctx.pick(0.1, 0.01);
+    auto& split_table = result.table(
+        "per-cell outcome split of m pairs over `support` outcomes (ns per "
+        "cell)",
+        {"support", "m", "alias", "multinomial", "alias/multinomial"});
+    std::vector<std::uint64_t> census(8, 0);
+    std::vector<std::uint64_t> touched(8, 0);
+    for (const std::size_t support : {std::size_t{2}, std::size_t{4},
+                                      std::size_t{16}, std::size_t{64}}) {
+      const kernel_table kernel{split_cell_protocol(support)};
+      std::vector<double> probs(support);
+      std::vector<std::uint64_t> split(support);
+      rng gen = ctx.make_rng(10 + support);
+      for (const std::uint64_t per_outcome :
+           {std::uint64_t{8}, std::uint64_t{16}, std::uint64_t{32},
+            std::uint64_t{64}}) {
+        const std::uint64_t m = per_outcome * support;
+        const double alias_ns =
+            1e9 / measure_rate(
+                      [&] {
+                        for (std::uint64_t i = 0; i < m; ++i) {
+                          const auto [a, b] = kernel.sample_alias(0, 0, gen);
+                          ++census[a];
+                          ++census[b];
+                          ++touched[a];
+                          ++touched[b];
+                        }
+                      },
+                      1.0, split_seconds);
+        const double multinomial_ns =
+            1e9 /
+            measure_rate(
+                [&] {
+                  for (std::size_t k = 0; k < support; ++k) {
+                    probs[k] = kernel.outcome_at(0, 0, k).probability;
+                  }
+                  sample_multinomial(m, probs.data(), support, gen,
+                                     split.data());
+                  for (std::size_t k = 0; k < support; ++k) {
+                    if (split[k] == 0) continue;
+                    const outcome o = kernel.outcome_at(0, 0, k);
+                    census[o.initiator] += split[k];
+                    census[o.responder] += split[k];
+                    touched[o.initiator] += split[k];
+                    touched[o.responder] += split[k];
+                  }
+                },
+                1.0, split_seconds);
+        const std::string key = "_s" + std::to_string(support) + "_m" +
+                                std::to_string(m);
+        result.metric("split_alias_ns" + key, alias_ns);
+        result.metric("split_multinomial_ns" + key, multinomial_ns);
+        split_table.add_row({std::to_string(support), std::to_string(m),
+                             format_metric(alias_ns, 4),
+                             format_metric(multinomial_ns, 4),
+                             format_metric(alias_ns / multinomial_ns, 3)});
+      }
+    }
+    result.param("split_sink", census[0] + touched[0] > 0);
+  }
+
   result.note(
       "Single-component rates for the trajectory; no regression goals (CI "
-      "machines\nvary run to run).");
+      "machines\nvary run to run). Outcome splits: alias/multinomial "
+      "crosses 1 near\nm = 32 x support, the multibatch engine's "
+      "alias_pairs_per_outcome().");
   return result;
 }
 

@@ -5,6 +5,52 @@
 #include "ppg/util/error.hpp"
 
 namespace ppg {
+namespace {
+
+/// Vose's alias method over `dist`'s probabilities normalized by their sum
+/// `total` (the pair's own probabilities, not cumulative differences, so
+/// tiny outcomes keep their precision). Writes dist.size() slots; `work`
+/// holds at least dist.size() indices: the stack of slots with mass < 1
+/// grows up from its front, the stack of slots with mass >= 1 down from
+/// its back.
+void build_alias(const std::vector<outcome>& dist, double total,
+                 kernel_table::alias_slot* slots, std::uint32_t* work) {
+  const auto size = static_cast<std::uint32_t>(dist.size());
+  const double scale = static_cast<double>(size) / total;
+  std::uint32_t small = 0;
+  std::uint32_t large = size;
+  for (std::uint32_t k = 0; k < size; ++k) {
+    slots[k] = {dist[k].probability * scale, k};
+    if (slots[k].threshold < 1.0) {
+      work[small++] = k;
+    } else {
+      work[--large] = k;
+    }
+  }
+  // One large outcome at a time tops up small slots until its own mass
+  // falls below 1, then joins the small stack. rest - (1 - p_l) >= 0 in
+  // floating point too, since rest >= 1 >= 1 - p_l.
+  while (small > 0 && large < size) {
+    const std::uint32_t g = work[large++];
+    double rest = slots[g].threshold;
+    while (rest >= 1.0 && small > 0) {
+      const std::uint32_t l = work[--small];
+      slots[l].alias = g;
+      rest -= 1.0 - slots[l].threshold;
+    }
+    slots[g].threshold = rest;
+    if (rest < 1.0) {
+      work[small++] = g;
+    } else {
+      work[--large] = g;
+    }
+  }
+  // Leftovers on either stack hold mass 1 up to rounding: full slots.
+  while (small > 0) slots[work[--small]].threshold = 1.0;
+  while (large < size) slots[work[large++]].threshold = 1.0;
+}
+
+}  // namespace
 
 std::vector<outcome> protocol::outcome_distribution(
     agent_state /*initiator*/, agent_state /*responder*/) const {
@@ -44,10 +90,17 @@ kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
   offsets_.reserve(q_ * q_ + 1);
   identity_.assign(q_ * q_, 0);
   offsets_.push_back(0);
+  std::vector<std::uint32_t> work;  // alias build scratch, reused per pair
   for (agent_state i = 0; i < q_; ++i) {
     for (agent_state r = 0; r < q_; ++r) {
       const auto dist = proto.outcome_distribution(i, r);
       PPG_CHECK(!dist.empty(), "empty outcome distribution");
+      if (i == 0 && r == 0) {
+        // Size both tables from the first pair: exact for kernels whose
+        // pairs share one support size (dense games, deterministic IGT).
+        entries_.reserve(q_ * q_ * dist.size());
+        alias_.reserve(q_ * q_ * dist.size());
+      }
       double total = 0.0;
       bool is_identity = true;
       for (const auto& o : dist) {
@@ -60,7 +113,13 @@ kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
       }
       PPG_CHECK(std::abs(total - 1.0) <= 1e-9,
                 "kernel probabilities must sum to 1");
-      if (dist.size() > 1) fully_deterministic_ = false;
+      alias_.resize(entries_.size());
+      if (dist.size() > 1) {
+        fully_deterministic_ = false;
+        if (work.size() < dist.size()) work.resize(dist.size());
+        build_alias(dist, total, alias_.data() + (alias_.size() - dist.size()),
+                    work.data());
+      }
       identity_[index(i, r)] = is_identity ? 1 : 0;
       offsets_.push_back(static_cast<std::uint32_t>(entries_.size()));
     }
@@ -75,6 +134,15 @@ outcome kernel_table::outcome_at(agent_state initiator, agent_state responder,
   const entry& o = entries_[begin + k];
   const double previous = k == 0 ? 0.0 : entries_[begin + k - 1].cumulative;
   return {o.initiator, o.responder, o.cumulative - previous};
+}
+
+kernel_table::alias_slot kernel_table::alias_at(agent_state initiator,
+                                                agent_state responder,
+                                                std::size_t s) const {
+  const std::size_t pair = index(initiator, responder);
+  const std::uint32_t begin = offsets_[pair];
+  PPG_CHECK(begin + s < offsets_[pair + 1], "alias slot out of range");
+  return alias_[begin + s];
 }
 
 bool kernel_table::deterministic(agent_state initiator,

@@ -73,9 +73,19 @@ class protocol {
 /// ordered state pairs. Construction checks, for every pair, that outcome
 /// states are in range and probabilities are positive and sum to 1 (up to
 /// 1e-9); deterministic pairs (a single support point) are sampled without
-/// consuming random draws.
+/// consuming random draws. Every pair with more than one support point also
+/// gets a Vose alias table, so one outcome can be drawn in O(1) whatever
+/// the support (sample_alias).
 class kernel_table {
  public:
+  /// Slot s of a pair's alias table over its K support points: it carries
+  /// mass threshold / K of outcome s and (1 - threshold) / K of outcome
+  /// `alias`, so outcome k's probability is the sum of its slot masses.
+  struct alias_slot {
+    double threshold = 1.0;  ///< in [0, 1]; 1 means the slot never aliases
+    std::uint32_t alias = 0;  ///< outcome index k, relative to the pair
+  };
+
   explicit kernel_table(const protocol& proto);
 
   [[nodiscard]] std::size_t num_states() const { return q_; }
@@ -110,10 +120,46 @@ class kernel_table {
 
   /// The `k`-th support point of the pair's distribution, with its
   /// (non-cumulative) probability — the enumeration the multibatch engine
-  /// draws its per-pair multinomial outcome splits over.
+  /// splits a cell's pairs over when it takes the multinomial branch.
   [[nodiscard]] outcome outcome_at(agent_state initiator,
                                    agent_state responder,
                                    std::size_t k) const;
+
+  /// Draws (q_i', q_r') for an ordered pair with more than one support
+  /// point from its alias table: a uniform slot, then one uniform against
+  /// the slot's threshold — O(1) whatever the support. Same law as
+  /// sample() to within 2^-53 + 2 * support * 2^-64 per draw, different
+  /// draws; the multibatch engine's split for cells with few pairs.
+  [[nodiscard]] std::pair<agent_state, agent_state> sample_alias(
+      agent_state initiator, agent_state responder, rng& gen) const {
+    const std::size_t pair = index(initiator, responder);
+    const std::uint32_t begin = offsets_[pair];
+    const std::uint64_t size = offsets_[pair + 1] - begin;
+    // Lemire's multiply-shift with rejection, as in rng::next_below: the
+    // high word is the uniform slot, and the low word, uniform on a grid
+    // of spacing size / 2^64 given the slot, supplies the threshold test's
+    // 53-bit uniform.
+    unsigned __int128 product = static_cast<unsigned __int128>(gen()) * size;
+    if (static_cast<std::uint64_t>(product) < size) {
+      const std::uint64_t reject = -size % size;
+      while (static_cast<std::uint64_t>(product) < reject) {
+        product = static_cast<unsigned __int128>(gen()) * size;
+      }
+    }
+    const std::size_t s = begin + static_cast<std::size_t>(product >> 64);
+    const double u =
+        static_cast<double>(static_cast<std::uint64_t>(product) >> 11) *
+        0x1.0p-53;
+    const alias_slot& slot = alias_[s];
+    const std::size_t e = u < slot.threshold ? s : begin + slot.alias;
+    return {entries_[e].initiator, entries_[e].responder};
+  }
+
+  /// The `s`-th slot of the pair's alias table (s < num_outcomes);
+  /// exposed for the law tests.
+  [[nodiscard]] alias_slot alias_at(agent_state initiator,
+                                    agent_state responder,
+                                    std::size_t s) const;
 
  private:
   struct entry {
@@ -131,6 +177,7 @@ class kernel_table {
   std::size_t q_;
   std::vector<std::uint32_t> offsets_;  ///< q_*q_ + 1 entry offsets
   std::vector<entry> entries_;
+  std::vector<alias_slot> alias_;  ///< parallel to entries_
   std::vector<std::uint8_t> identity_;
   bool fully_deterministic_ = true;
 };

@@ -6,6 +6,22 @@
 #include "ppg/util/error.hpp"
 
 namespace ppg {
+namespace {
+
+/// The alias/multinomial crossover c of alias_pairs_per_outcome(). The
+/// per-cell split timings of throughput_micro (support 2 to 64, DESIGN.md
+/// §8) put the alias/multinomial time ratio at 0.4-0.8 for 16 pairs per
+/// outcome, 0.8-1.3 for 32 and 2.6-5.7 for 64: an alias draw costs a fixed
+/// ~10-20 ns, while each conditional binomial of the multinomial takes
+/// geometric skips (one log per success) below mean 32 and inversion from
+/// the mode, O(standard deviation), above it.
+constexpr std::uint64_t alias_crossover = 32;
+
+}  // namespace
+
+std::uint64_t multibatch_engine::alias_pairs_per_outcome() {
+  return alias_crossover;
+}
 
 multibatch_engine::multibatch_engine(
     std::shared_ptr<const kernel_table> kernel,
@@ -120,6 +136,17 @@ void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
     counts_[o.responder] += m;
     touched_[o.initiator] += m;
     touched_[o.responder] += m;
+    return;
+  }
+  if (m <= alias_crossover * support) {
+    for (std::uint64_t i = 0; i < m; ++i) {
+      const auto [next_initiator, next_responder] =
+          kernel_->sample_alias(u, v, gen_);
+      ++counts_[next_initiator];
+      ++counts_[next_responder];
+      ++touched_[next_initiator];
+      ++touched_[next_responder];
+    }
     return;
   }
   probs_.resize(support);

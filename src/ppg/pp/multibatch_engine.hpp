@@ -20,8 +20,10 @@
 //     (initiator sample, then responder sample, then a uniform matching by
 //     initiator group — exactly the law of 2J distinct agents drawn
 //     uniformly without replacement, paired in order);
-//  3. the outcome split of each pair type is a multinomial over the
-//     kernel's outcome distribution (deterministic pairs consume no draws);
+//  3. the outcome split of each pair type's m pairs draws them one by one
+//     from the kernel's alias table when m <= alias_pairs_per_outcome()
+//     times the pair's support, and as one multinomial over its outcome
+//     distribution otherwise (deterministic pairs consume no draws);
 //  4. the one colliding interaction is resolved sequentially — its pair is
 //     uniform over ordered agent pairs with at least one touched agent —
 //     after which touched agents rejoin the untouched pool and a new round
@@ -30,18 +32,20 @@
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
 // agent/census/batched engines (DESIGN.md §8 gives the argument). Work per
-// round is O(q^2 + sum over occupied pair cells of the cell's outcome
-// support) plus O(q) for the collision; dense two-way kernels have support
-// q^2, so a round costs up to O(q^4) split steps, amortized over ~sqrt(n)
-// interactions. Rounds shrink with n (the birthday law adapts by itself),
-// and rounds below ~4q^2 pairs take a sequential per-pair path, so small
-// populations degrade gracefully to exactly the census engine's
-// per-interaction cost.
+// round is O(q^2 + sum over occupied pair cells of min(m_cell, support))
+// plus O(q) for the collision: a cell of m pairs pays m O(1) alias draws
+// while m <= 32 * support, and one binomial per outcome above that. Dense
+// two-way kernels have support q^2, yet a round of J interactions costs at
+// most O(q^2 + J) split steps. Rounds shrink with n (the birthday law
+// adapts by itself), and rounds below ~4q^2 pairs take a sequential
+// per-pair path, so small populations degrade gracefully to exactly the
+// census engine's per-interaction cost.
 //
 // Every draw of a round comes from the engine's one generator, in a fixed
 // order: the birthday length, the initiator and responder MVH samples over
-// the untouched pool, the conditional MVH matching rows, the per-cell
-// outcome multinomials, and the collision. A round is therefore one exact
+// the untouched pool, the conditional MVH matching rows, each cell's
+// outcome split (its alias draws or its multinomial) as the matching row
+// fills it, and the collision. A round is therefore one exact
 // draw of the census Markov chain's aggregated step, and a trajectory is a
 // pure function of its seed and run() chunk schedule.
 #pragma once
@@ -88,6 +92,12 @@ class multibatch_engine final : public census_level_engine {
     return aggregate_threshold_;
   }
 
+  /// A cell of m disjoint pairs over a kernel support of size S draws its
+  /// outcomes one by one from the kernel's alias table when m <= this * S,
+  /// and splits them by one multinomial otherwise (DESIGN.md §8 has the
+  /// measured crossover).
+  [[nodiscard]] static std::uint64_t alias_pairs_per_outcome();
+
   /// The residual-round carry: collision-free interactions of the current
   /// round drawn but not yet applied because a run() budget truncated the
   /// round (the birthday law is not memoryless, so the remainder carries
@@ -126,8 +136,8 @@ class multibatch_engine final : public census_level_engine {
   void apply_free_aggregate(std::uint64_t free);
   void apply_free_sequential(std::uint64_t free);
   /// Applies `m` disjoint (u, v) interactions: removes the pairs from the
-  /// census and adds their multinomially split outcomes to the census and
-  /// the touched pool.
+  /// census and adds their outcomes, drawn by alias or split by one
+  /// multinomial, to the census and the touched pool.
   void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);
   void resolve_collision();
   void merge_touched();
@@ -146,7 +156,7 @@ class multibatch_engine final : public census_level_engine {
   collision_run_sampler birthday_;
   std::uint64_t aggregate_threshold_;
   // Round scratch, reused across rounds (no per-round allocation).
-  std::vector<double> probs_;              ///< outcome-split probabilities
+  std::vector<double> probs_;              ///< multinomial probabilities
   std::vector<std::uint64_t> split_;       ///< multinomial outcome counts
   std::vector<std::uint64_t> initiators_;  ///< initiator census of a run
   std::vector<std::uint64_t> responders_;  ///< responder census (consumed)

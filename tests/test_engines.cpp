@@ -12,13 +12,18 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine_agreement.hpp"
 #include "ppg/core/igt_count_chain.hpp"
 #include "ppg/core/igt_protocol.hpp"
+#include "ppg/games/game_protocol.hpp"
+#include "ppg/games/solver/zoo.hpp"
+#include "ppg/games/update_rule.hpp"
 #include "ppg/pp/batched_engine.hpp"
 #include "ppg/pp/census_engine.hpp"
 #include "ppg/pp/kernel.hpp"
@@ -107,6 +112,78 @@ TEST(Kernel, ContractViolationsAreRejected) {
   rng gen(3);
   const kernelless_protocol proto;
   EXPECT_THROW((void)proto.outcome_distribution(0, 0), invariant_error);
+}
+
+// One fixed outcome list for every ordered pair.
+class listed_protocol final : public protocol {
+ public:
+  explicit listed_protocol(std::vector<outcome> outcomes)
+      : outcomes_(std::move(outcomes)) {}
+  [[nodiscard]] std::size_t num_states() const override { return 8; }
+  [[nodiscard]] bool has_kernel() const override { return true; }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state /*initiator*/, agent_state /*responder*/) const override {
+    return outcomes_;
+  }
+
+ private:
+  std::vector<outcome> outcomes_;
+};
+
+// The pair's alias table: slot thresholds lie in [0, 1], the slot masses
+// reconstruct every outcome_at probability, and 2e5 sample_alias draws fit
+// those probabilities (outcomes of the tested pairs are distinct state
+// pairs, so a draw identifies its outcome).
+void expect_alias_law(const kernel_table& kernel, agent_state u,
+                      agent_state v, std::uint64_t seed) {
+  const std::size_t support = kernel.num_outcomes(u, v);
+  const double slot_mass = 1.0 / static_cast<double>(support);
+  std::vector<double> mass(support, 0.0);
+  for (std::size_t s = 0; s < support; ++s) {
+    const auto slot = kernel.alias_at(u, v, s);
+    EXPECT_GE(slot.threshold, 0.0) << "slot " << s;
+    EXPECT_LE(slot.threshold, 1.0) << "slot " << s;
+    ASSERT_LT(slot.alias, support) << "slot " << s;
+    mass[s] += slot.threshold * slot_mass;
+    mass[slot.alias] += (1.0 - slot.threshold) * slot_mass;
+  }
+  std::vector<double> probs(support);
+  std::map<std::pair<agent_state, agent_state>, std::size_t> index_of;
+  for (std::size_t k = 0; k < support; ++k) {
+    const outcome o = kernel.outcome_at(u, v, k);
+    probs[k] = o.probability;
+    EXPECT_NEAR(mass[k], probs[k], 1e-12) << "outcome " << k;
+    ASSERT_TRUE(index_of.emplace(std::make_pair(o.initiator, o.responder), k)
+                    .second);
+  }
+  rng gen(seed);
+  std::vector<std::uint64_t> observed(support, 0);
+  constexpr int draws = 200'000;
+  for (int i = 0; i < draws; ++i) {
+    ++observed[index_of.at(kernel.sample_alias(u, v, gen))];
+  }
+  EXPECT_GT(chi_square_gof(observed, probs).p_value, 1e-4);
+}
+
+TEST(Kernel, AliasTablesDrawTheKernelLaw) {
+  const kernel_table three(
+      listed_protocol({{0, 1, 0.5}, {1, 1, 0.3}, {2, 0, 0.2}}));
+  expect_alias_law(three, 0, 0, 11);
+  // A near-1e-6 outcome: the table is built from the pair's own
+  // probabilities, so the tiny one survives to 1e-12.
+  const kernel_table five(listed_protocol({{0, 0, 0.4},
+                                           {0, 1, 1.2e-6},
+                                           {1, 0, 0.3},
+                                           {1, 1, 0.2 - 1.2e-6},
+                                           {2, 2, 0.1}}));
+  expect_alias_law(five, 3, 4, 12);
+  // A dense two-way logit cell: all 64 (initiator', responder') outcomes.
+  const game_protocol logit(random_zoo_game(1, 8, 0).game,
+                            std::make_shared<logit_response_rule>(0.5),
+                            revision_discipline::two_way);
+  const kernel_table dense(logit);
+  ASSERT_EQ(dense.num_outcomes(2, 5), 64u);
+  expect_alias_law(dense, 2, 5, 13);
 }
 
 TEST(Engines, KernellessProtocolRestrictedToAgentEngine) {

@@ -352,13 +352,18 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
 // At the n <= 240 of the suite above, collision-free runs of ~8-10 pairs
 // never reach the aggregate threshold, so only the sequential path runs.
 // At n = 20,000 rounds average ~90 pairs and the aggregate path (MVH pair
-// tables + multinomial outcome splits) carries nearly every interaction;
-// its law must still match the census engine's.
+// tables + per-cell outcome splits) carries nearly every interaction; its
+// law must still match the census engine's. Cells of ~10-22 pairs sit
+// below the alias crossover, so those cases split by alias draws; at
+// n = 10^6 rounds average ~630 pairs, cells ~160, and the multinomial
+// split carries the one-way hawk-dove case.
 TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   struct aggregate_case {
     std::string label;
     game_protocol proto;
     std::vector<std::uint64_t> initial_counts;
+    std::uint64_t steps;
+    bool alias_split;  ///< mean cell below the alias crossover
   };
   const std::vector<aggregate_case> cases = {
       // v/c = 1/3 puts the logit fixed point off the symmetric point, so
@@ -367,11 +372,18 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
        game_protocol(hawk_dove_matrix(1.0, 3.0),
                      std::make_shared<logit_response_rule>(0.5),
                      revision_discipline::two_way),
-       {16'000, 4'000}},
+       {16'000, 4'000}, 40'000, true},
       {"proportional/rps",
        game_protocol(rock_paper_scissors_matrix(),
                      std::make_shared<proportional_imitation_rule>(0.8)),
-       {9'000, 7'000, 4'000}},
+       {9'000, 7'000, 4'000}, 40'000, true},
+      // A tenth of parallel time from the even start: the census drifts
+      // towards the fixed point by ~7e3 agents against a spread of ~200,
+      // so a biased split would shift it by many spreads.
+      {"logit/hawk-dove one-way, multinomial split",
+       game_protocol(hawk_dove_matrix(1.0, 3.0),
+                     std::make_shared<logit_response_rule>(0.5)),
+       {500'000, 500'000}, 100'000, false},
   };
   const auto statistic = [](const census_view& census) {
     double mass = 0.0;
@@ -385,9 +397,8 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   std::uint64_t master = 700;
   for (const auto& c : cases) {
     const sim_spec spec(c.proto, c.initial_counts);
-    const std::uint64_t steps = 2 * spec.population_size();
     const auto census = testing::replica_statistics(
-        spec, engine_kind::census, replicas, steps, master++, statistic);
+        spec, engine_kind::census, replicas, c.steps, master++, statistic);
     std::vector<double> multibatch;
     multibatch.reserve(replicas);
     std::uint64_t interactions = 0;
@@ -396,7 +407,7 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     for (std::size_t r = 0; r < replicas; ++r) {
       rng gen = make_stream_rng(master, r);
       const auto engine = spec.make_engine(engine_kind::multibatch, gen);
-      engine->run(steps);
+      engine->run(c.steps);
       multibatch.push_back(statistic(engine->census()));
       const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
       interactions += mb.interactions();
@@ -404,9 +415,28 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       threshold = mb.aggregate_threshold();
     }
     ++master;
-    EXPECT_GT(static_cast<double>(interactions) / static_cast<double>(rounds),
-              2.0 * static_cast<double>(threshold))
+    const double per_round =
+        static_cast<double>(interactions) / static_cast<double>(rounds);
+    EXPECT_GT(per_round, 2.0 * static_cast<double>(threshold))
         << c.label << ": rounds too short to exercise the aggregate path";
+    const kernel_table kernel(c.proto);
+    const std::size_t q = kernel.num_states();
+    std::size_t support = 1;
+    for (agent_state u = 0; u < q; ++u) {
+      for (agent_state v = 0; v < q; ++v) {
+        support = std::max(support, kernel.num_outcomes(u, v));
+      }
+    }
+    const double mean_cell = per_round / static_cast<double>(q * q);
+    const double crossover = static_cast<double>(
+        multibatch_engine::alias_pairs_per_outcome() * support);
+    if (c.alias_split) {
+      EXPECT_LT(mean_cell, crossover)
+          << c.label << ": cells too large for the alias split";
+    } else {
+      EXPECT_GT(mean_cell, 2.0 * crossover)
+          << c.label << ": cells too small for the multinomial split";
+    }
     EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4) << c.label;
   }
 }

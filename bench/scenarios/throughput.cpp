@@ -54,6 +54,14 @@ namespace {
 
 using namespace ppg;
 
+// The one chunk rule for throughput_engines: every engine row is timed in
+// run() calls of 2^16 interactions — ppg-serve's scheduler chunk and
+// perfbench's slice. A shorter budget truncates multibatch rounds (one
+// round is ~sqrt(n) interactions), which then pay their aggregate twice;
+// the `_chunk8192` witness rows record that cost at n = 10^8.
+constexpr std::uint64_t engine_chunk = std::uint64_t{1} << 16;
+constexpr std::uint64_t witness_chunk = 8192;
+
 // Runs `chunk()` (which performs `items` units of work) until `min_seconds`
 // of wall clock accumulate, after one untimed warmup call; returns units
 // per second.
@@ -67,6 +75,13 @@ double measure_rate(Chunk&& chunk, double items, double min_seconds) {
     total += items;
   } while (clock.seconds() < min_seconds);
   return total / clock.seconds();
+}
+
+// Interactions per second of `engine` advanced in run(chunk) calls.
+double engine_rate(sim_engine& engine, std::uint64_t chunk,
+                   double min_seconds) {
+  return measure_rate([&] { engine.run(chunk); }, static_cast<double>(chunk),
+                      min_seconds);
 }
 
 // A census-form one-way IGT spec (no per-agent array) with GTFT levels
@@ -141,9 +156,7 @@ scenario_result run_engines(const scenario_context& ctx) {
     rng gen = ctx.make_rng(row.n + (row.dilute ? 1 : 0) +
                            static_cast<std::uint64_t>(row.kind) * 7);
     const auto engine = spec.make_engine(row.kind, gen);
-    constexpr std::uint64_t chunk = 8192;
-    const double ips = measure_rate(
-        [&] { engine->run(chunk); }, static_cast<double>(chunk), min_seconds);
+    const double ips = engine_rate(*engine, engine_chunk, min_seconds);
     const std::string key = std::string("ips_") +
                             (row.dilute ? "dilute_" : "dense_") +
                             engine_kind_name(row.kind) + "_n" +
@@ -190,6 +203,7 @@ scenario_result run_engines(const scenario_context& ctx) {
     engine_kind kind;
     std::uint64_t n;
     bool full_only;
+    std::uint64_t chunk = engine_chunk;
   };
   std::vector<game_row> game_rows;
   for (const auto n : {std::uint64_t{1'000'000}, std::uint64_t{100'000'000}}) {
@@ -207,10 +221,16 @@ scenario_result run_engines(const scenario_context& ctx) {
     game_rows.push_back(
         {"rand-q8", "logit_q8", &q8_proto, kind, 100'000'000, true});
   }
+  const std::vector<game_row> timed_rows = game_rows;
+  for (game_row row : timed_rows) {
+    if (row.kind != engine_kind::multibatch || row.n != 100'000'000) continue;
+    row.chunk = witness_chunk;
+    game_rows.push_back(row);
+  }
   auto& games_table = result.table(
       "interactions/second on dense games (every interaction samples a "
       "randomized\nkernel outcome)",
-      {"game", "engine", "n", "interactions/s"});
+      {"game", "engine", "n", "chunk", "interactions/s"});
   for (const auto& row : game_rows) {
     if (row.full_only && ctx.smoke) continue;
     const std::size_t q = row.proto->num_states();
@@ -220,15 +240,14 @@ scenario_result run_engines(const scenario_context& ctx) {
     rng gen = ctx.make_rng(row.n + static_cast<std::uint64_t>(row.kind) * 7 +
                            static_cast<std::uint64_t>(row.key[0]));
     const auto engine = spec.make_engine(row.kind, gen);
-    constexpr std::uint64_t chunk = 8192;
-    const double ips = measure_rate(
-        [&] { engine->run(chunk); }, static_cast<double>(chunk), min_seconds);
-    result.metric("ips_" + std::string(row.key) + "_" +
-                      engine_kind_name(row.kind) + "_n" +
-                      std::to_string(row.n),
-                  ips);
+    const double ips = engine_rate(*engine, row.chunk, min_seconds);
+    std::string key = "ips_" + std::string(row.key) + "_" +
+                      engine_kind_name(row.kind) + "_n" + std::to_string(row.n);
+    if (row.chunk != engine_chunk) key += "_chunk" + std::to_string(row.chunk);
+    result.metric(key, ips);
     games_table.add_row({row.game, engine_kind_name(row.kind),
-                         fmt_count(row.n), format_metric(ips, 4)});
+                         fmt_count(row.n), std::to_string(row.chunk),
+                         format_metric(ips, 4)});
   }
 
   // Replica parallelism (DESIGN.md §11) on the dense hawk-dove workload:
@@ -244,8 +263,7 @@ scenario_result run_engines(const scenario_context& ctx) {
   {
     constexpr std::size_t replicas = 16;
     constexpr std::uint64_t en = 1'000'000;
-    constexpr std::uint64_t chunk = 8192;
-    constexpr std::uint64_t batch_chunks = 40;
+    constexpr std::uint64_t batch_chunks = 5;
     const sim_spec spec(hd_proto, {en / 2, en - en / 2});
     const auto kernel = std::make_shared<const kernel_table>(hd_proto);
     const batch_runner runner({replicas, derive_stream_seed(ctx.seed, 61), hw});
@@ -256,12 +274,13 @@ scenario_result run_engines(const scenario_context& ctx) {
     const auto batch = [&] {
       runner.run([&](const replica_context& replica, rng&) {
         for (std::uint64_t c = 0; c < batch_chunks; ++c) {
-          engines[replica.index]->run(chunk);
+          engines[replica.index]->run(engine_chunk);
         }
         return 0;
       });
     };
-    const double items = static_cast<double>(replicas * batch_chunks * chunk);
+    const double items =
+        static_cast<double>(replicas * batch_chunks * engine_chunk);
     const double ips = measure_rate(batch, items, min_seconds);
     result.metric("ips_hawk_dove_batch_runner_r16_n" + std::to_string(en), ips);
     par_table.add_row({"batch_runner multibatch x16", std::to_string(hw),
@@ -463,7 +482,8 @@ scenario_result run_micro(const scenario_context& ctx) {
   {
     // The multibatch engine's split of one cell of m pairs (DESIGN.md §8),
     // census updates included: m alias draws, or one conditional-binomial
-    // multinomial read off outcome_at as the engine does.
+    // multinomial over the kernel's stored probabilities, as the engine
+    // does.
     const double split_seconds = ctx.pick(0.1, 0.01);
     auto& split_table = result.table(
         "per-cell outcome split of m pairs over `support` outcomes (ns per "
@@ -474,7 +494,6 @@ scenario_result run_micro(const scenario_context& ctx) {
     for (const std::size_t support : {std::size_t{2}, std::size_t{4},
                                       std::size_t{16}, std::size_t{64}}) {
       const kernel_table kernel{split_cell_protocol(support)};
-      std::vector<double> probs(support);
       std::vector<std::uint64_t> split(support);
       rng gen = ctx.make_rng(10 + support);
       for (const std::uint64_t per_outcome :
@@ -497,11 +516,8 @@ scenario_result run_micro(const scenario_context& ctx) {
             1e9 /
             measure_rate(
                 [&] {
-                  for (std::size_t k = 0; k < support; ++k) {
-                    probs[k] = kernel.outcome_at(0, 0, k).probability;
-                  }
-                  sample_multinomial(m, probs.data(), support, gen,
-                                     split.data());
+                  sample_multinomial(m, kernel.probabilities(0, 0), support,
+                                     gen, split.data());
                   for (std::size_t k = 0; k < support; ++k) {
                     if (split[k] == 0) continue;
                     const outcome o = kernel.outcome_at(0, 0, k);

@@ -15,8 +15,9 @@ Checks, per file:
     invariants (pools partition the census, the residual carry only
     mid-round).
 
-Also accepts a resumable-sweep checkpoint ({schema_version, spec, kind,
-master_seed, horizon, replicas}) and validates every replica snapshot.
+This is the only checkpoint shape: one engine's snapshot under its spec
+header. A replicated run is checkpointed as one such file per replica, so
+any other envelope (a multi-replica document included) is rejected.
 
 Exits 1 with a pointed message on the first violation per file. This is the
 CI complement to the C++ strict parser: it proves the on-disk format is
@@ -161,27 +162,6 @@ def check_file(path):
         fail("checkpoint: expected a JSON object")
     if require_uint(doc, "schema_version", "checkpoint") != SCHEMA_VERSION:
         fail("checkpoint: unsupported schema_version")
-    if "replicas" in doc:  # resumable-sweep checkpoint
-        require_keys(
-            doc,
-            {"schema_version", "spec", "kind", "master_seed", "horizon",
-             "replicas"},
-            "sweep checkpoint",
-        )
-        population, width = check_spec(doc["spec"])
-        if doc["kind"] not in ENGINE_KEYS:
-            fail(f"sweep checkpoint: unknown engine kind {doc['kind']!r}")
-        require_uint(doc, "master_seed", "sweep checkpoint")
-        horizon = require_uint(doc, "horizon", "sweep checkpoint")
-        if not isinstance(doc["replicas"], list) or not doc["replicas"]:
-            fail("sweep checkpoint: 'replicas' must be a nonempty array")
-        for i, snapshot in enumerate(doc["replicas"]):
-            check_engine(snapshot, population, width)
-            if snapshot["engine"] != doc["kind"]:
-                fail(f"replica {i}: engine kind differs from the sweep's")
-            if snapshot["interactions"] > horizon:
-                fail(f"replica {i}: past the sweep horizon")
-        return f"sweep of {len(doc['replicas'])} x {doc['kind']}"
     require_keys(doc, {"schema_version", "spec", "engine"}, "checkpoint")
     population, width = check_spec(doc["spec"])
     check_engine(doc["engine"], population, width)

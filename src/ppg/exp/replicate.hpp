@@ -8,11 +8,7 @@
 //   });
 //   agg.mean(); agg.ci_half_width(); agg.quantile(0.9);
 //
-// These entry points run each replica to completion inside its body. For
-// long-horizon sweeps that must survive interruption, exp/resume.hpp's
-// resumable_sweep advances the same per-stream replicas in bounded chunks
-// and checkpoints every engine (per-stream RNG positions included) between
-// chunks.
+// These entry points run each replica to completion inside its body.
 #pragma once
 
 #include <cstdint>

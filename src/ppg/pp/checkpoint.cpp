@@ -78,10 +78,6 @@ json save_checkpoint(const sim_recipe& recipe, const sim_engine& engine) {
   return checkpoint;
 }
 
-restored_sim restore_checkpoint(const json& checkpoint) {
-  return restore_checkpoint(checkpoint, nullptr);
-}
-
 restored_sim restore_checkpoint(const json& checkpoint,
                                 std::shared_ptr<const kernel_table> kernel) {
   const char* where = "checkpoint";

@@ -111,15 +111,15 @@ struct restored_sim {
 /// global registry, engine of the recorded kind from the recipe's spec,
 /// state via restore_state. Throws ppg::invariant_error on any schema,
 /// version, or consistency violation.
-[[nodiscard]] restored_sim restore_checkpoint(const json& checkpoint);
-
-/// restore_checkpoint with a precompiled kernel for the engine (nullptr
-/// compiles fresh, identical to the one-argument form). The kernel must
-/// have been compiled from a protocol with the same canonical JSON form as
-/// the checkpoint's — ppg-serve guarantees this by keying its warm cache on
-/// json_fingerprint of the protocol subdocument. Ignored for the agent
-/// engine (which interprets the protocol directly).
+///
+/// A non-null `kernel` is a precompiled kernel for the engine (nullptr
+/// compiles fresh). It must have been compiled from a protocol with the
+/// same canonical JSON form as the checkpoint's — ppg-serve guarantees this
+/// by keying its warm cache on json_fingerprint of the protocol
+/// subdocument. Ignored for the agent engine (which interprets the
+/// protocol directly).
 [[nodiscard]] restored_sim restore_checkpoint(
-    const json& checkpoint, std::shared_ptr<const kernel_table> kernel);
+    const json& checkpoint,
+    std::shared_ptr<const kernel_table> kernel = nullptr);
 
 }  // namespace ppg

@@ -286,7 +286,6 @@ class sim_spec {
   /// The per-agent initial condition; only available when the spec was
   /// constructed from a population.
   [[nodiscard]] const population& initial() const;
-  [[nodiscard]] bool has_agent_initial() const { return initial_.has_value(); }
 
   /// The initial census (always available).
   [[nodiscard]] const std::vector<std::uint64_t>& initial_counts() const {

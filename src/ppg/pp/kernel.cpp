@@ -8,11 +8,9 @@ namespace ppg {
 namespace {
 
 /// Vose's alias method over `dist`'s probabilities normalized by their sum
-/// `total` (the pair's own probabilities, not cumulative differences, so
-/// tiny outcomes keep their precision). Writes dist.size() slots; `work`
-/// holds at least dist.size() indices: the stack of slots with mass < 1
-/// grows up from its front, the stack of slots with mass >= 1 down from
-/// its back.
+/// `total`. Writes dist.size() slots; `work` holds at least dist.size()
+/// indices: the stack of slots with mass < 1 grows up from its front, the
+/// stack of slots with mass >= 1 down from its back.
 void build_alias(const std::vector<outcome>& dist, double total,
                  kernel_table::alias_slot* slots, std::uint32_t* work) {
   const auto size = static_cast<std::uint32_t>(dist.size());
@@ -99,6 +97,7 @@ kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
         // Size both tables from the first pair: exact for kernels whose
         // pairs share one support size (dense games, deterministic IGT).
         entries_.reserve(q_ * q_ * dist.size());
+        probabilities_.reserve(q_ * q_ * dist.size());
         alias_.reserve(q_ * q_ * dist.size());
       }
       double total = 0.0;
@@ -108,14 +107,14 @@ kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
                   "kernel outcome state out of range");
         PPG_CHECK(o.probability > 0.0, "kernel probabilities must be > 0");
         total += o.probability;
-        entries_.push_back({o.initiator, o.responder, total});
+        entries_.push_back({o.initiator, o.responder});
+        probabilities_.push_back(o.probability);
         is_identity = is_identity && o.initiator == i && o.responder == r;
       }
       PPG_CHECK(std::abs(total - 1.0) <= 1e-9,
                 "kernel probabilities must sum to 1");
       alias_.resize(entries_.size());
       if (dist.size() > 1) {
-        fully_deterministic_ = false;
         if (work.size() < dist.size()) work.resize(dist.size());
         build_alias(dist, total, alias_.data() + (alias_.size() - dist.size()),
                     work.data());
@@ -132,8 +131,7 @@ outcome kernel_table::outcome_at(agent_state initiator, agent_state responder,
   const std::uint32_t begin = offsets_[pair];
   PPG_CHECK(begin + k < offsets_[pair + 1], "outcome index out of range");
   const entry& o = entries_[begin + k];
-  const double previous = k == 0 ? 0.0 : entries_[begin + k - 1].cumulative;
-  return {o.initiator, o.responder, o.cumulative - previous};
+  return {o.initiator, o.responder, probabilities_[begin + k]};
 }
 
 kernel_table::alias_slot kernel_table::alias_at(agent_state initiator,
@@ -160,9 +158,13 @@ std::pair<agent_state, agent_state> kernel_table::sample(
     const entry& o = entries_[begin];
     return {o.initiator, o.responder};
   }
+  // Inverts the CDF by prefix sums in outcome order; another summation
+  // order would round differently and change recorded trajectories.
   const double u = gen.next_double();
+  double cumulative = 0.0;
   for (std::uint32_t e = begin; e + 1 < end; ++e) {
-    if (u < entries_[e].cumulative) {
+    cumulative += probabilities_[e];
+    if (u < cumulative) {
       return {entries_[e].initiator, entries_[e].responder};
     }
   }

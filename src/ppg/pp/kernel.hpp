@@ -101,11 +101,6 @@ class kernel_table {
   [[nodiscard]] bool deterministic(agent_state initiator,
                                    agent_state responder) const;
 
-  /// Whether every pair is deterministic.
-  [[nodiscard]] bool fully_deterministic() const {
-    return fully_deterministic_;
-  }
-
   /// Samples (q_i', q_r') for the ordered pair; consumes one uniform draw
   /// only when the pair has more than one support point.
   [[nodiscard]] std::pair<agent_state, agent_state> sample(
@@ -118,12 +113,19 @@ class kernel_table {
     return offsets_[pair + 1] - offsets_[pair];
   }
 
-  /// The `k`-th support point of the pair's distribution, with its
-  /// (non-cumulative) probability — the enumeration the multibatch engine
-  /// splits a cell's pairs over when it takes the multinomial branch.
+  /// The `k`-th support point of the pair's distribution, with its stored
+  /// probability — the enumeration the multibatch engine splits a cell's
+  /// pairs over when it takes the multinomial branch.
   [[nodiscard]] outcome outcome_at(agent_state initiator,
                                    agent_state responder,
                                    std::size_t k) const;
+
+  /// The pair's num_outcomes probabilities, in outcome_at order: the
+  /// vector a multinomial split of the pair's cell draws from.
+  [[nodiscard]] const double* probabilities(agent_state initiator,
+                                            agent_state responder) const {
+    return probabilities_.data() + offsets_[index(initiator, responder)];
+  }
 
   /// Draws (q_i', q_r') for an ordered pair with more than one support
   /// point from its alias table: a uniform slot, then one uniform against
@@ -165,7 +167,6 @@ class kernel_table {
   struct entry {
     agent_state initiator = 0;
     agent_state responder = 0;
-    double cumulative = 0.0;  ///< inclusive cumulative probability
   };
 
   [[nodiscard]] std::size_t index(agent_state initiator,
@@ -177,9 +178,9 @@ class kernel_table {
   std::size_t q_;
   std::vector<std::uint32_t> offsets_;  ///< q_*q_ + 1 entry offsets
   std::vector<entry> entries_;
-  std::vector<alias_slot> alias_;  ///< parallel to entries_
+  std::vector<double> probabilities_;  ///< parallel to entries_
+  std::vector<alias_slot> alias_;      ///< parallel to entries_
   std::vector<std::uint8_t> identity_;
-  bool fully_deterministic_ = true;
 };
 
 }  // namespace ppg

@@ -149,12 +149,9 @@ void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
     }
     return;
   }
-  probs_.resize(support);
   split_.resize(support);
-  for (std::size_t k = 0; k < support; ++k) {
-    probs_[k] = kernel_->outcome_at(u, v, k).probability;
-  }
-  sample_multinomial(m, probs_.data(), support, gen_, split_.data());
+  sample_multinomial(m, kernel_->probabilities(u, v), support, gen_,
+                     split_.data());
   for (std::size_t k = 0; k < support; ++k) {
     if (split_[k] == 0) continue;
     const outcome o = kernel_->outcome_at(u, v, k);

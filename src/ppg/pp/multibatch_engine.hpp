@@ -156,7 +156,6 @@ class multibatch_engine final : public census_level_engine {
   collision_run_sampler birthday_;
   std::uint64_t aggregate_threshold_;
   // Round scratch, reused across rounds (no per-round allocation).
-  std::vector<double> probs_;              ///< multinomial probabilities
   std::vector<std::uint64_t> split_;       ///< multinomial outcome counts
   std::vector<std::uint64_t> initiators_;  ///< initiator census of a run
   std::vector<std::uint64_t> responders_;  ///< responder census (consumed)

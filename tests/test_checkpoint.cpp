@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ppg/exp/resume.hpp"
 #include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
@@ -519,67 +518,6 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
   mb_target->restore_state(mid);
   EXPECT_EQ(mb_target->save_state().dump_string(false),
             mid.dump_string(false));
-}
-
-// --- resumable sweeps -----------------------------------------------------
-
-TEST(ResumableSweep, ResumesEveryReplicaBitExactly) {
-  constexpr std::uint64_t master_seed = 907;
-  constexpr std::size_t replicas = 3;
-  constexpr std::uint64_t horizon = 6000;
-  constexpr std::uint64_t chunk = 1500;
-
-  const auto make = [] {
-    return sim_recipe::from_json(json::parse(hawk_dove_recipe_text()));
-  };
-
-  resumable_sweep uninterrupted(make(), engine_kind::batched, master_seed,
-                                replicas, horizon, 2);
-  while (uninterrupted.advance(chunk)) {
-  }
-
-  resumable_sweep first_leg(make(), engine_kind::batched, master_seed,
-                            replicas, horizon, 2);
-  first_leg.advance(chunk);
-  const std::string file = first_leg.save().dump_string();
-
-  resumable_sweep second_leg = resumable_sweep::restore(json::parse(file), 2);
-  EXPECT_EQ(second_leg.replicas(), replicas);
-  EXPECT_EQ(second_leg.master_seed(), master_seed);
-  EXPECT_EQ(second_leg.horizon(), horizon);
-  EXPECT_EQ(second_leg.kind(), engine_kind::batched);
-  while (second_leg.advance(chunk)) {
-  }
-
-  ASSERT_TRUE(uninterrupted.finished());
-  ASSERT_TRUE(second_leg.finished());
-  for (std::size_t i = 0; i < replicas; ++i) {
-    EXPECT_EQ(second_leg.replica(i).interactions(), horizon);
-    EXPECT_EQ(second_leg.replica(i).save_state(),
-              uninterrupted.replica(i).save_state())
-        << "replica " << i;
-  }
-}
-
-TEST(ResumableSweep, MatchesBatchRunnerStreamLaw) {
-  // Replica i of a sweep must see exactly the trajectory a replicate_* body
-  // building spec.make_engine(kind, gen) from make_stream_rng(master, i)
-  // would — the sweep is the checkpointable form of the same computation.
-  constexpr std::uint64_t master_seed = 31;
-  const sim_recipe recipe =
-      sim_recipe::from_json(json::parse(rumor_recipe_text()));
-  resumable_sweep sweep(
-      sim_recipe::from_json(json::parse(rumor_recipe_text())),
-      engine_kind::census, master_seed, 2, 2000, 1);
-  while (sweep.advance(500)) {
-  }
-  for (std::uint64_t i = 0; i < 2; ++i) {
-    rng gen = make_stream_rng(master_seed, i);
-    const auto twin = recipe.spec().make_engine(engine_kind::census, gen);
-    twin->run(2000);
-    EXPECT_EQ(sweep.replica(i).save_state(), twin->save_state())
-        << "replica " << i;
-  }
 }
 
 }  // namespace

@@ -44,9 +44,9 @@ TEST(Kernel, IgtKernelMatchesInteract) {
        {igt_discipline::one_way, igt_discipline::two_way}) {
     const igt_protocol proto(5, discipline);
     const kernel_table kernel(proto);
-    EXPECT_TRUE(kernel.fully_deterministic());
     for (agent_state i = 0; i < proto.num_states(); ++i) {
       for (agent_state r = 0; r < proto.num_states(); ++r) {
+        EXPECT_TRUE(kernel.deterministic(i, r));
         const auto dist = proto.outcome_distribution(i, r);
         ASSERT_EQ(dist.size(), 1u);
         const auto direct = proto.interact(i, r, gen);
@@ -423,7 +423,7 @@ TEST(Engines, CensusEngineRunsHundredMillionAgents) {
   counts[igt_encoding::ad] = 20'000'000;
   counts[igt_encoding::gtft(0)] = 70'000'000;
   const sim_spec spec(proto, counts);
-  EXPECT_FALSE(spec.has_agent_initial());
+  EXPECT_THROW((void)spec.initial(), invariant_error);
   EXPECT_EQ(spec.population_size(), 100'000'000u);
   rng gen(103);
   const auto engine = spec.make_engine(engine_kind::census, gen);

@@ -132,6 +132,19 @@ TEST(BatchRunner, ReplicaSeedsMatchDerivation) {
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(seeds[i], derive_stream_seed(1234, i));
   }
+  // The stream law itself: replica i's generator draws exactly what
+  // make_stream_rng(master, i) draws, so any driver that seeds engines by
+  // that law reproduces the batch's per-replica trajectories.
+  const auto draws =
+      batch_runner(opts).run([](const replica_context&, rng& gen) {
+        std::vector<std::uint64_t> words(16);
+        for (auto& w : words) w = gen();
+        return words;
+      });
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    rng twin = make_stream_rng(1234, i);
+    for (const std::uint64_t w : draws[i]) EXPECT_EQ(w, twin()) << i;
+  }
 }
 
 // The acceptance property of the engine: a real simulation batch aggregated

@@ -6,6 +6,7 @@
 // DESIGN.md §2 for the kernel contract.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -76,8 +77,31 @@ class protocol {
 /// consuming random draws. Every pair with more than one support point also
 /// gets a Vose alias table, so one outcome can be drawn in O(1) whatever
 /// the support (sample_alias).
+///
+/// Construction also compiles the *responder classes* the multibatch
+/// engine's round matches against. An initiator row u is *one-way* when no
+/// outcome of any pair (u, v) moves the responder; such a row needs the
+/// responder's state only through the initiator distribution it induces.
+/// Responders v and v' share a class when every one-way row gives them the
+/// same (initiator', probability) sequence — the common refinement of the
+/// one-way rows' responder partitions, numbered by smallest member. Each
+/// row then takes one of three shapes (row_shape).
 class kernel_table {
  public:
+  /// How an initiator row's outcome depends on its responder.
+  enum class row_shape : std::uint8_t {
+    /// Any row that is neither of the below: some outcome moves the
+    /// responder, or the row is one-way but every responder is its own
+    /// class (C = q), where classing buys nothing.
+    general,
+    /// One-way, and depends on the responder only through its class, with
+    /// fewer classes than states (C < q): k-IGT's GTFT rows.
+    classed,
+    /// One-way with the same initiator distribution for every responder:
+    /// k-IGT's AC and AD rows, and every identity row.
+    ignores,
+  };
+
   /// Slot s of a pair's alias table over its K support points: it carries
   /// mass threshold / K of outcome s and (1 - threshold) / K of outcome
   /// `alias`, so outcome k's probability is the sum of its slot masses.
@@ -163,6 +187,29 @@ class kernel_table {
                                     agent_state responder,
                                     std::size_t s) const;
 
+  /// The initiator rows of one shape, in increasing state order.
+  [[nodiscard]] const std::vector<agent_state>& rows(row_shape s) const {
+    return rows_[static_cast<std::size_t>(s)];
+  }
+
+  /// C, the number of responder classes (1 when no row is one-way and
+  /// responder-dependent). Classed rows exist only when C < q.
+  [[nodiscard]] std::size_t num_responder_classes() const {
+    return representatives_.size();
+  }
+
+  /// The class of responder state `responder`, in [0, C).
+  [[nodiscard]] std::uint32_t responder_class(agent_state responder) const {
+    return classes_[responder];
+  }
+
+  /// The smallest state of class `c`: a classed row u applies the
+  /// outcome law of the pair (u, class_representative(c)) to every
+  /// responder of the class.
+  [[nodiscard]] agent_state class_representative(std::size_t c) const {
+    return representatives_[c];
+  }
+
  private:
   struct entry {
     agent_state initiator = 0;
@@ -175,12 +222,21 @@ class kernel_table {
            static_cast<std::size_t>(responder);
   }
 
+  /// Whether pairs (u, a) and (u, b) have the same (initiator',
+  /// probability) sequence, compared exactly.
+  [[nodiscard]] bool same_initiator_law(agent_state u, agent_state a,
+                                        agent_state b) const;
+  void compile_responder_classes();
+
   std::size_t q_;
   std::vector<std::uint32_t> offsets_;  ///< q_*q_ + 1 entry offsets
   std::vector<entry> entries_;
   std::vector<double> probabilities_;  ///< parallel to entries_
   std::vector<alias_slot> alias_;      ///< parallel to entries_
   std::vector<std::uint8_t> identity_;
+  std::array<std::vector<agent_state>, 3> rows_;  ///< rows by shape
+  std::vector<std::uint32_t> classes_;            ///< per responder state
+  std::vector<agent_state> representatives_;      ///< per class
 };
 
 }  // namespace ppg

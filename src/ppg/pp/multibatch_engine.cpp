@@ -30,12 +30,19 @@ multibatch_engine::multibatch_engine(
       birthday_(n_) {
   // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
   PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
-  const auto q = static_cast<std::uint64_t>(kernel_->num_states());
-  // Below ~4q^2 interactions the aggregate path's O(q^2) hypergeometric
-  // table costs more than per-pair O(q) sampling, so short runs (small n:
-  // the birthday law scales them as ~sqrt(n)) fall back to the sequential
-  // path and the engine degrades to census-engine cost.
-  aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * q * q);
+  // An aggregate round's matching draws over q categories per general row
+  // and C per classed row (rows that ignore their responder draw nothing);
+  // below ~4 times that many interactions those hypergeometrics cost more
+  // than per-pair O(q) sampling, so short runs (small n: the birthday law
+  // scales them as ~sqrt(n)) fall back to the sequential path and the
+  // engine degrades to census-engine cost. With every row general this is
+  // 4q^2.
+  using row_shape = kernel_table::row_shape;
+  const std::uint64_t matching_draws =
+      kernel_->num_states() * kernel_->rows(row_shape::general).size() +
+      kernel_->num_responder_classes() *
+          kernel_->rows(row_shape::classed).size();
+  aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * matching_draws);
   untouched_ = counts_;
   touched_.assign(counts_.size(), 0);
   untouched_total_ = n_;
@@ -122,30 +129,21 @@ void multibatch_engine::restore_state(const json& snapshot) {
   collisions_ = collisions;
 }
 
-void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
-                                        std::uint64_t m) {
-  // The run's initiators and responders are untouched agents, so these
-  // removals never exceed the census, whatever outcomes were added first.
-  counts_[u] -= m;
-  counts_[v] -= m;
+template <class Add>
+void multibatch_engine::split_pairs(agent_state u, agent_state v,
+                                    std::uint64_t m, Add&& add) {
   const std::size_t support = kernel_->num_outcomes(u, v);
   if (support == 1) {
     // Deterministic pair: no draws, mirroring every engine's fast path.
     const outcome o = kernel_->outcome_at(u, v, 0);
-    counts_[o.initiator] += m;
-    counts_[o.responder] += m;
-    touched_[o.initiator] += m;
-    touched_[o.responder] += m;
+    add(o.initiator, o.responder, m);
     return;
   }
   if (m <= alias_crossover * support) {
     for (std::uint64_t i = 0; i < m; ++i) {
       const auto [next_initiator, next_responder] =
           kernel_->sample_alias(u, v, gen_);
-      ++counts_[next_initiator];
-      ++counts_[next_responder];
-      ++touched_[next_initiator];
-      ++touched_[next_responder];
+      add(next_initiator, next_responder, 1);
     }
     return;
   }
@@ -155,14 +153,39 @@ void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
   for (std::size_t k = 0; k < support; ++k) {
     if (split_[k] == 0) continue;
     const outcome o = kernel_->outcome_at(u, v, k);
-    counts_[o.initiator] += split_[k];
-    counts_[o.responder] += split_[k];
-    touched_[o.initiator] += split_[k];
-    touched_[o.responder] += split_[k];
+    add(o.initiator, o.responder, split_[k]);
   }
 }
 
+void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
+                                        std::uint64_t m) {
+  // The run's initiators and responders are untouched agents, so these
+  // removals never exceed the census, whatever outcomes were added first.
+  counts_[u] -= m;
+  counts_[v] -= m;
+  split_pairs(u, v, m,
+              [this](agent_state initiator, agent_state responder,
+                     std::uint64_t k) {
+                counts_[initiator] += k;
+                counts_[responder] += k;
+                touched_[initiator] += k;
+                touched_[responder] += k;
+              });
+}
+
+void multibatch_engine::apply_initiator_split(agent_state u, agent_state v,
+                                              std::uint64_t m) {
+  counts_[u] -= m;
+  split_pairs(u, v, m,
+              [this](agent_state initiator, agent_state /*responder*/,
+                     std::uint64_t k) {
+                counts_[initiator] += k;
+                touched_[initiator] += k;
+              });
+}
+
 void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
+  using row_shape = kernel_table::row_shape;
   const std::size_t width = counts_.size();
   initiators_.resize(width);
   responders_.resize(width);
@@ -180,19 +203,46 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
                                      responders_.data());
   for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
   untouched_total_ -= 2 * free;
-  const std::size_t q = kernel_->num_states();
-  for (std::size_t u = 0; u < q; ++u) {
+  for (const agent_state u : kernel_->rows(row_shape::general)) {
     if (initiators_[u] == 0) continue;
     sample_multivariate_hypergeometric(responders_.data(), width,
                                        initiators_[u], gen_, row_.data());
     for (std::size_t v = 0; v < width; ++v) {
       responders_[v] -= row_[v];
       if (row_[v] > 0) {
-        apply_pair_type(static_cast<agent_state>(u),
-                        static_cast<agent_state>(v), row_[v]);
+        apply_pair_type(u, static_cast<agent_state>(v), row_[v]);
       }
     }
   }
+  // The remaining responders all meet one-way rows, so none of them moves.
+  // The matching is uniform and row order is free, so the classed rows
+  // split the remainder's class totals — the MVH over merged categories is
+  // the MVH over their merged totals — and the rows that ignore their
+  // responder take whatever is left without a draw.
+  const auto& classed = kernel_->rows(row_shape::classed);
+  if (!classed.empty()) {
+    const std::size_t classes = kernel_->num_responder_classes();
+    class_totals_.assign(classes, 0);
+    for (agent_state v = 0; v < kernel_->num_states(); ++v) {
+      class_totals_[kernel_->responder_class(v)] += responders_[v];
+    }
+    for (const agent_state u : classed) {
+      if (initiators_[u] == 0) continue;
+      sample_multivariate_hypergeometric(class_totals_.data(), classes,
+                                         initiators_[u], gen_, row_.data());
+      for (std::size_t c = 0; c < classes; ++c) {
+        class_totals_[c] -= row_[c];
+        if (row_[c] > 0) {
+          apply_initiator_split(u, kernel_->class_representative(c),
+                                row_[c]);
+        }
+      }
+    }
+  }
+  for (const agent_state u : kernel_->rows(row_shape::ignores)) {
+    if (initiators_[u] > 0) apply_initiator_split(u, 0, initiators_[u]);
+  }
+  for (std::size_t v = 0; v < width; ++v) touched_[v] += responders_[v];
 }
 
 void multibatch_engine::apply_free_sequential(std::uint64_t free) {

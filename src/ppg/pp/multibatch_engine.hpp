@@ -15,11 +15,17 @@
 //     P(J > j) = prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)), drawn by inversion
 //     over a log-survival table built once per population size
 //     (stats/discrete_sampling's collision_run_sampler);
-//  2. the q x q table of ordered state-pair counts of those J interactions
-//     is drawn from multivariate hypergeometrics over the untouched census
-//     (initiator sample, then responder sample, then a uniform matching by
-//     initiator group — exactly the law of 2J distinct agents drawn
-//     uniformly without replacement, paired in order);
+//  2. the ordered state-pair counts of those J interactions are drawn from
+//     multivariate hypergeometrics over the untouched census (initiator
+//     sample, then responder sample, then a uniform matching by initiator
+//     group — exactly the law of 2J distinct agents drawn uniformly without
+//     replacement, paired in order). The matching follows the kernel's row
+//     shapes (kernel_table::row_shape): each general row draws a q-way row
+//     over the responders; the responders left all meet one-way rows and
+//     stay put, so each classed row draws a C-way row over their class
+//     totals, the rows that ignore their responder take the rest with no
+//     draw, and every such responder rejoins the touched pool in its own
+//     state;
 //  3. the outcome split of each pair type's m pairs draws them one by one
 //     from the kernel's alias table when m <= alias_pairs_per_outcome()
 //     times the pair's support, and as one multinomial over its outcome
@@ -32,20 +38,23 @@
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
 // agent/census/batched engines (DESIGN.md §8 gives the argument). Work per
-// round is O(q^2 + sum over occupied pair cells of min(m_cell, support))
-// plus O(q) for the collision: a cell of m pairs pays m O(1) alias draws
-// while m <= 32 * support, and one binomial per outcome above that. Dense
-// two-way kernels have support q^2, yet a round of J interactions costs at
-// most O(q^2 + J) split steps. Rounds shrink with n (the birthday law
-// adapts by itself), and rounds below ~4q^2 pairs take a sequential
-// per-pair path, so small populations degrade gracefully to exactly the
-// census engine's per-interaction cost.
+// round is O(q + D + sum over occupied pair cells of min(m_cell, support))
+// plus O(q) for the collision, where D = q * #general rows + C * #classed
+// rows is the matching's category count (q^2 when every row is general, 2k
+// for one-way k-IGT): a cell of m pairs pays m O(1) alias draws while m <=
+// 32 * support, and one binomial per outcome above that. Dense two-way
+// kernels have support q^2, yet a round of J interactions costs at most
+// O(q^2 + J) split steps. Rounds shrink with n (the birthday law adapts by
+// itself), and rounds below max(16, 4D) pairs take a sequential per-pair
+// path, so small populations degrade gracefully to exactly the census
+// engine's per-interaction cost.
 //
 // Every draw of a round comes from the engine's one generator, in a fixed
 // order: the birthday length, the initiator and responder MVH samples over
-// the untouched pool, the conditional MVH matching rows, each cell's
-// outcome split (its alias draws or its multinomial) as the matching row
-// fills it, and the collision. A round is therefore one exact
+// the untouched pool, the conditional MVH matching rows (general rows,
+// then classed rows), each cell's outcome split (its alias draws or its
+// multinomial) as the matching row fills it, the splits of the rows that
+// ignore their responder, and the collision. A round is therefore one exact
 // draw of the census Markov chain's aggregated step, and a trajectory is a
 // pure function of its seed and run() chunk schedule.
 #pragma once
@@ -87,7 +96,9 @@ class multibatch_engine final : public census_level_engine {
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
 
   /// Collision-free runs shorter than this take the sequential per-pair
-  /// path; longer ones are applied in aggregate.
+  /// path; longer ones are applied in aggregate. It is max(16, 4D), D the
+  /// matching's category count (q per general row, C per classed row):
+  /// max(16, 4q^2) when every row is general.
   [[nodiscard]] std::uint64_t aggregate_threshold() const {
     return aggregate_threshold_;
   }
@@ -135,10 +146,19 @@ class multibatch_engine final : public census_level_engine {
 
   void apply_free_aggregate(std::uint64_t free);
   void apply_free_sequential(std::uint64_t free);
+  /// Splits `m` disjoint (u, v) interactions over the pair's outcomes —
+  /// no draw for a deterministic pair, m alias draws while m <= c *
+  /// support, one multinomial above — and calls add(initiator', responder',
+  /// count) per drawn outcome.
+  template <class Add>
+  void split_pairs(agent_state u, agent_state v, std::uint64_t m, Add&& add);
   /// Applies `m` disjoint (u, v) interactions: removes the pairs from the
-  /// census and adds their outcomes, drawn by alias or split by one
-  /// multinomial, to the census and the touched pool.
+  /// census and adds their outcomes to the census and the touched pool.
   void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);
+  /// The initiator half of apply_pair_type for a one-way row: moves the
+  /// `m` initiators by (u, v)'s outcome law and leaves the responders, who
+  /// stay in their states, to the caller.
+  void apply_initiator_split(agent_state u, agent_state v, std::uint64_t m);
   void resolve_collision();
   void merge_touched();
 
@@ -160,6 +180,7 @@ class multibatch_engine final : public census_level_engine {
   std::vector<std::uint64_t> initiators_;  ///< initiator census of a run
   std::vector<std::uint64_t> responders_;  ///< responder census (consumed)
   std::vector<std::uint64_t> row_;         ///< one matching row
+  std::vector<std::uint64_t> class_totals_;  ///< responders left per class
 };
 
 }  // namespace ppg

@@ -13,6 +13,7 @@
 
 #include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/engine.hpp"
+#include "ppg/pp/kernel.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/pp/protocol_registry.hpp"
 #include "ppg/util/error.hpp"
@@ -243,15 +244,17 @@ TEST(Checkpoint, BitExactResumeRumor) {
 // The multibatch engine's rounds span ~sqrt(n) interactions, so a run()
 // budget routinely truncates a round mid-flight; the carry (pending free
 // pairs + the unresolved collision split) must survive the checkpoint.
-TEST(Checkpoint, MultibatchResumesMidResidualRound) {
-  const sim_recipe recipe =
-      sim_recipe::from_json(json::parse(rumor_recipe_text()));
-  constexpr std::uint64_t chunk = 7;  // far below a round length at n=300
+// Runs both twins in `chunk`-interaction run() calls until the cut one is
+// mid-round with free pairs pending, checkpoints it, and checks that the
+// resumed engine continues the uninterrupted twin draw for draw.
+void expect_mid_round_resume(const std::string& recipe_text,
+                             std::uint64_t chunk, std::uint64_t seed) {
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
 
-  rng gen_full(604);
+  rng gen_full(seed);
   const auto full = recipe.spec().make_engine(engine_kind::multibatch,
                                               gen_full);
-  rng gen_cut(604);
+  rng gen_cut(seed);
   const auto cut = recipe.spec().make_engine(engine_kind::multibatch,
                                              gen_cut);
 
@@ -289,6 +292,32 @@ TEST(Checkpoint, MultibatchResumesMidResidualRound) {
     }
   }
   EXPECT_EQ(resumed.engine->save_state(), full->save_state());
+}
+
+TEST(Checkpoint, MultibatchResumesMidResidualRound) {
+  // 7 is far below a round length at n = 300.
+  expect_mid_round_resume(rumor_recipe_text(), 7, 604);
+}
+
+// At n = 10^5 a one-way IGT round has ~200 collision-free pairs, and the
+// derived aggregate threshold is 24: 100-interaction chunks split rounds
+// into aggregate parts whose GTFT rows draw over the responder classes,
+// so the checkpoint carries the residual of a classed round.
+TEST(Checkpoint, MultibatchResumesMidClassedRound) {
+  const char* recipe_text =
+      R"({"protocol": {"name": "igt",
+                       "params": {"k": 3, "discipline": "one_way"}},
+          "initial_counts": [20000, 20000, 20000, 20000, 20000],
+          "sampling": "distinct"})";
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
+  const kernel_table kernel(recipe.spec().proto());
+  EXPECT_EQ(kernel.rows(kernel_table::row_shape::classed).size(), 3u);
+  rng gen(605);
+  const auto engine = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  EXPECT_EQ(dynamic_cast<const multibatch_engine&>(*engine)
+                .aggregate_threshold(),
+            24u);
+  expect_mid_round_resume(recipe_text, 100, 605);
 }
 
 // --- recipe fingerprints ---------------------------------------------------

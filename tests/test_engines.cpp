@@ -186,6 +186,90 @@ TEST(Kernel, AliasTablesDrawTheKernelLaw) {
   expect_alias_law(dense, 2, 5, 13);
 }
 
+// A one-way logit game whose strategies 1 and 2 earn the same payoffs
+// against every opponent: responders 1 and 2 induce the same initiator
+// law, so C = 2 < q = 3 and every (random) row is classed.
+game_protocol duplicated_column_logit() {
+  return game_protocol(
+      game_matrix({"a", "b", "c"}, {1.0, 0.0, 0.0,  //
+                                    2.0, 3.0, 3.0,  //
+                                    0.0, 1.0, 1.0}),
+      std::make_shared<logit_response_rule>(1.0));
+}
+
+std::uint64_t threshold_of(std::shared_ptr<const kernel_table> kernel) {
+  std::vector<std::uint64_t> counts(kernel->num_states(), 10);
+  return multibatch_engine(std::move(kernel), std::move(counts), rng(1))
+      .aggregate_threshold();
+}
+
+TEST(Kernel, ResponderClassesCompile) {
+  using row_shape = kernel_table::row_shape;
+  using rows = std::vector<agent_state>;
+  for (const std::size_t k : {3u, 8u}) {
+    const auto kernel =
+        std::make_shared<const kernel_table>(igt_protocol(k));
+    const std::size_t q = kernel->num_states();
+    EXPECT_EQ(kernel->rows(row_shape::ignores),
+              (rows{igt_encoding::ac, igt_encoding::ad}));
+    rows gtft;
+    for (std::size_t level = 0; level < k; ++level) {
+      gtft.push_back(igt_encoding::gtft(level));
+    }
+    EXPECT_EQ(kernel->rows(row_shape::classed), gtft);
+    EXPECT_TRUE(kernel->rows(row_shape::general).empty());
+    // {AC, g_1..g_k} | {AD}, numbered by smallest member.
+    ASSERT_EQ(kernel->num_responder_classes(), 2u);
+    EXPECT_EQ(kernel->class_representative(0), igt_encoding::ac);
+    EXPECT_EQ(kernel->class_representative(1), igt_encoding::ad);
+    for (agent_state v = 0; v < q; ++v) {
+      EXPECT_EQ(kernel->responder_class(v), v == igt_encoding::ad ? 1u : 0u);
+    }
+    // The matching draws over C = 2 classes for each of the k GTFT rows.
+    EXPECT_EQ(threshold_of(kernel), std::max<std::uint64_t>(16, 8 * k));
+  }
+
+  const game_protocol one_way_hawk_dove(
+      hawk_dove_matrix(1.0, 3.0), std::make_shared<logit_response_rule>(0.5));
+  const game_protocol two_way_logit(random_zoo_game(1, 8, 0).game,
+                                    std::make_shared<logit_response_rule>(0.5),
+                                    revision_discipline::two_way);
+  const game_protocol one_way_rps(
+      rock_paper_scissors_matrix(),
+      std::make_shared<proportional_imitation_rule>(0.8));
+  for (const protocol* proto : std::initializer_list<const protocol*>{
+           &one_way_hawk_dove, &two_way_logit, &one_way_rps}) {
+    const auto kernel = std::make_shared<const kernel_table>(*proto);
+    const std::uint64_t q = kernel->num_states();
+    EXPECT_EQ(kernel->rows(row_shape::general).size(), q);
+    EXPECT_EQ(threshold_of(kernel), std::max<std::uint64_t>(16, 4 * q * q));
+  }
+
+  const auto duplicated =
+      std::make_shared<const kernel_table>(duplicated_column_logit());
+  EXPECT_EQ(duplicated->rows(row_shape::classed).size(), 3u);
+  ASSERT_EQ(duplicated->num_responder_classes(), 2u);
+  EXPECT_EQ(duplicated->responder_class(0), 0u);
+  EXPECT_EQ(duplicated->responder_class(1), 1u);
+  EXPECT_EQ(duplicated->responder_class(2), 1u);
+  EXPECT_EQ(duplicated->class_representative(1), 1u);
+  EXPECT_EQ(threshold_of(duplicated), 4u * 3u * 2u);
+
+  // Identity rows ignore their responder: rumor's susceptible initiator,
+  // approximate majority's blank one.
+  const kernel_table rumor{rumor_protocol{}};
+  EXPECT_EQ(rumor.rows(row_shape::ignores),
+            rows{rumor_protocol::state_susceptible});
+  EXPECT_EQ(rumor.rows(row_shape::general),
+            rows{rumor_protocol::state_informed});
+  using amp = approximate_majority_protocol;
+  const auto majority = std::make_shared<const kernel_table>(amp{});
+  EXPECT_EQ(majority->rows(row_shape::ignores), rows{amp::state_blank});
+  EXPECT_EQ(majority->rows(row_shape::general),
+            (rows{amp::state_x, amp::state_y}));
+  EXPECT_EQ(threshold_of(majority), 4u * 3u * 2u);
+}
+
 TEST(Engines, KernellessProtocolRestrictedToAgentEngine) {
   const kernelless_protocol proto;
   const sim_spec spec(proto, population({0, 1, 1, 0}, 2));
@@ -457,10 +541,12 @@ TEST(Engines, MultibatchAggregatesDenseKernelsAtScale) {
   // Dense GTFT population at n = 10^8: nearly every interaction changes
   // the census, so the batched engine degenerates to one sampling round
   // per interaction while the multibatch engine advances in ~sqrt(n)-sized
-  // aggregated rounds.
+  // aggregated rounds. The census is one state wider than the kernel (the
+  // extra state stays empty): the classed GTFT rows' class totals must
+  // read only the kernel's states.
   const std::size_t k = 8;
   const igt_protocol proto(k);
-  std::vector<std::uint64_t> counts(2 + k, 0);
+  std::vector<std::uint64_t> counts(2 + k + 1, 0);
   counts[igt_encoding::ac] = 10'000'000;
   counts[igt_encoding::ad] = 20'000'000;
   counts[igt_encoding::gtft(0)] = 70'000'000;

@@ -358,13 +358,21 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
 // n = 10^6 rounds average ~630 pairs, cells ~160, and the multinomial
 // split carries the one-way hawk-dove case.
 TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
+  using row_shape = kernel_table::row_shape;
+  /// Which outcome split the case's cells take.
+  enum class split { alias, multinomial, deterministic };
   struct aggregate_case {
     std::string label;
     game_protocol proto;
     std::vector<std::uint64_t> initial_counts;
     std::uint64_t steps;
-    bool alias_split;  ///< mean cell below the alias crossover
+    split cells;
+    bool classed;  ///< whether the kernel has classed rows
   };
+  std::vector<std::uint64_t> igt_counts(10, 0);
+  igt_counts[igt_encoding::ac] = 10'000;
+  igt_counts[igt_encoding::ad] = 20'000;
+  igt_counts[igt_encoding::gtft(0)] = 70'000;
   const std::vector<aggregate_case> cases = {
       // v/c = 1/3 puts the logit fixed point off the symmetric point, so
       // a biased outcome split moves the census the test observes.
@@ -372,18 +380,35 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
        game_protocol(hawk_dove_matrix(1.0, 3.0),
                      std::make_shared<logit_response_rule>(0.5),
                      revision_discipline::two_way),
-       {16'000, 4'000}, 40'000, true},
+       {16'000, 4'000}, 40'000, split::alias, false},
       {"proportional/rps",
        game_protocol(rock_paper_scissors_matrix(),
                      std::make_shared<proportional_imitation_rule>(0.8)),
-       {9'000, 7'000, 4'000}, 40'000, true},
+       {9'000, 7'000, 4'000}, 40'000, split::alias, false},
       // A tenth of parallel time from the even start: the census drifts
       // towards the fixed point by ~7e3 agents against a spread of ~200,
       // so a biased split would shift it by many spreads.
       {"logit/hawk-dove one-way, multinomial split",
        game_protocol(hawk_dove_matrix(1.0, 3.0),
                      std::make_shared<logit_response_rule>(0.5)),
-       {500'000, 500'000}, 100'000, false},
+       {500'000, 500'000}, 100'000, split::multinomial, false},
+      // The paper's k-IGT from the all-stingy start: GTFT rows are
+      // classed ({AD} | the rest), AC and AD rows ignore their responder.
+      // In half a unit of parallel time GTFT levels climb by ~2.7e4 in
+      // the statistic against a spread of ~120, so a wrong class or a lost
+      // responder moves it by many spreads.
+      {"igt k=8 one-way, classed rows",
+       game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
+       igt_counts, 50'000, split::deterministic, true},
+      // Identical payoff columns for b and c: C = 2 < q = 3, and every
+      // classed row is a random logit revision over 3 outcomes. The
+      // statistic drifts by ~9.6e3 against a spread of ~75.
+      {"logit one-way, duplicated column, classed rows",
+       game_protocol(game_matrix({"a", "b", "c"}, {1.0, 0.0, 0.0,  //
+                                                   2.0, 3.0, 3.0,  //
+                                                   0.0, 1.0, 1.0}),
+                     std::make_shared<logit_response_rule>(1.0)),
+       {14'000, 3'000, 3'000}, 40'000, split::alias, true},
   };
   const auto statistic = [](const census_view& census) {
     double mass = 0.0;
@@ -396,6 +421,10 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   constexpr std::size_t replicas = 200;
   std::uint64_t master = 700;
   for (const auto& c : cases) {
+    const kernel_table kernel(c.proto);
+    const std::size_t q = kernel.num_states();
+    const std::size_t classed = kernel.rows(row_shape::classed).size();
+    EXPECT_EQ(classed > 0, c.classed) << c.label;
     const sim_spec spec(c.proto, c.initial_counts);
     const auto census = testing::replica_statistics(
         spec, engine_kind::census, replicas, c.steps, master++, statistic);
@@ -419,23 +448,29 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
         static_cast<double>(interactions) / static_cast<double>(rounds);
     EXPECT_GT(per_round, 2.0 * static_cast<double>(threshold))
         << c.label << ": rounds too short to exercise the aggregate path";
-    const kernel_table kernel(c.proto);
-    const std::size_t q = kernel.num_states();
-    std::size_t support = 1;
-    for (agent_state u = 0; u < q; ++u) {
-      for (agent_state v = 0; v < q; ++v) {
-        support = std::max(support, kernel.num_outcomes(u, v));
+    if (c.cells != split::deterministic) {
+      // A round fills q cells per general row, C per classed row and one
+      // per row that ignores its responder.
+      const std::size_t cells =
+          q * kernel.rows(row_shape::general).size() +
+          kernel.num_responder_classes() * classed +
+          kernel.rows(row_shape::ignores).size();
+      std::size_t support = 1;
+      for (agent_state u = 0; u < q; ++u) {
+        for (agent_state v = 0; v < q; ++v) {
+          support = std::max(support, kernel.num_outcomes(u, v));
+        }
       }
-    }
-    const double mean_cell = per_round / static_cast<double>(q * q);
-    const double crossover = static_cast<double>(
-        multibatch_engine::alias_pairs_per_outcome() * support);
-    if (c.alias_split) {
-      EXPECT_LT(mean_cell, crossover)
-          << c.label << ": cells too large for the alias split";
-    } else {
-      EXPECT_GT(mean_cell, 2.0 * crossover)
-          << c.label << ": cells too small for the multinomial split";
+      const double mean_cell = per_round / static_cast<double>(cells);
+      const double crossover = static_cast<double>(
+          multibatch_engine::alias_pairs_per_outcome() * support);
+      if (c.cells == split::alias) {
+        EXPECT_LT(mean_cell, crossover)
+            << c.label << ": cells too large for the alias split";
+      } else {
+        EXPECT_GT(mean_cell, 2.0 * crossover)
+            << c.label << ": cells too small for the multinomial split";
+      }
     }
     EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4) << c.label;
   }

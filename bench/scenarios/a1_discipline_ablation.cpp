@@ -19,7 +19,8 @@ namespace {
 using namespace ppg;
 
 std::vector<double> stationary_census(const abg_population& pop,
-                                      std::size_t k, igt_discipline discipline,
+                                      std::size_t k,
+                                      revision_discipline discipline,
                                       std::uint64_t steps, rng gen) {
   const igt_protocol proto(k, discipline);
   const sim_spec spec(proto,
@@ -43,7 +44,7 @@ std::vector<double> stationary_census(const abg_population& pop,
 }
 
 double hitting_time(const abg_population& pop, std::size_t k,
-                    igt_discipline discipline, rng& gen) {
+                    revision_discipline discipline, rng& gen) {
   const auto probs = igt_stationary_probs(pop, k);
   double target = 0.0;
   for (std::size_t j = 0; j < k; ++j) {
@@ -89,9 +90,9 @@ scenario_result run_a1(const scenario_context& ctx) {
     const auto pop =
         abg_population::from_fractions(300, 0.1, beta, 0.9 - beta);
     const auto expected = igt_stationary_probs(pop, k);
-    const auto one = stationary_census(pop, k, igt_discipline::one_way,
+    const auto one = stationary_census(pop, k, revision_discipline::one_way,
                                        census_steps, ctx.make_rng(salt++));
-    const auto two = stationary_census(pop, k, igt_discipline::two_way,
+    const auto two = stationary_census(pop, k, revision_discipline::two_way,
                                        census_steps, ctx.make_rng(salt++));
     const double tv_one = total_variation(one, expected);
     const double tv_two = total_variation(two, expected);
@@ -104,7 +105,7 @@ scenario_result run_a1(const scenario_context& ctx) {
   // Mean hitting time over independent replicas, fanned across the batch
   // engine's worker pool.
   const auto mean_hitting_time = [&](const abg_population& pop,
-                                     igt_discipline discipline) {
+                                     revision_discipline discipline) {
     return replicate_scalar(ctx.batch(replicas, salt++),
                             [&](const replica_context&, rng& gen) {
                               return hitting_time(pop, k, discipline, gen);
@@ -120,8 +121,8 @@ scenario_result run_a1(const scenario_context& ctx) {
   double min_speedup = 1e300;
   for (const std::size_t n : ns) {
     const auto pop = abg_population::from_fractions(n, 0.1, 0.2, 0.7);
-    const double one = mean_hitting_time(pop, igt_discipline::one_way);
-    const double two = mean_hitting_time(pop, igt_discipline::two_way);
+    const double one = mean_hitting_time(pop, revision_discipline::one_way);
+    const double two = mean_hitting_time(pop, revision_discipline::two_way);
     min_speedup = std::min(min_speedup, one / two);
     speed_table.add_row({format_metric(static_cast<double>(n)),
                          fmt_count(static_cast<std::uint64_t>(one)),

@@ -17,7 +17,7 @@ agent_state igt_encoding::gtft(std::size_t level) {
   return first_gtft + static_cast<agent_state>(level);
 }
 
-igt_protocol::igt_protocol(std::size_t k, igt_discipline discipline)
+igt_protocol::igt_protocol(std::size_t k, revision_discipline discipline)
     // Definition 2.1 as a generic compilation: the paper's strategy set
     // (igt_game_matrix keeps the igt_encoding state order and the AC/AD/gj
     // names) under the laddered adjustment rule. The rule is payoff-blind,

@@ -9,11 +9,10 @@
 //
 // Two variants are provided:
 //  - igt_protocol: transitions keyed on the responder's *strategy type*
-//    (the paper's Definition 2.1). Since PR 4 this is a thin specialization
-//    of the generic game_protocol — the compilation of igt_game_matrix with
-//    igt_ladder_rule — kept as the canonical name; a bitwise-equivalence
-//    test against the legacy hand-written transition function lives in
-//    tests/test_game_dynamics.cpp.
+//    (the paper's Definition 2.1): the generic game_protocol compilation of
+//    igt_game_matrix with igt_ladder_rule, kept as the canonical name;
+//    tests/test_game_dynamics.cpp pins its kernel pointwise to a
+//    hand-written Definition 2.1 transition function.
 //  - igt_action_protocol: transitions keyed on the responder's *observed
 //    action* in an actually played repeated game (the alternative discussed
 //    after Definition 2.1; for large delta the two nearly coincide).
@@ -42,22 +41,22 @@ struct igt_encoding {
   [[nodiscard]] static agent_state gtft(std::size_t level);
 };
 
-/// Whether only the initiator updates (the paper's one-way protocol,
-/// footnote 3) or both agents do (a natural ablation: the census stationary
-/// law is unchanged — each agent's level performs the same reflected walk —
-/// but the clock runs roughly twice as fast). Alias of the generic
-/// revision_discipline so existing call sites keep compiling.
-using igt_discipline = revision_discipline;
-
 /// Definition 2.1 dynamics (type-keyed transitions): the game_protocol
 /// compilation of the paper's strategy set and laddered adjustment rule.
 /// The kernel is deterministic (a single support point per pair); it is
-/// what the census, batched and multibatch engines execute, cross-checked
-/// against igt_count_chain (equation (5)) in the tests.
+/// what every engine executes, cross-checked against igt_count_chain
+/// (equation (5)) in the tests.
+///
+/// The revision_discipline chooses whether only the initiator updates (the
+/// paper's one-way protocol, footnote 3) or both agents do (a natural
+/// ablation: the census stationary law is unchanged — each agent's level
+/// performs the same reflected walk — but the clock runs roughly twice as
+/// fast).
 class igt_protocol final : public game_protocol {
  public:
-  explicit igt_protocol(std::size_t k,
-                        igt_discipline discipline = igt_discipline::one_way);
+  explicit igt_protocol(
+      std::size_t k,
+      revision_discipline discipline = revision_discipline::one_way);
 
   [[nodiscard]] std::size_t k() const { return k_; }
 

@@ -16,7 +16,7 @@
 // build a simulation engine from a shared sim_spec —
 // `spec.make_engine(kind, gen)` — so the execution backend (agent, census,
 // batched, multibatch) is one more replicated parameter; see replicate.hpp
-// for the packaged shapes. Census-level replicas may share one precompiled
+// for the packaged shapes. Replicas of any kind may share one precompiled
 // kernel_table (`spec.make_engine(kind, gen, kernel)`): the table is
 // immutable, so sharing it across workers changes no draw.
 #pragma once

@@ -1,6 +1,7 @@
 #include "ppg/games/game_protocol.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "ppg/util/error.hpp"
 
@@ -34,57 +35,35 @@ game_protocol::game_protocol(game_matrix game,
       rule_(std::move(rule)),
       discipline_(discipline) {
   PPG_CHECK(rule_ != nullptr, "game_protocol requires an update rule");
-  const std::size_t q = game_.num_strategies();
-  kernel_.resize(q * q);
-  for (agent_state i = 0; i < q; ++i) {
-    for (agent_state r = 0; r < q; ++r) {
-      const auto initiator_next = checked_revision(*rule_, game_, i, r);
-      auto& dist = kernel_[index(i, r)];
-      if (discipline_ == revision_discipline::one_way) {
-        for (agent_state u = 0; u < q; ++u) {
-          if (initiator_next[u] > 0.0) {
-            dist.push_back({u, r, initiator_next[u]});
-          }
-        }
-      } else {
-        // Both sides revise independently, each keyed on the partner's
-        // pre-interaction strategy; the joint kernel is the product.
-        const auto responder_next = checked_revision(*rule_, game_, r, i);
-        for (agent_state u = 0; u < q; ++u) {
-          if (initiator_next[u] <= 0.0) continue;
-          for (agent_state v = 0; v < q; ++v) {
-            if (responder_next[v] <= 0.0) continue;
-            dist.push_back({u, v, initiator_next[u] * responder_next[v]});
-          }
-        }
-      }
-    }
-  }
 }
 
 std::vector<outcome> game_protocol::outcome_distribution(
     agent_state initiator, agent_state responder) const {
-  PPG_CHECK(initiator < game_.num_strategies() &&
-                responder < game_.num_strategies(),
-            "strategy index out of range");
-  return kernel_[index(initiator, responder)];
-}
-
-std::pair<agent_state, agent_state> game_protocol::interact(
-    agent_state initiator, agent_state responder, rng& gen) const {
-  PPG_CHECK(initiator < game_.num_strategies() &&
-                responder < game_.num_strategies(),
-            "strategy index out of range");
-  const auto& dist = kernel_[index(initiator, responder)];
-  if (dist.size() == 1) {
-    return {dist.front().initiator, dist.front().responder};
+  const std::size_t q = game_.num_strategies();
+  PPG_CHECK(initiator < q && responder < q, "strategy index out of range");
+  const auto initiator_next =
+      checked_revision(*rule_, game_, initiator, responder);
+  std::vector<outcome> dist;
+  if (discipline_ == revision_discipline::one_way) {
+    for (agent_state u = 0; u < q; ++u) {
+      if (initiator_next[u] > 0.0) {
+        dist.push_back({u, responder, initiator_next[u]});
+      }
+    }
+    return dist;
   }
-  double u = gen.next_double();
-  for (const auto& o : dist) {
-    u -= o.probability;
-    if (u < 0.0) return {o.initiator, o.responder};
+  // Both sides revise independently, each keyed on the partner's
+  // pre-interaction strategy; the joint kernel is the product.
+  const auto responder_next =
+      checked_revision(*rule_, game_, responder, initiator);
+  for (agent_state u = 0; u < q; ++u) {
+    if (initiator_next[u] <= 0.0) continue;
+    for (agent_state v = 0; v < q; ++v) {
+      if (responder_next[v] <= 0.0) continue;
+      dist.push_back({u, v, initiator_next[u] * responder_next[v]});
+    }
   }
-  return {dist.back().initiator, dist.back().responder};
+  return dist;
 }
 
 std::string game_protocol::state_name(agent_state state) const {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ppg/games/game_matrix.hpp"
@@ -25,9 +24,11 @@ namespace ppg {
 /// strategy (standard two-way population protocol semantics).
 enum class revision_discipline : std::uint8_t { one_way, two_way };
 
-/// A matrix game plus an update rule, compiled into a protocol. The q x q
-/// kernel is materialized and validated at construction, so per-interaction
-/// sampling never re-queries the rule and never allocates.
+/// A matrix game plus an update rule, compiled into a protocol.
+/// outcome_distribution queries the rule and validates its revision
+/// distributions on every call; engines call it once per pair when they
+/// compile their kernel_table, so a rule that breaks its contract is
+/// rejected before any interaction runs.
 class game_protocol : public protocol {
  public:
   game_protocol(game_matrix game, std::shared_ptr<const update_rule> rule,
@@ -45,28 +46,13 @@ class game_protocol : public protocol {
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;
 
-  /// Samples the precompiled kernel directly (no per-call distribution
-  /// rebuild); draw consumption matches the default kernel-sampling
-  /// interact exactly, so agent-engine trajectories are independent of
-  /// whether a protocol caches its kernel.
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
-
   /// The strategy's name in the game.
   [[nodiscard]] std::string state_name(agent_state state) const override;
 
  private:
-  [[nodiscard]] std::size_t index(agent_state initiator,
-                                  agent_state responder) const {
-    return static_cast<std::size_t>(initiator) * game_.num_strategies() +
-           static_cast<std::size_t>(responder);
-  }
-
   game_matrix game_;
   std::shared_ptr<const update_rule> rule_;
   revision_discipline discipline_;
-  std::vector<std::vector<outcome>> kernel_;  ///< q*q compiled distributions
 };
 
 }  // namespace ppg

@@ -93,7 +93,6 @@ restored_sim restore_checkpoint(const json& checkpoint,
   const json& snapshot = json_require(checkpoint, "engine", where);
   const engine_kind kind = engine_kind_from_name(
       json_require_string(snapshot, "engine", "engine snapshot"));
-  if (kind == engine_kind::agent) kernel = nullptr;
   // The seed is irrelevant: restore_state overwrites the engine's whole
   // dynamical state, RNG position included.
   rng scratch(0);

@@ -116,8 +116,7 @@ struct restored_sim {
 /// compiles fresh). It must have been compiled from a protocol with the
 /// same canonical JSON form as the checkpoint's — ppg-serve guarantees this
 /// by keying its warm cache on json_fingerprint of the protocol
-/// subdocument. Ignored for the agent engine (which interprets the
-/// protocol directly).
+/// subdocument.
 [[nodiscard]] restored_sim restore_checkpoint(
     const json& checkpoint,
     std::shared_ptr<const kernel_table> kernel = nullptr);

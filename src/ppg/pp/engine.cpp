@@ -97,15 +97,37 @@ double sim_engine::parallel_time() const {
          static_cast<double>(now.population_size());
 }
 
+namespace {
+
+/// Whether every state is below q, so kernel_table::sample, which does not
+/// range-check, can take it.
+bool all_below(const std::vector<agent_state>& states, std::size_t q) {
+  return std::all_of(states.begin(), states.end(),
+                     [q](agent_state s) { return s < q; });
+}
+
+}  // namespace
+
 simulation::simulation(const protocol& proto, population agents, rng gen,
-                       pair_sampling sampling)
+                       pair_sampling sampling,
+                       std::shared_ptr<const kernel_table> kernel)
     : proto_(&proto),
+      kernel_(std::move(kernel)),
       agents_(std::move(agents)),
       gen_(gen),
       sampling_(sampling) {
   PPG_CHECK(agents_.num_state_kinds() >= proto_->num_states(),
             "population state space smaller than the protocol's");
   PPG_CHECK(agents_.size() >= 2, "a protocol needs at least two agents");
+  if (kernel_ == nullptr && proto_->has_kernel()) {
+    kernel_ = std::make_shared<const kernel_table>(*proto_);
+  }
+  if (kernel_ != nullptr) {
+    PPG_CHECK(kernel_->num_states() == proto_->num_states(),
+              "precompiled kernel does not match the protocol");
+    PPG_CHECK(all_below(agents_.states(), kernel_->num_states()),
+              "agent engine: agents in states outside the protocol's space");
+  }
 }
 
 void simulation::run(std::uint64_t steps) {
@@ -114,10 +136,13 @@ void simulation::run(std::uint64_t steps) {
         sampling_ == pair_sampling::distinct
             ? sample_distinct_pair(agents_.size(), gen_)
             : sample_with_replacement_pair(agents_.size(), gen_);
+    const agent_state initiator = agents_.state_of(pair.initiator);
+    const agent_state responder = agents_.state_of(pair.responder);
     const auto [next_initiator, next_responder] =
-        proto_->interact(agents_.state_of(pair.initiator),
-                         agents_.state_of(pair.responder), gen_);
-    // Catch rogue protocols loudly in every build type; the applications
+        kernel_ != nullptr ? kernel_->sample(initiator, responder, gen_)
+                           : proto_->interact(initiator, responder, gen_);
+    // Catch rogue interact overrides loudly in every build type (a compiled
+    // kernel's outcomes are range-checked at construction); the applications
     // below then take the debug-checked fast path (the pair indices come
     // from the scheduler, which guarantees they are in range).
     PPG_CHECK(next_initiator < agents_.num_state_kinds() &&
@@ -160,6 +185,8 @@ void simulation::restore_state(const json& snapshot) {
               "agent snapshot: state outside the population's space");
     states.push_back(static_cast<agent_state>(state));
   }
+  PPG_CHECK(kernel_ == nullptr || all_below(states, kernel_->num_states()),
+            "agent snapshot: agents in states outside the protocol's space");
   // The population constructor re-derives the census from the states, so a
   // restored engine can never disagree with its own counts.
   agents_ = population(std::move(states), agents_.num_state_kinds());
@@ -270,24 +297,25 @@ const population& sim_spec::initial() const {
   return *initial_;
 }
 
-simulation sim_spec::instantiate(rng& gen) const {
+simulation sim_spec::instantiate(
+    rng& gen, std::shared_ptr<const kernel_table> kernel) const {
   if (initial_.has_value()) {
-    return simulation(*proto_, *initial_, gen.split(), sampling_);
+    return simulation(*proto_, *initial_, gen.split(), sampling_,
+                      std::move(kernel));
   }
   return simulation(
       *proto_,
       population(states_from_counts(initial_counts_), initial_counts_.size()),
-      gen.split(), sampling_);
+      gen.split(), sampling_, std::move(kernel));
 }
 
 std::unique_ptr<sim_engine> sim_spec::make_engine(
     engine_kind kind, rng& gen,
     std::shared_ptr<const kernel_table> kernel) const {
   if (kind == engine_kind::agent) {
-    PPG_CHECK(kernel == nullptr,
-              "the agent engine interprets the protocol directly and "
-              "takes no precompiled kernel");
-    return std::make_unique<simulation>(instantiate(gen));
+    // The simulation compiles the kernel itself when none is passed, and
+    // runs a kernel-less protocol through interact.
+    return std::make_unique<simulation>(instantiate(gen, std::move(kernel)));
   }
   if (kernel == nullptr) {
     kernel = std::make_shared<const kernel_table>(*proto_);

@@ -138,14 +138,19 @@ class sim_engine {
   sim_engine& operator=(sim_engine&&) = default;
 };
 
-/// The agent-level engine: a per-agent state array, one protocol::interact
-/// call per scheduled pair. This is the reference implementation every other
-/// engine is law-equivalent to, and the only engine that supports protocols
-/// without a kernel.
+/// The agent-level engine: a per-agent state array, one kernel_table::sample
+/// per scheduled pair (protocol::interact for a protocol without a kernel).
+/// This is the reference implementation every other engine is
+/// law-equivalent to, and the only engine that supports protocols without a
+/// kernel.
 class simulation final : public sim_engine {
  public:
+  /// A null `kernel` compiles one from a kernel protocol; a non-null one
+  /// must have the protocol's state count. With a kernel, every agent must
+  /// start in a state below its q.
   simulation(const protocol& proto, population agents, rng gen,
-             pair_sampling sampling = pair_sampling::distinct);
+             pair_sampling sampling = pair_sampling::distinct,
+             std::shared_ptr<const kernel_table> kernel = nullptr);
 
   void run(std::uint64_t steps) override;
 
@@ -163,6 +168,7 @@ class simulation final : public sim_engine {
 
  private:
   const protocol* proto_;
+  std::shared_ptr<const kernel_table> kernel_;  ///< null without a kernel
   population agents_;
   rng gen_;
   pair_sampling sampling_;
@@ -262,8 +268,9 @@ class sim_spec {
   /// is seeded from gen.split(), so it owns an independent stream: the
   /// caller's generator never shares draws with the simulation
   /// (instantiating twice from one generator yields two *different*
-  /// trajectories).
-  [[nodiscard]] simulation instantiate(rng& gen) const;
+  /// trajectories). `kernel` is passed to the simulation constructor.
+  [[nodiscard]] simulation instantiate(
+      rng& gen, std::shared_ptr<const kernel_table> kernel = nullptr) const;
 
   /// A fresh engine of the requested kind at the initial condition, seeded
   /// from gen.split() exactly like instantiate — make_engine(agent, gen) and
@@ -272,13 +279,12 @@ class sim_spec {
   /// protocol to expose a kernel; the batched and multibatch engines
   /// additionally require pair_sampling::distinct.
   ///
-  /// A null `kernel` compiles one from the protocol. A non-null `kernel`
-  /// hands the census-level engines a precompiled kernel table instead —
-  /// the ppg-serve warm-cache path; it never changes any draw (the table is
-  /// immutable shared data) and must match the protocol's canonical form
-  /// (checked here on the state-space size; the caller owns semantic
-  /// equality). The agent engine interprets the protocol directly and
-  /// rejects a precompiled kernel.
+  /// A null `kernel` compiles one from a kernel protocol, for every kind. A
+  /// non-null `kernel` hands the engine of any kind a precompiled kernel
+  /// table instead — the batch-replica and ppg-serve warm-cache path; it
+  /// never changes any draw (the table is immutable shared data) and must
+  /// match the protocol's canonical form (checked on the state-space size;
+  /// the caller owns semantic equality).
   [[nodiscard]] std::unique_ptr<sim_engine> make_engine(
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;

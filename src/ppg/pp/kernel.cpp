@@ -68,20 +68,11 @@ std::vector<outcome> protocol::outcome_distribution(
 }
 
 std::pair<agent_state, agent_state> protocol::interact(
-    agent_state initiator, agent_state responder, rng& gen) const {
-  const auto dist = outcome_distribution(initiator, responder);
-  PPG_CHECK(!dist.empty(), "empty outcome distribution");
-  if (dist.size() == 1) {
-    return {dist.front().initiator, dist.front().responder};
-  }
-  double u = gen.next_double();
-  for (const auto& o : dist) {
-    u -= o.probability;
-    if (u < 0.0) return {o.initiator, o.responder};
-  }
-  // Guard against floating-point shortfall: the kernel contract guarantees
-  // the probabilities sum to 1 up to rounding.
-  return {dist.back().initiator, dist.back().responder};
+    agent_state /*initiator*/, agent_state /*responder*/, rng& /*gen*/) const {
+  PPG_CHECK(false,
+            "protocol has no interact: kernel protocols are sampled through "
+            "their compiled kernel_table; override interact only for a "
+            "protocol without outcome_distribution");
 }
 
 std::string protocol::state_name(agent_state state) const {

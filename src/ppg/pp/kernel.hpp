@@ -1,9 +1,9 @@
 // The protocol abstraction and its transition kernel. A population protocol
 // is described once by its state-pair kernel (outcome_distribution); the
-// kernel_table below is the flattened, validated form the census, batched
-// and multibatch engines sample from, so per-interaction work is independent
-// of the population size. Execution backends live in pp/engine.hpp. See
-// DESIGN.md §2 for the kernel contract.
+// kernel_table below is the flattened, validated form every engine samples
+// from, so per-interaction work is independent of the population size.
+// Execution backends live in pp/engine.hpp. See DESIGN.md §2 for the kernel
+// contract.
 #pragma once
 
 #include <array>
@@ -28,17 +28,15 @@ struct outcome {
 /// A population protocol: a (possibly randomized) transition function over
 /// ordered pairs of states.
 ///
-/// Protocols have two equivalent descriptions and may implement either:
+/// A protocol is described once, in one of two ways:
 ///  - the *kernel view*: outcome_distribution(q_i, q_r) enumerates the finite
-///    distribution over post-interaction pairs (override it and has_kernel);
-///    interact() then defaults to sampling that distribution, so kernel
-///    protocols only write one function;
+///    distribution over post-interaction pairs (override it and has_kernel).
+///    Every engine, the agent engine included, compiles it into a
+///    kernel_table and draws each interaction from kernel_table::sample;
 ///  - the *sampling view*: interact(q_i, q_r, gen) draws the post-interaction
 ///    pair directly. Protocols whose randomness is impractical to enumerate
 ///    (e.g. igt_action_protocol's repeated-game rollouts) implement only this
 ///    and are restricted to the agent engine.
-/// Deterministic protocols get a fast path for free: a single-support-point
-/// distribution is applied without consuming random draws.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -50,7 +48,8 @@ class protocol {
   [[nodiscard]] virtual std::size_t num_states() const = 0;
 
   /// Whether outcome_distribution is implemented. Engines that execute at
-  /// the census level (census, batched, multibatch) require a kernel.
+  /// the census level (census, batched, multibatch) require a kernel; the
+  /// agent engine falls back to interact without one.
   [[nodiscard]] virtual bool has_kernel() const { return false; }
 
   /// The finite distribution over post-interaction (q_i', q_r') pairs for an
@@ -60,9 +59,9 @@ class protocol {
   [[nodiscard]] virtual std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const;
 
-  /// New (initiator, responder) states after an interaction. The default
-  /// implementation samples outcome_distribution (consuming one uniform draw
-  /// only when the distribution has more than one support point).
+  /// New (initiator, responder) states after an interaction, for protocols
+  /// without a kernel. The default implementation throws; kernel protocols
+  /// do not override it.
   [[nodiscard]] virtual std::pair<agent_state, agent_state> interact(
       agent_state initiator, agent_state responder, rng& gen) const;
 
@@ -125,8 +124,11 @@ class kernel_table {
   [[nodiscard]] bool deterministic(agent_state initiator,
                                    agent_state responder) const;
 
-  /// Samples (q_i', q_r') for the ordered pair; consumes one uniform draw
-  /// only when the pair has more than one support point.
+  /// Samples (q_i', q_r') for the ordered pair by walking its cumulative
+  /// probabilities; consumes one uniform draw only when the pair has more
+  /// than one support point. This is every engine's per-pair draw. The
+  /// states are not range-checked: engines reject agents in states >=
+  /// num_states() before they sample.
   [[nodiscard]] std::pair<agent_state, agent_state> sample(
       agent_state initiator, agent_state responder, rng& gen) const;
 

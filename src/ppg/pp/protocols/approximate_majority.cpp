@@ -2,38 +2,21 @@
 
 namespace ppg {
 
-namespace {
-
-std::pair<agent_state, agent_state> transition(agent_state initiator,
-                                               agent_state responder) {
-  using amp = approximate_majority_protocol;
-  if (initiator == amp::state_x && responder == amp::state_y) {
-    return {amp::state_x, amp::state_blank};
-  }
-  if (initiator == amp::state_y && responder == amp::state_x) {
-    return {amp::state_y, amp::state_blank};
-  }
-  if (initiator == amp::state_x && responder == amp::state_blank) {
-    return {amp::state_x, amp::state_x};
-  }
-  if (initiator == amp::state_y && responder == amp::state_blank) {
-    return {amp::state_y, amp::state_y};
-  }
-  return {initiator, responder};
-}
-
-}  // namespace
-
 std::vector<outcome> approximate_majority_protocol::outcome_distribution(
     agent_state initiator, agent_state responder) const {
-  const auto [next_initiator, next_responder] =
-      transition(initiator, responder);
-  return {{next_initiator, next_responder, 1.0}};
-}
-
-std::pair<agent_state, agent_state> approximate_majority_protocol::interact(
-    agent_state initiator, agent_state responder, rng& /*gen*/) const {
-  return transition(initiator, responder);
+  if (initiator == state_x && responder == state_y) {
+    return {{state_x, state_blank, 1.0}};
+  }
+  if (initiator == state_y && responder == state_x) {
+    return {{state_y, state_blank, 1.0}};
+  }
+  if (initiator == state_x && responder == state_blank) {
+    return {{state_x, state_x, 1.0}};
+  }
+  if (initiator == state_y && responder == state_blank) {
+    return {{state_y, state_y, 1.0}};
+  }
+  return {{initiator, responder, 1.0}};
 }
 
 std::string approximate_majority_protocol::state_name(

@@ -28,10 +28,6 @@ class approximate_majority_protocol final : public protocol {
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;
 
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
-
   [[nodiscard]] std::string state_name(agent_state state) const override;
 
   /// Convergence predicate: every agent holds the same non-blank opinion.

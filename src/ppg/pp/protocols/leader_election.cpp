@@ -2,29 +2,12 @@
 
 namespace ppg {
 
-namespace {
-
-std::pair<agent_state, agent_state> transition(agent_state initiator,
-                                               agent_state responder) {
-  using lep = leader_election_protocol;
-  if (initiator == lep::state_leader && responder == lep::state_leader) {
-    return {lep::state_leader, lep::state_follower};
-  }
-  return {initiator, responder};
-}
-
-}  // namespace
-
 std::vector<outcome> leader_election_protocol::outcome_distribution(
     agent_state initiator, agent_state responder) const {
-  const auto [next_initiator, next_responder] =
-      transition(initiator, responder);
-  return {{next_initiator, next_responder, 1.0}};
-}
-
-std::pair<agent_state, agent_state> leader_election_protocol::interact(
-    agent_state initiator, agent_state responder, rng& /*gen*/) const {
-  return transition(initiator, responder);
+  if (initiator == state_leader && responder == state_leader) {
+    return {{state_leader, state_follower, 1.0}};
+  }
+  return {{initiator, responder, 1.0}};
 }
 
 std::string leader_election_protocol::state_name(agent_state state) const {

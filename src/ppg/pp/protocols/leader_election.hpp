@@ -21,10 +21,6 @@ class leader_election_protocol final : public protocol {
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;
 
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
-
   [[nodiscard]] std::string state_name(agent_state state) const override;
 
   /// Convergence predicate: exactly one leader remains.

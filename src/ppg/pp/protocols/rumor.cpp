@@ -2,28 +2,10 @@
 
 namespace ppg {
 
-namespace {
-
-std::pair<agent_state, agent_state> transition(agent_state initiator,
-                                               agent_state responder) {
-  if (initiator == rumor_protocol::state_informed) {
-    return {initiator, rumor_protocol::state_informed};
-  }
-  return {initiator, responder};
-}
-
-}  // namespace
-
 std::vector<outcome> rumor_protocol::outcome_distribution(
     agent_state initiator, agent_state responder) const {
-  const auto [next_initiator, next_responder] =
-      transition(initiator, responder);
-  return {{next_initiator, next_responder, 1.0}};
-}
-
-std::pair<agent_state, agent_state> rumor_protocol::interact(
-    agent_state initiator, agent_state responder, rng& /*gen*/) const {
-  return transition(initiator, responder);
+  if (initiator == state_informed) return {{initiator, state_informed, 1.0}};
+  return {{initiator, responder, 1.0}};
 }
 
 std::string rumor_protocol::state_name(agent_state state) const {

@@ -20,10 +20,6 @@ class rumor_protocol final : public protocol {
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;
 
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
-
   [[nodiscard]] std::string state_name(agent_state state) const override;
 
   [[nodiscard]] static bool all_informed(const census_view& agents);

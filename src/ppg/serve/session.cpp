@@ -41,7 +41,7 @@ std::shared_ptr<serve_session> session_table::create(const json& recipe_doc,
 
   std::shared_ptr<const kernel_table> kernel;
   bool warm = false;
-  if (kind != engine_kind::agent && recipe.proto().has_kernel()) {
+  if (recipe.proto().has_kernel()) {
     auto found = kernels_->get_or_compile(protocol_key(recipe.to_json()),
                                           recipe.proto());
     kernel = std::move(found.kernel);
@@ -84,16 +84,13 @@ std::shared_ptr<serve_session> session_table::build_restored(
 
   std::shared_ptr<const kernel_table> kernel;
   bool warm = false;
-  if (kind != engine_kind::agent) {
-    // A probe recipe only to reach the protocol object for compilation; the
-    // session's own recipe is rebuilt by restore_checkpoint below.
-    const sim_recipe probe = sim_recipe::from_json(spec);
-    if (probe.proto().has_kernel()) {
-      auto found =
-          kernels_->get_or_compile(protocol_key(spec), probe.proto());
-      kernel = std::move(found.kernel);
-      warm = found.hit;
-    }
+  // A probe recipe only to reach the protocol object for compilation; the
+  // session's own recipe is rebuilt by restore_checkpoint below.
+  const sim_recipe probe = sim_recipe::from_json(spec);
+  if (probe.proto().has_kernel()) {
+    auto found = kernels_->get_or_compile(protocol_key(spec), probe.proto());
+    kernel = std::move(found.kernel);
+    warm = found.hit;
   }
 
   restored_sim restored = restore_checkpoint(checkpoint, std::move(kernel));

@@ -73,7 +73,7 @@ class session_table {
       : kernels_(&kernels), max_sessions_(max_sessions) {}
 
   /// Creates a session from a parsed recipe document: builds the recipe,
-  /// pulls (or compiles) the shared kernel for census-level engines, and
+  /// pulls (or compiles) the shared kernel of a kernel protocol, and
   /// seeds the engine. Throws invariant_error on a malformed recipe and
   /// http_error(503) at the session cap.
   std::shared_ptr<serve_session> create(const json& recipe_doc,

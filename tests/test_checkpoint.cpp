@@ -16,6 +16,7 @@
 #include "ppg/pp/kernel.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/pp/protocol_registry.hpp"
+#include "ppg/pp/protocols/rumor.hpp"
 #include "ppg/util/error.hpp"
 #include "ppg/util/json.hpp"
 #include "ppg/util/rng.hpp"
@@ -388,6 +389,31 @@ TEST(Checkpoint, RestoreWithPrecompiledKernelIsBitExact) {
 }
 
 // --- snapshot round trip and strictness -----------------------------------
+
+TEST(Checkpoint, AgentRestoreRejectsStatesOutsideTheKernel) {
+  // A census one state wider than rumor's q = 2: a snapshot may name state
+  // 2 without leaving the population's space, but the kernel has no row
+  // for it, so restore_state must refuse it and keep the engine as it was.
+  const rumor_protocol rumor;
+  const sim_spec spec(rumor, std::vector<std::uint64_t>{30, 2, 0});
+  rng gen(903);
+  const auto engine = spec.make_engine(engine_kind::agent, gen);
+  engine->run(200);
+  const json good = engine->save_state();
+  auto states = json_require_uint_array(good, "states", "agent snapshot");
+  states.front() = 2;
+  json bad = good;
+  bad["states"] = json_uint_array(states);
+  try {
+    engine->restore_state(bad);
+    ADD_FAILURE() << "accepted an agent outside the kernel's states";
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find("outside the protocol's space"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine->save_state(), good);
+}
 
 TEST(Checkpoint, SnapshotIsAFixedPointOfRestore) {
   const sim_recipe recipe =

@@ -1,16 +1,15 @@
 // Engine equivalence suite: the agent, census, batched, and multibatch
 // engines execute the same interaction law for a given (protocol, initial
-// census, sampling) triple. Pinned here via (a) exact kernel-vs-interact
-// agreement, (b) bitwise agent-engine/legacy-simulation agreement under
-// shared seeds, (c) two-sample chi-square cross-checks of replica
-// statistics at a fixed parallel time for IGT, approximate majority,
-// rumor, and leader election, and (d) agreement of census-engine
-// stationary statistics with igt_count_chain (equation (5)) and the
-// Theorem 2.7 closed form.
+// census, sampling) triple. Pinned here via (a) exact agreement of the
+// compiled kernel with outcome_distribution, (b) bitwise agent-engine/
+// legacy-simulation agreement under shared seeds, (c) two-sample
+// chi-square cross-checks of replica statistics at a fixed parallel time
+// for IGT, approximate majority, rumor, and leader election, and (d)
+// agreement of census-engine stationary statistics with igt_count_chain
+// (equation (5)) and the Theorem 2.7 closed form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,10 +37,10 @@
 namespace ppg {
 namespace {
 
-TEST(Kernel, IgtKernelMatchesInteract) {
+TEST(Kernel, IgtKernelSamplesItsOutcomeDistribution) {
   rng gen(1);
   for (const auto discipline :
-       {igt_discipline::one_way, igt_discipline::two_way}) {
+       {revision_discipline::one_way, revision_discipline::two_way}) {
     const igt_protocol proto(5, discipline);
     const kernel_table kernel(proto);
     for (agent_state i = 0; i < proto.num_states(); ++i) {
@@ -49,40 +48,15 @@ TEST(Kernel, IgtKernelMatchesInteract) {
         EXPECT_TRUE(kernel.deterministic(i, r));
         const auto dist = proto.outcome_distribution(i, r);
         ASSERT_EQ(dist.size(), 1u);
-        const auto direct = proto.interact(i, r, gen);
-        EXPECT_EQ(dist[0].initiator, direct.first);
-        EXPECT_EQ(dist[0].responder, direct.second);
-        EXPECT_EQ(kernel.sample(i, r, gen), direct);
-        EXPECT_EQ(kernel.identity(i, r),
-                  direct == std::make_pair(i, r));
+        const auto before = gen.save();
+        const auto sampled = kernel.sample(i, r, gen);
+        EXPECT_EQ(gen.save(), before) << "a deterministic pair drew";
+        EXPECT_EQ(dist[0].initiator, sampled.first);
+        EXPECT_EQ(dist[0].responder, sampled.second);
+        EXPECT_EQ(kernel.identity(i, r), sampled == std::make_pair(i, r));
       }
     }
   }
-}
-
-// A protocol defining only the kernel: the default interact samples it.
-class coin_protocol final : public protocol {
- public:
-  [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
-  [[nodiscard]] std::vector<outcome> outcome_distribution(
-      agent_state /*initiator*/, agent_state responder) const override {
-    // The initiator rerandomizes its opinion; the responder is unchanged.
-    return {{0, responder, 0.5}, {1, responder, 0.5}};
-  }
-};
-
-TEST(Kernel, DefaultInteractSamplesTheKernel) {
-  const coin_protocol proto;
-  rng gen(2);
-  int heads = 0;
-  constexpr int trials = 40000;
-  for (int t = 0; t < trials; ++t) {
-    const auto [next_initiator, next_responder] = proto.interact(0, 1, gen);
-    EXPECT_EQ(next_responder, 1u);
-    heads += next_initiator == 1 ? 1 : 0;
-  }
-  EXPECT_NEAR(heads, trials / 2, 5.0 * std::sqrt(trials / 4.0));
 }
 
 class bad_sum_protocol final : public protocol {
@@ -108,10 +82,12 @@ class kernelless_protocol final : public protocol {
 TEST(Kernel, ContractViolationsAreRejected) {
   EXPECT_THROW(kernel_table{bad_sum_protocol{}}, invariant_error);
   EXPECT_THROW(kernel_table{kernelless_protocol{}}, invariant_error);
-  // Default interact on a kernel-less protocol has nothing to sample.
-  rng gen(3);
   const kernelless_protocol proto;
   EXPECT_THROW((void)proto.outcome_distribution(0, 0), invariant_error);
+  // A kernel protocol is sampled through its kernel_table only: the
+  // default interact throws.
+  rng gen(3);
+  EXPECT_THROW((void)rumor_protocol{}.interact(1, 0, gen), invariant_error);
 }
 
 // One fixed outcome list for every ordered pair.
@@ -131,9 +107,10 @@ class listed_protocol final : public protocol {
 };
 
 // The pair's alias table: slot thresholds lie in [0, 1], the slot masses
-// reconstruct every outcome_at probability, and 2e5 sample_alias draws fit
-// those probabilities (outcomes of the tested pairs are distinct state
-// pairs, so a draw identifies its outcome).
+// reconstruct every outcome_at probability, and 2e5 draws each of
+// sample_alias and of sample (every engine's per-pair draw) fit those
+// probabilities (outcomes of the tested pairs are distinct state pairs, so
+// a draw identifies its outcome).
 void expect_alias_law(const kernel_table& kernel, agent_state u,
                       agent_state v, std::uint64_t seed) {
   const std::size_t support = kernel.num_outcomes(u, v);
@@ -157,15 +134,18 @@ void expect_alias_law(const kernel_table& kernel, agent_state u,
                     .second);
   }
   rng gen(seed);
-  std::vector<std::uint64_t> observed(support, 0);
+  std::vector<std::uint64_t> alias_observed(support, 0);
+  std::vector<std::uint64_t> walk_observed(support, 0);
   constexpr int draws = 200'000;
   for (int i = 0; i < draws; ++i) {
-    ++observed[index_of.at(kernel.sample_alias(u, v, gen))];
+    ++alias_observed[index_of.at(kernel.sample_alias(u, v, gen))];
+    ++walk_observed[index_of.at(kernel.sample(u, v, gen))];
   }
-  EXPECT_GT(chi_square_gof(observed, probs).p_value, 1e-4);
+  EXPECT_GT(chi_square_gof(alias_observed, probs).p_value, 1e-4);
+  EXPECT_GT(chi_square_gof(walk_observed, probs).p_value, 1e-4);
 }
 
-TEST(Kernel, AliasTablesDrawTheKernelLaw) {
+TEST(Kernel, AliasTablesAndTheCdfWalkDrawTheKernelLaw) {
   const kernel_table three(
       listed_protocol({{0, 1, 0.5}, {1, 1, 0.3}, {2, 0, 0.2}}));
   expect_alias_law(three, 0, 0, 11);

@@ -176,27 +176,30 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.ci_half_width()[j], parallel.ci_half_width()[j]);
   }
 
-  // Census-level replicas that share one precompiled kernel across
-  // threads: dense two-way hawk-dove multibatch engines, whose rounds
-  // exercise the MVH tables and the multinomial splits concurrently.
+  // Replicas that share one precompiled kernel across threads, on a dense
+  // two-way hawk-dove game: agent engines draw every interaction from it,
+  // and multibatch rounds exercise the MVH tables and the multinomial
+  // splits concurrently.
   const game_protocol dense(hawk_dove_matrix(1.0, 2.0),
                             std::make_shared<logit_response_rule>(0.5),
                             revision_discipline::two_way);
   const sim_spec dense_spec(dense, {25'000, 25'000});
   const auto kernel = std::make_shared<const kernel_table>(dense);
-  const auto dense_body = [&](const replica_context&, rng& gen) {
-    const auto engine = dense_spec.make_engine(engine_kind::multibatch, gen,
-                                               kernel);
-    engine->run(40'000);
-    return engine->census().fractions();
-  };
-  const auto reference = replicate_census({9, 123, 1}, dense_body);
-  for (const std::size_t threads : {3u, 8u}) {
-    const auto batch = replicate_census({9, 123, threads}, dense_body);
-    ASSERT_EQ(batch.count(), 9u);
-    EXPECT_EQ(batch.mean(), reference.mean()) << threads << " threads";
-    EXPECT_EQ(batch.ci_half_width(), reference.ci_half_width())
-        << threads << " threads";
+  for (const auto kind : {engine_kind::agent, engine_kind::multibatch}) {
+    const auto dense_body = [&](const replica_context&, rng& gen) {
+      const auto engine = dense_spec.make_engine(kind, gen, kernel);
+      engine->run(40'000);
+      return engine->census().fractions();
+    };
+    const auto reference = replicate_census({9, 123, 1}, dense_body);
+    for (const std::size_t threads : {3u, 8u}) {
+      const auto batch = replicate_census({9, 123, threads}, dense_body);
+      ASSERT_EQ(batch.count(), 9u);
+      EXPECT_EQ(batch.mean(), reference.mean())
+          << engine_kind_name(kind) << ", " << threads << " threads";
+      EXPECT_EQ(batch.ci_half_width(), reference.ci_half_width())
+          << engine_kind_name(kind) << ", " << threads << " threads";
+    }
   }
 }
 

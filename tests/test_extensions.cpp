@@ -15,36 +15,39 @@ namespace ppg {
 namespace {
 
 TEST(TwoWayIgt, BothGtftAgentsUpdate) {
-  const igt_protocol proto(4, igt_discipline::two_way);
+  const igt_protocol proto(4, revision_discipline::two_way);
+  const kernel_table kernel(proto);
   rng gen(701);
   // GTFT(1) initiates against GTFT(2): both see a GTFT partner -> both
   // increment.
   const auto [next_i, next_r] =
-      proto.interact(igt_encoding::gtft(1), igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::gtft(1), igt_encoding::gtft(2), gen);
   EXPECT_EQ(next_i, igt_encoding::gtft(2));
   EXPECT_EQ(next_r, igt_encoding::gtft(3));
 }
 
 TEST(TwoWayIgt, ResponderUpdatesAgainstFixedInitiator) {
-  const igt_protocol proto(4, igt_discipline::two_way);
+  const igt_protocol proto(4, revision_discipline::two_way);
+  const kernel_table kernel(proto);
   rng gen(702);
   // AD initiates against GTFT(2): initiator fixed, responder decrements.
   const auto [next_i, next_r] =
-      proto.interact(igt_encoding::ad, igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::ad, igt_encoding::gtft(2), gen);
   EXPECT_EQ(next_i, igt_encoding::ad);
   EXPECT_EQ(next_r, igt_encoding::gtft(1));
   // AC initiates against GTFT(2): responder increments.
   const auto [i2, r2] =
-      proto.interact(igt_encoding::ac, igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::ac, igt_encoding::gtft(2), gen);
   EXPECT_EQ(i2, igt_encoding::ac);
   EXPECT_EQ(r2, igt_encoding::gtft(3));
 }
 
 TEST(TwoWayIgt, OneWayLeavesResponderUnchanged) {
-  const igt_protocol proto(4, igt_discipline::one_way);
+  const igt_protocol proto(4, revision_discipline::one_way);
+  const kernel_table kernel(proto);
   rng gen(703);
   const auto [next_i, next_r] =
-      proto.interact(igt_encoding::ad, igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::ad, igt_encoding::gtft(2), gen);
   EXPECT_EQ(next_r, igt_encoding::gtft(2));
 }
 
@@ -56,7 +59,7 @@ TEST(TwoWayIgt, SameStationaryCensusAsOneWay) {
   const abg_population pop{20, 20, 40};
   const auto expected = igt_stationary_probs(pop, k);
   for (const auto discipline :
-       {igt_discipline::one_way, igt_discipline::two_way}) {
+       {revision_discipline::one_way, revision_discipline::two_way}) {
     const igt_protocol proto(k, discipline);
     simulation sim(proto,
                    population(make_igt_population_states(pop, k, 0), 2 + k),
@@ -76,7 +79,7 @@ TEST(TwoWayIgt, SameStationaryCensusAsOneWay) {
     }
     EXPECT_LT(total_variation(occupancy, expected), 0.02)
         << "discipline "
-        << (discipline == igt_discipline::one_way ? "one-way" : "two-way");
+        << (discipline == revision_discipline::one_way ? "one-way" : "two-way");
   }
 }
 
@@ -93,7 +96,7 @@ TEST(TwoWayIgt, ConvergesFasterThanOneWay) {
   }
   target *= 0.9;
 
-  auto hitting = [&](igt_discipline discipline, std::uint64_t seed) {
+  auto hitting = [&](revision_discipline discipline, std::uint64_t seed) {
     const igt_protocol proto(k, discipline);
     simulation sim(proto,
                    population(make_igt_population_states(pop, k, 0), 2 + k),
@@ -116,9 +119,9 @@ TEST(TwoWayIgt, ConvergesFasterThanOneWay) {
   double two_way_total = 0.0;
   for (std::uint64_t s = 0; s < 6; ++s) {
     one_way_total +=
-        static_cast<double>(hitting(igt_discipline::one_way, 710 + s));
+        static_cast<double>(hitting(revision_discipline::one_way, 710 + s));
     two_way_total +=
-        static_cast<double>(hitting(igt_discipline::two_way, 720 + s));
+        static_cast<double>(hitting(revision_discipline::two_way, 720 + s));
   }
   EXPECT_LT(two_way_total, 0.75 * one_way_total);
   EXPECT_GT(two_way_total, 0.25 * one_way_total);

@@ -50,6 +50,21 @@ TEST(FailureInjection, PopulationSmallerThanProtocolIsRejected) {
                invariant_error);
 }
 
+// kernel_table::sample does not range-check its states, so the agent
+// engine must refuse an agent in a state the kernel does not cover, even
+// when the population's wider state space admits it.
+TEST(FailureInjection, AgentOutsideTheKernelIsRejectedAtConstruction) {
+  const igt_protocol proto(2);  // q = 4
+  EXPECT_THROW(simulation(proto, population({0, 4}, 5), rng(2)),
+               invariant_error);
+  rng gen(3);
+  const sim_spec spec(proto, std::vector<std::uint64_t>{3, 0, 0, 0, 1});
+  EXPECT_THROW((void)spec.make_engine(engine_kind::agent, gen),
+               invariant_error);
+  // In-kernel states of the same wide space are fine.
+  EXPECT_NO_THROW(simulation(proto, population({0, 3}, 5), rng(4)));
+}
+
 TEST(FailureInjection, NonStochasticChainDetected) {
   finite_chain chain(2);
   chain.add_transition(0, 1, 0.7);  // row 0 sums to 0.7

@@ -236,39 +236,6 @@ TEST(GameProtocol, TwoWayKernelIsTheProductOfIndependentRevisions) {
   }
 }
 
-TEST(GameProtocol, InteractMatchesDefaultKernelSampling) {
-  // The cached-kernel interact must consume draws exactly like the default
-  // outcome_distribution sampler, so trajectories are independent of the
-  // caching optimization.
-  const game_protocol proto(hawk_dove_matrix(1.0, 2.0),
-                            std::make_shared<logit_response_rule>(0.4),
-                            revision_discipline::two_way);
-  // A shadow protocol exposing the same kernel through the default path.
-  class shadow final : public protocol {
-   public:
-    explicit shadow(const game_protocol& inner) : inner_(&inner) {}
-    [[nodiscard]] std::size_t num_states() const override {
-      return inner_->num_states();
-    }
-    [[nodiscard]] bool has_kernel() const override { return true; }
-    [[nodiscard]] std::vector<outcome> outcome_distribution(
-        agent_state i, agent_state r) const override {
-      return inner_->outcome_distribution(i, r);
-    }
-
-   private:
-    const game_protocol* inner_;
-  };
-  const shadow uncached(proto);
-  rng gen_a(11);
-  rng gen_b(11);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto i = static_cast<agent_state>(trial % 2);
-    const auto r = static_cast<agent_state>((trial / 2) % 2);
-    EXPECT_EQ(proto.interact(i, r, gen_a), uncached.interact(i, r, gen_b));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The shared engine-agreement suite: for every update rule, on two games
 // each, the agent, census, batched, and multibatch engines must agree in
@@ -479,12 +446,12 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
 // ---------------------------------------------------------------------------
 // Bitwise equivalence of the compiled igt_protocol with the legacy
 // hand-written Definition 2.1 transition function (the pre-refactor
-// implementation, frozen here verbatim as the reference).
+// implementation's kernel, frozen here as the reference).
 // ---------------------------------------------------------------------------
 
 class legacy_igt_protocol final : public protocol {
  public:
-  explicit legacy_igt_protocol(std::size_t k, igt_discipline discipline)
+  explicit legacy_igt_protocol(std::size_t k, revision_discipline discipline)
       : k_(k), discipline_(discipline) {}
 
   [[nodiscard]] std::size_t num_states() const override { return 2 + k_; }
@@ -494,21 +461,10 @@ class legacy_igt_protocol final : public protocol {
       agent_state initiator, agent_state responder) const override {
     const agent_state next_initiator = updated_level(initiator, responder);
     const agent_state next_responder =
-        discipline_ == igt_discipline::two_way
+        discipline_ == revision_discipline::two_way
             ? updated_level(responder, initiator)
             : responder;
     return {{next_initiator, next_responder, 1.0}};
-  }
-
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& /*gen*/) const override {
-    const agent_state next_initiator = updated_level(initiator, responder);
-    const agent_state next_responder =
-        discipline_ == igt_discipline::two_way
-            ? updated_level(responder, initiator)
-            : responder;
-    return {next_initiator, next_responder};
   }
 
  private:
@@ -525,13 +481,13 @@ class legacy_igt_protocol final : public protocol {
   }
 
   std::size_t k_;
-  igt_discipline discipline_;
+  revision_discipline discipline_;
 };
 
 TEST(IgtCompilation, BitwiseIdenticalToTheLegacyImplementation) {
   const std::size_t k = 5;
   for (const auto discipline :
-       {igt_discipline::one_way, igt_discipline::two_way}) {
+       {revision_discipline::one_way, revision_discipline::two_way}) {
     const igt_protocol compiled(k, discipline);
     const legacy_igt_protocol legacy(k, discipline);
     // The kernels are pointwise identical...
@@ -571,7 +527,7 @@ TEST(IgtCompilation, ExposesTheCompiledGameAndRule) {
   const igt_protocol proto(4);
   EXPECT_EQ(proto.game().num_strategies(), 6u);
   EXPECT_EQ(proto.rule().name(), "igt-ladder");
-  EXPECT_EQ(proto.discipline(), igt_discipline::one_way);
+  EXPECT_EQ(proto.discipline(), revision_discipline::one_way);
   EXPECT_EQ(proto.state_name(0), "AC");
   EXPECT_EQ(proto.state_name(1), "AD");
   EXPECT_EQ(proto.state_name(5), "g4");

@@ -24,52 +24,56 @@ TEST(IgtEncoding, RoundTrip) {
 
 TEST(IgtProtocol, Definition21TransitionTable) {
   const igt_protocol proto(4);
+  const kernel_table kernel(proto);
   rng gen(601);
   // (i) g_j + AC -> Inc(g_j) + AC.
-  EXPECT_EQ(proto.interact(igt_encoding::gtft(1), igt_encoding::ac, gen).first,
+  EXPECT_EQ(kernel.sample(igt_encoding::gtft(1), igt_encoding::ac, gen).first,
             igt_encoding::gtft(2));
   // (ii) g_j + g_i -> Inc(g_j) + g_i for any i.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(proto.interact(igt_encoding::gtft(1), igt_encoding::gtft(i), gen)
+    EXPECT_EQ(kernel.sample(igt_encoding::gtft(1), igt_encoding::gtft(i), gen)
                   .first,
               igt_encoding::gtft(2));
   }
   // (iii) g_j + AD -> Dec(g_j) + AD.
-  EXPECT_EQ(proto.interact(igt_encoding::gtft(2), igt_encoding::ad, gen).first,
+  EXPECT_EQ(kernel.sample(igt_encoding::gtft(2), igt_encoding::ad, gen).first,
             igt_encoding::gtft(1));
 }
 
 TEST(IgtProtocol, TruncationAtBoundaries) {
   const igt_protocol proto(3);
+  const kernel_table kernel(proto);
   rng gen(602);
   // Inc at the top level stays.
-  EXPECT_EQ(proto.interact(igt_encoding::gtft(2), igt_encoding::ac, gen).first,
+  EXPECT_EQ(kernel.sample(igt_encoding::gtft(2), igt_encoding::ac, gen).first,
             igt_encoding::gtft(2));
   // Dec at the bottom level stays.
-  EXPECT_EQ(proto.interact(igt_encoding::gtft(0), igt_encoding::ad, gen).first,
+  EXPECT_EQ(kernel.sample(igt_encoding::gtft(0), igt_encoding::ad, gen).first,
             igt_encoding::gtft(0));
 }
 
 TEST(IgtProtocol, OneWayResponderNeverChanges) {
   const igt_protocol proto(4);
+  const kernel_table kernel(proto);
   rng gen(603);
   for (agent_state init :
        {igt_encoding::ac, igt_encoding::ad, igt_encoding::gtft(1)}) {
     for (agent_state resp :
          {igt_encoding::ac, igt_encoding::ad, igt_encoding::gtft(2)}) {
-      EXPECT_EQ(proto.interact(init, resp, gen).second, resp);
+      EXPECT_EQ(kernel.sample(init, resp, gen).second, resp);
     }
   }
 }
 
 TEST(IgtProtocol, FixedStrategiesNeverUpdate) {
   const igt_protocol proto(4);
+  const kernel_table kernel(proto);
   rng gen(604);
   for (agent_state resp :
        {igt_encoding::ac, igt_encoding::ad, igt_encoding::gtft(0)}) {
-    EXPECT_EQ(proto.interact(igt_encoding::ac, resp, gen).first,
+    EXPECT_EQ(kernel.sample(igt_encoding::ac, resp, gen).first,
               igt_encoding::ac);
-    EXPECT_EQ(proto.interact(igt_encoding::ad, resp, gen).first,
+    EXPECT_EQ(kernel.sample(igt_encoding::ad, resp, gen).first,
               igt_encoding::ad);
   }
 }
@@ -187,7 +191,7 @@ TEST(IgtActionProtocol, HighDeltaMatchesTypeKeyedTransitions) {
   // so the action-keyed protocol agrees with Definition 2.1 almost always.
   const rd_setting setting{3.0, 1.0, 0.98, 1.0};
   const igt_action_protocol action_proto(4, setting, 0.4);
-  const igt_protocol type_proto(4);
+  const kernel_table type_kernel{igt_protocol(4)};
   rng gen(606);
   int agreements = 0;
   constexpr int trials = 400;
@@ -198,7 +202,7 @@ TEST(IgtActionProtocol, HighDeltaMatchesTypeKeyedTransitions) {
         (i % 3 == 0) ? igt_encoding::ac
                      : (i % 3 == 1 ? igt_encoding::ad
                                    : igt_encoding::gtft(3));
-    const auto expected = type_proto.interact(init, resp, gen).first;
+    const auto expected = type_kernel.sample(init, resp, gen).first;
     const auto actual = action_proto.interact(init, resp, gen).first;
     if (expected == actual) ++agreements;
   }

@@ -25,21 +25,22 @@ population majority_population(std::size_t x, std::size_t y,
 
 TEST(ApproximateMajority, TransitionTable) {
   const approximate_majority_protocol proto;
+  const kernel_table kernel(proto);
   rng gen(501);
   using amp = approximate_majority_protocol;
   // X + Y -> X + B.
-  EXPECT_EQ(proto.interact(amp::state_x, amp::state_y, gen),
+  EXPECT_EQ(kernel.sample(amp::state_x, amp::state_y, gen),
             (std::pair<agent_state, agent_state>{amp::state_x,
                                                  amp::state_blank}));
   // X + B -> X + X.
-  EXPECT_EQ(proto.interact(amp::state_x, amp::state_blank, gen),
+  EXPECT_EQ(kernel.sample(amp::state_x, amp::state_blank, gen),
             (std::pair<agent_state, agent_state>{amp::state_x, amp::state_x}));
   // Y + X -> Y + B.
-  EXPECT_EQ(proto.interact(amp::state_y, amp::state_x, gen),
+  EXPECT_EQ(kernel.sample(amp::state_y, amp::state_x, gen),
             (std::pair<agent_state, agent_state>{amp::state_y,
                                                  amp::state_blank}));
   // Like states unchanged.
-  EXPECT_EQ(proto.interact(amp::state_x, amp::state_x, gen),
+  EXPECT_EQ(kernel.sample(amp::state_x, amp::state_x, gen),
             (std::pair<agent_state, agent_state>{amp::state_x, amp::state_x}));
 }
 
@@ -96,15 +97,16 @@ TEST(ApproximateMajority, StateNames) {
 
 TEST(LeaderElection, TransitionTable) {
   const leader_election_protocol proto;
+  const kernel_table kernel(proto);
   rng gen(505);
   using lep = leader_election_protocol;
-  EXPECT_EQ(proto.interact(lep::state_leader, lep::state_leader, gen),
+  EXPECT_EQ(kernel.sample(lep::state_leader, lep::state_leader, gen),
             (std::pair<agent_state, agent_state>{lep::state_leader,
                                                  lep::state_follower}));
-  EXPECT_EQ(proto.interact(lep::state_leader, lep::state_follower, gen),
+  EXPECT_EQ(kernel.sample(lep::state_leader, lep::state_follower, gen),
             (std::pair<agent_state, agent_state>{lep::state_leader,
                                                  lep::state_follower}));
-  EXPECT_EQ(proto.interact(lep::state_follower, lep::state_follower, gen),
+  EXPECT_EQ(kernel.sample(lep::state_follower, lep::state_follower, gen),
             (std::pair<agent_state, agent_state>{lep::state_follower,
                                                  lep::state_follower}));
 }
@@ -159,12 +161,13 @@ TEST(LeaderElection, ExpectedQuadraticTimeScale) {
 
 TEST(Rumor, TransitionTable) {
   const rumor_protocol proto;
+  const kernel_table kernel(proto);
   rng gen(509);
   using rp = rumor_protocol;
-  EXPECT_EQ(proto.interact(rp::state_informed, rp::state_susceptible, gen),
+  EXPECT_EQ(kernel.sample(rp::state_informed, rp::state_susceptible, gen),
             (std::pair<agent_state, agent_state>{rp::state_informed,
                                                  rp::state_informed}));
-  EXPECT_EQ(proto.interact(rp::state_susceptible, rp::state_informed, gen),
+  EXPECT_EQ(kernel.sample(rp::state_susceptible, rp::state_informed, gen),
             (std::pair<agent_state, agent_state>{rp::state_susceptible,
                                                  rp::state_informed}));
 }

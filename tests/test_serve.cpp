@@ -325,8 +325,8 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
       201);
   EXPECT_TRUE(second.find("kernel_cache_hit")->as_bool());
 
-  // A different protocol compiles its own kernel; the agent engine never
-  // touches the cache.
+  // A different protocol compiles its own kernel, and the agent engine on
+  // that protocol draws from the same cached kernel.
   const json third = handle_json(
       app,
       make_request("POST", "/sessions",
@@ -338,12 +338,12 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
       make_request("POST", "/sessions",
                    create_body(rumor_recipe(), "agent", 4)),
       201);
-  EXPECT_FALSE(fourth.find("kernel_cache_hit")->as_bool());
+  EXPECT_TRUE(fourth.find("kernel_cache_hit")->as_bool());
 
   const json stats = handle_json(app, make_request("GET", "/stats"), 200);
   const json* cache = stats.find("kernel_cache");
   EXPECT_EQ(cache->find("entries")->as_uint64(), 2u);
-  EXPECT_EQ(cache->find("hits")->as_uint64(), 1u);
+  EXPECT_EQ(cache->find("hits")->as_uint64(), 2u);
   EXPECT_EQ(cache->find("misses")->as_uint64(), 2u);
 }
 

@@ -323,9 +323,9 @@ scenario_result run_batch(const scenario_context& ctx) {
     return replicate_census(
         {replicas, derive_stream_seed(ctx.seed, 99), threads},
         [&](const replica_context&, rng& gen) {
-          simulation sim = spec.instantiate(gen);
-          sim.run(steps);
-          return sim.agents().fractions();
+          const auto sim = spec.make_engine(engine_kind::agent, gen);
+          sim->run(steps);
+          return sim->census().fractions();
         });
   };
 
@@ -372,7 +372,6 @@ class split_cell_protocol final : public protocol {
  public:
   explicit split_cell_protocol(std::size_t support) : support_(support) {}
   [[nodiscard]] std::size_t num_states() const override { return 8; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state /*initiator*/, agent_state /*responder*/) const override {
     const auto size = static_cast<double>(support_);

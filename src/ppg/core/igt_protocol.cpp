@@ -2,9 +2,7 @@
 
 #include <memory>
 
-#include "ppg/games/strategy.hpp"
 #include "ppg/util/error.hpp"
-#include "ppg/util/table.hpp"
 
 namespace ppg {
 
@@ -26,52 +24,6 @@ igt_protocol::igt_protocol(std::size_t k, revision_discipline discipline)
     : game_protocol(igt_game_matrix(k),
                     std::make_shared<igt_ladder_rule>(k), discipline),
       k_(k) {}
-
-igt_action_protocol::igt_action_protocol(std::size_t k, rd_setting setting,
-                                         double g_max)
-    : k_(k), setting_(setting), grid_(generosity_grid(k, g_max)) {
-  PPG_CHECK(setting_.valid(), "invalid RD setting");
-}
-
-memory_one_strategy igt_action_protocol::strategy_of(
-    agent_state state) const {
-  if (state == igt_encoding::ac) return always_cooperate();
-  if (state == igt_encoding::ad) return always_defect();
-  const std::size_t level = igt_encoding::level(state);
-  PPG_CHECK(level < k_, "GTFT level out of range");
-  return generous_tit_for_tat(grid_[level], setting_.s1);
-}
-
-std::pair<agent_state, agent_state> igt_action_protocol::interact(
-    agent_state initiator, agent_state responder, rng& gen) const {
-  if (!igt_encoding::is_gtft(initiator)) {
-    return {initiator, responder};
-  }
-  // Play the repeated game for real; the initiator classifies the opponent
-  // from its realized actions — cooperative iff it cooperated in a majority
-  // of rounds. For large delta this agrees with the opponent's true type
-  // with high probability (the inference the paper sketches after
-  // Definition 2.1), and the resulting dynamics approach Definition 2.1's.
-  const rollout_result game = play_repeated_game(
-      setting_.to_game(), strategy_of(initiator), strategy_of(responder),
-      gen);
-  const bool opponent_cooperative =
-      2 * game.col_cooperations > game.rounds;
-  const std::size_t level = igt_encoding::level(initiator);
-  if (opponent_cooperative) {
-    const std::size_t next = level + 1 < k_ ? level + 1 : k_ - 1;
-    return {igt_encoding::gtft(next), responder};
-  }
-  const std::size_t next = level > 0 ? level - 1 : 0;
-  return {igt_encoding::gtft(next), responder};
-}
-
-std::string igt_action_protocol::state_name(agent_state state) const {
-  if (state == igt_encoding::ac) return "AC";
-  if (state == igt_encoding::ad) return "AD";
-  return "g" + std::to_string(igt_encoding::level(state) + 1) + "=" +
-         fmt(grid_[igt_encoding::level(state)], 3);
-}
 
 std::vector<agent_state> make_igt_population_states(
     const abg_population& pop, std::size_t k,

@@ -7,30 +7,24 @@
 //   level j  meets AC or GTFT  ->  level min(j+1, k-1)
 //   level j  meets AD          ->  level max(j-1, 0)
 //
-// Two variants are provided:
-//  - igt_protocol: transitions keyed on the responder's *strategy type*
-//    (the paper's Definition 2.1): the generic game_protocol compilation of
-//    igt_game_matrix with igt_ladder_rule, kept as the canonical name;
-//    tests/test_game_dynamics.cpp pins its kernel pointwise to a
-//    hand-written Definition 2.1 transition function.
-//  - igt_action_protocol: transitions keyed on the responder's *observed
-//    action* in an actually played repeated game (the alternative discussed
-//    after Definition 2.1; for large delta the two nearly coincide).
+// igt_protocol keys transitions on the responder's *strategy type* (the
+// paper's Definition 2.1): it is the generic game_protocol compilation of
+// igt_game_matrix with igt_ladder_rule, kept as the canonical name;
+// tests/test_game_dynamics.cpp pins its kernel pointwise to a hand-written
+// Definition 2.1 transition function.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ppg/core/population_config.hpp"
-#include "ppg/games/closed_form.hpp"
 #include "ppg/games/game_protocol.hpp"
-#include "ppg/games/rollout.hpp"
 #include "ppg/pp/census.hpp"
 
 namespace ppg {
 
-/// State-encoding helpers shared by both variants (and by igt_game_matrix /
-/// igt_ladder_rule, which follow the same ordering).
+/// State-encoding helpers shared by igt_protocol, igt_game_matrix and
+/// igt_ladder_rule, which follow the same ordering.
 struct igt_encoding {
   static constexpr agent_state ac = 0;
   static constexpr agent_state ad = 1;
@@ -64,30 +58,6 @@ class igt_protocol final : public game_protocol {
   std::size_t k_;
 };
 
-/// Action-keyed variant: the pair plays one repeated donation game and the
-/// GTFT initiator increments iff the opponent's last-round action was C.
-class igt_action_protocol final : public protocol {
- public:
-  igt_action_protocol(std::size_t k, rd_setting setting, double g_max);
-
-  [[nodiscard]] std::size_t k() const { return k_; }
-  [[nodiscard]] std::size_t num_states() const override { return 2 + k_; }
-
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
-
-  [[nodiscard]] std::string state_name(agent_state state) const override;
-
-  /// The memory-one strategy an encoded state plays.
-  [[nodiscard]] memory_one_strategy strategy_of(agent_state state) const;
-
- private:
-  std::size_t k_;
-  rd_setting setting_;
-  std::vector<double> grid_;
-};
-
 /// Builds the agent-state vector of an (alpha, beta, gamma) population with
 /// the given initial GTFT levels (one entry per GTFT agent, values in
 /// {0, ..., k-1}; validated against k).
@@ -100,7 +70,7 @@ class igt_action_protocol final : public protocol {
     const abg_population& pop, std::size_t k, std::size_t uniform_level);
 
 /// Extracts the GTFT level census (length-k count vector, the z_t of the
-/// paper) from the census of a simulation run under either IGT protocol.
+/// paper) from the census of a simulation run under igt_protocol.
 /// Accepts any engine's census() as well as a population (implicitly
 /// viewed).
 [[nodiscard]] std::vector<std::uint64_t> gtft_level_counts(

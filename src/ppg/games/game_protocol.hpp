@@ -41,7 +41,6 @@ class game_protocol : public protocol {
   [[nodiscard]] std::size_t num_states() const override {
     return game_.num_strategies();
   }
-  [[nodiscard]] bool has_kernel() const override { return true; }
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;

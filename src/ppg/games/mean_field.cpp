@@ -37,16 +37,15 @@ void project_to_simplex(std::vector<double>& x) {
 
 mean_field_ode::mean_field_ode(const protocol& proto)
     : q_(proto.num_states()) {
-  PPG_CHECK(proto.has_kernel(),
-            "mean-field extraction requires a transition kernel");
+  // Compiling validates the kernel (states in range, probabilities positive
+  // and summing to 1), which is what makes the drift sum to 0.
+  const kernel_table kernel(proto);
   std::vector<double> delta(q_, 0.0);
   for (agent_state i = 0; i < q_; ++i) {
     for (agent_state r = 0; r < q_; ++r) {
-      const auto dist = proto.outcome_distribution(i, r);
       for (auto& d : delta) d = 0.0;
-      for (const auto& o : dist) {
-        PPG_CHECK(o.initiator < q_ && o.responder < q_,
-                  "kernel outcome state out of range");
+      for (std::size_t k = 0; k < kernel.num_outcomes(i, r); ++k) {
+        const outcome o = kernel.outcome_at(i, r, k);
         delta[o.initiator] += o.probability;
         delta[o.responder] += o.probability;
       }

@@ -5,7 +5,7 @@
 //   dx_u/dt = sum_{i,r} x_i x_r * E[ Delta_u | kernel(i, r) ],
 //
 // with t in parallel-time units (n interactions per unit t). The drift is
-// extracted once from the same outcome_distribution the engines execute, so
+// extracted once from the same compiled kernel_table the engines execute, so
 // a simulation and its deterministic limit can never disagree about the
 // dynamics being approximated. RK4 integration with a simplex projection,
 // plus a fixed-point relaxer, support cross-checking engine runs against
@@ -20,8 +20,9 @@
 
 namespace ppg {
 
-/// The drift field extracted from a protocol's transition kernel. Requires
-/// has_kernel(); the protocol may be discarded after construction.
+/// The drift field extracted from a protocol's compiled kernel_table, so a
+/// kernel the engines would reject is rejected here too; the protocol may
+/// be discarded after construction.
 class mean_field_ode {
  public:
   explicit mean_field_ode(const protocol& proto);

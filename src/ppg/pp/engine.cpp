@@ -111,23 +111,20 @@ bool all_below(const std::vector<agent_state>& states, std::size_t q) {
 simulation::simulation(const protocol& proto, population agents, rng gen,
                        pair_sampling sampling,
                        std::shared_ptr<const kernel_table> kernel)
-    : proto_(&proto),
-      kernel_(std::move(kernel)),
+    : kernel_(std::move(kernel)),
       agents_(std::move(agents)),
       gen_(gen),
       sampling_(sampling) {
-  PPG_CHECK(agents_.num_state_kinds() >= proto_->num_states(),
+  PPG_CHECK(agents_.num_state_kinds() >= proto.num_states(),
             "population state space smaller than the protocol's");
   PPG_CHECK(agents_.size() >= 2, "a protocol needs at least two agents");
-  if (kernel_ == nullptr && proto_->has_kernel()) {
-    kernel_ = std::make_shared<const kernel_table>(*proto_);
+  if (kernel_ == nullptr) {
+    kernel_ = std::make_shared<const kernel_table>(proto);
   }
-  if (kernel_ != nullptr) {
-    PPG_CHECK(kernel_->num_states() == proto_->num_states(),
-              "precompiled kernel does not match the protocol");
-    PPG_CHECK(all_below(agents_.states(), kernel_->num_states()),
-              "agent engine: agents in states outside the protocol's space");
-  }
+  PPG_CHECK(kernel_->num_states() == proto.num_states(),
+            "precompiled kernel does not match the protocol");
+  PPG_CHECK(all_below(agents_.states(), kernel_->num_states()),
+            "agent engine: agents in states outside the protocol's space");
 }
 
 void simulation::run(std::uint64_t steps) {
@@ -138,16 +135,11 @@ void simulation::run(std::uint64_t steps) {
             : sample_with_replacement_pair(agents_.size(), gen_);
     const agent_state initiator = agents_.state_of(pair.initiator);
     const agent_state responder = agents_.state_of(pair.responder);
+    // Kernel outcomes are range-checked when the table is compiled and the
+    // pair indices come from the scheduler, so the applications below take
+    // the debug-checked fast path.
     const auto [next_initiator, next_responder] =
-        kernel_ != nullptr ? kernel_->sample(initiator, responder, gen_)
-                           : proto_->interact(initiator, responder, gen_);
-    // Catch rogue interact overrides loudly in every build type (a compiled
-    // kernel's outcomes are range-checked at construction); the applications
-    // below then take the debug-checked fast path (the pair indices come
-    // from the scheduler, which guarantees they are in range).
-    PPG_CHECK(next_initiator < agents_.num_state_kinds() &&
-                  next_responder < agents_.num_state_kinds(),
-              "protocol emitted a state outside the population's space");
+        kernel_->sample(initiator, responder, gen_);
     agents_.apply_interaction(pair.initiator, next_initiator);
     // Self-interactions can occur under with_replacement sampling; applying
     // the responder update second would clobber the initiator's: skip it.
@@ -185,7 +177,7 @@ void simulation::restore_state(const json& snapshot) {
               "agent snapshot: state outside the population's space");
     states.push_back(static_cast<agent_state>(state));
   }
-  PPG_CHECK(kernel_ == nullptr || all_below(states, kernel_->num_states()),
+  PPG_CHECK(all_below(states, kernel_->num_states()),
             "agent snapshot: agents in states outside the protocol's space");
   // The population constructor re-derives the census from the states, so a
   // restored engine can never disagree with its own counts.
@@ -249,10 +241,9 @@ void census_level_engine::commit(counts_state state) {
 
 namespace {
 
-/// Expands a census into a per-agent state vector, grouped by state. Agents
-/// are anonymous, so any ordering induces the same interaction law.
-std::vector<agent_state> states_from_counts(
-    const std::vector<std::uint64_t>& counts) {
+/// Expands a census into a population, grouped by state. Agents are
+/// anonymous, so any ordering induces the same interaction law.
+population agents_from_counts(const std::vector<std::uint64_t>& counts) {
   std::uint64_t n = 0;
   for (const auto c : counts) n += c;
   std::vector<agent_state> states;
@@ -262,7 +253,7 @@ std::vector<agent_state> states_from_counts(
       states.push_back(static_cast<agent_state>(s));
     }
   }
-  return states;
+  return population(std::move(states), counts.size());
 }
 
 }  // namespace
@@ -297,37 +288,24 @@ const population& sim_spec::initial() const {
   return *initial_;
 }
 
-simulation sim_spec::instantiate(
-    rng& gen, std::shared_ptr<const kernel_table> kernel) const {
-  if (initial_.has_value()) {
-    return simulation(*proto_, *initial_, gen.split(), sampling_,
-                      std::move(kernel));
-  }
-  return simulation(
-      *proto_,
-      population(states_from_counts(initial_counts_), initial_counts_.size()),
-      gen.split(), sampling_, std::move(kernel));
-}
-
 std::unique_ptr<sim_engine> sim_spec::make_engine(
     engine_kind kind, rng& gen,
     std::shared_ptr<const kernel_table> kernel) const {
-  if (kind == engine_kind::agent) {
-    // The simulation compiles the kernel itself when none is passed, and
-    // runs a kernel-less protocol through interact.
-    return std::make_unique<simulation>(instantiate(gen, std::move(kernel)));
-  }
   if (kernel == nullptr) {
     kernel = std::make_shared<const kernel_table>(*proto_);
   }
   PPG_CHECK(kernel->num_states() == proto_->num_states(),
             "precompiled kernel does not match the protocol");
-  PPG_CHECK(kind == engine_kind::census ||
+  PPG_CHECK(kind == engine_kind::agent || kind == engine_kind::census ||
                 sampling_ == pair_sampling::distinct,
             std::string(engine_kind_name(kind)) +
                 " engine supports pair_sampling::distinct only; use the "
                 "census engine for with_replacement sampling");
   switch (kind) {
+    case engine_kind::agent:
+      return std::make_unique<simulation>(
+          *proto_, initial_ ? *initial_ : agents_from_counts(initial_counts_),
+          gen.split(), sampling_, std::move(kernel));
     case engine_kind::census:
       return std::make_unique<census_engine>(
           std::move(kernel), initial_counts_, gen.split(), sampling_);
@@ -337,8 +315,6 @@ std::unique_ptr<sim_engine> sim_spec::make_engine(
     case engine_kind::multibatch:
       return std::make_unique<multibatch_engine>(std::move(kernel),
                                                  initial_counts_, gen.split());
-    case engine_kind::agent:
-      break;
   }
   PPG_CHECK(false, "unknown engine kind");
 }

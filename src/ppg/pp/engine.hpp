@@ -27,7 +27,7 @@ namespace ppg {
 
 /// Which execution backend runs a sim_spec.
 enum class engine_kind : std::uint8_t {
-  agent,    ///< per-agent state array, one protocol::interact per step
+  agent,    ///< per-agent state array, one kernel_table::sample per step
   census,   ///< count vector only; samples the ordered *state* pair in O(q)
   batched,  ///< census + geometric batches that skip identity interactions
   /// census + aggregated ~sqrt(n)-interaction rounds (exact birthday /
@@ -139,15 +139,13 @@ class sim_engine {
 };
 
 /// The agent-level engine: a per-agent state array, one kernel_table::sample
-/// per scheduled pair (protocol::interact for a protocol without a kernel).
-/// This is the reference implementation every other engine is
-/// law-equivalent to, and the only engine that supports protocols without a
-/// kernel.
+/// per scheduled pair. This is the reference implementation every other
+/// engine is law-equivalent to.
 class simulation final : public sim_engine {
  public:
-  /// A null `kernel` compiles one from a kernel protocol; a non-null one
-  /// must have the protocol's state count. With a kernel, every agent must
-  /// start in a state below its q.
+  /// A null `kernel` compiles one from the protocol; a non-null one must
+  /// have the protocol's state count. Every agent must start in a state
+  /// below the kernel's q.
   simulation(const protocol& proto, population agents, rng gen,
              pair_sampling sampling = pair_sampling::distinct,
              std::shared_ptr<const kernel_table> kernel = nullptr);
@@ -167,8 +165,7 @@ class simulation final : public sim_engine {
   void restore_state(const json& snapshot) override;
 
  private:
-  const protocol* proto_;
-  std::shared_ptr<const kernel_table> kernel_;  ///< null without a kernel
+  std::shared_ptr<const kernel_table> kernel_;
   population agents_;
   rng gen_;
   pair_sampling sampling_;
@@ -245,10 +242,10 @@ class census_level_engine : public sim_engine {
 };
 
 /// A seedless recipe for a simulation: protocol, initial condition, and
-/// sampling discipline. Replica R of a batch is `instantiate(gen_R)` (or
-/// `make_engine(kind, gen_R)`) — every replica starts from the identical
-/// initial condition and differs only in its RNG stream, which is what the
-/// batch engine needs to fan one configuration out across a worker pool.
+/// sampling discipline. Replica R of a batch is `make_engine(kind, gen_R)` —
+/// every replica starts from the identical initial condition and differs
+/// only in its RNG stream, which is what the batch engine needs to fan one
+/// configuration out across a worker pool.
 /// The protocol must outlive the spec and every engine built from it.
 ///
 /// The initial condition may be given per-agent (a population) or as a bare
@@ -264,22 +261,13 @@ class sim_spec {
   sim_spec(const protocol& proto, std::vector<std::uint64_t> initial_counts,
            pair_sampling sampling = pair_sampling::distinct);
 
-  /// A fresh agent-level simulation at the initial condition. The simulation
-  /// is seeded from gen.split(), so it owns an independent stream: the
-  /// caller's generator never shares draws with the simulation
-  /// (instantiating twice from one generator yields two *different*
-  /// trajectories). `kernel` is passed to the simulation constructor.
-  [[nodiscard]] simulation instantiate(
-      rng& gen, std::shared_ptr<const kernel_table> kernel = nullptr) const;
-
-  /// A fresh engine of the requested kind at the initial condition, seeded
-  /// from gen.split() exactly like instantiate — make_engine(agent, gen) and
-  /// instantiate(gen) from equal generator states produce bitwise-identical
-  /// trajectories. The census, batched and multibatch engines require the
-  /// protocol to expose a kernel; the batched and multibatch engines
-  /// additionally require pair_sampling::distinct.
+  /// A fresh engine of the requested kind at the initial condition. The
+  /// engine is seeded from gen.split(), so it owns an independent stream:
+  /// the caller's generator never shares draws with the engine (making two
+  /// engines from one generator yields two *different* trajectories). The
+  /// batched and multibatch engines require pair_sampling::distinct.
   ///
-  /// A null `kernel` compiles one from a kernel protocol, for every kind. A
+  /// A null `kernel` compiles one from the protocol, for every kind. A
   /// non-null `kernel` hands the engine of any kind a precompiled kernel
   /// table instead — the batch-replica and ppg-serve warm-cache path; it
   /// never changes any draw (the table is immutable shared data) and must

@@ -59,31 +59,11 @@ std::uint64_t mix(std::uint64_t h) {
 
 }  // namespace
 
-std::vector<outcome> protocol::outcome_distribution(
-    agent_state /*initiator*/, agent_state /*responder*/) const {
-  PPG_CHECK(false,
-            "protocol exposes no transition kernel: override "
-            "outcome_distribution (and has_kernel), or use the agent engine "
-            "with an interact override");
-}
-
-std::pair<agent_state, agent_state> protocol::interact(
-    agent_state /*initiator*/, agent_state /*responder*/, rng& /*gen*/) const {
-  PPG_CHECK(false,
-            "protocol has no interact: kernel protocols are sampled through "
-            "their compiled kernel_table; override interact only for a "
-            "protocol without outcome_distribution");
-}
-
 std::string protocol::state_name(agent_state state) const {
   return "s" + std::to_string(state);
 }
 
 kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
-  PPG_CHECK(proto.has_kernel(),
-            "protocol exposes no transition kernel; census/batched/"
-            "multibatch engines require outcome_distribution (agent engine "
-            "works without one)");
   PPG_CHECK(q_ >= 1, "protocol must have at least one state");
   offsets_.reserve(q_ * q_ + 1);
   identity_.assign(q_ * q_, 0);

@@ -26,17 +26,11 @@ struct outcome {
 };
 
 /// A population protocol: a (possibly randomized) transition function over
-/// ordered pairs of states.
-///
-/// A protocol is described once, in one of two ways:
-///  - the *kernel view*: outcome_distribution(q_i, q_r) enumerates the finite
-///    distribution over post-interaction pairs (override it and has_kernel).
-///    Every engine, the agent engine included, compiles it into a
-///    kernel_table and draws each interaction from kernel_table::sample;
-///  - the *sampling view*: interact(q_i, q_r, gen) draws the post-interaction
-///    pair directly. Protocols whose randomness is impractical to enumerate
-///    (e.g. igt_action_protocol's repeated-game rollouts) implement only this
-///    and are restricted to the agent engine.
+/// ordered pairs of states, described once by its kernel:
+/// outcome_distribution(q_i, q_r) enumerates the finite distribution over
+/// post-interaction pairs. Every engine, the agent engine included, compiles
+/// it into a kernel_table and draws each interaction from
+/// kernel_table::sample.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -47,23 +41,12 @@ class protocol {
   /// Size of the local state space.
   [[nodiscard]] virtual std::size_t num_states() const = 0;
 
-  /// Whether outcome_distribution is implemented. Engines that execute at
-  /// the census level (census, batched, multibatch) require a kernel; the
-  /// agent engine falls back to interact without one.
-  [[nodiscard]] virtual bool has_kernel() const { return false; }
-
   /// The finite distribution over post-interaction (q_i', q_r') pairs for an
-  /// ordered (initiator, responder) state pair. Probabilities must be
-  /// positive and sum to 1. The default implementation throws; override it
-  /// together with has_kernel.
+  /// ordered (initiator, responder) state pair. Outcome states must be below
+  /// num_states(), and probabilities positive and summing to 1;
+  /// kernel_table's constructor checks both.
   [[nodiscard]] virtual std::vector<outcome> outcome_distribution(
-      agent_state initiator, agent_state responder) const;
-
-  /// New (initiator, responder) states after an interaction, for protocols
-  /// without a kernel. The default implementation throws; kernel protocols
-  /// do not override it.
-  [[nodiscard]] virtual std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder, rng& gen) const;
+      agent_state initiator, agent_state responder) const = 0;
 
   /// Human-readable state name (for traces and examples).
   [[nodiscard]] virtual std::string state_name(agent_state state) const;

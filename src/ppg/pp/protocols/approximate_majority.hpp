@@ -23,7 +23,6 @@ class approximate_majority_protocol final : public protocol {
   static constexpr agent_state state_blank = 2;
 
   [[nodiscard]] std::size_t num_states() const override { return 3; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;

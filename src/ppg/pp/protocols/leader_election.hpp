@@ -16,7 +16,6 @@ class leader_election_protocol final : public protocol {
   static constexpr agent_state state_follower = 1;
 
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;

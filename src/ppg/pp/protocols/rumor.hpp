@@ -15,7 +15,6 @@ class rumor_protocol final : public protocol {
   static constexpr agent_state state_informed = 1;
 
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;

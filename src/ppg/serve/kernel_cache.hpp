@@ -27,8 +27,7 @@ class kernel_cache {
   /// Returns the cached kernel for `key`, compiling one from `proto` on the
   /// first request. Compilation happens under the cache lock: two sessions
   /// racing on a cold key compile once, and the loser reports a hit.
-  /// `proto` must have a kernel (sessions on a protocol without one run the
-  /// agent engine on interact and skip the cache).
+  /// Every session, of every engine kind, gets its kernel here.
   [[nodiscard]] lookup get_or_compile(std::uint64_t key,
                                       const protocol& proto);
 

@@ -39,22 +39,16 @@ std::shared_ptr<serve_session> session_table::create(const json& recipe_doc,
   sim_recipe recipe = sim_recipe::from_json(recipe_doc);
   const std::uint64_t fingerprint = recipe_fingerprint(recipe);
 
-  std::shared_ptr<const kernel_table> kernel;
-  bool warm = false;
-  if (recipe.proto().has_kernel()) {
-    auto found = kernels_->get_or_compile(protocol_key(recipe.to_json()),
-                                          recipe.proto());
-    kernel = std::move(found.kernel);
-    warm = found.hit;
-  }
+  auto found =
+      kernels_->get_or_compile(protocol_key(recipe.to_json()), recipe.proto());
 
   rng gen(seed);
   auto session =
       std::make_shared<serve_session>("", std::move(recipe), kind, seed);
   session->fingerprint = fingerprint;
-  session->kernel_cache_hit = warm;
+  session->kernel_cache_hit = found.hit;
   session->engine =
-      session->recipe.spec().make_engine(kind, gen, std::move(kernel));
+      session->recipe.spec().make_engine(kind, gen, std::move(found.kernel));
   session->interactions.store(session->engine->interactions());
   return insert(std::move(session));
 }
@@ -82,23 +76,18 @@ std::shared_ptr<serve_session> session_table::build_restored(
   const engine_kind kind = engine_kind_from_name(
       json_require_string(snapshot, "engine", "engine snapshot"));
 
-  std::shared_ptr<const kernel_table> kernel;
-  bool warm = false;
   // A probe recipe only to reach the protocol object for compilation; the
   // session's own recipe is rebuilt by restore_checkpoint below.
   const sim_recipe probe = sim_recipe::from_json(spec);
-  if (probe.proto().has_kernel()) {
-    auto found = kernels_->get_or_compile(protocol_key(spec), probe.proto());
-    kernel = std::move(found.kernel);
-    warm = found.hit;
-  }
+  auto found = kernels_->get_or_compile(protocol_key(spec), probe.proto());
 
-  restored_sim restored = restore_checkpoint(checkpoint, std::move(kernel));
+  restored_sim restored =
+      restore_checkpoint(checkpoint, std::move(found.kernel));
   const std::uint64_t fingerprint = recipe_fingerprint(restored.recipe);
   auto session = std::make_shared<serve_session>(
       "", std::move(restored.recipe), kind, /*rng_seed=*/0);
   session->fingerprint = fingerprint;
-  session->kernel_cache_hit = warm;
+  session->kernel_cache_hit = found.hit;
   session->restored = true;
   session->engine = std::move(restored.engine);
   session->interactions.store(session->engine->interactions());

@@ -62,32 +62,14 @@ TEST(Kernel, IgtKernelSamplesItsOutcomeDistribution) {
 class bad_sum_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override {
     return {{initiator, responder, 0.7}};  // sums to 0.7
   }
 };
 
-class kernelless_protocol final : public protocol {
- public:
-  [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& /*gen*/) const override {
-    return {initiator, responder};
-  }
-};
-
 TEST(Kernel, ContractViolationsAreRejected) {
   EXPECT_THROW(kernel_table{bad_sum_protocol{}}, invariant_error);
-  EXPECT_THROW(kernel_table{kernelless_protocol{}}, invariant_error);
-  const kernelless_protocol proto;
-  EXPECT_THROW((void)proto.outcome_distribution(0, 0), invariant_error);
-  // A kernel protocol is sampled through its kernel_table only: the
-  // default interact throws.
-  rng gen(3);
-  EXPECT_THROW((void)rumor_protocol{}.interact(1, 0, gen), invariant_error);
 }
 
 // One fixed outcome list for every ordered pair.
@@ -96,7 +78,6 @@ class listed_protocol final : public protocol {
   explicit listed_protocol(std::vector<outcome> outcomes)
       : outcomes_(std::move(outcomes)) {}
   [[nodiscard]] std::size_t num_states() const override { return 8; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state /*initiator*/, agent_state /*responder*/) const override {
     return outcomes_;
@@ -250,19 +231,6 @@ TEST(Kernel, ResponderClassesCompile) {
   EXPECT_EQ(threshold_of(majority), 4u * 3u * 2u);
 }
 
-TEST(Engines, KernellessProtocolRestrictedToAgentEngine) {
-  const kernelless_protocol proto;
-  const sim_spec spec(proto, population({0, 1, 1, 0}, 2));
-  rng gen(4);
-  EXPECT_NO_THROW((void)spec.make_engine(engine_kind::agent, gen));
-  EXPECT_THROW((void)spec.make_engine(engine_kind::census, gen),
-               invariant_error);
-  EXPECT_THROW((void)spec.make_engine(engine_kind::batched, gen),
-               invariant_error);
-  EXPECT_THROW((void)spec.make_engine(engine_kind::multibatch, gen),
-               invariant_error);
-}
-
 TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {
   const rumor_protocol proto;
   const sim_spec spec(proto, population({1, 0, 0, 0}, 2),
@@ -295,21 +263,6 @@ TEST(Engines, MakeEngineRejectsAKernelOfAnotherProtocol) {
           << e.what();
     }
   }
-}
-
-TEST(Engines, AgentEngineIsBitwiseTheLegacySimulation) {
-  const igt_protocol proto(4);
-  const auto pop = abg_population::from_fractions(60, 0.2, 0.3, 0.5);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, 4, 1), 6));
-  rng gen_a(77);
-  rng gen_b(77);
-  const auto engine = spec.make_engine(engine_kind::agent, gen_a);
-  simulation legacy = spec.instantiate(gen_b);
-  engine->run(5000);
-  legacy.run(5000);
-  EXPECT_EQ(engine->census().counts(), legacy.census().counts());
-  EXPECT_EQ(engine->interactions(), legacy.interactions());
 }
 
 TEST(Engines, AgreeOnIgtAtFixedParallelTime) {

@@ -156,10 +156,10 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
   const sim_spec spec(proto, population(make_igt_population_states(pop, k, 0),
                                         2 + k));
   const auto body = [&](const replica_context&, rng& gen) {
-    simulation sim = spec.instantiate(gen);
-    sim.run(2000);
+    const auto sim = spec.make_engine(engine_kind::agent, gen);
+    sim->run(2000);
     std::vector<double> census(k);
-    const auto z = gtft_level_counts(sim.agents(), k);
+    const auto z = gtft_level_counts(sim->census(), k);
     for (std::size_t j = 0; j < k; ++j) {
       census[j] = static_cast<double>(z[j]);
     }
@@ -365,18 +365,18 @@ TEST(SimSpec, ReplicasStartFromIdenticalInitialCondition) {
                                         2 + k));
   rng gen_a(1);
   rng gen_b(2);
-  simulation first = spec.instantiate(gen_a);
-  simulation second = spec.instantiate(gen_b);
-  EXPECT_EQ(first.agents().counts(), second.agents().counts());
+  const auto first = spec.make_engine(engine_kind::agent, gen_a);
+  const auto second = spec.make_engine(engine_kind::agent, gen_b);
+  EXPECT_EQ(first->census().counts(), second->census().counts());
   // Same seed => identical replica trajectories.
   rng gen_c(1);
-  simulation third = spec.instantiate(gen_c);
-  first.run(500);
-  third.run(500);
-  EXPECT_EQ(first.agents().counts(), third.agents().counts());
+  const auto third = spec.make_engine(engine_kind::agent, gen_c);
+  first->run(500);
+  third->run(500);
+  EXPECT_EQ(first->census().counts(), third->census().counts());
 }
 
-TEST(SimSpec, InstantiateDoesNotShareTheCallersStream) {
+TEST(SimSpec, MakeEngineDoesNotShareTheCallersStream) {
   const auto pop = abg_population::from_fractions(40, 0.1, 0.2, 0.7);
   const std::size_t k = 3;
   const igt_protocol proto(k);
@@ -386,11 +386,11 @@ TEST(SimSpec, InstantiateDoesNotShareTheCallersStream) {
   // trajectories, and the caller's generator must have advanced.
   rng gen(9);
   rng untouched(9);
-  simulation a = spec.instantiate(gen);
-  simulation b = spec.instantiate(gen);
-  a.run(2000);
-  b.run(2000);
-  EXPECT_NE(a.agents().counts(), b.agents().counts());
+  const auto a = spec.make_engine(engine_kind::agent, gen);
+  const auto b = spec.make_engine(engine_kind::agent, gen);
+  a->run(2000);
+  b->run(2000);
+  EXPECT_NE(a->census().counts(), b->census().counts());
   EXPECT_NE(gen(), untouched());
 }
 

@@ -11,13 +11,13 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "ppg/core/igt_protocol.hpp"
 #include "ppg/ehrenfest/exact_chain.hpp"
 #include "ppg/markov/chain.hpp"
 #include "ppg/markov/stationary.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/pp/trace.hpp"
 #include "ppg/serve/server.hpp"
 #include "ppg/stats/chi_square.hpp"
 #include "ppg/util/atomic_file.hpp"
@@ -26,20 +26,40 @@
 namespace ppg {
 namespace {
 
-// A protocol that emits a state outside its declared state space.
+// A protocol whose kernel emits a state outside its declared state space.
 class rogue_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state, agent_state, rng&) const override {
-    return {7, 7};  // out of range
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state, agent_state) const override {
+    return {{7, 7, 1.0}};  // out of range
   }
 };
 
-TEST(FailureInjection, RogueProtocolStateIsCaughtAtApplication) {
+// The kernel compile rejects the rogue outcome before any engine runs a
+// step: direct agent-engine construction and every make_engine kind.
+TEST(FailureInjection, RogueKernelStateIsCaughtAtCompilation) {
   const rogue_protocol proto;
-  simulation sim(proto, population({0, 1}, 2), rng(1));
-  EXPECT_THROW(sim.step(), invariant_error);
+  const std::string expected = "kernel outcome state out of range";
+  try {
+    (void)simulation(proto, population({0, 1}, 2), rng(1));
+    ADD_FAILURE() << "simulation accepted a rogue kernel";
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  const sim_spec spec(proto, std::vector<std::uint64_t>{1, 1});
+  for (const auto kind : {engine_kind::agent, engine_kind::census,
+                          engine_kind::batched, engine_kind::multibatch}) {
+    rng gen(2);
+    try {
+      (void)spec.make_engine(kind, gen);
+      ADD_FAILURE() << engine_kind_name(kind) << " accepted a rogue kernel";
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // A protocol that under-declares its state space relative to the
@@ -123,17 +143,6 @@ TEST(FailureInjection, NanProbabilitiesRejectedByRng) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(gen.next_bernoulli(nan));
   EXPECT_THROW((void)gen.next_geometric(nan), invariant_error);
-}
-
-TEST(FailureInjection, RecorderAfterStateCorruptionStaysConsistent) {
-  // Injecting a failing step must leave previously recorded rows intact.
-  const rogue_protocol proto;
-  simulation sim(proto, population({0, 1}, 2), rng(4));
-  census_recorder recorder({"a", "b"});
-  recorder.record(sim);
-  EXPECT_THROW(sim.step(), invariant_error);
-  EXPECT_EQ(recorder.row_count(), 1u);
-  EXPECT_EQ(recorder.rows()[0].interactions, 0u);
 }
 
 // --- deterministic fault plans (ppg-serve durability layer) ----------------

@@ -201,7 +201,6 @@ TEST(GameProtocol, CompiledKernelSatisfiesTheKernelContract) {
                             ? igt_game_matrix(3)
                             : hawk_dove_matrix(1.0, 2.0);
       const game_protocol proto(game, rule, discipline);
-      EXPECT_TRUE(proto.has_kernel());
       EXPECT_EQ(proto.num_states(), game.num_strategies());
       EXPECT_NO_THROW(kernel_table{proto});  // validates every pair
     }
@@ -455,7 +454,6 @@ class legacy_igt_protocol final : public protocol {
       : k_(k), discipline_(discipline) {}
 
   [[nodiscard]] std::size_t num_states() const override { return 2 + k_; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override {

@@ -1,6 +1,5 @@
 // Tests for the k-IGT dynamics: the Definition 2.1 transition table, the
-// population construction, the count-chain reduction (equation (5)), and
-// the action-keyed variant.
+// population construction and the count-chain reduction (equation (5)).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -184,41 +183,6 @@ TEST(IgtMixingBounds, OrderAndPositivity) {
   EXPECT_GT(igt_mixing_lower_bound(pop, 8), 0.0);
   EXPECT_GT(igt_mixing_upper_bound(pop, 8),
             igt_mixing_lower_bound(pop, 8));
-}
-
-TEST(IgtActionProtocol, HighDeltaMatchesTypeKeyedTransitions) {
-  // With delta close to 1 the opponent's majority action reveals its type,
-  // so the action-keyed protocol agrees with Definition 2.1 almost always.
-  const rd_setting setting{3.0, 1.0, 0.98, 1.0};
-  const igt_action_protocol action_proto(4, setting, 0.4);
-  const kernel_table type_kernel{igt_protocol(4)};
-  rng gen(606);
-  int agreements = 0;
-  constexpr int trials = 400;
-  for (int i = 0; i < trials; ++i) {
-    const agent_state init =
-        igt_encoding::gtft(static_cast<std::size_t>(1 + (i % 2)));
-    const agent_state resp =
-        (i % 3 == 0) ? igt_encoding::ac
-                     : (i % 3 == 1 ? igt_encoding::ad
-                                   : igt_encoding::gtft(3));
-    const auto expected = type_kernel.sample(init, resp, gen).first;
-    const auto actual = action_proto.interact(init, resp, gen).first;
-    if (expected == actual) ++agreements;
-  }
-  EXPECT_GT(agreements, trials * 9 / 10);
-}
-
-TEST(IgtActionProtocol, StrategyLowering) {
-  const rd_setting setting{3.0, 1.0, 0.9, 0.7};
-  const igt_action_protocol proto(3, setting, 0.6);
-  EXPECT_DOUBLE_EQ(
-      proto.strategy_of(igt_encoding::ac).initial_cooperation, 1.0);
-  EXPECT_DOUBLE_EQ(
-      proto.strategy_of(igt_encoding::ad).initial_cooperation, 0.0);
-  const auto mid = proto.strategy_of(igt_encoding::gtft(1));
-  EXPECT_DOUBLE_EQ(mid.response(game_state::dd), 0.3);  // g_2 = 0.6/2
-  EXPECT_DOUBLE_EQ(mid.initial_cooperation, 0.7);
 }
 
 // The reduction of Section 2.2.1: empirical transition frequencies of the

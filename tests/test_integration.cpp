@@ -191,33 +191,5 @@ TEST(Integration, MixingTimeScalesRoughlyLinearlyInK) {
   EXPECT_LT(ratio, 5.0);  // but not super-linearly
 }
 
-TEST(Integration, ActionKeyedVariantReachesSimilarStationaryShape) {
-  // The action-keyed protocol (inference from observed play) should land
-  // close to the type-keyed stationary occupancy when delta is large.
-  const std::size_t k = 3;
-  const abg_population pop{12, 12, 26};
-  const rd_setting setting{8.0, 1.0, 0.95, 1.0};
-  const igt_action_protocol proto(k, setting, 0.3);
-  simulation sim(proto,
-                 population(make_igt_population_states(pop, k, 0), 2 + k),
-                 rng(908), pair_sampling::with_replacement);
-  sim.run(60'000);
-  std::vector<double> occupancy(k, 0.0);
-  const std::uint64_t samples = 120'000;
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    sim.step();
-    const auto census = gtft_level_counts(sim.agents(), k);
-    for (std::size_t j = 0; j < k; ++j) {
-      occupancy[j] += static_cast<double>(census[j]);
-    }
-  }
-  for (auto& x : occupancy) {
-    x /= static_cast<double>(samples) * static_cast<double>(pop.num_gtft);
-  }
-  const auto expected = igt_stationary_probs(pop, k);
-  // Looser tolerance: the inference is only approximately type-revealing.
-  EXPECT_LT(total_variation(occupancy, expected), 0.12);
-}
-
 }  // namespace
 }  // namespace ppg

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ppg/core/igt_count_chain.hpp"
@@ -94,16 +95,31 @@ TEST(MeanField, ImitationConvergesToDefectionOnTheDonationGame) {
   EXPECT_NEAR(fixed.state[1], 1.0, 1e-6);  // all-defect
 }
 
-TEST(MeanField, RejectsKernellessProtocolsAndBadStates) {
-  class kernelless final : public protocol {
-   public:
-    [[nodiscard]] std::size_t num_states() const override { return 2; }
-    [[nodiscard]] std::pair<agent_state, agent_state> interact(
-        agent_state i, agent_state r, rng& /*gen*/) const override {
-      return {i, r};
-    }
-  };
-  EXPECT_THROW(mean_field_ode{kernelless{}}, invariant_error);
+// One fixed outcome list for every ordered pair of a q = 2 protocol.
+class listed_protocol final : public protocol {
+ public:
+  explicit listed_protocol(std::vector<outcome> outcomes)
+      : outcomes_(std::move(outcomes)) {}
+  [[nodiscard]] std::size_t num_states() const override { return 2; }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state /*initiator*/, agent_state /*responder*/) const override {
+    return outcomes_;
+  }
+
+ private:
+  std::vector<outcome> outcomes_;
+};
+
+// The ODE is built from the compiled kernel_table, so it rejects every
+// kernel the engines reject: a distribution summing to 0.7 (whose drift
+// would not sum to 0), a negative probability, an out-of-range state.
+TEST(MeanField, RejectsInvalidKernelsAndBadStates) {
+  const listed_protocol bad_sum({{0, 1, 0.7}});
+  const listed_protocol negative({{0, 0, 1.5}, {1, 1, -0.5}});
+  const listed_protocol out_of_range({{0, 2, 1.0}});
+  EXPECT_THROW(mean_field_ode{bad_sum}, invariant_error);
+  EXPECT_THROW(mean_field_ode{negative}, invariant_error);
+  EXPECT_THROW(mean_field_ode{out_of_range}, invariant_error);
   const mean_field_ode ode(rumor_protocol{});
   EXPECT_THROW((void)ode.drift({0.5}), invariant_error);
   EXPECT_THROW((void)integrate_mean_field(ode, {0.7, 0.7}, 0.01, 1),

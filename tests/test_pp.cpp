@@ -2,8 +2,10 @@
 // the simulator loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/population.hpp"
@@ -107,10 +109,9 @@ TEST(Scheduler, NeedsEnoughAgents) {
 class max_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 4; }
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& /*gen*/) const override {
-    return {initiator, std::max(initiator, responder)};
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state initiator, agent_state responder) const override {
+    return {{initiator, std::max(initiator, responder), 1.0}};
   }
 };
 

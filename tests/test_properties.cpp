@@ -175,9 +175,9 @@ TEST(CensusRecorder, RecordsFromSimulation) {
   class id_protocol final : public protocol {
    public:
     [[nodiscard]] std::size_t num_states() const override { return 2; }
-    [[nodiscard]] std::pair<agent_state, agent_state> interact(
-        agent_state a, agent_state b, rng&) const override {
-      return {a, b};
+    [[nodiscard]] std::vector<outcome> outcome_distribution(
+        agent_state a, agent_state b) const override {
+      return {{a, b, 1.0}};
     }
   };
   const id_protocol proto;

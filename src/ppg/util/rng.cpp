@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 rng::rng(std::uint64_t seed) {
@@ -30,35 +26,6 @@ rng::rng(std::uint64_t seed) {
   }
 }
 
-rng::result_type rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t rng::next_below(std::uint64_t bound) {
-  PPG_CHECK(bound >= 1, "next_below requires a positive bound");
-  // Lemire's method: multiply-shift with rejection of the biased low range.
-  std::uint64_t x = (*this)();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<unsigned __int128>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t rng::next_in(std::int64_t lo, std::int64_t hi) {
   PPG_CHECK(lo <= hi, "next_in requires lo <= hi");
   const auto span =
@@ -68,10 +35,6 @@ std::int64_t rng::next_in(std::int64_t lo, std::int64_t hi) {
     return static_cast<std::int64_t>((*this)());
   }
   return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double rng::next_double() {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 bool rng::next_bernoulli(double p) {

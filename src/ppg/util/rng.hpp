@@ -28,17 +28,44 @@ class rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next 64 uniformly random bits.
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) via Lemire's unbiased multiply-shift
   /// rejection method. Requires bound >= 1.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    PPG_CHECK(bound >= 1, "next_below requires a positive bound");
+    // Lemire's method: multiply-shift with rejection of the biased low range.
+    std::uint64_t x = (*this)();
+    unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<unsigned __int128>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1) with 53 random mantissa bits.
-  double next_double();
+  double next_double() {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial: true with probability p (clamped to [0, 1]).
   bool next_bernoulli(double p);
@@ -67,6 +94,10 @@ class rng {
   void restore(const std::array<std::uint64_t, 4>& state);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

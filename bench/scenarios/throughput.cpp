@@ -17,9 +17,11 @@
 //    batch-replication engine, plus the bit-identical-aggregates
 //    determinism check across thread counts.
 //  - throughput_micro: single-component rates (count chains, exact-chain
-//    distribution step, payoff oracles, rollouts), and the multibatch
-//    engine's per-cell outcome split timed both ways (alias draws vs one
-//    multinomial), the grid its alias/multinomial crossover is read from.
+//    distribution step, payoff oracles, rollouts), the per-call cost of the
+//    binomial and hypergeometric samplers at the multibatch engine's draw
+//    sizes, and the multibatch engine's per-cell outcome split timed both
+//    ways (alias draws vs one multinomial), the grid its alias/multinomial
+//    crossover is read from.
 //
 // Everything wall-clock-derived (rates AND cross-engine speedups) is
 // recorded without a regression goal: CI hardware varies, so only
@@ -479,6 +481,43 @@ scenario_result run_micro(const scenario_context& ctx) {
   }
 
   {
+    // Per-call cost of the exact samplers at the multibatch engine's draw
+    // sizes (DESIGN.md §8): a hawk-dove pool split at n = 10^8 (sd ~40),
+    // an IGT pool split at n = 10^6 (sd ~7.5), a hawk-dove outcome cell,
+    // and a conditional binomial of mean 20.
+    const double call_seconds = ctx.pick(0.1, 0.01);
+    auto& sampler_table =
+        result.table("per-call sampler cost (ns per call)",
+                     {"sampler", "total / marked / draws or n p", "ns"});
+    rng gen = ctx.make_rng(4);
+    std::uint64_t sink = 0;
+    constexpr std::uint64_t chunk = 4096;
+    const auto add_sampler = [&](const std::string& name,
+                                 const std::string& parameters,
+                                 const auto& draw) {
+      const double ns =
+          1e9 / measure_rate(
+                    [&] {
+                      for (std::uint64_t i = 0; i < chunk; ++i) sink += draw();
+                    },
+                    static_cast<double>(chunk), call_seconds);
+      result.metric("sampler_ns_" + name, ns);
+      sampler_table.add_row({name, parameters, format_metric(ns, 4)});
+    };
+    add_sampler("hypergeometric_sd40", "10^8 / 5*10^7 / 6300", [&] {
+      return sample_hypergeometric(100'000'000, 50'000'000, 6300, gen);
+    });
+    add_sampler("hypergeometric_sd7_5", "10^6 / 10^5 / 630", [&] {
+      return sample_hypergeometric(1'000'000, 100'000, 630, gen);
+    });
+    add_sampler("binomial_n1500_p0_3", "n 1500 p 0.3",
+                [&] { return sample_binomial(1500, 0.3, gen); });
+    add_sampler("binomial_mean20", "n 2000 p 0.01",
+                [&] { return sample_binomial(2000, 0.01, gen); });
+    result.param("sampler_sink", sink > 0);
+  }
+
+  {
     // The multibatch engine's split of one cell of m pairs (DESIGN.md §8),
     // census updates included: m alias draws, or one conditional-binomial
     // multinomial over the kernel's stored probabilities, as the engine
@@ -496,8 +535,8 @@ scenario_result run_micro(const scenario_context& ctx) {
       std::vector<std::uint64_t> split(support);
       rng gen = ctx.make_rng(10 + support);
       for (const std::uint64_t per_outcome :
-           {std::uint64_t{8}, std::uint64_t{16}, std::uint64_t{32},
-            std::uint64_t{64}}) {
+           {std::uint64_t{8}, std::uint64_t{12}, std::uint64_t{16},
+            std::uint64_t{32}}) {
         const std::uint64_t m = per_outcome * support;
         const double alias_ns =
             1e9 / measure_rate(
@@ -542,9 +581,11 @@ scenario_result run_micro(const scenario_context& ctx) {
 
   result.note(
       "Single-component rates for the trajectory; no regression goals (CI "
-      "machines\nvary run to run). Outcome splits: alias/multinomial "
-      "crosses 1 near\nm = 32 x support, the multibatch engine's "
-      "alias_pairs_per_outcome().");
+      "machines\nvary run to run). Samplers: a binomial costs ~1/3 of a "
+      "hypergeometric, and\nneither grows with the standard deviation. "
+      "Outcome splits: alias/multinomial\ncrosses 1 between m = 8 and 16 "
+      "x support; the multibatch engine's\nalias_pairs_per_outcome() is "
+      "still 32 (DESIGN.md §8).");
   return result;
 }
 

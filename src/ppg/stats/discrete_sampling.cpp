@@ -9,42 +9,23 @@
 namespace ppg {
 namespace {
 
-/// Inverts a unimodal PMF outward from its mode: accumulates probability at
-/// the mode, then alternately one cell up and one cell down, until the
-/// uniform draw is covered. `ratio_up(k)` is pmf(k+1)/pmf(k) and
-/// `ratio_down(k)` is pmf(k-1)/pmf(k); expected work is O(standard
-/// deviation) because the mass within a few sigma of the mode is covered
-/// first. `lo_min`/`hi_max` bound the support.
-template <typename RatioUp, typename RatioDown>
-std::uint64_t invert_from_mode(std::uint64_t mode, double mode_pmf,
-                               std::uint64_t lo_min, std::uint64_t hi_max,
-                               RatioUp ratio_up, RatioDown ratio_down,
-                               rng& gen) {
-  const double u = gen.next_double();
-  double acc = mode_pmf;
-  if (u < acc) return mode;
-  std::uint64_t lo = mode;
-  std::uint64_t hi = mode;
-  double pmf_lo = mode_pmf;
-  double pmf_hi = mode_pmf;
-  while (lo > lo_min || hi < hi_max) {
-    if (hi < hi_max) {
-      pmf_hi *= ratio_up(hi);
-      ++hi;
-      acc += pmf_hi;
-      if (u < acc) return hi;
-    }
-    if (lo > lo_min) {
-      pmf_lo *= ratio_down(lo);
-      --lo;
-      acc += pmf_lo;
-      if (u < acc) return lo;
-    }
+/// One log-factorial term of a rejection sampler's acceptance ratio,
+/// anchored at its mode-side argument b: ratio(a) = log(a! / b!) for
+/// candidates a near b, with log b computed once per draw instead of once
+/// per candidate.
+class log_factorial_anchor {
+ public:
+  explicit log_factorial_anchor(std::uint64_t b)
+      : b_(b), log_b_(b == 0 ? 0.0 : std::log(static_cast<double>(b))) {}
+
+  [[nodiscard]] double ratio(std::uint64_t a) const {
+    return log_factorial_ratio(a, b_, log_b_);
   }
-  // Floating-point shortfall: the support sums to 1 up to rounding, so u
-  // landed in the ~1e-15 residual; attribute it to the mode.
-  return mode;
-}
+
+ private:
+  std::uint64_t b_;
+  double log_b_;
+};
 
 /// Binomial(n, p) by counting successes through geometric skips between
 /// them; exact, with expected work O(n*p + 1). Requires p in (0, 1).
@@ -57,6 +38,47 @@ std::uint64_t binomial_by_skips(std::uint64_t n, double p, rng& gen) {
     ++successes;
   }
   return successes;
+}
+
+/// Binomial(n, p) by Hörmann's BTRS, transformed rejection with squeeze
+/// (1993): O(1) expected uniform pairs for every n. Requires p <= 1/2 and
+/// n p >= 10, the range where its hat is valid.
+std::uint64_t binomial_btrs(std::uint64_t n, double p, rng& gen) {
+  const double nf = static_cast<double>(n);
+  const double spq = std::sqrt(nf * p * (1.0 - p));
+  const double b = 1.15 + 2.53 * spq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nf * p + 0.5;
+  const double v_r = 0.92 - 4.2 / b;
+  // The tail test's constants, set up by the first candidate that needs
+  // them: most draws end in the squeeze and never do.
+  double alpha = 0.0;
+  double log_odds = 0.0;
+  std::uint64_t mode = 0;
+  log_factorial_anchor at_mode(0);
+  log_factorial_anchor at_rest(0);
+  bool tail_ready = false;
+  while (true) {
+    const double u = gen.next_double() - 0.5;
+    const double v = gen.next_double();
+    const double us = 0.5 - std::fabs(u);
+    const double kf = std::floor((2.0 * a / us + b) * u + c);
+    if (kf < 0.0 || kf > nf) continue;
+    const auto k = static_cast<std::uint64_t>(kf);
+    if (us >= 0.07 && v <= v_r) return k;
+    if (!tail_ready) {
+      alpha = (2.83 + 5.1 / b) * spq;
+      log_odds = std::log(p / (1.0 - p));
+      mode = std::min(n, static_cast<std::uint64_t>((nf + 1.0) * p));
+      at_mode = log_factorial_anchor(mode);
+      at_rest = log_factorial_anchor(n - mode);
+      tail_ready = true;
+    }
+    // log f(k) - log f(mode), as two mode-anchored factorial ratios.
+    const double log_ratio = -(at_mode.ratio(k) + at_rest.ratio(n - k)) +
+                             (kf - static_cast<double>(mode)) * log_odds;
+    if (std::log(v * alpha / (a / (us * us) + b)) <= log_ratio) return k;
+  }
 }
 
 /// Hypergeometric core: requires 2*marked <= total and 2*draws <= total
@@ -73,29 +95,44 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
     }
     return x;
   }
+  // Stadlober's HRUA ratio-of-uniforms (1989), as numpy runs it: O(1)
+  // expected uniform pairs. The hat is a table mountain of width h around
+  // mean + 1/2, bounded by the support [0, min(draws, marked)].
+  constexpr double d1 = 1.7155277699214135;  // 2 sqrt(2/e)
+  constexpr double d2 = 0.8989161620588988;  // 3 - 2 sqrt(3/e)
   const double nf = static_cast<double>(total);
-  const double kf = static_cast<double>(marked);
   const double mf = static_cast<double>(draws);
-  // Any start index with a correctly computed pmf keeps the inversion
-  // exact, so computing the mode in doubles is safe against overflow.
-  const std::uint64_t hi = std::min(draws, marked);
-  const double approx_mode = (mf + 1.0) * (kf + 1.0) / (nf + 2.0);
-  const std::uint64_t mode =
-      std::min(hi, static_cast<std::uint64_t>(approx_mode));
-  const double log_mode_pmf =
-      log_binomial_coefficient(marked, mode) +
-      log_binomial_coefficient(total - marked, draws - mode) -
-      log_binomial_coefficient(total, draws);
-  const auto ratio_up = [&](std::uint64_t x) {
-    const double xf = static_cast<double>(x);
-    return (kf - xf) * (mf - xf) / ((xf + 1.0) * (nf - kf - mf + xf + 1.0));
-  };
-  const auto ratio_down = [&](std::uint64_t x) {
-    const double xf = static_cast<double>(x);
-    return xf * (nf - kf - mf + xf) / ((kf - xf + 1.0) * (mf - xf + 1.0));
-  };
-  return invert_from_mode(mode, std::exp(log_mode_pmf), 0, hi, ratio_up,
-                          ratio_down, gen);
+  const double p = static_cast<double>(marked) / nf;
+  const double variance = (nf - mf) * mf * p * (1.0 - p) / (nf - 1.0);
+  const double a = mf * p + 0.5;
+  const double h = d1 * std::sqrt(variance + 0.5) + d2;
+  const double support_end = static_cast<double>(std::min(draws, marked) + 1);
+  const auto mode = static_cast<std::uint64_t>(
+      static_cast<unsigned __int128>(draws + 1) * (marked + 1) /
+      (static_cast<unsigned __int128>(total) + 2));
+  // pmf(x) is proportional to 1 / (x! (marked - x)! (draws - x)!
+  // (rest + x)!), rest = total - marked - draws >= 0; each factor is
+  // compared with its value at the mode.
+  const std::uint64_t rest = total - marked - draws;
+  const log_factorial_anchor at_x(mode);
+  const log_factorial_anchor at_marked(marked - mode);
+  const log_factorial_anchor at_draws(draws - mode);
+  const log_factorial_anchor at_rest(rest + mode);
+  while (true) {
+    const double u = gen.next_double();
+    const double v = gen.next_double();
+    if (u == 0.0) continue;
+    const double x = a + h * (v - 0.5) / u;
+    if (x < 0.0 || x >= support_end) continue;
+    const auto k = static_cast<std::uint64_t>(x);
+    // log pmf(k) - log pmf(mode).
+    const double t = -(at_x.ratio(k) + at_marked.ratio(marked - k) +
+                       at_draws.ratio(draws - k) + at_rest.ratio(rest + k));
+    // Squeezes on (0, 1]: u - 1/u <= 2 log u <= u (4 - u) - 3.
+    if (u * (4.0 - u) - 3.0 <= t) return k;
+    if (u * (u - t) >= 1.0) continue;
+    if (2.0 * std::log(u) <= t) return k;
+  }
 }
 
 }  // namespace
@@ -104,35 +141,13 @@ std::uint64_t sample_binomial(std::uint64_t n, double p, rng& gen) {
   PPG_CHECK(p >= 0.0 && p <= 1.0, "sample_binomial requires p in [0, 1]");
   if (p == 0.0 || n == 0) return 0;
   if (p == 1.0) return n;
-  // Work with q = min(p, 1-p): the skip path costs O(n*q), the
-  // mode-inversion path O(sqrt(n*q)) plus a few lgammas — cross over once
-  // the expected count outgrows the fixed cost.
+  // Work with q = min(p, 1-p): skips cost O(n*q) uniforms, BTRS O(1) but
+  // needs n*q >= 10.
   const bool flipped = p > 0.5;
   const double q = flipped ? 1.0 - p : p;
-  const double expected = static_cast<double>(n) * q;
-  std::uint64_t successes;
-  if (expected <= 32.0) {
-    successes = binomial_by_skips(n, q, gen);
-  } else {
-    const double nf = static_cast<double>(n);
-    const std::uint64_t mode =
-        std::min(n, static_cast<std::uint64_t>((nf + 1.0) * q));
-    const double log_mode_pmf =
-        log_binomial_coefficient(n, mode) +
-        static_cast<double>(mode) * std::log(q) +
-        static_cast<double>(n - mode) * std::log1p(-q);
-    const double odds = q / (1.0 - q);
-    const auto ratio_up = [&](std::uint64_t k) {
-      const double kf = static_cast<double>(k);
-      return (nf - kf) / (kf + 1.0) * odds;
-    };
-    const auto ratio_down = [&](std::uint64_t k) {
-      const double kf = static_cast<double>(k);
-      return kf / (nf - kf + 1.0) / odds;
-    };
-    successes = invert_from_mode(mode, std::exp(log_mode_pmf), 0, n,
-                                 ratio_up, ratio_down, gen);
-  }
+  const std::uint64_t successes = static_cast<double>(n) * q < 10.0
+                                      ? binomial_by_skips(n, q, gen)
+                                      : binomial_btrs(n, q, gen);
   return flipped ? n - successes : successes;
 }
 

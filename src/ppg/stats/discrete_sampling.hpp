@@ -4,12 +4,14 @@
 // deterministic ppg::rng. Closed-form
 // PMFs live in stats/distributions.hpp; this layer is the sampling side.
 //
-// Every sampler is exact in law (up to double rounding of the PMF
-// recurrences) over its whole parameter range, and numerically robust at the
-// population sizes the multibatch engine needs (n up to ~3e9, draws up to
-// ~n): small expected counts use geometric-skip or sequential inversion,
-// large ones switch to inversion from the mode, whose expected cost is
-// O(standard deviation) rather than O(mean). See DESIGN.md §8.
+// Every sampler is exact in law (up to double rounding of its acceptance
+// ratios) over its whole parameter range, and costs O(1) expected uniforms
+// per univariate draw at the population sizes the multibatch engine needs
+// (n up to ~3e9, draws up to ~n): small expected counts use geometric skips
+// (binomial mean < 10) or sequential draws (hypergeometric draws <= 8),
+// larger ones the textbook rejection samplers BTRS (binomial) and HRUA
+// (hypergeometric), whose acceptance tests take a few logs and no lgamma.
+// See DESIGN.md §8.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +21,21 @@
 
 namespace ppg {
 
-/// Draws from Binomial(n, p). Exact for every n: small n*min(p,1-p) counts
-/// successes by geometric skips (expected O(n*p + 1) work), larger regimes
-/// invert the CDF outward from the mode (expected O(sqrt(n*p*(1-p))) work),
-/// so huge-n draws never walk the whole support.
+/// Draws from Binomial(n, p). Exact for every n: with q = min(p, 1-p) and
+/// n*q < 10 it counts successes by geometric skips (expected O(n*q + 1)
+/// uniforms); from n*q = 10 on it runs Hörmann's BTRS, transformed
+/// rejection with squeeze (1993), in O(1) expected uniform pairs.
 [[nodiscard]] std::uint64_t sample_binomial(std::uint64_t n, double p,
                                             rng& gen);
 
 /// Draws the number of marked items in a uniform sample of `draws` items,
 /// without replacement, from a population of `total` items of which `marked`
 /// are marked (Hypergeometric(total, marked, draws)). Requires
-/// marked <= total and draws <= total. Inversion from the mode after
-/// reducing by the marked/unmarked and sampled/unsampled symmetries.
+/// marked <= total and draws <= total. After reducing by the
+/// marked/unmarked and sampled/unsampled symmetries, <= 8 draws are made
+/// one by one in exact integer arithmetic and larger samples by
+/// Stadlober's HRUA ratio-of-uniforms (1989), as numpy does, in O(1)
+/// expected uniform pairs.
 [[nodiscard]] std::uint64_t sample_hypergeometric(std::uint64_t total,
                                                   std::uint64_t marked,
                                                   std::uint64_t draws,

@@ -1,5 +1,6 @@
 #include "ppg/stats/distributions.hpp"
 
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -14,6 +15,55 @@ double log_gamma(double x) {
 #else
   return std::lgamma(x);
 #endif
+}
+
+namespace {
+
+/// log_factorial is tabulated below this, Stirling's series above.
+constexpr std::uint64_t log_factorial_table_size = 126;
+
+/// The truncated Stirling correction 1/(12k) - 1/(360k^3) of log k!.
+double stirling_tail(double k) {
+  return (1.0 / 12.0 - 1.0 / (360.0 * k * k)) / k;
+}
+
+}  // namespace
+
+double log_factorial(std::uint64_t k) {
+  static const auto table = [] {
+    std::array<double, log_factorial_table_size> t{};
+    long double sum = 0.0L;
+    for (std::size_t i = 1; i < t.size(); ++i) {
+      sum += std::log(static_cast<long double>(i));
+      t[i] = static_cast<double>(sum);
+    }
+    return t;
+  }();
+  if (k < log_factorial_table_size) return table[k];
+  const double kf = static_cast<double>(k);
+  constexpr double half_log_two_pi = 0.91893853320467274178;
+  return (kf + 0.5) * std::log(kf) - kf + half_log_two_pi + stirling_tail(kf);
+}
+
+double log_factorial_ratio(std::uint64_t a, std::uint64_t b) {
+  const double log_b =
+      b < log_factorial_table_size ? 0.0 : std::log(static_cast<double>(b));
+  return log_factorial_ratio(a, b, log_b);
+}
+
+double log_factorial_ratio(std::uint64_t a, std::uint64_t b, double log_b) {
+  if (a == b) return 0.0;
+  if (a < log_factorial_table_size || b < log_factorial_table_size) {
+    return log_factorial(a) - log_factorial(b);
+  }
+  // Stirling for both, regrouped around log(a/b) = log1p(d/b) so nothing of
+  // the size of a log a cancels: log a! - log b! = d log b + (a + 1/2)
+  // log1p(d/b) - d + tail(a) - tail(b), with d = a - b of either sign.
+  const double af = static_cast<double>(a);
+  const double bf = static_cast<double>(b);
+  const double d = af - bf;
+  return d * log_b + ((af + 0.5) * std::log1p(d / bf) - d) +
+         (stirling_tail(af) - stirling_tail(bf));
 }
 
 double log_binomial_coefficient(std::uint64_t n, std::uint64_t k) {

@@ -1,12 +1,18 @@
 // The discrete-sampling layer: every sampler is validated against its
-// closed-form PMF (chi-square goodness of fit plus moment checks in both
-// the small-count and the mode-inversion regimes), at its boundary
-// parameters (p in {0, 1}, draws = population, single category), and under
-// the two-runs-bit-identical determinism contract the engines rely on.
+// closed-form PMF (chi-square goodness of fit plus moment checks on every
+// branch: geometric skips and BTRS for binomials, the sequential path and
+// HRUA for hypergeometrics, at the multibatch engine's round sizes), at its
+// boundary parameters (p in {0, 1}, draws = population, single category),
+// and under the two-runs-bit-identical determinism contract the engines
+// rely on. The rejection samplers' log-factorial arithmetic is checked
+// against independent references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "ppg/stats/chi_square.hpp"
@@ -18,8 +24,72 @@
 namespace ppg {
 namespace {
 
+/// Chi-square p-value of `trials` draws of `sample` against `pmf` tabulated
+/// on [lo, hi], a window wide enough (>= 12 standard deviations each side)
+/// that the mass outside it, lumped into one last cell, is below double
+/// rounding. Cells with expected count below 5 are pooled.
+double windowed_chi_square_p(const std::function<std::uint64_t()>& sample,
+                             const std::function<double(std::uint64_t)>& pmf,
+                             std::uint64_t lo, std::uint64_t hi, int trials) {
+  const std::size_t outside = static_cast<std::size_t>(hi - lo + 1);
+  std::vector<double> expected(outside + 1);
+  double inside = 0.0;
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    expected[k - lo] = pmf(k);
+    inside += expected[k - lo];
+  }
+  expected[outside] = std::max(0.0, 1.0 - inside);
+  std::vector<std::uint64_t> observed(outside + 1, 0);
+  for (int t = 0; t < trials; ++t) {
+    const std::uint64_t k = sample();
+    ++observed[k < lo || k > hi ? outside : static_cast<std::size_t>(k - lo)];
+  }
+  return chi_square_gof(observed, expected).p_value;
+}
+
+/// [mean - 12 sd, mean + 12 sd] clamped to [0, max].
+std::pair<std::uint64_t, std::uint64_t> window(double mean, double sd,
+                                               std::uint64_t max) {
+  const double lo = std::max(0.0, std::floor(mean - 12.0 * sd));
+  const double hi =
+      std::min(static_cast<double>(max), std::ceil(mean + 12.0 * sd));
+  return {static_cast<std::uint64_t>(lo), static_cast<std::uint64_t>(hi)};
+}
+
+TEST(DiscreteSampling, LogFactorialMatchesLogGamma) {
+  for (const std::uint64_t k : {0ull, 1ull, 125ull, 126ull, 127ull, 10'000ull,
+                                100'000'000ull, 3'000'000'000ull}) {
+    const double reference = log_gamma(static_cast<double>(k) + 1.0);
+    EXPECT_NEAR(log_factorial(k), reference, 1e-13 * std::fabs(reference))
+        << "k=" << k;
+  }
+}
+
+TEST(DiscreteSampling, LogFactorialRatioMatchesLongDoubleSum) {
+  // log(a!/b!) = sum of log i over (min, max], signed, in long double: an
+  // independent reference for the cancellation-free ratio the rejection
+  // samplers' acceptance tests are built from.
+  for (const std::uint64_t b : {10ull, 125ull, 1'000'000ull, 100'000'000ull,
+                                3'000'000'000ull}) {
+    for (const long long d : {-1000ll, -999ll, -127ll, -40ll, -3ll, -1ll, 0ll,
+                              1ll, 2ll, 17ll, 126ll, 500ll, 1000ll}) {
+      if (d < 0 && static_cast<std::uint64_t>(-d) > b) continue;
+      const std::uint64_t a = d < 0 ? b - static_cast<std::uint64_t>(-d)
+                                    : b + static_cast<std::uint64_t>(d);
+      long double reference = 0.0L;
+      for (std::uint64_t i = std::min(a, b) + 1; i <= std::max(a, b); ++i) {
+        reference += std::log(static_cast<long double>(i));
+      }
+      if (a < b) reference = -reference;
+      const auto ref = static_cast<double>(reference);
+      EXPECT_NEAR(log_factorial_ratio(a, b), ref, 1e-13 * std::fabs(ref))
+          << "a=" << a << " b=" << b;
+    }
+  }
+}
+
 TEST(DiscreteSampling, BinomialChiSquareSmallRegime) {
-  // n * p below the crossover: the geometric-skip path.
+  // n * p = 12, just above the skip/BTRS threshold of 10: BTRS.
   rng gen(21);
   const std::uint64_t n = 40;
   const double p = 0.3;
@@ -35,8 +105,8 @@ TEST(DiscreteSampling, BinomialChiSquareSmallRegime) {
   EXPECT_GT(chi_square_gof(observed, expected).p_value, 1e-4);
 }
 
-TEST(DiscreteSampling, BinomialChiSquareModeInversionRegime) {
-  // n * p far above the crossover: the inversion-from-the-mode path.
+TEST(DiscreteSampling, BinomialChiSquareBtrsRegime) {
+  // n * p far above the threshold: BTRS, mostly in its squeeze.
   rng gen(22);
   const std::uint64_t n = 1000;
   const double p = 0.47;
@@ -56,7 +126,7 @@ TEST(DiscreteSampling, BinomialMomentsAtHugeN) {
   // The multibatch scale: n beyond any table, expected count moderate.
   rng gen(23);
   const std::uint64_t n = 3'000'000'000ull;
-  const double p = 1e-6;  // mean 3000, far into the inversion path
+  const double p = 1e-6;  // mean 3000, far into the BTRS path
   running_summary s;
   for (int t = 0; t < 3000; ++t) {
     s.add(static_cast<double>(sample_binomial(n, p, gen)));
@@ -78,8 +148,8 @@ TEST(DiscreteSampling, BinomialBoundaries) {
 }
 
 TEST(DiscreteSampling, HypergeometricChiSquareBothPaths) {
-  // draws <= 8 takes the exact sequential path, larger draws the
-  // mode-inversion path; validate both against the closed-form PMF.
+  // draws <= 8 takes the exact sequential path, larger draws HRUA;
+  // validate both against the closed-form PMF.
   for (const std::uint64_t draws : {std::uint64_t{6}, std::uint64_t{20}}) {
     rng gen(25 + draws);
     const std::uint64_t total = 60;
@@ -95,6 +165,65 @@ TEST(DiscreteSampling, HypergeometricChiSquareBothPaths) {
     }
     EXPECT_GT(chi_square_gof(observed, expected).p_value, 1e-4)
         << "draws=" << draws;
+  }
+}
+
+TEST(DiscreteSampling, BinomialChiSquareAtEveryBranch) {
+  // The skip path just below mean 10, BTRS just above it and at mean 32,
+  // a multibatch hawk-dove cell, the n = 10^8 scale, and the p > 1/2 flip
+  // into BTRS.
+  struct binomial_case {
+    std::uint64_t n;
+    double p;
+  };
+  std::uint64_t seed = 100;
+  for (const binomial_case c : {binomial_case{1000, 0.0099},
+                                binomial_case{1000, 0.0101},
+                                binomial_case{3200, 0.01},
+                                binomial_case{1500, 0.3},
+                                binomial_case{100'000'000, 0.5},
+                                binomial_case{1000, 0.97}}) {
+    rng gen(++seed);
+    const double mean = static_cast<double>(c.n) * c.p;
+    const auto [lo, hi] = window(mean, std::sqrt(mean * (1.0 - c.p)), c.n);
+    const double p_value = windowed_chi_square_p(
+        [&] { return sample_binomial(c.n, c.p, gen); },
+        [&](std::uint64_t k) { return binomial_pmf(c.n, c.p, k); }, lo, hi,
+        200'000);
+    EXPECT_GT(p_value, 1e-4) << "n=" << c.n << " p=" << c.p;
+  }
+}
+
+TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
+  // HRUA at the multibatch engine's draws: a hawk-dove pool split at
+  // n = 10^8 and one of its matching rows, an IGT pool split at n = 10^6,
+  // HRUA's smallest draw count (9), and a hat cut by the support
+  // (marked = 13 < draws).
+  struct hypergeometric_case {
+    std::uint64_t total;
+    std::uint64_t marked;
+    std::uint64_t draws;
+  };
+  std::uint64_t seed = 200;
+  for (const hypergeometric_case c :
+       {hypergeometric_case{100'000'000, 50'000'000, 6300},
+        hypergeometric_case{6300, 3150, 3150},
+        hypergeometric_case{1'000'000, 100'000, 630},
+        hypergeometric_case{5000, 2500, 9},
+        hypergeometric_case{200, 13, 90}}) {
+    rng gen(++seed);
+    const double nf = static_cast<double>(c.total);
+    const double p = static_cast<double>(c.marked) / nf;
+    const double mf = static_cast<double>(c.draws);
+    const double sd = std::sqrt(mf * p * (1.0 - p) * (nf - mf) / (nf - 1.0));
+    const auto [lo, hi] = window(mf * p, sd, std::min(c.marked, c.draws));
+    const double p_value = windowed_chi_square_p(
+        [&] { return sample_hypergeometric(c.total, c.marked, c.draws, gen); },
+        [&](std::uint64_t x) {
+          return hypergeometric_pmf(c.total, c.marked, c.draws, x);
+        },
+        lo, hi, 200'000);
+    EXPECT_GT(p_value, 1e-4) << c.total << "/" << c.marked << "/" << c.draws;
   }
 }
 

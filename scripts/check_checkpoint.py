@@ -7,7 +7,8 @@ Checks, per file:
   - the outer envelope: schema_version == 1, keys exactly
     {schema_version, spec, engine};
   - the spec header: protocol {name, params}, a nonempty initial census of
-    nonnegative integers, a known sampling discipline;
+    nonnegative integers summing to at least 2 and below 2^64, a known
+    sampling discipline;
   - the engine snapshot: state_version == 1, a known engine kind, the
     shared fields (interactions, the 4-word xoshiro256 state, not all
     zero), and the kind-specific payload — including census consistency
@@ -97,6 +98,9 @@ def check_spec(spec):
     counts = require_uint_array(spec, "initial_counts", where)
     if not counts or sum(counts) < 2:
         fail("spec: initial_counts must describe at least 2 agents")
+    if sum(counts) >= 1 << 64:
+        fail("spec: initial_counts sum past 2^64 - 1 (the C++ census is "
+             "64-bit)")
     if spec["sampling"] not in SAMPLINGS:
         fail(f"spec: unknown sampling '{spec['sampling']}'")
     return sum(counts), len(counts)

@@ -106,6 +106,17 @@ bool all_below(const std::vector<agent_state>& states, std::size_t q) {
                      [q](agent_state s) { return s < q; });
 }
 
+/// The number of agents in a census; a sum past 2^64 - 1 is rejected
+/// rather than wrapped.
+std::uint64_t census_size(const std::vector<std::uint64_t>& counts) {
+  std::uint64_t n = 0;
+  for (const auto c : counts) {
+    PPG_CHECK(!__builtin_add_overflow(n, c, &n),
+              "census counts sum past 2^64 - 1");
+  }
+  return n;
+}
+
 }  // namespace
 
 simulation::simulation(const protocol& proto, population agents, rng gen,
@@ -199,8 +210,8 @@ census_level_engine::census_level_engine(
     PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
               "census-level engine: agents in states outside the "
               "protocol's space");
-    n_ += counts_[s];
   }
+  n_ = census_size(counts_);
   PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
 }
 
@@ -223,13 +234,12 @@ census_level_engine::counts_state census_level_engine::check_counts(
                      json_require_uint_array(snapshot, "counts", where)};
   PPG_CHECK(state.counts.size() == counts_.size(),
             where + ": state-space width mismatch");
-  std::uint64_t total = 0;
   for (std::size_t s = 0; s < state.counts.size(); ++s) {
     PPG_CHECK(s < kernel_->num_states() || state.counts[s] == 0,
               where + ": agents in states outside the protocol's space");
-    total += state.counts[s];
   }
-  PPG_CHECK(total == n_, where + ": population size mismatch");
+  PPG_CHECK(census_size(state.counts) == n_,
+            where + ": population size mismatch");
   return state;
 }
 
@@ -244,10 +254,8 @@ namespace {
 /// Expands a census into a population, grouped by state. Agents are
 /// anonymous, so any ordering induces the same interaction law.
 population agents_from_counts(const std::vector<std::uint64_t>& counts) {
-  std::uint64_t n = 0;
-  for (const auto c : counts) n += c;
   std::vector<agent_state> states;
-  states.reserve(static_cast<std::size_t>(n));
+  states.reserve(static_cast<std::size_t>(census_size(counts)));
   for (std::size_t s = 0; s < counts.size(); ++s) {
     for (std::uint64_t i = 0; i < counts[s]; ++i) {
       states.push_back(static_cast<agent_state>(s));
@@ -278,7 +286,7 @@ sim_spec::sim_spec(const protocol& proto,
       sampling_(sampling) {
   PPG_CHECK(initial_counts_.size() >= proto_->num_states(),
             "census state space smaller than the protocol's");
-  for (const auto c : initial_counts_) n_ += c;
+  n_ = census_size(initial_counts_);
   PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
 }
 

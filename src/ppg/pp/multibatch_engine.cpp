@@ -108,7 +108,8 @@ void multibatch_engine::restore_state(const json& snapshot) {
       json_require_bool(snapshot, "collision_pending", where);
   std::uint64_t untouched_sum = 0;
   for (std::size_t s = 0; s < width; ++s) {
-    PPG_CHECK(untouched[s] + touched[s] == state.counts[s],
+    PPG_CHECK(touched[s] <= state.counts[s] &&
+                  untouched[s] == state.counts[s] - touched[s],
               "multibatch snapshot: pools do not partition the census");
     untouched_sum += untouched[s];
   }
@@ -118,7 +119,7 @@ void multibatch_engine::restore_state(const json& snapshot) {
             "multibatch snapshot: residual carry outside a round");
   PPG_CHECK(collision_pending || untouched_total == n_,
             "multibatch snapshot: touched agents outside a round");
-  PPG_CHECK(2 * pending_free <= untouched_total,
+  PPG_CHECK(pending_free <= untouched_total / 2,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
   commit(std::move(state));

@@ -492,6 +492,56 @@ TEST(ServeApp, CheckpointRestoreRoundTripsThroughTheWire) {
                     400);
 }
 
+TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
+  // 2^64 - 1 + 3 wraps to n = 2 in unchecked 64-bit arithmetic.
+  const char* overflowing = R"({"protocol": {"name": "rumor", "params": {}},
+    "initial_counts": [18446744073709551615, 3], "sampling": "distinct"})";
+  EXPECT_THROW((void)sim_recipe::from_json(json::parse(overflowing)),
+               invariant_error);
+  serve_app app;
+  for (const char* engine : {"agent", "census", "batched", "multibatch"}) {
+    (void)handle_json(
+        app, make_request("POST", "/sessions", create_body(overflowing, engine, 1)),
+        400);
+  }
+
+  // Crafted checkpoints of a valid n = 300 session whose sums wrap to 300:
+  // the census itself, and the multibatch engine's untouched/touched pools.
+  constexpr std::uint64_t max = ~std::uint64_t{0};
+  for (const char* engine : {"census", "multibatch"}) {
+    const std::string id =
+        handle_json(app,
+                    make_request("POST", "/sessions",
+                                 create_body(rumor_recipe(), engine, 7)),
+                    201)
+            .find("id")
+            ->as_string();
+    const http_response checkpoint = app.handle(
+        make_request("GET", "/sessions/" + id + "/checkpoint"));
+    ASSERT_EQ(checkpoint.status, 200);
+    json crafted = json::parse(checkpoint.body);
+    json& state = crafted["engine"];
+    if (std::string(engine) == "census") {
+      state["counts"] = json_uint_array({max, 301});
+    } else {
+      // Pools (2^64 - 1, 20) and (281, 0) sum to the census (280, 20) mod
+      // 2^64, and untouched_total to 19.
+      state["untouched"] = json_uint_array({max, 20});
+      state["touched"] = json_uint_array({281, 0});
+      state["untouched_total"] = 19;
+      state["collision_pending"] = true;
+    }
+    const json rejected = handle_json(
+        app,
+        make_request("POST", "/sessions/restore", crafted.dump_string(false)),
+        400);
+    EXPECT_NE(rejected.find("error")->as_string().find(
+                  std::string(engine) == "census" ? "2^64" : "partition"),
+              std::string::npos)
+        << rejected.dump_string(false);
+  }
+}
+
 // --- raw-socket smoke test of the HTTP front end ---------------------------
 
 /// Minimal blocking client: one connection, send bytes, read until close or

@@ -100,12 +100,14 @@ scenario_result run_g2(const scenario_context& ctx) {
       }
       const double mean_hawks = batch_means.mean();
       const double tv = std::abs(mean_hawks - hawk_star);
-      const double z = tv / batch_means.std_error();
-      z_sum += (mean_hawks - hawk_star) / batch_means.std_error();
+      const double signed_z =
+          (mean_hawks - hawk_star) / batch_means.std_error();
+      const double z = std::abs(signed_z);
+      z_sum += signed_z;
       ++runs;
       max_tv = std::max(max_tv, tv);
       max_z = std::max(max_z, z);
-      if (!(z <= z_limit)) ++runs_beyond_z;
+      if (!(z <= z_limit)) ++runs_beyond_z;  // a NaN z counts as beyond
       table.add_row({engine_kind_name(kind), format_metric(initial_hawks, 3),
                      format_metric(mean_hawks, 5),
                      format_metric(hawk_star, 5), format_metric(tv, 5),

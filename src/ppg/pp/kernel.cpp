@@ -230,26 +230,4 @@ bool kernel_table::deterministic(agent_state initiator,
   return offsets_[pair + 1] - offsets_[pair] == 1;
 }
 
-std::pair<agent_state, agent_state> kernel_table::sample(
-    agent_state initiator, agent_state responder, rng& gen) const {
-  const std::size_t pair = index(initiator, responder);
-  const std::uint32_t begin = offsets_[pair];
-  const std::uint32_t end = offsets_[pair + 1];
-  if (end - begin == 1) {
-    const entry& o = entries_[begin];
-    return {o.initiator, o.responder};
-  }
-  // Inverts the CDF by prefix sums in outcome order; another summation
-  // order would round differently and change recorded trajectories.
-  const double u = gen.next_double();
-  double cumulative = 0.0;
-  for (std::uint32_t e = begin; e + 1 < end; ++e) {
-    cumulative += probabilities_[e];
-    if (u < cumulative) {
-      return {entries_[e].initiator, entries_[e].responder};
-    }
-  }
-  return {entries_[end - 1].initiator, entries_[end - 1].responder};
-}
-
 }  // namespace ppg

@@ -56,9 +56,9 @@ class protocol {
 /// ordered state pairs. Construction checks, for every pair, that outcome
 /// states are in range and probabilities are positive and sum to 1 (up to
 /// 1e-9); deterministic pairs (a single support point) are sampled without
-/// consuming random draws. Every pair with more than one support point also
-/// gets a Vose alias table, so one outcome can be drawn in O(1) whatever
-/// the support (sample_alias).
+/// consuming random draws. Every pair with more than one support point gets
+/// a Vose alias table, so sample() draws one outcome in O(1) whatever the
+/// support.
 ///
 /// Construction also compiles the *responder classes* the multibatch
 /// engine's round matches against. An initiator row u is *one-way* when no
@@ -107,14 +107,6 @@ class kernel_table {
   [[nodiscard]] bool deterministic(agent_state initiator,
                                    agent_state responder) const;
 
-  /// Samples (q_i', q_r') for the ordered pair by walking its cumulative
-  /// probabilities; consumes one uniform draw only when the pair has more
-  /// than one support point. This is every engine's per-pair draw. The
-  /// states are not range-checked: engines reject agents in states >=
-  /// num_states() before they sample.
-  [[nodiscard]] std::pair<agent_state, agent_state> sample(
-      agent_state initiator, agent_state responder, rng& gen) const;
-
   /// Number of support points of the pair's distribution.
   [[nodiscard]] std::size_t num_outcomes(agent_state initiator,
                                          agent_state responder) const {
@@ -136,16 +128,22 @@ class kernel_table {
     return probabilities_.data() + offsets_[index(initiator, responder)];
   }
 
-  /// Draws (q_i', q_r') for an ordered pair with more than one support
-  /// point from its alias table: a uniform slot, then one uniform against
-  /// the slot's threshold — O(1) whatever the support. Same law as
-  /// sample() to within 2^-53 + 2 * support * 2^-64 per draw, different
-  /// draws; the multibatch engine's split for cells with few pairs.
-  [[nodiscard]] std::pair<agent_state, agent_state> sample_alias(
+  /// Draws (q_i', q_r') for the ordered pair: every engine's per-pair
+  /// draw. A deterministic pair returns its outcome without a draw. Any
+  /// other pair draws from its alias table with one 64-bit word (a further
+  /// word with probability below support / 2^64): a uniform slot, then a
+  /// uniform against the slot's threshold — O(1) whatever the support, and
+  /// the kernel's law to within 2^-53 + 2 * support * 2^-64 per draw. The
+  /// states are not range-checked: engines reject agents in states >=
+  /// num_states() before they sample.
+  [[nodiscard]] std::pair<agent_state, agent_state> sample(
       agent_state initiator, agent_state responder, rng& gen) const {
     const std::size_t pair = index(initiator, responder);
     const std::uint32_t begin = offsets_[pair];
     const std::uint64_t size = offsets_[pair + 1] - begin;
+    if (size == 1) {
+      return {entries_[begin].initiator, entries_[begin].responder};
+    }
     // Lemire's multiply-shift with rejection, as in rng::next_below: the
     // high word is the uniform slot, and the low word, uniform on a grid
     // of spacing size / 2^64 given the slot, supplies the threshold test's

@@ -14,9 +14,9 @@ namespace {
 /// per-cell split timings of throughput_micro (support 2 to 64, DESIGN.md
 /// §8) put the alias/multinomial time ratio at ~0.5 for 8 pairs per
 /// outcome, 0.6-1.1 for 12 and 1.3-2.2 for 16, so the measured crossing is
-/// 8-16 at every support. c stays 32 until the noisy
-/// g2.max_tv_to_mean_field gate is replaced: c = 12 redraws every cell of
-/// 12-32 pairs per outcome, and that redraw alone moved the gate +42%.
+/// 8-16 at every support. c stays 32 until both branches are re-measured
+/// on the kernels that split cells: each branch has a committed workload
+/// (logit_q8_1e8 cells take alias draws, hawk_dove_1e8 cells multinomials).
 constexpr std::uint64_t alias_crossover = 32;
 
 }  // namespace
@@ -145,7 +145,7 @@ void multibatch_engine::split_pairs(agent_state u, agent_state v,
   if (m <= alias_crossover * support) {
     for (std::uint64_t i = 0; i < m; ++i) {
       const auto [next_initiator, next_responder] =
-          kernel_->sample_alias(u, v, gen_);
+          kernel_->sample(u, v, gen_);
       add(next_initiator, next_responder, 1);
     }
     return;

@@ -27,9 +27,10 @@
 //     draw, and every such responder rejoins the touched pool in its own
 //     state;
 //  3. the outcome split of each pair type's m pairs draws them one by one
-//     from the kernel's alias table when m <= alias_pairs_per_outcome()
-//     times the pair's support, and as one multinomial over its outcome
-//     distribution otherwise (deterministic pairs consume no draws);
+//     with kernel_table::sample (one alias draw each) when m <=
+//     alias_pairs_per_outcome() times the pair's support, and as one
+//     multinomial over its outcome distribution otherwise (deterministic
+//     pairs consume no draws);
 //  4. the one colliding interaction is resolved sequentially — its pair is
 //     uniform over ordered agent pairs with at least one touched agent —
 //     after which touched agents rejoin the untouched pool and a new round

@@ -501,7 +501,8 @@ TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
   serve_app app;
   for (const char* engine : {"agent", "census", "batched", "multibatch"}) {
     (void)handle_json(
-        app, make_request("POST", "/sessions", create_body(overflowing, engine, 1)),
+        app,
+        make_request("POST", "/sessions", create_body(overflowing, engine, 1)),
         400);
   }
 

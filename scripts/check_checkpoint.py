@@ -14,7 +14,7 @@ Checks, per file:
     zero), and the kind-specific payload — including census consistency
     (counts sum to the spec's population size) and the multibatch round
     invariants (pools partition the census, the residual carry only
-    mid-round).
+    mid-round, collision_pending exactly when some agent is touched).
 
 This is the only checkpoint shape: one engine's snapshot under its spec
 header. A replicated run is checkpointed as one such file per replica, so
@@ -155,6 +155,8 @@ def check_engine(snapshot, population, width):
             fail(f"{where}: pending_free > 0 outside a round")
         if not snapshot["collision_pending"] and total != population:
             fail(f"{where}: pools not fully untouched between rounds")
+        if snapshot["collision_pending"] and total == population:
+            fail(f"{where}: round in progress without touched agents")
         if 2 * pending > total:
             fail(f"{where}: pending pairs exceed the untouched pool")
 

@@ -52,12 +52,4 @@ void ehrenfest_process::run(std::uint64_t steps, rng& gen) {
   }
 }
 
-std::vector<double> ehrenfest_process::normalized_counts() const {
-  std::vector<double> out(counts_.size());
-  for (std::size_t j = 0; j < counts_.size(); ++j) {
-    out[j] = static_cast<double>(counts_[j]) / static_cast<double>(params_.m);
-  }
-  return out;
-}
-
 }  // namespace ppg

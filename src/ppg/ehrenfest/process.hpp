@@ -55,9 +55,6 @@ class ehrenfest_process {
   [[nodiscard]] std::uint64_t time() const { return time_; }
   [[nodiscard]] const ehrenfest_params& params() const { return params_; }
 
-  /// Empirical distribution of counts normalized by m.
-  [[nodiscard]] std::vector<double> normalized_counts() const;
-
  private:
   ehrenfest_params params_;
   std::vector<std::uint64_t> counts_;

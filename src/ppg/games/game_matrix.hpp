@@ -42,10 +42,9 @@ class game_matrix {
     return names_;
   }
 
-  [[nodiscard]] double min_payoff() const { return min_payoff_; }
-  [[nodiscard]] double max_payoff() const { return max_payoff_; }
-  /// max_payoff() - min_payoff(): the normalizing constant bounded update
-  /// rules (proportional imitation) divide payoff differences by.
+  /// The largest payoff minus the smallest: the normalizing constant
+  /// bounded update rules (proportional imitation) divide payoff
+  /// differences by.
   [[nodiscard]] double payoff_span() const {
     return max_payoff_ - min_payoff_;
   }

@@ -54,9 +54,7 @@ equilibrium_certifier::equilibrium_certifier(
   const std::vector<double> barycenter(q, 1.0 / static_cast<double>(q));
   prediction_ = relax_to_fixed_point(ode, barycenter, options_.relax_dt,
                                      options_.relax_tol, options_.relax_t_max);
-  double gap = 0.0;
-  predicted_equilibrium_ = nearest(equilibria_, prediction_.state, &gap);
-  prediction_equilibrium_gap_ = 0.5 * gap;
+  predicted_equilibrium_ = nearest(equilibria_, prediction_.state, nullptr);
 }
 
 certification equilibrium_certifier::certify(

@@ -98,16 +98,6 @@ class equilibrium_certifier {
     return prediction_.converged;
   }
 
-  /// The equilibrium nearest the rule's predicted limit, and its TV gap
-  /// (the rule's smoothing: a logit rule's positive temperature keeps its
-  /// limit off the exact Nash point by O(temperature)).
-  [[nodiscard]] std::size_t predicted_equilibrium() const {
-    return predicted_equilibrium_;
-  }
-  [[nodiscard]] double prediction_equilibrium_gap() const {
-    return prediction_equilibrium_gap_;
-  }
-
   /// Verdict on one census (fractions over the game's strategies).
   [[nodiscard]] certification certify(
       const std::vector<double>& census_fractions) const;
@@ -118,8 +108,9 @@ class equilibrium_certifier {
   std::vector<symmetric_equilibrium> equilibria_;
   homotopy_result homotopy_;
   mean_field_fixed_point prediction_;
+  /// The equilibrium nearest prediction(): certify() reports whether a
+  /// census's nearest equilibrium is this one.
   std::size_t predicted_equilibrium_ = 0;
-  double prediction_equilibrium_gap_ = 0.0;
 };
 
 }  // namespace ppg

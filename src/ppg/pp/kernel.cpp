@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "ppg/util/error.hpp"
 
@@ -48,13 +47,6 @@ void build_alias(const std::vector<outcome>& dist, double total,
   // Leftovers on either stack hold mass 1 up to rounding: full slots.
   while (small > 0) slots[work[--small]].threshold = 1.0;
   while (large < size) slots[work[large++]].threshold = 1.0;
-}
-
-/// splitmix64's finalizer: the mixing step of the responder signatures.
-std::uint64_t mix(std::uint64_t h) {
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
 }
 
 }  // namespace
@@ -123,11 +115,8 @@ bool kernel_table::same_initiator_law(agent_state u, agent_state a,
 
 void kernel_table::compile_responder_classes() {
   std::vector<row_shape> shapes(q_, row_shape::general);
-  // The one-way rows that depend on their responder, and per responder a
-  // hash of its (initiator', probability) sequences across them: responders
-  // of one class hash equal.
+  // The one-way rows that depend on their responder.
   std::vector<agent_state> dependent;
-  std::vector<std::uint64_t> signature(q_, 0);
   for (agent_state u = 0; u < q_; ++u) {
     // One-way unless some outcome moves the responder; stop at the first.
     bool one_way = true;
@@ -144,57 +133,32 @@ void kernel_table::compile_responder_classes() {
     }
     if (ignores) {
       shapes[u] = row_shape::ignores;
-      continue;
-    }
-    shapes[u] = row_shape::classed;  // until C is known
-    dependent.push_back(u);
-    for (agent_state v = 0; v < q_; ++v) {
-      std::uint64_t h = signature[v];
-      for (std::uint32_t e = offsets_[index(u, v)];
-           e < offsets_[index(u, v) + 1]; ++e) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &probabilities_[e], sizeof bits);
-        h = mix(mix(h ^ entries_[e].initiator) ^ bits);
-      }
-      signature[v] = mix(h ^ num_outcomes(u, v));
+    } else {
+      shapes[u] = row_shape::classed;  // until C is known
+      dependent.push_back(u);
     }
   }
 
-  // Sorting by (signature, state) puts each class in one run of equal
-  // signatures, smallest state first; a responder joins the class of the
-  // first earlier responder of its run whose sequences match exactly, so a
-  // hash collision can only split a run, never merge two classes.
-  constexpr std::uint32_t unassigned = ~std::uint32_t{0};
-  classes_.assign(q_, unassigned);
-  std::vector<std::pair<std::uint64_t, agent_state>> order(q_);
-  for (agent_state v = 0; v < q_; ++v) order[v] = {signature[v], v};
-  std::sort(order.begin(), order.end());
-  const auto same_class = [&](agent_state a, agent_state b) {
-    return std::all_of(dependent.begin(), dependent.end(),
-                       [&](agent_state u) {
-                         return same_initiator_law(u, a, b);
-                       });
-  };
-  for (std::size_t i = 0; i < q_; ++i) {
-    const agent_state v = order[i].second;
-    if (classes_[v] != unassigned) continue;
-    classes_[v] = v;  // provisional id: the class's smallest state
-    for (std::size_t j = i + 1; j < q_ && order[j].first == order[i].first;
-         ++j) {
-      const agent_state w = order[j].second;
-      if (classes_[w] == unassigned && same_class(v, w)) classes_[w] = v;
-    }
-  }
-  // Renumber by smallest state; a class's smallest state precedes its
-  // other members, so their provisional id already holds the final one.
+  // Each responder joins the first class whose representative has its
+  // initiator law on every dependent row, or else starts a new class.
+  // same_initiator_law is exact equality, so the classes are its
+  // equivalence classes, and scanning in state order numbers them by
+  // smallest member.
+  classes_.resize(q_);
   representatives_.clear();
   for (agent_state v = 0; v < q_; ++v) {
-    if (classes_[v] == v) {
-      classes_[v] = static_cast<std::uint32_t>(representatives_.size());
-      representatives_.push_back(v);
-    } else {
-      classes_[v] = classes_[classes_[v]];
-    }
+    const auto same_class = [&](agent_state representative) {
+      return std::all_of(dependent.begin(), dependent.end(),
+                         [&](agent_state u) {
+                           return same_initiator_law(u, representative, v);
+                         });
+    };
+    const auto c = static_cast<std::uint32_t>(
+        std::find_if(representatives_.begin(), representatives_.end(),
+                     same_class) -
+        representatives_.begin());
+    if (c == representatives_.size()) representatives_.push_back(v);
+    classes_[v] = c;
   }
 
   for (auto& rows : rows_) rows.clear();

@@ -65,9 +65,13 @@ class protocol {
 /// outcome of any pair (u, v) moves the responder; such a row needs the
 /// responder's state only through the initiator distribution it induces.
 /// Responders v and v' share a class when every one-way row gives them the
-/// same (initiator', probability) sequence — the common refinement of the
-/// one-way rows' responder partitions, numbered by smallest member. Each
-/// row then takes one of three shapes (row_shape).
+/// same (initiator', probability) sequence, compared exactly — the common
+/// refinement of the one-way rows' responder partitions. One scan in state
+/// order compiles them: each responder joins the first class whose
+/// representative (its smallest member) matches it on every
+/// responder-dependent one-way row, or else starts a new class, so classes
+/// are numbered by smallest member. Each row then takes one of three
+/// shapes (row_shape).
 class kernel_table {
  public:
   /// How an initiator row's outcome depends on its responder.

@@ -46,7 +46,6 @@ multibatch_engine::multibatch_engine(
           kernel_->rows(row_shape::classed).size();
   aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * matching_draws);
   untouched_ = counts_;
-  touched_.assign(counts_.size(), 0);
   untouched_total_ = n_;
 }
 
@@ -57,16 +56,14 @@ void multibatch_engine::check_round_invariants() const {
 #else
   std::uint64_t untouched_sum = 0;
   for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_DCHECK(untouched_[s] + touched_[s] == counts_[s],
-               "multibatch invariant: pools must partition the census");
+    PPG_DCHECK(untouched_[s] <= counts_[s],
+               "multibatch invariant: untouched pool exceeds the census");
     untouched_sum += untouched_[s];
   }
   PPG_DCHECK(untouched_sum == untouched_total_,
              "multibatch invariant: stale untouched_total");
-  PPG_DCHECK(collision_pending_ || pending_free_ == 0,
+  PPG_DCHECK(mid_round() || pending_free_ == 0,
              "multibatch invariant: residual carry outside a round");
-  PPG_DCHECK(collision_pending_ || untouched_total_ == n_,
-             "multibatch invariant: touched agents outside a round");
   PPG_DCHECK(2 * pending_free_ <= untouched_total_,
              "multibatch invariant: residual free run exceeds the untouched "
              "pool");
@@ -76,12 +73,16 @@ void multibatch_engine::check_round_invariants() const {
 json multibatch_engine::save_state() const {
   json snapshot = save_counts();
   snapshot["untouched"] = json_uint_array(untouched_);
-  snapshot["touched"] = json_uint_array(touched_);
+  std::vector<std::uint64_t> touched(counts_.size());
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    touched[s] = counts_[s] - untouched_[s];
+  }
+  snapshot["touched"] = json_uint_array(touched);
   snapshot["untouched_total"] = untouched_total_;
   snapshot["rounds"] = rounds_;
   snapshot["collisions"] = collisions_;
   snapshot["pending_free"] = pending_free_;
-  snapshot["collision_pending"] = collision_pending_;
+  snapshot["collision_pending"] = mid_round();
   return snapshot;
 }
 
@@ -119,15 +120,18 @@ void multibatch_engine::restore_state(const json& snapshot) {
             "multibatch snapshot: residual carry outside a round");
   PPG_CHECK(collision_pending || untouched_total == n_,
             "multibatch snapshot: touched agents outside a round");
+  // With the check above: collision_pending == (untouched_total < n). A
+  // round applies at least one free pair before run() can return, so a
+  // round in progress always has touched agents.
+  PPG_CHECK(!collision_pending || untouched_total < n_,
+            "multibatch snapshot: round in progress without touched agents");
   PPG_CHECK(pending_free <= untouched_total / 2,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
   commit(std::move(state));
   untouched_ = std::move(untouched);
-  touched_ = std::move(touched);
   untouched_total_ = untouched_total;
   pending_free_ = pending_free;
-  collision_pending_ = collision_pending;
   rounds_ = rounds;
   collisions_ = collisions;
 }
@@ -162,29 +166,21 @@ void multibatch_engine::split_pairs(agent_state u, agent_state v,
 
 void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
                                         std::uint64_t m) {
-  // The run's initiators and responders are untouched agents, so these
-  // removals never exceed the census, whatever outcomes were added first.
+  // The m initiators are agents of state u, so removing them first never
+  // goes below zero.
   counts_[u] -= m;
-  counts_[v] -= m;
   split_pairs(u, v, m,
               [this](agent_state initiator, agent_state responder,
                      std::uint64_t k) {
                 counts_[initiator] += k;
                 counts_[responder] += k;
-                touched_[initiator] += k;
-                touched_[responder] += k;
               });
-}
-
-void multibatch_engine::apply_initiator_split(agent_state u, agent_state v,
-                                              std::uint64_t m) {
-  counts_[u] -= m;
-  split_pairs(u, v, m,
-              [this](agent_state initiator, agent_state /*responder*/,
-                     std::uint64_t k) {
-                counts_[initiator] += k;
-                touched_[initiator] += k;
-              });
+  // The responders leave after the outcomes land. On a general row they
+  // are agents of state v. A classed or ignoring row passes its class
+  // representative as v, and every outcome puts the responder back in v,
+  // so the adds above returned m to counts_[v] and it ends where it
+  // started, whatever states the responders hold.
+  counts_[v] -= m;
 }
 
 void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
@@ -206,46 +202,43 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
                                      responders_.data());
   for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
   untouched_total_ -= 2 * free;
-  for (const agent_state u : kernel_->rows(row_shape::general)) {
-    if (initiators_[u] == 0) continue;
-    sample_multivariate_hypergeometric(responders_.data(), width,
-                                       initiators_[u], gen_, row_.data());
-    for (std::size_t v = 0; v < width; ++v) {
-      responders_[v] -= row_[v];
-      if (row_[v] > 0) {
-        apply_pair_type(u, static_cast<agent_state>(v), row_[v]);
+  // Each row's initiators draw their partners from the responders still
+  // unmatched, by one MVH over `pool`; partner(j) is the state whose
+  // outcome law category j's pairs take.
+  const auto match = [this](const std::vector<agent_state>& rows,
+                            std::vector<std::uint64_t>& pool,
+                            const auto& partner) {
+    for (const agent_state u : rows) {
+      if (initiators_[u] == 0) continue;
+      sample_multivariate_hypergeometric(pool.data(), pool.size(),
+                                         initiators_[u], gen_, row_.data());
+      for (std::size_t j = 0; j < pool.size(); ++j) {
+        pool[j] -= row_[j];
+        if (row_[j] > 0) apply_pair_type(u, partner(j), row_[j]);
       }
     }
-  }
-  // The remaining responders all meet one-way rows, so none of them moves.
-  // The matching is uniform and row order is free, so the classed rows
-  // split the remainder's class totals — the MVH over merged categories is
-  // the MVH over their merged totals — and the rows that ignore their
+  };
+  match(kernel_->rows(row_shape::general), responders_,
+        [](std::size_t v) { return static_cast<agent_state>(v); });
+  // The remaining responders all meet one-way rows, so none of them moves:
+  // having left the untouched pool, each is touched in its own state. The
+  // matching is uniform and row order is free, so the classed rows split
+  // the remainder's class totals — the MVH over merged categories is the
+  // MVH over their merged totals — and the rows that ignore their
   // responder take whatever is left without a draw.
   const auto& classed = kernel_->rows(row_shape::classed);
   if (!classed.empty()) {
-    const std::size_t classes = kernel_->num_responder_classes();
-    class_totals_.assign(classes, 0);
+    class_totals_.assign(kernel_->num_responder_classes(), 0);
     for (agent_state v = 0; v < kernel_->num_states(); ++v) {
       class_totals_[kernel_->responder_class(v)] += responders_[v];
     }
-    for (const agent_state u : classed) {
-      if (initiators_[u] == 0) continue;
-      sample_multivariate_hypergeometric(class_totals_.data(), classes,
-                                         initiators_[u], gen_, row_.data());
-      for (std::size_t c = 0; c < classes; ++c) {
-        class_totals_[c] -= row_[c];
-        if (row_[c] > 0) {
-          apply_initiator_split(u, kernel_->class_representative(c),
-                                row_[c]);
-        }
-      }
-    }
+    match(classed, class_totals_, [this](std::size_t c) {
+      return kernel_->class_representative(c);
+    });
   }
   for (const agent_state u : kernel_->rows(row_shape::ignores)) {
-    if (initiators_[u] > 0) apply_initiator_split(u, 0, initiators_[u]);
+    if (initiators_[u] > 0) apply_pair_type(u, 0, initiators_[u]);
   }
-  for (std::size_t v = 0; v < width; ++v) touched_[v] += responders_[v];
 }
 
 void multibatch_engine::apply_free_sequential(std::uint64_t free) {
@@ -258,8 +251,6 @@ void multibatch_engine::apply_free_sequential(std::uint64_t free) {
     --untouched_[u];
     --untouched_[v];
     untouched_total_ -= 2;
-    ++touched_[next_initiator];
-    ++touched_[next_responder];
     --counts_[u];
     --counts_[v];
     ++counts_[next_initiator];
@@ -268,6 +259,12 @@ void multibatch_engine::apply_free_sequential(std::uint64_t free) {
 }
 
 void multibatch_engine::resolve_collision() {
+  // The touched pool is every agent the round has drawn: the census minus
+  // the untouched pool.
+  touched_pool_.resize(counts_.size());
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    touched_pool_[s] = counts_[s] - untouched_[s];
+  }
   const std::uint64_t u_total = untouched_total_;
   const std::uint64_t t_total = n_ - u_total;
   // An ordered pair of distinct agents conditioned on >= 1 touched agent:
@@ -278,42 +275,27 @@ void multibatch_engine::resolve_collision() {
   std::uint64_t x = gen_.next_below(tt + 2 * tu);
   agent_state initiator;
   agent_state responder;
-  bool initiator_touched;
-  bool responder_touched;
   if (x < tt) {
-    initiator = locate(touched_, gen_.next_below(t_total), no_excluded_state);
-    responder = locate(touched_, gen_.next_below(t_total - 1), initiator);
-    initiator_touched = responder_touched = true;
+    initiator =
+        locate(touched_pool_, gen_.next_below(t_total), no_excluded_state);
+    responder = locate(touched_pool_, gen_.next_below(t_total - 1), initiator);
   } else if (x < tt + tu) {
-    initiator = locate(touched_, gen_.next_below(t_total), no_excluded_state);
+    initiator =
+        locate(touched_pool_, gen_.next_below(t_total), no_excluded_state);
     responder = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
-    initiator_touched = true;
-    responder_touched = false;
   } else {
     initiator = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
-    responder = locate(touched_, gen_.next_below(t_total), no_excluded_state);
-    initiator_touched = false;
-    responder_touched = true;
+    responder =
+        locate(touched_pool_, gen_.next_below(t_total), no_excluded_state);
   }
   const auto [next_initiator, next_responder] =
       kernel_->sample(initiator, responder, gen_);
-  --(initiator_touched ? touched_ : untouched_)[initiator];
-  --(responder_touched ? touched_ : untouched_)[responder];
-  untouched_total_ -=
-      (initiator_touched ? 0u : 1u) + (responder_touched ? 0u : 1u);
-  ++touched_[next_initiator];
-  ++touched_[next_responder];
   --counts_[initiator];
   --counts_[responder];
   ++counts_[next_initiator];
   ++counts_[next_responder];
-}
-
-void multibatch_engine::merge_touched() {
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    untouched_[s] += touched_[s];
-    touched_[s] = 0;
-  }
+  // The round ends: every agent rejoins the untouched pool.
+  untouched_ = counts_;
   untouched_total_ = n_;
 }
 
@@ -321,11 +303,12 @@ void multibatch_engine::run(std::uint64_t steps) {
   check_round_invariants();
   std::uint64_t remaining = steps;
   while (remaining > 0) {
-    if (!collision_pending_) {
-      // New round: every agent is untouched (merge_touched ran), so the
-      // birthday law starts from the full pool.
+    if (!mid_round()) {
+      // New round: every agent is untouched, so the birthday law starts
+      // from the full pool. J >= 1 and remaining > 0, so at least one
+      // free pair lands below and the round stays open until its
+      // collision.
       pending_free_ = birthday_.sample(gen_);
-      collision_pending_ = true;
       ++rounds_;
     }
     if (pending_free_ > 0) {
@@ -347,8 +330,6 @@ void multibatch_engine::run(std::uint64_t steps) {
     ++collisions_;
     ++interactions_;
     --remaining;
-    collision_pending_ = false;
-    merge_touched();
   }
 }
 

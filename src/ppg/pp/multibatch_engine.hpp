@@ -8,7 +8,9 @@
 // A round is the run of interactions up to and including the first "agent
 // collision". Agents drawn in the current round are *touched*; while every
 // interaction involves only untouched agents, the drawn pairs are disjoint,
-// so their census effect is exchangeable and can be applied in aggregate:
+// so their census effect is exchangeable and can be applied in aggregate.
+// The engine stores only the census and the untouched pool; the touched
+// pool, by current state, is their difference.
 //
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
@@ -23,9 +25,9 @@
 //     shapes (kernel_table::row_shape): each general row draws a q-way row
 //     over the responders; the responders left all meet one-way rows and
 //     stay put, so each classed row draws a C-way row over their class
-//     totals, the rows that ignore their responder take the rest with no
-//     draw, and every such responder rejoins the touched pool in its own
-//     state;
+//     totals, and the rows that ignore their responder take the rest with
+//     no draw. Every such responder has left the untouched pool and stays
+//     in its own state, so it is touched with no further bookkeeping;
 //  3. the outcome split of each pair type's m pairs draws them one by one
 //     with kernel_table::sample (one alias draw each) when m <=
 //     alias_pairs_per_outcome() times the pair's support, and as one
@@ -33,7 +35,7 @@
 //     pairs consume no draws);
 //  4. the one colliding interaction is resolved sequentially — its pair is
 //     uniform over ordered agent pairs with at least one touched agent —
-//     after which touched agents rejoin the untouched pool and a new round
+//     after which the untouched pool is reset to the census and a new round
 //     begins.
 //
 // Every step is an exact decomposition of the sequential scheduler's law,
@@ -120,27 +122,30 @@ class multibatch_engine final : public census_level_engine {
 
   /// Whether the engine is inside a round: a collision-free run has been
   /// drawn (possibly fully applied) and the closing collision has not yet
-  /// been resolved. True whenever residual_free() > 0, and also after the
-  /// free run is exhausted but before the collision interaction executes.
-  [[nodiscard]] bool mid_round() const { return collision_pending_; }
+  /// been resolved. A round applies at least one of its J >= 1 free pairs
+  /// before run() can return, so this is exactly "some agent is touched".
+  [[nodiscard]] bool mid_round() const { return untouched_total_ < n_; }
 
-  /// Snapshot payload: counts, both touched/untouched pools, the
-  /// round/collision counters, and the residual-round carry
-  /// (pending_free / collision_pending) — a checkpoint taken inside a
-  /// budget-truncated round resumes the same round, same law, same draws.
+  /// Snapshot payload: counts, the untouched pool and its total, the
+  /// round/collision counters, and the residual-round carry pending_free —
+  /// a checkpoint taken inside a budget-truncated round resumes the same
+  /// round, same law, same draws. The fields "touched" (counts minus
+  /// untouched) and "collision_pending" (mid_round()) are derived on save.
   [[nodiscard]] json save_state() const override;
 
   /// Validates the whole snapshot before touching the engine: exact key
   /// set, known state_version, engine == "multibatch", width/population/
   /// state-space agreement, and the round-state invariants (pools
   /// partition the census, untouched_total matches the pool, residual
-  /// carry consistent). Throws invariant_error and leaves the engine
-  /// unchanged on any violation.
+  /// carry only mid-round, collision_pending == (untouched_total < n)).
+  /// Throws invariant_error and leaves the engine unchanged on any
+  /// violation.
   void restore_state(const json& snapshot) override;
 
  private:
-  /// Debug-asserted structural invariants of the round state (pool sums,
-  /// carry consistency); active at every run() entry in Debug/ASan builds,
+  /// Debug-asserted structural invariants of the round state (the
+  /// untouched pool fits in the census and sums to its total, carry only
+  /// mid-round); active at every run() entry in Debug/ASan builds,
   /// compiled out in Release. restore_state enforces the same relations
   /// unconditionally via PPG_CHECK.
   void check_round_invariants() const;
@@ -153,25 +158,24 @@ class multibatch_engine final : public census_level_engine {
   /// count) per drawn outcome.
   template <class Add>
   void split_pairs(agent_state u, agent_state v, std::uint64_t m, Add&& add);
-  /// Applies `m` disjoint (u, v) interactions: removes the pairs from the
-  /// census and adds their outcomes to the census and the touched pool.
+  /// Applies `m` disjoint (u, v) interactions to the census: removes the
+  /// pairs and adds their outcomes. A one-way row passes its class
+  /// representative (or 0 when it ignores its responder) as v; the
+  /// responders' own states are then left as they were.
   void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);
-  /// The initiator half of apply_pair_type for a one-way row: moves the
-  /// `m` initiators by (u, v)'s outcome law and leaves the responders, who
-  /// stay in their states, to the caller.
-  void apply_initiator_split(agent_state u, agent_state v, std::uint64_t m);
+  /// Applies the round's colliding interaction and ends the round: every
+  /// agent rejoins the untouched pool.
   void resolve_collision();
-  void merge_touched();
 
-  std::vector<std::uint64_t> untouched_;  ///< untouched agents by state
-  std::vector<std::uint64_t> touched_;    ///< touched agents by current state
+  /// Agents no interaction of the current round has drawn, by state; the
+  /// census itself between rounds. counts_ - untouched_ is the touched pool.
+  std::vector<std::uint64_t> untouched_;
   std::uint64_t untouched_total_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t collisions_ = 0;
   /// Collision-free interactions of the current round not yet applied; when
-  /// it reaches 0 with collision_pending_, the next interaction collides.
+  /// it reaches 0 mid-round, the next interaction collides.
   std::uint64_t pending_free_ = 0;
-  bool collision_pending_ = false;
   /// The birthday law's log-survival table: one O(sqrt(n)) table shared by
   /// every round of the trajectory.
   collision_run_sampler birthday_;
@@ -182,6 +186,7 @@ class multibatch_engine final : public census_level_engine {
   std::vector<std::uint64_t> responders_;  ///< responder census (consumed)
   std::vector<std::uint64_t> row_;         ///< one matching row
   std::vector<std::uint64_t> class_totals_;  ///< responders left per class
+  std::vector<std::uint64_t> touched_pool_;  ///< derived at each collision
 };
 
 }  // namespace ppg

@@ -569,6 +569,27 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     expect_rejected(*mb_target, bad,
                     "residual free run exceeds the untouched pool");
   }
+  {  // A round-boundary snapshot marked mid-round: no agent is touched, so
+     // the next run() would have to resolve a collision from an empty
+     // touched pool.
+    rng boundary_gen(810);
+    const auto boundary_engine =
+        hd_recipe.spec().make_engine(engine_kind::multibatch, boundary_gen);
+    const auto& boundary =
+        dynamic_cast<const multibatch_engine&>(*boundary_engine);
+    for (int i = 0; i < 10'000 && (boundary.interactions() == 0 ||
+                                   boundary.mid_round());
+         ++i) {
+      boundary_engine->run(1);
+    }
+    ASSERT_GT(boundary.interactions(), 0u);
+    ASSERT_FALSE(boundary.mid_round()) << "never stopped at a round boundary";
+    json bad = boundary_engine->save_state();
+    ASSERT_EQ(json_require_uint(bad, "untouched_total", where), 300u);
+    bad["collision_pending"] = true;
+    expect_rejected(*mb_target, bad,
+                    "round in progress without touched agents");
+  }
   // The untampered snapshot still restores.
   mb_target->restore_state(mid);
   EXPECT_EQ(mb_target->save_state().dump_string(false),

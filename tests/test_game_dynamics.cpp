@@ -322,7 +322,10 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
 // law must still match the census engine's. Cells of ~10-22 pairs sit
 // below the alias crossover, so those cases split by alias draws; at
 // n = 10^6 rounds average ~630 pairs, cells ~160, and the multinomial
-// split carries the one-way hawk-dove case.
+// split carries the one-way hawk-dove case. Every case but the last runs
+// as one run(steps) call; the last advances in chunks of 997, so budget
+// splits land at many offsets inside classed rounds and collisions meet
+// pools left by truncated aggregates.
 TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   using row_shape = kernel_table::row_shape;
   /// Which outcome split the case's cells take.
@@ -334,6 +337,7 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     std::uint64_t steps;
     split cells;
     bool classed;  ///< whether the kernel has classed rows
+    std::uint64_t chunk = 0;  ///< run() chunk size; 0 runs all steps at once
   };
   std::vector<std::uint64_t> igt_counts(10, 0);
   igt_counts[igt_encoding::ac] = 10'000;
@@ -375,6 +379,10 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
                                                    0.0, 1.0, 1.0}),
                      std::make_shared<logit_response_rule>(1.0)),
        {14'000, 3'000, 3'000}, 40'000, split::alias, true},
+      // The k-IGT case again, advanced in run(997) chunks.
+      {"igt k=8 one-way, classed rows, run(997) chunks",
+       game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
+       igt_counts, 50'000, split::deterministic, true, 997},
   };
   const auto statistic = [](const census_view& census) {
     double mass = 0.0;
@@ -402,7 +410,10 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     for (std::size_t r = 0; r < replicas; ++r) {
       rng gen = make_stream_rng(master, r);
       const auto engine = spec.make_engine(engine_kind::multibatch, gen);
-      engine->run(c.steps);
+      const std::uint64_t chunk = c.chunk == 0 ? c.steps : c.chunk;
+      for (std::uint64_t done = 0; done < c.steps; done += chunk) {
+        engine->run(std::min(chunk, c.steps - done));
+      }
       multibatch.push_back(statistic(engine->census()));
       const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
       interactions += mb.interactions();

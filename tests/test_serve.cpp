@@ -543,6 +543,35 @@ TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
   }
 }
 
+TEST(ServeApp, BoundarySnapshotMarkedMidRoundAnswers400) {
+  // A fresh multibatch session sits at a round boundary: every agent is
+  // untouched. Marked mid-round, its snapshot would make the next advance
+  // resolve a collision from an empty touched pool, so restore refuses it.
+  serve_app app;
+  const std::string id =
+      handle_json(app,
+                  make_request("POST", "/sessions",
+                               create_body(rumor_recipe(), "multibatch", 7)),
+                  201)
+          .find("id")
+          ->as_string();
+  const http_response checkpoint =
+      app.handle(make_request("GET", "/sessions/" + id + "/checkpoint"));
+  ASSERT_EQ(checkpoint.status, 200);
+  json crafted = json::parse(checkpoint.body);
+  json& state = crafted["engine"];
+  ASSERT_EQ(state.find("untouched_total")->as_uint64(), 300u);
+  ASSERT_FALSE(state.find("collision_pending")->as_bool());
+  state["collision_pending"] = true;
+  const json rejected = handle_json(
+      app,
+      make_request("POST", "/sessions/restore", crafted.dump_string(false)),
+      400);
+  EXPECT_NE(rejected.find("error")->as_string().find("touched agents"),
+            std::string::npos)
+      << rejected.dump_string(false);
+}
+
 // --- raw-socket smoke test of the HTTP front end ---------------------------
 
 /// Minimal blocking client: one connection, send bytes, read until close or

@@ -37,6 +37,19 @@ run are reported loudly (they are about to be dropped from the gate), so a
 renamed or deleted metric never disappears silently. Commit the diff it
 prints.
 
+Trend (warn-only, never fails on a drop):
+    check_bench.py --trend DIR
+
+Reads the perfbench trajectory in DIR: one JSON file per perf-touching
+change, read in natural name order. Each file holds, per workload, the
+median end-to-end metrics of alternated parent/change perfbench runs made
+side by side ("parent", "change"), each metric's direction ("better":
+"higher" or "lower"), the seeds and a host note. It prints every metric's
+parent -> change ratio and each file's change medians against the previous
+file's, and warns on a move worse than 25% in either. Only the first is
+a like-for-like comparison; rates from different sittings drift with the
+host. Exit status is 0 unless a file cannot be read.
+
 Goal tags come from each scenario's "metric_goals" map in the baseline (the
 contract the baseline froze); goal-tagged metrics that are new since the
 baseline are reported as a reminder to regenerate it. Untagged metrics are
@@ -49,6 +62,7 @@ varies run to run.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -260,6 +274,75 @@ def refresh(args):
     return 0
 
 
+TREND_DROP = 0.25
+
+
+def trend(directory):
+    """Prints the perfbench trajectory in `directory` and warns on any
+    end-to-end metric that moved the wrong way by more than TREND_DROP,
+    within a file (parent -> change) or between consecutive files (change
+    medians). Never fails on a drop."""
+    def natural(name):
+        return [int(part) if part.isdigit() else part
+                for part in re.split(r"(\d+)", name)]
+
+    try:
+        names = sorted((n for n in os.listdir(directory)
+                        if n.endswith(".json")), key=natural)
+    except OSError as error:
+        sys.exit(f"check_bench: cannot read {directory}: {error}")
+    if not names:
+        print(f"check_bench: --trend: no trajectory files in {directory}")
+        return 0
+
+    def worse(old, new, better):
+        """The fraction by which `new` is worse than `old` (<= 0 when it
+        is not worse)."""
+        if old <= 0:
+            return 0.0
+        change = (new - old) / old
+        return -change if better == "higher" else change
+
+    warnings = []
+    previous = None
+    print(f"{'file':<14} {'workload':<16} {'metric':<20} {'parent':>11} "
+          f"{'change':>11} {'ratio':>7}")
+    for name in names:
+        doc = load(os.path.join(directory, name))
+        try:
+            better = doc["better"]
+            workloads = doc["workloads"]
+            for workload, entry in sorted(workloads.items()):
+                for metric, direction in sorted(better.items()):
+                    old = entry["parent"][metric]
+                    new = entry["change"][metric]
+                    ratio = new / old if old else float("nan")
+                    print(f"{name:<14} {workload:<16} {metric:<20} "
+                          f"{old:>11.4g} {new:>11.4g} {ratio:>7.3f}")
+                    if worse(old, new, direction) > TREND_DROP:
+                        warnings.append(
+                            f"{name}: {workload}.{metric} {old:.4g} -> "
+                            f"{new:.4g} against its parent")
+                    if previous and workload in previous[1]:
+                        last = previous[1][workload]["change"].get(metric)
+                        if (last is not None and
+                                worse(last, new, direction) > TREND_DROP):
+                            warnings.append(
+                                f"{name}: {workload}.{metric} {last:.4g} in "
+                                f"{previous[0]} -> {new:.4g} (another "
+                                "sitting: the host may have drifted)")
+        except (KeyError, TypeError, AttributeError) as error:
+            sys.exit(f"check_bench: malformed trajectory file {name}: "
+                     f"missing {error}")
+        previous = (name, workloads)
+    for message in warnings:
+        print(f"warning: {message}")
+    print(f"check_bench: --trend: {len(names)} file(s), "
+          f"{len(warnings)} warning(s) (moves worse than "
+          f"{TREND_DROP:.0%}; warn-only)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="ppg-bench regression check against a baseline artifact")
@@ -275,6 +358,10 @@ def main():
                         help="require every goal-tagged metric to agree "
                              "between two runs of the same suite "
                              "(zero tolerance unless --atol is raised)")
+    parser.add_argument("--trend", metavar="DIR",
+                        help="print the perfbench trajectory in DIR and "
+                             "warn on moves worse than 25%% (never fails "
+                             "on a drop)")
     parser.add_argument("--bench", default="build/bench/ppg-bench",
                         help="bench binary for --refresh "
                              "(default build/bench/ppg-bench)")
@@ -288,6 +375,10 @@ def main():
                              "0 in --compare-runs mode)")
     args = parser.parse_args()
 
+    if args.trend:
+        if args.refresh or args.compare_runs or args.new_json:
+            parser.error("--trend takes only its directory")
+        return trend(args.trend)
     if args.compare_runs:
         if args.refresh or args.new_json or args.baseline_json:
             parser.error("--compare-runs takes exactly its two artifacts")

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ppg/util/error.hpp"
 
@@ -96,6 +97,7 @@ kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
     }
   }
   compile_responder_classes();
+  compile_partner_laws();
 }
 
 bool kernel_table::same_initiator_law(agent_state u, agent_state a,
@@ -126,7 +128,10 @@ void kernel_table::compile_responder_classes() {
         one_way = entries_[e].responder == v;
       }
     }
-    if (!one_way) continue;
+    if (!one_way) {
+      responders_stay_ = false;
+      continue;
+    }
     bool ignores = true;
     for (agent_state v = 1; ignores && v < q_; ++v) {
       ignores = same_initiator_law(u, 0, v);
@@ -167,6 +172,74 @@ void kernel_table::compile_responder_classes() {
       shapes[u] = row_shape::general;
     }
     rows_[static_cast<std::size_t>(shapes[u])].push_back(u);
+  }
+}
+
+void kernel_table::compile_partner_laws() {
+  constexpr double tolerance = 1e-12;
+  // The initiator (or responder) marginal of pair (u, v), densely.
+  const auto marginal = [this](agent_state u, agent_state v, bool responder,
+                               double* out) {
+    std::fill(out, out + q_, 0.0);
+    const std::size_t pair = index(u, v);
+    for (std::uint32_t e = offsets_[pair]; e < offsets_[pair + 1]; ++e) {
+      out[responder ? entries_[e].responder : entries_[e].initiator] +=
+          probabilities_[e];
+    }
+  };
+  // f[v * q + x] = f(x|v) from pairs (0, v); g[u * q + y] = g(y|u) from
+  // pairs (u, 0).
+  std::vector<double> f(q_ * q_);
+  std::vector<double> g(responders_stay_ ? 0 : q_ * q_);
+  for (agent_state v = 0; v < q_; ++v) marginal(0, v, false, &f[v * q_]);
+  for (agent_state u = 0; u < g.size() / q_; ++u) {
+    marginal(u, 0, true, &g[u * q_]);
+  }
+  std::vector<double> scratch(q_);
+  const auto matches = [&](const double* law) {
+    for (std::size_t x = 0; x < q_; ++x) {
+      if (std::abs(scratch[x] - law[x]) > tolerance) return false;
+    }
+    return true;
+  };
+  const auto covers = [](double mass) {
+    return std::abs(mass - 1.0) <= tolerance;
+  };
+  for (agent_state u = 0; u < q_; ++u) {
+    for (agent_state v = 0; v < q_; ++v) {
+      const double* fv = &f[v * q_];
+      marginal(u, v, false, scratch.data());
+      if (!matches(fv)) return;
+      if (responders_stay_) continue;
+      const double* gu = &g[u * q_];
+      marginal(u, v, true, scratch.data());
+      if (!matches(gu)) return;
+      double covered = 0.0;
+      for (std::uint32_t e = offsets_[index(u, v)];
+           e < offsets_[index(u, v) + 1]; ++e) {
+        const double product =
+            fv[entries_[e].initiator] * gu[entries_[e].responder];
+        if (std::abs(probabilities_[e] - product) > tolerance) return;
+        covered += product;
+      }
+      if (!covers(covered)) return;
+    }
+  }
+  // Under responders stay, a pair's law is f(.|v) itself, which must then
+  // cover mass 1.
+  for (agent_state v = 0; responders_stay_ && v < q_; ++v) {
+    if (!covers(std::accumulate(&f[v * q_], &f[v * q_] + q_, 0.0))) return;
+  }
+
+  law_offsets_.push_back(0);
+  for (std::size_t k = 0; k < f.size() + g.size(); k += q_) {
+    const double* law = k < f.size() ? &f[k] : &g[k - f.size()];
+    for (agent_state x = 0; x < q_; ++x) {
+      if (law[x] <= 0.0) continue;
+      law_states_.push_back(x);
+      law_probabilities_.push_back(law[x]);
+    }
+    law_offsets_.push_back(static_cast<std::uint32_t>(law_states_.size()));
   }
 }
 

@@ -72,6 +72,18 @@ class protocol {
 /// responder-dependent one-way row, or else starts a new class, so classes
 /// are numbered by smallest member. Each row then takes one of three
 /// shapes (row_shape).
+///
+/// Last, construction recognizes a *partner-keyed* kernel: one where an
+/// initiator's next state depends only on its responder's state, and the
+/// responder's only on its initiator's, independently. Every pair (u, v)
+/// must have pair (0, v)'s initiator marginal f(.|v), pointwise within
+/// 1e-12. Unless no outcome moves its responder (responders_stay()), it
+/// must also have pair (u, 0)'s responder marginal g(.|u), each support
+/// point's mass must be f(x|v) g(y|u) within 1e-12, and those products
+/// must cover mass 1 within 1e-12. Two-way logit is such a kernel (the
+/// rule ignores its own strategy, and two-way revision is the independent
+/// product), and so is one-way logit. The multibatch engine then draws a
+/// round's outcomes from the partner laws alone, without a matching.
 class kernel_table {
  public:
   /// How an initiator row's outcome depends on its responder.
@@ -137,9 +149,10 @@ class kernel_table {
   /// other pair draws from its alias table with one 64-bit word (a further
   /// word with probability below support / 2^64): a uniform slot, then a
   /// uniform against the slot's threshold — O(1) whatever the support, and
-  /// the kernel's law to within 2^-53 + 2 * support * 2^-64 per draw. The
-  /// states are not range-checked: engines reject agents in states >=
-  /// num_states() before they sample.
+  /// the kernel's law to within 2^-53 + 2 * support * 2^-64 per draw (a
+  /// partner-keyed round's laws are within q^2 * 1e-12 / 2; see
+  /// partner_keyed()). The states are not range-checked: engines reject
+  /// agents in states >= num_states() before they sample.
   [[nodiscard]] std::pair<agent_state, agent_state> sample(
       agent_state initiator, agent_state responder, rng& gen) const {
     const std::size_t pair = index(initiator, responder);
@@ -166,6 +179,37 @@ class kernel_table {
     const alias_slot& slot = alias_[s];
     const std::size_t e = u < slot.threshold ? s : begin + slot.alias;
     return {entries_[e].initiator, entries_[e].responder};
+  }
+
+  /// One partner's law in a partner-keyed kernel: the states of positive
+  /// mass, in increasing order, and their probabilities. Only the support
+  /// is stored, because sample_multinomial puts its rounding remainder in
+  /// the last category it is given.
+  struct partner_law {
+    const agent_state* states = nullptr;
+    const double* probabilities = nullptr;
+    std::size_t size = 0;
+  };
+
+  /// Whether the kernel is partner-keyed (class comment). Drawing a pair's
+  /// outcome as f(.|v) x g(.|u), or f(.|v) with the responder kept, is
+  /// then the kernel's law within 1e-12 per support point: total
+  /// variation within q^2 * 1e-12 / 2 per draw, against sample()'s 2^-53.
+  [[nodiscard]] bool partner_keyed() const { return !law_offsets_.empty(); }
+
+  /// Whether no outcome of any pair moves its responder.
+  [[nodiscard]] bool responders_stay() const { return responders_stay_; }
+
+  /// f(.|v): the initiator's next-state law given responder state v, in a
+  /// partner-keyed kernel.
+  [[nodiscard]] partner_law initiator_law(agent_state responder) const {
+    return law(responder);
+  }
+
+  /// g(.|u): the responder's next-state law given initiator state u, in a
+  /// partner-keyed kernel whose responders do not stay.
+  [[nodiscard]] partner_law responder_law(agent_state initiator) const {
+    return law(q_ + initiator);
   }
 
   /// The `s`-th slot of the pair's alias table (s < num_outcomes);
@@ -214,6 +258,12 @@ class kernel_table {
   [[nodiscard]] bool same_initiator_law(agent_state u, agent_state a,
                                         agent_state b) const;
   void compile_responder_classes();
+  void compile_partner_laws();
+  [[nodiscard]] partner_law law(std::size_t k) const {
+    const std::uint32_t begin = law_offsets_[k];
+    return {law_states_.data() + begin, law_probabilities_.data() + begin,
+            law_offsets_[k + 1] - begin};
+  }
 
   std::size_t q_;
   std::vector<std::uint32_t> offsets_;  ///< q_*q_ + 1 entry offsets
@@ -224,6 +274,12 @@ class kernel_table {
   std::array<std::vector<agent_state>, 3> rows_;  ///< rows by shape
   std::vector<std::uint32_t> classes_;            ///< per responder state
   std::vector<agent_state> representatives_;      ///< per class
+  bool responders_stay_ = true;
+  /// Partner laws, empty unless partner-keyed: f(.|v) for v < q, then
+  /// g(.|u) at q + u unless responders stay; supports only.
+  std::vector<std::uint32_t> law_offsets_;
+  std::vector<agent_state> law_states_;
+  std::vector<double> law_probabilities_;
 };
 
 }  // namespace ppg

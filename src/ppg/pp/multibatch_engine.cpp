@@ -15,8 +15,10 @@ namespace {
 /// §8) put the alias/multinomial time ratio at ~0.5 for 8 pairs per
 /// outcome, 0.6-1.1 for 12 and 1.3-2.2 for 16, so the measured crossing is
 /// 8-16 at every support. c stays 32 until both branches are re-measured
-/// on the kernels that split cells: each branch has a committed workload
-/// (logit_q8_1e8 cells take alias draws, hawk_dove_1e8 cells multinomials).
+/// on the kernels that still split cells: partner-keyed rounds split none,
+/// so no perfbench workload reaches either branch, and of the committed
+/// kernels only proportional imitation does (support 2 one-way, <= 4
+/// two-way).
 constexpr std::uint64_t alias_crossover = 32;
 
 }  // namespace
@@ -32,19 +34,30 @@ multibatch_engine::multibatch_engine(
       birthday_(n_) {
   // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
   PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
-  // An aggregate round's matching draws over q categories per general row
-  // and C per classed row (rows that ignore their responder draw nothing);
-  // below ~4 times that many interactions those hypergeometrics cost more
-  // than per-pair O(q) sampling, so short runs (small n: the birthday law
-  // scales them as ~sqrt(n)) fall back to the sequential path and the
-  // engine degrades to census-engine cost. With every row general this is
-  // 4q^2.
-  using row_shape = kernel_table::row_shape;
-  const std::uint64_t matching_draws =
-      kernel_->num_states() * kernel_->rows(row_shape::general).size() +
-      kernel_->num_responder_classes() *
-          kernel_->rows(row_shape::classed).size();
-  aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * matching_draws);
+  // Beyond its two MVH samples, an aggregate round draws D more: a
+  // partner-keyed round one binomial per support point past the first of
+  // each partner law (q(q-1), or 2q(q-1) two-way, at full support); any
+  // other round a matching over q categories per general row and C per
+  // classed row (rows that ignore their responder draw nothing). Below ~4D
+  // interactions those draws cost more than per-pair O(q) sampling, so
+  // short runs (small n: the birthday law scales them as ~sqrt(n)) fall
+  // back to the sequential path and the engine degrades to census-engine
+  // cost.
+  std::uint64_t draws = 0;
+  if (kernel_->partner_keyed()) {
+    for (agent_state s = 0; s < kernel_->num_states(); ++s) {
+      draws += kernel_->initiator_law(s).size - 1;
+      if (!kernel_->responders_stay()) {
+        draws += kernel_->responder_law(s).size - 1;
+      }
+    }
+  } else {
+    using row_shape = kernel_table::row_shape;
+    draws = kernel_->num_states() * kernel_->rows(row_shape::general).size() +
+            kernel_->num_responder_classes() *
+                kernel_->rows(row_shape::classed).size();
+  }
+  aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * draws);
   untouched_ = counts_;
   untouched_total_ = n_;
 }
@@ -202,6 +215,10 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
                                      responders_.data());
   for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
   untouched_total_ -= 2 * free;
+  if (kernel_->partner_keyed()) {
+    apply_partner_keyed();
+    return;
+  }
   // Each row's initiators draw their partners from the responders still
   // unmatched, by one MVH over `pool`; partner(j) is the state whose
   // outcome law category j's pairs take.
@@ -238,6 +255,33 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
   }
   for (const agent_state u : kernel_->rows(row_shape::ignores)) {
     if (initiators_[u] > 0) apply_pair_type(u, 0, initiators_[u]);
+  }
+}
+
+void multibatch_engine::apply_partner_keyed() {
+  // Which initiator met which responder cannot change the census: the
+  // initiators facing responders in state v leave by B_v draws of
+  // f(.|v), and the responders facing initiators in state u by A_u draws
+  // of g(.|u), whatever the matching.
+  const std::size_t width = counts_.size();
+  const bool responders_stay = kernel_->responders_stay();
+  // A multinomial of m = 0, or over one state, draws nothing.
+  const auto add = [this](std::uint64_t m, kernel_table::partner_law law) {
+    split_.resize(law.size);
+    sample_multinomial(m, law.probabilities, law.size, gen_, split_.data());
+    for (std::size_t k = 0; k < law.size; ++k) {
+      counts_[law.states[k]] += split_[k];
+    }
+  };
+  for (std::size_t s = 0; s < width; ++s) {
+    counts_[s] -= initiators_[s] + (responders_stay ? 0 : responders_[s]);
+  }
+  for (agent_state v = 0; v < width; ++v) {
+    add(responders_[v], kernel_->initiator_law(v));
+  }
+  if (responders_stay) return;
+  for (agent_state u = 0; u < width; ++u) {
+    add(initiators_[u], kernel_->responder_law(u));
   }
 }
 

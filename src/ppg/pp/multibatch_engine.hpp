@@ -17,49 +17,60 @@
 //     P(J > j) = prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)), drawn by inversion
 //     over a log-survival table built once per population size
 //     (stats/discrete_sampling's collision_run_sampler);
-//  2. the ordered state-pair counts of those J interactions are drawn from
-//     multivariate hypergeometrics over the untouched census (initiator
-//     sample, then responder sample, then a uniform matching by initiator
-//     group — exactly the law of 2J distinct agents drawn uniformly without
-//     replacement, paired in order). The matching follows the kernel's row
-//     shapes (kernel_table::row_shape): each general row draws a q-way row
-//     over the responders; the responders left all meet one-way rows and
-//     stay put, so each classed row draws a C-way row over their class
-//     totals, and the rows that ignore their responder take the rest with
-//     no draw. Every such responder has left the untouched pool and stays
-//     in its own state, so it is touched with no further bookkeeping;
-//  3. the outcome split of each pair type's m pairs draws them one by one
+//  2. the initiator census A and the responder census B of those J
+//     interactions are drawn as multivariate hypergeometrics over the
+//     untouched census (initiator sample, then responder sample — any
+//     fixed positions of 2J distinct agents drawn uniformly without
+//     replacement are a simple random sample). On a partner-keyed kernel
+//     (kernel_table::partner_keyed) that is all the round needs: the
+//     initiators' new states sum to one multinomial of B_v draws from
+//     f(.|v) per responder state v, and the responders' to one of A_u
+//     draws from g(.|u) per initiator state u, or B itself when
+//     responders stay, whichever initiator met which responder. A and B
+//     leave the census and those sums join it; steps 3 and 4 are skipped;
+//  3. any other kernel draws a uniform matching by initiator group. It
+//     follows the kernel's row shapes (kernel_table::row_shape): each
+//     general row draws a q-way row over the responders; the responders
+//     left all meet one-way rows and stay put, so each classed row draws a
+//     C-way row over their class totals, and the rows that ignore their
+//     responder take the rest with no draw. Every such responder has left
+//     the untouched pool and stays in its own state, so it is touched with
+//     no further bookkeeping;
+//  4. the outcome split of each pair type's m pairs draws them one by one
 //     with kernel_table::sample (one alias draw each) when m <=
 //     alias_pairs_per_outcome() times the pair's support, and as one
 //     multinomial over its outcome distribution otherwise (deterministic
 //     pairs consume no draws);
-//  4. the one colliding interaction is resolved sequentially — its pair is
+//  5. the one colliding interaction is resolved sequentially — its pair is
 //     uniform over ordered agent pairs with at least one touched agent —
 //     after which the untouched pool is reset to the census and a new round
 //     begins.
 //
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
-// agent/census/batched engines (DESIGN.md §8 gives the argument). Work per
-// round is O(q + D + sum over occupied pair cells of min(m_cell, support))
-// plus O(q) for the collision, where D = q * #general rows + C * #classed
-// rows is the matching's category count (q^2 when every row is general, 2k
-// for one-way k-IGT): a cell of m pairs pays m O(1) alias draws while m <=
-// 32 * support, and one binomial per outcome above that. Dense two-way
-// kernels have support q^2, yet a round of J interactions costs at most
-// O(q^2 + J) split steps. Rounds shrink with n (the birthday law adapts by
-// itself), and rounds below max(16, 4D) pairs take a sequential per-pair
-// path, so small populations degrade gracefully to exactly the census
-// engine's per-interaction cost.
+// agent/census/batched engines (DESIGN.md §8 gives the argument). A
+// partner-keyed round costs O(q) hypergeometrics plus D binomials, D the
+// partner laws' support points past the first of each law (q(q-1), or
+// 2q(q-1) two-way, at full support), whatever J. Any other round costs
+// O(q + D + sum over occupied pair cells of min(m_cell, support)), where D
+// = q * #general rows + C * #classed rows is the matching's category count
+// (q^2 when every row is general, 2k for one-way k-IGT): a cell of m pairs
+// pays m O(1) alias draws while m <= 32 * support, and one binomial per
+// outcome above that. Either way the collision adds O(q). Rounds shrink
+// with n (the birthday law adapts by itself), and rounds below max(16, 4D)
+// pairs take a sequential per-pair path, so small populations degrade
+// gracefully to exactly the census engine's per-interaction cost.
 //
 // Every draw of a round comes from the engine's one generator, in a fixed
 // order: the birthday length, the initiator and responder MVH samples over
-// the untouched pool, the conditional MVH matching rows (general rows,
-// then classed rows), each cell's outcome split (its alias draws or its
-// multinomial) as the matching row fills it, the splits of the rows that
-// ignore their responder, and the collision. A round is therefore one exact
-// draw of the census Markov chain's aggregated step, and a trajectory is a
-// pure function of its seed and run() chunk schedule.
+// the untouched pool; then, partner-keyed, the initiator sums by responder
+// state and the responder sums by initiator state; otherwise the
+// conditional MVH matching rows (general rows, then classed rows), each
+// cell's outcome split (its alias draws or its multinomial) as the
+// matching row fills it, and the splits of the rows that ignore their
+// responder; and last the collision. A round is therefore one exact draw
+// of the census Markov chain's aggregated step, and a trajectory is a pure
+// function of its seed and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +111,11 @@ class multibatch_engine final : public census_level_engine {
 
   /// Collision-free runs shorter than this take the sequential per-pair
   /// path; longer ones are applied in aggregate. It is max(16, 4D), D the
-  /// matching's category count (q per general row, C per classed row):
-  /// max(16, 4q^2) when every row is general.
+  /// round's draws past its two MVH samples: for a partner-keyed kernel
+  /// the partner laws' support points past the first of each law (4q(q-1)
+  /// one-way and 8q(q-1) two-way at full support), otherwise the
+  /// matching's category count (q per general row, C per classed row;
+  /// max(16, 4q^2) when every row is general).
   [[nodiscard]] std::uint64_t aggregate_threshold() const {
     return aggregate_threshold_;
   }
@@ -152,6 +166,10 @@ class multibatch_engine final : public census_level_engine {
 
   void apply_free_aggregate(std::uint64_t free);
   void apply_free_sequential(std::uint64_t free);
+  /// The aggregate step of a partner-keyed kernel, once initiators_ and
+  /// responders_ hold the run's A and B: removes both from the census and
+  /// adds the multinomial outcome sums of the partner laws.
+  void apply_partner_keyed();
   /// Splits `m` disjoint (u, v) interactions over the pair's outcomes —
   /// no draw for a deterministic pair, m alias draws while m <= c *
   /// support, one multinomial above — and calls add(initiator', responder',

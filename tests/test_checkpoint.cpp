@@ -187,8 +187,10 @@ const char* rumor_recipe_text() {
 // runs use the same snapshot cadence, so the run() chunk schedule — part of
 // the draw schedule for the aggregated engines — is identical; the
 // checkpoint sits at a chunk boundary (t_checkpoint a multiple of cadence).
+// With `mid_round`, the engine must be multibatch and the checkpoint must
+// land inside a round.
 void expect_bit_exact_resume(const std::string& recipe_text, engine_kind kind,
-                             std::uint64_t seed) {
+                             std::uint64_t seed, bool mid_round = false) {
   constexpr std::uint64_t t_checkpoint = 4000;
   constexpr std::uint64_t t_total = 9000;
   constexpr std::uint64_t cadence = 1000;
@@ -202,6 +204,11 @@ void expect_bit_exact_resume(const std::string& recipe_text, engine_kind kind,
   rng gen_cut(seed);
   const auto cut = recipe.spec().make_engine(kind, gen_cut);
   const auto before = cut->run_with_snapshots(t_checkpoint, cadence);
+  if (mid_round) {
+    const auto* mb = dynamic_cast<const multibatch_engine*>(cut.get());
+    ASSERT_NE(mb, nullptr);
+    ASSERT_TRUE(mb->mid_round()) << "the checkpoint fell on a round boundary";
+  }
 
   // Through bytes, as a fresh process would read the file.
   const std::string file = save_checkpoint(recipe, *cut).dump_string();
@@ -234,6 +241,30 @@ TEST(Checkpoint, BitExactResumeHawkDoveLogit) {
   for (const auto kind : all_kinds) {
     expect_bit_exact_resume(hawk_dove_recipe_text(), kind, 502);
   }
+}
+
+// The recipe above at n = 10^5: rounds of ~200 pairs against an aggregate
+// threshold of 16, so they take the partner-keyed path, and the
+// checkpoint at 4000 interactions lands inside one.
+TEST(Checkpoint, BitExactResumeHawkDoveLogitPartnerKeyedRound) {
+  const char* recipe_text =
+      R"({"protocol": {"name": "matrix-game",
+                       "params": {"game": {"name": "hawk-dove",
+                                           "value": 2.0, "cost": 3.0},
+                                  "rule": {"name": "logit",
+                                           "temperature": 0.4},
+                                  "discipline": "two_way"}},
+          "initial_counts": [53334, 46666], "sampling": "distinct"})";
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
+  const kernel_table kernel(recipe.spec().proto());
+  ASSERT_TRUE(kernel.partner_keyed());
+  rng gen(506);
+  const auto engine = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  EXPECT_EQ(mb.aggregate_threshold(), 16u);
+  engine->run(4000);
+  EXPECT_GT(mb.interactions(), 8 * mb.aggregate_threshold() * mb.rounds());
+  expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 506, true);
 }
 
 TEST(Checkpoint, BitExactResumeRumor) {

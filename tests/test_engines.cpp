@@ -208,12 +208,17 @@ TEST(Kernel, ResponderClassesCompile) {
   const game_protocol one_way_rps(
       rock_paper_scissors_matrix(),
       std::make_shared<proportional_imitation_rule>(0.8));
-  for (const protocol* proto : std::initializer_list<const protocol*>{
-           &one_way_hawk_dove, &two_way_logit, &one_way_rps}) {
+  // The threshold is 4D for D the draws past the two MVH samples: a
+  // q x q matching for RPS, and q(q-1) binomials per side for the
+  // partner-keyed logit kernels (q = 2 one-way, q = 8 two-way).
+  const std::pair<const protocol*, std::uint64_t> all_general[] = {
+      {&one_way_hawk_dove, 16}, {&two_way_logit, 4 * 2 * 8 * 7},
+      {&one_way_rps, 4 * 3 * 3}};
+  for (const auto& [proto, threshold] : all_general) {
     const auto kernel = std::make_shared<const kernel_table>(*proto);
     const std::uint64_t q = kernel->num_states();
     EXPECT_EQ(kernel->rows(row_shape::general).size(), q);
-    EXPECT_EQ(threshold_of(kernel), std::max<std::uint64_t>(16, 4 * q * q));
+    EXPECT_EQ(threshold_of(kernel), threshold);
   }
 
   const auto duplicated =
@@ -239,6 +244,163 @@ TEST(Kernel, ResponderClassesCompile) {
   EXPECT_EQ(majority->rows(row_shape::general),
             (rows{amp::state_x, amp::state_y}));
   EXPECT_EQ(threshold_of(majority), 4u * 3u * 2u);
+}
+
+// Each pair's outcome law is the product of an initiator law keyed on the
+// responder and a responder law keyed on the initiator, as listed below.
+// Pair (1, 1) can be spoiled: `bend` moves mass from its products'
+// anti-diagonal points to its diagonal ones, which keeps both of its
+// marginals, and `drop` omits its point (1, 1).
+class product_protocol final : public protocol {
+ public:
+  using law = std::vector<double>;
+  product_protocol(std::vector<law> initiator, std::vector<law> responder,
+                   double bend = 0.0, bool drop = false)
+      : initiator_(std::move(initiator)),
+        responder_(std::move(responder)),
+        bend_(bend),
+        drop_(drop) {}
+  [[nodiscard]] std::size_t num_states() const override {
+    return initiator_.size();
+  }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state u, agent_state v) const override {
+    std::vector<outcome> dist;
+    const std::size_t q = num_states();
+    for (agent_state x = 0; x < q; ++x) {
+      for (agent_state y = 0; y < q; ++y) {
+        double p = initiator_[v][x] * responder_[u][y];
+        if (u == 1 && v == 1) {
+          p += x == y ? bend_ : -bend_;
+          if (drop_ && x == 1 && y == 1) continue;
+        }
+        if (p > 0.0) dist.push_back({x, y, p});
+      }
+    }
+    return dist;
+  }
+
+ private:
+  std::vector<law> initiator_;
+  std::vector<law> responder_;
+  double bend_;
+  bool drop_;
+};
+
+// A one-way kernel: the initiator draws from laws[responder] over the
+// states listed there, the responder stays.
+class one_way_protocol final : public protocol {
+ public:
+  explicit one_way_protocol(std::vector<std::vector<double>> laws)
+      : laws_(std::move(laws)) {}
+  [[nodiscard]] std::size_t num_states() const override {
+    return laws_.size();
+  }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state /*initiator*/, agent_state v) const override {
+    std::vector<outcome> dist;
+    for (agent_state x = 0; x < laws_[v].size(); ++x) {
+      if (laws_[v][x] > 0.0) dist.push_back({x, v, laws_[v][x]});
+    }
+    return dist;
+  }
+
+ private:
+  std::vector<std::vector<double>> laws_;
+};
+
+// The stored law equals `expected` on its support, in state order.
+void expect_partner_law(kernel_table::partner_law law,
+                        const std::vector<double>& expected,
+                        const std::string& where) {
+  std::size_t k = 0;
+  for (agent_state x = 0; x < expected.size(); ++x) {
+    if (expected[x] <= 0.0) continue;
+    ASSERT_LT(k, law.size) << where;
+    EXPECT_EQ(law.states[k], x) << where;
+    EXPECT_NEAR(law.probabilities[k], expected[x], 1e-15) << where;
+    ++k;
+  }
+  EXPECT_EQ(k, law.size) << where;
+}
+
+TEST(Kernel, PartnerKeyedCompiles) {
+  const auto logit = std::make_shared<logit_response_rule>(0.5);
+  const auto hawk_dove = hawk_dove_matrix(1.0, 3.0);
+  const auto zoo = random_zoo_game(1, 8, 0).game;
+  struct keyed_case {
+    std::string label;
+    game_protocol proto;
+    std::shared_ptr<const update_rule> rule;
+    game_matrix game;
+  };
+  const keyed_case keyed[] = {
+      {"one-way hawk-dove", game_protocol(hawk_dove, logit), logit,
+       hawk_dove},
+      {"one-way duplicated column", duplicated_column_logit(),
+       std::make_shared<logit_response_rule>(1.0),
+       duplicated_column_logit().game()},
+      {"two-way hawk-dove",
+       game_protocol(hawk_dove, logit, revision_discipline::two_way), logit,
+       hawk_dove},
+      {"two-way q = 8",
+       game_protocol(zoo, logit, revision_discipline::two_way), logit, zoo},
+  };
+  for (const auto& c : keyed) {
+    const kernel_table kernel(c.proto);
+    ASSERT_TRUE(kernel.partner_keyed()) << c.label;
+    const bool one_way = c.proto.discipline() == revision_discipline::one_way;
+    EXPECT_EQ(kernel.responders_stay(), one_way) << c.label;
+    for (agent_state s = 0; s < kernel.num_states(); ++s) {
+      // Logit ignores its own strategy, so `self` is arbitrary.
+      const auto revised = c.rule->revise(c.game, 0, s);
+      expect_partner_law(kernel.initiator_law(s), revised,
+                         c.label + " f(.|" + std::to_string(s) + ")");
+      if (!one_way) {
+        expect_partner_law(kernel.responder_law(s), revised,
+                           c.label + " g(.|" + std::to_string(s) + ")");
+      }
+    }
+  }
+
+  const game_protocol igt_two_way(igt_game_matrix(3),
+                                  std::make_shared<igt_ladder_rule>(3),
+                                  revision_discipline::two_way);
+  const game_protocol proportional(
+      rock_paper_scissors_matrix(),
+      std::make_shared<proportional_imitation_rule>(0.8));
+  const game_protocol imitate(hawk_dove,
+                              std::make_shared<imitate_if_better_rule>());
+  const igt_protocol igt(8);
+  const rumor_protocol rumor;
+  const approximate_majority_protocol majority;
+  const leader_election_protocol leader;
+  for (const protocol* proto : std::initializer_list<const protocol*>{
+           &igt, &igt_two_way, &proportional, &imitate, &rumor, &majority,
+           &leader}) {
+    EXPECT_FALSE(kernel_table(*proto).partner_keyed())
+        << proto->num_states() << "-state kernel";
+  }
+
+  // Crafted products: detected as they stand; rejected once pair (1, 1)
+  // is off the product by 1e-9 at each point of a 2 x 2 block (its
+  // marginals unchanged, so only the product test sees it).
+  const std::vector<std::vector<double>> f = {{0.3, 0.7}, {0.6, 0.4}};
+  const std::vector<std::vector<double>> g = {{0.2, 0.8}, {0.9, 0.1}};
+  EXPECT_TRUE(kernel_table(product_protocol(f, g)).partner_keyed());
+  EXPECT_FALSE(kernel_table(product_protocol(f, g, 1e-9)).partner_keyed());
+  // A product point of mass 5e-11 missing from pair (1, 1) (the kernel's
+  // own check allows 1e-9 of missing mass).
+  const std::vector<std::vector<double>> thin = {{0.3, 0.7},
+                                                 {1.0 - 5e-10, 5e-10}};
+  EXPECT_TRUE(kernel_table(product_protocol(thin, g)).partner_keyed());
+  EXPECT_FALSE(
+      kernel_table(product_protocol(thin, g, 0.0, true)).partner_keyed());
+  // One-way, the same point missing from every pair of responder 1: the
+  // marginals agree, but f(.|1) covers only 1 - 5e-10.
+  EXPECT_TRUE(kernel_table(one_way_protocol(thin)).partner_keyed());
+  EXPECT_FALSE(kernel_table(one_way_protocol({{0.3, 0.7}, {1.0 - 5e-10}}))
+                   .partner_keyed());
 }
 
 TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {

@@ -317,19 +317,22 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
 
 // At the n <= 240 of the suite above, collision-free runs of ~8-10 pairs
 // never reach the aggregate threshold, so only the sequential path runs.
-// At n = 20,000 rounds average ~90 pairs and the aggregate path (MVH pair
-// tables + per-cell outcome splits) carries nearly every interaction; its
-// law must still match the census engine's. Cells of ~10-22 pairs sit
-// below the alias crossover, so those cases split by alias draws; at
-// n = 10^6 rounds average ~630 pairs, cells ~160, and the multinomial
-// split carries the one-way hawk-dove case. Every case but the last runs
-// as one run(steps) call; the last advances in chunks of 997, so budget
-// splits land at many offsets inside classed rounds and collisions meet
-// pools left by truncated aggregates.
+// At n = 20,000 rounds average ~90 pairs and the aggregate path carries
+// nearly every interaction; its law must still match the census engine's.
+// Logit kernels are partner-keyed: their rounds draw the outcome sums from
+// the partner laws, with no matching table. The other kernels draw MVH
+// pair tables and split each cell: cells of ~10-22 pairs sit below the
+// alias crossover, so those split by alias draws; at n = 10^6 rounds
+// average ~630 pairs, cells ~200, and the multinomial split carries the
+// proportional-imitation hawk-dove case. The cases marked with a chunk
+// advance in run(997) calls, so budget splits land at many offsets inside
+// classed or partner-keyed rounds and collisions meet pools left by
+// truncated aggregates; the others run as one run(steps) call.
 TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   using row_shape = kernel_table::row_shape;
-  /// Which outcome split the case's cells take.
-  enum class split { alias, multinomial, deterministic };
+  /// Which outcome split the case's cells take, or partner_keyed when its
+  /// rounds draw no cells.
+  enum class split { alias, multinomial, deterministic, partner_keyed };
   struct aggregate_case {
     std::string label;
     game_protocol proto;
@@ -343,6 +346,28 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   igt_counts[igt_encoding::ac] = 10'000;
   igt_counts[igt_encoding::ad] = 20'000;
   igt_counts[igt_encoding::gtft(0)] = 70'000;
+  // Two-way logit over three strategies at n = 10^5 (threshold 4 * 2 * 3 *
+  // 2 = 48, rounds of ~190 pairs). From the tilted start the statistic
+  // drifts by ~2.3e4 against a spread of ~210.
+  const game_protocol logit_q3(
+      game_matrix({"a", "b", "c"}, {3.0, 0.0, 1.0,  //
+                                    1.0, 2.0, 0.0,  //
+                                    0.0, 1.0, 2.0}),
+      std::make_shared<logit_response_rule>(0.7),
+      revision_discipline::two_way);
+  const std::vector<std::uint64_t> logit_q3_counts = {10'000, 20'000, 70'000};
+  // A coordination game at a low temperature: a reviser adopts its
+  // partner's strategy with probability 1 - 9e-5. One-way, that is nearly
+  // the voter model, whose census diffuses (spread ~220 at parallel time
+  // 0.5); two-way, the pair nearly swaps, and the census barely moves. A
+  // round that keyed either side's law on that side's own census instead
+  // of its partners' would freeze the first and diffuse the second, with
+  // the same mean in both.
+  const game_matrix coordination({"a", "b", "c"}, {1.0, 0.0, 0.0,  //
+                                                   0.0, 1.0, 0.0,  //
+                                                   0.0, 0.0, 1.0});
+  const auto sharp_logit = std::make_shared<logit_response_rule>(0.1);
+  const std::vector<std::uint64_t> thirds = {33'000, 33'000, 34'000};
   const std::vector<aggregate_case> cases = {
       // v/c = 1/3 puts the logit fixed point off the symmetric point, so
       // a biased outcome split moves the census the test observes.
@@ -350,18 +375,35 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
        game_protocol(hawk_dove_matrix(1.0, 3.0),
                      std::make_shared<logit_response_rule>(0.5),
                      revision_discipline::two_way),
-       {16'000, 4'000}, 40'000, split::alias, false},
+       {16'000, 4'000}, 40'000, split::partner_keyed, false},
       {"proportional/rps",
        game_protocol(rock_paper_scissors_matrix(),
                      std::make_shared<proportional_imitation_rule>(0.8)),
        {9'000, 7'000, 4'000}, 40'000, split::alias, false},
       // A tenth of parallel time from the even start: the census drifts
       // towards the fixed point by ~7e3 agents against a spread of ~200,
-      // so a biased split would shift it by many spreads.
-      {"logit/hawk-dove one-way, multinomial split",
+      // so a biased outcome sum would shift it by many spreads.
+      {"logit/hawk-dove one-way",
        game_protocol(hawk_dove_matrix(1.0, 3.0),
                      std::make_shared<logit_response_rule>(0.5)),
-       {500'000, 500'000}, 100'000, split::multinomial, false},
+       {500'000, 500'000}, 100'000, split::partner_keyed, false},
+      // Doves meeting hawks switch with probability 0.4, and nothing else
+      // moves: in a tenth of parallel time from 10% hawks ~3.7e3 doves
+      // switch, against a spread of ~60. Cells of ~200 pairs over 2
+      // outcomes, above twice the crossover, take the multinomial split.
+      {"proportional/hawk-dove one-way, multinomial split",
+       game_protocol(hawk_dove_matrix(1.0, 3.0),
+                     std::make_shared<proportional_imitation_rule>(0.8)),
+       {100'000, 900'000}, 100'000, split::multinomial, false},
+      {"logit q=3 two-way", logit_q3, logit_q3_counts, 50'000,
+       split::partner_keyed, false},
+      {"coordination logit one-way", game_protocol(coordination, sharp_logit),
+       thirds, 50'000, split::partner_keyed, false},
+      {"coordination logit two-way",
+       game_protocol(coordination, sharp_logit, revision_discipline::two_way),
+       thirds, 50'000, split::partner_keyed, false},
+      {"logit q=3 two-way, run(997) chunks", logit_q3, logit_q3_counts,
+       50'000, split::partner_keyed, false, 997},
       // The paper's k-IGT from the all-stingy start: GTFT rows are
       // classed ({AD} | the rest), AC and AD rows ignore their responder.
       // In half a unit of parallel time GTFT levels climb by ~2.7e4 in
@@ -370,15 +412,27 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       {"igt k=8 one-way, classed rows",
        game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
        igt_counts, 50'000, split::deterministic, true},
-      // Identical payoff columns for b and c: C = 2 < q = 3, and every
-      // classed row is a random logit revision over 3 outcomes. The
-      // statistic drifts by ~9.6e3 against a spread of ~75.
+      // Identical payoff columns for b and c: C = 2 < q = 3, so every row
+      // is classed, but the kernel is partner-keyed and its rounds take
+      // that path. The statistic drifts by ~9.6e3 against a spread of ~75.
       {"logit one-way, duplicated column, classed rows",
        game_protocol(game_matrix({"a", "b", "c"}, {1.0, 0.0, 0.0,  //
                                                    2.0, 3.0, 3.0,  //
                                                    0.0, 1.0, 1.0}),
                      std::make_shared<logit_response_rule>(1.0)),
-       {14'000, 3'000, 3'000}, 40'000, split::alias, true},
+       {14'000, 3'000, 3'000}, 40'000, split::partner_keyed, true},
+      // Strategy a beats b and c, which tie with each other: b and c
+      // initiators switch to a with probability 0.8 against a, and stay
+      // otherwise. Responders b and c share a class, so C = 2 < q = 3,
+      // the b and c rows are classed with random outcomes, split by alias
+      // draws, and the a row ignores its responder. The statistic drifts
+      // by ~7.6e3 against a spread of ~140.
+      {"proportional one-way, tied columns, classed rows",
+       game_protocol(game_matrix({"a", "b", "c"}, {2.0, 2.0, 2.0,  //
+                                                   0.0, 1.0, 1.0,  //
+                                                   0.0, 1.0, 1.0}),
+                     std::make_shared<proportional_imitation_rule>(0.8)),
+       {2'000, 9'000, 9'000}, 40'000, split::alias, true},
       // The k-IGT case again, advanced in run(997) chunks.
       {"igt k=8 one-way, classed rows, run(997) chunks",
        game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
@@ -399,6 +453,8 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     const std::size_t q = kernel.num_states();
     const std::size_t classed = kernel.rows(row_shape::classed).size();
     EXPECT_EQ(classed > 0, c.classed) << c.label;
+    EXPECT_EQ(kernel.partner_keyed(), c.cells == split::partner_keyed)
+        << c.label;
     const sim_spec spec(c.proto, c.initial_counts);
     const auto census = testing::replica_statistics(
         spec, engine_kind::census, replicas, c.steps, master++, statistic);
@@ -425,7 +481,7 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
         static_cast<double>(interactions) / static_cast<double>(rounds);
     EXPECT_GT(per_round, 2.0 * static_cast<double>(threshold))
         << c.label << ": rounds too short to exercise the aggregate path";
-    if (c.cells != split::deterministic) {
+    if (c.cells == split::alias || c.cells == split::multinomial) {
       // A round fills q cells per general row, C per classed row and one
       // per row that ignores its responder.
       const std::size_t cells =

@@ -7,7 +7,7 @@
 //    via sim_spec::make_engine) on the one-way IGT kernel (dense and
 //    dilute) and on dense matrix games (hawk-dove, rock-paper-scissors,
 //    and at n = 10^8 a random q = 8 game under two-way logit, whose 64
-//    outcomes per pair cell make the multibatch outcome splits dominate).
+//    outcomes per pair the multibatch engine draws as partner-law sums).
 //    The census engine's per-interaction cost is O(q) and independent of
 //    n, the batched engine skips runs of identity interactions in one
 //    geometric draw (huge in the dilute regime, inert on dense games), and
@@ -17,11 +17,9 @@
 //    batch-replication engine, plus the bit-identical-aggregates
 //    determinism check across thread counts.
 //  - throughput_micro: single-component rates (count chains, exact-chain
-//    distribution step, payoff oracles, rollouts), the per-call cost of the
-//    binomial and hypergeometric samplers at the multibatch engine's draw
-//    sizes, and the multibatch engine's per-cell outcome split timed both
-//    ways (alias draws vs one multinomial), the grid its alias/multinomial
-//    crossover is read from.
+//    distribution step, payoff oracles, rollouts) and the per-call cost of
+//    the binomial and hypergeometric samplers at the multibatch engine's
+//    draw sizes.
 //
 // Everything wall-clock-derived (rates AND cross-engine speedups) is
 // recorded without a regression goal: CI hardware varies, so only
@@ -368,28 +366,6 @@ scenario_result run_batch(const scenario_context& ctx) {
   return result;
 }
 
-// Every ordered pair draws from the same `support` outcomes, weighted
-// 1 : 2 : ... : support: one multibatch pair cell of that support.
-class split_cell_protocol final : public protocol {
- public:
-  explicit split_cell_protocol(std::size_t support) : support_(support) {}
-  [[nodiscard]] std::size_t num_states() const override { return 8; }
-  [[nodiscard]] std::vector<outcome> outcome_distribution(
-      agent_state /*initiator*/, agent_state /*responder*/) const override {
-    const auto size = static_cast<double>(support_);
-    std::vector<outcome> out;
-    for (std::size_t k = 0; k < support_; ++k) {
-      out.push_back({static_cast<agent_state>(k / 8),
-                     static_cast<agent_state>(k % 8),
-                     static_cast<double>(k + 1) / (size * (size + 1) / 2)});
-    }
-    return out;
-  }
-
- private:
-  std::size_t support_;
-};
-
 scenario_result run_micro(const scenario_context& ctx) {
   scenario_result result;
   const double min_seconds = ctx.pick(0.4, 0.06);
@@ -517,75 +493,10 @@ scenario_result run_micro(const scenario_context& ctx) {
     result.param("sampler_sink", sink > 0);
   }
 
-  {
-    // The multibatch engine's split of one cell of m pairs (DESIGN.md §8),
-    // census updates included: m alias draws, or one conditional-binomial
-    // multinomial over the kernel's stored probabilities, as the engine
-    // does.
-    const double split_seconds = ctx.pick(0.1, 0.01);
-    auto& split_table = result.table(
-        "per-cell outcome split of m pairs over `support` outcomes (ns per "
-        "cell)",
-        {"support", "m", "alias", "multinomial", "alias/multinomial"});
-    std::vector<std::uint64_t> census(8, 0);
-    std::vector<std::uint64_t> touched(8, 0);
-    for (const std::size_t support : {std::size_t{2}, std::size_t{4},
-                                      std::size_t{16}, std::size_t{64}}) {
-      const kernel_table kernel{split_cell_protocol(support)};
-      std::vector<std::uint64_t> split(support);
-      rng gen = ctx.make_rng(10 + support);
-      for (const std::uint64_t per_outcome :
-           {std::uint64_t{8}, std::uint64_t{12}, std::uint64_t{16},
-            std::uint64_t{32}}) {
-        const std::uint64_t m = per_outcome * support;
-        const double alias_ns =
-            1e9 / measure_rate(
-                      [&] {
-                        for (std::uint64_t i = 0; i < m; ++i) {
-                          const auto [a, b] = kernel.sample(0, 0, gen);
-                          ++census[a];
-                          ++census[b];
-                          ++touched[a];
-                          ++touched[b];
-                        }
-                      },
-                      1.0, split_seconds);
-        const double multinomial_ns =
-            1e9 /
-            measure_rate(
-                [&] {
-                  sample_multinomial(m, kernel.probabilities(0, 0), support,
-                                     gen, split.data());
-                  for (std::size_t k = 0; k < support; ++k) {
-                    if (split[k] == 0) continue;
-                    const outcome o = kernel.outcome_at(0, 0, k);
-                    census[o.initiator] += split[k];
-                    census[o.responder] += split[k];
-                    touched[o.initiator] += split[k];
-                    touched[o.responder] += split[k];
-                  }
-                },
-                1.0, split_seconds);
-        const std::string key = "_s" + std::to_string(support) + "_m" +
-                                std::to_string(m);
-        result.metric("split_alias_ns" + key, alias_ns);
-        result.metric("split_multinomial_ns" + key, multinomial_ns);
-        split_table.add_row({std::to_string(support), std::to_string(m),
-                             format_metric(alias_ns, 4),
-                             format_metric(multinomial_ns, 4),
-                             format_metric(alias_ns / multinomial_ns, 3)});
-      }
-    }
-    result.param("split_sink", census[0] + touched[0] > 0);
-  }
-
   result.note(
       "Single-component rates for the trajectory; no regression goals (CI "
       "machines\nvary run to run). Samplers: a binomial costs ~1/3 of a "
-      "hypergeometric, and\nneither grows with the standard deviation. "
-      "Outcome splits: alias/multinomial\ncrosses 1 between m = 8 and 16 "
-      "x support; the multibatch engine's\nalias_pairs_per_outcome() is "
-      "still 32 (DESIGN.md §8).");
+      "hypergeometric, and\nneither grows with the standard deviation.");
   return result;
 }
 

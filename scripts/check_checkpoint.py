@@ -14,7 +14,8 @@ Checks, per file:
     zero), and the kind-specific payload — including census consistency
     (counts sum to the spec's population size) and the multibatch round
     invariants (pools partition the census, the residual carry only
-    mid-round, collision_pending exactly when some agent is touched).
+    mid-round, collision_pending exactly when some agent is touched, and
+    rounds == collisions + collision_pending).
 
 This is the only checkpoint shape: one engine's snapshot under its spec
 header. A replicated run is checkpointed as one such file per replica, so
@@ -146,8 +147,8 @@ def check_engine(snapshot, population, width):
         total = require_uint(snapshot, "untouched_total", where)
         if total != sum(untouched):
             fail(f"{where}: untouched_total != sum(untouched)")
-        require_uint(snapshot, "rounds", where)
-        require_uint(snapshot, "collisions", where)
+        rounds = require_uint(snapshot, "rounds", where)
+        collisions = require_uint(snapshot, "collisions", where)
         pending = require_uint(snapshot, "pending_free", where)
         if not isinstance(snapshot.get("collision_pending"), bool):
             fail(f"{where}: 'collision_pending' must be a bool")
@@ -159,6 +160,11 @@ def check_engine(snapshot, population, width):
             fail(f"{where}: round in progress without touched agents")
         if 2 * pending > total:
             fail(f"{where}: pending pairs exceed the untouched pool")
+        # A round is counted when it opens and its collision when it
+        # closes, so only the round in progress lacks one.
+        if rounds != collisions + int(snapshot["collision_pending"]):
+            fail(f"{where}: rounds {rounds} != collisions {collisions} + "
+                 f"collision_pending")
 
 
 def check_file(path):

@@ -31,8 +31,8 @@ enum class engine_kind : std::uint8_t {
   census,   ///< count vector only; samples the ordered *state* pair in O(q)
   batched,  ///< census + geometric batches that skip identity interactions
   /// census + aggregated ~sqrt(n)-interaction rounds (exact birthday /
-  /// hypergeometric law, alias or multinomial outcome splits); o(1) work
-  /// per interaction even on dense kernels.
+  /// hypergeometric law, one multinomial outcome split per pair type);
+  /// o(1) work per interaction even on dense kernels.
   multibatch,
 };
 

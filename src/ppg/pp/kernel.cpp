@@ -98,6 +98,15 @@ kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
   }
   compile_responder_classes();
   compile_partner_laws();
+  // Both compile steps judge the raw masses. From here on every pair's
+  // stored law sums to 1 up to rounding, the law its alias table draws
+  // and the one a multinomial split of its cell is handed.
+  for (std::size_t pair = 0; pair + 1 < offsets_.size(); ++pair) {
+    const auto begin = probabilities_.begin() + offsets_[pair];
+    const auto end = probabilities_.begin() + offsets_[pair + 1];
+    const double total = std::accumulate(begin, end, 0.0);
+    for (auto p = begin; p != end; ++p) *p /= total;
+  }
 }
 
 bool kernel_table::same_initiator_law(agent_state u, agent_state a,

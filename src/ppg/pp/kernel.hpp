@@ -132,13 +132,16 @@ class kernel_table {
 
   /// The `k`-th support point of the pair's distribution, with its stored
   /// probability — the enumeration the multibatch engine splits a cell's
-  /// pairs over when it takes the multinomial branch.
+  /// pairs over.
   [[nodiscard]] outcome outcome_at(agent_state initiator,
                                    agent_state responder,
                                    std::size_t k) const;
 
   /// The pair's num_outcomes probabilities, in outcome_at order: the
-  /// vector a multinomial split of the pair's cell draws from.
+  /// vector a multinomial split of the pair's cell draws from. They are
+  /// the protocol's masses divided by their total, so they sum to 1 up to
+  /// rounding: the law sample() draws (construction accepts totals within
+  /// 1e-9 of 1).
   [[nodiscard]] const double* probabilities(agent_state initiator,
                                             agent_state responder) const {
     return probabilities_.data() + offsets_[index(initiator, responder)];

@@ -6,26 +6,6 @@
 #include "ppg/util/error.hpp"
 
 namespace ppg {
-namespace {
-
-/// The alias/multinomial crossover c of alias_pairs_per_outcome(). An
-/// alias draw costs a fixed ~11-15 ns; a conditional binomial takes
-/// geometric skips below mean 10 and one BTRS draw (~40-80 ns) above. The
-/// per-cell split timings of throughput_micro (support 2 to 64, DESIGN.md
-/// §8) put the alias/multinomial time ratio at ~0.5 for 8 pairs per
-/// outcome, 0.6-1.1 for 12 and 1.3-2.2 for 16, so the measured crossing is
-/// 8-16 at every support. c stays 32 until both branches are re-measured
-/// on the kernels that still split cells: partner-keyed rounds split none,
-/// so no perfbench workload reaches either branch, and of the committed
-/// kernels only proportional imitation does (support 2 one-way, <= 4
-/// two-way).
-constexpr std::uint64_t alias_crossover = 32;
-
-}  // namespace
-
-std::uint64_t multibatch_engine::alias_pairs_per_outcome() {
-  return alias_crossover;
-}
 
 multibatch_engine::multibatch_engine(
     std::shared_ptr<const kernel_table> kernel,
@@ -80,6 +60,8 @@ void multibatch_engine::check_round_invariants() const {
   PPG_DCHECK(2 * pending_free_ <= untouched_total_,
              "multibatch invariant: residual free run exceeds the untouched "
              "pool");
+  PPG_DCHECK(rounds_ == collisions_ + (mid_round() ? 1u : 0u),
+             "multibatch invariant: rounds disagree with collisions");
 #endif
 }
 
@@ -141,6 +123,11 @@ void multibatch_engine::restore_state(const json& snapshot) {
   PPG_CHECK(pending_free <= untouched_total / 2,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
+  // run() counts a round when it opens and a collision when the round
+  // closes, so only the round in progress, if any, has no collision yet.
+  PPG_CHECK(collisions <= rounds &&
+                rounds - collisions == (collision_pending ? 1u : 0u),
+            "multibatch snapshot: rounds disagree with collisions");
   commit(std::move(state));
   untouched_ = std::move(untouched);
   untouched_total_ = untouched_total;
@@ -149,45 +136,29 @@ void multibatch_engine::restore_state(const json& snapshot) {
   collisions_ = collisions;
 }
 
-template <class Add>
-void multibatch_engine::split_pairs(agent_state u, agent_state v,
-                                    std::uint64_t m, Add&& add) {
-  const std::size_t support = kernel_->num_outcomes(u, v);
-  if (support == 1) {
-    // Deterministic pair: no draws, mirroring every engine's fast path.
-    const outcome o = kernel_->outcome_at(u, v, 0);
-    add(o.initiator, o.responder, m);
-    return;
-  }
-  if (m <= alias_crossover * support) {
-    for (std::uint64_t i = 0; i < m; ++i) {
-      const auto [next_initiator, next_responder] =
-          kernel_->sample(u, v, gen_);
-      add(next_initiator, next_responder, 1);
-    }
-    return;
-  }
-  split_.resize(support);
-  sample_multinomial(m, kernel_->probabilities(u, v), support, gen_,
-                     split_.data());
-  for (std::size_t k = 0; k < support; ++k) {
-    if (split_[k] == 0) continue;
-    const outcome o = kernel_->outcome_at(u, v, k);
-    add(o.initiator, o.responder, split_[k]);
-  }
-}
-
 void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
                                         std::uint64_t m) {
   // The m initiators are agents of state u, so removing them first never
   // goes below zero.
   counts_[u] -= m;
-  split_pairs(u, v, m,
-              [this](agent_state initiator, agent_state responder,
-                     std::uint64_t k) {
-                counts_[initiator] += k;
-                counts_[responder] += k;
-              });
+  const auto land = [this, u, v](std::size_t k, std::uint64_t count) {
+    const outcome o = kernel_->outcome_at(u, v, k);
+    counts_[o.initiator] += count;
+    counts_[o.responder] += count;
+  };
+  const std::size_t support = kernel_->num_outcomes(u, v);
+  if (support == 1) {
+    // Deterministic pair: no draws, mirroring every engine's fast path.
+    land(0, m);
+  } else {
+    // The law of m independent draws of the pair's outcome.
+    split_.resize(support);
+    sample_multinomial(m, kernel_->probabilities(u, v), support, gen_,
+                       split_.data());
+    for (std::size_t k = 0; k < support; ++k) {
+      if (split_[k] > 0) land(k, split_[k]);
+    }
+  }
   // The responders leave after the outcomes land. On a general row they
   // are agents of state v. A classed or ignoring row passes its class
   // representative as v, and every outcome puts the responder back in v,

@@ -36,11 +36,9 @@
 //     responder take the rest with no draw. Every such responder has left
 //     the untouched pool and stays in its own state, so it is touched with
 //     no further bookkeeping;
-//  4. the outcome split of each pair type's m pairs draws them one by one
-//     with kernel_table::sample (one alias draw each) when m <=
-//     alias_pairs_per_outcome() times the pair's support, and as one
-//     multinomial over its outcome distribution otherwise (deterministic
-//     pairs consume no draws);
+//  4. each pair type's m pairs split over its outcomes by one multinomial
+//     over the pair's outcome law, |support| - 1 conditional binomials
+//     (deterministic pairs consume no draws);
 //  5. the one colliding interaction is resolved sequentially — its pair is
 //     uniform over ordered agent pairs with at least one touched agent —
 //     after which the untouched pool is reset to the census and a new round
@@ -52,25 +50,25 @@
 // partner-keyed round costs O(q) hypergeometrics plus D binomials, D the
 // partner laws' support points past the first of each law (q(q-1), or
 // 2q(q-1) two-way, at full support), whatever J. Any other round costs
-// O(q + D + sum over occupied pair cells of min(m_cell, support)), where D
-// = q * #general rows + C * #classed rows is the matching's category count
-// (q^2 when every row is general, 2k for one-way k-IGT): a cell of m pairs
-// pays m O(1) alias draws while m <= 32 * support, and one binomial per
-// outcome above that. Either way the collision adds O(q). Rounds shrink
-// with n (the birthday law adapts by itself), and rounds below max(16, 4D)
-// pairs take a sequential per-pair path, so small populations degrade
-// gracefully to exactly the census engine's per-interaction cost.
+// O(q + D + sum over occupied pair cells of (support - 1)) binomials and
+// hypergeometrics, where D = q * #general rows + C * #classed rows is the
+// matching's category count (q^2 when every row is general, 2k for one-way
+// k-IGT), whatever the cells' sizes. Either way the collision adds O(q).
+// Rounds shrink with n (the birthday law adapts by itself), and rounds
+// below max(16, 4D) pairs take a sequential per-pair path, so small
+// populations degrade gracefully to exactly the census engine's
+// per-interaction cost.
 //
 // Every draw of a round comes from the engine's one generator, in a fixed
 // order: the birthday length, the initiator and responder MVH samples over
 // the untouched pool; then, partner-keyed, the initiator sums by responder
 // state and the responder sums by initiator state; otherwise the
 // conditional MVH matching rows (general rows, then classed rows), each
-// cell's outcome split (its alias draws or its multinomial) as the
-// matching row fills it, and the splits of the rows that ignore their
-// responder; and last the collision. A round is therefore one exact draw
-// of the census Markov chain's aggregated step, and a trajectory is a pure
-// function of its seed and run() chunk schedule.
+// cell's outcome multinomial as the matching row fills it, and the
+// multinomials of the rows that ignore their responder; and last the
+// collision. A round is therefore one exact draw of the census Markov
+// chain's aggregated step, and a trajectory is a pure function of its seed
+// and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
@@ -120,12 +118,6 @@ class multibatch_engine final : public census_level_engine {
     return aggregate_threshold_;
   }
 
-  /// A cell of m disjoint pairs over a kernel support of size S draws its
-  /// outcomes one by one from the kernel's alias table when m <= this * S,
-  /// and splits them by one multinomial otherwise (DESIGN.md §8 has the
-  /// measured crossover).
-  [[nodiscard]] static std::uint64_t alias_pairs_per_outcome();
-
   /// The residual-round carry: collision-free interactions of the current
   /// round drawn but not yet applied because a run() budget truncated the
   /// round (the birthday law is not memoryless, so the remainder carries
@@ -151,7 +143,8 @@ class multibatch_engine final : public census_level_engine {
   /// set, known state_version, engine == "multibatch", width/population/
   /// state-space agreement, and the round-state invariants (pools
   /// partition the census, untouched_total matches the pool, residual
-  /// carry only mid-round, collision_pending == (untouched_total < n)).
+  /// carry only mid-round, collision_pending == (untouched_total < n),
+  /// rounds == collisions + collision_pending).
   /// Throws invariant_error and leaves the engine unchanged on any
   /// violation.
   void restore_state(const json& snapshot) override;
@@ -159,9 +152,10 @@ class multibatch_engine final : public census_level_engine {
  private:
   /// Debug-asserted structural invariants of the round state (the
   /// untouched pool fits in the census and sums to its total, carry only
-  /// mid-round); active at every run() entry in Debug/ASan builds,
-  /// compiled out in Release. restore_state enforces the same relations
-  /// unconditionally via PPG_CHECK.
+  /// mid-round, one round more than collisions exactly mid-round); active
+  /// at every run() entry in Debug/ASan builds, compiled out in Release.
+  /// restore_state enforces the same relations unconditionally via
+  /// PPG_CHECK.
   void check_round_invariants() const;
 
   void apply_free_aggregate(std::uint64_t free);
@@ -170,14 +164,9 @@ class multibatch_engine final : public census_level_engine {
   /// responders_ hold the run's A and B: removes both from the census and
   /// adds the multinomial outcome sums of the partner laws.
   void apply_partner_keyed();
-  /// Splits `m` disjoint (u, v) interactions over the pair's outcomes —
-  /// no draw for a deterministic pair, m alias draws while m <= c *
-  /// support, one multinomial above — and calls add(initiator', responder',
-  /// count) per drawn outcome.
-  template <class Add>
-  void split_pairs(agent_state u, agent_state v, std::uint64_t m, Add&& add);
   /// Applies `m` disjoint (u, v) interactions to the census: removes the
-  /// pairs and adds their outcomes. A one-way row passes its class
+  /// pairs and adds their outcomes, split by one multinomial over the
+  /// pair's outcome law (no draw for a deterministic pair). A one-way row passes its class
   /// representative (or 0 when it ignores its responder) as v; the
   /// responders' own states are then left as they were.
   void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);

@@ -267,6 +267,40 @@ TEST(Checkpoint, BitExactResumeHawkDoveLogitPartnerKeyedRound) {
   expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 506, true);
 }
 
+// Proportional-imitation RPS at n = 10^5: its kernel is not partner-keyed
+// and every row is general, so rounds of ~199 pairs against a threshold of
+// 36 draw a q x q matching and split each randomized cell by one
+// multinomial; the checkpoint at 4000 interactions lands inside one.
+TEST(Checkpoint, BitExactResumeProportionalRpsSplitCellRound) {
+  const char* recipe_text =
+      R"({"protocol": {"name": "matrix-game",
+                       "params": {"game": {"name": "rock-paper-scissors",
+                                           "win": 1.0, "loss": 1.0},
+                                  "rule": {"name": "proportional-imitation",
+                                           "rate": 0.8},
+                                  "discipline": "one_way"}},
+          "initial_counts": [45000, 35000, 20000], "sampling": "distinct"})";
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
+  const kernel_table kernel(recipe.spec().proto());
+  ASSERT_FALSE(kernel.partner_keyed());
+  EXPECT_EQ(kernel.rows(kernel_table::row_shape::general).size(), 3u);
+  // The three pairs whose initiator loses split over two outcomes.
+  std::size_t split_pairs = 0;
+  for (agent_state u = 0; u < 3; ++u) {
+    for (agent_state v = 0; v < 3; ++v) {
+      split_pairs += kernel.num_outcomes(u, v) == 2 ? 1u : 0u;
+    }
+  }
+  EXPECT_EQ(split_pairs, 3u);
+  rng gen(507);
+  const auto engine = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  EXPECT_EQ(mb.aggregate_threshold(), 36u);
+  engine->run(4000);
+  EXPECT_GT(mb.interactions(), 4 * mb.aggregate_threshold() * mb.rounds());
+  expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 507, true);
+}
+
 TEST(Checkpoint, BitExactResumeRumor) {
   for (const auto kind : all_kinds) {
     expect_bit_exact_resume(rumor_recipe_text(), kind, 503);
@@ -620,6 +654,14 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     bad["collision_pending"] = true;
     expect_rejected(*mb_target, bad,
                     "round in progress without touched agents");
+  }
+  {  // A round counted twice: rounds must be collisions plus the round in
+     // progress.
+    json bad = mid;
+    ASSERT_EQ(json_require_uint(mid, "rounds", where),
+              json_require_uint(mid, "collisions", where) + 1);
+    bad["rounds"] = json_require_uint(mid, "rounds", where) + 1;
+    expect_rejected(*mb_target, bad, "rounds disagree with collisions");
   }
   // The untampered snapshot still restores.
   mb_target->restore_state(mid);

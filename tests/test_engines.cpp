@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -399,8 +400,18 @@ TEST(Kernel, PartnerKeyedCompiles) {
   // One-way, the same point missing from every pair of responder 1: the
   // marginals agree, but f(.|1) covers only 1 - 5e-10.
   EXPECT_TRUE(kernel_table(one_way_protocol(thin)).partner_keyed());
-  EXPECT_FALSE(kernel_table(one_way_protocol({{0.3, 0.7}, {1.0 - 5e-10}}))
-                   .partner_keyed());
+  const kernel_table short_mass(one_way_protocol({{0.3, 0.7}, {1.0 - 5e-10}}));
+  EXPECT_FALSE(short_mass.partner_keyed());
+  // The partner-keyed test judged the raw masses above; the stored laws
+  // are normalized, so every pair's probabilities() sum to 1.
+  for (agent_state u = 0; u < 2; ++u) {
+    for (agent_state v = 0; v < 2; ++v) {
+      const double* p = short_mass.probabilities(u, v);
+      EXPECT_NEAR(std::accumulate(p, p + short_mass.num_outcomes(u, v), 0.0),
+                  1.0, 1e-15)
+          << "pair (" << u << ", " << v << ")";
+    }
+  }
 }
 
 TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {

@@ -315,24 +315,51 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
   }
 }
 
+// Proportional imitation with mutation: with probability `mutation` the
+// reviser draws a strategy uniformly, and otherwise it revises by
+// proportional imitation. Both sides of a two-way pair can then move, so
+// over q = 2 every pair has four outcomes; the law depends on the
+// reviser's own strategy, so the kernel is not partner-keyed.
+class mutating_imitation_rule final : public update_rule {
+ public:
+  mutating_imitation_rule(double rate, double mutation)
+      : imitation_(rate), mutation_(mutation) {}
+  [[nodiscard]] std::vector<double> revise(
+      const game_matrix& g, std::size_t self,
+      std::size_t partner) const override {
+    auto out = imitation_.revise(g, self, partner);
+    const double uniform = mutation_ / static_cast<double>(out.size());
+    for (double& p : out) p = (1.0 - mutation_) * p + uniform;
+    return out;
+  }
+  [[nodiscard]] std::string name() const override {
+    return "mutating-imitation";
+  }
+
+ private:
+  proportional_imitation_rule imitation_;
+  double mutation_;
+};
+
 // At the n <= 240 of the suite above, collision-free runs of ~8-10 pairs
 // never reach the aggregate threshold, so only the sequential path runs.
 // At n = 20,000 rounds average ~90 pairs and the aggregate path carries
 // nearly every interaction; its law must still match the census engine's.
 // Logit kernels are partner-keyed: their rounds draw the outcome sums from
 // the partner laws, with no matching table. The other kernels draw MVH
-// pair tables and split each cell: cells of ~10-22 pairs sit below the
-// alias crossover, so those split by alias draws; at n = 10^6 rounds
-// average ~630 pairs, cells ~200, and the multinomial split carries the
-// proportional-imitation hawk-dove case. The cases marked with a chunk
-// advance in run(997) calls, so budget splits land at many offsets inside
-// classed or partner-keyed rounds and collisions meet pools left by
-// truncated aggregates; the others run as one run(steps) call.
+// pair tables and split each cell of a randomized pair by one multinomial:
+// cells of ~10-22 pairs at n = 20,000, ~200 in the hawk-dove case at
+// n = 10^6. Proportional imitation lets at most one side of a pair move
+// (the payoff gap is antisymmetric), so its cells have two outcomes, one-
+// or two-way; the mutating two-way case's have four. The cases marked
+// with a chunk advance in run(997) calls, so budget splits land at many
+// offsets inside classed or partner-keyed rounds and collisions meet pools
+// left by truncated aggregates; the others run as one run(steps) call.
 TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   using row_shape = kernel_table::row_shape;
-  /// Which outcome split the case's cells take, or partner_keyed when its
-  /// rounds draw no cells.
-  enum class split { alias, multinomial, deterministic, partner_keyed };
+  /// Whether the case's cells split by multinomials, draw nothing, or are
+  /// never drawn because its rounds are partner-keyed.
+  enum class split { multinomial, deterministic, partner_keyed };
   struct aggregate_case {
     std::string label;
     game_protocol proto;
@@ -341,6 +368,8 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     split cells;
     bool classed;  ///< whether the kernel has classed rows
     std::uint64_t chunk = 0;  ///< run() chunk size; 0 runs all steps at once
+    /// The largest pair support of a split::multinomial case.
+    std::size_t support = 0;
   };
   std::vector<std::uint64_t> igt_counts(10, 0);
   igt_counts[igt_encoding::ac] = 10'000;
@@ -379,7 +408,7 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       {"proportional/rps",
        game_protocol(rock_paper_scissors_matrix(),
                      std::make_shared<proportional_imitation_rule>(0.8)),
-       {9'000, 7'000, 4'000}, 40'000, split::alias, false},
+       {9'000, 7'000, 4'000}, 40'000, split::multinomial, false, 0, 2},
       // A tenth of parallel time from the even start: the census drifts
       // towards the fixed point by ~7e3 agents against a spread of ~200,
       // so a biased outcome sum would shift it by many spreads.
@@ -390,11 +419,27 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       // Doves meeting hawks switch with probability 0.4, and nothing else
       // moves: in a tenth of parallel time from 10% hawks ~3.7e3 doves
       // switch, against a spread of ~60. Cells of ~200 pairs over 2
-      // outcomes, above twice the crossover, take the multinomial split.
-      {"proportional/hawk-dove one-way, multinomial split",
+      // outcomes.
+      {"proportional/hawk-dove one-way, large cells",
        game_protocol(hawk_dove_matrix(1.0, 3.0),
                      std::make_shared<proportional_imitation_rule>(0.8)),
-       {100'000, 900'000}, 100'000, split::multinomial, false},
+       {100'000, 900'000}, 100'000, split::multinomial, false, 0, 2},
+      // Two-way, every row is general and the loser of a pair may switch
+      // as initiator or as responder, so the cells' outcomes move
+      // responders too (threshold 36, rounds of ~199 pairs at n = 10^5).
+      {"proportional/rps two-way",
+       game_protocol(rock_paper_scissors_matrix(),
+                     std::make_shared<proportional_imitation_rule>(0.8),
+                     revision_discipline::two_way),
+       {50'000, 35'000, 15'000}, 100'000, split::multinomial, false, 0, 2},
+      // Both sides mutate with probability 0.2 and imitate otherwise:
+      // every pair has four outcomes, so each cell of ~50 pairs draws a
+      // three-binomial multinomial (threshold 16, rounds of ~199 pairs).
+      {"mutating imitation/hawk-dove two-way, four outcomes",
+       game_protocol(hawk_dove_matrix(1.0, 3.0),
+                     std::make_shared<mutating_imitation_rule>(0.8, 0.2),
+                     revision_discipline::two_way),
+       {10'000, 90'000}, 100'000, split::multinomial, false, 0, 4},
       {"logit q=3 two-way", logit_q3, logit_q3_counts, 50'000,
        split::partner_keyed, false},
       {"coordination logit one-way", game_protocol(coordination, sharp_logit),
@@ -424,15 +469,15 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       // Strategy a beats b and c, which tie with each other: b and c
       // initiators switch to a with probability 0.8 against a, and stay
       // otherwise. Responders b and c share a class, so C = 2 < q = 3,
-      // the b and c rows are classed with random outcomes, split by alias
-      // draws, and the a row ignores its responder. The statistic drifts
-      // by ~7.6e3 against a spread of ~140.
+      // the b and c rows are classed with random outcomes, split by
+      // multinomials of ~20 pairs, and the a row ignores its responder.
+      // The statistic drifts by ~7.6e3 against a spread of ~140.
       {"proportional one-way, tied columns, classed rows",
        game_protocol(game_matrix({"a", "b", "c"}, {2.0, 2.0, 2.0,  //
                                                    0.0, 1.0, 1.0,  //
                                                    0.0, 1.0, 1.0}),
                      std::make_shared<proportional_imitation_rule>(0.8)),
-       {2'000, 9'000, 9'000}, 40'000, split::alias, true},
+       {2'000, 9'000, 9'000}, 40'000, split::multinomial, true, 0, 2},
       // The k-IGT case again, advanced in run(997) chunks.
       {"igt k=8 one-way, classed rows, run(997) chunks",
        game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
@@ -481,29 +526,14 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
         static_cast<double>(interactions) / static_cast<double>(rounds);
     EXPECT_GT(per_round, 2.0 * static_cast<double>(threshold))
         << c.label << ": rounds too short to exercise the aggregate path";
-    if (c.cells == split::alias || c.cells == split::multinomial) {
-      // A round fills q cells per general row, C per classed row and one
-      // per row that ignores its responder.
-      const std::size_t cells =
-          q * kernel.rows(row_shape::general).size() +
-          kernel.num_responder_classes() * classed +
-          kernel.rows(row_shape::ignores).size();
+    if (c.cells == split::multinomial) {
       std::size_t support = 1;
       for (agent_state u = 0; u < q; ++u) {
         for (agent_state v = 0; v < q; ++v) {
           support = std::max(support, kernel.num_outcomes(u, v));
         }
       }
-      const double mean_cell = per_round / static_cast<double>(cells);
-      const double crossover = static_cast<double>(
-          multibatch_engine::alias_pairs_per_outcome() * support);
-      if (c.cells == split::alias) {
-        EXPECT_LT(mean_cell, crossover)
-            << c.label << ": cells too large for the alias split";
-      } else {
-        EXPECT_GT(mean_cell, 2.0 * crossover)
-            << c.label << ": cells too small for the multinomial split";
-      }
+      EXPECT_EQ(support, c.support) << c.label;
     }
     EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4) << c.label;
   }

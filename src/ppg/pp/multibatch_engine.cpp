@@ -14,7 +14,8 @@ multibatch_engine::multibatch_engine(
       birthday_(n_) {
   // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
   PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
-  // Beyond its two MVH samples, an aggregate round draws D more: a
+  // Beyond its initiator MVH and its responder MVH (q-way, or C-way when
+  // the responders are drawn by class), an aggregate round draws D more: a
   // partner-keyed round one binomial per support point past the first of
   // each partner law (q(q-1), or 2q(q-1) two-way, at full support); any
   // other round a matching over q categories per general row and C per
@@ -22,7 +23,10 @@ multibatch_engine::multibatch_engine(
   // interactions those draws cost more than per-pair O(q) sampling, so
   // short runs (small n: the birthday law scales them as ~sqrt(n)) fall
   // back to the sequential path and the engine degrades to census-engine
-  // cost.
+  // cost. The class-level responder MVH makes a one-way round cheaper by
+  // up to q - C hypergeometrics, which D leaves out: the threshold is the
+  // same for both responder draws.
+  using row_shape = kernel_table::row_shape;
   std::uint64_t draws = 0;
   if (kernel_->partner_keyed()) {
     for (agent_state s = 0; s < kernel_->num_states(); ++s) {
@@ -32,7 +36,6 @@ multibatch_engine::multibatch_engine(
       }
     }
   } else {
-    using row_shape = kernel_table::row_shape;
     draws = kernel_->num_states() * kernel_->rows(row_shape::general).size() +
             kernel_->num_responder_classes() *
                 kernel_->rows(row_shape::classed).size();
@@ -40,6 +43,9 @@ multibatch_engine::multibatch_engine(
   aggregate_threshold_ = std::max<std::uint64_t>(16, 4 * draws);
   untouched_ = counts_;
   untouched_total_ = n_;
+  responders_by_class_ = !kernel_->partner_keyed() &&
+                         kernel_->rows(row_shape::general).empty();
+  class_responders_.assign(kernel_->num_responder_classes(), 0);
 }
 
 void multibatch_engine::check_round_invariants() const {
@@ -62,6 +68,8 @@ void multibatch_engine::check_round_invariants() const {
              "pool");
   PPG_DCHECK(rounds_ == collisions_ + (mid_round() ? 1u : 0u),
              "multibatch invariant: rounds disagree with collisions");
+  PPG_DCHECK(!responders_unresolved_,
+             "multibatch invariant: responders left unresolved by class");
 #endif
 }
 
@@ -182,14 +190,7 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
   sample_multivariate_hypergeometric(untouched_.data(), width, free, gen_,
                                      initiators_.data());
   for (std::size_t s = 0; s < width; ++s) untouched_[s] -= initiators_[s];
-  sample_multivariate_hypergeometric(untouched_.data(), width, free, gen_,
-                                     responders_.data());
-  for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
   untouched_total_ -= 2 * free;
-  if (kernel_->partner_keyed()) {
-    apply_partner_keyed();
-    return;
-  }
   // Each row's initiators draw their partners from the responders still
   // unmatched, by one MVH over `pool`; partner(j) is the state whose
   // outcome law category j's pairs take.
@@ -206,27 +207,69 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
       }
     }
   };
-  match(kernel_->rows(row_shape::general), responders_,
-        [](std::size_t v) { return static_cast<agent_state>(v); });
-  // The remaining responders all meet one-way rows, so none of them moves:
-  // having left the untouched pool, each is touched in its own state. The
-  // matching is uniform and row order is free, so the classed rows split
-  // the remainder's class totals — the MVH over merged categories is the
-  // MVH over their merged totals — and the rows that ignore their
-  // responder take whatever is left without a draw.
-  const auto& classed = kernel_->rows(row_shape::classed);
-  if (!classed.empty()) {
-    class_totals_.assign(kernel_->num_responder_classes(), 0);
+  if (responders_by_class_) {
+    // Every row is one-way, so no responder moves, and the round needs B
+    // only by class: the MVH over merged categories is the MVH over their
+    // merged totals. untouched_ keeps counting B, by state unknown, until
+    // the collision picks from it or run() returns
+    // (resolve_responder_states).
+    class_pool_.assign(class_responders_.size(), 0);
+    for (agent_state v = 0; v < kernel_->num_states(); ++v) {
+      class_pool_[kernel_->responder_class(v)] += untouched_[v];
+    }
+    sample_multivariate_hypergeometric(class_pool_.data(), class_pool_.size(),
+                                       free, gen_, class_responders_.data());
+    responders_unresolved_ = true;
+    class_totals_ = class_responders_;
+  } else {
+    sample_multivariate_hypergeometric(untouched_.data(), width, free, gen_,
+                                       responders_.data());
+    for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
+    if (kernel_->partner_keyed()) {
+      apply_partner_keyed();
+      return;
+    }
+    match(kernel_->rows(row_shape::general), responders_,
+          [](std::size_t v) { return static_cast<agent_state>(v); });
+    // The remaining responders all meet one-way rows, so none of them
+    // moves: having left the untouched pool, each is touched in its own
+    // state. The matching is uniform and row order is free, so the classed
+    // rows split the remainder's class totals.
+    class_totals_.assign(class_responders_.size(), 0);
     for (agent_state v = 0; v < kernel_->num_states(); ++v) {
       class_totals_[kernel_->responder_class(v)] += responders_[v];
     }
-    match(classed, class_totals_, [this](std::size_t c) {
-      return kernel_->class_representative(c);
-    });
   }
+  // The classed rows split the class totals, and the rows that ignore
+  // their responder take whatever is left without a draw.
+  match(kernel_->rows(row_shape::classed), class_totals_,
+        [this](std::size_t c) { return kernel_->class_representative(c); });
   for (const agent_state u : kernel_->rows(row_shape::ignores)) {
     if (initiators_[u] > 0) apply_pair_type(u, 0, initiators_[u]);
   }
+}
+
+void multibatch_engine::resolve_responder_states() {
+  // Within each class, B is a simple random sample of its class total from
+  // the class's part of the untouched pool: one MVH per class.
+  for (std::size_t c = 0; c < class_responders_.size(); ++c) {
+    class_members_.clear();
+    member_counts_.clear();
+    for (agent_state v = 0; v < kernel_->num_states(); ++v) {
+      if (kernel_->responder_class(v) != c) continue;
+      class_members_.push_back(v);
+      member_counts_.push_back(untouched_[v]);
+    }
+    sample_multivariate_hypergeometric(member_counts_.data(),
+                                       member_counts_.size(),
+                                       class_responders_[c], gen_,
+                                       row_.data());
+    for (std::size_t i = 0; i < class_members_.size(); ++i) {
+      untouched_[class_members_[i]] -= row_[i];
+    }
+  }
+  class_responders_.assign(class_responders_.size(), 0);
+  responders_unresolved_ = false;
 }
 
 void multibatch_engine::apply_partner_keyed() {
@@ -247,11 +290,14 @@ void multibatch_engine::apply_partner_keyed() {
   for (std::size_t s = 0; s < width; ++s) {
     counts_[s] -= initiators_[s] + (responders_stay ? 0 : responders_[s]);
   }
-  for (agent_state v = 0; v < width; ++v) {
+  // The laws exist for the kernel's states only; a census wider than the
+  // kernel holds no agent past them.
+  const std::size_t q = kernel_->num_states();
+  for (agent_state v = 0; v < q; ++v) {
     add(responders_[v], kernel_->initiator_law(v));
   }
   if (responders_stay) return;
-  for (agent_state u = 0; u < width; ++u) {
+  for (agent_state u = 0; u < q; ++u) {
     add(initiators_[u], kernel_->responder_law(u));
   }
 }
@@ -274,11 +320,26 @@ void multibatch_engine::apply_free_sequential(std::uint64_t free) {
 }
 
 void multibatch_engine::resolve_collision() {
-  // The touched pool is every agent the round has drawn: the census minus
-  // the untouched pool.
-  touched_pool_.resize(counts_.size());
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
+  // Both pools are indexed like one census over q states and then C
+  // classes. A state entry holds agents of known state; a class entry
+  // holds agents known only by class c, each a uniform member of the
+  // untouched pool's class c before the run's responders left it — which
+  // untouched_ still counts while they are unresolved. The touched pool is
+  // the census minus untouched_, plus the unresolved responders by class;
+  // the untouched pool is untouched_, or its class totals less those
+  // responders.
+  const std::size_t width = counts_.size();
+  const std::size_t classes = class_responders_.size();
+  touched_pool_.resize(width + classes);
+  untouched_pool_.resize(width + classes);
+  for (std::size_t s = 0; s < width; ++s) {
     touched_pool_[s] = counts_[s] - untouched_[s];
+    untouched_pool_[s] = responders_unresolved_ ? 0 : untouched_[s];
+  }
+  for (std::size_t c = 0; c < classes; ++c) {
+    touched_pool_[width + c] = class_responders_[c];
+    untouched_pool_[width + c] =
+        responders_unresolved_ ? class_pool_[c] - class_responders_[c] : 0;
   }
   const std::uint64_t u_total = untouched_total_;
   const std::uint64_t t_total = n_ - u_total;
@@ -297,11 +358,32 @@ void multibatch_engine::resolve_collision() {
   } else if (x < tt + tu) {
     initiator =
         locate(touched_pool_, gen_.next_below(t_total), no_excluded_state);
-    responder = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
+    responder =
+        locate(untouched_pool_, gen_.next_below(u_total), no_excluded_state);
   } else {
-    initiator = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
+    initiator =
+        locate(untouched_pool_, gen_.next_below(u_total), no_excluded_state);
     responder =
         locate(touched_pool_, gen_.next_below(t_total), no_excluded_state);
+  }
+  if (initiator >= width) {
+    // A member of class c: its state is that of a uniform agent of the
+    // class in untouched_.
+    const std::size_t c = initiator - width;
+    std::uint64_t y = gen_.next_below(class_pool_[c]);
+    for (agent_state v = 0;; ++v) {
+      if (kernel_->responder_class(v) != c) continue;
+      if (y < untouched_[v]) {
+        initiator = v;
+        break;
+      }
+      y -= untouched_[v];
+    }
+  }
+  // Every row is one-way here, so the responder stays, and its class fixes
+  // the initiator's law: any member stands in for it, with the same draws.
+  if (responder >= width) {
+    responder = kernel_->class_representative(responder - width);
   }
   const auto [next_initiator, next_responder] =
       kernel_->sample(initiator, responder, gen_);
@@ -312,6 +394,8 @@ void multibatch_engine::resolve_collision() {
   // The round ends: every agent rejoins the untouched pool.
   untouched_ = counts_;
   untouched_total_ = n_;
+  class_responders_.assign(classes, 0);
+  responders_unresolved_ = false;
 }
 
 void multibatch_engine::run(std::uint64_t steps) {
@@ -346,6 +430,9 @@ void multibatch_engine::run(std::uint64_t steps) {
     ++interactions_;
     --remaining;
   }
+  // The round goes on in the next call, and that call and any snapshot
+  // taken before it need the untouched pool by state.
+  if (responders_unresolved_) resolve_responder_states();
 }
 
 }  // namespace ppg

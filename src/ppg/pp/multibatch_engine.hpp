@@ -27,7 +27,14 @@
 //     f(.|v) per responder state v, and the responders' to one of A_u
 //     draws from g(.|u) per initiator state u, or B itself when
 //     responders stay, whichever initiator met which responder. A and B
-//     leave the census and those sums join it; steps 3 and 4 are skipped;
+//     leave the census and those sums join it; steps 3 and 4 are skipped.
+//     When every row is one-way (no general row, not partner-keyed, as in
+//     k-IGT), no responder moves and the round needs B only by class: B is
+//     then one C-way MVH over the class totals of the untouched pool after
+//     A, and the untouched pool keeps counting it. Its per-state
+//     composition is drawn only if a run() budget cuts the round: one MVH
+//     per class, before run() returns, so the untouched pool is exact at
+//     every run() boundary;
 //  3. any other kernel draws a uniform matching by initiator group. It
 //     follows the kernel's row shapes (kernel_table::row_shape): each
 //     general row draws a q-way row over the responders; the responders
@@ -42,7 +49,12 @@
 //  5. the one colliding interaction is resolved sequentially — its pair is
 //     uniform over ordered agent pairs with at least one touched agent —
 //     after which the untouched pool is reset to the census and a new round
-//     begins.
+//     begins. After a round that drew B by class, each pool is a per-state
+//     part plus a per-class part (B_c touched, and the class totals after
+//     A less B_c untouched): an initiator picked from class c takes its
+//     state in proportion to the untouched pool after A within c, and a
+//     responder picked from class c is sampled as the class's
+//     representative, which has its initiator law and stays put.
 //
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
@@ -53,7 +65,9 @@
 // O(q + D + sum over occupied pair cells of (support - 1)) binomials and
 // hypergeometrics, where D = q * #general rows + C * #classed rows is the
 // matching's category count (q^2 when every row is general, 2k for one-way
-// k-IGT), whatever the cells' sizes. Either way the collision adds O(q).
+// k-IGT), whatever the cells' sizes; a one-way round's responder sample
+// costs C - 1 hypergeometrics of those O(q), not q - 1 (k-IGT: 1, not
+// q - 1 = k + 1). Either way the collision adds O(q).
 // Rounds shrink with n (the birthday law adapts by itself), and rounds
 // below max(16, 4D) pairs take a sequential per-pair path, so small
 // populations degrade gracefully to exactly the census engine's
@@ -61,14 +75,16 @@
 //
 // Every draw of a round comes from the engine's one generator, in a fixed
 // order: the birthday length, the initiator and responder MVH samples over
-// the untouched pool; then, partner-keyed, the initiator sums by responder
-// state and the responder sums by initiator state; otherwise the
-// conditional MVH matching rows (general rows, then classed rows), each
-// cell's outcome multinomial as the matching row fills it, and the
-// multinomials of the rows that ignore their responder; and last the
-// collision. A round is therefore one exact draw of the census Markov
-// chain's aggregated step, and a trajectory is a pure function of its seed
-// and run() chunk schedule.
+// the untouched pool (the responders' by class when every row is one-way);
+// then, partner-keyed, the initiator sums by responder state and the
+// responder sums by initiator state; otherwise the conditional MVH
+// matching rows (general rows, then classed rows), each cell's outcome
+// multinomial as the matching row fills it, and the multinomials of the
+// rows that ignore their responder; and last the collision, or, when the
+// budget cuts a round whose responders were drawn by class, their
+// per-class MVHs. A round is therefore one exact draw of the census
+// Markov chain's aggregated step, and a trajectory is a pure function of
+// its seed and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +125,8 @@ class multibatch_engine final : public census_level_engine {
 
   /// Collision-free runs shorter than this take the sequential per-pair
   /// path; longer ones are applied in aggregate. It is max(16, 4D), D the
-  /// round's draws past its two MVH samples: for a partner-keyed kernel
+  /// round's draws past its two MVH samples (q-way, or C-way for the
+  /// responders when every row is one-way): for a partner-keyed kernel
   /// the partner laws' support points past the first of each law (4q(q-1)
   /// one-way and 8q(q-1) two-way at full support), otherwise the
   /// matching's category count (q per general row, C per classed row;
@@ -159,6 +176,12 @@ class multibatch_engine final : public census_level_engine {
   void check_round_invariants() const;
 
   void apply_free_aggregate(std::uint64_t free);
+  /// Draws the per-state composition of the responders an aggregate run
+  /// drew by class (one MVH per class over untouched_ restricted to it)
+  /// and removes them from untouched_: run() calls it before it returns
+  /// inside such a round, so the untouched pool is exact at every run()
+  /// boundary.
+  void resolve_responder_states();
   void apply_free_sequential(std::uint64_t free);
   /// The aggregate step of a partner-keyed kernel, once initiators_ and
   /// responders_ hold the run's A and B: removes both from the census and
@@ -171,11 +194,15 @@ class multibatch_engine final : public census_level_engine {
   /// responders' own states are then left as they were.
   void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);
   /// Applies the round's colliding interaction and ends the round: every
-  /// agent rejoins the untouched pool.
+  /// agent rejoins the untouched pool. Responders still held by class are
+  /// picked by class; an initiator among them takes its state in
+  /// proportion to untouched_ within the class.
   void resolve_collision();
 
   /// Agents no interaction of the current round has drawn, by state; the
-  /// census itself between rounds. counts_ - untouched_ is the touched pool.
+  /// census itself between rounds. counts_ - untouched_ is the touched pool,
+  /// except inside run() while responders_unresolved_: untouched_ then
+  /// still counts the run's responders, which are held by class.
   std::vector<std::uint64_t> untouched_;
   std::uint64_t untouched_total_ = 0;
   std::uint64_t rounds_ = 0;
@@ -187,13 +214,24 @@ class multibatch_engine final : public census_level_engine {
   /// every round of the trajectory.
   collision_run_sampler birthday_;
   std::uint64_t aggregate_threshold_;
+  /// Whether aggregate runs draw their responders by class: the kernel is
+  /// not partner-keyed and has no general row, so every row is one-way.
+  bool responders_by_class_ = false;
   // Round scratch, reused across rounds (no per-round allocation).
+  /// Whether class_responders_ holds the current run's responders, still
+  /// counted in untouched_; false at every run() boundary.
+  bool responders_unresolved_ = false;
+  std::vector<std::uint64_t> class_responders_;  ///< B by class, else 0
+  std::vector<std::uint64_t> class_pool_;  ///< untouched_ by class, after A
   std::vector<std::uint64_t> split_;       ///< multinomial outcome counts
   std::vector<std::uint64_t> initiators_;  ///< initiator census of a run
   std::vector<std::uint64_t> responders_;  ///< responder census (consumed)
   std::vector<std::uint64_t> row_;         ///< one matching row
   std::vector<std::uint64_t> class_totals_;  ///< responders left per class
   std::vector<std::uint64_t> touched_pool_;  ///< derived at each collision
+  std::vector<std::uint64_t> untouched_pool_;  ///< likewise
+  std::vector<agent_state> class_members_;     ///< one class's states
+  std::vector<std::uint64_t> member_counts_;   ///< their untouched_ counts
 };
 
 }  // namespace ppg

@@ -386,6 +386,28 @@ TEST(Checkpoint, MultibatchResumesMidClassedRound) {
   expect_mid_round_resume(recipe_text, 100, 605);
 }
 
+// The paper's workload shape: one-way k = 8 IGT at n = 10^6 from the
+// all-stingy start (threshold 64, rounds of ~627 pairs). The first run(500)
+// is one aggregate part of an open round, whose responders were drawn by
+// class and resolved by state before run() returned; the checkpoint
+// carries that round.
+TEST(Checkpoint, MultibatchResumesMidOneWayIgtRoundAtWorkloadShape) {
+  const char* recipe_text =
+      R"({"protocol": {"name": "igt",
+                       "params": {"k": 8, "discipline": "one_way"}},
+          "initial_counts": [100000, 200000, 700000, 0, 0, 0, 0, 0, 0, 0],
+          "sampling": "distinct"})";
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
+  rng gen(606);
+  const auto engine = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  EXPECT_EQ(mb.aggregate_threshold(), 64u);
+  engine->run(500);
+  ASSERT_EQ(mb.rounds(), 1u);
+  ASSERT_GT(mb.residual_free(), 0u) << "the first round ended inside 500";
+  expect_mid_round_resume(recipe_text, 500, 606);
+}
+
 // --- recipe fingerprints ---------------------------------------------------
 
 TEST(Fingerprint, InvariantUnderSourceFormatting) {

@@ -32,6 +32,7 @@
 #include "ppg/pp/protocols/leader_election.hpp"
 #include "ppg/pp/protocols/rumor.hpp"
 #include "ppg/stats/chi_square.hpp"
+#include "ppg/stats/distributions.hpp"
 #include "ppg/stats/empirical.hpp"
 #include "ppg/util/error.hpp"
 
@@ -682,6 +683,24 @@ TEST(Engines, MultibatchAggregatesDenseKernelsAtScale) {
   EXPECT_LT(multibatch->rounds() + multibatch->collisions(), 100'000u);
 }
 
+TEST(Engines, MultibatchPartnerKeyedRoundsReadOnlyTheKernelsStates) {
+  // Two-way logit hawk-dove is partner-keyed, and its laws exist for the
+  // kernel's two states only; the census is one state wider (it stays
+  // empty), so a round must not look up a law for the extra state.
+  const game_protocol proto(hawk_dove_matrix(1.0, 3.0),
+                            std::make_shared<logit_response_rule>(0.5),
+                            revision_discipline::two_way);
+  ASSERT_TRUE(kernel_table(proto).partner_keyed());
+  const sim_spec spec(proto, std::vector<std::uint64_t>{500'000, 500'000, 0});
+  rng gen(110);
+  const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+  engine->run(100'000);
+  EXPECT_EQ(engine->interactions(), 100'000u);
+  EXPECT_EQ(engine->census().count(0) + engine->census().count(1),
+            1'000'000u);
+  EXPECT_EQ(engine->census().count(2), 0u);
+}
+
 TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {
   // run() boundaries land mid-round; the residual collision-free run is
   // carried across calls, so odd-sized chunks must keep the interaction
@@ -700,6 +719,56 @@ TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {
     std::uint64_t total = 0;
     for (const auto c : engine->census().counts()) total += c;
     EXPECT_EQ(total, 500u);
+  }
+}
+
+TEST(Engines, MultibatchUntouchedPoolAfterABudgetCutIsExact) {
+  // One-way k = 3 IGT at n = 10^5: threshold 24, rounds of ~198 pairs.
+  // run(100) on a fresh engine whose round is still open after it (one
+  // round, no collision) has drawn the first 100 interactions of a
+  // collision-free run, and their 200 agents are a uniform subset of the
+  // census. The snapshot's untouched pool is then x0 minus one MVH(x0, 200)
+  // draw exactly, so each state's removed count is hypergeometric. The
+  // aggregate run drew the responders by class; a resolution that did not
+  // draw their states within each class by MVH (say, a fill in state
+  // order) fails here.
+  const std::size_t k = 3;
+  const igt_protocol proto(k);
+  const std::vector<std::uint64_t> x0 = {15'000, 25'000, 20'000, 25'000,
+                                         15'000};
+  constexpr std::uint64_t n = 100'000;
+  constexpr std::uint64_t steps = 100;
+  const sim_spec spec(proto, x0);
+  constexpr std::size_t engines = 12'000;
+  std::vector<std::vector<std::uint64_t>> removed(
+      x0.size(), std::vector<std::uint64_t>(2 * steps + 1, 0));
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < engines; ++r) {
+    rng gen = make_stream_rng(2501, r);
+    const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+    const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+    ASSERT_EQ(mb.aggregate_threshold(), 24u);
+    engine->run(steps);
+    if (mb.rounds() != 1 || mb.collisions() != 0) continue;
+    ++kept;
+    const json snapshot = engine->save_state();
+    EXPECT_EQ(json_require_uint(snapshot, "untouched_total", "snapshot"), n - 2 * steps);
+    const auto untouched =
+        json_require_uint_array(snapshot, "untouched", "snapshot");
+    for (std::size_t s = 0; s < x0.size(); ++s) {
+      ASSERT_LE(untouched[s], x0[s]);
+      ASSERT_LE(x0[s] - untouched[s], 2 * steps);
+      ++removed[s][x0[s] - untouched[s]];
+    }
+  }
+  // P(J >= 100) ~ exp(-2 * 99^2 / n) ~ 0.82.
+  EXPECT_GT(kept, engines / 2);
+  for (std::size_t s = 0; s < x0.size(); ++s) {
+    std::vector<double> pmf(2 * steps + 1);
+    for (std::uint64_t x = 0; x <= 2 * steps; ++x) {
+      pmf[x] = hypergeometric_pmf(n, x0[s], 2 * steps, x);
+    }
+    EXPECT_GT(chi_square_gof(removed[s], pmf).p_value, 1e-4) << "state " << s;
   }
 }
 

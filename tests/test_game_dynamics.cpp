@@ -370,6 +370,8 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     std::uint64_t chunk = 0;  ///< run() chunk size; 0 runs all steps at once
     /// The largest pair support of a split::multinomial case.
     std::size_t support = 0;
+    /// Whether the run() chunks cycle through 1, 2, ..., chunk instead.
+    bool cycle = false;
   };
   std::vector<std::uint64_t> igt_counts(10, 0);
   igt_counts[igt_encoding::ac] = 10'000;
@@ -482,6 +484,13 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       {"igt k=8 one-way, classed rows, run(997) chunks",
        game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
        igt_counts, 50'000, split::deterministic, true, 997},
+      // And in chunks of 1, 2, ..., 300 interactions, so budget cuts land
+      // at every offset of its ~198-pair rounds: parts below the threshold
+      // of 64 take the sequential path, the rest the aggregate path, whose
+      // responders are drawn by class and resolved by state at each cut.
+      {"igt k=8 one-way, classed rows, run() chunks cycling 1..300",
+       game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
+       igt_counts, 50'000, split::deterministic, true, 300, 0, true},
   };
   const auto statistic = [](const census_view& census) {
     double mass = 0.0;
@@ -511,9 +520,14 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
     for (std::size_t r = 0; r < replicas; ++r) {
       rng gen = make_stream_rng(master, r);
       const auto engine = spec.make_engine(engine_kind::multibatch, gen);
-      const std::uint64_t chunk = c.chunk == 0 ? c.steps : c.chunk;
-      for (std::uint64_t done = 0; done < c.steps; done += chunk) {
-        engine->run(std::min(chunk, c.steps - done));
+      std::uint64_t done = 0;
+      for (std::uint64_t i = 0; done < c.steps; ++i) {
+        const std::uint64_t chunk = c.chunk == 0 ? c.steps
+                                    : c.cycle    ? i % c.chunk + 1
+                                                 : c.chunk;
+        const std::uint64_t step = std::min(chunk, c.steps - done);
+        engine->run(step);
+        done += step;
       }
       multibatch.push_back(statistic(engine->census()));
       const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);

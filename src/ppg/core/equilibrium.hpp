@@ -50,6 +50,7 @@ class igt_equilibrium_analyzer {
 
   /// E_{S~mu_hat}[f(g, S)] for an arbitrary generosity g in [0, g_max]
   /// (used for the f(g_tilde, S) comparisons in the proof of Theorem 2.9).
+  /// Test oracle: tests/test_equilibrium.cpp checks the deviation payoffs.
   [[nodiscard]] double payoff_vs_mixture(double g,
                                          const std::vector<double>& mu) const;
 
@@ -58,6 +59,7 @@ class igt_equilibrium_analyzer {
   /// a coarse scan (payoff is smooth but not necessarily unimodal over the
   /// whole interval, hence the scan). The distance |g_avg - g*| is the
   /// quantity the Theorem 2.9 proof bounds by O(1/k).
+  /// Test oracle: tests/test_properties.cpp checks the DE analysis with it.
   [[nodiscard]] double best_response_generosity(
       const std::vector<double>& mu) const;
 

@@ -46,6 +46,7 @@ class igt_count_chain {
   }
 
   /// Normalized census: the paper's mu_t in Delta(G).
+  /// Paper result (Theorem 2.7's level law), checked by tests/test_igt.cpp.
   [[nodiscard]] std::vector<double> level_distribution() const;
 
  private:

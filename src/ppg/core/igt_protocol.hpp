@@ -31,6 +31,8 @@ struct igt_encoding {
   static constexpr agent_state first_gtft = 2;
 
   [[nodiscard]] static bool is_gtft(agent_state s) { return s >= first_gtft; }
+  /// GTFT level of a GTFT state. Test oracle: the reference IGT update in
+  /// tests/test_game_dynamics.cpp.
   [[nodiscard]] static std::size_t level(agent_state s);
   [[nodiscard]] static agent_state gtft(std::size_t level);
 };

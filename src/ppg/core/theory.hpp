@@ -27,6 +27,7 @@ namespace ppg {
 
 /// Proposition D.2's bound on Var_{g ~ mu}[g]: 16/(k-1)^2 (stated for the
 /// lambda >= 2 regime of Theorem 2.9).
+/// Paper result, checked by tests/test_theory.cpp.
 [[nodiscard]] double generosity_variance_bound(std::size_t k);
 
 /// Exact variance of g under the normalized mean stationary distribution

@@ -40,6 +40,7 @@ namespace ppg {
 /// binomially-thinned clock. Computed exactly by conditioning on the
 /// number of times the ball was selected (truncated at negligible tail
 /// mass).
+/// Paper result, checked by tests/test_birth_death.cpp.
 [[nodiscard]] std::vector<double> single_ball_marginal(
     const ehrenfest_params& params, std::size_t start, std::uint64_t t);
 

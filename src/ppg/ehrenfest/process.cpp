@@ -46,10 +46,4 @@ void ehrenfest_process::step(rng& gen) {
   ++time_;
 }
 
-void ehrenfest_process::run(std::uint64_t steps, rng& gen) {
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    step(gen);
-  }
-}
-
 }  // namespace ppg

@@ -46,9 +46,6 @@ class ehrenfest_process {
   /// One step of the chain (one potential ball move).
   void step(rng& gen);
 
-  /// Runs `steps` steps.
-  void run(std::uint64_t steps, rng& gen);
-
   [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
     return counts_;
   }

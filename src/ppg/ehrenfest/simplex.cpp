@@ -29,13 +29,6 @@ simplex_index::simplex_index(std::size_t k, std::uint64_t m,
   size_ = static_cast<std::size_t>(table_[k][m]);
 }
 
-std::uint64_t simplex_index::compositions(std::size_t parts,
-                                          std::uint64_t total) const {
-  PPG_CHECK(parts >= 1 && parts <= k_ && total <= m_,
-            "compositions query out of table range");
-  return table_[parts][total];
-}
-
 std::size_t simplex_index::rank(const std::vector<std::uint64_t>& x) const {
   PPG_CHECK(x.size() == k_, "composition length mismatch");
   const std::uint64_t total =

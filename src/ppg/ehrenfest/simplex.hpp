@@ -28,6 +28,7 @@ class simplex_index {
   [[nodiscard]] std::size_t rank(const std::vector<std::uint64_t>& x) const;
 
   /// Inverse of rank().
+  /// Planned production use: ROADMAP item 11's exact-law oracle.
   [[nodiscard]] std::vector<std::uint64_t> unrank(std::size_t index) const;
 
   /// First composition in lexicographic order: (0, 0, ..., m).
@@ -36,11 +37,6 @@ class simplex_index {
   /// Advances to the next composition in lexicographic order; returns false
   /// when x was the last one ((m, 0, ..., 0)).
   [[nodiscard]] bool next(std::vector<std::uint64_t>& x) const;
-
-  /// Number of compositions of `total` into `parts` parts:
-  /// C(total+parts-1, parts-1), from the precomputed table.
-  [[nodiscard]] std::uint64_t compositions(std::size_t parts,
-                                           std::uint64_t total) const;
 
  private:
   std::size_t k_;

@@ -24,8 +24,10 @@ std::vector<double> ehrenfest_stationary_mean(
 
 std::vector<std::uint64_t> sample_ehrenfest_stationary(
     const ehrenfest_params& params, rng& gen) {
-  return sample_multinomial(params.m, ehrenfest_stationary_probs(params),
-                            gen);
+  const std::vector<double> probs = ehrenfest_stationary_probs(params);
+  std::vector<std::uint64_t> counts(probs.size());
+  sample_multinomial(params.m, probs.data(), probs.size(), gen, counts.data());
+  return counts;
 }
 
 }  // namespace ppg

@@ -23,6 +23,7 @@ namespace ppg {
     const ehrenfest_params& params);
 
 /// Draws a sample from the stationary law.
+/// Paper result (Theorem 2.5's law), checked by tests/test_ehrenfest.cpp.
 [[nodiscard]] std::vector<std::uint64_t> sample_ehrenfest_stationary(
     const ehrenfest_params& params, rng& gen);
 

@@ -1,5 +1,8 @@
 #include "ppg/exp/aggregator.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "ppg/util/error.hpp"
 
 namespace ppg {
@@ -13,19 +16,6 @@ void census_aggregator::add(const std::vector<double>& census) {
             "census dimension changed between replicas");
   for (std::size_t j = 0; j < coords_.size(); ++j) {
     coords_[j].add(census[j]);
-  }
-}
-
-void census_aggregator::merge(const census_aggregator& other) {
-  if (other.coords_.empty()) return;
-  if (coords_.empty()) {
-    coords_ = other.coords_;
-    return;
-  }
-  PPG_CHECK(coords_.size() == other.coords_.size(),
-            "merging census aggregators of different dimensions");
-  for (std::size_t j = 0; j < coords_.size(); ++j) {
-    coords_[j].merge(other.coords_[j]);
   }
 }
 
@@ -51,27 +41,25 @@ std::vector<double> census_aggregator::ci_half_width(double z) const {
   return result;
 }
 
-const running_summary& census_aggregator::coordinate(std::size_t j) const {
-  PPG_CHECK(j < coords_.size(), "census coordinate out of range");
-  return coords_[j];
-}
-
 void scalar_aggregator::add(double value) {
   summary_.add(value);
-  distribution_.add(value);
+  samples_.push_back(value);
 }
 
-void scalar_aggregator::merge(const scalar_aggregator& other) {
-  summary_.merge(other.summary_);
-  distribution_.merge(other.distribution_);
+double scalar_aggregator::quantile(double q) const {
+  PPG_CHECK(!samples_.empty(), "quantile of an empty sample set");
+  PPG_CHECK(q >= 0.0 && q <= 1.0, "quantile level must be in [0, 1]");
+  const auto n = static_cast<double>(samples_.size());
+  const auto rank = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(q * n)), 1, samples_.size());
+  std::vector<double> order = samples_;
+  const auto kth = order.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(order.begin(), kth, order.end());
+  return *kth;
 }
 
 void trajectory_aggregator::add(const std::vector<double>& trajectory) {
   curve_.add(trajectory);
-}
-
-void trajectory_aggregator::merge(const trajectory_aggregator& other) {
-  curve_.merge(other.curve_);
 }
 
 }  // namespace ppg

@@ -1,10 +1,11 @@
 // One-call replicate-and-reduce entry points: the three shapes every
 // Monte-Carlo driver in bench/ and examples/ needs. Each runs R replicas on
-// the batch engine and folds them, in replica order, into the matching
+// a batch_runner and folds them, in replica order, into the matching
 // aggregator.
 //
 //   auto agg = replicate_scalar(opts, [&](const replica_context&, rng& gen) {
-//     return measure_hitting_time(pop, k, gen);   // one replica
+//     const auto run = simulate_corner_coupling(params, budget, gen);
+//     return static_cast<double>(run.coupling_time);  // one replica
 //   });
 //   agg.mean(); agg.ci_half_width(); agg.quantile(0.9);
 //

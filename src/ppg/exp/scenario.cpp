@@ -42,13 +42,6 @@ void scenario_result::note(std::string text) {
   notes_.push_back(std::move(text));
 }
 
-double scenario_result::metric_value(const std::string& name) const {
-  for (const auto& [metric_name, value] : metrics_) {
-    if (metric_name == name) return value;
-  }
-  PPG_CHECK(false, "unknown metric: " + name);
-}
-
 void scenario_result::print(std::ostream& out) const {
   for (const auto& table : tables_) {
     if (!table.title.empty()) {

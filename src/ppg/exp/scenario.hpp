@@ -77,7 +77,6 @@ class scenario_result {
       const {
     return metrics_;
   }
-  [[nodiscard]] double metric_value(const std::string& name) const;
   [[nodiscard]] const std::deque<scenario_table>& tables() const {
     return tables_;
   }

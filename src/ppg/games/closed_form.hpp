@@ -38,10 +38,12 @@ struct rd_setting {
                                     double g_prime);
 
 /// Equation (47): d/dg f(g, g').
+/// Paper result, checked by tests/test_closed_form.cpp.
 [[nodiscard]] double df_dg_gtft_vs_gtft(const rd_setting& s, double g,
                                         double g_prime);
 
 /// Equation (57): d^2/dg^2 f(g, g').
+/// Paper result, checked by tests/test_closed_form.cpp.
 [[nodiscard]] double d2f_dg2_gtft_vs_gtft(const rd_setting& s, double g,
                                           double g_prime);
 

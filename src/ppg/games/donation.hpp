@@ -61,6 +61,7 @@ struct pd_payoffs {
 
   /// True if the payoffs form a prisoner's dilemma:
   /// T > R > P > S (and 2R > T + S so mutual cooperation beats alternating).
+  /// Test oracle: tests/test_games_basic.cpp checks the donation games.
   [[nodiscard]] bool is_prisoners_dilemma() const;
 };
 

@@ -47,6 +47,7 @@ struct repeated_donation_game {
                                      const memory_one_strategy& col);
 
 /// Both players' expected payoffs in one solve (row first).
+/// Test oracle: tests/test_exact_payoff.cpp checks role symmetry with it.
 [[nodiscard]] std::pair<double, double> expected_payoffs(
     const repeated_donation_game& rdg, const memory_one_strategy& row,
     const memory_one_strategy& col);
@@ -58,6 +59,7 @@ struct repeated_donation_game {
     const memory_one_strategy& col);
 
 /// Expected fraction of rounds in which the row player cooperates.
+/// Test oracle: tests/test_rollout.cpp checks play_repeated_game against it.
 [[nodiscard]] double cooperation_rate(const repeated_donation_game& rdg,
                                       const memory_one_strategy& row,
                                       const memory_one_strategy& col);
@@ -73,6 +75,7 @@ class payoff_oracle {
                               const paper_strategy& s2) const;
 
   /// f(g, S): expected payoff of a GTFT(g) agent against S.
+  /// Test oracle: tests/test_exact_payoff.cpp checks it against f_gtft_vs_ad.
   [[nodiscard]] double gtft_payoff(double g, const paper_strategy& s2) const;
 
   [[nodiscard]] const repeated_donation_game& setting() const { return rdg_; }

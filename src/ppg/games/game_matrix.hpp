@@ -55,6 +55,7 @@ class game_matrix {
                                        const std::vector<double>& mix) const;
 
   /// Population-average payoff when everyone plays `mix` against `mix`.
+  /// Test oracle: the replicator reference in tests/test_game_dynamics.cpp.
   [[nodiscard]] double average_payoff(const std::vector<double>& mix) const;
 
   /// All pure best responses to an opponent playing `mix`: every strategy
@@ -66,6 +67,7 @@ class game_matrix {
   /// stability classifier, the BR cycle detector) see the true tie
   /// structure. Callers comparing payoffs on very different scales should
   /// pass a tolerance scaled by payoff_span().
+  /// Test oracle: tests/test_game_dynamics.cpp checks the shipped games.
   [[nodiscard]] std::vector<std::size_t> best_responses(
       const std::vector<double>& mix, double tol = 1e-12) const;
 

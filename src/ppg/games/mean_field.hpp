@@ -91,6 +91,7 @@ struct mean_field_fixed_point {
 /// — the reference dynamics mean-field limits are compared against. For a
 /// zero-sum game, the mean field of proportional imitation equals this
 /// field scaled by 2 rate / payoff_span (pinned in tests/test_mean_field).
+/// Test oracle, used by tests/test_mean_field.cpp.
 [[nodiscard]] std::vector<double> replicator_drift(
     const game_matrix& g, const std::vector<double>& x);
 

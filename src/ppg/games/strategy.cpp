@@ -1,10 +1,8 @@
 #include "ppg/games/strategy.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "ppg/util/error.hpp"
-#include "ppg/util/table.hpp"
 
 namespace ppg {
 
@@ -15,14 +13,6 @@ bool memory_one_strategy::valid() const {
     if (!in_unit(p)) return false;
   }
   return true;
-}
-
-bool memory_one_strategy::is_reactive(double tol) const {
-  // Reactive: response depends only on the opponent's previous action,
-  // i.e. response(CC) == response(DC) and response(CD) == response(DD).
-  return std::abs(response(game_state::cc) - response(game_state::dc)) <=
-             tol &&
-         std::abs(response(game_state::cd) - response(game_state::dd)) <= tol;
 }
 
 memory_one_strategy always_cooperate() {
@@ -66,18 +56,6 @@ memory_one_strategy paper_strategy::to_memory_one(double s1) const {
       return always_defect();
     case strategy_kind::gtft:
       return generous_tit_for_tat(generosity, s1);
-  }
-  PPG_CHECK(false, "unknown strategy kind");
-}
-
-std::string paper_strategy::name() const {
-  switch (kind) {
-    case strategy_kind::ac:
-      return "AC";
-    case strategy_kind::ad:
-      return "AD";
-    case strategy_kind::gtft:
-      return "GTFT(" + fmt(generosity, 3) + ")";
   }
   PPG_CHECK(false, "unknown strategy kind");
 }

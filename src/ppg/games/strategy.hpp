@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 #include <vector>
 
 #include "ppg/games/donation.hpp"
@@ -30,11 +29,6 @@ struct memory_one_strategy {
   [[nodiscard]] double response(game_state s) const {
     return cooperate_given[static_cast<std::size_t>(s)];
   }
-
-  /// True if the strategy is *reactive*: the response depends only on the
-  /// opponent's previous action (GTFT, AC, AD, TFT are reactive; WSLS and
-  /// GRIM are not).
-  [[nodiscard]] bool is_reactive(double tol = 1e-12) const;
 };
 
 /// AC: cooperate unconditionally.
@@ -77,8 +71,6 @@ struct paper_strategy {
   /// Lowers to the memory-one engine representation. `s1` is the initial
   /// cooperation probability shared by all GTFT agents (Definition 2.1).
   [[nodiscard]] memory_one_strategy to_memory_one(double s1) const;
-
-  [[nodiscard]] std::string name() const;
 };
 
 /// The discretized generosity grid G = {g_1, ..., g_k} with

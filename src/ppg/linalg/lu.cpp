@@ -69,21 +69,6 @@ std::vector<double> lu_decomposition::solve_transposed(
   return lu_decomposition(original_.transposed()).solve(b);
 }
 
-matrix lu_decomposition::inverse() const {
-  const std::size_t n = lu_.rows();
-  matrix inv(n, n);
-  std::vector<double> unit(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    unit[c] = 1.0;
-    const auto col = solve(unit);
-    unit[c] = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      inv(r, c) = col[r];
-    }
-  }
-  return inv;
-}
-
 double lu_decomposition::determinant() const {
   double det = pivot_sign_;
   for (std::size_t i = 0; i < lu_.rows(); ++i) {
@@ -94,10 +79,6 @@ double lu_decomposition::determinant() const {
 
 std::vector<double> solve(const matrix& a, const std::vector<double>& b) {
   return lu_decomposition(a).solve(b);
-}
-
-matrix inverse(const matrix& a) {
-  return lu_decomposition(a).inverse();
 }
 
 }  // namespace ppg

@@ -25,9 +25,6 @@ class lu_decomposition {
   [[nodiscard]] std::vector<double> solve_transposed(
       const std::vector<double>& b) const;
 
-  /// Full inverse (column-by-column solves).
-  [[nodiscard]] matrix inverse() const;
-
   /// Determinant from the diagonal of U and the pivot parity.
   [[nodiscard]] double determinant() const;
 
@@ -41,8 +38,5 @@ class lu_decomposition {
 /// Convenience: solves A x = b in one call.
 [[nodiscard]] std::vector<double> solve(const matrix& a,
                                         const std::vector<double>& b);
-
-/// Convenience: computes A^{-1}.
-[[nodiscard]] matrix inverse(const matrix& a);
 
 }  // namespace ppg

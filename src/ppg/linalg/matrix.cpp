@@ -9,34 +9,12 @@ matrix::matrix(std::size_t rows, std::size_t cols, double fill)
   PPG_CHECK(rows > 0 && cols > 0, "matrix dimensions must be positive");
 }
 
-matrix matrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  PPG_CHECK(!rows.empty() && !rows.front().empty(),
-            "from_rows needs non-empty data");
-  matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    PPG_CHECK(rows[r].size() == m.cols_, "ragged rows in from_rows");
-    for (std::size_t c = 0; c < m.cols_; ++c) {
-      m(r, c) = rows[r][c];
-    }
-  }
-  return m;
-}
-
 matrix matrix::identity(std::size_t n) {
   matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     m(i, i) = 1.0;
   }
   return m;
-}
-
-matrix& matrix::operator+=(const matrix& other) {
-  PPG_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
-            "matrix shape mismatch in +=");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += other.data_[i];
-  }
-  return *this;
 }
 
 matrix& matrix::operator-=(const matrix& other) {
@@ -65,97 +43,21 @@ matrix matrix::transposed() const {
   return t;
 }
 
-double matrix::max_abs() const {
-  double worst = 0.0;
-  for (const double x : data_) {
-    worst = std::max(worst, std::abs(x));
-  }
-  return worst;
-}
-
-std::vector<double> matrix::row_sums() const {
-  std::vector<double> sums(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      sums[r] += (*this)(r, c);
-    }
-  }
-  return sums;
-}
-
 bool matrix::is_row_stochastic(double tol) const {
   for (const double x : data_) {
     if (x < -tol) return false;
   }
-  for (const double s : row_sums()) {
-    if (std::abs(s - 1.0) > tol) return false;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < cols_; ++c) sum += data_[r * cols_ + c];
+    if (std::abs(sum - 1.0) > tol) return false;
   }
   return true;
-}
-
-matrix operator+(matrix lhs, const matrix& rhs) {
-  lhs += rhs;
-  return lhs;
-}
-
-matrix operator-(matrix lhs, const matrix& rhs) {
-  lhs -= rhs;
-  return lhs;
-}
-
-matrix operator*(const matrix& lhs, const matrix& rhs) {
-  PPG_CHECK(lhs.cols() == rhs.rows(), "matrix shape mismatch in *");
-  matrix out(lhs.rows(), rhs.cols());
-  for (std::size_t r = 0; r < lhs.rows(); ++r) {
-    for (std::size_t k = 0; k < lhs.cols(); ++k) {
-      const double x = lhs(r, k);
-      if (x == 0.0) continue;
-      for (std::size_t c = 0; c < rhs.cols(); ++c) {
-        out(r, c) += x * rhs(k, c);
-      }
-    }
-  }
-  return out;
 }
 
 matrix operator*(double scalar, matrix m) {
   m *= scalar;
   return m;
-}
-
-std::vector<double> row_times(const std::vector<double>& v, const matrix& m) {
-  PPG_CHECK(v.size() == m.rows(), "row_times shape mismatch");
-  std::vector<double> out(m.cols(), 0.0);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double x = v[r];
-    if (x == 0.0) continue;
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      out[c] += x * m.at_unchecked(r, c);
-    }
-  }
-  return out;
-}
-
-std::vector<double> times_col(const matrix& m, const std::vector<double>& v) {
-  PPG_CHECK(v.size() == m.cols(), "times_col shape mismatch");
-  std::vector<double> out(m.rows(), 0.0);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      sum += m.at_unchecked(r, c) * v[c];
-    }
-    out[r] = sum;
-  }
-  return out;
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  PPG_CHECK(a.size() == b.size(), "dot product shape mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sum += a[i] * b[i];
-  }
-  return sum;
 }
 
 }  // namespace ppg

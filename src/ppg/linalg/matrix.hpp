@@ -1,7 +1,7 @@
 // Dense row-major matrix with the small set of operations the library needs:
-// products, transposition, row-vector multiplication, norms. No external
-// BLAS/LAPACK dependency — matrices here are small (4x4 round chains, modest
-// exact state spaces).
+// in-place subtraction and scaling, transposition, and checked element
+// access. No external BLAS/LAPACK dependency — matrices here are small (4x4
+// round chains, modest exact state spaces).
 #pragma once
 
 #include <cstddef>
@@ -15,10 +15,6 @@ class matrix {
  public:
   matrix() = default;
   matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  /// Builds from nested initializer-style data; all rows must have equal
-  /// length.
-  static matrix from_rows(const std::vector<std::vector<double>>& rows);
 
   /// Identity matrix of the given size.
   static matrix identity(std::size_t n);
@@ -40,19 +36,14 @@ class matrix {
     return data_[r * cols_ + c];
   }
 
-  matrix& operator+=(const matrix& other);
   matrix& operator-=(const matrix& other);
   matrix& operator*=(double scalar);
 
   [[nodiscard]] matrix transposed() const;
 
-  /// Max absolute entry.
-  [[nodiscard]] double max_abs() const;
-
-  /// Row sums (useful for verifying stochasticity).
-  [[nodiscard]] std::vector<double> row_sums() const;
-
   /// True if every row sums to 1 within tol and all entries >= -tol.
+  /// Test oracle: test_exact_payoff checks the exact payoff engine's round
+  /// chain with it.
   [[nodiscard]] bool is_row_stochastic(double tol = 1e-9) const;
 
  private:
@@ -61,21 +52,6 @@ class matrix {
   std::vector<double> data_;
 };
 
-[[nodiscard]] matrix operator+(matrix lhs, const matrix& rhs);
-[[nodiscard]] matrix operator-(matrix lhs, const matrix& rhs);
-[[nodiscard]] matrix operator*(const matrix& lhs, const matrix& rhs);
 [[nodiscard]] matrix operator*(double scalar, matrix m);
-
-/// Row-vector times matrix: result_j = sum_i v_i * m(i, j).
-[[nodiscard]] std::vector<double> row_times(const std::vector<double>& v,
-                                            const matrix& m);
-
-/// Matrix times column vector.
-[[nodiscard]] std::vector<double> times_col(const matrix& m,
-                                            const std::vector<double>& v);
-
-/// Dot product of two equally sized vectors.
-[[nodiscard]] double dot(const std::vector<double>& a,
-                         const std::vector<double>& b);
 
 }  // namespace ppg

@@ -33,12 +33,14 @@ class finite_chain {
 
   /// True if every row sums to 1 within tol and all entries are
   /// non-negative.
+  /// Test oracle: tests/test_ehrenfest_exact.cpp checks built chains.
   [[nodiscard]] bool is_stochastic(double tol = 1e-9) const;
 
   /// One step of distribution evolution: returns mu * P.
   [[nodiscard]] std::vector<double> step(const std::vector<double>& mu) const;
 
   /// Evolves a distribution t steps.
+  /// Planned production use: ROADMAP item 11's exact-law oracle.
   [[nodiscard]] std::vector<double> evolve(std::vector<double> mu,
                                            std::size_t t) const;
 
@@ -50,6 +52,7 @@ class finite_chain {
 
   /// True if the chain is irreducible (single strongly connected component
   /// over edges with positive probability).
+  /// Test oracle: tests/test_ehrenfest_exact.cpp checks built chains.
   [[nodiscard]] bool is_irreducible() const;
 
  private:

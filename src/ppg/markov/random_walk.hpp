@@ -31,6 +31,7 @@ struct walk_params {
 /// Probability that the walk started at `start` on {0, ..., span} is
 /// absorbed at `span` (the upper barrier); equation (25) of the paper after
 /// recentring {-k, ..., k} to {0, ..., 2k}.
+/// Paper result, checked by tests/test_markov.cpp.
 [[nodiscard]] double upper_absorption_probability(walk_params params,
                                                   std::int64_t span,
                                                   std::int64_t start);
@@ -46,11 +47,13 @@ struct walk_params {
 /// *reflecting* (truncating) barriers: attempts to leave the interval hold
 /// in place, exactly like the per-coordinate dynamics of the coordinate
 /// representation of the Ehrenfest process (proof of Theorem 2.5).
+/// Paper result, checked by tests/test_markov.cpp.
 [[nodiscard]] finite_chain reflecting_walk_chain(std::size_t size,
                                                  walk_params params);
 
 /// Stationary distribution of the reflecting walk: geometric weights
 /// pi_j ∝ (up/down)^j on {0, ..., size-1}.
+/// Paper result, checked by tests/test_markov.cpp.
 [[nodiscard]] std::vector<double> reflecting_walk_stationary(
     std::size_t size, walk_params params);
 

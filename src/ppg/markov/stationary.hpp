@@ -18,6 +18,7 @@ struct stationary_result {
 /// Power iteration from the uniform distribution until successive iterates
 /// are within `tol` in total variation. Suitable for aperiodic chains (all
 /// chains in this library are lazy).
+/// Test oracle: tests/test_markov.cpp cross-checks solve_stationary.
 [[nodiscard]] stationary_result power_iteration_stationary(
     const finite_chain& chain, double tol = 1e-12,
     std::size_t max_iterations = 2'000'000);

@@ -290,12 +290,6 @@ sim_spec::sim_spec(const protocol& proto,
   PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
 }
 
-const population& sim_spec::initial() const {
-  PPG_CHECK(initial_.has_value(),
-            "spec was built from a census; no per-agent initial condition");
-  return *initial_;
-}
-
 std::unique_ptr<sim_engine> sim_spec::make_engine(
     engine_kind kind, rng& gen,
     std::shared_ptr<const kernel_table> kernel) const {

@@ -277,10 +277,6 @@ class sim_spec {
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;
 
-  /// The per-agent initial condition; only available when the spec was
-  /// constructed from a population.
-  [[nodiscard]] const population& initial() const;
-
   /// The initial census (always available).
   [[nodiscard]] const std::vector<std::uint64_t>& initial_counts() const {
     return initial_counts_;

@@ -24,12 +24,6 @@ agent_state population::state_of(std::size_t agent) const {
   return states_[agent];
 }
 
-void population::set_state(std::size_t agent, agent_state next) {
-  PPG_CHECK(agent < states_.size(), "agent index out of range");
-  PPG_CHECK(next < counts_.size(), "agent state out of range");
-  apply_interaction(agent, next);
-}
-
 void population::apply_interaction(std::size_t agent, agent_state next) {
   PPG_DCHECK(agent < states_.size(), "agent index out of range");
   PPG_DCHECK(next < counts_.size(), "agent state out of range");
@@ -38,20 +32,6 @@ void population::apply_interaction(std::size_t agent, agent_state next) {
   --counts_[prev];
   ++counts_[next];
   states_[agent] = next;
-}
-
-std::uint64_t population::count(agent_state state) const {
-  PPG_CHECK(state < counts_.size(), "state out of range");
-  return counts_[state];
-}
-
-std::vector<double> population::fractions() const {
-  std::vector<double> out(counts_.size());
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    out[s] = static_cast<double>(counts_[s]) /
-             static_cast<double>(states_.size());
-  }
-  return out;
 }
 
 }  // namespace ppg

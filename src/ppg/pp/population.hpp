@@ -22,18 +22,14 @@ class population {
   [[nodiscard]] std::size_t num_state_kinds() const { return counts_.size(); }
 
   [[nodiscard]] agent_state state_of(std::size_t agent) const;
-  void set_state(std::size_t agent, agent_state next);
 
-  /// Hot-path variant of set_state for the simulation loop: preconditions
+  /// Moves one agent to `next` in the simulation loop: preconditions
   /// (`agent < size()`, `next < num_state_kinds()`) are validated via
   /// ppg::invariant_error in debug builds only. An out-of-range `next` would
   /// otherwise silently corrupt the census counts; callers must guarantee
   /// the bounds (the engines do, via construction-time checks and the
   /// kernel-table contract).
   void apply_interaction(std::size_t agent, agent_state next);
-
-  /// Number of agents currently in `state`.
-  [[nodiscard]] std::uint64_t count(agent_state state) const;
 
   /// Full census (indexed by state).
   [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
@@ -46,9 +42,6 @@ class population {
   [[nodiscard]] const std::vector<agent_state>& states() const {
     return states_;
   }
-
-  /// Census normalized by population size.
-  [[nodiscard]] std::vector<double> fractions() const;
 
  private:
   std::vector<agent_state> states_;

@@ -85,16 +85,6 @@ std::unique_ptr<protocol> protocol_registry::make(const std::string& name,
   PPG_CHECK(false, "protocol registry: unknown protocol '" + name + "'");
 }
 
-std::vector<std::string> protocol_registry::names() const {
-  std::vector<std::string> result;
-  result.reserve(factories_.size());
-  for (const auto& [key, make] : factories_) {
-    (void)make;
-    result.push_back(key);
-  }
-  return result;
-}
-
 game_matrix game_matrix_from_json(const json& params) {
   const std::string& name = json_require_string(params, "name", where_game);
   if (name == "donation") {
@@ -182,10 +172,6 @@ std::shared_ptr<const update_rule> update_rule_from_json(const json& params) {
         static_cast<std::size_t>(json_require_uint(params, "k", where_rule)));
   }
   PPG_CHECK(false, "rule params: unknown rule '" + name + "'");
-}
-
-const char* revision_discipline_name(revision_discipline d) {
-  return d == revision_discipline::one_way ? "one_way" : "two_way";
 }
 
 revision_discipline revision_discipline_from_name(const std::string& name) {

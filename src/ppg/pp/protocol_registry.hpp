@@ -44,9 +44,6 @@ class protocol_registry {
   [[nodiscard]] std::unique_ptr<protocol> make(const std::string& name,
                                                const json& params) const;
 
-  /// Registered names, in registration order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
  private:
   std::vector<std::pair<std::string, factory>> factories_;
 };
@@ -64,8 +61,7 @@ class protocol_registry {
 [[nodiscard]] std::shared_ptr<const update_rule> update_rule_from_json(
     const json& params);
 
-/// revision_discipline ⇄ its canonical JSON string ("one_way"/"two_way").
-[[nodiscard]] const char* revision_discipline_name(revision_discipline d);
+/// Parses revision_discipline's canonical JSON string ("one_way"/"two_way").
 [[nodiscard]] revision_discipline revision_discipline_from_name(
     const std::string& name);
 

@@ -23,24 +23,6 @@ fault_action fault_action_from_name(const std::string& name) {
 
 }  // namespace
 
-const char* fault_action_name(fault_action action) {
-  switch (action) {
-    case fault_action::none:
-      return "none";
-    case fault_action::fail_eio:
-      return "eio";
-    case fault_action::fail_enospc:
-      return "enospc";
-    case fault_action::short_op:
-      return "short";
-    case fault_action::torn_rename:
-      return "torn";
-    case fault_action::abort_now:
-      return "abort";
-  }
-  return "unknown";
-}
-
 std::shared_ptr<fault_plan> fault_plan::parse(const json& doc) {
   PPG_CHECK(doc.is_object(), "fault plan: document must be a JSON object");
   auto plan = std::make_shared<fault_plan>();

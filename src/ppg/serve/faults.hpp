@@ -38,8 +38,6 @@ enum class fault_action : std::uint8_t {
   abort_now,   ///< the process aborts (SIGABRT) at this operation
 };
 
-[[nodiscard]] const char* fault_action_name(fault_action action);
-
 /// One scheduled fault: the `nth` operation at `site` performs `action`.
 struct fault_rule {
   std::string site;
@@ -72,7 +70,8 @@ class fault_plan {
     return abort_at_;
   }
 
-  /// Total faults fired so far (for /stats).
+  /// Total faults fired so far. Test oracle: tests/test_failure_injection.cpp
+  /// checks that a planned fault fired.
   [[nodiscard]] std::uint64_t fired() const;
 
  private:

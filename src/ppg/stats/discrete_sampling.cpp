@@ -211,14 +211,6 @@ void sample_multinomial(std::uint64_t m, const double* probs,
   out[size - 1] += remaining;
 }
 
-std::vector<std::uint64_t> sample_multinomial(std::uint64_t m,
-                                              const std::vector<double>& probs,
-                                              rng& gen) {
-  std::vector<std::uint64_t> counts(probs.size(), 0);
-  sample_multinomial(m, probs.data(), probs.size(), gen, counts.data());
-  return counts;
-}
-
 collision_run_sampler::collision_run_sampler(std::uint64_t n) : n_(n) {
   PPG_CHECK(n >= 2, "the birthday law needs at least two agents");
   // Tabulate until the survival falls below every level a positive

@@ -51,15 +51,10 @@ void sample_multivariate_hypergeometric(const std::uint64_t* counts,
                                         std::size_t size, std::uint64_t draws,
                                         rng& gen, std::uint64_t* out);
 
-/// Draws a sample count vector from Multinomial(m, probs) by sequential
-/// conditional binomials (probs must be non-negative and sum to 1 up to
-/// rounding; the last category absorbs the remainder).
-[[nodiscard]] std::vector<std::uint64_t> sample_multinomial(
-    std::uint64_t m, const std::vector<double>& probs, rng& gen);
-
-/// Allocation-free multinomial over a raw probability slice; writes the
-/// category counts into `out[0..size)`. Draw-for-draw identical to the
-/// vector overload.
+/// Draws category counts from Multinomial(m, probs[0..size)) by sequential
+/// conditional binomials and writes them into `out[0..size)` (probs must be
+/// non-negative and sum to 1 up to rounding; the last category absorbs the
+/// remainder). Allocation-free.
 void sample_multinomial(std::uint64_t m, const double* probs,
                         std::size_t size, rng& gen, std::uint64_t* out);
 

@@ -25,6 +25,7 @@ namespace ppg {
 /// log(a! / b!), to ~1e-13 relative even when a and b are close and huge
 /// (up to ~3e9), where log_factorial(a) - log_factorial(b) would cancel
 /// terms of magnitude up to ~6e10. Zero when a == b.
+/// Test oracle: tests/test_discrete_sampling.cpp checks the samplers' form.
 [[nodiscard]] double log_factorial_ratio(std::uint64_t a, std::uint64_t b);
 
 /// log_factorial_ratio(a, b) with log_b = log(b) supplied by the caller
@@ -57,6 +58,7 @@ namespace ppg {
 /// Hypergeometric(total, marked, draws) PMF at x: the probability that a
 /// uniform sample of `draws` items, without replacement, from `total` items
 /// of which `marked` are marked contains exactly x marked items.
+/// Test oracle: tests/test_discrete_sampling.cpp chi-squares the samplers.
 [[nodiscard]] double hypergeometric_pmf(std::uint64_t total,
                                         std::uint64_t marked,
                                         std::uint64_t draws, std::uint64_t x);
@@ -64,6 +66,7 @@ namespace ppg {
 /// Multivariate hypergeometric PMF: the probability that a uniform sample of
 /// sum(x) items, without replacement, from a population with `counts[i]`
 /// items of category i contains exactly x[i] of each category.
+/// Test oracle: tests/test_discrete_sampling.cpp chi-squares the MVH sampler.
 [[nodiscard]] double multivariate_hypergeometric_pmf(
     const std::vector<std::uint64_t>& counts,
     const std::vector<std::uint64_t>& x);

@@ -16,16 +16,6 @@ double total_variation(const std::vector<double>& p,
   return 0.5 * sum;
 }
 
-double linf_distance(const std::vector<double>& p,
-                     const std::vector<double>& q) {
-  PPG_CHECK(p.size() == q.size(), "Linf distance needs equal supports");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    worst = std::max(worst, std::abs(p[i] - q[i]));
-  }
-  return worst;
-}
-
 bool is_distribution(const std::vector<double>& p, double tol) {
   double sum = 0.0;
   for (const double x : p) {

@@ -11,10 +11,6 @@ namespace ppg {
 [[nodiscard]] double total_variation(const std::vector<double>& p,
                                      const std::vector<double>& q);
 
-/// L-infinity distance max_i |p_i - q_i|.
-[[nodiscard]] double linf_distance(const std::vector<double>& p,
-                                   const std::vector<double>& q);
-
 /// Checks that `p` is a probability vector: entries >= -tol and sums to 1
 /// within `tol`.
 [[nodiscard]] bool is_distribution(const std::vector<double>& p,

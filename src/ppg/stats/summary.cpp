@@ -8,13 +8,7 @@
 namespace ppg {
 
 void running_summary::add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  max_ = count_ == 0 ? x : std::max(max_, x);
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
@@ -39,11 +33,6 @@ double running_summary::std_error() const {
   return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double running_summary::min() const {
-  PPG_CHECK(count_ > 0, "min of an empty summary");
-  return min_;
-}
-
 double running_summary::max() const {
   PPG_CHECK(count_ > 0, "max of an empty summary");
   return max_;
@@ -51,23 +40,6 @@ double running_summary::max() const {
 
 double running_summary::ci_half_width(double z) const {
   return z * std_error();
-}
-
-void running_summary::merge(const running_summary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 }  // namespace ppg

@@ -18,21 +18,16 @@ class running_summary {
   [[nodiscard]] double stddev() const;
   /// Standard error of the mean.
   [[nodiscard]] double std_error() const;
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
   /// Half-width of a normal-approximation confidence interval at the given
   /// z-score (default 1.96 ~ 95%).
   [[nodiscard]] double ci_half_width(double z = 1.96) const;
 
-  /// Merges another summary into this one (parallel reduction support).
-  void merge(const running_summary& other);
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 

@@ -26,17 +26,6 @@ rng::rng(std::uint64_t seed) {
   }
 }
 
-std::int64_t rng::next_in(std::int64_t lo, std::int64_t hi) {
-  PPG_CHECK(lo <= hi, "next_in requires lo <= hi");
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  // span == 0 means the full 64-bit range [INT64_MIN, INT64_MAX].
-  if (span == 0) {
-    return static_cast<std::int64_t>((*this)());
-  }
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 bool rng::next_bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

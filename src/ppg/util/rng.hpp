@@ -59,9 +59,6 @@ class rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1) with 53 random mantissa bits.
   double next_double() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

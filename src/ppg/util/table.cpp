@@ -17,10 +17,6 @@ text_table::text_table(std::vector<std::string> headers)
 void text_table::add_row(std::vector<std::string> cells) {
   PPG_CHECK(cells.size() == headers_.size(),
             "row width must match header width");
-  for (const auto& cell : cells) {
-    PPG_CHECK(cell.find(',') == std::string::npos,
-              "table cells must not contain commas (CSV output)");
-  }
   rows_.push_back(std::move(cells));
 }
 
@@ -45,19 +41,6 @@ void text_table::print(std::ostream& out) const {
     total += widths[c] + (c == 0 ? 0 : 2);
   }
   out << std::string(total, '-') << '\n';
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
-void text_table::print_csv(std::ostream& out) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << (c == 0 ? "" : ",") << row[c];
-    }
-    out << '\n';
-  };
-  print_row(headers_);
   for (const auto& row : rows_) {
     print_row(row);
   }

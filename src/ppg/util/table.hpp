@@ -1,4 +1,4 @@
-// Minimal text-table and CSV writers used by the bench harness to print
+// Minimal text-table writer used by the bench harness to print
 // paper-style result tables (measured vs. predicted rows).
 #pragma once
 
@@ -22,10 +22,6 @@ class text_table {
 
   /// Renders with column alignment and a header underline.
   void print(std::ostream& out) const;
-
-  /// Renders as comma-separated values (no quoting; cells must not contain
-  /// commas — enforced when adding rows).
-  void print_csv(std::ostream& out) const;
 
  private:
   std::vector<std::string> headers_;

@@ -24,6 +24,15 @@
 namespace ppg {
 namespace {
 
+// Multinomial(m, probs) counts, drawn through the library's pointer form.
+std::vector<std::uint64_t> draw_multinomial(std::uint64_t m,
+                                            const std::vector<double>& probs,
+                                            rng& gen) {
+  std::vector<std::uint64_t> counts(probs.size());
+  sample_multinomial(m, probs.data(), probs.size(), gen, counts.data());
+  return counts;
+}
+
 /// Chi-square p-value of `trials` draws of `sample` against `pmf` tabulated
 /// on [lo, hi], a window wide enough (>= 12 standard deviations each side)
 /// that the mass outside it, lumped into one last cell, is below double
@@ -357,7 +366,7 @@ TEST(DiscreteSampling, MultinomialJointChiSquare) {
   }
   constexpr int trials = 40000;
   for (int t = 0; t < trials; ++t) {
-    const auto x = sample_multinomial(m, probs, gen);
+    const auto x = draw_multinomial(m, probs, gen);
     ++observed[x[0] * 8 + x[1]];
   }
   EXPECT_GT(chi_square_gof(observed, expected).p_value, 1e-4);
@@ -366,11 +375,11 @@ TEST(DiscreteSampling, MultinomialJointChiSquare) {
 TEST(DiscreteSampling, MultinomialBoundaries) {
   rng gen(33);
   // Single category and zero-probability categories.
-  EXPECT_EQ(sample_multinomial(5, {1.0}, gen),
+  EXPECT_EQ(draw_multinomial(5, {1.0}, gen),
             (std::vector<std::uint64_t>{5}));
-  const auto x = sample_multinomial(20, {0.0, 1.0, 0.0}, gen);
+  const auto x = draw_multinomial(20, {0.0, 1.0, 0.0}, gen);
   EXPECT_EQ(x, (std::vector<std::uint64_t>{0, 20, 0}));
-  EXPECT_EQ(sample_multinomial(0, {0.5, 0.5}, gen),
+  EXPECT_EQ(draw_multinomial(0, {0.5, 0.5}, gen),
             (std::vector<std::uint64_t>{0, 0}));
 }
 
@@ -389,29 +398,12 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
       sample_multivariate_hypergeometric(counts.data(), counts.size(), 100,
                                          gen, mvh.data());
       log.insert(log.end(), mvh.begin(), mvh.end());
-      const auto mn = sample_multinomial(100, {0.25, 0.25, 0.5}, gen);
+      const auto mn = draw_multinomial(100, {0.25, 0.25, 0.5}, gen);
       log.insert(log.end(), mn.begin(), mn.end());
     }
     return log;
   };
   EXPECT_EQ(draw_all(rng(777)), draw_all(rng(777)));
-}
-
-TEST(DiscreteSampling, PointerMultinomialIsDrawForDrawIdentical) {
-  // The allocation-free multinomial form (the multibatch engine's rounds)
-  // must consume the exact draw sequence of the vector form.
-  rng gen_a(55);
-  rng gen_b(55);
-  const std::vector<double> probs = {0.1, 0.4, 0.2, 0.3};
-  for (int t = 0; t < 200; ++t) {
-    const auto mn = sample_multinomial(500, probs, gen_a);
-    std::vector<std::uint64_t> mn_out(probs.size());
-    sample_multinomial(500, probs.data(), probs.size(), gen_b,
-                       mn_out.data());
-    ASSERT_EQ(mn_out, mn);
-  }
-  // The generators themselves stay in lockstep.
-  EXPECT_EQ(gen_a(), gen_b());
 }
 
 TEST(DiscreteSampling, CollisionRunSamplerTableMatchesTheBirthdayLaw) {

@@ -83,7 +83,7 @@ TEST(CoordinateWalk, IdenticalLawToCountChain) {
   coordinate_walk walk(params, 0);
   const int burn = 20000;
   const int samples = 60000;
-  process.run(burn, gen_a);
+  for (int i = 0; i < burn; ++i) process.step(gen_a);
   walk.run(burn, gen_b);
   double occ_process = 0.0;
   double occ_walk = 0.0;

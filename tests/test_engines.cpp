@@ -624,7 +624,6 @@ TEST(Engines, CensusEngineRunsHundredMillionAgents) {
   counts[igt_encoding::ad] = 20'000'000;
   counts[igt_encoding::gtft(0)] = 70'000'000;
   const sim_spec spec(proto, counts);
-  EXPECT_THROW((void)spec.initial(), invariant_error);
   EXPECT_EQ(spec.population_size(), 100'000'000u);
   rng gen(103);
   const auto engine = spec.make_engine(engine_kind::census, gen);

@@ -20,7 +20,6 @@
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/kernel.hpp"
-#include "ppg/stats/ecdf.hpp"
 #include "ppg/util/thread_pool.hpp"
 
 namespace ppg {
@@ -231,83 +230,6 @@ TEST(BatchRunner, RejectsEmptyBatch) {
   EXPECT_THROW(batch_runner({0, 0, 1}), invariant_error);
 }
 
-TEST(Aggregators, CensusMergeMatchesSequentialFill) {
-  // merge() must behave as if the right-hand replicas had been added
-  // directly, and must be associative up to floating-point round-off.
-  std::vector<std::vector<double>> censuses;
-  rng gen(3);
-  for (int r = 0; r < 9; ++r) {
-    censuses.push_back({gen.next_double(), gen.next_double() * 10.0,
-                        gen.next_double() - 0.5});
-  }
-  census_aggregator all;
-  for (const auto& census : censuses) all.add(census);
-
-  census_aggregator a, b, c;
-  for (int r = 0; r < 3; ++r) a.add(censuses[static_cast<std::size_t>(r)]);
-  for (int r = 3; r < 6; ++r) b.add(censuses[static_cast<std::size_t>(r)]);
-  for (int r = 6; r < 9; ++r) c.add(censuses[static_cast<std::size_t>(r)]);
-
-  census_aggregator left = a;   // (a + b) + c
-  left.merge(b);
-  left.merge(c);
-  census_aggregator bc = b;     // a + (b + c)
-  bc.merge(c);
-  census_aggregator right = a;
-  right.merge(bc);
-
-  ASSERT_EQ(left.count(), 9u);
-  ASSERT_EQ(right.count(), 9u);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(left.mean()[j], right.mean()[j], 1e-13);
-    EXPECT_NEAR(left.mean()[j], all.mean()[j], 1e-13);
-    EXPECT_NEAR(left.ci_half_width()[j], right.ci_half_width()[j], 1e-13);
-    EXPECT_NEAR(left.ci_half_width()[j], all.ci_half_width()[j], 1e-13);
-  }
-}
-
-TEST(Aggregators, ScalarMergeAssociative) {
-  scalar_aggregator a, b, c;
-  rng gen(17);
-  for (int i = 0; i < 50; ++i) a.add(gen.next_double());
-  for (int i = 0; i < 30; ++i) b.add(gen.next_double() * 5.0);
-  for (int i = 0; i < 20; ++i) c.add(gen.next_double() - 2.0);
-
-  scalar_aggregator left = a;
-  left.merge(b);
-  left.merge(c);
-  scalar_aggregator bc = b;
-  bc.merge(c);
-  scalar_aggregator right = a;
-  right.merge(bc);
-
-  ASSERT_EQ(left.count(), 100u);
-  ASSERT_EQ(right.count(), 100u);
-  EXPECT_NEAR(left.mean(), right.mean(), 1e-14);
-  EXPECT_NEAR(left.std_error(), right.std_error(), 1e-14);
-  // The empirical distribution is sorted, so merging is exactly
-  // order-independent.
-  EXPECT_EQ(left.distribution().sorted_samples(),
-            right.distribution().sorted_samples());
-  EXPECT_EQ(left.min(), right.min());
-  EXPECT_EQ(left.max(), right.max());
-}
-
-TEST(Aggregators, MergeWithEmptyIsIdentity) {
-  census_aggregator filled;
-  filled.add({1.0, 2.0});
-  filled.add({3.0, 4.0});
-  census_aggregator empty;
-  census_aggregator left = filled;
-  left.merge(empty);
-  census_aggregator right = empty;
-  right.merge(filled);
-  EXPECT_EQ(left.mean(), filled.mean());
-  EXPECT_EQ(right.mean(), filled.mean());
-  EXPECT_EQ(left.count(), 2u);
-  EXPECT_EQ(right.count(), 2u);
-}
-
 TEST(Aggregators, TrajectoryBand) {
   trajectory_aggregator band;
   band.add({0.0, 1.0, 2.0});
@@ -320,41 +242,21 @@ TEST(Aggregators, TrajectoryBand) {
   EXPECT_THROW(band.add({1.0}), invariant_error);
 }
 
-TEST(Ecdf, QuantilesAndCdf) {
-  empirical_cdf dist;
+TEST(Aggregators, ScalarQuantileIsTheLowerInverseCdf) {
+  // The q-quantile is the smallest sample s with F(s) >= q, whatever order
+  // the samples arrive in.
+  scalar_aggregator dist;
+  EXPECT_THROW((void)dist.quantile(0.5), invariant_error);
   for (const double x : {5.0, 1.0, 3.0, 2.0, 4.0}) dist.add(x);
-  EXPECT_DOUBLE_EQ(dist.min(), 1.0);
   EXPECT_DOUBLE_EQ(dist.max(), 5.0);
   EXPECT_DOUBLE_EQ(dist.quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(dist.quantile(0.2), 1.0);
+  EXPECT_DOUBLE_EQ(dist.quantile(0.3), 2.0);
   EXPECT_DOUBLE_EQ(dist.quantile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(dist.quantile(0.9), 5.0);
   EXPECT_DOUBLE_EQ(dist.quantile(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(dist.cdf(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(dist.cdf(3.0), 0.6);
-  EXPECT_DOUBLE_EQ(dist.cdf(9.0), 1.0);
-}
-
-TEST(Ecdf, BinnedHistogramClampsOutliers) {
-  empirical_cdf dist;
-  for (const double x : {-10.0, 0.1, 0.5, 0.9, 10.0}) dist.add(x);
-  const auto h = dist.binned(2, 0.0, 1.0);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);  // -10 clamped down, plus 0.1
-  EXPECT_EQ(h.count(1), 3u);  // 0.5 and 0.9, plus 10 clamped up
-}
-
-TEST(Histogram, MergeAddsCounts) {
-  histogram a(3);
-  a.add(0, 2);
-  a.add(2);
-  histogram b(3);
-  b.add(1, 5);
-  a.merge(b);
-  EXPECT_EQ(a.count(0), 2u);
-  EXPECT_EQ(a.count(1), 5u);
-  EXPECT_EQ(a.count(2), 1u);
-  EXPECT_EQ(a.total(), 8u);
-  histogram wrong(2);
-  EXPECT_THROW(a.merge(wrong), invariant_error);
+  EXPECT_THROW((void)dist.quantile(1.5), invariant_error);
+  EXPECT_THROW((void)dist.quantile(-0.1), invariant_error);
 }
 
 TEST(SimSpec, ReplicasStartFromIdenticalInitialCondition) {

@@ -100,15 +100,6 @@ TEST(Strategy, AcIsGtftWithFullGenerosity) {
   }
 }
 
-TEST(Strategy, ReactivityClassification) {
-  EXPECT_TRUE(always_cooperate().is_reactive());
-  EXPECT_TRUE(always_defect().is_reactive());
-  EXPECT_TRUE(tit_for_tat().is_reactive());
-  EXPECT_TRUE(generous_tit_for_tat(0.3, 0.8).is_reactive());
-  EXPECT_FALSE(grim().is_reactive());
-  EXPECT_FALSE(win_stay_lose_shift().is_reactive());
-}
-
 TEST(Strategy, WslsResponses) {
   const auto wsls = win_stay_lose_shift();
   EXPECT_DOUBLE_EQ(wsls.response(game_state::cc), 1.0);  // won with C: stay
@@ -131,12 +122,6 @@ TEST(PaperStrategy, LoweringToMemoryOne) {
   const auto g = paper_strategy::gtft(0.3).to_memory_one(0.7);
   EXPECT_DOUBLE_EQ(g.initial_cooperation, 0.7);
   EXPECT_DOUBLE_EQ(g.response(game_state::dd), 0.3);
-}
-
-TEST(PaperStrategy, Names) {
-  EXPECT_EQ(paper_strategy::ac().name(), "AC");
-  EXPECT_EQ(paper_strategy::ad().name(), "AD");
-  EXPECT_EQ(paper_strategy::gtft(0.5).name(), "GTFT(0.500)");
 }
 
 TEST(GenerosityGrid, EquidistantEndpoints) {

@@ -237,10 +237,9 @@ TEST(ScenarioResult, MetricOverwriteKeepsOnePerName) {
   scenario_result result;
   result.metric("x", 1.0);
   result.metric("x", 2.0, metric_goal::minimize);
-  EXPECT_EQ(result.metrics().size(), 1u);
-  EXPECT_EQ(result.metric_value("x"), 2.0);
-  EXPECT_THROW(static_cast<void>(result.metric_value("missing")),
-               invariant_error);
+  ASSERT_EQ(result.metrics().size(), 1u);
+  EXPECT_EQ(result.metrics()[0].first, "x");
+  EXPECT_EQ(result.metrics()[0].second, 2.0);
 }
 
 TEST(ScenarioTable, RowWidthEnforced) {

@@ -130,8 +130,8 @@ TEST(IgtPopulationStates, LayoutAndCensus) {
   const auto states = make_igt_population_states(pop, 5, 2);
   ASSERT_EQ(states.size(), 9u);
   const population agents(states, 2 + 5);
-  EXPECT_EQ(agents.count(igt_encoding::ac), 2u);
-  EXPECT_EQ(agents.count(igt_encoding::ad), 3u);
+  EXPECT_EQ(agents.counts()[igt_encoding::ac], 2u);
+  EXPECT_EQ(agents.counts()[igt_encoding::ad], 3u);
   const auto census = gtft_level_counts(agents, 5);
   EXPECT_EQ(census[2], 4u);
   EXPECT_EQ(std::accumulate(census.begin(), census.end(), std::uint64_t{0}),

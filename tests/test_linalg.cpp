@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "ppg/linalg/lu.hpp"
 #include "ppg/linalg/matrix.hpp"
@@ -10,6 +11,14 @@
 
 namespace ppg {
 namespace {
+
+matrix from_rows(const std::vector<std::vector<double>>& rows) {
+  matrix m(rows.size(), rows.front().size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t c = 0; c < rows[r].size(); ++c) m(r, c) = rows[r][c];
+  }
+  return m;
+}
 
 TEST(Matrix, ConstructionAndIndexing) {
   matrix m(2, 3, 1.5);
@@ -21,40 +30,24 @@ TEST(Matrix, ConstructionAndIndexing) {
   EXPECT_THROW((void)m(2, 0), invariant_error);
 }
 
-TEST(Matrix, FromRowsAndIdentity) {
-  const auto m = matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
+TEST(Matrix, Identity) {
   const auto id = matrix::identity(3);
   EXPECT_DOUBLE_EQ(id(1, 1), 1.0);
   EXPECT_DOUBLE_EQ(id(0, 1), 0.0);
-  EXPECT_THROW((void)matrix::from_rows({{1.0}, {1.0, 2.0}}),
-               invariant_error);
 }
 
 TEST(Matrix, Arithmetic) {
-  const auto a = matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  const auto b = matrix::from_rows({{5.0, 6.0}, {7.0, 8.0}});
-  const auto sum = a + b;
-  EXPECT_DOUBLE_EQ(sum(0, 0), 6.0);
-  const auto diff = b - a;
+  const auto a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
+  auto diff = from_rows({{5.0, 6.0}, {7.0, 8.0}});
+  diff -= a;
   EXPECT_DOUBLE_EQ(diff(1, 1), 4.0);
+  EXPECT_THROW(diff -= matrix(3, 2), invariant_error);
   const auto scaled = 2.0 * a;
   EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
 }
 
-TEST(Matrix, ProductKnownValue) {
-  const auto a = matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  const auto b = matrix::from_rows({{5.0, 6.0}, {7.0, 8.0}});
-  const auto p = a * b;
-  EXPECT_DOUBLE_EQ(p(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(p(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(p(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(p(1, 1), 50.0);
-}
-
 TEST(Matrix, Transpose) {
-  const auto a = matrix::from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
+  const auto a = from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
   const auto t = a.transposed();
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
@@ -62,31 +55,16 @@ TEST(Matrix, Transpose) {
 }
 
 TEST(Matrix, RowStochasticCheck) {
-  const auto good = matrix::from_rows({{0.5, 0.5}, {0.1, 0.9}});
+  const auto good = from_rows({{0.5, 0.5}, {0.1, 0.9}});
   EXPECT_TRUE(good.is_row_stochastic());
-  const auto bad_sum = matrix::from_rows({{0.5, 0.6}, {0.1, 0.9}});
+  const auto bad_sum = from_rows({{0.5, 0.6}, {0.1, 0.9}});
   EXPECT_FALSE(bad_sum.is_row_stochastic());
-  const auto negative = matrix::from_rows({{-0.5, 1.5}, {0.1, 0.9}});
+  const auto negative = from_rows({{-0.5, 1.5}, {0.1, 0.9}});
   EXPECT_FALSE(negative.is_row_stochastic());
 }
 
-TEST(Matrix, RowTimesAndTimesCol) {
-  const auto m = matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  const auto row = row_times({1.0, 1.0}, m);
-  EXPECT_DOUBLE_EQ(row[0], 4.0);
-  EXPECT_DOUBLE_EQ(row[1], 6.0);
-  const auto col = times_col(m, {1.0, 1.0});
-  EXPECT_DOUBLE_EQ(col[0], 3.0);
-  EXPECT_DOUBLE_EQ(col[1], 7.0);
-}
-
-TEST(Matrix, DotProduct) {
-  EXPECT_DOUBLE_EQ(dot({1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}), 32.0);
-  EXPECT_THROW((void)dot({1.0}, {1.0, 2.0}), invariant_error);
-}
-
 TEST(Lu, SolvesKnownSystem) {
-  const auto a = matrix::from_rows({{2.0, 1.0}, {1.0, 3.0}});
+  const auto a = from_rows({{2.0, 1.0}, {1.0, 3.0}});
   const auto x = solve(a, {3.0, 5.0});
   EXPECT_NEAR(x[0], 0.8, 1e-12);
   EXPECT_NEAR(x[1], 1.4, 1e-12);
@@ -106,15 +84,16 @@ TEST(Lu, SolveRandomSystemsResidual) {
       a(r, r) += 3.0;  // diagonally dominant, hence well-conditioned
     }
     const auto x = solve(a, b);
-    const auto ax = times_col(a, x);
     for (std::size_t r = 0; r < n; ++r) {
-      EXPECT_NEAR(ax[r], b[r], 1e-9);
+      double ax = 0.0;
+      for (std::size_t c = 0; c < n; ++c) ax += a(r, c) * x[c];
+      EXPECT_NEAR(ax, b[r], 1e-9);
     }
   }
 }
 
 TEST(Lu, SolveTransposed) {
-  const auto a = matrix::from_rows({{2.0, 0.0}, {1.0, 3.0}});
+  const auto a = from_rows({{2.0, 0.0}, {1.0, 3.0}});
   // Solve x A = b  <=>  A^T x = b.
   const auto x = lu_decomposition(a).solve_transposed({5.0, 9.0});
   // x A = (2 x0 + x1, 3 x1) = (5, 9) -> x1 = 3, x0 = 1.
@@ -122,50 +101,46 @@ TEST(Lu, SolveTransposed) {
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
-TEST(Lu, InverseRoundTrip) {
-  const auto a = matrix::from_rows(
-      {{4.0, 1.0, 0.0}, {1.0, 3.0, 1.0}, {0.0, 1.0, 2.0}});
-  const auto inv = inverse(a);
-  const auto prod = a * inv;
-  const auto id = matrix::identity(3);
-  EXPECT_LT((prod - id).max_abs(), 1e-10);
-}
-
 TEST(Lu, DeterminantKnownValues) {
-  const auto a = matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
+  const auto a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
   EXPECT_NEAR(lu_decomposition(a).determinant(), -2.0, 1e-12);
   const auto id = matrix::identity(4);
   EXPECT_NEAR(lu_decomposition(id).determinant(), 1.0, 1e-12);
 }
 
 TEST(Lu, SingularMatrixThrows) {
-  const auto a = matrix::from_rows({{1.0, 2.0}, {2.0, 4.0}});
+  const auto a = from_rows({{1.0, 2.0}, {2.0, 4.0}});
   EXPECT_THROW(lu_decomposition{a}, invariant_error);
 }
 
 TEST(Lu, PivotingHandlesZeroDiagonal) {
-  const auto a = matrix::from_rows({{0.0, 1.0}, {1.0, 0.0}});
+  const auto a = from_rows({{0.0, 1.0}, {1.0, 0.0}});
   const auto x = solve(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, NeumannSeriesIdentity) {
-  // (I - dM)^{-1} = sum (dM)^i for a stochastic M and d < 1: the identity
-  // the exact payoff engine relies on (equation (33)).
-  const auto m = matrix::from_rows({{0.3, 0.7}, {0.6, 0.4}});
+  // (I - dM)^{-1} b = sum (dM)^i b for a stochastic M and d < 1: the
+  // identity the exact payoff engine relies on (equation (33)).
+  const auto m = from_rows({{0.3, 0.7}, {0.6, 0.4}});
   const double d = 0.8;
   auto a = matrix::identity(2);
   a -= d * m;
-  const auto inv = inverse(a);
-  // Partial sums of the series.
-  auto partial = matrix::identity(2);
-  auto term = matrix::identity(2);
+  const std::vector<double> b = {1.0, -2.0};
+  const auto x = solve(a, b);
+  // Partial sums of the series applied to b.
+  std::vector<double> partial = b;
+  std::vector<double> term = b;
   for (int i = 0; i < 400; ++i) {
-    term = term * (d * m);
-    partial += term;
+    const std::vector<double> previous = term;
+    for (std::size_t r = 0; r < 2; ++r) {
+      term[r] = d * (m(r, 0) * previous[0] + m(r, 1) * previous[1]);
+      partial[r] += term[r];
+    }
   }
-  EXPECT_LT((partial - inv).max_abs(), 1e-8);
+  EXPECT_NEAR(partial[0], x[0], 1e-8);
+  EXPECT_NEAR(partial[1], x[1], 1e-8);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(ApproximateMajority, LargeInitialGapElectsMajority) {
     simulation sim(proto, majority_population(80, 20, 0),
                    rng(503 + static_cast<std::uint64_t>(t)));
     sim.run_until(approximate_majority_protocol::has_consensus, 2'000'000);
-    if (sim.agents().count(approximate_majority_protocol::state_x) ==
+    if (sim.census().count(approximate_majority_protocol::state_x) ==
         sim.agents().size()) {
       ++x_wins;
     }
@@ -120,7 +120,7 @@ TEST(LeaderElection, AlwaysElectsExactlyOneLeader) {
   const auto steps = sim.run_until(
       leader_election_protocol::has_unique_leader, 100'000'000);
   ASSERT_LT(steps, 100'000'000u);
-  EXPECT_EQ(sim.agents().count(leader_election_protocol::state_leader), 1u);
+  EXPECT_EQ(sim.census().count(leader_election_protocol::state_leader), 1u);
 }
 
 TEST(LeaderElection, LeaderCountIsMonotoneNonIncreasing) {
@@ -132,7 +132,7 @@ TEST(LeaderElection, LeaderCountIsMonotoneNonIncreasing) {
   for (int i = 0; i < 2000; ++i) {
     sim.step();
     const auto leaders =
-        sim.agents().count(leader_election_protocol::state_leader);
+        sim.census().count(leader_election_protocol::state_leader);
     EXPECT_LE(leaders, previous);
     previous = leaders;
   }
@@ -209,7 +209,7 @@ TEST(Rumor, InformedCountNeverDecreases) {
   std::uint64_t previous = 1;
   for (int i = 0; i < 5000; ++i) {
     sim.step();
-    const auto informed = sim.agents().count(rumor_protocol::state_informed);
+    const auto informed = sim.census().count(rumor_protocol::state_informed);
     EXPECT_GE(informed, previous);
     previous = informed;
   }

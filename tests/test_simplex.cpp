@@ -90,13 +90,6 @@ TEST(Simplex, DegenerateOnePart) {
   EXPECT_EQ(index.rank({5}), 0u);
 }
 
-TEST(Simplex, CompositionsTable) {
-  const simplex_index index(4, 6);
-  EXPECT_EQ(index.compositions(1, 6), 1u);
-  EXPECT_EQ(index.compositions(2, 6), 7u);
-  EXPECT_EQ(index.compositions(3, 4), binom(6, 2));
-}
-
 TEST(Simplex, InvalidInputsThrow) {
   const simplex_index index(3, 4);
   EXPECT_THROW((void)index.rank({1, 1, 1}), invariant_error);  // sums to 3

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "ppg/util/error.hpp"
@@ -90,18 +89,6 @@ TEST(Rng, NextBelowIsApproximatelyUniform) {
   for (const int c : counts) {
     EXPECT_NEAR(static_cast<double>(c), trials / 5.0, 600.0);
   }
-}
-
-TEST(Rng, NextInCoversInclusiveRange) {
-  rng gen(3);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = gen.next_in(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
 }
 
 TEST(Rng, NextDoubleInUnitInterval) {
@@ -207,19 +194,6 @@ TEST(Table, AlignsAndCounts) {
 TEST(Table, RejectsRaggedRows) {
   text_table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), invariant_error);
-}
-
-TEST(Table, RejectsCommasForCsvSafety) {
-  text_table t({"a"});
-  EXPECT_THROW(t.add_row({"x,y"}), invariant_error);
-}
-
-TEST(Table, CsvOutput) {
-  text_table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream out;
-  t.print_csv(out);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
 }
 
 TEST(Format, FixedAndScientific) {

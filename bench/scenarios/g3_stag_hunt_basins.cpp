@@ -2,8 +2,8 @@
 // sweep. Local (single-partner) revision rules cannot see the coordination
 // payoff through a population mixture, so the two classic regimes appear in
 // sharp form: under a near-greedy logit response the dynamics reduce to the
-// voter model — fixation is probabilistic with P(all-stag) equal to the
-// initial stag fraction (the martingale property), the stochastic analogue
+// voter model — fixation is probabilistic with P(all-stag) set by the
+// initial stag count (the martingale property), the stochastic analogue
 // of a basin boundary — while under imitate-if-better the risk-dominant
 // all-hare equilibrium absorbs every initial condition (the sucker's payoff
 // always loses the encounter comparison). The sweep counts fixations across
@@ -11,11 +11,15 @@
 // metrics; DESIGN.md §7 discusses why the mean-field ODE (drift ~0 for the
 // voter regime) must not be trusted here.
 //
-// The voter regime is gated on noise-scaled statistics: at each grid point
-// the stag-fixation count is Binomial(R, x0) under the martingale, so
-// z = (share - x0) / sqrt(x0 (1 - x0) / R) is ~N(0, 1) on every seed. The
-// raw max |share - x0| read 0.09-0.21 across seeds 1-10 at R = 48, so a
-// band on it tripped on redraws without a defect.
+// The voter regime is gated on noise-scaled statistics. Each logit run stops
+// when the stag count s first reaches hi = 19n/20 or lo = n/20, and s moves
+// by at most one per (one-way) revision, so the optional-stopping theorem gives the exit
+// probability p = (s0 - lo) / (hi - lo) from the start s0 (not s0 / n, which
+// holds only at full absorption). The stag-fixation count at a grid point
+// is then Binomial(R, p), and z = (share - p) / sqrt(p (1 - p) / R) is
+// ~N(0, 1) on every seed. The former gate, the raw max |share - x0|, read
+// 0.09-0.21 across seeds 1-10 at R = 48, so a band on it tripped on
+// redraws without a defect.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -43,6 +47,8 @@ scenario_result run_g3(const scenario_context& ctx) {
   const std::vector<double> grid = {0.1, 0.2, 0.3, 0.4, 0.5,
                                     0.6, 0.7, 0.8, 0.9};
   const std::uint64_t max_steps = 400 * n;
+  const std::uint64_t lo = n / 20;
+  const std::uint64_t hi = (19 * n) / 20;
   result.param("n", n);
   result.param("stag", stag);
   result.param("hare", hare);
@@ -96,7 +102,7 @@ scenario_result run_g3(const scenario_context& ctx) {
       (void)engine->run_until(
           [&](const census_view& census) {
             const auto s = census.count(0);
-            return s >= (19 * n) / 20 || s <= n / 20;
+            return s >= hi || s <= lo;
           },
           max_steps);
       if (2 * engine->census().count(0) >= n) {
@@ -115,17 +121,17 @@ scenario_result run_g3(const scenario_context& ctx) {
     stag_basin_count += stag_fixations;
     risk_dominance_violations += replicas - hare_fixations;
     const double share = static_cast<double>(stag_fixations) / runs;
-    martingale_error = std::max(martingale_error, std::abs(share - x0));
-    const double start = static_cast<double>(stags) / static_cast<double>(n);
-    const double sd = std::sqrt(start * (1.0 - start) / runs);
-    const double z = (share - start) / sd;
+    const double p = static_cast<double>(stags - lo) /
+                     static_cast<double>(hi - lo);
+    martingale_error = std::max(martingale_error, std::abs(share - p));
+    const double z = (share - p) / std::sqrt(p * (1.0 - p) / runs);
     z_sum += z;
     max_z = std::max(max_z, std::abs(z));
     if (!(std::abs(z) <= z_limit)) ++points_beyond_z;  // NaN counts
     table.add_row(
         {format_metric(x0, 2),
          format_metric(static_cast<double>(stag_fixations)),
-         format_metric(x0 * static_cast<double>(replicas), 3),
+         format_metric(p * runs, 3),
          format_metric(z, 3),
          format_metric(static_cast<double>(replicas - hare_fixations))});
   }
@@ -150,7 +156,8 @@ scenario_result run_g3(const scenario_context& ctx) {
   result.metric("replicator_threshold", replicator_threshold);
   result.note(
       "Expected shape: logit fixations climb linearly with the initial stag\n"
-      "fraction (voter martingale: P(all-stag) = x0, binomial scatter\n"
+      "fraction (voter martingale stopped at n/20 and 19n/20: P(upper\n"
+      "exit) = (s0 - n/20) / (0.9 n) from s0 stags, binomial scatter\n"
       "across R replicas: every grid point's z and the pooled z within\n"
       "z_limit), imitate-if-better fixates all-hare everywhere\n"
       "(0 violations), and neither follows the replicator basin boundary\n"

@@ -2,7 +2,7 @@
 """Fail when a libppg.a function that no shipped program reaches is not
 in the committed allowlist, or when an allowlist entry has gone stale.
 
-    check_reachability.py [--build-dir DIR] [--jobs N]
+    check_reachability.py
 
 The scan:
   1. Build the repository in Release with tests off, and perfbench/ (which
@@ -26,13 +26,12 @@ where kind is one of oracle, paper, planned, debug (see the file's header)
 and reason names the test, the PAPER.md result or the ROADMAP item that
 keeps it. The check fails (exit 1) on an unreached function with no line,
 on a line whose function is now reached or no longer exists, and on a
-malformed line. perfbench/ is read, never written: both builds live in
---build-dir (default: a temporary directory, removed afterwards).
+malformed line. perfbench/ is read, never written: both builds live in a
+temporary directory, removed afterwards, and use one job per CPU this
+process may run on.
 """
 
-import argparse
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -48,9 +47,10 @@ SCAN_FLAGS = [
 ]
 
 
-def build(source, build_dir, extra, jobs):
+def build(source, build_dir, extra):
     subprocess.run(["cmake", "-S", source, "-B", build_dir, *SCAN_FLAGS,
                     *extra], check=True, stdout=subprocess.DEVNULL)
+    jobs = len(os.sched_getaffinity(0))
     subprocess.run(["cmake", "--build", build_dir, "-j", str(jobs)],
                    check=True, stdout=subprocess.DEVNULL)
 
@@ -117,28 +117,17 @@ def read_allowlist(path):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--build-dir",
-                        help="build here and keep it (default: a "
-                             "temporary directory)")
-    parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count()))
-    args = parser.parse_args()
-
     allowed, errors = read_allowlist(ALLOWLIST)
-    work = args.build_dir or tempfile.mkdtemp(prefix="ppg-reachability-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="ppg-reachability-") as work:
         main_dir = os.path.join(work, "main")
         perfbench_dir = os.path.join(work, "perfbench")
-        build(ROOT, main_dir, ["-DPPG_BUILD_TESTS=OFF"], args.jobs)
-        build(os.path.join(ROOT, "perfbench"), perfbench_dir, [], args.jobs)
+        build(ROOT, main_dir, ["-DPPG_BUILD_TESTS=OFF"])
+        build(os.path.join(ROOT, "perfbench"), perfbench_dir, [])
         functions = library_functions(os.path.join(main_dir, "libppg.a"))
         reached = set()
         binaries = production_binaries(main_dir, perfbench_dir)
         for binary in binaries:
             reached |= defined_symbols(binary)
-    finally:
-        if not args.build_dir:
-            shutil.rmtree(work, ignore_errors=True)
 
     unreached = {symbol: obj for symbol, obj in functions.items()
                  if symbol not in reached}

@@ -1,8 +1,5 @@
 #include "ppg/exp/aggregator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "ppg/util/error.hpp"
 
 namespace ppg {
@@ -39,23 +36,6 @@ std::vector<double> census_aggregator::ci_half_width(double z) const {
     result[j] = coords_[j].ci_half_width(z);
   }
   return result;
-}
-
-void scalar_aggregator::add(double value) {
-  summary_.add(value);
-  samples_.push_back(value);
-}
-
-double scalar_aggregator::quantile(double q) const {
-  PPG_CHECK(!samples_.empty(), "quantile of an empty sample set");
-  PPG_CHECK(q >= 0.0 && q <= 1.0, "quantile level must be in [0, 1]");
-  const auto n = static_cast<double>(samples_.size());
-  const auto rank = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::ceil(q * n)), 1, samples_.size());
-  std::vector<double> order = samples_;
-  const auto kth = order.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-  std::nth_element(order.begin(), kth, order.end());
-  return *kth;
 }
 
 void trajectory_aggregator::add(const std::vector<double>& trajectory) {

@@ -1,6 +1,6 @@
 // Aggregators for batch-replication results: per-coordinate summaries of
-// censuses, scalar summaries with an exact quantile (convergence times,
-// payoffs), and time-aligned trajectory bands.
+// censuses, scalar summaries (convergence times, payoffs), and time-aligned
+// trajectory bands.
 //
 // The batch runner folds replicas into them in replica order on one thread,
 // so every aggregate is independent of the worker count.
@@ -35,10 +35,11 @@ class census_aggregator {
 };
 
 /// Aggregates one scalar per replica (a convergence time, a payoff, a TV
-/// distance): mean/CI via Welford plus the raw samples for quantiles.
+/// distance): mean/CI via Welford. It keeps no samples; a caller that needs
+/// a quantile keeps its own and calls lower_quantile.
 class scalar_aggregator {
  public:
-  void add(double value);
+  void add(double value) { summary_.add(value); }
 
   [[nodiscard]] std::size_t count() const { return summary_.count(); }
   [[nodiscard]] double mean() const { return summary_.mean(); }
@@ -48,14 +49,8 @@ class scalar_aggregator {
   }
   [[nodiscard]] double max() const { return summary_.max(); }
 
-  /// The q-quantile, q in [0, 1], by the inverse-CDF (lower) convention:
-  /// the smallest sample s with F(s) >= q, where F is the empirical CDF.
-  /// Requires at least one sample.
-  [[nodiscard]] double quantile(double q) const;
-
  private:
   running_summary summary_;
-  std::vector<double> samples_;
 };
 
 /// Aggregates per-replica trajectories sampled at identical time points

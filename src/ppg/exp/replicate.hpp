@@ -7,7 +7,7 @@
 //     const auto run = simulate_corner_coupling(params, budget, gen);
 //     return static_cast<double>(run.coupling_time);  // one replica
 //   });
-//   agg.mean(); agg.ci_half_width(); agg.quantile(0.9);
+//   agg.mean(); agg.ci_half_width(); agg.max();
 //
 // These entry points run each replica to completion inside its body.
 #pragma once

@@ -42,4 +42,15 @@ double running_summary::ci_half_width(double z) const {
   return z * std_error();
 }
 
+double lower_quantile(std::vector<double> samples, double q) {
+  PPG_CHECK(!samples.empty(), "quantile of an empty sample set");
+  PPG_CHECK(q >= 0.0 && q <= 1.0, "quantile level must be in [0, 1]");
+  const auto n = static_cast<double>(samples.size());
+  const auto rank = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(q * n)), 1, samples.size());
+  const auto kth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(samples.begin(), kth, samples.end());
+  return *kth;
+}
+
 }  // namespace ppg

@@ -1,7 +1,9 @@
-// Streaming summary statistics (Welford) and simple confidence intervals.
+// Streaming summary statistics (Welford), simple confidence intervals and
+// an exact sample quantile.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace ppg {
 
@@ -30,5 +32,10 @@ class running_summary {
   double m2_ = 0.0;
   double max_ = 0.0;
 };
+
+/// The q-quantile of `samples`, q in [0, 1], by the inverse-CDF (lower)
+/// convention: the smallest sample s with F(s) >= q, where F is the
+/// empirical CDF. Requires at least one sample; reorders its copy only.
+[[nodiscard]] double lower_quantile(std::vector<double> samples, double q);
 
 }  // namespace ppg

@@ -20,18 +20,12 @@
 #include "ppg/stats/distributions.hpp"
 #include "ppg/stats/summary.hpp"
 #include "ppg/util/error.hpp"
+#include "test_helpers.hpp"
 
 namespace ppg {
 namespace {
 
-// Multinomial(m, probs) counts, drawn through the library's pointer form.
-std::vector<std::uint64_t> draw_multinomial(std::uint64_t m,
-                                            const std::vector<double>& probs,
-                                            rng& gen) {
-  std::vector<std::uint64_t> counts(probs.size());
-  sample_multinomial(m, probs.data(), probs.size(), gen, counts.data());
-  return counts;
-}
+using testing::draw_multinomial;
 
 /// Chi-square p-value of `trials` draws of `sample` against `pmf` tabulated
 /// on [lo, hi], a window wide enough (>= 12 standard deviations each side)

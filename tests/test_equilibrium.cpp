@@ -10,19 +10,12 @@
 #include "ppg/stats/distributions.hpp"
 #include "ppg/stats/empirical.hpp"
 #include "ppg/util/error.hpp"
+#include "test_helpers.hpp"
 
 namespace ppg {
 namespace {
 
-/// The 2x2 payoff matrix with rows (a, b) and (c, d).
-matrix two_by_two(double a, double b, double c, double d) {
-  matrix m(2, 2);
-  m(0, 0) = a;
-  m(0, 1) = b;
-  m(1, 0) = c;
-  m(1, 1) = d;
-  return m;
-}
+using testing::from_rows;
 
 TEST(InducedDistribution, MatchesEquation3) {
   const std::vector<double> mu = {0.5, 0.3, 0.2};
@@ -136,7 +129,7 @@ TEST(Analyzer, AgreesWithExactEngineDefinition11Path) {
 TEST(GeneralDeGap, SymmetricGameConsistency) {
   // For a symmetric game u2(i, j) = u1(j, i), the two players' gaps agree
   // when mu is symmetric.
-  const auto u1 = two_by_two(1.0, 0.0, 3.0, 2.0);
+  const auto u1 = from_rows({{1.0, 0.0}, {3.0, 2.0}});
   const auto u2 = u1.transposed();
   const std::vector<double> mu = {0.5, 0.5};
   const auto result = general_de_gap(u1, u2, mu);
@@ -146,7 +139,7 @@ TEST(GeneralDeGap, SymmetricGameConsistency) {
 TEST(GeneralDeGap, PrisonersDilemmaPureDefectionIsEquilibrium) {
   // One-shot donation PD: (AD, AD) is the Nash equilibrium, so the point
   // mass on AD has zero gap.
-  const auto u1 = two_by_two(2.0, -1.0, 3.0, 0.0);  // rows: C, D
+  const auto u1 = from_rows({{2.0, -1.0}, {3.0, 0.0}});  // rows: C, D
   const auto u2 = u1.transposed();
   const std::vector<double> defect = {0.0, 1.0};
   const auto result = general_de_gap(u1, u2, defect);
@@ -157,8 +150,8 @@ TEST(GeneralDeGap, PrisonersDilemmaPureDefectionIsEquilibrium) {
 }
 
 TEST(GeneralDeGap, MatchingPenniesUniformIsEquilibrium) {
-  const auto u1 = two_by_two(1.0, -1.0, -1.0, 1.0);
-  const auto u2 = two_by_two(-1.0, 1.0, 1.0, -1.0);
+  const auto u1 = from_rows({{1.0, -1.0}, {-1.0, 1.0}});
+  const auto u2 = from_rows({{-1.0, 1.0}, {1.0, -1.0}});
   const std::vector<double> uniform = {0.5, 0.5};
   EXPECT_NEAR(general_de_gap(u1, u2, uniform).epsilon(), 0.0, 1e-12);
   const std::vector<double> skewed = {0.9, 0.1};

@@ -214,7 +214,7 @@ TEST(BatchRunner, ScalarAggregateDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.mean(), b.mean());
   EXPECT_EQ(a.mean(), c.mean());
   EXPECT_EQ(a.std_error(), c.std_error());
-  EXPECT_EQ(a.quantile(0.5), c.quantile(0.5));
+  EXPECT_EQ(a.max(), c.max());
 }
 
 TEST(BatchRunner, PropagatesReplicaExceptions) {
@@ -240,23 +240,6 @@ TEST(Aggregators, TrajectoryBand) {
   EXPECT_DOUBLE_EQ(mean[1], 2.0);
   EXPECT_DOUBLE_EQ(mean[2], 3.0);
   EXPECT_THROW(band.add({1.0}), invariant_error);
-}
-
-TEST(Aggregators, ScalarQuantileIsTheLowerInverseCdf) {
-  // The q-quantile is the smallest sample s with F(s) >= q, whatever order
-  // the samples arrive in.
-  scalar_aggregator dist;
-  EXPECT_THROW((void)dist.quantile(0.5), invariant_error);
-  for (const double x : {5.0, 1.0, 3.0, 2.0, 4.0}) dist.add(x);
-  EXPECT_DOUBLE_EQ(dist.max(), 5.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.2), 1.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.3), 2.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.9), 5.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(1.0), 5.0);
-  EXPECT_THROW((void)dist.quantile(1.5), invariant_error);
-  EXPECT_THROW((void)dist.quantile(-0.1), invariant_error);
 }
 
 TEST(SimSpec, ReplicasStartFromIdenticalInitialCondition) {

@@ -8,17 +8,12 @@
 #include "ppg/linalg/matrix.hpp"
 #include "ppg/util/error.hpp"
 #include "ppg/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace ppg {
 namespace {
 
-matrix from_rows(const std::vector<std::vector<double>>& rows) {
-  matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < rows[r].size(); ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
+using testing::from_rows;
 
 TEST(Matrix, ConstructionAndIndexing) {
   matrix m(2, 3, 1.5);

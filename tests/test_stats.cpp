@@ -10,18 +10,12 @@
 #include "ppg/stats/empirical.hpp"
 #include "ppg/stats/summary.hpp"
 #include "ppg/util/error.hpp"
+#include "test_helpers.hpp"
 
 namespace ppg {
 namespace {
 
-// Multinomial(m, probs) counts, drawn through the library's pointer form.
-std::vector<std::uint64_t> draw_multinomial(std::uint64_t m,
-                                            const std::vector<double>& probs,
-                                            rng& gen) {
-  std::vector<std::uint64_t> counts(probs.size());
-  sample_multinomial(m, probs.data(), probs.size(), gen, counts.data());
-  return counts;
-}
+using testing::draw_multinomial;
 
 TEST(Summary, MeanVarianceKnownValues) {
   running_summary s;
@@ -40,6 +34,21 @@ TEST(Summary, EmptySummaryThrows) {
   EXPECT_THROW((void)s.max(), invariant_error);
   s.add(1.0);
   EXPECT_THROW((void)s.variance(), invariant_error);
+}
+
+TEST(Summary, LowerQuantileIsTheInverseCdf) {
+  // The q-quantile is the smallest sample s with F(s) >= q, whatever order
+  // the samples arrive in.
+  EXPECT_THROW((void)lower_quantile({}, 0.5), invariant_error);
+  const std::vector<double> samples = {5.0, 1.0, 3.0, 2.0, 4.0};
+  EXPECT_DOUBLE_EQ(lower_quantile(samples, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(lower_quantile(samples, 0.2), 1.0);
+  EXPECT_DOUBLE_EQ(lower_quantile(samples, 0.3), 2.0);
+  EXPECT_DOUBLE_EQ(lower_quantile(samples, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(lower_quantile(samples, 0.9), 5.0);
+  EXPECT_DOUBLE_EQ(lower_quantile(samples, 1.0), 5.0);
+  EXPECT_THROW((void)lower_quantile(samples, 1.5), invariant_error);
+  EXPECT_THROW((void)lower_quantile(samples, -0.1), invariant_error);
 }
 
 TEST(Summary, CiShrinksWithSamples) {

@@ -15,8 +15,11 @@
 // when the stag count s first reaches hi = 19n/20 or lo = n/20, and s moves
 // by at most one per (one-way) revision, so the optional-stopping theorem gives the exit
 // probability p = (s0 - lo) / (hi - lo) from the start s0 (not s0 / n, which
-// holds only at full absorption). The stag-fixation count at a grid point
-// is then Binomial(R, p), and z = (share - p) / sqrt(p (1 - p) / R) is
+// holds only at full absorption). A run that reaches the 400n-step cap
+// before either exit counts (s - lo) / (hi - lo) at its final count s, its
+// stopped walk's exit probability from there, so the share's mean stays p
+// (voter_runs_capped reports how many do). The share is then Binomial(R,
+// p) / R up to those few runs, and z = (share - p) / sqrt(p (1 - p) / R) is
 // ~N(0, 1) on every seed. The former gate, the raw max |share - x0|, read
 // 0.09-0.21 across seeds 1-10 at R = 48, so a band on it tripped on
 // redraws without a defect.
@@ -75,8 +78,8 @@ scenario_result run_g3(const scenario_context& ctx) {
   const double replicator_threshold = hare / stag;
 
   auto& table = result.table(
-      "fixation sweep: stag fixations out of R replicas per initial "
-      "fraction",
+      "fixation sweep: stag exits out of R replicas per initial fraction "
+      "(a capped\nrun counts its exit probability)",
       {"initial stag", "logit (voter regime)", "voter prediction", "z",
        "imitate-if-better"});
   std::uint64_t stag_basin_count = 0;
@@ -85,6 +88,7 @@ scenario_result run_g3(const scenario_context& ctx) {
   double max_z = 0.0;
   double z_sum = 0.0;
   std::uint64_t points_beyond_z = 0;
+  std::uint64_t voter_runs_capped = 0;
   std::uint64_t salt = 1;
   for (const double x0 : grid) {
     const auto stags =
@@ -94,6 +98,7 @@ scenario_result run_g3(const scenario_context& ctx) {
     const sim_spec imitation_spec(imitation, counts);
     std::uint64_t stag_fixations = 0;
     std::uint64_t hare_fixations = 0;
+    double stag_exits = 0.0;  // capped runs count their exit probability
     for (std::size_t r = 0; r < replicas; ++r) {
       rng gen = ctx.make_rng(salt++);
       const auto engine = voter_spec.make_engine(engine_kind::census, gen);
@@ -105,8 +110,14 @@ scenario_result run_g3(const scenario_context& ctx) {
             return s >= hi || s <= lo;
           },
           max_steps);
-      if (2 * engine->census().count(0) >= n) {
-        ++stag_fixations;
+      const std::uint64_t s = engine->census().count(0);
+      if (2 * s >= n) ++stag_fixations;
+      if (s >= hi) {
+        stag_exits += 1.0;
+      } else if (s > lo) {
+        ++voter_runs_capped;
+        stag_exits += static_cast<double>(s - lo) /
+                      static_cast<double>(hi - lo);
       }
     }
     for (std::size_t r = 0; r < replicas; ++r) {
@@ -120,7 +131,7 @@ scenario_result run_g3(const scenario_context& ctx) {
     }
     stag_basin_count += stag_fixations;
     risk_dominance_violations += replicas - hare_fixations;
-    const double share = static_cast<double>(stag_fixations) / runs;
+    const double share = stag_exits / runs;
     const double p = static_cast<double>(stags - lo) /
                      static_cast<double>(hi - lo);
     martingale_error = std::max(martingale_error, std::abs(share - p));
@@ -130,7 +141,7 @@ scenario_result run_g3(const scenario_context& ctx) {
     if (!(std::abs(z) <= z_limit)) ++points_beyond_z;  // NaN counts
     table.add_row(
         {format_metric(x0, 2),
-         format_metric(static_cast<double>(stag_fixations)),
+         format_metric(stag_exits, 4),
          format_metric(p * runs, 3),
          format_metric(z, 3),
          format_metric(static_cast<double>(replicas - hare_fixations))});
@@ -144,6 +155,7 @@ scenario_result run_g3(const scenario_context& ctx) {
   result.metric("max_z_to_martingale", max_z);
   const double pooled_z = z_sum / std::sqrt(static_cast<double>(grid.size()));
   result.metric("pooled_z", pooled_z);
+  result.metric("voter_runs_capped", static_cast<double>(voter_runs_capped));
   result.metric("grid_points_beyond_z_limit",
                 static_cast<double>(points_beyond_z), metric_goal::minimize);
   result.metric("pooled_z_beyond_limit",
@@ -157,8 +169,9 @@ scenario_result run_g3(const scenario_context& ctx) {
   result.note(
       "Expected shape: logit fixations climb linearly with the initial stag\n"
       "fraction (voter martingale stopped at n/20 and 19n/20: P(upper\n"
-      "exit) = (s0 - n/20) / (0.9 n) from s0 stags, binomial scatter\n"
-      "across R replicas: every grid point's z and the pooled z within\n"
+      "exit) = (s0 - n/20) / (0.9 n) from s0 stags, and a run capped at\n"
+      "400n steps counts (s - n/20) / (0.9 n); binomial scatter across R\n"
+      "replicas: every grid point's z and the pooled z within\n"
       "z_limit), imitate-if-better fixates all-hare everywhere\n"
       "(0 violations), and neither follows the replicator basin boundary\n"
       "hare/stag = 0.75 — local single-partner rules cannot express it.");

@@ -471,8 +471,11 @@ scenario_result run_micro(const scenario_context& ctx) {
   {
     // Per-call cost of the exact samplers at the multibatch engine's draw
     // sizes (DESIGN.md §8): a hawk-dove pool split at n = 10^8 (sd ~40),
-    // an IGT pool split at n = 10^6 (sd ~7.5), a hawk-dove outcome cell,
-    // and a conditional binomial of mean 20.
+    // an IGT pool split at n = 10^6 (sd ~7.5), an IGT initiator draw of
+    // mean 0.32 (inversion), a hawk-dove outcome cell, conditional binomials
+    // of a q = 8 logit partner law (n 790, inversion at means 2, 5, 9 and
+    // 13, BTRS at 15: the two sides of the cutover at 14), and one of
+    // mean 20.
     const double call_seconds = ctx.pick(0.1, 0.01);
     auto& sampler_table =
         result.table("per-call sampler cost (ns per call)",
@@ -498,8 +501,17 @@ scenario_result run_micro(const scenario_context& ctx) {
     add_sampler("hypergeometric_sd7_5", "10^6 / 10^5 / 630", [&] {
       return sample_hypergeometric(1'000'000, 100'000, 630, gen);
     });
+    add_sampler("hypergeometric_mean0_32", "10^6 / 513 / 617", [&] {
+      return sample_hypergeometric(1'000'000, 513, 617, gen);
+    });
     add_sampler("binomial_n1500_p0_3", "n 1500 p 0.3",
                 [&] { return sample_binomial(1500, 0.3, gen); });
+    for (const int mean : {2, 5, 9, 13, 15}) {
+      const double p = mean / 790.0;
+      add_sampler("binomial_mean" + std::to_string(mean),
+                  "n 790 p " + format_metric(p, 3),
+                  [&] { return sample_binomial(790, p, gen); });
+    }
     add_sampler("binomial_mean20", "n 2000 p 0.01",
                 [&] { return sample_binomial(2000, 0.01, gen); });
     result.param("sampler_sink", sink > 0);

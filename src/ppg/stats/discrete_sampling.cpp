@@ -9,10 +9,15 @@
 namespace ppg {
 namespace {
 
-/// One log-factorial term of a rejection sampler's acceptance ratio,
-/// anchored at its mode-side argument b: ratio(a) = log(a! / b!) for
-/// candidates a near b, with log b computed once per draw instead of once
-/// per candidate.
+/// Binomial means n*min(p, 1-p) below this run inversion from 0, the rest
+/// BTRS (whose hat needs a mean of at least 10). DESIGN.md §8 has the
+/// per-call timings that place it.
+constexpr double binomial_inversion_below = 14.0;
+
+/// One log-factorial term log(a! / b!) anchored at b: a rejection
+/// sampler's acceptance ratio compares candidates a near its mode-side
+/// argument b, with log b computed once per draw instead of once per
+/// candidate, and the hypergeometric inversion's P(0) is two such terms.
 class log_factorial_anchor {
  public:
   explicit log_factorial_anchor(std::uint64_t b)
@@ -27,17 +32,36 @@ class log_factorial_anchor {
   double log_b_;
 };
 
-/// Binomial(n, p) by counting successes through geometric skips between
-/// them; exact, with expected work O(n*p + 1). Requires p in (0, 1).
-std::uint64_t binomial_by_skips(std::uint64_t n, double p, rng& gen) {
-  std::uint64_t successes = 0;
-  std::uint64_t position = 0;
+/// Inversion from 0: the smallest k with U < P(0) + ... + P(k), for one
+/// uniform U, walking the pmf from p0 = P(0) by ratio(k) = P(k+1) / P(k).
+/// Expected work O(mean + 1). A U that the computed terms leave uncovered
+/// (their rounded sum fell short of 1, and the walk reached a zero term:
+/// the end of the support or underflow) is redrawn, never clamped, so an
+/// error common to every term cannot move mass to the last one.
+template <typename Ratio>
+std::uint64_t invert_from_zero(double p0, const Ratio& ratio, rng& gen) {
   while (true) {
-    position += gen.next_geometric(p) + 1;
-    if (position > n) break;
-    ++successes;
+    double u = gen.next_double();
+    double pk = p0;
+    for (std::uint64_t k = 0; pk > 0.0; ++k) {
+      if (u < pk) return k;
+      u -= pk;
+      pk *= ratio(k);
+    }
   }
-  return successes;
+}
+
+/// Binomial(n, q) by inversion from 0: P(0) = (1 - q)^n and
+/// P(k+1) / P(k) = (n - k) / (k + 1) * q / (1 - q). Requires q in (0, 1/2].
+std::uint64_t binomial_inversion(std::uint64_t n, double q, rng& gen) {
+  const double odds = q / (1.0 - q);
+  const double p0 = std::exp(static_cast<double>(n) * std::log1p(-q));
+  return invert_from_zero(
+      p0,
+      [n, odds](std::uint64_t k) {
+        return static_cast<double>(n - k) / static_cast<double>(k + 1) * odds;
+      },
+      gen);
 }
 
 /// Binomial(n, p) by Hörmann's BTRS, transformed rejection with squeeze
@@ -95,6 +119,26 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
     }
     return x;
   }
+  const std::uint64_t rest = total - marked - draws;
+  if (static_cast<unsigned __int128>(draws) * marked < total) {
+    // Mean below 1: inversion from 0. P(0) = (total - marked)! (total -
+    // draws)! / (total! rest!) is two factorial ratios; taking both over
+    // small = min(marked, draws) factors keeps their magnitude, and so
+    // their rounding, at ~small * log(total). P(k+1) / P(k) = (marked - k)
+    // (draws - k) / ((k + 1) (rest + k + 1)); its numerator is below total.
+    const std::uint64_t small = std::min(marked, draws);
+    const double p0 =
+        std::exp(log_factorial_anchor(rest).ratio(rest + small) -
+                 log_factorial_anchor(total - small).ratio(total));
+    return invert_from_zero(
+        p0,
+        [marked, draws, rest](std::uint64_t k) {
+          return static_cast<double>((marked - k) * (draws - k)) /
+                 (static_cast<double>(k + 1) *
+                  static_cast<double>(rest + k + 1));
+        },
+        gen);
+  }
   // Stadlober's HRUA ratio-of-uniforms (1989), as numpy runs it: O(1)
   // expected uniform pairs. The hat is a table mountain of width h around
   // mean + 1/2, bounded by the support [0, min(draws, marked)].
@@ -111,9 +155,8 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
       static_cast<unsigned __int128>(draws + 1) * (marked + 1) /
       (static_cast<unsigned __int128>(total) + 2));
   // pmf(x) is proportional to 1 / (x! (marked - x)! (draws - x)!
-  // (rest + x)!), rest = total - marked - draws >= 0; each factor is
-  // compared with its value at the mode.
-  const std::uint64_t rest = total - marked - draws;
+  // (rest + x)!), rest >= 0; each factor is compared with its value at the
+  // mode.
   const log_factorial_anchor at_x(mode);
   const log_factorial_anchor at_marked(marked - mode);
   const log_factorial_anchor at_draws(draws - mode);
@@ -141,13 +184,14 @@ std::uint64_t sample_binomial(std::uint64_t n, double p, rng& gen) {
   PPG_CHECK(p >= 0.0 && p <= 1.0, "sample_binomial requires p in [0, 1]");
   if (p == 0.0 || n == 0) return 0;
   if (p == 1.0) return n;
-  // Work with q = min(p, 1-p): skips cost O(n*q) uniforms, BTRS O(1) but
-  // needs n*q >= 10.
+  // Work with q = min(p, 1-p): inversion walks O(n*q) terms after one
+  // uniform, BTRS takes O(1) uniform pairs but needs n*q >= 10.
   const bool flipped = p > 0.5;
   const double q = flipped ? 1.0 - p : p;
-  const std::uint64_t successes = static_cast<double>(n) * q < 10.0
-                                      ? binomial_by_skips(n, q, gen)
-                                      : binomial_btrs(n, q, gen);
+  const std::uint64_t successes =
+      static_cast<double>(n) * q < binomial_inversion_below
+          ? binomial_inversion(n, q, gen)
+          : binomial_btrs(n, q, gen);
   return flipped ? n - successes : successes;
 }
 

@@ -1,17 +1,18 @@
 // Exact samplers for the discrete distributions the engines aggregate with:
 // binomial, hypergeometric, multivariate hypergeometric, and multinomial
 // draws, and the multibatch engine's birthday law, all built on the
-// deterministic ppg::rng. Closed-form
-// PMFs live in stats/distributions.hpp; this layer is the sampling side.
+// deterministic ppg::rng. Closed-form PMFs live in stats/distributions.hpp;
+// this layer is the sampling side.
 //
-// Every sampler is exact in law (up to double rounding of its acceptance
-// ratios) over its whole parameter range, and costs O(1) expected uniforms
-// per univariate draw at the population sizes the multibatch engine needs
-// (n up to ~3e9, draws up to ~n): small expected counts use geometric skips
-// (binomial mean < 10) or sequential draws (hypergeometric draws <= 8),
-// larger ones the textbook rejection samplers BTRS (binomial) and HRUA
-// (hypergeometric), whose acceptance tests take a few logs and no lgamma.
-// See DESIGN.md §8.
+// Every sampler is exact in law up to double rounding over its whole
+// parameter range, and costs O(1) expected uniforms per univariate draw at
+// the population sizes the multibatch engine needs (n up to ~3e9, draws up
+// to ~n). Small expected counts take one uniform and a walk of the pmf from
+// 0 (binomial mean < 14, hypergeometric mean < 1) or sequential draws in
+// integer arithmetic (hypergeometric draws <= 8); larger ones take the
+// textbook rejection samplers BTRS (binomial) and HRUA (hypergeometric),
+// whose acceptance tests take a few logs and no lgamma. See DESIGN.md §8
+// for each branch's law error and per-call cost.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,11 @@
 
 namespace ppg {
 
-/// Draws from Binomial(n, p). Exact for every n: with q = min(p, 1-p) and
-/// n*q < 10 it counts successes by geometric skips (expected O(n*q + 1)
-/// uniforms); from n*q = 10 on it runs Hörmann's BTRS, transformed
-/// rejection with squeeze (1993), in O(1) expected uniform pairs.
+/// Draws from Binomial(n, p). Exact for every n: with q = min(p, 1-p) (a
+/// p > 1/2 draw is flipped) and n*q < 14 it inverts one uniform by walking
+/// the pmf up from (1-q)^n, O(n*q + 1) multiplies; from n*q = 14 on it runs
+/// Hörmann's BTRS, transformed rejection with squeeze (1993), in O(1)
+/// expected uniform pairs.
 [[nodiscard]] std::uint64_t sample_binomial(std::uint64_t n, double p,
                                             rng& gen);
 
@@ -33,9 +35,10 @@ namespace ppg {
 /// are marked (Hypergeometric(total, marked, draws)). Requires
 /// marked <= total and draws <= total. After reducing by the
 /// marked/unmarked and sampled/unsampled symmetries, <= 8 draws are made
-/// one by one in exact integer arithmetic and larger samples by
-/// Stadlober's HRUA ratio-of-uniforms (1989), as numpy does, in O(1)
-/// expected uniform pairs.
+/// one by one in exact integer arithmetic, a mean below 1 (draws * marked
+/// < total) inverts one uniform by walking the pmf up from P(0), and the
+/// rest run Stadlober's HRUA ratio-of-uniforms (1989), as numpy does, in
+/// O(1) expected uniform pairs.
 [[nodiscard]] std::uint64_t sample_hypergeometric(std::uint64_t total,
                                                   std::uint64_t marked,
                                                   std::uint64_t draws,

@@ -1,11 +1,12 @@
 // The discrete-sampling layer: every sampler is validated against its
 // closed-form PMF (chi-square goodness of fit plus moment checks on every
-// branch: geometric skips and BTRS for binomials, the sequential path and
-// HRUA for hypergeometrics, at the multibatch engine's round sizes), at its
-// boundary parameters (p in {0, 1}, draws = population, single category),
-// and under the two-runs-bit-identical determinism contract the engines
-// rely on. The rejection samplers' log-factorial arithmetic is checked
-// against independent references.
+// branch: inversion and BTRS for binomials, the sequential path, inversion
+// and HRUA for hypergeometrics, at the multibatch engine's round sizes and
+// on both sides of each cutover), at its boundary parameters (p in {0, 1},
+// draws = population, single category), and under the
+// two-runs-bit-identical determinism contract the engines rely on. The
+// rejection samplers' log-factorial arithmetic is checked against
+// independent references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,7 +93,8 @@ TEST(DiscreteSampling, LogFactorialRatioMatchesLongDoubleSum) {
 }
 
 TEST(DiscreteSampling, BinomialChiSquareSmallRegime) {
-  // n * p = 12, just above the skip/BTRS threshold of 10: BTRS.
+  // n * p = 12, below the inversion/BTRS cutover of 14: inversion, walking
+  // most of a short support (n = 40).
   rng gen(21);
   const std::uint64_t n = 40;
   const double p = 0.3;
@@ -172,20 +174,28 @@ TEST(DiscreteSampling, HypergeometricChiSquareBothPaths) {
 }
 
 TEST(DiscreteSampling, BinomialChiSquareAtEveryBranch) {
-  // The skip path just below mean 10, BTRS just above it and at mean 32,
-  // a multibatch hawk-dove cell, the n = 10^8 scale, and the p > 1/2 flip
-  // into BTRS.
+  // Inversion just below the cutover at mean 14, BTRS just above it and at
+  // mean 32, a multibatch hawk-dove cell, the n = 10^8 scale, and the
+  // p > 1/2 flip into BTRS; then inversion at the two-way logit round's
+  // conditional binomials (~790 pairs per partner law, means 2, 5 and 9),
+  // at n = 10^8 with mean 5, where P(0) = exp(n log1p(-p)) carries the
+  // whole n, and the p > 1/2 flip into inversion (mean 5 of failures).
   struct binomial_case {
     std::uint64_t n;
     double p;
   };
   std::uint64_t seed = 100;
-  for (const binomial_case c : {binomial_case{1000, 0.0099},
-                                binomial_case{1000, 0.0101},
+  for (const binomial_case c : {binomial_case{1000, 0.0139},
+                                binomial_case{1000, 0.0141},
                                 binomial_case{3200, 0.01},
                                 binomial_case{1500, 0.3},
                                 binomial_case{100'000'000, 0.5},
-                                binomial_case{1000, 0.97}}) {
+                                binomial_case{1000, 0.97},
+                                binomial_case{790, 2.0 / 790.0},
+                                binomial_case{790, 5.0 / 790.0},
+                                binomial_case{790, 9.0 / 790.0},
+                                binomial_case{100'000'000, 5e-8},
+                                binomial_case{1000, 0.995}}) {
     rng gen(++seed);
     const double mean = static_cast<double>(c.n) * c.p;
     const auto [lo, hi] = window(mean, std::sqrt(mean * (1.0 - c.p)), c.n);
@@ -201,7 +211,10 @@ TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
   // HRUA at the multibatch engine's draws: a hawk-dove pool split at
   // n = 10^8 and one of its matching rows, an IGT pool split at n = 10^6,
   // HRUA's smallest draw count (9), and a hat cut by the support
-  // (marked = 13 < draws).
+  // (marked = 13 < draws). Then inversion at igt_ensemble's initiator draw
+  // (617 draws from n = 10^6) over its stationary census's small GTFT
+  // levels 32, 128 and 513, the same draw through the marked/unmarked
+  // flip, and means just below 1 (inversion) and just above it (HRUA).
   struct hypergeometric_case {
     std::uint64_t total;
     std::uint64_t marked;
@@ -213,7 +226,13 @@ TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
         hypergeometric_case{6300, 3150, 3150},
         hypergeometric_case{1'000'000, 100'000, 630},
         hypergeometric_case{5000, 2500, 9},
-        hypergeometric_case{200, 13, 90}}) {
+        hypergeometric_case{200, 13, 90},
+        hypergeometric_case{1'000'000, 32, 617},
+        hypergeometric_case{1'000'000, 128, 617},
+        hypergeometric_case{1'000'000, 513, 617},
+        hypergeometric_case{1'000'000, 1'000'000 - 128, 617},
+        hypergeometric_case{1'000'000, 999, 1000},
+        hypergeometric_case{1'000'000, 1001, 1000}}) {
     rng gen(++seed);
     const double nf = static_cast<double>(c.total);
     const double p = static_cast<double>(c.marked) / nf;
@@ -379,7 +398,7 @@ TEST(DiscreteSampling, MultinomialBoundaries) {
 
 TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
   // The determinism contract: equal seeds give equal draw sequences across
-  // every sampler and both internal sampling paths.
+  // every sampler and every internal sampling path.
   const auto draw_all = [](rng gen) {
     std::vector<std::uint64_t> log;
     const std::vector<std::uint64_t> counts = {500, 300, 200};
@@ -388,6 +407,7 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
       log.push_back(sample_binomial(40, 0.3, gen));
       log.push_back(sample_binomial(5000, 0.4, gen));
       log.push_back(sample_hypergeometric(1000, 400, 6, gen));
+      log.push_back(sample_hypergeometric(1'000'000, 128, 617, gen));
       log.push_back(sample_hypergeometric(1000, 400, 300, gen));
       sample_multivariate_hypergeometric(counts.data(), counts.size(), 100,
                                          gen, mvh.data());

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ppg/exp/scenario.hpp"
@@ -43,17 +44,19 @@ scenario_result run_c1(const scenario_context& ctx) {
       "bit-exact resume per engine (census divergence is gated at 0)",
       {"engine", "census diff", "state match", "checkpoint bytes",
        "save+restore ms"});
-  constexpr engine_kind kinds[] = {engine_kind::agent, engine_kind::census,
-                                   engine_kind::batched,
-                                   engine_kind::multibatch};
-  std::uint64_t salt = 1;
-  for (const auto kind : kinds) {
+  // Each engine's seed salt. Salt 3 belonged to the batched engine, which
+  // multibatch absorbed; it stays unused so the others keep their seeds.
+  constexpr std::pair<engine_kind, std::uint64_t> kinds[] = {
+      {engine_kind::agent, 1},
+      {engine_kind::census, 2},
+      {engine_kind::multibatch, 4}};
+  for (const auto& [kind, salt] : kinds) {
     const std::string name = engine_kind_name(kind);
     rng gen_full = ctx.make_rng(salt);
     const auto full = recipe.spec().make_engine(kind, gen_full);
     const auto full_snaps = full->run_with_snapshots(horizon, cadence);
 
-    rng gen_cut = ctx.make_rng(salt++);
+    rng gen_cut = ctx.make_rng(salt);
     const auto interrupted = recipe.spec().make_engine(kind, gen_cut);
     const auto before = interrupted->run_with_snapshots(cut, cadence);
 
@@ -104,6 +107,6 @@ scenario_result run_c1(const scenario_context& ctx) {
 
 [[maybe_unused]] const bool registered = register_scenario(
     "c1_checkpoint_resume", "checkpoint,engines",
-    "Bit-exact checkpoint/resume across all four engine kinds", run_c1);
+    "Bit-exact checkpoint/resume across all three engine kinds", run_c1);
 
 }  // namespace

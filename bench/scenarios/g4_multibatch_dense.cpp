@@ -1,17 +1,17 @@
-// Experiment G4 (multibatch engine): the dense-game workload where the
-// batched engine's identity skipping buys nothing — every hawk-dove or RPS
-// interaction samples a randomized kernel outcome, so batched degenerates
-// to one sampling round per interaction while the multibatch engine
-// aggregates ~sqrt(n) interactions per round.
+// Experiment G4 (multibatch engine): the dense-game workload, where
+// identity skipping buys nothing — every hawk-dove or RPS interaction
+// samples a randomized kernel outcome, or most of them do — so an engine
+// that samples per interaction makes one sampling event per interaction,
+// while the multibatch engine aggregates ~sqrt(n) interactions per round.
 //
-// The regression gate is the *event* speedup: sampling events per engine
-// (batched: advance_batch rounds; multibatch: aggregated rounds +
-// collision resolutions) are seed-deterministic counts, so the ratio is
-// reproducible across hardware — unlike wall-clock rates, which are
-// reported for the trajectory but never gated. The acceptance bar is a
-// >= 5x event win on a dense game at n = 10^8; the measured ratio is in
-// the thousands, recorded both raw (gated, goal max) and as the
-// deterministic pass flag multibatch_5x_win.
+// The regression gate is the *event* speedup: interactions over the
+// multibatch engine's sampling events (aggregated rounds + collision
+// resolutions + skip batches), a seed-deterministic ratio that is
+// reproducible across hardware, unlike wall-clock rates (those are in
+// throughput_engines). The acceptance bar is a >= 5x event win on a dense
+// game at n = 10^8; the measured ratio is in the thousands, recorded both
+// raw (gated, goal max) and as the deterministic pass flag
+// multibatch_5x_win.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,11 +20,9 @@
 #include "ppg/exp/scenario.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
-#include "ppg/pp/batched_engine.hpp"
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/util/table.hpp"
-#include "ppg/util/timer.hpp"
 
 namespace {
 
@@ -47,12 +45,13 @@ scenario_result run_g4(const scenario_context& ctx) {
       rps, std::make_shared<proportional_imitation_rule>(0.8));
 
   auto& table = result.table(
-      "sampling events per engine on dense games (seed-deterministic; the "
-      "gated\nspeedup is events_batched / events_multibatch)",
-      {"game", "batched events", "multibatch events", "event speedup",
-       "wall speedup"});
+      "multibatch sampling events on dense games (seed-deterministic; the "
+      "gated\nspeedup is interactions / events_multibatch)",
+      {"game", "interactions", "multibatch events", "event speedup"});
   double min_event_speedup = 0.0;
-  std::uint64_t salt = 1;
+  // The multibatch engine keeps the salts 2 and 4 it had beside the
+  // batched engine, whose 1 and 3 stay unused.
+  std::uint64_t salt = 0;
   const std::vector<std::pair<std::string, const game_protocol*>> games = {
       {"hawk_dove", &hd_proto}, {"rps", &rps_proto}};
   for (const auto& [name, proto] : games) {
@@ -61,41 +60,27 @@ scenario_result run_g4(const scenario_context& ctx) {
     counts.back() += n - (n / q) * q;
     const sim_spec spec(*proto, std::move(counts));
 
-    rng gen_batched = ctx.make_rng(salt++);
-    const auto batched = spec.make_engine(engine_kind::batched, gen_batched);
-    const timer batched_clock;
-    batched->run(interactions);
-    const double batched_seconds = batched_clock.seconds();
-    const auto batched_events =
-        dynamic_cast<const batched_engine&>(*batched).batches();
-
-    rng gen_multibatch = ctx.make_rng(salt++);
+    salt += 2;
+    rng gen_multibatch = ctx.make_rng(salt);
     const auto multibatch =
         spec.make_engine(engine_kind::multibatch, gen_multibatch);
-    const timer multibatch_clock;
     multibatch->run(interactions);
-    const double multibatch_seconds = multibatch_clock.seconds();
     const auto& mb = dynamic_cast<const multibatch_engine&>(*multibatch);
-    const auto multibatch_events = mb.rounds() + mb.collisions();
+    const auto multibatch_events =
+        mb.rounds() + mb.collisions() + mb.skip_batches();
 
-    const double event_speedup = static_cast<double>(batched_events) /
+    const double event_speedup = static_cast<double>(interactions) /
                                  static_cast<double>(multibatch_events);
-    const double wall_speedup = batched_seconds / multibatch_seconds;
     min_event_speedup = min_event_speedup == 0.0
                             ? event_speedup
                             : std::min(min_event_speedup, event_speedup);
-    result.metric("events_batched_" + name,
-                  static_cast<double>(batched_events));
     result.metric("events_multibatch_" + name,
                   static_cast<double>(multibatch_events));
     result.metric("event_speedup_" + name, event_speedup,
                   metric_goal::maximize);
-    // Wall-clock is informational only: CI hardware varies.
-    result.metric("wall_speedup_" + name, wall_speedup);
-    table.add_row({name, format_metric(static_cast<double>(batched_events)),
+    table.add_row({name, format_metric(static_cast<double>(interactions)),
                    format_metric(static_cast<double>(multibatch_events)),
-                   format_metric(event_speedup, 4),
-                   format_metric(wall_speedup, 3)});
+                   format_metric(event_speedup, 4)});
   }
 
   // The acceptance bar as a deterministic pass flag: >= 5x on every dense
@@ -103,15 +88,15 @@ scenario_result run_g4(const scenario_context& ctx) {
   result.metric("multibatch_5x_win", min_event_speedup >= 5.0 ? 1.0 : 0.0,
                 metric_goal::maximize);
   result.note(
-      "Expected shape: batched events ~= interactions (dense kernels have "
-      "no\nidentity pairs to skip) while multibatch events ~= interactions "
-      "/ sqrt(n),\nso the event speedup grows with sqrt(n) and clears the "
-      "5x acceptance bar by\norders of magnitude at n = 10^8.");
+      "Expected shape: multibatch events ~= interactions / sqrt(n) (these "
+      "kernels\nhave few or no identity pairs, so rounds beat skip batches), "
+      "so the event\nspeedup grows with sqrt(n) and clears the 5x acceptance "
+      "bar by orders of\nmagnitude at n = 10^8.");
   return result;
 }
 
 [[maybe_unused]] const bool registered = register_scenario(
     "g4_multibatch_dense", "games,engines,multibatch,perf",
-    "Multibatch vs batched sampling-event speedup on dense games", run_g4);
+    "Multibatch sampling-event speedup on dense games", run_g4);
 
 }  // namespace

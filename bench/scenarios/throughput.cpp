@@ -3,16 +3,15 @@
 // rates land in the same JSON trajectory as every other experiment).
 //
 //  - throughput_engines: interactions per second of the pluggable
-//    simulation engines (agent / census / batched / multibatch, selected
-//    via sim_spec::make_engine) on the one-way IGT kernel (dense and
-//    dilute) and on dense matrix games (hawk-dove, rock-paper-scissors,
-//    and at n = 10^8 a random q = 8 game under two-way logit, whose 64
-//    outcomes per pair the multibatch engine draws as partner-law sums).
-//    The census engine's per-interaction cost is O(q) and independent of
-//    n, the batched engine skips runs of identity interactions in one
-//    geometric draw (huge in the dilute regime, inert on dense games), and
-//    the multibatch engine advances in aggregated ~sqrt(n)-interaction
-//    rounds, so it is the engine that stays sublinear on dense kernels.
+//    simulation engines (agent / census / multibatch, selected via
+//    sim_spec::make_engine) on the one-way IGT kernel (dense and dilute)
+//    and on dense matrix games (hawk-dove, rock-paper-scissors, and at
+//    n = 10^8 a random q = 8 game under two-way logit, whose 64 outcomes
+//    per pair the multibatch engine draws as partner-law sums). The census
+//    engine's per-interaction cost is O(q) and independent of n; the
+//    multibatch engine advances in aggregated ~sqrt(n)-interaction rounds,
+//    so it stays sublinear on dense kernels, and in the dilute regime it
+//    skips runs of identity interactions in one geometric draw instead.
 //  - throughput_batch: aggregate throughput and thread scaling of the
 //    batch-replication engine, plus the bit-identical-aggregates
 //    determinism check across thread counts.
@@ -61,6 +60,12 @@ using namespace ppg;
 // the `_chunk8192` witness rows record that cost at n = 10^8.
 constexpr std::uint64_t engine_chunk = std::uint64_t{1} << 16;
 constexpr std::uint64_t witness_chunk = 8192;
+
+// A row's seed salt for its engine. The rows' seeds predate the batched
+// engine's removal, so multibatch keeps the slot 3 it had then.
+std::uint64_t engine_salt(engine_kind kind) {
+  return kind == engine_kind::multibatch ? 3 : static_cast<std::uint64_t>(kind);
+}
 
 // Runs `chunk()` (which performs `items` units of work) until `min_seconds`
 // of wall clock accumulate, after one untimed warmup call; returns units
@@ -125,17 +130,12 @@ scenario_result run_engines(const scenario_context& ctx) {
       {engine_kind::census, 10'000, false, false},
       {engine_kind::census, 1'000'000, false, false},
       {engine_kind::census, 100'000'000, false, true},
-      {engine_kind::batched, 10'000, false, false},
-      {engine_kind::batched, 1'000'000, false, false},
-      {engine_kind::batched, 100'000'000, false, true},
       {engine_kind::multibatch, 10'000, false, false},
       {engine_kind::multibatch, 1'000'000, false, false},
       {engine_kind::multibatch, 100'000'000, false, true},
       {engine_kind::agent, 1'000'000, true, false},
       {engine_kind::census, 1'000'000, true, false},
       {engine_kind::census, 100'000'000, true, true},
-      {engine_kind::batched, 1'000'000, true, false},
-      {engine_kind::batched, 100'000'000, true, true},
       {engine_kind::multibatch, 1'000'000, true, false},
       {engine_kind::multibatch, 100'000'000, true, true},
   };
@@ -145,16 +145,16 @@ scenario_result run_engines(const scenario_context& ctx) {
       "dilute\ngamma = 0.05; stationary-census start)",
       {"engine", "n", "regime", "interactions/s"});
   double ips_dense_agent_1e6 = 0.0;
-  double ips_dense_batched_1e6 = 0.0;
+  double ips_dense_multibatch_1e6 = 0.0;
   double ips_dilute_agent_1e6 = 0.0;
-  double ips_dilute_batched_1e6 = 0.0;
+  double ips_dilute_multibatch_1e6 = 0.0;
   for (const auto& row : rows) {
     if (row.full_only && ctx.smoke) continue;
     const double gamma = row.dilute ? 0.05 : 0.7;
     const sim_spec spec =
         igt_spec(proto, row.n, 1.0 - 0.2 - gamma, 0.2, gamma);
-    rng gen = ctx.make_rng(row.n + (row.dilute ? 1 : 0) +
-                           static_cast<std::uint64_t>(row.kind) * 7);
+    rng gen =
+        ctx.make_rng(row.n + (row.dilute ? 1 : 0) + engine_salt(row.kind) * 7);
     const auto engine = spec.make_engine(row.kind, gen);
     const double ips = engine_rate(*engine, engine_chunk, min_seconds);
     const std::string key = std::string("ips_") +
@@ -166,14 +166,14 @@ scenario_result run_engines(const scenario_context& ctx) {
       if (!row.dilute && row.kind == engine_kind::agent) {
         ips_dense_agent_1e6 = ips;
       }
-      if (!row.dilute && row.kind == engine_kind::batched) {
-        ips_dense_batched_1e6 = ips;
+      if (!row.dilute && row.kind == engine_kind::multibatch) {
+        ips_dense_multibatch_1e6 = ips;
       }
       if (row.dilute && row.kind == engine_kind::agent) {
         ips_dilute_agent_1e6 = ips;
       }
-      if (row.dilute && row.kind == engine_kind::batched) {
-        ips_dilute_batched_1e6 = ips;
+      if (row.dilute && row.kind == engine_kind::multibatch) {
+        ips_dilute_multibatch_1e6 = ips;
       }
     }
     table.add_row({engine_kind_name(row.kind),
@@ -182,8 +182,8 @@ scenario_result run_engines(const scenario_context& ctx) {
   }
 
   // Dense matrix games: the workload where nearly every interaction moves
-  // the census, so the batched engine's identity skipping buys nothing and
-  // only the multibatch engine's aggregated rounds stay sublinear.
+  // the census, so identity skipping buys nothing and only the multibatch
+  // engine's aggregated rounds stay sublinear.
   const auto hawk_dove = hawk_dove_matrix(1.0, 2.0);
   const auto rps = rock_paper_scissors_matrix();
   const game_protocol hd_proto(hawk_dove,
@@ -209,8 +209,7 @@ scenario_result run_engines(const scenario_context& ctx) {
   for (const auto n : {std::uint64_t{1'000'000}, std::uint64_t{100'000'000}}) {
     const bool full_only = n == 100'000'000;
     for (const auto kind :
-         {engine_kind::agent, engine_kind::census, engine_kind::batched,
-          engine_kind::multibatch}) {
+         {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
       if (full_only && kind == engine_kind::agent) continue;  // 400 MB array
       game_rows.push_back({"hawk-dove", "hawk_dove", &hd_proto, kind, n,
                            full_only});
@@ -237,7 +236,7 @@ scenario_result run_engines(const scenario_context& ctx) {
     std::vector<std::uint64_t> counts(q, row.n / q);
     counts.back() += row.n - (row.n / q) * q;
     const sim_spec spec(*row.proto, std::move(counts));
-    rng gen = ctx.make_rng(row.n + static_cast<std::uint64_t>(row.kind) * 7 +
+    rng gen = ctx.make_rng(row.n + engine_salt(row.kind) * 7 +
                            static_cast<std::uint64_t>(row.key[0]));
     const auto engine = spec.make_engine(row.kind, gen);
     const double ips = engine_rate(*engine, row.chunk, min_seconds);
@@ -304,16 +303,16 @@ scenario_result run_engines(const scenario_context& ctx) {
   // n-sensitive, the others are not), so a baseline from one machine would
   // gate CI runs on another. The seed-deterministic multibatch speedup
   // gate lives in g4_multibatch_dense.
-  result.metric("speedup_batched_vs_agent_dense_n1e6",
-                ips_dense_batched_1e6 / ips_dense_agent_1e6);
-  result.metric("speedup_batched_vs_agent_dilute_n1e6",
-                ips_dilute_batched_1e6 / ips_dilute_agent_1e6);
+  result.metric("speedup_multibatch_vs_agent_dense_n1e6",
+                ips_dense_multibatch_1e6 / ips_dense_agent_1e6);
+  result.metric("speedup_multibatch_vs_agent_dilute_n1e6",
+                ips_dilute_multibatch_1e6 / ips_dilute_agent_1e6);
   result.note(
-      "Expected shape: census rates independent of n; batched >> agent, "
-      "most extreme\nin the dilute regime where identity interactions are "
-      "skipped in geometric\nbatches; multibatch >> batched on the dense "
-      "games, where no interaction is\nan identity and only aggregated "
-      "rounds avoid per-interaction sampling.");
+      "Expected shape: census rates independent of n; multibatch >> agent "
+      "everywhere:\nin the dilute regime at n = 10^6 it skips identity "
+      "interactions in geometric\nbatches, and on the dense games, where "
+      "few or no interactions are identities,\nits aggregated rounds avoid "
+      "per-interaction sampling.");
   return result;
 }
 
@@ -526,7 +525,7 @@ scenario_result run_micro(const scenario_context& ctx) {
 
 [[maybe_unused]] const bool registered_engines = register_scenario(
     "throughput_engines", "throughput,engines,perf",
-    "Interactions/s of the agent/census/batched/multibatch engines on the "
+    "Interactions/s of the agent/census/multibatch engines on the "
     "IGT kernel and dense games",
     run_engines);
 

@@ -2,8 +2,8 @@
 // classic dynamics — approximate majority, leader election, and rumor
 // spreading — with their textbook convergence behavior. Each block picks a
 // different execution backend through sim_spec::make_engine (census,
-// agent, batched, multibatch); all engines implement the same interaction law,
-// so the choice is purely a speed/memory trade-off (see DESIGN.md §3).
+// agent, multibatch); all engines implement the same interaction law, so
+// the choice is purely a speed/memory trade-off (see DESIGN.md §3).
 #include <cmath>
 #include <cstddef>
 #include <iostream>
@@ -71,9 +71,10 @@ int main() {
               << " parallel time (theory: Theta(n) = " << n << ")\n\n";
   }
 
-  // --- Rumor spreading from a single informed agent, on the batched
-  // engine: once few susceptible agents remain, almost every interaction is
-  // an identity the geometric batch skips.
+  // --- Rumor spreading from a single informed agent, on the multibatch
+  // engine: at the start and once few susceptible agents remain, almost
+  // every interaction is an identity, which its skip batches pass over in
+  // one geometric draw; mid-spread it runs aggregated rounds.
   {
     const rumor_protocol proto;
     std::vector<std::uint64_t> counts(2, 0);
@@ -83,11 +84,11 @@ int main() {
     running_summary steps;
     for (int t = 0; t < trials; ++t) {
       rng gen(300 + static_cast<std::uint64_t>(t));
-      const auto sim = spec.make_engine(engine_kind::batched, gen);
+      const auto sim = spec.make_engine(engine_kind::multibatch, gen);
       sim->run_until(rumor_protocol::all_informed, 200'000'000);
       steps.add(sim->parallel_time());
     }
-    std::cout << "Rumor spreading (one-way push, batched engine):\n"
+    std::cout << "Rumor spreading (one-way push, multibatch engine):\n"
               << "  fully informed in " << fmt(steps.mean(), 1) << " +- "
               << fmt(steps.ci_half_width(), 1)
               << " parallel time (theory: Theta(log n) growth + coupon tail)"

@@ -119,6 +119,6 @@ int main() {
 
   std::cout << "Every composition above compiled to the same kernel\n"
                "contract and ran unchanged on the census engine; swap\n"
-               "engine_kind::census for agent or batched to taste.\n";
+               "engine_kind::census for agent or multibatch to taste.\n";
   return 0;
 }

@@ -9,7 +9,8 @@ Checks, per file:
   - the spec header: protocol {name, params}, a nonempty initial census of
     nonnegative integers summing to at least 2 and below 2^64, a known
     sampling discipline;
-  - the engine snapshot: state_version == 1, a known engine kind, the
+  - the engine snapshot: state_version == 1, a known engine kind ("batched"
+    is rejected: that engine was folded into multibatch), the
     shared fields (interactions, the 4-word xoshiro256 state, not all
     zero), and the kind-specific payload — including census consistency
     (counts sum to the spec's population size) and the multibatch round
@@ -36,7 +37,6 @@ ENGINE_COMMON = {"state_version", "engine", "interactions", "rng"}
 ENGINE_KEYS = {
     "agent": ENGINE_COMMON | {"states"},
     "census": ENGINE_COMMON | {"counts"},
-    "batched": ENGINE_COMMON | {"counts", "batches", "active_weight"},
     "multibatch": ENGINE_COMMON
     | {
         "counts",
@@ -109,6 +109,9 @@ def check_spec(spec):
 
 def check_engine(snapshot, population, width):
     kind = snapshot.get("engine") if isinstance(snapshot, dict) else None
+    if kind == "batched":
+        fail("engine: engine kind 'batched' was folded into 'multibatch'; "
+             "a batched checkpoint cannot be restored")
     if kind not in ENGINE_KEYS:
         fail(f"engine: unknown engine kind {kind!r}")
     where = f"engine[{kind}]"
@@ -133,12 +136,7 @@ def check_engine(snapshot, population, width):
     counts = require_uint_array(snapshot, "counts", where, length=width)
     if sum(counts) != population:
         fail(f"{where}: counts sum to {sum(counts)}, spec has n={population}")
-    if kind == "batched":
-        require_uint(snapshot, "batches", where)
-        active = require_uint(snapshot, "active_weight", where)
-        if active > population * population:
-            fail(f"{where}: active_weight exceeds n^2")
-    elif kind == "multibatch":
+    if kind == "multibatch":
         untouched = require_uint_array(snapshot, "untouched", where, width)
         touched = require_uint_array(snapshot, "touched", where, width)
         for s in range(width):

@@ -15,7 +15,7 @@
 // drivers share instead of hand-rolling their own. Replica bodies typically
 // build a simulation engine from a shared sim_spec —
 // `spec.make_engine(kind, gen)` — so the execution backend (agent, census,
-// batched, multibatch) is one more replicated parameter; see replicate.hpp
+// multibatch) is one more replicated parameter; see replicate.hpp
 // for the packaged shapes. Replicas of any kind may share one precompiled
 // kernel_table (`spec.make_engine(kind, gen, kernel)`): the table is
 // immutable, so sharing it across workers changes no draw.

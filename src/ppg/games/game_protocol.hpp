@@ -3,7 +3,7 @@
 // revision distribution for the initiator (one_way) or the independent
 // product of both sides' revisions (two_way). The compiled protocol exposes
 // the full transition kernel (outcome_distribution), so every composed game
-// runs unchanged on the agent, census, and batched engines, and feeds the
+// runs unchanged on the agent, census, and multibatch engines, and feeds the
 // mean-field extraction in games/mean_field.hpp. See DESIGN.md §7 for the
 // compilation contract.
 #pragma once

@@ -2,8 +2,8 @@
 // the population size, without any per-agent data. All engine-facing
 // observation — convergence predicates, snapshots, trace recording — is
 // phrased against this view, so it works identically whether the executing
-// engine keeps a per-agent array (agent engine) or only the counts (census,
-// batched and multibatch engines). See DESIGN.md §3.
+// engine keeps a per-agent array (agent engine) or only the counts (census
+// and multibatch engines). See DESIGN.md §3.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "ppg/pp/batched_engine.hpp"
 #include "ppg/pp/census_engine.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/util/error.hpp"
@@ -17,8 +16,6 @@ const char* engine_kind_name(engine_kind kind) {
       return "agent";
     case engine_kind::census:
       return "census";
-    case engine_kind::batched:
-      return "batched";
     case engine_kind::multibatch:
       return "multibatch";
   }
@@ -26,10 +23,14 @@ const char* engine_kind_name(engine_kind kind) {
 }
 
 engine_kind engine_kind_from_name(std::string_view name) {
-  for (const auto kind : {engine_kind::agent, engine_kind::census,
-                          engine_kind::batched, engine_kind::multibatch}) {
+  for (const auto kind :
+       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
     if (name == engine_kind_name(kind)) return kind;
   }
+  PPG_CHECK(name != "batched",
+            "engine kind 'batched' was folded into 'multibatch', which skips "
+            "identity interactions itself; a batched checkpoint cannot be "
+            "restored (DESIGN.md §9)");
   PPG_CHECK(false, "unknown engine kind '" + std::string(name) + "'");
 }
 
@@ -311,9 +312,6 @@ std::unique_ptr<sim_engine> sim_spec::make_engine(
     case engine_kind::census:
       return std::make_unique<census_engine>(
           std::move(kernel), initial_counts_, gen.split(), sampling_);
-    case engine_kind::batched:
-      return std::make_unique<batched_engine>(std::move(kernel),
-                                              initial_counts_, gen.split());
     case engine_kind::multibatch:
       return std::make_unique<multibatch_engine>(std::move(kernel),
                                                  initial_counts_, gen.split());

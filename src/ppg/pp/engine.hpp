@@ -1,9 +1,9 @@
 // The uniform simulation-engine interface: every execution backend —
-// agent-level loop, census-only sampler, batched geometric-skip sampler,
-// multibatch aggregated-round sampler — exposes the same surface (step /
+// agent-level loop, census-only sampler, multibatch sampler (aggregated
+// rounds and identity-skipping batches) — exposes the same surface (step /
 // run / run_until / run_with_snapshots / census / interactions /
 // parallel_time), so drivers and experiments are written once and the
-// backend is a runtime choice (sim_spec::make_engine). The three
+// backend is a runtime choice (sim_spec::make_engine). The two
 // census-level backends share one shell, census_level_engine, that owns
 // their count vector, construction checks and snapshot codec.
 // The protocol abstraction itself lives in pp/kernel.hpp.
@@ -29,17 +29,19 @@ namespace ppg {
 enum class engine_kind : std::uint8_t {
   agent,    ///< per-agent state array, one kernel_table::sample per step
   census,   ///< count vector only; samples the ordered *state* pair in O(q)
-  batched,  ///< census + geometric batches that skip identity interactions
   /// census + aggregated ~sqrt(n)-interaction rounds (exact birthday /
-  /// hypergeometric law, one multinomial outcome split per pair type);
-  /// o(1) work per interaction even on dense kernels.
+  /// hypergeometric law, one multinomial outcome split per pair type),
+  /// o(1) work per interaction even on dense kernels, or geometric batches
+  /// that skip identity interactions, whichever costs less at each round
+  /// boundary. Distinct pair sampling only.
   multibatch,
 };
 
 [[nodiscard]] const char* engine_kind_name(engine_kind kind);
 
 /// Inverse of engine_kind_name; throws ppg::invariant_error on an unknown
-/// name (strict checkpoint parsing).
+/// name (strict checkpoint parsing), and on "batched", the engine the
+/// multibatch engine absorbed, with a message saying so.
 [[nodiscard]] engine_kind engine_kind_from_name(std::string_view name);
 
 /// Version stamped into every engine snapshot ("state_version"). Additive
@@ -63,8 +65,8 @@ class sim_engine {
   void step() { run(1); }
 
   /// Executes `steps` interactions. Each engine advances in its own unit:
-  /// one interaction (agent, census), one geometric batch of identity
-  /// interactions (batched), or one aggregated round (multibatch).
+  /// one interaction (agent, census), or one aggregated round or one
+  /// geometric batch of identity interactions (multibatch).
   virtual void run(std::uint64_t steps) = 0;
 
   /// Runs until `converged(census())` is true or `max_steps` is reached;
@@ -172,7 +174,7 @@ class simulation final : public sim_engine {
   std::uint64_t interactions_ = 0;
 };
 
-/// The shell of the census-level engines (census, batched, multibatch): the
+/// The shell of the census-level engines (census, multibatch): the
 /// state they share is the per-state count vector, so the shell owns it —
 /// the compiled kernel, counts, population size, generator and interaction
 /// counter — together with its construction checks and its snapshot codec
@@ -265,7 +267,7 @@ class sim_spec {
   /// engine is seeded from gen.split(), so it owns an independent stream:
   /// the caller's generator never shares draws with the engine (making two
   /// engines from one generator yields two *different* trajectories). The
-  /// batched and multibatch engines require pair_sampling::distinct.
+  /// multibatch engine requires pair_sampling::distinct.
   ///
   /// A null `kernel` compiles one from the protocol, for every kind. A
   /// non-null `kernel` hands the engine of any kind a precompiled kernel

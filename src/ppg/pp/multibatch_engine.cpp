@@ -1,6 +1,8 @@
 #include "ppg/pp/multibatch_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ppg/util/error.hpp"
@@ -46,6 +48,65 @@ multibatch_engine::multibatch_engine(
   responders_by_class_ = !kernel_->partner_keyed() &&
                          kernel_->rows(row_shape::general).empty();
   class_responders_.assign(kernel_->num_responder_classes(), 0);
+
+  // Skip batches: the non-identity pairs, by initiator row.
+  const std::size_t q = kernel_->num_states();
+  responder_in_row_.assign(q * q, 0);
+  rows_with_responder_.assign(q, {});
+  row_responder_sum_.assign(q, 0);
+  row_begin_.assign(1, 0);
+  row_complement_.assign(q, 0);
+  std::size_t non_identity_pairs = 0;
+  for (agent_state u = 0; u < q; ++u) {
+    std::size_t row_size = 0;
+    for (agent_state v = 0; v < q; ++v) {
+      if (kernel_->identity(u, v)) continue;
+      ++row_size;
+      responder_in_row_[u * q + v] = 1;
+      rows_with_responder_[v].push_back(u);
+    }
+    if (row_size > 0) active_rows_.push_back(u);
+    non_identity_pairs += row_size;
+    row_complement_[u] = 2 * row_size > q ? 1 : 0;
+    for (agent_state v = 0; v < q; ++v) {
+      if (responder_in_row_[u * q + v] != row_complement_[u]) {
+        row_states_.push_back(v);
+      }
+    }
+    row_begin_.push_back(static_cast<std::uint32_t>(row_states_.size()));
+  }
+  // The cost model (DESIGN.md §8): one round against the skip batches of
+  // the same E[J] interactions, which make E[J] * mass / n(n-1) census
+  // changes. E[J] is sqrt(pi n / 8) to within 0.2 (summing the birthday
+  // table would cost an exp per entry at every construction). The
+  // constants are nanoseconds measured on the throughput workloads: a
+  // round runs E[J] sequential pairs of 5 + 2.5q plus 500 for its birthday
+  // draw and collision, or, when E[J] reaches the aggregate threshold, 200
+  // plus 140 per MVH category and per draw of D; a census change costs
+  // 60 + 9q (a geometric, two O(q) scans and four count updates).
+  ordered_pairs_ = static_cast<double>(n_) * static_cast<double>(n_ - 1);
+  const double mean_run =
+      std::sqrt(3.141592653589793 * static_cast<double>(n_) / 8.0);
+  const auto states = static_cast<double>(q);
+  const auto responder_categories = static_cast<double>(
+      responders_by_class_ ? kernel_->num_responder_classes() : q);
+  const double round_ns =
+      mean_run < static_cast<double>(aggregate_threshold_)
+          ? 500.0 + mean_run * (5.0 + 2.5 * states)
+          : 200.0 + 140.0 * (states + responder_categories +
+                             static_cast<double>(draws));
+  const double change_ns = 60.0 + 9.0 * states;
+  const double limit = round_ns * ordered_pairs_ / (mean_run * change_ns);
+  if (non_identity_pairs == q * q) {
+    // Every census has mass n(n-1): decide once.
+    skip_mass_limit_ = limit > ordered_pairs_
+                           ? std::numeric_limits<std::uint64_t>::max()
+                           : 0;
+  } else {
+    skip_mass_limit_ = limit >= 0x1p64
+                           ? std::numeric_limits<std::uint64_t>::max()
+                           : static_cast<std::uint64_t>(limit);
+  }
 }
 
 void multibatch_engine::check_round_invariants() const {
@@ -137,6 +198,7 @@ void multibatch_engine::restore_state(const json& snapshot) {
                 rounds - collisions == (collision_pending ? 1u : 0u),
             "multibatch snapshot: rounds disagree with collisions");
   commit(std::move(state));
+  mass_current_ = false;
   untouched_ = std::move(untouched);
   untouched_total_ = untouched_total;
   pending_free_ = pending_free;
@@ -398,41 +460,160 @@ void multibatch_engine::resolve_collision() {
   responders_unresolved_ = false;
 }
 
+bool multibatch_engine::skips_pay() {
+  if (skip_mass_limit_ == 0) return false;
+  if (!mass_current_) derive_active_mass();
+  return active_weight_ < skip_mass_limit_;
+}
+
+void multibatch_engine::derive_active_mass() {
+  const std::size_t q = kernel_->num_states();
+  std::uint64_t mass = 0;
+  for (const agent_state u : active_rows_) {
+    std::uint64_t sum = 0;
+    for (std::uint32_t i = row_begin_[u]; i < row_begin_[u + 1]; ++i) {
+      sum += counts_[row_states_[i]];
+    }
+    if (row_complement_[u] != 0) sum = n_ - sum;
+    row_responder_sum_[u] = sum;
+    // c_u = 0 makes the term 0 even when sum - 1 wraps.
+    mass += counts_[u] * (sum - responder_in_row_[u * q + u]);
+  }
+  active_weight_ = mass;
+  mass_current_ = true;
+}
+
+void multibatch_engine::add_count(agent_state state, std::int64_t delta) {
+  // Expanding the row products c_u * (R_u - s_u) around the count change:
+  //   d(mass) = delta * [ (R_state - s_state)           (row rescales)
+  //                     + sum_{u : state in S_u} c_u ]  (R_u shifts)
+  // where the first term reads R_state before its own shift and the sum
+  // reads c_u after the count update (so the u == state cross term uses
+  // the new count). A row with no non-identity pair has R = s = 0.
+  const std::size_t q = kernel_->num_states();
+  auto scaled = static_cast<std::int64_t>(
+      row_responder_sum_[state] - responder_in_row_[state * q + state]);
+  counts_[state] = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(counts_[state]) + delta);
+  untouched_[state] = counts_[state];
+  for (const agent_state u : rows_with_responder_[state]) {
+    row_responder_sum_[u] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(row_responder_sum_[u]) + delta);
+    scaled += static_cast<std::int64_t>(counts_[u]);
+  }
+  active_weight_ = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(active_weight_) + delta * scaled);
+}
+
+void multibatch_engine::apply_active() {
+  const std::size_t q = kernel_->num_states();
+  std::uint64_t target = gen_.next_below(active_weight_);
+  for (const agent_state u : active_rows_) {
+    const std::uint64_t row_sum =
+        row_responder_sum_[u] - responder_in_row_[u * q + u];
+    const std::uint64_t weight = counts_[u] * row_sum;
+    if (target >= weight) {
+      target -= weight;
+      continue;
+    }
+    // Row u holds the interaction. Decompose target = slot * row_sum + r:
+    // the remainder r is uniform over the responder slots of the row and
+    // independent of the (discarded) initiator-agent slot.
+    std::uint64_t r = target % row_sum;
+    for (agent_state v = 0; v < q; ++v) {
+      if (responder_in_row_[u * q + v] == 0) continue;
+      const std::uint64_t c = counts_[v] - (v == u ? 1u : 0u);
+      if (r >= c) {
+        r -= c;
+        continue;
+      }
+      const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
+      add_count(u, -1);
+      add_count(v, -1);
+      add_count(next_initiator, 1);
+      add_count(next_responder, 1);
+      return;
+    }
+    break;
+  }
+  PPG_CHECK(false, "active pair sampling target out of range");
+}
+
+std::uint64_t multibatch_engine::skip_batch(std::uint64_t budget) {
+  ++skip_batches_;
+  if (active_weight_ == 0) {
+    // Every reachable interaction is an identity: the census is frozen, so
+    // the whole budget elapses without a change.
+    interactions_ += budget;
+    return budget;
+  }
+  const double p = static_cast<double>(active_weight_) / ordered_pairs_;
+  // Identity interactions before the next census change; memorylessness
+  // lets the next batch redraw when this one is cut at the budget.
+  const std::uint64_t skip = p >= 1.0 ? 0ull : gen_.next_geometric(p);
+  if (skip >= budget) {
+    interactions_ += budget;
+    return budget;
+  }
+  interactions_ += skip + 1;
+  apply_active();
+  return skip + 1;
+}
+
+std::uint64_t multibatch_engine::advance_round(std::uint64_t budget) {
+  mass_current_ = false;
+  if (!mid_round()) {
+    // New round: every agent is untouched, so the birthday law starts
+    // from the full pool. J >= 1 and budget > 0, so at least one free pair
+    // lands below and the round stays open until its collision.
+    pending_free_ = birthday_.sample(gen_);
+    ++rounds_;
+  }
+  // A run truncated by the budget stays lawful: the remainder is carried
+  // in pending_free_ and continues in the next call, so no redraw is
+  // needed (and the birthday law is not memoryless).
+  const std::uint64_t free = std::min(pending_free_, budget);
+  if (free > 0) {
+    if (free < aggregate_threshold_) {
+      apply_free_sequential(free);
+    } else {
+      apply_free_aggregate(free);
+    }
+    pending_free_ -= free;
+  }
+  std::uint64_t used = free;
+  if (used < budget) {
+    resolve_collision();
+    ++collisions_;
+    ++used;
+  }
+  interactions_ += used;
+  return used;
+}
+
 void multibatch_engine::run(std::uint64_t steps) {
   check_round_invariants();
   std::uint64_t remaining = steps;
   while (remaining > 0) {
-    if (!mid_round()) {
-      // New round: every agent is untouched, so the birthday law starts
-      // from the full pool. J >= 1 and remaining > 0, so at least one
-      // free pair lands below and the round stays open until its
-      // collision.
-      pending_free_ = birthday_.sample(gen_);
-      ++rounds_;
-    }
-    if (pending_free_ > 0) {
-      // A run truncated by the step budget stays lawful: the remainder is
-      // carried in pending_free_ and continues in the next call, so no
-      // redraw is needed (and the birthday law is not memoryless).
-      const std::uint64_t free = std::min(pending_free_, remaining);
-      if (free < aggregate_threshold_) {
-        apply_free_sequential(free);
-      } else {
-        apply_free_aggregate(free);
-      }
-      pending_free_ -= free;
-      remaining -= free;
-      interactions_ += free;
-    }
-    if (remaining == 0) break;
-    resolve_collision();
-    ++collisions_;
-    ++interactions_;
-    --remaining;
+    remaining -= !mid_round() && skips_pay() ? skip_batch(remaining)
+                                             : advance_round(remaining);
   }
   // The round goes on in the next call, and that call and any snapshot
   // taken before it need the untouched pool by state.
   if (responders_unresolved_) resolve_responder_states();
+}
+
+std::uint64_t multibatch_engine::run_until(const census_predicate& converged,
+                                           std::uint64_t max_steps) {
+  check_round_invariants();
+  std::uint64_t executed = 0;
+  // Stepping a round singly takes the sequential path (1 < the aggregate
+  // threshold), so no responder is ever left held by class here.
+  while (executed < max_steps && !converged(census())) {
+    executed += !mid_round() && skips_pay() ? skip_batch(max_steps - executed)
+                                            : advance_round(1);
+  }
+  return executed;
 }
 
 }  // namespace ppg

@@ -1,9 +1,10 @@
-// The multibatch engine: census-level execution that advances the chain in
-// aggregated rounds of ~Theta(sqrt(n)) interactions instead of one at a
-// time, with o(1) sampling work per interaction even on *dense* kernels —
-// where nearly every interaction changes the census and the batched
-// engine's identity-skipping degenerates to one O(q) sampling round per
-// interaction.
+// The multibatch engine: census-level execution of the distinct-pairs
+// scheduler that advances the chain either in aggregated rounds of
+// ~Theta(sqrt(n)) interactions, with o(1) sampling work per interaction even
+// on *dense* kernels where nearly every interaction changes the census, or
+// in skip batches that pass over runs of identity interactions in one
+// geometric draw, where most interactions cannot change any state. It
+// chooses between the two at every round boundary (below).
 //
 // A round is the run of interactions up to and including the first "agent
 // collision". Agents drawn in the current round are *touched*; while every
@@ -58,7 +59,7 @@
 //
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
-// agent/census/batched engines (DESIGN.md §8 gives the argument). A
+// agent and census engines' (DESIGN.md §8 gives the argument). A
 // partner-keyed round costs O(q) hypergeometrics plus D binomials, D the
 // partner laws' support points past the first of each law (q(q-1), or
 // 2q(q-1) two-way, at full support), whatever J. Any other round costs
@@ -68,13 +69,43 @@
 // k-IGT), whatever the cells' sizes; a one-way round's responder sample
 // costs C - 1 hypergeometrics of those O(q), not q - 1 (k-IGT: 1, not
 // q - 1 = k + 1). Either way the collision adds O(q).
-// Rounds shrink with n (the birthday law adapts by itself), and rounds
-// below max(16, 4D) pairs take a sequential per-pair path, so small
-// populations degrade gracefully to exactly the census engine's
-// per-interaction cost.
+// Rounds shrink with n (the birthday law adapts by itself), and a run of
+// fewer than max(16, 4D) collision-free pairs — a short round, or the part
+// of a round a small run() budget leaves — takes a sequential per-pair
+// path, so small populations and single steps cost what the census engine
+// pays per interaction.
 //
-// Every draw of a round comes from the engine's one generator, in a fixed
-// order: the birthday length, the initiator and responder MVH samples over
+// Skip batches. An ordered state pair whose kernel is a point mass on the
+// pair itself is an identity: it can never change any state. Between two
+// census changes the census is constant, so the number of identity
+// interactions before the next census change is Geometric(p), p the
+// non-identity pair mass over n(n-1); one batch draws it, then samples
+// and applies the one non-identity interaction. Geometric memorylessness
+// lets a run() budget cut a batch with nothing to carry. The mass is kept
+// in row-collapsed form: for each initiator state u, S_u is the static set
+// of responder states v with a non-identity pair (u, v), and R_u, the sum
+// of the counts over S_u, is updated with each count change, as is the
+// mass sum_u c_u (R_u - [u in S_u]).
+//
+// The choice. At each round boundary (no agent touched) a cost model
+// compares one round with the skip batches that cover the same E[J]
+// interactions, E[J] ~ sqrt(pi n / 8) the birthday mean, fixed by n: those
+// take ~E[J] * p census changes of O(q) each. Its constants were measured
+// once and are compiled in (DESIGN.md §8); it reads no clock. The engine
+// runs one batch or one round and decides again at the next boundary, in
+// O(1) after a batch (the mass is current) and after a round in O(q) plus,
+// per row, the shorter of S_u and its complement (k-IGT: two states in
+// all). A kernel without an identity pair has mass n(n-1) on every
+// census, so its choice is made once, at construction, and a round pays
+// nothing for it. The choice
+// depends only on the census at a boundary, a stopping time, and each
+// mechanism is an exact draw of the chain from there, so the trajectory is
+// still one; a snapshot at a boundary is the round-boundary snapshot,
+// whichever mechanism ran.
+//
+// Every draw comes from the engine's one generator, in a fixed order. A
+// batch draws its geometric, then its pair and the pair's outcome. A round
+// draws the birthday length, the initiator and responder MVH samples over
 // the untouched pool (the responders' by class when every row is one-way);
 // then, partner-keyed, the initiator sums by responder state and the
 // responder sums by initiator state; otherwise the conditional MVH
@@ -82,9 +113,8 @@
 // multinomial as the matching row fills it, and the multinomials of the
 // rows that ignore their responder; and last the collision, or, when the
 // budget cuts a round whose responders were drawn by class, their
-// per-class MVHs. A round is therefore one exact draw of the census
-// Markov chain's aggregated step, and a trajectory is a pure function of
-// its seed and run() chunk schedule.
+// per-class MVHs. A trajectory is therefore a pure function of its seed
+// and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
@@ -99,19 +129,21 @@ namespace ppg {
 
 class multibatch_engine final : public census_level_engine {
  public:
-  /// Same contract as the batched engine: the census_level_engine contract
-  /// under pair_sampling::distinct only, and n capped at ~3e9 so pair
-  /// weights c_u * c_v fit in 64 bits.
+  /// The census_level_engine contract under pair_sampling::distinct only
+  /// (sim_spec::make_engine rejects with_replacement), and n capped at
+  /// ~3e9 so pair weights c_u * c_v fit in 64 bits.
   multibatch_engine(std::shared_ptr<const kernel_table> kernel,
                     std::vector<std::uint64_t> initial_counts, rng gen);
 
   void run(std::uint64_t steps) override;
 
-  /// Predicate semantics are per-interaction on every engine, and a round
-  /// changes the census mid-aggregate, so run_until steps one interaction
-  /// at a time (the base-class loop). Prefer run() with periodic
-  /// census checks when aggregation throughput matters.
-  using sim_engine::run_until;
+  /// Predicate semantics are per-interaction on every engine. The census
+  /// is constant across a skip batch's identity interactions, so the
+  /// predicate is checked once per batch; a round changes the census
+  /// mid-aggregate, so rounds step one interaction at a time. Prefer run()
+  /// with periodic census checks when aggregation throughput matters.
+  std::uint64_t run_until(const census_predicate& converged,
+                          std::uint64_t max_steps) override;
 
   [[nodiscard]] engine_kind kind() const override {
     return engine_kind::multibatch;
@@ -123,8 +155,14 @@ class multibatch_engine final : public census_level_engine {
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
 
+  /// Skip batches advanced by this engine object: one geometric draw plus
+  /// at most one census change each. A work counter only, which snapshots
+  /// do not carry. Work is rounds() + collisions() + skip_batches().
+  [[nodiscard]] std::uint64_t skip_batches() const { return skip_batches_; }
+
   /// Collision-free runs shorter than this take the sequential per-pair
-  /// path; longer ones are applied in aggregate. It is max(16, 4D), D the
+  /// path; longer ones are applied in aggregate (the cost model reads it
+  /// to price a round at the birthday mean). It is max(16, 4D), D the
   /// round's draws past its two MVH samples (q-way, or C-way for the
   /// responders when every row is one-way): for a partner-keyed kernel
   /// the partner laws' support points past the first of each law (4q(q-1)
@@ -175,6 +213,25 @@ class multibatch_engine final : public census_level_engine {
   /// PPG_CHECK.
   void check_round_invariants() const;
 
+  /// Whether the next interactions, at a round boundary, go to a skip
+  /// batch rather than a round (the class comment's cost model).
+  [[nodiscard]] bool skips_pay();
+  /// Recomputes R_u and the non-identity mass from the census.
+  void derive_active_mass();
+  /// Advances by one skip batch — the geometric run of identity
+  /// interactions plus, if it falls inside `budget`, the next census
+  /// change — and returns the interactions consumed, in (0, budget]. A
+  /// census with no non-identity mass consumes the whole budget.
+  [[nodiscard]] std::uint64_t skip_batch(std::uint64_t budget);
+  /// Samples and applies one non-identity interaction.
+  void apply_active();
+  /// A skip batch's count update: the census and the untouched pool (equal
+  /// at a boundary) move together, and R_u and the mass follow.
+  void add_count(agent_state state, std::int64_t delta);
+  /// Advances the round in progress, opening one at a boundary, by at most
+  /// `budget` interactions; returns the interactions consumed.
+  [[nodiscard]] std::uint64_t advance_round(std::uint64_t budget);
+
   void apply_free_aggregate(std::uint64_t free);
   /// Draws the per-state composition of the responders an aggregate run
   /// drew by class (one MVH per class over untouched_ restricted to it)
@@ -214,6 +271,32 @@ class multibatch_engine final : public census_level_engine {
   /// every round of the trajectory.
   collision_run_sampler birthday_;
   std::uint64_t aggregate_threshold_;
+  std::uint64_t skip_batches_ = 0;
+  /// Skip batches run while the non-identity mass is below this; 0 when
+  /// they never pay (no per-boundary work then).
+  std::uint64_t skip_mass_limit_ = 0;
+  /// n(n-1), the number of ordered pairs of distinct agents.
+  double ordered_pairs_ = 0.0;
+  /// Initiator states with at least one non-identity pair.
+  std::vector<agent_state> active_rows_;
+  /// q*q flags: responder_in_row_[u*q + v] iff (u, v) is non-identity.
+  std::vector<std::uint8_t> responder_in_row_;
+  /// For each state w, the initiator rows u with w in S_u.
+  std::vector<std::vector<agent_state>> rows_with_responder_;
+  /// Per state u, the shorter of S_u and its complement: R_u sums the
+  /// counts over row_states_[row_begin_[u], row_begin_[u + 1]), or is n
+  /// less that sum when row_complement_[u] (k-IGT: at most one state).
+  std::vector<std::uint32_t> row_begin_;
+  std::vector<agent_state> row_states_;
+  std::vector<std::uint8_t> row_complement_;
+  /// R_u, the census summed over S_u; current iff mass_current_.
+  std::vector<std::uint64_t> row_responder_sum_;
+  /// The non-identity pair mass sum_u c_u (R_u - [u in S_u]).
+  std::uint64_t active_weight_ = 0;
+  /// Whether row_responder_sum_ and active_weight_ match the census: set
+  /// by derive_active_mass, kept by skip batches, cleared by a round or a
+  /// restore.
+  bool mass_current_ = false;
   /// Whether aggregate runs draw their responders by class: the kernel is
   /// not partner-keyed and has no general row, so every row is one-way.
   bool responders_by_class_ = false;

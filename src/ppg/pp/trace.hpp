@@ -19,7 +19,7 @@ class census_recorder {
   /// header becomes "interactions,parallel_time,<column_names...>".
   explicit census_recorder(std::vector<std::string> column_names);
 
-  /// Records the current census of any engine (agent, census, batched, or
+  /// Records the current census of any engine (agent, census or
   /// multibatch).
   void record(const sim_engine& sim);
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,6 @@ namespace ppg {
 namespace {
 
 constexpr engine_kind all_kinds[] = {engine_kind::agent, engine_kind::census,
-                                     engine_kind::batched,
                                      engine_kind::multibatch};
 
 // --- RNG state capture ----------------------------------------------------
@@ -162,7 +162,7 @@ TEST(SimRecipe, StrictParseRejectsUnknownGameAndRule) {
                invariant_error);
 }
 
-// --- bit-exact resume across all four engines -----------------------------
+// --- bit-exact resume across all three engines ----------------------------
 
 const char* igt_recipe_text() {
   return R"({"protocol": {"name": "igt",
@@ -309,6 +309,55 @@ TEST(Checkpoint, BitExactResumeRumor) {
   }
 }
 
+// Dilute one-way k = 8 IGT at n = 10^6: 2% GTFT agents, so ~98% of
+// interactions are identities and the multibatch engine runs skip batches
+// only. The checkpoint at 4000 interactions cuts a skip batch, which
+// carries nothing: the resumed engine redraws its geometric.
+TEST(Checkpoint, BitExactResumeInsideSkipBatches) {
+  const char* recipe_text =
+      R"({"protocol": {"name": "igt",
+                       "params": {"k": 8, "discipline": "one_way"}},
+          "initial_counts": [780000, 200000, 20000, 0, 0, 0, 0, 0, 0, 0],
+          "sampling": "distinct"})";
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
+  rng gen(508);
+  const auto engine = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  for (int chunk = 0; chunk < 4; ++chunk) engine->run(1000);
+  EXPECT_EQ(mb.rounds(), 0u);
+  EXPECT_GT(mb.skip_batches(), 4u);
+  expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 508);
+}
+
+TEST(Checkpoint, BatchedCheckpointsAreRejectedByName) {
+  // The batched engine was folded into multibatch; its checkpoints carry a
+  // schema no engine reads, and the rejection says why.
+  const sim_recipe recipe =
+      sim_recipe::from_json(json::parse(rumor_recipe_text()));
+  rng gen(509);
+  const auto engine = recipe.spec().make_engine(engine_kind::census, gen);
+  engine->run(500);
+  json file = save_checkpoint(recipe, *engine);
+  json snapshot = file["engine"];
+  snapshot["engine"] = "batched";
+  snapshot["batches"] = std::uint64_t{17};
+  snapshot["active_weight"] = std::uint64_t{5600};
+  file["engine"] = snapshot;
+  for (const auto& attempt :
+       std::vector<std::function<void()>>{
+           [] { (void)engine_kind_from_name("batched"); },
+           [&file] { (void)restore_checkpoint(file); }}) {
+    try {
+      attempt();
+      ADD_FAILURE() << "accepted the engine name 'batched'";
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find("folded into 'multibatch'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // The multibatch engine's rounds span ~sqrt(n) interactions, so a run()
 // budget routinely truncates a round mid-flight; the carry (pending free
 // pairs + the unresolved collision split) must survive the checkpoint.
@@ -363,8 +412,9 @@ void expect_mid_round_resume(const std::string& recipe_text,
 }
 
 TEST(Checkpoint, MultibatchResumesMidResidualRound) {
-  // 7 is far below a round length at n = 300.
-  expect_mid_round_resume(rumor_recipe_text(), 7, 604);
+  // 7 is far below a round length at n = 300. Two-way logit has no
+  // identity pair, so the engine runs rounds at every boundary.
+  expect_mid_round_resume(hawk_dove_recipe_text(), 7, 604);
 }
 
 // At n = 10^5 a one-way IGT round has ~200 collision-free pairs, and the
@@ -461,8 +511,7 @@ TEST(Checkpoint, RestoreWithPrecompiledKernelIsBitExact) {
   const sim_recipe recipe =
       sim_recipe::from_json(json::parse(hawk_dove_recipe_text()));
   const auto kernel = std::make_shared<const kernel_table>(recipe.proto());
-  for (const auto kind :
-       {engine_kind::census, engine_kind::batched, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     rng gen(604);
     const auto engine = recipe.spec().make_engine(kind, gen);
     engine->run(4096);
@@ -536,7 +585,7 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
   };
 
   {  // Foreign engine name.
-    auto e = fresh_engine(engine_kind::batched);
+    auto e = fresh_engine(engine_kind::multibatch);
     EXPECT_THROW(e->restore_state(good), invariant_error);
   }
   {  // Unknown state version.
@@ -609,12 +658,6 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
       json bad = snapshot;
       bad["counts"] = json_uint_array(counts);
       expect_rejected(*target, bad, "population size mismatch");
-    }
-    if (kind == engine_kind::batched) {  // A stale non-identity mass.
-      json bad = snapshot;
-      bad["active_weight"] =
-          json_require_uint(snapshot, "active_weight", where) + 1;
-      expect_rejected(*target, bad, "stored non-identity mass disagrees");
     }
   }
 

@@ -1,5 +1,5 @@
-// Engine equivalence suite: the agent, census, batched, and multibatch
-// engines execute the same interaction law for a given (protocol, initial
+// Engine equivalence suite: the agent, census, and multibatch engines
+// execute the same interaction law for a given (protocol, initial
 // census, sampling) triple. Pinned here via (a) exact agreement of the
 // compiled kernel with outcome_distribution, (b) bitwise agent-engine/
 // legacy-simulation agreement under shared seeds, (c) two-sample
@@ -24,7 +24,6 @@
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/solver/zoo.hpp"
 #include "ppg/games/update_rule.hpp"
-#include "ppg/pp/batched_engine.hpp"
 #include "ppg/pp/census_engine.hpp"
 #include "ppg/pp/kernel.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
@@ -415,13 +414,11 @@ TEST(Kernel, PartnerKeyedCompiles) {
   }
 }
 
-TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {
+TEST(Engines, MultibatchRequiresDistinctSampling) {
   const rumor_protocol proto;
   const sim_spec spec(proto, population({1, 0, 0, 0}, 2),
                       pair_sampling::with_replacement);
   rng gen(5);
-  EXPECT_THROW((void)spec.make_engine(engine_kind::batched, gen),
-               invariant_error);
   EXPECT_THROW((void)spec.make_engine(engine_kind::multibatch, gen),
                invariant_error);
   EXPECT_NO_THROW((void)spec.make_engine(engine_kind::census, gen));
@@ -436,8 +433,7 @@ TEST(Engines, MakeEngineRejectsAKernelOfAnotherProtocol) {
       std::make_shared<const kernel_table>(approximate_majority_protocol{});
   ASSERT_NE(foreign->num_states(), proto.num_states());
   rng gen(6);
-  for (const auto kind :
-       {engine_kind::census, engine_kind::batched, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     try {
       (void)spec.make_engine(kind, gen, foreign);
       ADD_FAILURE() << engine_kind_name(kind) << " accepted a foreign kernel";
@@ -469,12 +465,9 @@ TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
       spec, engine_kind::agent, replicas, steps, 90, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 91, statistic);
-  const auto batched = testing::replica_statistics(
-      spec, engine_kind::batched, replicas, steps, 92, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 292, statistic);
   EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, batched, 8), 1e-4);
   EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
 }
 
@@ -496,12 +489,9 @@ TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
       spec, engine_kind::agent, replicas, steps, 93, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 94, statistic);
-  const auto batched = testing::replica_statistics(
-      spec, engine_kind::batched, replicas, steps, 95, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 295, statistic);
   EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, batched, 8), 1e-4);
   EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
 }
 
@@ -519,12 +509,9 @@ TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
       spec, engine_kind::agent, replicas, steps, 96, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 97, statistic);
-  const auto batched = testing::replica_statistics(
-      spec, engine_kind::batched, replicas, steps, 98, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 298, statistic);
   EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, batched, 8), 1e-4);
   EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
 }
 
@@ -542,13 +529,43 @@ TEST(Engines, AgreeOnLeaderElectionAtFixedParallelTime) {
       spec, engine_kind::agent, replicas, steps, 110, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 111, statistic);
-  const auto batched = testing::replica_statistics(
-      spec, engine_kind::batched, replicas, steps, 112, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 312, statistic);
   EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, batched, 8), 1e-4);
   EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
+}
+
+TEST(Engines, MultibatchMixesSkipBatchesAndRoundsLawfully) {
+  // Rumor from one informed agent at n = 20,000. For i informed agents the
+  // non-identity mass is i(n - i) / n(n - 1): below ~0.15, skip batches
+  // cost less than a round of ~89 pairs, so one trajectory starts in skip
+  // batches, switches to aggregate rounds as the rumor spreads, and back
+  // to skip batches near the end. At parallel time 10 (~ln n, mid-spread)
+  // 160 of the 200 compared runs have taken both (the rest have not yet
+  // reached ~18% informed), and the census must follow the census
+  // engine's law.
+  const rumor_protocol proto;
+  constexpr std::uint64_t n = 20'000;
+  const sim_spec spec(proto, std::vector<std::uint64_t>{n - 1, 1});
+  const std::uint64_t steps = 10 * n;
+  const auto informed = [](const census_view& census) {
+    return static_cast<double>(census.count(rumor_protocol::state_informed));
+  };
+  constexpr std::size_t replicas = 200;
+  const auto census = testing::replica_statistics(
+      spec, engine_kind::census, replicas, steps, 120, informed);
+  std::vector<double> multibatch;
+  std::size_t mixed = 0;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    rng gen = make_stream_rng(121, r);
+    const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+    engine->run(steps);
+    const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+    if (mb.rounds() > 0 && mb.skip_batches() > 0) ++mixed;
+    multibatch.push_back(informed(engine->census()));
+  }
+  EXPECT_GT(mixed, replicas * 3 / 4);
+  EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4);
 }
 
 TEST(Engines, ChiSquareCrossCheckDetectsDifferentLaws) {
@@ -634,30 +651,36 @@ TEST(Engines, CensusEngineRunsHundredMillionAgents) {
   EXPECT_EQ(total, 100'000'000u);
 }
 
-TEST(Engines, BatchedEngineSkipsIdentityInteractionsAtScale) {
-  // Dilute GTFT population at n = 10^8: ~99% of interactions are identities
-  // the batched engine never samples individually.
+TEST(Engines, MultibatchSkipsIdentityInteractionsAtScale) {
+  // Dilute GTFT population at n = 10^8: ~99.9% of interactions are
+  // identities, so skip batches cost less than rounds and the engine never
+  // samples those interactions individually.
   const std::size_t k = 8;
   const igt_protocol proto(k);
   std::vector<std::uint64_t> counts(2 + k, 0);
-  counts[igt_encoding::ac] = 79'000'000;
+  counts[igt_encoding::ac] = 79'900'000;
   counts[igt_encoding::ad] = 20'000'000;
-  counts[igt_encoding::gtft(0)] = 1'000'000;
+  counts[igt_encoding::gtft(0)] = 100'000;
   const sim_spec spec(proto, counts);
   rng gen(104);
-  const auto engine = spec.make_engine(engine_kind::batched, gen);
+  const auto engine = spec.make_engine(engine_kind::multibatch, gen);
   engine->run(10'000'000);
   EXPECT_EQ(engine->interactions(), 10'000'000u);
   std::uint64_t total = 0;
   for (const auto c : engine->census().counts()) total += c;
   EXPECT_EQ(total, 100'000'000u);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  EXPECT_EQ(mb.rounds(), 0u);
+  EXPECT_GT(mb.skip_batches(), 0u);
+  // One batch per census change: ~8 per 10^4 interactions here.
+  EXPECT_LT(mb.skip_batches(), 10'000'000u / 100);
 }
 
 TEST(Engines, MultibatchAggregatesDenseKernelsAtScale) {
-  // Dense GTFT population at n = 10^8: nearly every interaction changes
-  // the census, so the batched engine degenerates to one sampling round
-  // per interaction while the multibatch engine advances in ~sqrt(n)-sized
-  // aggregated rounds. The census is one state wider than the kernel (the
+  // Dense GTFT population at n = 10^8: most interactions change the
+  // census, so skip batches would make one census change per few
+  // interactions and the engine advances in ~sqrt(n)-sized aggregated
+  // rounds instead. The census is one state wider than the kernel (the
   // extra state stays empty): the classed GTFT rows' class totals must
   // read only the kernel's states.
   const std::size_t k = 8;
@@ -771,13 +794,14 @@ TEST(Engines, MultibatchUntouchedPoolAfterABudgetCutIsExact) {
   }
 }
 
-TEST(Engines, BatchedFrozenCensusBurnsTheBudget) {
-  // All agents informed: every pair is an identity, active weight 0.
+TEST(Engines, MultibatchFrozenCensusBurnsTheBudget) {
+  // All agents informed: every pair is an identity, non-identity mass 0,
+  // so one skip batch takes each whole budget and no round is drawn.
   const rumor_protocol proto;
   const sim_spec spec(proto,
                       population(50, rumor_protocol::state_informed, 2));
   rng gen(105);
-  const auto engine = spec.make_engine(engine_kind::batched, gen);
+  const auto engine = spec.make_engine(engine_kind::multibatch, gen);
   engine->run(5000);
   EXPECT_EQ(engine->interactions(), 5000u);
   EXPECT_EQ(engine->census().count(rumor_protocol::state_informed), 50u);
@@ -785,6 +809,9 @@ TEST(Engines, BatchedFrozenCensusBurnsTheBudget) {
       [](const census_view& census) { return census.count(0) > 0; }, 1000);
   EXPECT_EQ(executed, 1000u);
   EXPECT_EQ(engine->interactions(), 6000u);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  EXPECT_EQ(mb.rounds(), 0u);
+  EXPECT_EQ(mb.skip_batches(), 2u);
 }
 
 TEST(Engines, RunUntilConvergesOnEveryEngine) {
@@ -793,8 +820,7 @@ TEST(Engines, RunUntilConvergesOnEveryEngine) {
   states[0] = rumor_protocol::state_informed;
   const sim_spec spec(proto, population(std::move(states), 2));
   for (const auto kind :
-       {engine_kind::agent, engine_kind::census, engine_kind::batched,
-        engine_kind::multibatch}) {
+       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
     rng gen(106);
     const auto engine = spec.make_engine(kind, gen);
     const auto executed =
@@ -811,8 +837,7 @@ TEST(Engines, SnapshotCadenceIsUniformAcrossEngines) {
   const sim_spec spec(proto,
                       population(make_igt_population_states(pop, 3, 0), 5));
   for (const auto kind :
-       {engine_kind::agent, engine_kind::census, engine_kind::batched,
-        engine_kind::multibatch}) {
+       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
     rng gen(107);
     const auto engine = spec.make_engine(kind, gen);
     const auto snaps = engine->run_with_snapshots(25, 10);

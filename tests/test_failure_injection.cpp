@@ -49,8 +49,8 @@ TEST(FailureInjection, RogueKernelStateIsCaughtAtCompilation) {
         << e.what();
   }
   const sim_spec spec(proto, std::vector<std::uint64_t>{1, 1});
-  for (const auto kind : {engine_kind::agent, engine_kind::census,
-                          engine_kind::batched, engine_kind::multibatch}) {
+  for (const auto kind :
+       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
     rng gen(2);
     try {
       (void)spec.make_engine(kind, gen);

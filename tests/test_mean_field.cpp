@@ -182,7 +182,7 @@ TEST(MeanField, IgtFixedPointMatchesTheCensusEngineAtMillionAgents) {
   counts[igt_encoding::gtft(0)] = pop.num_gtft;
   const sim_spec spec(proto, counts);
   rng gen(515);
-  const auto engine = spec.make_engine(engine_kind::batched, gen);
+  const auto engine = spec.make_engine(engine_kind::multibatch, gen);
   engine->run(30 * pop.n());  // parallel-time-30 burn-in
   const std::uint64_t samples = 200'000;
   const std::uint64_t stride = 50;

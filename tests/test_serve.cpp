@@ -216,6 +216,15 @@ TEST(ServeApp, ErrorPaths) {
       make_request("POST", "/sessions",
                    create_body(rumor_recipe(), "warp-drive", 1)),
       400);
+  // The batched engine was folded into multibatch; the 400 says so.
+  const json folded = handle_json(
+      app,
+      make_request("POST", "/sessions",
+                   create_body(rumor_recipe(), "batched", 1)),
+      400);
+  EXPECT_NE(folded.dump_string(false).find("folded into 'multibatch'"),
+            std::string::npos)
+      << folded.dump_string(false);
 
   // Advance validation.
   const std::string id =
@@ -330,7 +339,7 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
   const json third = handle_json(
       app,
       make_request("POST", "/sessions",
-                   create_body(rumor_recipe(), "batched", 3)),
+                   create_body(rumor_recipe(), "multibatch", 3)),
       201);
   EXPECT_FALSE(third.find("kernel_cache_hit")->as_bool());
   const json fourth = handle_json(
@@ -388,7 +397,7 @@ TEST(ServeApp, InterleavedSessionsMatchSoloRunsBitExactly) {
   std::vector<session_case> cases = {
       {rumor_recipe(), "census", engine_kind::census, 11, ""},
       {majority_recipe(), "multibatch", engine_kind::multibatch, 22, ""},
-      {hawk_dove_recipe(), "batched", engine_kind::batched, 33, ""},
+      {hawk_dove_recipe(), "multibatch", engine_kind::multibatch, 33, ""},
       {rumor_recipe(), "agent", engine_kind::agent, 44, ""},
   };
   for (auto& c : cases) {
@@ -499,7 +508,7 @@ TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
   EXPECT_THROW((void)sim_recipe::from_json(json::parse(overflowing)),
                invariant_error);
   serve_app app;
-  for (const char* engine : {"agent", "census", "batched", "multibatch"}) {
+  for (const char* engine : {"agent", "census", "multibatch"}) {
     (void)handle_json(
         app,
         make_request("POST", "/sessions", create_body(overflowing, engine, 1)),

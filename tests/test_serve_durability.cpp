@@ -455,6 +455,57 @@ TEST(ServeDurability, CorruptSpillsAreQuarantinedNotFatal) {
   }
 }
 
+// The batched engine was folded into multibatch, so a store written before
+// then may hold a batched session. Boot quarantines it with a reason that
+// says so, and recovers every other session.
+TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
+  temp_dir store;
+  serve_config config;
+  config.store_dir = store.path();
+  {
+    serve_app app(config);
+    for (const std::uint64_t seed : {8u, 9u}) {
+      (void)handle_json(
+          app,
+          make_request("POST", "/sessions",
+                       create_body(rumor_recipe(), "census", seed)),
+          201);
+    }
+    (void)handle_json(app,
+                      make_request("POST", "/sessions/s2/advance",
+                                   R"({"interactions": 4000})"),
+                      200);
+  }
+
+  // s2's spill as the batched engine wrote it: its census snapshot plus
+  // the batched fields, under the batched name.
+  const std::string s2 = spill_path(store, "s2");
+  store_file batched = parse_store_envelope(json::parse(read_bytes(s2)));
+  json snapshot = batched.checkpoint["engine"];
+  snapshot["engine"] = "batched";
+  snapshot["batches"] = std::uint64_t{2500};
+  snapshot["active_weight"] = std::uint64_t{0};
+  batched.checkpoint["engine"] = snapshot;
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(
+      s2, store_envelope(batched).dump_string(true), &error))
+      << error;
+
+  serve_app rebooted(config);
+  (void)handle_json(rebooted, make_request("GET", "/sessions/s1"), 200);
+  (void)handle_json(rebooted, make_request("GET", "/sessions/s2"), 404);
+  const json stats = handle_json(rebooted, make_request("GET", "/stats"), 200);
+  const json* durability = stats.find("durability");
+  EXPECT_EQ(durability->find("recovered_sessions")->as_uint64(), 1u);
+  const json* quarantined = durability->find("quarantined");
+  ASSERT_EQ(quarantined->size(), 1u);
+  const std::string entry = quarantined->items()[0].as_string();
+  EXPECT_NE(entry.find("s2.session.json"), std::string::npos) << entry;
+  EXPECT_NE(entry.find("folded into 'multibatch'"), std::string::npos)
+      << entry;
+  EXPECT_EQ(store.entries("quarantine").size(), 1u);
+}
+
 // --- degradation under injected disk failures ------------------------------
 
 TEST(ServeDurability, SpillFailureDegradesSessionNotDaemon) {

@@ -14,9 +14,9 @@ Checks, per file:
     shared fields (interactions, the 4-word xoshiro256 state, not all
     zero), and the kind-specific payload — including census consistency
     (counts sum to the spec's population size) and the multibatch round
-    invariants (pools partition the census, the residual carry only
-    mid-round, collision_pending exactly when some agent is touched, and
-    rounds == collisions + collision_pending).
+    relations (the untouched pool fits in the census state by state, a
+    residual carry only while some agent is touched, and 2 * pending_free
+    at most the untouched pool).
 
 This is the only checkpoint shape: one engine's snapshot under its spec
 header. A replicated run is checkpointed as one such file per replica, so
@@ -37,17 +37,7 @@ ENGINE_COMMON = {"state_version", "engine", "interactions", "rng"}
 ENGINE_KEYS = {
     "agent": ENGINE_COMMON | {"states"},
     "census": ENGINE_COMMON | {"counts"},
-    "multibatch": ENGINE_COMMON
-    | {
-        "counts",
-        "untouched",
-        "touched",
-        "untouched_total",
-        "rounds",
-        "collisions",
-        "pending_free",
-        "collision_pending",
-    },
+    "multibatch": ENGINE_COMMON | {"counts", "untouched", "pending_free"},
 }
 
 
@@ -138,31 +128,15 @@ def check_engine(snapshot, population, width):
         fail(f"{where}: counts sum to {sum(counts)}, spec has n={population}")
     if kind == "multibatch":
         untouched = require_uint_array(snapshot, "untouched", where, width)
-        touched = require_uint_array(snapshot, "touched", where, width)
         for s in range(width):
-            if untouched[s] + touched[s] != counts[s]:
-                fail(f"{where}: pools do not partition census at state {s}")
-        total = require_uint(snapshot, "untouched_total", where)
-        if total != sum(untouched):
-            fail(f"{where}: untouched_total != sum(untouched)")
-        rounds = require_uint(snapshot, "rounds", where)
-        collisions = require_uint(snapshot, "collisions", where)
+            if untouched[s] > counts[s]:
+                fail(f"{where}: untouched pool exceeds the census at state "
+                     f"{s}")
         pending = require_uint(snapshot, "pending_free", where)
-        if not isinstance(snapshot.get("collision_pending"), bool):
-            fail(f"{where}: 'collision_pending' must be a bool")
-        if pending and not snapshot["collision_pending"]:
-            fail(f"{where}: pending_free > 0 outside a round")
-        if not snapshot["collision_pending"] and total != population:
-            fail(f"{where}: pools not fully untouched between rounds")
-        if snapshot["collision_pending"] and total == population:
-            fail(f"{where}: round in progress without touched agents")
-        if 2 * pending > total:
+        if pending and sum(untouched) == population:
+            fail(f"{where}: pending_free > 0 with no agent touched")
+        if 2 * pending > sum(untouched):
             fail(f"{where}: pending pairs exceed the untouched pool")
-        # A round is counted when it opens and its collision when it
-        # closes, so only the round in progress lacks one.
-        if rounds != collisions + int(snapshot["collision_pending"]):
-            fail(f"{where}: rounds {rounds} != collisions {collisions} + "
-                 f"collision_pending")
 
 
 def check_file(path):

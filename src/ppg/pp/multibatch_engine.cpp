@@ -52,7 +52,6 @@ multibatch_engine::multibatch_engine(
   // Skip batches: the non-identity pairs, by initiator row.
   const std::size_t q = kernel_->num_states();
   responder_in_row_.assign(q * q, 0);
-  rows_with_responder_.assign(q, {});
   row_responder_sum_.assign(q, 0);
   row_begin_.assign(1, 0);
   row_complement_.assign(q, 0);
@@ -63,7 +62,6 @@ multibatch_engine::multibatch_engine(
       if (kernel_->identity(u, v)) continue;
       ++row_size;
       responder_in_row_[u * q + v] = 1;
-      rows_with_responder_[v].push_back(u);
     }
     if (row_size > 0) active_rows_.push_back(u);
     non_identity_pairs += row_size;
@@ -83,7 +81,9 @@ multibatch_engine::multibatch_engine(
   // round runs E[J] sequential pairs of 5 + 2.5q plus 500 for its birthday
   // draw and collision, or, when E[J] reaches the aggregate threshold, 200
   // plus 140 per MVH category and per draw of D; a census change costs
-  // 60 + 9q (a geometric, two O(q) scans and four count updates).
+  // 60 + 9q (a geometric, two O(q) scans and four count updates). That fit
+  // predates re-deriving the mass at each boundary and is kept as it is:
+  // a refit would change which mechanism runs (DESIGN.md §8).
   ordered_pairs_ = static_cast<double>(n_) * static_cast<double>(n_ - 1);
   const double mean_run =
       std::sqrt(3.141592653589793 * static_cast<double>(n_) / 8.0);
@@ -127,8 +127,6 @@ void multibatch_engine::check_round_invariants() const {
   PPG_DCHECK(2 * pending_free_ <= untouched_total_,
              "multibatch invariant: residual free run exceeds the untouched "
              "pool");
-  PPG_DCHECK(rounds_ == collisions_ + (mid_round() ? 1u : 0u),
-             "multibatch invariant: rounds disagree with collisions");
   PPG_DCHECK(!responders_unresolved_,
              "multibatch invariant: responders left unresolved by class");
 #endif
@@ -137,16 +135,7 @@ void multibatch_engine::check_round_invariants() const {
 json multibatch_engine::save_state() const {
   json snapshot = save_counts();
   snapshot["untouched"] = json_uint_array(untouched_);
-  std::vector<std::uint64_t> touched(counts_.size());
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    touched[s] = counts_[s] - untouched_[s];
-  }
-  snapshot["touched"] = json_uint_array(touched);
-  snapshot["untouched_total"] = untouched_total_;
-  snapshot["rounds"] = rounds_;
-  snapshot["collisions"] = collisions_;
   snapshot["pending_free"] = pending_free_;
-  snapshot["collision_pending"] = mid_round();
   return snapshot;
 }
 
@@ -154,56 +143,31 @@ void multibatch_engine::restore_state(const json& snapshot) {
   // Everything is parsed and validated into locals first; the engine is
   // mutated only once the whole snapshot has passed.
   const char* where = "multibatch snapshot";
-  auto state = check_counts(
-      snapshot, {"untouched", "touched", "untouched_total", "rounds",
-                 "collisions", "pending_free", "collision_pending"});
+  auto state = check_counts(snapshot, {"untouched", "pending_free"});
   auto untouched = json_require_uint_array(snapshot, "untouched", where);
-  auto touched = json_require_uint_array(snapshot, "touched", where);
-  const std::size_t width = counts_.size();
-  PPG_CHECK(untouched.size() == width && touched.size() == width,
+  PPG_CHECK(untouched.size() == counts_.size(),
             "multibatch snapshot: state-space width mismatch");
-  const std::uint64_t untouched_total =
-      json_require_uint(snapshot, "untouched_total", where);
-  const std::uint64_t rounds = json_require_uint(snapshot, "rounds", where);
-  const std::uint64_t collisions =
-      json_require_uint(snapshot, "collisions", where);
   const std::uint64_t pending_free =
       json_require_uint(snapshot, "pending_free", where);
-  const bool collision_pending =
-      json_require_bool(snapshot, "collision_pending", where);
-  std::uint64_t untouched_sum = 0;
-  for (std::size_t s = 0; s < width; ++s) {
-    PPG_CHECK(touched[s] <= state.counts[s] &&
-                  untouched[s] == state.counts[s] - touched[s],
-              "multibatch snapshot: pools do not partition the census");
-    untouched_sum += untouched[s];
+  // Each entry fits in its count and the counts sum to n, so the sum
+  // cannot wrap.
+  std::uint64_t untouched_total = 0;
+  for (std::size_t s = 0; s < untouched.size(); ++s) {
+    PPG_CHECK(untouched[s] <= state.counts[s],
+              "multibatch snapshot: untouched pool exceeds the census");
+    untouched_total += untouched[s];
   }
-  PPG_CHECK(untouched_sum == untouched_total,
-            "multibatch snapshot: untouched_total disagrees with the pool");
-  PPG_CHECK(collision_pending || pending_free == 0,
+  // A round applies at least one free pair before run() can return, so a
+  // carry without a touched agent was never written.
+  PPG_CHECK(untouched_total < n_ || pending_free == 0,
             "multibatch snapshot: residual carry outside a round");
-  PPG_CHECK(collision_pending || untouched_total == n_,
-            "multibatch snapshot: touched agents outside a round");
-  // With the check above: collision_pending == (untouched_total < n). A
-  // round applies at least one free pair before run() can return, so a
-  // round in progress always has touched agents.
-  PPG_CHECK(!collision_pending || untouched_total < n_,
-            "multibatch snapshot: round in progress without touched agents");
   PPG_CHECK(pending_free <= untouched_total / 2,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
-  // run() counts a round when it opens and a collision when the round
-  // closes, so only the round in progress, if any, has no collision yet.
-  PPG_CHECK(collisions <= rounds &&
-                rounds - collisions == (collision_pending ? 1u : 0u),
-            "multibatch snapshot: rounds disagree with collisions");
   commit(std::move(state));
-  mass_current_ = false;
   untouched_ = std::move(untouched);
   untouched_total_ = untouched_total;
   pending_free_ = pending_free;
-  rounds_ = rounds;
-  collisions_ = collisions;
 }
 
 void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
@@ -462,7 +426,7 @@ void multibatch_engine::resolve_collision() {
 
 bool multibatch_engine::skips_pay() {
   if (skip_mass_limit_ == 0) return false;
-  if (!mass_current_) derive_active_mass();
+  derive_active_mass();
   return active_weight_ < skip_mass_limit_;
 }
 
@@ -480,29 +444,6 @@ void multibatch_engine::derive_active_mass() {
     mass += counts_[u] * (sum - responder_in_row_[u * q + u]);
   }
   active_weight_ = mass;
-  mass_current_ = true;
-}
-
-void multibatch_engine::add_count(agent_state state, std::int64_t delta) {
-  // Expanding the row products c_u * (R_u - s_u) around the count change:
-  //   d(mass) = delta * [ (R_state - s_state)           (row rescales)
-  //                     + sum_{u : state in S_u} c_u ]  (R_u shifts)
-  // where the first term reads R_state before its own shift and the sum
-  // reads c_u after the count update (so the u == state cross term uses
-  // the new count). A row with no non-identity pair has R = s = 0.
-  const std::size_t q = kernel_->num_states();
-  auto scaled = static_cast<std::int64_t>(
-      row_responder_sum_[state] - responder_in_row_[state * q + state]);
-  counts_[state] = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(counts_[state]) + delta);
-  untouched_[state] = counts_[state];
-  for (const agent_state u : rows_with_responder_[state]) {
-    row_responder_sum_[u] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(row_responder_sum_[u]) + delta);
-    scaled += static_cast<std::int64_t>(counts_[u]);
-  }
-  active_weight_ = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(active_weight_) + delta * scaled);
 }
 
 void multibatch_engine::apply_active() {
@@ -528,10 +469,15 @@ void multibatch_engine::apply_active() {
         continue;
       }
       const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
-      add_count(u, -1);
-      add_count(v, -1);
-      add_count(next_initiator, 1);
-      add_count(next_responder, 1);
+      // At a boundary the untouched pool is the census: both move.
+      --counts_[u];
+      --counts_[v];
+      ++counts_[next_initiator];
+      ++counts_[next_responder];
+      --untouched_[u];
+      --untouched_[v];
+      ++untouched_[next_initiator];
+      ++untouched_[next_responder];
       return;
     }
     break;
@@ -561,13 +507,11 @@ std::uint64_t multibatch_engine::skip_batch(std::uint64_t budget) {
 }
 
 std::uint64_t multibatch_engine::advance_round(std::uint64_t budget) {
-  mass_current_ = false;
   if (!mid_round()) {
     // New round: every agent is untouched, so the birthday law starts
     // from the full pool. J >= 1 and budget > 0, so at least one free pair
     // lands below and the round stays open until its collision.
     pending_free_ = birthday_.sample(gen_);
-    ++rounds_;
   }
   // A run truncated by the budget stays lawful: the remainder is carried
   // in pending_free_ and continues in the next call, so no redraw is

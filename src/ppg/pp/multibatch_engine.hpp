@@ -10,8 +10,10 @@
 // collision". Agents drawn in the current round are *touched*; while every
 // interaction involves only untouched agents, the drawn pairs are disjoint,
 // so their census effect is exchangeable and can be applied in aggregate.
-// The engine stores only the census and the untouched pool; the touched
-// pool, by current state, is their difference.
+// The engine's state is the census, the untouched pool and the residual
+// carry (below); the touched pool, by current state, is the census less
+// the untouched pool, and the engine is mid-round exactly when some agent
+// is touched.
 //
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
@@ -81,23 +83,23 @@
 // interactions before the next census change is Geometric(p), p the
 // non-identity pair mass over n(n-1); one batch draws it, then samples
 // and applies the one non-identity interaction. Geometric memorylessness
-// lets a run() budget cut a batch with nothing to carry. The mass is kept
-// in row-collapsed form: for each initiator state u, S_u is the static set
-// of responder states v with a non-identity pair (u, v), and R_u, the sum
-// of the counts over S_u, is updated with each count change, as is the
-// mass sum_u c_u (R_u - [u in S_u]).
+// lets a run() budget cut a batch with nothing to carry. The mass is an
+// exact integer derived from the census in row-collapsed form: for each
+// initiator state u, S_u is the static set of responder states v with a
+// non-identity pair (u, v), R_u is the sum of the counts over S_u, and the
+// mass is sum_u c_u (R_u - [u in S_u]).
 //
 // The choice. At each round boundary (no agent touched) a cost model
 // compares one round with the skip batches that cover the same E[J]
 // interactions, E[J] ~ sqrt(pi n / 8) the birthday mean, fixed by n: those
 // take ~E[J] * p census changes of O(q) each. Its constants were measured
 // once and are compiled in (DESIGN.md §8); it reads no clock. The engine
-// runs one batch or one round and decides again at the next boundary, in
-// O(1) after a batch (the mass is current) and after a round in O(q) plus,
-// per row, the shorter of S_u and its complement (k-IGT: two states in
-// all). A kernel without an identity pair has mass n(n-1) on every
-// census, so its choice is made once, at construction, and a round pays
-// nothing for it. The choice
+// runs one batch or one round and decides again at the next boundary,
+// re-deriving the mass in O(q) plus, per row, the shorter of S_u and its
+// complement (k-IGT: two states in all); a batch's census change is then
+// four count updates. A kernel without an identity pair has mass n(n-1)
+// on every census, so its choice is made once, at construction, and a
+// round pays nothing for it. The choice
 // depends only on the census at a boundary, a stopping time, and each
 // mechanism is an exact draw of the chain from there, so the trajectory is
 // still one; a snapshot at a boundary is the round-boundary snapshot,
@@ -149,10 +151,14 @@ class multibatch_engine final : public census_level_engine {
     return engine_kind::multibatch;
   }
 
-  /// Aggregated rounds started and collisions resolved so far: the engine's
-  /// seed-deterministic work metric. interactions() / (rounds() +
-  /// collisions()) is the aggregation factor — ~sqrt(n) on any kernel.
-  [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
+  /// collisions(): collisions resolved by this engine object; rounds():
+  /// those plus the round open now, if any, since every other round closed
+  /// with a collision. The engine's seed-deterministic work metric, which
+  /// snapshots do not carry. interactions() / (rounds() + collisions()) is the aggregation
+  /// factor — ~sqrt(n) on any kernel.
+  [[nodiscard]] std::uint64_t rounds() const {
+    return collisions_ + (mid_round() ? 1u : 0u);
+  }
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
 
   /// Skip batches advanced by this engine object: one geometric draw plus
@@ -187,19 +193,17 @@ class multibatch_engine final : public census_level_engine {
   /// before run() can return, so this is exactly "some agent is touched".
   [[nodiscard]] bool mid_round() const { return untouched_total_ < n_; }
 
-  /// Snapshot payload: counts, the untouched pool and its total, the
-  /// round/collision counters, and the residual-round carry pending_free —
-  /// a checkpoint taken inside a budget-truncated round resumes the same
-  /// round, same law, same draws. The fields "touched" (counts minus
-  /// untouched) and "collision_pending" (mid_round()) are derived on save.
+  /// Snapshot payload: the state and nothing derived from it — counts,
+  /// the untouched pool, and the residual-round carry pending_free. A
+  /// checkpoint taken inside a budget-truncated round resumes the same
+  /// round, same law, same draws.
   [[nodiscard]] json save_state() const override;
 
   /// Validates the whole snapshot before touching the engine: exact key
   /// set, known state_version, engine == "multibatch", width/population/
-  /// state-space agreement, and the round-state invariants (pools
-  /// partition the census, untouched_total matches the pool, residual
-  /// carry only mid-round, collision_pending == (untouched_total < n),
-  /// rounds == collisions + collision_pending).
+  /// state-space agreement, and the three round-state relations (the
+  /// untouched pool fits in the census state by state, a carry only while
+  /// some agent is touched, 2 * pending_free <= the pool's sum).
   /// Throws invariant_error and leaves the engine unchanged on any
   /// violation.
   void restore_state(const json& snapshot) override;
@@ -207,7 +211,7 @@ class multibatch_engine final : public census_level_engine {
  private:
   /// Debug-asserted structural invariants of the round state (the
   /// untouched pool fits in the census and sums to its total, carry only
-  /// mid-round, one round more than collisions exactly mid-round); active
+  /// mid-round, no responder left held by class); active
   /// at every run() entry in Debug/ASan builds, compiled out in Release.
   /// restore_state enforces the same relations unconditionally via
   /// PPG_CHECK.
@@ -216,18 +220,17 @@ class multibatch_engine final : public census_level_engine {
   /// Whether the next interactions, at a round boundary, go to a skip
   /// batch rather than a round (the class comment's cost model).
   [[nodiscard]] bool skips_pay();
-  /// Recomputes R_u and the non-identity mass from the census.
+  /// Recomputes R_u and the non-identity mass from the census: at every
+  /// decision, so a skip batch reads them current.
   void derive_active_mass();
   /// Advances by one skip batch — the geometric run of identity
   /// interactions plus, if it falls inside `budget`, the next census
   /// change — and returns the interactions consumed, in (0, budget]. A
   /// census with no non-identity mass consumes the whole budget.
   [[nodiscard]] std::uint64_t skip_batch(std::uint64_t budget);
-  /// Samples and applies one non-identity interaction.
+  /// Samples and applies one non-identity interaction to the census and
+  /// the untouched pool, equal at a boundary.
   void apply_active();
-  /// A skip batch's count update: the census and the untouched pool (equal
-  /// at a boundary) move together, and R_u and the mass follow.
-  void add_count(agent_state state, std::int64_t delta);
   /// Advances the round in progress, opening one at a boundary, by at most
   /// `budget` interactions; returns the interactions consumed.
   [[nodiscard]] std::uint64_t advance_round(std::uint64_t budget);
@@ -261,8 +264,8 @@ class multibatch_engine final : public census_level_engine {
   /// except inside run() while responders_unresolved_: untouched_ then
   /// still counts the run's responders, which are held by class.
   std::vector<std::uint64_t> untouched_;
+  /// The untouched pool's sum: n exactly at a round boundary.
   std::uint64_t untouched_total_ = 0;
-  std::uint64_t rounds_ = 0;
   std::uint64_t collisions_ = 0;
   /// Collision-free interactions of the current round not yet applied; when
   /// it reaches 0 mid-round, the next interaction collides.
@@ -281,22 +284,16 @@ class multibatch_engine final : public census_level_engine {
   std::vector<agent_state> active_rows_;
   /// q*q flags: responder_in_row_[u*q + v] iff (u, v) is non-identity.
   std::vector<std::uint8_t> responder_in_row_;
-  /// For each state w, the initiator rows u with w in S_u.
-  std::vector<std::vector<agent_state>> rows_with_responder_;
   /// Per state u, the shorter of S_u and its complement: R_u sums the
   /// counts over row_states_[row_begin_[u], row_begin_[u + 1]), or is n
   /// less that sum when row_complement_[u] (k-IGT: at most one state).
   std::vector<std::uint32_t> row_begin_;
   std::vector<agent_state> row_states_;
   std::vector<std::uint8_t> row_complement_;
-  /// R_u, the census summed over S_u; current iff mass_current_.
+  /// R_u, the census summed over S_u, as of the last derive_active_mass.
   std::vector<std::uint64_t> row_responder_sum_;
-  /// The non-identity pair mass sum_u c_u (R_u - [u in S_u]).
+  /// The non-identity pair mass sum_u c_u (R_u - [u in S_u]), likewise.
   std::uint64_t active_weight_ = 0;
-  /// Whether row_responder_sum_ and active_weight_ match the census: set
-  /// by derive_active_mass, kept by skip batches, cleared by a round or a
-  /// restore.
-  bool mass_current_ = false;
   /// Whether aggregate runs draw their responders by class: the kernel is
   /// not partner-keyed and has no general row, so every row is one-way.
   bool responders_by_class_ = false;

@@ -558,14 +558,6 @@ const std::string& json_require_string(const json& object,
   return member.as_string();
 }
 
-bool json_require_bool(const json& object, std::string_view key,
-                       std::string_view where) {
-  const json& member = json_require(object, key, where);
-  PPG_CHECK(member.type() == json::kind::boolean,
-            describe(where, key, "expected a boolean at key"));
-  return member.as_bool();
-}
-
 const std::vector<json>& json_require_array(const json& object,
                                             std::string_view key,
                                             std::string_view where) {

@@ -161,8 +161,6 @@ class json {
 [[nodiscard]] const std::string& json_require_string(const json& object,
                                                      std::string_view key,
                                                      std::string_view where);
-[[nodiscard]] bool json_require_bool(const json& object, std::string_view key,
-                                     std::string_view where);
 [[nodiscard]] const std::vector<json>& json_require_array(
     const json& object, std::string_view key, std::string_view where);
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -674,61 +675,27 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
   const auto mb_target = diverged_target(engine_kind::multibatch);
   ASSERT_NE(mb_target->save_state(), mid);
   const char* where = "multibatch snapshot";
+  const auto counts = json_require_uint_array(mid, "counts", where);
+  const auto untouched = json_require_uint_array(mid, "untouched", where);
   const std::uint64_t untouched_total =
-      json_require_uint(mid, "untouched_total", where);
-  {  // The pools no longer partition the census (population kept).
-    auto counts = json_require_uint_array(mid, "counts", where);
-    ASSERT_GT(counts[0], 0u);
-    --counts[0];
-    ++counts[1];
+      std::accumulate(untouched.begin(), untouched.end(), std::uint64_t{0});
+  {  // An untouched pool that does not fit in the census.
+    auto over = untouched;
+    over[0] = counts[0] + 1;
     json bad = mid;
-    bad["counts"] = json_uint_array(counts);
-    expect_rejected(*mb_target, bad, "pools do not partition the census");
+    bad["untouched"] = json_uint_array(over);
+    expect_rejected(*mb_target, bad, "untouched pool exceeds the census");
   }
-  {  // A stale untouched_total.
+  {  // pending_free > 0 with no agent touched.
     json bad = mid;
-    bad["untouched_total"] = untouched_total + 1;
-    expect_rejected(*mb_target, bad, "untouched_total disagrees with the pool");
-  }
-  {  // pending_free > 0 outside a round.
-    json bad = mid;
-    bad["collision_pending"] = false;
+    bad["untouched"] = json_uint_array(counts);
     expect_rejected(*mb_target, bad, "residual carry outside a round");
   }
-  {  // 2 * pending_free > untouched_total.
+  {  // 2 * pending_free > the untouched pool.
     json bad = mid;
     bad["pending_free"] = untouched_total / 2 + 1;
     expect_rejected(*mb_target, bad,
                     "residual free run exceeds the untouched pool");
-  }
-  {  // A round-boundary snapshot marked mid-round: no agent is touched, so
-     // the next run() would have to resolve a collision from an empty
-     // touched pool.
-    rng boundary_gen(810);
-    const auto boundary_engine =
-        hd_recipe.spec().make_engine(engine_kind::multibatch, boundary_gen);
-    const auto& boundary =
-        dynamic_cast<const multibatch_engine&>(*boundary_engine);
-    for (int i = 0; i < 10'000 && (boundary.interactions() == 0 ||
-                                   boundary.mid_round());
-         ++i) {
-      boundary_engine->run(1);
-    }
-    ASSERT_GT(boundary.interactions(), 0u);
-    ASSERT_FALSE(boundary.mid_round()) << "never stopped at a round boundary";
-    json bad = boundary_engine->save_state();
-    ASSERT_EQ(json_require_uint(bad, "untouched_total", where), 300u);
-    bad["collision_pending"] = true;
-    expect_rejected(*mb_target, bad,
-                    "round in progress without touched agents");
-  }
-  {  // A round counted twice: rounds must be collisions plus the round in
-     // progress.
-    json bad = mid;
-    ASSERT_EQ(json_require_uint(mid, "rounds", where),
-              json_require_uint(mid, "collisions", where) + 1);
-    bad["rounds"] = json_require_uint(mid, "rounds", where) + 1;
-    expect_rejected(*mb_target, bad, "rounds disagree with collisions");
   }
   // The untampered snapshot still restores.
   mb_target->restore_state(mid);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -774,9 +775,11 @@ TEST(Engines, MultibatchUntouchedPoolAfterABudgetCutIsExact) {
     if (mb.rounds() != 1 || mb.collisions() != 0) continue;
     ++kept;
     const json snapshot = engine->save_state();
-    EXPECT_EQ(json_require_uint(snapshot, "untouched_total", "snapshot"), n - 2 * steps);
     const auto untouched =
         json_require_uint_array(snapshot, "untouched", "snapshot");
+    EXPECT_EQ(std::accumulate(untouched.begin(), untouched.end(),
+                              std::uint64_t{0}),
+              n - 2 * steps);
     for (std::size_t s = 0; s < x0.size(); ++s) {
       ASSERT_LE(untouched[s], x0[s]);
       ASSERT_LE(x0[s] - untouched[s], 2 * steps);
@@ -812,6 +815,50 @@ TEST(Engines, MultibatchFrozenCensusBurnsTheBudget) {
   const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
   EXPECT_EQ(mb.rounds(), 0u);
   EXPECT_EQ(mb.skip_batches(), 2u);
+}
+
+TEST(Engines, MultibatchSkipBatchWaitIsOnePlusGeometricOfTheExactMass) {
+  // Dilute one-way k = 8 IGT at n = 200: 10 GTFT agents at level 0, 5 AC,
+  // 185 AD. Only a GTFT initiator updates, and at level 0 only against an
+  // AC or GTFT responder, so the non-identity ordered pairs number
+  // g (a + g) less the g self-pairs: 10 * 15 - 10 = 140 of n(n - 1). The
+  // self-pair term moves p by 1/14, and skip batches pay here (the limit is
+  // ~58% of n(n - 1)), so run_until(census changed) is one skip batch and
+  // returns 1 + Geometric(p) exactly. Its mean 1/p is checked by z over
+  // 2 * 10^4 engines: a 7% shift is ~10 standard errors.
+  const std::size_t k = 8;
+  const igt_protocol proto(k);
+  constexpr std::uint64_t a = 5;
+  constexpr std::uint64_t d = 185;
+  constexpr std::uint64_t g = 10;
+  constexpr std::uint64_t n = a + d + g;
+  std::vector<std::uint64_t> x0(2 + k, 0);
+  x0[igt_encoding::ac] = a;
+  x0[igt_encoding::ad] = d;
+  x0[igt_encoding::gtft(0)] = g;
+  const sim_spec spec(proto, x0);
+  const double p = static_cast<double>(g * (a + g) - g) /
+                   static_cast<double>(n * (n - 1));
+  const auto changed = [&x0](const census_view& census) {
+    return census.counts() != x0;
+  };
+  constexpr std::size_t engines = 20'000;
+  double sum = 0.0;
+  for (std::size_t r = 0; r < engines; ++r) {
+    rng gen = make_stream_rng(2901, r);
+    const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+    const auto waited = engine->run_until(changed, 10'000'000);
+    const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+    ASSERT_EQ(mb.skip_batches(), 1u);
+    ASSERT_EQ(mb.rounds(), 0u);
+    ASSERT_TRUE(changed(engine->census()));
+    sum += static_cast<double>(waited);
+  }
+  // 1 + Geometric(p) has mean 1/p and variance (1 - p)/p^2.
+  const double mean = sum / static_cast<double>(engines);
+  const double se = std::sqrt((1.0 - p) / (p * p) / engines);
+  EXPECT_LT(std::abs(mean - 1.0 / p) / se, 4.0)
+      << "mean wait " << mean << " against 1/p = " << 1.0 / p;
 }
 
 TEST(Engines, RunUntilConvergesOnEveryEngine) {

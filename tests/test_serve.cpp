@@ -515,8 +515,8 @@ TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
         400);
   }
 
-  // Crafted checkpoints of a valid n = 300 session whose sums wrap to 300:
-  // the census itself, and the multibatch engine's untouched/touched pools.
+  // Crafted checkpoints of a valid n = 300 session whose sums wrap: the
+  // census itself to 300, and the multibatch engine's untouched pool to 19.
   constexpr std::uint64_t max = ~std::uint64_t{0};
   for (const char* engine : {"census", "multibatch"}) {
     const std::string id =
@@ -534,28 +534,26 @@ TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
     if (std::string(engine) == "census") {
       state["counts"] = json_uint_array({max, 301});
     } else {
-      // Pools (2^64 - 1, 20) and (281, 0) sum to the census (280, 20) mod
-      // 2^64, and untouched_total to 19.
+      // (2^64 - 1, 20) sums to 19 mod 2^64, below n with nothing touched,
+      // but its first entry exceeds the census (280, 20).
       state["untouched"] = json_uint_array({max, 20});
-      state["touched"] = json_uint_array({281, 0});
-      state["untouched_total"] = 19;
-      state["collision_pending"] = true;
     }
     const json rejected = handle_json(
         app,
         make_request("POST", "/sessions/restore", crafted.dump_string(false)),
         400);
     EXPECT_NE(rejected.find("error")->as_string().find(
-                  std::string(engine) == "census" ? "2^64" : "partition"),
+                  std::string(engine) == "census" ? "2^64"
+                                                  : "exceeds the census"),
               std::string::npos)
         << rejected.dump_string(false);
   }
 }
 
-TEST(ServeApp, BoundarySnapshotMarkedMidRoundAnswers400) {
+TEST(ServeApp, BoundarySnapshotWithPendingFreeAnswers400) {
   // A fresh multibatch session sits at a round boundary: every agent is
-  // untouched. Marked mid-round, its snapshot would make the next advance
-  // resolve a collision from an empty touched pool, so restore refuses it.
+  // untouched. A residual carry there would close a round that never
+  // opened with a collision from an empty touched pool: restore refuses it.
   serve_app app;
   const std::string id =
       handle_json(app,
@@ -569,14 +567,14 @@ TEST(ServeApp, BoundarySnapshotMarkedMidRoundAnswers400) {
   ASSERT_EQ(checkpoint.status, 200);
   json crafted = json::parse(checkpoint.body);
   json& state = crafted["engine"];
-  ASSERT_EQ(state.find("untouched_total")->as_uint64(), 300u);
-  ASSERT_FALSE(state.find("collision_pending")->as_bool());
-  state["collision_pending"] = true;
+  ASSERT_EQ(state.find("untouched")->dump_string(false),
+            state.find("counts")->dump_string(false));
+  state["pending_free"] = 1;
   const json rejected = handle_json(
       app,
       make_request("POST", "/sessions/restore", crafted.dump_string(false)),
       400);
-  EXPECT_NE(rejected.find("error")->as_string().find("touched agents"),
+  EXPECT_NE(rejected.find("error")->as_string().find("residual carry"),
             std::string::npos)
       << rejected.dump_string(false);
 }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -455,9 +456,10 @@ TEST(ServeDurability, CorruptSpillsAreQuarantinedNotFatal) {
   }
 }
 
-// The batched engine was folded into multibatch, so a store written before
-// then may hold a batched session. Boot quarantines it with a reason that
-// says so, and recovers every other session.
+// The batched engine was folded into multibatch, and the multibatch
+// snapshot later dropped its derived fields, so a store written before
+// then may hold a session no engine loads. Boot quarantines each such
+// spill with the reason, and recovers every other session.
 TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
   temp_dir store;
   serve_config config;
@@ -471,10 +473,19 @@ TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
                        create_body(rumor_recipe(), "census", seed)),
           201);
     }
-    (void)handle_json(app,
-                      make_request("POST", "/sessions/s2/advance",
-                                   R"({"interactions": 4000})"),
-                      200);
+    (void)handle_json(
+        app,
+        make_request("POST", "/sessions",
+                     create_body(rumor_recipe(), "multibatch", 10)),
+        201);
+    for (const char* id : {"s2", "s3"}) {
+      (void)handle_json(app,
+                        make_request("POST",
+                                     std::string("/sessions/") + id +
+                                         "/advance",
+                                     R"({"interactions": 4000})"),
+                        200);
+    }
   }
 
   // s2's spill as the batched engine wrote it: its census snapshot plus
@@ -491,19 +502,56 @@ TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
       s2, store_envelope(batched).dump_string(true), &error))
       << error;
 
+  // s3's spill as the multibatch engine wrote it before its snapshot
+  // dropped the fields derived from counts, untouched and pending_free.
+  const std::string s3 = spill_path(store, "s3");
+  store_file old = parse_store_envelope(json::parse(read_bytes(s3)));
+  json& state = old.checkpoint["engine"];
+  const auto counts = json_require_uint_array(state, "counts", "s3");
+  const auto untouched = json_require_uint_array(state, "untouched", "s3");
+  std::vector<std::uint64_t> touched(counts.size());
+  std::uint64_t n = 0;
+  std::uint64_t untouched_total = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    touched[s] = counts[s] - untouched[s];
+    n += counts[s];
+    untouched_total += untouched[s];
+  }
+  const bool collision_pending = untouched_total < n;
+  state["touched"] = json_uint_array(touched);
+  state["untouched_total"] = untouched_total;
+  state["collision_pending"] = collision_pending;
+  state["collisions"] = std::uint64_t{40};
+  state["rounds"] = std::uint64_t{collision_pending ? 41u : 40u};
+  ASSERT_TRUE(
+      atomic_write_file(s3, store_envelope(old).dump_string(true), &error))
+      << error;
+
   serve_app rebooted(config);
   (void)handle_json(rebooted, make_request("GET", "/sessions/s1"), 200);
   (void)handle_json(rebooted, make_request("GET", "/sessions/s2"), 404);
+  (void)handle_json(rebooted, make_request("GET", "/sessions/s3"), 404);
   const json stats = handle_json(rebooted, make_request("GET", "/stats"), 200);
   const json* durability = stats.find("durability");
   EXPECT_EQ(durability->find("recovered_sessions")->as_uint64(), 1u);
   const json* quarantined = durability->find("quarantined");
-  ASSERT_EQ(quarantined->size(), 1u);
-  const std::string entry = quarantined->items()[0].as_string();
-  EXPECT_NE(entry.find("s2.session.json"), std::string::npos) << entry;
-  EXPECT_NE(entry.find("folded into 'multibatch'"), std::string::npos)
-      << entry;
-  EXPECT_EQ(store.entries("quarantine").size(), 1u);
+  ASSERT_EQ(quarantined->size(), 2u);
+  // Each file is quarantined with the reason its schema no longer loads.
+  std::map<std::string, std::string> reasons;
+  for (const json& item : quarantined->items()) {
+    const std::string entry = item.as_string();
+    for (const char* id : {"s2", "s3"}) {
+      if (entry.find(std::string(id) + ".session.json") != std::string::npos) {
+        reasons[id] = entry;
+      }
+    }
+  }
+  ASSERT_EQ(reasons.size(), 2u);
+  EXPECT_NE(reasons["s2"].find("folded into 'multibatch'"), std::string::npos)
+      << reasons["s2"];
+  EXPECT_NE(reasons["s3"].find("unknown key"), std::string::npos)
+      << reasons["s3"];
+  EXPECT_EQ(store.entries("quarantine").size(), 2u);
 }
 
 // --- degradation under injected disk failures ------------------------------

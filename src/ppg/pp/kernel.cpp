@@ -196,14 +196,10 @@ void kernel_table::compile_partner_laws() {
           probabilities_[e];
     }
   };
-  // f[v * q + x] = f(x|v) from pairs (0, v); g[u * q + y] = g(y|u) from
-  // pairs (u, 0).
+  // f[v * q + x] = f(x|v) from pairs (0, v): the one law of a partner
+  // state, which a responder that moves must follow too.
   std::vector<double> f(q_ * q_);
-  std::vector<double> g(responders_stay_ ? 0 : q_ * q_);
   for (agent_state v = 0; v < q_; ++v) marginal(0, v, false, &f[v * q_]);
-  for (agent_state u = 0; u < g.size() / q_; ++u) {
-    marginal(u, 0, true, &g[u * q_]);
-  }
   std::vector<double> scratch(q_);
   const auto matches = [&](const double* law) {
     for (std::size_t x = 0; x < q_; ++x) {
@@ -220,14 +216,14 @@ void kernel_table::compile_partner_laws() {
       marginal(u, v, false, scratch.data());
       if (!matches(fv)) return;
       if (responders_stay_) continue;
-      const double* gu = &g[u * q_];
+      const double* fu = &f[u * q_];
       marginal(u, v, true, scratch.data());
-      if (!matches(gu)) return;
+      if (!matches(fu)) return;
       double covered = 0.0;
       for (std::uint32_t e = offsets_[index(u, v)];
            e < offsets_[index(u, v) + 1]; ++e) {
         const double product =
-            fv[entries_[e].initiator] * gu[entries_[e].responder];
+            fv[entries_[e].initiator] * fu[entries_[e].responder];
         if (std::abs(probabilities_[e] - product) > tolerance) return;
         covered += product;
       }
@@ -241,12 +237,11 @@ void kernel_table::compile_partner_laws() {
   }
 
   law_offsets_.push_back(0);
-  for (std::size_t k = 0; k < f.size() + g.size(); k += q_) {
-    const double* law = k < f.size() ? &f[k] : &g[k - f.size()];
+  for (agent_state v = 0; v < q_; ++v) {
     for (agent_state x = 0; x < q_; ++x) {
-      if (law[x] <= 0.0) continue;
+      if (f[v * q_ + x] <= 0.0) continue;
       law_states_.push_back(x);
-      law_probabilities_.push_back(law[x]);
+      law_probabilities_.push_back(f[v * q_ + x]);
     }
     law_offsets_.push_back(static_cast<std::uint32_t>(law_states_.size()));
   }

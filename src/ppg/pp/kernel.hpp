@@ -73,17 +73,19 @@ class protocol {
 /// are numbered by smallest member. Each row then takes one of three
 /// shapes (row_shape).
 ///
-/// Last, construction recognizes a *partner-keyed* kernel: one where an
-/// initiator's next state depends only on its responder's state, and the
-/// responder's only on its initiator's, independently. Every pair (u, v)
-/// must have pair (0, v)'s initiator marginal f(.|v), pointwise within
-/// 1e-12. Unless no outcome moves its responder (responders_stay()), it
-/// must also have pair (u, 0)'s responder marginal g(.|u), each support
-/// point's mass must be f(x|v) g(y|u) within 1e-12, and those products
-/// must cover mass 1 within 1e-12. Two-way logit is such a kernel (the
-/// rule ignores its own strategy, and two-way revision is the independent
-/// product), and so is one-way logit. The multibatch engine then draws a
-/// round's outcomes from the partner laws alone, without a matching.
+/// Last, construction recognizes a *partner-keyed* kernel: one with a
+/// single law f(.|w) per partner state w, which every agent that moves
+/// follows given its partner's state, independently of everything else.
+/// Every pair (u, v) must have pair (0, v)'s initiator marginal f(.|v),
+/// pointwise within 1e-12. Unless no outcome moves its responder
+/// (responders_stay()), its responder marginal must be f(.|u) within
+/// 1e-12 too, each support point's mass must be f(x|v) f(y|u) within
+/// 1e-12, and those products must cover mass 1 within 1e-12; a kernel
+/// whose responders move by another law is not partner-keyed. Logit
+/// response is such a kernel under both disciplines: the rule ignores its
+/// own strategy, and two-way revision applies it to both sides of the pair
+/// independently. The multibatch engine then draws a round's outcomes from
+/// the partner laws alone, without a matching.
 class kernel_table {
  public:
   /// How an initiator row's outcome depends on its responder.
@@ -184,10 +186,10 @@ class kernel_table {
     return {entries_[e].initiator, entries_[e].responder};
   }
 
-  /// One partner's law in a partner-keyed kernel: the states of positive
-  /// mass, in increasing order, and their probabilities. Only the support
-  /// is stored, because sample_multinomial puts its rounding remainder in
-  /// the last category it is given.
+  /// One partner state's law in a partner-keyed kernel: the states of
+  /// positive mass, in increasing order, and their probabilities. Only the
+  /// support is stored, because sample_multinomial puts its rounding
+  /// remainder in the last category it is given.
   struct partner_law {
     const agent_state* states = nullptr;
     const double* probabilities = nullptr;
@@ -195,7 +197,7 @@ class kernel_table {
   };
 
   /// Whether the kernel is partner-keyed (class comment). Drawing a pair's
-  /// outcome as f(.|v) x g(.|u), or f(.|v) with the responder kept, is
+  /// outcome as f(.|v) x f(.|u), or f(.|v) with the responder kept, is
   /// then the kernel's law within 1e-12 per support point: total
   /// variation within q^2 * 1e-12 / 2 per draw, against sample()'s 2^-53.
   [[nodiscard]] bool partner_keyed() const { return !law_offsets_.empty(); }
@@ -203,16 +205,13 @@ class kernel_table {
   /// Whether no outcome of any pair moves its responder.
   [[nodiscard]] bool responders_stay() const { return responders_stay_; }
 
-  /// f(.|v): the initiator's next-state law given responder state v, in a
-  /// partner-keyed kernel.
-  [[nodiscard]] partner_law initiator_law(agent_state responder) const {
-    return law(responder);
-  }
-
-  /// g(.|u): the responder's next-state law given initiator state u, in a
-  /// partner-keyed kernel whose responders do not stay.
-  [[nodiscard]] partner_law responder_law(agent_state initiator) const {
-    return law(q_ + initiator);
+  /// f(.|w) in a partner-keyed kernel: the next-state law of an agent
+  /// whose partner is in state w — an initiator's, and a responder's too
+  /// unless responders stay.
+  [[nodiscard]] partner_law law(agent_state partner) const {
+    const std::uint32_t begin = law_offsets_[partner];
+    return {law_states_.data() + begin, law_probabilities_.data() + begin,
+            law_offsets_[partner + 1] - begin};
   }
 
   /// The `s`-th slot of the pair's alias table (s < num_outcomes);
@@ -262,11 +261,6 @@ class kernel_table {
                                         agent_state b) const;
   void compile_responder_classes();
   void compile_partner_laws();
-  [[nodiscard]] partner_law law(std::size_t k) const {
-    const std::uint32_t begin = law_offsets_[k];
-    return {law_states_.data() + begin, law_probabilities_.data() + begin,
-            law_offsets_[k + 1] - begin};
-  }
 
   std::size_t q_;
   std::vector<std::uint32_t> offsets_;  ///< q_*q_ + 1 entry offsets
@@ -278,8 +272,8 @@ class kernel_table {
   std::vector<std::uint32_t> classes_;            ///< per responder state
   std::vector<agent_state> representatives_;      ///< per class
   bool responders_stay_ = true;
-  /// Partner laws, empty unless partner-keyed: f(.|v) for v < q, then
-  /// g(.|u) at q + u unless responders stay; supports only.
+  /// Partner laws, empty unless partner-keyed: f(.|w) for w < q, supports
+  /// only.
   std::vector<std::uint32_t> law_offsets_;
   std::vector<agent_state> law_states_;
   std::vector<double> law_probabilities_;

@@ -16,26 +16,24 @@ multibatch_engine::multibatch_engine(
       birthday_(n_) {
   // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
   PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
-  // Beyond its initiator MVH and its responder MVH (q-way, or C-way when
-  // the responders are drawn by class), an aggregate round draws D more: a
-  // partner-keyed round one binomial per support point past the first of
-  // each partner law (q(q-1), or 2q(q-1) two-way, at full support); any
-  // other round a matching over q categories per general row and C per
-  // classed row (rows that ignore their responder draw nothing). Below ~4D
-  // interactions those draws cost more than per-pair O(q) sampling, so
-  // short runs (small n: the birthday law scales them as ~sqrt(n)) fall
-  // back to the sequential path and the engine degrades to census-engine
-  // cost. The class-level responder MVH makes a one-way round cheaper by
-  // up to q - C hypergeometrics, which D leaves out: the threshold is the
-  // same for both responder draws.
+  // Beyond its MVH samples (one q-way MVH of all 2J agents on a two-way
+  // partner-keyed kernel; otherwise an initiator MVH and a responder MVH,
+  // q-way, or C-way when the responders are drawn by class), an aggregate
+  // round draws D more: a partner-keyed round one binomial per support
+  // point past the first of each partner law (q(q-1) at full support under
+  // either discipline); any other round a matching over q categories per
+  // general row and C per classed row (rows that ignore their responder
+  // draw nothing). Below ~4D interactions those draws cost more than
+  // per-pair O(q) sampling, so short runs (small n: the birthday law
+  // scales them as ~sqrt(n)) fall back to the sequential path and the
+  // engine degrades to census-engine cost. The class-level responder MVH
+  // makes a one-way round cheaper by up to q - C hypergeometrics, which D
+  // leaves out: the threshold is the same for both responder draws.
   using row_shape = kernel_table::row_shape;
   std::uint64_t draws = 0;
   if (kernel_->partner_keyed()) {
     for (agent_state s = 0; s < kernel_->num_states(); ++s) {
-      draws += kernel_->initiator_law(s).size - 1;
-      if (!kernel_->responders_stay()) {
-        draws += kernel_->responder_law(s).size - 1;
-      }
+      draws += kernel_->law(s).size - 1;
     }
   } else {
     draws = kernel_->num_states() * kernel_->rows(row_shape::general).size() +
@@ -88,13 +86,17 @@ multibatch_engine::multibatch_engine(
   const double mean_run =
       std::sqrt(3.141592653589793 * static_cast<double>(n_) / 8.0);
   const auto states = static_cast<double>(q);
-  const auto responder_categories = static_cast<double>(
-      responders_by_class_ ? kernel_->num_responder_classes() : q);
+  // The MVH categories a round draws: q for the initiators, or for all 2J
+  // agents of a two-way partner-keyed round, plus the responders' q or C.
+  std::size_t mvh_categories = q;
+  if (!kernel_->partner_keyed() || kernel_->responders_stay()) {
+    mvh_categories +=
+        responders_by_class_ ? kernel_->num_responder_classes() : q;
+  }
   const double round_ns =
       mean_run < static_cast<double>(aggregate_threshold_)
           ? 500.0 + mean_run * (5.0 + 2.5 * states)
-          : 200.0 + 140.0 * (states + responder_categories +
-                             static_cast<double>(draws));
+          : 200.0 + 140.0 * static_cast<double>(mvh_categories + draws);
   const double change_ns = 60.0 + 9.0 * states;
   const double limit = round_ns * ordered_pairs_ / (mean_run * change_ns);
   if (non_identity_pairs == q * q) {
@@ -207,16 +209,31 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
   initiators_.resize(width);
   responders_.resize(width);
   row_.resize(width);
+  untouched_total_ -= 2 * free;
   // The 2*free agents of a collision-free run are a uniform sample without
-  // replacement from the untouched pool; odd positions (initiators) are a
-  // simple random sample, even positions (responders) one from the
-  // remainder, and conditioned on both multisets the initiator-responder
-  // matching is uniform — realized by splitting the responder multiset
-  // across initiator groups with sequential multivariate hypergeometrics.
+  // replacement from the untouched pool.
+  if (kernel_->partner_keyed() && !kernel_->responders_stay()) {
+    // Every agent of the run moves by the law of its partner's state, and
+    // the partners of the 2*free agents are those agents themselves: one
+    // MVH of them all is both the census that leaves and the partner
+    // census.
+    sample_multivariate_hypergeometric(untouched_.data(), width, 2 * free,
+                                       gen_, responders_.data());
+    for (std::size_t s = 0; s < width; ++s) {
+      untouched_[s] -= responders_[s];
+      counts_[s] -= responders_[s];
+    }
+    apply_partner_laws();
+    return;
+  }
+  // Otherwise odd positions (initiators) are a simple random sample, even
+  // positions (responders) one from the remainder, and conditioned on both
+  // multisets the initiator-responder matching is uniform — realized by
+  // splitting the responder multiset across initiator groups with
+  // sequential multivariate hypergeometrics.
   sample_multivariate_hypergeometric(untouched_.data(), width, free, gen_,
                                      initiators_.data());
   for (std::size_t s = 0; s < width; ++s) untouched_[s] -= initiators_[s];
-  untouched_total_ -= 2 * free;
   // Each row's initiators draw their partners from the responders still
   // unmatched, by one MVH over `pool`; partner(j) is the state whose
   // outcome law category j's pairs take.
@@ -252,7 +269,10 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
                                        responders_.data());
     for (std::size_t s = 0; s < width; ++s) untouched_[s] -= responders_[s];
     if (kernel_->partner_keyed()) {
-      apply_partner_keyed();
+      // One-way: only the initiators move, each by the law of its
+      // responder's state, whichever responder it met.
+      for (std::size_t s = 0; s < width; ++s) counts_[s] -= initiators_[s];
+      apply_partner_laws();
       return;
     }
     match(kernel_->rows(row_shape::general), responders_,
@@ -298,33 +318,18 @@ void multibatch_engine::resolve_responder_states() {
   responders_unresolved_ = false;
 }
 
-void multibatch_engine::apply_partner_keyed() {
-  // Which initiator met which responder cannot change the census: the
-  // initiators facing responders in state v leave by B_v draws of
-  // f(.|v), and the responders facing initiators in state u by A_u draws
-  // of g(.|u), whatever the matching.
-  const std::size_t width = counts_.size();
-  const bool responders_stay = kernel_->responders_stay();
-  // A multinomial of m = 0, or over one state, draws nothing.
-  const auto add = [this](std::uint64_t m, kernel_table::partner_law law) {
+void multibatch_engine::apply_partner_laws() {
+  // The laws exist for the kernel's states only; a census wider than the
+  // kernel holds no agent past them. A multinomial of m = 0, or over one
+  // state, draws nothing.
+  for (agent_state w = 0; w < kernel_->num_states(); ++w) {
+    const kernel_table::partner_law law = kernel_->law(w);
     split_.resize(law.size);
-    sample_multinomial(m, law.probabilities, law.size, gen_, split_.data());
+    sample_multinomial(responders_[w], law.probabilities, law.size, gen_,
+                       split_.data());
     for (std::size_t k = 0; k < law.size; ++k) {
       counts_[law.states[k]] += split_[k];
     }
-  };
-  for (std::size_t s = 0; s < width; ++s) {
-    counts_[s] -= initiators_[s] + (responders_stay ? 0 : responders_[s]);
-  }
-  // The laws exist for the kernel's states only; a census wider than the
-  // kernel holds no agent past them.
-  const std::size_t q = kernel_->num_states();
-  for (agent_state v = 0; v < q; ++v) {
-    add(responders_[v], kernel_->initiator_law(v));
-  }
-  if (responders_stay) return;
-  for (agent_state u = 0; u < q; ++u) {
-    add(initiators_[u], kernel_->responder_law(u));
   }
 }
 

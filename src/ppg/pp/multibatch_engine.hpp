@@ -25,12 +25,15 @@
 //     untouched census (initiator sample, then responder sample — any
 //     fixed positions of 2J distinct agents drawn uniformly without
 //     replacement are a simple random sample). On a partner-keyed kernel
-//     (kernel_table::partner_keyed) that is all the round needs: the
-//     initiators' new states sum to one multinomial of B_v draws from
-//     f(.|v) per responder state v, and the responders' to one of A_u
-//     draws from g(.|u) per initiator state u, or B itself when
-//     responders stay, whichever initiator met which responder. A and B
-//     leave the census and those sums join it; steps 3 and 4 are skipped.
+//     (kernel_table::partner_keyed) every agent that moves follows the
+//     one law f(.|w) of its partner's state w, whichever agent it met, so
+//     the round needs no matching and skips steps 3 and 4. One-way, only
+//     the initiators move: A leaves the census and one multinomial of
+//     B_w draws from f(.|w) per state w joins it. Two-way, every agent
+//     moves, and the partners of the 2J agents are those agents
+//     themselves: the round draws one MVH X of all 2J agents instead of A
+//     and B, X leaves the census, and one multinomial of X_w draws from
+//     f(.|w) per state w joins it.
 //     When every row is one-way (no general row, not partner-keyed, as in
 //     k-IGT), no responder moves and the round needs B only by class: B is
 //     then one C-way MVH over the class totals of the untouched pool after
@@ -62,13 +65,14 @@
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
 // agent and census engines' (DESIGN.md §8 gives the argument). A
-// partner-keyed round costs O(q) hypergeometrics plus D binomials, D the
-// partner laws' support points past the first of each law (q(q-1), or
-// 2q(q-1) two-way, at full support), whatever J. Any other round costs
-// O(q + D + sum over occupied pair cells of (support - 1)) binomials and
-// hypergeometrics, where D = q * #general rows + C * #classed rows is the
-// matching's category count (q^2 when every row is general, 2k for one-way
-// k-IGT), whatever the cells' sizes; a one-way round's responder sample
+// partner-keyed round costs O(q) hypergeometrics (q - 1 two-way, 2(q - 1)
+// one-way) plus D binomials, D the partner laws' support points past the
+// first of each law (q(q-1) at full support under either discipline),
+// whatever J. Any other round costs O(q + D + sum over occupied pair
+// cells of (support - 1)) binomials and hypergeometrics, where
+// D = q * #general rows + C * #classed rows is the matching's category
+// count (q^2 when every row is general, 2k for one-way k-IGT), whatever
+// the cells' sizes; a one-way round's responder sample
 // costs C - 1 hypergeometrics of those O(q), not q - 1 (k-IGT: 1, not
 // q - 1 = k + 1). Either way the collision adds O(q).
 // Rounds shrink with n (the birthday law adapts by itself), and a run of
@@ -108,12 +112,13 @@
 // Every draw comes from the engine's one generator, in a fixed order. A
 // batch draws its geometric, then its pair and the pair's outcome. A round
 // draws the birthday length, the initiator and responder MVH samples over
-// the untouched pool (the responders' by class when every row is one-way);
-// then, partner-keyed, the initiator sums by responder state and the
-// responder sums by initiator state; otherwise the conditional MVH
-// matching rows (general rows, then classed rows), each cell's outcome
-// multinomial as the matching row fills it, and the multinomials of the
-// rows that ignore their responder; and last the collision, or, when the
+// the untouched pool (the responders' by class when every row is one-way;
+// one MVH of all 2J agents instead of both on a two-way partner-keyed
+// kernel); then, partner-keyed, the outcome sums by partner state in state
+// order; otherwise the conditional MVH matching rows (general rows, then
+// classed rows), each cell's outcome multinomial as the matching row
+// fills it, and the multinomials of the rows that ignore their responder;
+// and last the collision, or, when the
 // budget cuts a round whose responders were drawn by class, their
 // per-class MVHs. A trajectory is therefore a pure function of its seed
 // and run() chunk schedule.
@@ -169,12 +174,11 @@ class multibatch_engine final : public census_level_engine {
   /// Collision-free runs shorter than this take the sequential per-pair
   /// path; longer ones are applied in aggregate (the cost model reads it
   /// to price a round at the birthday mean). It is max(16, 4D), D the
-  /// round's draws past its two MVH samples (q-way, or C-way for the
-  /// responders when every row is one-way): for a partner-keyed kernel
-  /// the partner laws' support points past the first of each law (4q(q-1)
-  /// one-way and 8q(q-1) two-way at full support), otherwise the
-  /// matching's category count (q per general row, C per classed row;
-  /// max(16, 4q^2) when every row is general).
+  /// round's draws past its MVH samples: for a partner-keyed kernel the
+  /// partner laws' support points past the first of each law (4q(q-1)
+  /// under either discipline at full support), otherwise the matching's
+  /// category count (q per general row, C per classed row; max(16, 4q^2)
+  /// when every row is general).
   [[nodiscard]] std::uint64_t aggregate_threshold() const {
     return aggregate_threshold_;
   }
@@ -243,10 +247,11 @@ class multibatch_engine final : public census_level_engine {
   /// boundary.
   void resolve_responder_states();
   void apply_free_sequential(std::uint64_t free);
-  /// The aggregate step of a partner-keyed kernel, once initiators_ and
-  /// responders_ hold the run's A and B: removes both from the census and
-  /// adds the multinomial outcome sums of the partner laws.
-  void apply_partner_keyed();
+  /// The aggregate step of a partner-keyed kernel, once the agents that
+  /// move have left the census and responders_ holds their partners'
+  /// census (B one-way, all 2J agents two-way): adds one multinomial of
+  /// responders_[w] draws from f(.|w) per kernel state w.
+  void apply_partner_laws();
   /// Applies `m` disjoint (u, v) interactions to the census: removes the
   /// pairs and adds their outcomes, split by one multinomial over the
   /// pair's outcome law (no draw for a deterministic pair). A one-way row passes its class
@@ -305,7 +310,8 @@ class multibatch_engine final : public census_level_engine {
   std::vector<std::uint64_t> class_pool_;  ///< untouched_ by class, after A
   std::vector<std::uint64_t> split_;       ///< multinomial outcome counts
   std::vector<std::uint64_t> initiators_;  ///< initiator census of a run
-  std::vector<std::uint64_t> responders_;  ///< responder census (consumed)
+  /// Responder census (consumed); a partner-keyed run's partner census.
+  std::vector<std::uint64_t> responders_;
   std::vector<std::uint64_t> row_;         ///< one matching row
   std::vector<std::uint64_t> class_totals_;  ///< responders left per class
   std::vector<std::uint64_t> touched_pool_;  ///< derived at each collision

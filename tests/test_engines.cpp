@@ -210,11 +210,12 @@ TEST(Kernel, ResponderClassesCompile) {
   const game_protocol one_way_rps(
       rock_paper_scissors_matrix(),
       std::make_shared<proportional_imitation_rule>(0.8));
-  // The threshold is 4D for D the draws past the two MVH samples: a
-  // q x q matching for RPS, and q(q-1) binomials per side for the
-  // partner-keyed logit kernels (q = 2 one-way, q = 8 two-way).
+  // The threshold is 4D for D the draws past the MVH samples: a q x q
+  // matching for RPS, and the q(q-1) binomials of the partner laws for the
+  // partner-keyed logit kernels (q = 2 one-way, q = 8 two-way), which
+  // draw one law per partner state under either discipline.
   const std::pair<const protocol*, std::uint64_t> all_general[] = {
-      {&one_way_hawk_dove, 16}, {&two_way_logit, 4 * 2 * 8 * 7},
+      {&one_way_hawk_dove, 16}, {&two_way_logit, 4 * 8 * 7},
       {&one_way_rps, 4 * 3 * 3}};
   for (const auto& [proto, threshold] : all_general) {
     const auto kernel = std::make_shared<const kernel_table>(*proto);
@@ -249,7 +250,8 @@ TEST(Kernel, ResponderClassesCompile) {
 }
 
 // Each pair's outcome law is the product of an initiator law keyed on the
-// responder and a responder law keyed on the initiator, as listed below.
+// responder and a responder law keyed on the initiator, as listed below;
+// the kernel is partner-keyed only when the two lists are one law.
 // Pair (1, 1) can be spoiled: `bend` moves mass from its products'
 // anti-diagonal points to its diagonal ones, which keeps both of its
 // marginals, and `drop` omits its point (1, 1).
@@ -355,13 +357,8 @@ TEST(Kernel, PartnerKeyedCompiles) {
     EXPECT_EQ(kernel.responders_stay(), one_way) << c.label;
     for (agent_state s = 0; s < kernel.num_states(); ++s) {
       // Logit ignores its own strategy, so `self` is arbitrary.
-      const auto revised = c.rule->revise(c.game, 0, s);
-      expect_partner_law(kernel.initiator_law(s), revised,
+      expect_partner_law(kernel.law(s), c.rule->revise(c.game, 0, s),
                          c.label + " f(.|" + std::to_string(s) + ")");
-      if (!one_way) {
-        expect_partner_law(kernel.responder_law(s), revised,
-                           c.label + " g(.|" + std::to_string(s) + ")");
-      }
     }
   }
 
@@ -384,23 +381,29 @@ TEST(Kernel, PartnerKeyedCompiles) {
         << proto->num_states() << "-state kernel";
   }
 
-  // Crafted products: detected as they stand; rejected once pair (1, 1)
-  // is off the product by 1e-9 at each point of a 2 x 2 block (its
-  // marginals unchanged, so only the product test sees it).
+  // Crafted two-way products of one law: detected as they stand; rejected
+  // once pair (1, 1) is off the product by 1e-9 at each point of a 2 x 2
+  // block (its marginals unchanged, so only the product test sees it).
   const std::vector<std::vector<double>> f = {{0.3, 0.7}, {0.6, 0.4}};
+  EXPECT_TRUE(kernel_table(product_protocol(f, f)).partner_keyed());
+  EXPECT_FALSE(kernel_table(product_protocol(f, f, 1e-9)).partner_keyed());
+  // Products whose responders move by another law than their initiators:
+  // a different law, or the same one with 1e-9 moved between two points.
   const std::vector<std::vector<double>> g = {{0.2, 0.8}, {0.9, 0.1}};
-  EXPECT_TRUE(kernel_table(product_protocol(f, g)).partner_keyed());
-  EXPECT_FALSE(kernel_table(product_protocol(f, g, 1e-9)).partner_keyed());
-  // A product point of mass 5e-11 missing from pair (1, 1) (the kernel's
+  EXPECT_FALSE(kernel_table(product_protocol(f, g)).partner_keyed());
+  const std::vector<std::vector<double>> nudged = {{0.3 + 1e-9, 0.7 - 1e-9},
+                                                   {0.6, 0.4}};
+  EXPECT_FALSE(kernel_table(product_protocol(f, nudged)).partner_keyed());
+  // A product point of mass 1e-10 missing from pair (1, 1) (the kernel's
   // own check allows 1e-9 of missing mass).
   const std::vector<std::vector<double>> thin = {{0.3, 0.7},
-                                                 {1.0 - 5e-10, 5e-10}};
-  EXPECT_TRUE(kernel_table(product_protocol(thin, g)).partner_keyed());
+                                                 {1.0 - 1e-5, 1e-5}};
+  EXPECT_TRUE(kernel_table(product_protocol(thin, thin)).partner_keyed());
   EXPECT_FALSE(
-      kernel_table(product_protocol(thin, g, 0.0, true)).partner_keyed());
-  // One-way, the same point missing from every pair of responder 1: the
-  // marginals agree, but f(.|1) covers only 1 - 5e-10.
+      kernel_table(product_protocol(thin, thin, 0.0, true)).partner_keyed());
   EXPECT_TRUE(kernel_table(one_way_protocol(thin)).partner_keyed());
+  // One-way, a point of mass 5e-10 missing from every pair of responder 1:
+  // the marginals agree, but f(.|1) covers only 1 - 5e-10.
   const kernel_table short_mass(one_way_protocol({{0.3, 0.7}, {1.0 - 5e-10}}));
   EXPECT_FALSE(short_mass.partner_keyed());
   // The partner-keyed test judged the raw masses above; the stored laws
@@ -745,56 +748,116 @@ TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {
   }
 }
 
-TEST(Engines, MultibatchUntouchedPoolAfterABudgetCutIsExact) {
-  // One-way k = 3 IGT at n = 10^5: threshold 24, rounds of ~198 pairs.
-  // run(100) on a fresh engine whose round is still open after it (one
-  // round, no collision) has drawn the first 100 interactions of a
-  // collision-free run, and their 200 agents are a uniform subset of the
-  // census. The snapshot's untouched pool is then x0 minus one MVH(x0, 200)
-  // draw exactly, so each state's removed count is hypergeometric. The
-  // aggregate run drew the responders by class; a resolution that did not
-  // draw their states within each class by MVH (say, a fill in state
-  // order) fails here.
-  const std::size_t k = 3;
-  const igt_protocol proto(k);
-  const std::vector<std::uint64_t> x0 = {15'000, 25'000, 20'000, 25'000,
-                                         15'000};
-  constexpr std::uint64_t n = 100'000;
-  constexpr std::uint64_t steps = 100;
-  const sim_spec spec(proto, x0);
+// A multibatch engine still in its first round, with no collision, after
+// run(steps) from a fresh start: its snapshot's untouched pool and its
+// census.
+struct open_round {
+  std::vector<std::uint64_t> untouched;
+  std::vector<std::uint64_t> counts;
+};
+
+// Runs `engines` fresh multibatch engines of `spec` (stream seed `seed`,
+// aggregate threshold `threshold`) by run(steps) each and keeps those
+// whose round is still open, with no collision: they have applied the
+// first `steps` interactions of a collision-free run, whose 2 * steps
+// agents X are a uniform subset of the initial census x0. Each state's
+// count removed from the untouched pool, x0 - X, must then fit the
+// hypergeometric pmf (chi-square per state).
+std::vector<open_round> expect_open_rounds_remove_a_uniform_subset(
+    const sim_spec& spec, const std::vector<std::uint64_t>& x0,
+    std::uint64_t steps, std::uint64_t threshold, std::uint64_t seed) {
+  const std::uint64_t n = std::accumulate(x0.begin(), x0.end(),
+                                          std::uint64_t{0});
+  const std::uint64_t agents = 2 * steps;
   constexpr std::size_t engines = 12'000;
   std::vector<std::vector<std::uint64_t>> removed(
-      x0.size(), std::vector<std::uint64_t>(2 * steps + 1, 0));
-  std::size_t kept = 0;
+      x0.size(), std::vector<std::uint64_t>(agents + 1, 0));
+  std::vector<open_round> kept;
   for (std::size_t r = 0; r < engines; ++r) {
-    rng gen = make_stream_rng(2501, r);
+    rng gen = make_stream_rng(seed, r);
     const auto engine = spec.make_engine(engine_kind::multibatch, gen);
     const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
-    ASSERT_EQ(mb.aggregate_threshold(), 24u);
+    EXPECT_EQ(mb.aggregate_threshold(), threshold);
     engine->run(steps);
     if (mb.rounds() != 1 || mb.collisions() != 0) continue;
-    ++kept;
-    const json snapshot = engine->save_state();
-    const auto untouched =
-        json_require_uint_array(snapshot, "untouched", "snapshot");
+    auto untouched =
+        json_require_uint_array(engine->save_state(), "untouched", "snapshot");
     EXPECT_EQ(std::accumulate(untouched.begin(), untouched.end(),
                               std::uint64_t{0}),
-              n - 2 * steps);
+              n - agents);
     for (std::size_t s = 0; s < x0.size(); ++s) {
-      ASSERT_LE(untouched[s], x0[s]);
-      ASSERT_LE(x0[s] - untouched[s], 2 * steps);
-      ++removed[s][x0[s] - untouched[s]];
+      EXPECT_LE(untouched[s], x0[s]);
+      EXPECT_LE(x0[s] - untouched[s], agents);
+      ++removed[s][std::min(x0[s] - untouched[s], agents)];
     }
+    kept.push_back({std::move(untouched), engine->census().counts()});
   }
-  // P(J >= 100) ~ exp(-2 * 99^2 / n) ~ 0.82.
-  EXPECT_GT(kept, engines / 2);
+  // P(J >= steps) ~ exp(-2 * (steps - 1)^2 / n): ~0.82 at 100 of 10^5.
+  EXPECT_GT(kept.size(), engines / 2);
   for (std::size_t s = 0; s < x0.size(); ++s) {
-    std::vector<double> pmf(2 * steps + 1);
-    for (std::uint64_t x = 0; x <= 2 * steps; ++x) {
-      pmf[x] = hypergeometric_pmf(n, x0[s], 2 * steps, x);
+    std::vector<double> pmf(agents + 1);
+    for (std::uint64_t x = 0; x <= agents; ++x) {
+      pmf[x] = hypergeometric_pmf(n, x0[s], agents, x);
     }
     EXPECT_GT(chi_square_gof(removed[s], pmf).p_value, 1e-4) << "state " << s;
   }
+  return kept;
+}
+
+TEST(Engines, MultibatchUntouchedPoolAfterABudgetCutIsExact) {
+  // One-way k = 3 IGT at n = 10^5: threshold 24, rounds of ~198 pairs.
+  // The aggregate run drew the responders by class; a resolution that did
+  // not draw their states within each class by MVH (say, a fill in state
+  // order) fails the untouched pool's hypergeometric law.
+  const igt_protocol proto(3);
+  const std::vector<std::uint64_t> x0 = {15'000, 25'000, 20'000, 25'000,
+                                         15'000};
+  (void)expect_open_rounds_remove_a_uniform_subset(sim_spec(proto, x0), x0,
+                                                   100, 24, 2501);
+}
+
+TEST(Engines, MultibatchTwoWayPartnerKeyedRoundDrawsItsAgentsExactly) {
+  // Two-way logit hawk-dove at n = 10^5, off its fixed point: threshold
+  // 16, rounds of ~198 pairs, and run(100) leaves 200 agents X drawn.
+  // (a) The untouched pool is x0 - X; a round that drew fewer agents and
+  //     scaled them up fails its hypergeometric law.
+  // (b) Every one of those agents revised by the law of its partner's
+  //     state, and the partners' states are X itself, so the census of
+  //     hawks is x0_0 - X_0 + Bin(X_0, f(0|0)) + Bin(200 - X_0, f(0|1));
+  //     a round that keyed each agent's law on its own state, or on the
+  //     wrong partner, fails here.
+  const game_matrix game = hawk_dove_matrix(1.0, 3.0);
+  const auto logit = std::make_shared<logit_response_rule>(0.5);
+  const game_protocol proto(game, logit, revision_discipline::two_way);
+  const std::vector<std::uint64_t> x0 = {20'000, 80'000};
+  constexpr std::uint64_t n = 100'000;
+  constexpr std::uint64_t agents = 200;
+  const auto kept = expect_open_rounds_remove_a_uniform_subset(
+      sim_spec(proto, x0), x0, agents / 2, 16, 3001);
+  // Hawks after the run, offset by agents - x0_0: in [0, 2 * agents].
+  std::vector<std::uint64_t> hawks(2 * agents + 1, 0);
+  for (const open_round& round : kept) {
+    const std::uint64_t hawk = round.counts[0];
+    ASSERT_LE(hawk + agents, x0[0] + 2 * agents);
+    ASSERT_GE(hawk + agents, x0[0]);
+    ++hawks[hawk + agents - x0[0]];
+  }
+  std::vector<double> change(2 * agents + 1, 0.0);
+  const double after_hawk = logit->revise(game, 0, 0)[0];
+  const double after_dove = logit->revise(game, 0, 1)[0];
+  for (std::uint64_t x = 0; x <= agents; ++x) {
+    const double drawn = hypergeometric_pmf(n, x0[0], agents, x);
+    // The hawks among X leave and Bin(x, f(0|0)) + Bin(agents - x, f(0|1))
+    // come back: the change is that sum less x.
+    for (std::uint64_t a = 0; a <= x; ++a) {
+      const double from_hawks = drawn * binomial_pmf(x, after_hawk, a);
+      for (std::uint64_t b = 0; b <= agents - x; ++b) {
+        change[a + b + agents - x] +=
+            from_hawks * binomial_pmf(agents - x, after_dove, b);
+      }
+    }
+  }
+  EXPECT_GT(chi_square_gof(hawks, change).p_value, 1e-4);
 }
 
 TEST(Engines, MultibatchFrozenCensusBurnsTheBudget) {

@@ -45,18 +45,17 @@ scenario_result run_g5(const scenario_context& ctx) {
   const auto random_per_size = ctx.pick<std::size_t>(4, 1);
   constexpr std::uint64_t batches = 10;
   constexpr double z_limit = 3.0;
-  certify_options options;
   // Sized by the worst zoo citizen: stag-hunt mixes slowly near its logit
   // fixed point, so its time-average carries the largest error (TV ~0.022
   // at n = 10^4). The smoke population is 5x smaller, so the fluctuation
   // scale is sqrt(5)x larger and the tolerance widens with it.
-  options.tolerance = ctx.pick(0.03, 0.06);
+  const double tolerance = ctx.pick(0.03, 0.06);
   result.param("temperature", temperature);
   result.param("n", n);
   result.param("burn_parallel_time", burn_time);
   result.param("average_parallel_time", average_time);
   result.param("random_games_per_size", random_per_size);
-  result.param("certify_tolerance", options.tolerance);
+  result.param("certify_tolerance", tolerance);
   result.param("batches", batches);
   result.param("z_limit", z_limit);
 
@@ -90,7 +89,7 @@ scenario_result run_g5(const scenario_context& ctx) {
   for (const auto& entry : zoo) {
     const std::size_t q = entry.game.num_strategies();
     const equilibrium_certifier certifier(
-        entry.game, rule, revision_discipline::one_way, options);
+        entry.game, rule, revision_discipline::one_way, tolerance);
     total_equilibria += certifier.equilibria().size();
     const auto& homotopy = certifier.limiting_point();
     if (homotopy.converged) ++homotopy_converged;

@@ -120,11 +120,8 @@ int main() {
   const game_matrix spun(
       {"rock", "paper", "scissors"},
       {0.0, -1.0, 2.0, 1.0, 0.0, -3.0, -2.0, 3.0, 0.0});
-  certify_options options;
-  options.relax_t_max = 200.0;
   const equilibrium_certifier untrusted(
-      spun, std::make_shared<proportional_imitation_rule>(1.0),
-      revision_discipline::one_way, options);
+      spun, std::make_shared<proportional_imitation_rule>(1.0));
   std::cout << "\nWeighted zero-sum RPS under proportional imitation:\n"
             << "  prediction trusted: "
             << (untrusted.prediction_trusted() ? "yes" : "no")

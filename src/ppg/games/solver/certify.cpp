@@ -11,6 +11,12 @@ namespace ppg {
 
 namespace {
 
+/// The mean-field relaxation behind prediction() (games/mean_field.hpp):
+/// Euler step, residual demanded, and parallel-time horizon.
+constexpr double relax_dt = 0.02;
+constexpr double relax_tol = 1e-10;
+constexpr double relax_t_max = 4000.0;
+
 double l1_distance(const std::vector<double>& a, const std::vector<double>& b) {
   double total = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) total += std::abs(a[i] - b[i]);
@@ -37,23 +43,22 @@ std::size_t nearest(const std::vector<symmetric_equilibrium>& equilibria,
 
 equilibrium_certifier::equilibrium_certifier(
     game_matrix game, std::shared_ptr<const update_rule> rule,
-    revision_discipline discipline, certify_options options)
-    : game_(std::move(game)), options_(options) {
+    revision_discipline discipline, double tolerance)
+    : game_(std::move(game)), tolerance_(tolerance) {
   PPG_CHECK(rule != nullptr, "certification needs an update rule");
-  PPG_CHECK(options_.tolerance > 0.0,
-            "certification tolerance must be positive");
-  equilibria_ = enumerate_symmetric_equilibria(game_, options_.enumeration);
+  PPG_CHECK(tolerance_ > 0.0, "certification tolerance must be positive");
+  equilibria_ = enumerate_symmetric_equilibria(game_);
   PPG_CHECK(!equilibria_.empty(),
-            "support enumeration found no symmetric equilibrium; loosen "
-            "enumeration tolerances (Nash's theorem guarantees one exists)");
-  homotopy_ = follow_logit_path(game_, options_.homotopy);
+            "support enumeration found no symmetric equilibrium (Nash's "
+            "theorem guarantees one exists)");
+  homotopy_ = follow_logit_path(game_);
 
   const game_protocol proto(game_, std::move(rule), discipline);
   const mean_field_ode ode(proto);
   const std::size_t q = game_.num_strategies();
   const std::vector<double> barycenter(q, 1.0 / static_cast<double>(q));
-  prediction_ = relax_to_fixed_point(ode, barycenter, options_.relax_dt,
-                                     options_.relax_tol, options_.relax_t_max);
+  prediction_ =
+      relax_to_fixed_point(ode, barycenter, relax_dt, relax_tol, relax_t_max);
   predicted_equilibrium_ = nearest(equilibria_, prediction_.state, nullptr);
 }
 
@@ -78,7 +83,7 @@ certification equilibrium_certifier::certify(
   verdict.rule_predicts_equilibrium =
       verdict.nearest_equilibrium == predicted_equilibrium_;
   verdict.certified = prediction_trusted() &&
-                      verdict.tv_to_prediction <= options_.tolerance;
+                      verdict.tv_to_prediction <= tolerance_;
   return verdict;
 }
 

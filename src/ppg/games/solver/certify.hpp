@@ -35,20 +35,6 @@
 
 namespace ppg {
 
-struct certify_options {
-  /// Max TV(census, predicted limit) for a certified verdict. Covers both
-  /// the engine's O(1/sqrt(n)) fluctuation scale and the mean-field
-  /// approximation error; the g5 bench uses 0.03 at n = 10^4 (sized by
-  /// stag-hunt, whose slow mixing inflates the time-average error).
-  double tolerance = 0.02;
-  /// Mean-field relaxation controls (games/mean_field.hpp).
-  double relax_dt = 0.02;
-  double relax_tol = 1e-10;
-  double relax_t_max = 4000.0;
-  enumeration_options enumeration;
-  homotopy_options homotopy;
-};
-
 /// The verdict on one census.
 struct certification {
   std::size_t nearest_equilibrium = 0;  ///< index into equilibria()
@@ -67,10 +53,15 @@ struct certification {
 /// certifies any number of censuses against it.
 class equilibrium_certifier {
  public:
+  /// `tolerance` is the largest TV(census, predicted limit) a certified
+  /// verdict allows. It covers both the engine's O(1/sqrt(n)) fluctuation
+  /// scale and the mean-field approximation error; the g5 bench uses 0.03
+  /// at n = 10^4 (sized by stag-hunt, whose slow mixing inflates the
+  /// time-average error).
   equilibrium_certifier(
       game_matrix game, std::shared_ptr<const update_rule> rule,
       revision_discipline discipline = revision_discipline::one_way,
-      certify_options options = {});
+      double tolerance = 0.02);
 
   /// The game's symmetric Nash equilibria; non-empty (Nash's theorem, and
   /// the enumeration is exhaustive), so certify() always has a nearest
@@ -91,9 +82,9 @@ class equilibrium_certifier {
   }
 
   /// Whether prediction() may be compared against at all: the relaxation
-  /// converged to a fixed point within the option tolerances. False means
-  /// the dynamics cycle or drift on the horizon — certify() then reports
-  /// distances but never certifies.
+  /// (Euler step 0.02) settled to a residual of 1e-10 within parallel time
+  /// 4000. False means the dynamics cycle or drift on that horizon —
+  /// certify() then reports distances but never certifies.
   [[nodiscard]] bool prediction_trusted() const {
     return prediction_.converged;
   }
@@ -104,7 +95,7 @@ class equilibrium_certifier {
 
  private:
   game_matrix game_;
-  certify_options options_;
+  double tolerance_;
   std::vector<symmetric_equilibrium> equilibria_;
   homotopy_result homotopy_;
   mean_field_fixed_point prediction_;

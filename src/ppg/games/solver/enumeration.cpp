@@ -12,6 +12,18 @@ namespace ppg {
 
 namespace {
 
+/// Payoff slack. Enumeration scales it by max(1, payoff span): a deviation
+/// may earn at most v + slack for the Nash test, strategies within it of v
+/// form the best-response face, and a second-order form must exceed it to
+/// count as an invasion. The pure best-response graph uses it unscaled.
+constexpr double tie_tol = 1e-9;
+/// Minimum support weight: solutions with any x_j below this are rejected
+/// for support S (their closure appears under a smaller support).
+constexpr double support_tol = 1e-9;
+/// Two equilibria closer than this in L-infinity are duplicates (a
+/// degenerate game can produce one point under several supports).
+constexpr double dedupe_tol = 1e-7;
+
 /// Solution of one support's indifference system, before the Nash test.
 struct support_solution {
   std::vector<double> mix;  ///< full-length, zeros off the support
@@ -24,8 +36,7 @@ struct support_solution {
 /// support weights and the common payoff v. Invalid when the system is
 /// singular or any weight falls below support_tol.
 support_solution solve_support(const game_matrix& g,
-                               const std::vector<std::size_t>& support,
-                               double support_tol) {
+                               const std::vector<std::size_t>& support) {
   const std::size_t m = support.size();
   matrix system(m + 1, m + 1);
   std::vector<double> rhs(m + 1, 0.0);
@@ -117,8 +128,7 @@ bool negative_definite_on_face(const game_matrix& g,
 }
 
 equilibrium_stability classify(const game_matrix& g,
-                               const symmetric_equilibrium& eq,
-                               const enumeration_options& options) {
+                               const symmetric_equilibrium& eq) {
   const std::size_t q = g.num_strategies();
   const double scale = std::max(1.0, g.payoff_span());
   // The best-response face: strategies within tie_tol of the equilibrium
@@ -126,7 +136,7 @@ equilibrium_stability classify(const game_matrix& g,
   // stability is decided entirely on this face.
   std::vector<std::size_t> face;
   for (std::size_t i = 0; i < q; ++i) {
-    if (g.expected_payoff(i, eq.mix) >= eq.payoff - options.tie_tol * scale) {
+    if (g.expected_payoff(i, eq.mix) >= eq.payoff - tie_tol * scale) {
       face.push_back(i);
     }
   }
@@ -148,7 +158,7 @@ equilibrium_stability classify(const game_matrix& g,
       probes.push_back(std::move(z));
     }
   }
-  const double positive = options.tie_tol * scale;
+  const double positive = tie_tol * scale;
   const std::size_t pairwise = probes.size();
   for (std::size_t i = 0; i < pairwise; ++i) {
     for (std::size_t j = i + 1; j < pairwise; ++j) {
@@ -188,14 +198,11 @@ const char* equilibrium_stability_name(equilibrium_stability s) {
 }
 
 std::vector<symmetric_equilibrium> enumerate_symmetric_equilibria(
-    const game_matrix& g, const enumeration_options& options) {
+    const game_matrix& g) {
   const std::size_t q = g.num_strategies();
   PPG_CHECK(q <= 12,
             "support enumeration sweeps 2^q supports; use the homotopy "
             "follower for q > 12");
-  PPG_CHECK(options.tie_tol > 0.0 && options.support_tol > 0.0 &&
-                options.dedupe_tol > 0.0,
-            "enumeration tolerances must be positive");
   const double scale = std::max(1.0, g.payoff_span());
 
   // Supports in (size, lexicographic) order, so pure equilibria list first
@@ -218,13 +225,13 @@ std::vector<symmetric_equilibrium> enumerate_symmetric_equilibria(
     for (std::size_t s = 0; s < q; ++s) {
       if ((mask >> s) & 1u) support.push_back(s);
     }
-    auto solution = solve_support(g, support, options.support_tol);
+    auto solution = solve_support(g, support);
     if (!solution.valid) continue;
     bool nash = true;
     for (std::size_t i = 0; i < q && nash; ++i) {
       if ((mask >> i) & 1u) continue;
       nash = g.expected_payoff(i, solution.mix) <=
-             solution.payoff + options.tie_tol * scale;
+             solution.payoff + tie_tol * scale;
     }
     if (!nash) continue;
     bool duplicate = false;
@@ -233,7 +240,7 @@ std::vector<symmetric_equilibrium> enumerate_symmetric_equilibria(
       for (std::size_t s = 0; s < q; ++s) {
         gap = std::max(gap, std::abs(other.mix[s] - solution.mix[s]));
       }
-      if (gap < options.dedupe_tol) {
+      if (gap < dedupe_tol) {
         duplicate = true;
         break;
       }
@@ -245,16 +252,14 @@ std::vector<symmetric_equilibrium> enumerate_symmetric_equilibria(
     eq.payoff = solution.payoff;
     eq.residual = solution.residual;
     eq.pure = eq.support.size() == 1;
-    eq.stability = classify(g, eq, options);
+    eq.stability = classify(g, eq);
     found.push_back(std::move(eq));
   }
   return found;
 }
 
-best_response_cycles find_best_response_cycles(const game_matrix& g,
-                                               double tie_tol) {
+best_response_cycles find_best_response_cycles(const game_matrix& g) {
   const std::size_t q = g.num_strategies();
-  PPG_CHECK(tie_tol >= 0.0, "tie tolerance must be non-negative");
   best_response_cycles out;
   out.best_response.resize(q);
   for (std::size_t s = 0; s < q; ++s) {

@@ -52,28 +52,14 @@ struct symmetric_equilibrium {
   equilibrium_stability stability = equilibrium_stability::indeterminate;
 };
 
-struct enumeration_options {
-  /// Payoff slack for the Nash test (non-support deviations may earn at
-  /// most v + tie_tol) and for membership in the best-response set during
-  /// classification.
-  double tie_tol = 1e-9;
-  /// Minimum support weight: solutions with any x_j below this are
-  /// rejected for support S (their closure appears under a smaller
-  /// support).
-  double support_tol = 1e-9;
-  /// Two equilibria closer than this in L-infinity are duplicates (a
-  /// degenerate game can produce one point under several supports).
-  double dedupe_tol = 1e-7;
-};
-
 /// All symmetric Nash equilibria of `g` by exhaustive support enumeration,
 /// ordered by support size then lexicographic support. Cost is
 /// O(2^q q^3) — exact and fast through q = 12 (checked); use the homotopy
 /// follower beyond that. Every returned point satisfies the Nash
-/// inequalities to
-/// within tie_tol; `residual` reports the linear-solve defect.
+/// inequalities to within a payoff slack of 1e-9 · max(1, payoff span);
+/// `residual` reports the linear-solve defect.
 [[nodiscard]] std::vector<symmetric_equilibrium> enumerate_symmetric_equilibria(
-    const game_matrix& g, const enumeration_options& options = {});
+    const game_matrix& g);
 
 /// The pure best-response structure of `g`: br[s] is the lowest-index pure
 /// best response to an opponent playing pure s, and `cycles` lists the
@@ -88,7 +74,8 @@ struct best_response_cycles {
   bool has_nontrivial_cycle = false;  ///< any cycle of length >= 2
 };
 
+/// Payoffs within 1e-9 of a row's maximum tie for best response.
 [[nodiscard]] best_response_cycles find_best_response_cycles(
-    const game_matrix& g, double tie_tol = 1e-9);
+    const game_matrix& g);
 
 }  // namespace ppg

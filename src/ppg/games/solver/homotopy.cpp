@@ -12,6 +12,15 @@ namespace ppg {
 
 namespace {
 
+/// Geometric ladder factor in (0, 1); smaller is faster but risks losing
+/// the principal branch between rungs.
+constexpr double decay = 0.8;
+/// Per-rung fixed-point residual (L1) demanded before descending.
+constexpr double tolerance = 1e-10;
+/// Per-rung iteration budget; exceeding it marks the result unconverged
+/// but still returns the best point found.
+constexpr std::uint64_t max_iterations = 256;
+
 /// softmax(z), max-shifted so the largest exponent is exp(0).
 std::vector<double> softmax(const std::vector<double>& z) {
   double top = z[0];
@@ -57,13 +66,13 @@ double rung_residual(const game_matrix& g, const std::vector<double>& z,
 /// diag(x) - x x^T folded into A). Backtracks on the simplex residual and
 /// falls back to a damped fixed-point step when Newton stalls.
 homotopy_record solve_rung(const game_matrix& g, std::vector<double>& z,
-                           double t, const homotopy_options& options) {
+                           double t) {
   const std::size_t q = g.num_strategies();
   homotopy_record record;
   record.temperature = t;
   double residual = rung_residual(g, z, t);
-  while (residual > options.tolerance &&
-         record.iterations < options.max_iterations) {
+  while (residual > tolerance &&
+         record.iterations < max_iterations) {
     ++record.iterations;
     const auto x = softmax(z);
     const auto u = expected_payoffs(g, x);
@@ -94,7 +103,7 @@ homotopy_record solve_rung(const game_matrix& g, std::vector<double>& z,
           trial[i] = z[i] + scale * newton[i];
         }
         const double trial_residual = rung_residual(g, trial, t);
-        if (trial_residual < residual || trial_residual <= options.tolerance) {
+        if (trial_residual < residual || trial_residual <= tolerance) {
           z = std::move(trial);
           residual = trial_residual;
           double step = 0.0;
@@ -133,33 +142,18 @@ homotopy_record solve_rung(const game_matrix& g, std::vector<double>& z,
 
 }  // namespace
 
-homotopy_result follow_logit_path(const game_matrix& g,
-                                  const homotopy_options& options) {
-  PPG_CHECK(options.end_temperature > 0.0,
-            "homotopy end temperature must be positive");
-  PPG_CHECK(options.decay > 0.0 && options.decay < 1.0,
-            "homotopy decay must lie in (0, 1)");
-  PPG_CHECK(options.tolerance > 0.0 && options.max_iterations > 0,
-            "homotopy tolerance and iteration budget must be positive");
-  const double start =
-      options.start_temperature > 0.0
-          ? options.start_temperature
-          : 8.0 * std::max(g.payoff_span(), 1.0);
-  PPG_CHECK(start >= options.end_temperature,
-            "homotopy start temperature must not undercut the end");
-
+homotopy_result follow_logit_path(const game_matrix& g) {
   homotopy_result result;
   result.converged = true;
   std::vector<double> z(g.num_strategies(), 0.0);  // the barycenter
-  double t = start;
+  double t = 8.0 * std::max(g.payoff_span(), 1.0);
   while (true) {
-    auto record = solve_rung(g, z, t, options);
-    result.converged =
-        result.converged && record.residual <= options.tolerance;
+    auto record = solve_rung(g, z, t);
+    result.converged = result.converged && record.residual <= tolerance;
     result.total_iterations += record.iterations;
     result.path.push_back(record);
-    if (t <= options.end_temperature) break;
-    t = std::max(t * options.decay, options.end_temperature);
+    if (t <= homotopy_end_temperature) break;
+    t = std::max(t * decay, homotopy_end_temperature);
   }
   result.mix = softmax(z);
   result.temperature = t;

@@ -33,22 +33,12 @@ struct homotopy_record {
   double step = 0.0;             ///< last logit-space step, L-infinity
 };
 
-struct homotopy_options {
-  /// First rung; <= 0 picks 8 * max(payoff_span, 1), high enough that the
-  /// softmax map is a contraction and the rung is trivially solvable.
-  double start_temperature = 0.0;
-  /// Last rung: the returned point is the quantal-response equilibrium at
-  /// this temperature, an O(T) perturbation of the limiting Nash point.
-  double end_temperature = 1e-3;
-  /// Geometric ladder factor in (0, 1); smaller is faster but risks
-  /// losing the principal branch between rungs.
-  double decay = 0.8;
-  /// Per-rung fixed-point residual (L1) demanded before descending.
-  double tolerance = 1e-10;
-  /// Per-rung iteration budget; exceeding it marks the result
-  /// unconverged but still returns the best point found.
-  std::uint64_t max_iterations = 256;
-};
+/// The last rung: the returned point is the quantal-response equilibrium at
+/// this temperature, an O(T) perturbation of the limiting Nash point. The
+/// ladder starts at 8 · max(payoff span, 1), high enough that the softmax
+/// map is a contraction and the first rung is trivially solvable, and
+/// descends by a factor of 0.8 a rung.
+inline constexpr double homotopy_end_temperature = 1e-3;
 
 struct homotopy_result {
   std::vector<double> mix;       ///< QRE at the final temperature reached
@@ -61,11 +51,11 @@ struct homotopy_result {
 };
 
 /// Follows the principal quantal-response branch of `g` from the barycenter
-/// down the temperature ladder. `converged` guarantees residual <=
-/// options.tolerance at every rung including the last; `nash_gap` measures
-/// how close the endpoint is to exact Nash (it is O(end_temperature) on a
+/// down the temperature ladder. Each rung may spend 256 iterations to bring
+/// its fixed-point residual (L1) to 1e-10; `converged` guarantees that
+/// residual at every rung including the last. `nash_gap` measures how close
+/// the endpoint is to exact Nash (it is O(homotopy_end_temperature) on a
 /// nondegenerate game).
-[[nodiscard]] homotopy_result follow_logit_path(
-    const game_matrix& g, const homotopy_options& options = {});
+[[nodiscard]] homotopy_result follow_logit_path(const game_matrix& g);
 
 }  // namespace ppg

@@ -25,7 +25,7 @@ sim_recipe::sim_recipe(std::string protocol_name, json protocol_params,
     : name_(std::move(protocol_name)), params_(std::move(protocol_params)) {
   PPG_CHECK(params_.is_object(),
             "sim_recipe: protocol params must be a JSON object");
-  proto_ = protocol_registry::global().make(name_, params_);
+  proto_ = make_protocol(name_, params_);
   spec_.emplace(*proto_, std::move(initial_counts), sampling);
 }
 

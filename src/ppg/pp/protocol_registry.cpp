@@ -15,72 +15,43 @@ namespace {
 constexpr const char* where_game = "game params";
 constexpr const char* where_rule = "rule params";
 
-/// A protocol whose params must be the empty object {} — the strict-parse
-/// stance even for parameterless protocols, so a typo'd param fails loudly.
-template <typename Proto>
-std::unique_ptr<protocol> make_parameterless(const json& params) {
-  json_require_keys(params, {}, "protocol params");
-  return std::make_unique<Proto>();
-}
-
-std::unique_ptr<protocol> make_igt(const json& params) {
-  json_require_keys(params, {"k", "discipline"}, "igt params");
-  const std::uint64_t k = json_require_uint(params, "k", "igt params");
-  const auto discipline = revision_discipline_from_name(
-      json_require_string(params, "discipline", "igt params"));
-  return std::make_unique<igt_protocol>(static_cast<std::size_t>(k),
-                                        discipline);
-}
-
-std::unique_ptr<protocol> make_matrix_game(const json& params) {
-  json_require_keys(params, {"game", "rule", "discipline"},
-                    "matrix-game params");
-  auto game =
-      game_matrix_from_json(json_require(params, "game", "matrix-game params"));
-  auto rule = update_rule_from_json(
-      json_require(params, "rule", "matrix-game params"));
-  const auto discipline = revision_discipline_from_name(
-      json_require_string(params, "discipline", "matrix-game params"));
-  return std::make_unique<game_protocol>(std::move(game), std::move(rule),
-                                         discipline);
-}
-
 }  // namespace
 
-protocol_registry& protocol_registry::global() {
-  static protocol_registry* registry = [] {
-    auto* r = new protocol_registry();
-    r->add("rumor", make_parameterless<rumor_protocol>);
-    r->add("approximate-majority",
-           make_parameterless<approximate_majority_protocol>);
-    r->add("leader-election", make_parameterless<leader_election_protocol>);
-    r->add("igt", make_igt);
-    r->add("matrix-game", make_matrix_game);
-    return r;
-  }();
-  return *registry;
-}
-
-void protocol_registry::add(std::string name, factory make) {
-  PPG_CHECK(!name.empty(), "protocol registry: empty name");
-  PPG_CHECK(static_cast<bool>(make), "protocol registry: empty factory");
-  PPG_CHECK(!contains(name),
-            "protocol registry: duplicate name '" + name + "'");
-  factories_.emplace_back(std::move(name), std::move(make));
-}
-
-bool protocol_registry::contains(const std::string& name) const {
-  for (const auto& [key, make] : factories_) {
-    (void)make;
-    if (key == name) return true;
+std::unique_ptr<protocol> make_protocol(const std::string& name,
+                                        const json& params) {
+  // Parameterless protocols still require {}, so a typo'd param fails
+  // loudly.
+  if (name == "rumor") {
+    json_require_keys(params, {}, "protocol params");
+    return std::make_unique<rumor_protocol>();
   }
-  return false;
-}
-
-std::unique_ptr<protocol> protocol_registry::make(const std::string& name,
-                                                  const json& params) const {
-  for (const auto& [key, factory_fn] : factories_) {
-    if (key == name) return factory_fn(params);
+  if (name == "approximate-majority") {
+    json_require_keys(params, {}, "protocol params");
+    return std::make_unique<approximate_majority_protocol>();
+  }
+  if (name == "leader-election") {
+    json_require_keys(params, {}, "protocol params");
+    return std::make_unique<leader_election_protocol>();
+  }
+  if (name == "igt") {
+    json_require_keys(params, {"k", "discipline"}, "igt params");
+    const std::uint64_t k = json_require_uint(params, "k", "igt params");
+    const auto discipline = revision_discipline_from_name(
+        json_require_string(params, "discipline", "igt params"));
+    return std::make_unique<igt_protocol>(static_cast<std::size_t>(k),
+                                          discipline);
+  }
+  if (name == "matrix-game") {
+    json_require_keys(params, {"game", "rule", "discipline"},
+                      "matrix-game params");
+    auto game = game_matrix_from_json(
+        json_require(params, "game", "matrix-game params"));
+    auto rule = update_rule_from_json(
+        json_require(params, "rule", "matrix-game params"));
+    const auto discipline = revision_discipline_from_name(
+        json_require_string(params, "discipline", "matrix-game params"));
+    return std::make_unique<game_protocol>(std::move(game), std::move(rule),
+                                           discipline);
   }
   PPG_CHECK(false, "protocol registry: unknown protocol '" + name + "'");
 }

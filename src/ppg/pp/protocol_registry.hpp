@@ -1,24 +1,22 @@
-// The named protocol registry: reconstructs a protocol from a (name, JSON
-// params) pair, which is what makes a serialized sim_spec — and therefore a
-// checkpoint file (pp/checkpoint.hpp) — self-describing: the header names
-// the protocol, the registry rebuilds it, and the restored engine continues
-// the trajectory. The same schema is the natural request surface for a
-// future simulation service (`ppg-serve`): a session spec is one registry
-// entry plus an initial census.
+// The named protocol registry: make_protocol reconstructs a protocol from a
+// (name, JSON params) pair, which is what makes a serialized sim_spec — and
+// therefore a checkpoint file (pp/checkpoint.hpp) — self-describing: the
+// header names the protocol, the registry rebuilds it, and the restored
+// engine continues the trajectory. The same schema is the request surface
+// of `ppg-serve`: a session spec is one registry entry plus an initial
+// census.
 //
 // Built-in entries (params are strict: unknown keys are rejected):
 //   "rumor", "approximate-majority", "leader-election"   — params {}
 //   "igt"          — {"k": uint, "discipline": "one_way"|"two_way"}
 //   "matrix-game"  — {"game": <game>, "rule": <rule>, "discipline": ...}
 // where <game> / <rule> are the JSON forms read by game_matrix_from_json /
-// update_rule_from_json below. Downstream code may register additional
-// protocols at startup via protocol_registry::global().add(...).
+// update_rule_from_json below. A new protocol is one more branch in
+// make_protocol.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/pp/kernel.hpp"
@@ -26,27 +24,10 @@
 
 namespace ppg {
 
-class protocol_registry {
- public:
-  using factory =
-      std::function<std::unique_ptr<protocol>(const json& params)>;
-
-  /// The process-wide registry, pre-populated with the built-ins above.
-  static protocol_registry& global();
-
-  /// Registers a factory; throws on a duplicate or empty name.
-  void add(std::string name, factory make);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Builds the named protocol from its parameter object; throws
-  /// ppg::invariant_error on an unknown name or malformed params.
-  [[nodiscard]] std::unique_ptr<protocol> make(const std::string& name,
-                                               const json& params) const;
-
- private:
-  std::vector<std::pair<std::string, factory>> factories_;
-};
+/// Builds the named built-in protocol from its parameter object; throws
+/// ppg::invariant_error on an unknown name or malformed params.
+[[nodiscard]] std::unique_ptr<protocol> make_protocol(const std::string& name,
+                                                      const json& params);
 
 /// Builds a game_matrix from its JSON description: {"name": ...} selects a
 /// builder ("donation" {b,c}, "prisoners-dilemma" {reward,sucker,temptation,

@@ -15,6 +15,13 @@
 namespace ppg {
 namespace {
 
+constexpr int connect_timeout_ms = 2'000;
+constexpr int request_timeout_ms = 10'000;  ///< whole request+response
+constexpr std::size_t max_retries = 5;      ///< extra attempts after the first
+constexpr int backoff_initial_ms = 50;
+constexpr int backoff_cap_ms = 2'000;
+constexpr std::size_t max_response_bytes = 64u * 1024 * 1024;
+
 std::int64_t monotonic_ms() {
   timespec now{};
   clock_gettime(CLOCK_MONOTONIC, &now);
@@ -82,12 +89,11 @@ http_client::http_client(const client_config& config) : config_(config) {
     pollfd waiter{};
     waiter.fd = fd;
     waiter.events = POLLOUT;
-    const int ready = ::poll(&waiter, 1, config_.connect_timeout_ms);
+    const int ready = ::poll(&waiter, 1, connect_timeout_ms);
     if (ready <= 0) {
       ::close(fd);
       throw client_error("connect timed out after " +
-                             std::to_string(config_.connect_timeout_ms) +
-                             "ms",
+                             std::to_string(connect_timeout_ms) + "ms",
                          /*request_sent=*/false);
     }
     int error = 0;
@@ -131,7 +137,7 @@ client_response http_client::request(const std::string& method,
   wire += "Connection: keep-alive\r\n\r\n";
   wire += body;
 
-  const std::int64_t deadline = monotonic_ms() + config_.request_timeout_ms;
+  const std::int64_t deadline = monotonic_ms() + request_timeout_ms;
   bool sent = false;
   std::size_t written = 0;
   while (written < wire.size()) {
@@ -196,7 +202,7 @@ client_response http_client::request(const std::string& method,
   for (;;) {
     head_end = buffer_.find("\r\n\r\n");
     if (head_end != std::string::npos) break;
-    if (buffer_.size() > config_.max_response_bytes) {
+    if (buffer_.size() > max_response_bytes) {
       close_fd();
       throw client_error("response head too large", true);
     }
@@ -233,7 +239,7 @@ client_response http_client::request(const std::string& method,
       errno = 0;
       const unsigned long long parsed =
           std::strtoull(value.c_str(), nullptr, 10);
-      if (errno != 0 || parsed > config_.max_response_bytes) {
+      if (errno != 0 || parsed > max_response_bytes) {
         close_fd();
         throw client_error("response body too large", true);
       }
@@ -272,14 +278,13 @@ client_response serve_client::request(const std::string& method,
     } catch (const client_error& error) {
       connection_.reset();
       if (error.sent() && !idempotent) throw;
-      if (attempt >= config_.max_retries) throw;
+      if (attempt >= max_retries) throw;
       ++stats_.retries;
       // Capped exponential backoff with jitter in [0.5, 1.0) of the step —
       // seeded, so a test's retry schedule is reproducible.
       const int shift = attempt < 16 ? static_cast<int>(attempt) : 16;
-      std::int64_t step = static_cast<std::int64_t>(config_.backoff_initial_ms)
-                          << shift;
-      if (step > config_.backoff_cap_ms) step = config_.backoff_cap_ms;
+      std::int64_t step = std::int64_t{backoff_initial_ms} << shift;
+      if (step > backoff_cap_ms) step = backoff_cap_ms;
       sleep_ms(static_cast<int>(
           static_cast<double>(step) * (0.5 + 0.5 * jitter_.next_double())));
     }
@@ -391,7 +396,7 @@ void session_handle::advance(std::uint64_t interactions) {
       continue;
     }
     if (response.status == 409) {
-      sleep_ms(client_->config().backoff_initial_ms);  // busy: try again
+      sleep_ms(backoff_initial_ms);  // busy: try again
       continue;
     }
     if (response.status != 200) {

@@ -2,12 +2,14 @@
 // die. Three layers:
 //
 //   http_client   — one TCP connection, blocking request/response with a
-//                   per-request deadline; throws client_error on any
+//                   2 s connect and a 10 s per-request deadline and a
+//                   64 MiB response cap; throws client_error on any
 //                   transport failure (carrying whether request bytes had
 //                   already reached the wire).
-//   serve_client  — reconnect + retry with capped exponential backoff and
-//                   seeded jitter; non-idempotent requests are only
-//                   retried when the failed attempt never hit the wire.
+//   serve_client  — reconnect + up to 5 retries with exponential backoff
+//                   (50 ms doubling to a 2 s cap) and seeded jitter;
+//                   non-idempotent requests are only retried when the
+//                   failed attempt never hit the wire.
 //   session_handle — a durable simulation session: advance() reconciles
 //                   interaction counts after a transport failure and, when
 //                   the daemon lost the session entirely (404), restores
@@ -30,13 +32,7 @@ namespace ppg {
 struct client_config {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  int connect_timeout_ms = 2'000;
-  int request_timeout_ms = 10'000;  ///< whole request+response deadline
-  std::size_t max_retries = 5;      ///< extra attempts after the first
-  int backoff_initial_ms = 50;
-  int backoff_cap_ms = 2'000;
   std::uint64_t jitter_seed = 1;  ///< backoff jitter (deterministic tests)
-  std::size_t max_response_bytes = 64u * 1024 * 1024;
 };
 
 struct client_response {
@@ -60,14 +56,14 @@ class client_error : public std::runtime_error {
 /// One connection. Not thread-safe; serve_client owns at most one.
 class http_client {
  public:
-  /// Connects (bounded by connect_timeout_ms); throws client_error.
+  /// Connects (bounded by the connect deadline); throws client_error.
   explicit http_client(const client_config& config);
   ~http_client();
 
   http_client(const http_client&) = delete;
   http_client& operator=(const http_client&) = delete;
 
-  /// One request/response exchange under request_timeout_ms.
+  /// One request/response exchange under the request deadline.
   [[nodiscard]] client_response request(const std::string& method,
                                         const std::string& target,
                                         const std::string& body);
@@ -108,7 +104,6 @@ class serve_client {
                                         bool idempotent = true);
 
   [[nodiscard]] const client_stats& stats() const { return stats_; }
-  [[nodiscard]] const client_config& config() const { return config_; }
 
  private:
   client_config config_;

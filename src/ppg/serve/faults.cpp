@@ -3,78 +3,21 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 
 #include "ppg/util/atomic_file.hpp"
-#include "ppg/util/error.hpp"
 
 namespace ppg {
-namespace {
-
-fault_action fault_action_from_name(const std::string& name) {
-  if (name == "eio") return fault_action::fail_eio;
-  if (name == "enospc") return fault_action::fail_enospc;
-  if (name == "short") return fault_action::short_op;
-  if (name == "torn") return fault_action::torn_rename;
-  if (name == "abort") return fault_action::abort_now;
-  throw invariant_error("fault plan: unknown action '" + name +
-                        "' (accepted: eio, enospc, short, torn, abort)");
-}
-
-}  // namespace
-
-std::shared_ptr<fault_plan> fault_plan::parse(const json& doc) {
-  PPG_CHECK(doc.is_object(), "fault plan: document must be a JSON object");
-  auto plan = std::make_shared<fault_plan>();
-  std::uint64_t seed = 1;
-  for (const auto& [key, value] : doc.members()) {
-    if (key == "seed") {
-      PPG_CHECK(value.is_exact_uint(),
-                "fault plan: seed must be an unsigned integer");
-      seed = value.as_uint64();
-    } else if (key == "abort_at_interactions") {
-      PPG_CHECK(value.is_exact_uint(),
-                "fault plan: abort_at_interactions must be an unsigned "
-                "integer");
-      plan->abort_at_ = value.as_uint64();
-    } else if (key == "rules") {
-      PPG_CHECK(value.is_array(), "fault plan: rules must be an array");
-      for (const json& entry : value.items()) {
-        json_require_keys(entry, {"site", "nth", "action"},
-                          "fault plan rule");
-        fault_rule rule;
-        rule.site = json_require_string(entry, "site", "fault plan rule");
-        rule.nth = json_require_uint(entry, "nth", "fault plan rule");
-        PPG_CHECK(rule.nth >= 1, "fault plan: nth is 1-based (>= 1)");
-        rule.action = fault_action_from_name(
-            json_require_string(entry, "action", "fault plan rule"));
-        plan->rules_.push_back(std::move(rule));
-      }
-    } else {
-      throw invariant_error("fault plan: unknown key '" + key +
-                            "' (accepted: seed, abort_at_interactions, "
-                            "rules)");
-    }
-  }
-  plan->jitter_ = rng(seed);
-  return plan;
-}
 
 fault_action fault_plan::next(const std::string& site) {
-  fault_action armed = fault_action::none;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t count = ++counts_[site];
-    for (const fault_rule& rule : rules_) {
-      if (rule.site == site && rule.nth == count) {
-        armed = rule.action;
-        ++fired_;
-        break;
-      }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t count = ++counts_[site];
+  for (const fault_rule& rule : rules_) {
+    if (rule.site == site && rule.nth == count) {
+      ++fired_;
+      return rule.action;
     }
   }
-  if (armed == fault_action::abort_now) std::abort();
-  return armed;
+  return fault_action::none;
 }
 
 std::size_t fault_plan::short_size(std::size_t requested) {

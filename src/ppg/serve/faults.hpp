@@ -1,12 +1,13 @@
 // Deterministic fault injection for the ppg-serve durability and socket
-// paths. A fault_plan is a parsed, seeded schedule of failures keyed by
-// *site* (a stable string naming an I/O operation: "store.write",
-// "store.fsync", "store.rename", "socket.read", "socket.write") and the
-// 1-based count of operations at that site — "the 3rd store write fails
-// with EIO" — so tests and the crash-recovery script force every failure
-// branch without racing wall clocks. The plan is threaded through the
-// session store's file_ops and the HTTP connection loops; a null plan is
-// the (default) no-fault fast path.
+// paths. A fault_plan is a seeded schedule of failures keyed by *site* (a
+// stable string naming an I/O operation: "store.write", "store.fsync",
+// "store.rename", "socket.read", "socket.write") and the 1-based count of
+// operations at that site — "the 3rd store write fails with EIO" — so
+// tests build one in-process and force every failure branch without racing
+// wall clocks. The plan is threaded through the session store's file_ops
+// and the HTTP connection loops; a null plan is the (default) no-fault
+// fast path. Crashes are not injected: scripts/check_crash_recovery.py
+// SIGKILLs a real daemon instead.
 //
 // Determinism contract: given the same plan and the same operation
 // sequence, the same faults fire. The only randomness is the size of a
@@ -20,10 +21,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ppg/util/atomic_file.hpp"
-#include "ppg/util/json.hpp"
 #include "ppg/util/rng.hpp"
 
 namespace ppg {
@@ -35,7 +36,6 @@ enum class fault_action : std::uint8_t {
   fail_enospc, ///< the operation fails with ENOSPC
   short_op,    ///< the operation transfers only part of its buffer
   torn_rename, ///< rename "succeeds" but leaves a torn destination file
-  abort_now,   ///< the process aborts (SIGABRT) at this operation
 };
 
 /// One scheduled fault: the `nth` operation at `site` performs `action`.
@@ -45,30 +45,22 @@ struct fault_rule {
   fault_action action = fault_action::fail_eio;
 };
 
-/// The full parsed plan. Thread-safe: sites are counted under a lock (I/O
-/// paths that consult the plan are never per-interaction hot paths).
+/// The full plan. Thread-safe: sites are counted under a lock (I/O paths
+/// that consult the plan are never per-interaction hot paths).
 class fault_plan {
  public:
-  /// Strict parse of {"seed"?: u64, "abort_at_interactions"?: u64,
-  /// "rules"?: [{"site": str, "nth": u64 >= 1, "action": "eio" | "enospc"
-  /// | "short" | "torn" | "abort"}]}. Unknown keys and unknown actions are
-  /// rejected with ppg::invariant_error.
-  [[nodiscard]] static std::shared_ptr<fault_plan> parse(const json& doc);
+  /// `seed` seeds the rng that sizes short operations.
+  explicit fault_plan(std::vector<fault_rule> rules, std::uint64_t seed = 1)
+      : rules_(std::move(rules)), jitter_(seed) {}
 
   /// Counts one operation at `site` and returns the action scheduled for
-  /// it (fault_action::none almost always). abort_now fires here.
+  /// it (fault_action::none almost always).
   [[nodiscard]] fault_action next(const std::string& site);
 
   /// The truncated size for a short operation on `requested` bytes: at
   /// least 1, strictly less than `requested` when possible, drawn from the
   /// plan's seeded rng.
   [[nodiscard]] std::size_t short_size(std::size_t requested);
-
-  /// Interaction count at which an advancing session aborts the process
-  /// (the deterministic stand-in for `kill -9` mid-advance); 0 = never.
-  [[nodiscard]] std::uint64_t abort_at_interactions() const {
-    return abort_at_;
-  }
 
   /// Total faults fired so far. Test oracle: tests/test_failure_injection.cpp
   /// checks that a planned fault fired.
@@ -78,9 +70,8 @@ class fault_plan {
   mutable std::mutex mutex_;
   std::vector<fault_rule> rules_;
   std::map<std::string, std::uint64_t> counts_;
-  std::uint64_t abort_at_ = 0;
   std::uint64_t fired_ = 0;
-  rng jitter_{1};
+  rng jitter_;
 };
 
 /// file_ops that consults a fault_plan before forwarding to `base`: sites

@@ -9,7 +9,7 @@
 // busy session's last periodic spill stands).
 //
 // Exit codes: 0 = clean shutdown (drain complete, or forced-but-spilled);
-// 1 = startup failure (bad port, unreadable store, bad fault plan);
+// 1 = startup failure (bad port, unreadable store);
 // 2 = usage error.
 #include <pthread.h>
 
@@ -23,10 +23,7 @@
 #include <string>
 #include <thread>
 
-#include "ppg/serve/faults.hpp"
 #include "ppg/serve/server.hpp"
-#include "ppg/util/atomic_file.hpp"
-#include "ppg/util/json.hpp"
 
 namespace {
 
@@ -41,7 +38,6 @@ void handle_signal(int) { ++termination_signals; }
       << "                 [--connection-threads N] [--max-body BYTES]\n"
       << "                 [--store DIR] [--spill-every CHUNKS]\n"
       << "                 [--read-timeout-ms N] [--write-timeout-ms N]\n"
-      << "                 [--fault-plan JSON|@FILE]\n"
       << "  --port 0 (default) picks an ephemeral port and prints it\n"
       << "  --store DIR enables the durable session store (DESIGN.md §13)\n"
       << "  --spill-every 0 spills only on idle transitions and drain\n"
@@ -58,22 +54,6 @@ std::uint64_t parse_count(const std::string& flag, const char* text) {
     usage_error(flag + ": '" + text + "' is not a number");
   }
   return value;
-}
-
-/// "--fault-plan '{...}'" inline, or "--fault-plan @plan.json" from a file.
-std::shared_ptr<ppg::fault_plan> parse_fault_plan(const char* text) {
-  if (text == nullptr) usage_error("--fault-plan needs a value");
-  std::string source = text;
-  if (!source.empty() && source[0] == '@') {
-    std::string bytes;
-    std::string error;
-    if (!ppg::read_file(source.substr(1), &bytes, &error)) {
-      std::cerr << "ppg-serve: --fault-plan: " << error << "\n";
-      std::exit(1);
-    }
-    source = std::move(bytes);
-  }
-  return ppg::fault_plan::parse(ppg::json::parse(source));
 }
 
 /// {SIGTERM, SIGINT}: the signals that start (and then force) shutdown.
@@ -146,14 +126,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (flag == "--write-timeout-ms") {
       config.write_timeout_ms = static_cast<int>(parse_count(flag, value));
-      ++i;
-    } else if (flag == "--fault-plan") {
-      try {
-        config.faults = parse_fault_plan(value);
-      } catch (const std::exception& error) {
-        std::cerr << "ppg-serve: --fault-plan: " << error.what() << "\n";
-        return 1;
-      }
       ++i;
     } else {
       usage_error("unknown flag '" + flag + "'");

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <utility>
 
@@ -12,6 +11,9 @@
 
 namespace ppg {
 namespace {
+
+/// Deepest JSON nesting a request body may use (json::parse_limits).
+constexpr std::size_t max_json_depth = 64;
 
 http_response error_response(int status, const std::string& message) {
   json body = json::object();
@@ -197,7 +199,7 @@ json serve_app::parse_body(const http_request& request) const {
   }
   json::parse_limits limits;
   limits.max_bytes = config_.max_body_bytes;
-  limits.max_depth = config_.max_json_depth;
+  limits.max_depth = max_json_depth;
   return json::parse(request.body, limits);
 }
 
@@ -305,12 +307,6 @@ http_response serve_app::advance_session(serve_session& session,
         if (stride != 0 &&
             session.chunks_since_spill >= config_.spill_every_chunks) {
           spill_locked(session);
-        }
-      }
-      if (config_.faults != nullptr) {
-        const std::uint64_t abort_at = config_.faults->abort_at_interactions();
-        if (abort_at != 0 && session.engine->interactions() >= abort_at) {
-          std::abort();  // injected crash (the recovery gate reboots us)
         }
       }
     }

@@ -45,7 +45,6 @@ struct serve_config {
   std::uint64_t chunk = std::uint64_t{1} << 16;  ///< scheduler slice bound
   std::size_t max_sessions = 1024;
   std::size_t max_body_bytes = 4u * 1024 * 1024;
-  std::size_t max_json_depth = 64;
 
   // Durability (DESIGN.md §13). With `store_dir` set, every session is
   // spilled to disk — at creation, every `spill_every_chunks` scheduler
@@ -62,8 +61,8 @@ struct serve_config {
   int read_timeout_ms = 30'000;
   int write_timeout_ms = 30'000;
 
-  /// Deterministic fault schedule for the store and socket paths
-  /// (tests/chaos tooling); nullptr = no injected faults.
+  /// Deterministic fault schedule for the store and socket paths, built
+  /// in-process by tests (serve/faults.hpp); nullptr = no injected faults.
   std::shared_ptr<fault_plan> faults;
 };
 

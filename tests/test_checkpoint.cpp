@@ -105,16 +105,6 @@ TEST(SimRecipe, MatrixGameRoundTrip) {
     "initial_counts": [50, 50], "sampling": "distinct"})");
 }
 
-TEST(SimRecipe, EveryBuiltInNameIsRegistered) {
-  const auto& registry = protocol_registry::global();
-  EXPECT_TRUE(registry.contains("rumor"));
-  EXPECT_TRUE(registry.contains("approximate-majority"));
-  EXPECT_TRUE(registry.contains("leader-election"));
-  EXPECT_TRUE(registry.contains("igt"));
-  EXPECT_TRUE(registry.contains("matrix-game"));
-  EXPECT_FALSE(registry.contains("no-such-protocol"));
-}
-
 TEST(SimRecipe, StrictParseRejectsMalformedDocuments) {
   // Missing key.
   EXPECT_THROW(sim_recipe::from_json(parse_recipe_doc(

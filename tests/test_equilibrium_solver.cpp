@@ -127,7 +127,7 @@ TEST(LogitHomotopy, HawkDoveConvergesToTheMixedEss) {
   for (std::size_t i = 1; i < result.path.size(); ++i) {
     EXPECT_LT(result.path[i].temperature, result.path[i - 1].temperature);
   }
-  EXPECT_DOUBLE_EQ(result.temperature, homotopy_options{}.end_temperature);
+  EXPECT_DOUBLE_EQ(result.temperature, homotopy_end_temperature);
 }
 
 TEST(LogitHomotopy, StagHuntSelectsTheRiskDominantCorner) {
@@ -236,11 +236,8 @@ TEST(Certification, UntrustedPredictionNeverCertifies) {
   game_matrix weighted(
       {"R", "P", "S"},
       {0.0, -1.0, 2.0, 1.0, 0.0, -3.0, -2.0, 3.0, 0.0});
-  certify_options options;
-  options.relax_t_max = 200.0;  // keep the failing relaxation cheap
   const equilibrium_certifier certifier(
-      weighted, std::make_shared<proportional_imitation_rule>(1.0),
-      revision_discipline::one_way, options);
+      weighted, std::make_shared<proportional_imitation_rule>(1.0));
   EXPECT_FALSE(certifier.prediction_trusted());
   // Even the prediction endpoint itself is refused: distance zero, but
   // the point the distance is measured to means nothing.

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -136,28 +135,18 @@ TEST(FailureInjection, CorruptCensusLevelsRejected) {
                invariant_error);
 }
 
-TEST(FailureInjection, NanProbabilitiesRejectedByRng) {
-  rng gen(3);
-  // NaN comparisons are false, so next_bernoulli(NaN) must not return true;
-  // geometric with NaN must throw via its range check.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(gen.next_bernoulli(nan));
-  EXPECT_THROW((void)gen.next_geometric(nan), invariant_error);
-}
-
 // --- deterministic fault plans (ppg-serve durability layer) ----------------
 
 TEST(FailureInjection, ShortSizesAreBoundedAndSeedDeterministic) {
-  const char* plan_text = R"({"seed": 77, "rules": []})";
-  auto first = fault_plan::parse(json::parse(plan_text));
-  auto second = fault_plan::parse(json::parse(plan_text));
+  fault_plan first({}, 77);
+  fault_plan second({}, 77);
   for (int i = 0; i < 100; ++i) {
-    const std::size_t a = first->short_size(4096);
+    const std::size_t a = first.short_size(4096);
     EXPECT_GE(a, 1u);
     EXPECT_LT(a, 4096u);
-    EXPECT_EQ(a, second->short_size(4096));  // pure function of (seed, order)
+    EXPECT_EQ(a, second.short_size(4096));  // pure function of (seed, order)
   }
-  EXPECT_EQ(first->short_size(1), 1u);  // cannot shorten below one byte
+  EXPECT_EQ(first.short_size(1), 1u);  // cannot shorten below one byte
 }
 
 TEST(FailureInjection, FsyncFaultFailsTheAtomicWriteAndKeepsTheOldFile) {
@@ -167,8 +156,8 @@ TEST(FailureInjection, FsyncFaultFailsTheAtomicWriteAndKeepsTheOldFile) {
   std::string error;
   ASSERT_TRUE(atomic_write_file(path, "generation-1", &error)) << error;
 
-  auto plan = fault_plan::parse(json::parse(
-      R"({"rules": [{"site": "store.fsync", "nth": 1, "action": "eio"}]})"));
+  auto plan = std::make_shared<fault_plan>(
+      std::vector<fault_rule>{{"store.fsync", 1, fault_action::fail_eio}});
   faulty_file_ops ops(plan, default_file_ops());
   EXPECT_FALSE(atomic_write_file(path, "generation-2", &error, ops));
   std::string bytes;
@@ -228,12 +217,13 @@ TEST(FailureInjection, InjectedSocketFaultsDropConnectionsNotTheServer) {
   config.connection_threads = 1;  // serialize so fault ordering is exact
   // First response write dies with EIO; reads 2..4 are short (fragmenting
   // request parsing); everything later is clean.
-  config.faults = fault_plan::parse(json::parse(R"({
-      "seed": 13,
-      "rules": [{"site": "socket.write", "nth": 1, "action": "eio"},
-                {"site": "socket.read", "nth": 2, "action": "short"},
-                {"site": "socket.read", "nth": 3, "action": "short"},
-                {"site": "socket.read", "nth": 4, "action": "short"}]})"));
+  const std::vector<fault_rule> rules = {
+      {"socket.write", 1, fault_action::fail_eio},
+      {"socket.read", 2, fault_action::short_op},
+      {"socket.read", 3, fault_action::short_op},
+      {"socket.read", 4, fault_action::short_op},
+  };
+  config.faults = std::make_shared<fault_plan>(rules, 13);
   serve_app app(config);
   http_server server(app, config);
   server.start();

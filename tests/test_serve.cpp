@@ -1,7 +1,7 @@
 // Tests for the ppg-serve subsystem: the routing core (serve_app driven
 // directly, no sockets), the fairness/bit-exactness contract of interleaved
-// sessions, the kernel cache, the fair scheduler, and a raw-socket smoke
-// test of the HTTP front end.
+// sessions, the kernel cache, the fair scheduler, a raw-socket smoke test of
+// the HTTP front end, and the client's session recovery over loopback.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ppg/pp/checkpoint.hpp"
+#include "ppg/serve/client.hpp"
 #include "ppg/serve/server.hpp"
 #include "ppg/util/error.hpp"
 
@@ -301,14 +302,23 @@ TEST(ServeApp, SessionCapAnswers503) {
 TEST(ServeApp, BodyLimitsAreEnforced) {
   serve_config config;
   config.max_body_bytes = 256;
-  config.max_json_depth = 4;
   serve_app app(config);
   const std::string oversized(300, ' ');
   (void)handle_json(app,
                     make_request("POST", "/sessions", "{" + oversized + "}"),
                     400);
-  (void)handle_json(app, make_request("POST", "/sessions", "[[[[[[1]]]]]]"),
-                    400);
+  // Request bodies may nest 64 deep; 65 is refused before any routing.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+  };
+  const http_response deepest =
+      app.handle(make_request("POST", "/sessions", nested(64)));
+  EXPECT_EQ(deepest.body.find("nesting"), std::string::npos) << deepest.body;
+  const http_response too_deep =
+      app.handle(make_request("POST", "/sessions", nested(65)));
+  EXPECT_EQ(too_deep.status, 400);
+  EXPECT_NE(too_deep.body.find("nesting"), std::string::npos)
+      << too_deep.body;
 }
 
 // --- warm kernel cache across sessions -------------------------------------
@@ -748,6 +758,56 @@ TEST(HttpServer, StopUnblocksIdleConnections) {
   idle.send_all(http_get("/healthz"));
   (void)idle.read_response();
   server.stop();  // would deadlock if the worker never woke
+}
+
+// --- client ----------------------------------------------------------------
+
+/// GET /sessions/{id}/census through `client`.
+json census_of(serve_client& client, const std::string& id) {
+  const client_response response =
+      client.request("GET", "/sessions/" + id + "/census");
+  EXPECT_EQ(response.status, 200) << response.body;
+  return json::parse(response.body);
+}
+
+TEST(ServeClient, SessionHandleRestoresADeletedSessionBitExactly) {
+  serve_config config;
+  serve_app app(config);
+  http_server server(app, config);
+  server.start();
+  client_config address;
+  address.port = server.port();
+  serve_client client(address);
+  const json recipe = json::parse(hawk_dove_recipe());
+
+  session_handle handle = session_handle::create(client, recipe, "census", 31);
+  session_handle twin = session_handle::create(client, recipe, "census", 31);
+  handle.advance(3000);
+  handle.refresh_checkpoint();
+  handle.advance(2000);
+  // Lose the session behind the handle's back. The next advance meets a
+  // 404, restores the checkpoint taken at 3000 interactions, and re-drives
+  // the 2000 lost with the session together with the 4000 asked for.
+  const client_response deleted =
+      client.request("DELETE", "/sessions/" + handle.id());
+  ASSERT_EQ(deleted.status, 200) << deleted.body;
+  handle.advance(4000);
+  EXPECT_EQ(handle.recoveries(), 1u);
+  EXPECT_EQ(handle.interactions(), 9000u);
+
+  // The census engine's trajectory does not depend on how it is sliced, so
+  // the restored session must match an uninterrupted twin bit for bit.
+  twin.advance(3000);
+  twin.advance(2000);
+  twin.advance(4000);
+  EXPECT_EQ(twin.recoveries(), 0u);
+  const json restored = census_of(client, handle.id());
+  const json uninterrupted = census_of(client, twin.id());
+  EXPECT_EQ(restored.find("interactions")->as_uint64(), 9000u);
+  EXPECT_EQ(uninterrupted.find("interactions")->as_uint64(), 9000u);
+  EXPECT_EQ(restored.find("counts")->dump_string(false),
+            uninterrupted.find("counts")->dump_string(false));
+  server.stop();
 }
 
 }  // namespace

@@ -140,9 +140,8 @@ TEST(AtomicFile, FailedWriteKeepsPreviousContent) {
   std::string error;
   ASSERT_TRUE(atomic_write_file(path, "stable", &error)) << error;
 
-  json plan_doc = json::parse(
-      R"({"rules": [{"site": "store.write", "nth": 1, "action": "eio"}]})");
-  auto plan = fault_plan::parse(plan_doc);
+  auto plan = std::make_shared<fault_plan>(
+      std::vector<fault_rule>{{"store.write", 1, fault_action::fail_eio}});
   faulty_file_ops ops(plan, default_file_ops());
   EXPECT_FALSE(atomic_write_file(path, "torn!", &error, ops));
   EXPECT_NE(error.find("Input/output error"), std::string::npos) << error;
@@ -176,29 +175,13 @@ TEST(StoreEnvelope, RoundTripsAndRejectsMalformedDocuments) {
 
 // --- fault plan ------------------------------------------------------------
 
-TEST(FaultPlan, StrictParseRejectsUnknownKeysAndActions) {
-  EXPECT_THROW((void)fault_plan::parse(json::parse(R"({"surprise": 1})")),
-               invariant_error);
-  EXPECT_THROW(
-      (void)fault_plan::parse(json::parse(
-          R"({"rules": [{"site": "store.write", "nth": 1,
-               "action": "meteor-strike"}]})")),
-      invariant_error);
-  EXPECT_THROW(
-      (void)fault_plan::parse(json::parse(
-          R"({"rules": [{"site": "store.write", "nth": 0,
-               "action": "eio"}]})")),
-      invariant_error);
-
-  auto plan = fault_plan::parse(json::parse(
-      R"({"seed": 5, "abort_at_interactions": 123,
-          "rules": [{"site": "store.write", "nth": 2, "action": "enospc"}]})"));
-  EXPECT_EQ(plan->abort_at_interactions(), 123u);
-  EXPECT_EQ(plan->next("store.write"), fault_action::none);
-  EXPECT_EQ(plan->next("store.fsync"), fault_action::none);
-  EXPECT_EQ(plan->next("store.write"), fault_action::fail_enospc);
-  EXPECT_EQ(plan->next("store.write"), fault_action::none);
-  EXPECT_EQ(plan->fired(), 1u);
+TEST(FaultPlan, CountsEachSiteAndFiresOnItsNthOperation) {
+  fault_plan plan({{"store.write", 2, fault_action::fail_enospc}}, 5);
+  EXPECT_EQ(plan.next("store.write"), fault_action::none);
+  EXPECT_EQ(plan.next("store.fsync"), fault_action::none);
+  EXPECT_EQ(plan.next("store.write"), fault_action::fail_enospc);
+  EXPECT_EQ(plan.next("store.write"), fault_action::none);
+  EXPECT_EQ(plan.fired(), 1u);
 }
 
 // --- spill / recover round trip --------------------------------------------
@@ -563,8 +546,8 @@ TEST(ServeDurability, SpillFailureDegradesSessionNotDaemon) {
   config.chunk = 1000;
   config.spill_every_chunks = 1;
   // The creation spill (write #1) succeeds; the next spill hits ENOSPC.
-  config.faults = fault_plan::parse(json::parse(
-      R"({"rules": [{"site": "store.write", "nth": 2, "action": "enospc"}]})"));
+  config.faults = std::make_shared<fault_plan>(
+      std::vector<fault_rule>{{"store.write", 2, fault_action::fail_enospc}});
 
   serve_app app(config);
   (void)handle_json(app,
@@ -603,8 +586,8 @@ TEST(ServeDurability, TornRenameIsQuarantinedOnNextBoot) {
   config.chunk = 1000;
   config.spill_every_chunks = 1;
   // The second rename (first advance's spill) tears the destination file.
-  config.faults = fault_plan::parse(json::parse(
-      R"({"rules": [{"site": "store.rename", "nth": 2, "action": "torn"}]})"));
+  config.faults = std::make_shared<fault_plan>(
+      std::vector<fault_rule>{{"store.rename", 2, fault_action::torn_rename}});
 
   {
     serve_app app(config);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "ppg/util/error.hpp"
@@ -167,6 +168,15 @@ TEST(Rng, GeometricTinyPClampsInsteadOfOverflowing) {
   for (int i = 0; i < 1000; ++i) {
     (void)gen2.next_geometric(1e-12);
   }
+}
+
+TEST(Rng, NanProbabilitiesAreRejected) {
+  rng gen(3);
+  // NaN comparisons are false, so next_bernoulli(NaN) must not return true;
+  // geometric with NaN must throw via its range check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(gen.next_bernoulli(nan));
+  EXPECT_THROW((void)gen.next_geometric(nan), invariant_error);
 }
 
 TEST(Rng, SplitProducesIndependentStream) {

@@ -471,10 +471,12 @@ scenario_result run_micro(const scenario_context& ctx) {
     // Per-call cost of the exact samplers at the multibatch engine's draw
     // sizes (DESIGN.md §8): a hawk-dove pool split at n = 10^8 (sd ~40),
     // an IGT pool split at n = 10^6 (sd ~7.5), an IGT initiator draw of
-    // mean 0.32 (inversion), a hawk-dove outcome cell, conditional binomials
-    // of a q = 8 logit partner law (n 790, inversion at means 2, 5, 9 and
-    // 13, BTRS at 15: the two sides of the cutover at 14), and one of
-    // mean 20.
+    // mean 0.32 (inversion), igt_ensemble's middle GTFT levels 2051, 8203
+    // and 131252 of 617 draws, the two sides of HRUA's walk cutover at
+    // variance 256 (sd 15.96 and 16.04), a hawk-dove outcome cell,
+    // conditional binomials of a q = 8 logit partner law (n 790, inversion
+    // at means 2, 5, 9 and 13, BTRS at 15: the two sides of the cutover at
+    // 14), and one of mean 20.
     const double call_seconds = ctx.pick(0.1, 0.01);
     auto& sampler_table =
         result.table("per-call sampler cost (ns per call)",
@@ -503,6 +505,21 @@ scenario_result run_micro(const scenario_context& ctx) {
     add_sampler("hypergeometric_mean0_32", "10^6 / 513 / 617", [&] {
       return sample_hypergeometric(1'000'000, 513, 617, gen);
     });
+    add_sampler("hypergeometric_mean1_3", "10^6 / 2051 / 617", [&] {
+      return sample_hypergeometric(1'000'000, 2051, 617, gen);
+    });
+    add_sampler("hypergeometric_mean5_1", "10^6 / 8203 / 617", [&] {
+      return sample_hypergeometric(1'000'000, 8203, 617, gen);
+    });
+    add_sampler("hypergeometric_sd8_4", "10^6 / 131252 / 617", [&] {
+      return sample_hypergeometric(1'000'000, 131'252, 617, gen);
+    });
+    add_sampler("hypergeometric_sd15_96", "10^6 / 5*10^5 / 1020", [&] {
+      return sample_hypergeometric(1'000'000, 500'000, 1020, gen);
+    });
+    add_sampler("hypergeometric_sd16_04", "10^6 / 5*10^5 / 1030", [&] {
+      return sample_hypergeometric(1'000'000, 500'000, 1030, gen);
+    });
     add_sampler("binomial_n1500_p0_3", "n 1500 p 0.3",
                 [&] { return sample_binomial(1500, 0.3, gen); });
     for (const int mean : {2, 5, 9, 13, 15}) {
@@ -519,7 +536,9 @@ scenario_result run_micro(const scenario_context& ctx) {
   result.note(
       "Single-component rates for the trajectory; no regression goals (CI "
       "machines\nvary run to run). Samplers: a binomial costs ~1/3 of a "
-      "hypergeometric, and\nneither grows with the standard deviation.");
+      "hypergeometric. BTRS\nand, from variance 256 on, HRUA do not grow "
+      "with the standard deviation;\nbelow 256 HRUA walks its acceptance "
+      "ratio from the mode, ~1.2 sd steps a\ncandidate.");
   return result;
 }
 

@@ -14,6 +14,12 @@ namespace {
 /// per-call timings that place it.
 constexpr double binomial_inversion_below = 14.0;
 
+/// HRUA hats of variance below this decide acceptance by walking the pmf
+/// ratio from the mode (`hypergeometric_walk_accepts`), the rest by
+/// Stirling log-factorial ratios. DESIGN.md §8 has the per-call timings
+/// that place it.
+constexpr double hypergeometric_walk_variance_below = 256.0;
+
 /// One log-factorial term log(a! / b!) anchored at b: a rejection
 /// sampler's acceptance ratio compares candidates a near its mode-side
 /// argument b, with log b computed once per draw instead of once per
@@ -105,6 +111,30 @@ std::uint64_t binomial_btrs(std::uint64_t n, double p, rng& gen) {
   }
 }
 
+/// Whether u2 <= pmf(k) / pmf(mode) for the hypergeometric pmf(x) ∝
+/// 1 / (x! (marked - x)! (draws - x)! (rest + x)!), with the ratio walked
+/// as a product of pmf(j + 1) / pmf(j) (above the mode) or pmf(j - 1) /
+/// pmf(j) (below it). Every factor is <= 1 on the way out from the mode,
+/// so the product only falls, and the walk rejects as soon as it is below
+/// u2: O(|k - mode|) multiply-divides, no logarithm.
+bool hypergeometric_walk_accepts(std::uint64_t marked, std::uint64_t draws,
+                                 std::uint64_t rest, std::uint64_t mode,
+                                 std::uint64_t k, double u2) {
+  double ratio = 1.0;
+  for (std::uint64_t j = mode; j < k; ++j) {
+    ratio *= static_cast<double>(marked - j) * static_cast<double>(draws - j) /
+             (static_cast<double>(j + 1) * static_cast<double>(rest + j + 1));
+    if (ratio < u2) return false;
+  }
+  for (std::uint64_t j = mode; j > k; --j) {
+    ratio *= static_cast<double>(j) * static_cast<double>(rest + j) /
+             (static_cast<double>(marked - j + 1) *
+              static_cast<double>(draws - j + 1));
+    if (ratio < u2) return false;
+  }
+  return true;
+}
+
 /// Hypergeometric core: requires 2*marked <= total and 2*draws <= total
 /// (callers reduce by symmetry first), so the support is [0, min(m, K)].
 std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
@@ -154,6 +184,23 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
   const auto mode = static_cast<std::uint64_t>(
       static_cast<unsigned __int128>(draws + 1) * (marked + 1) /
       (static_cast<unsigned __int128>(total) + 2));
+  // Accept k when u^2 <= pmf(k) / pmf(mode). A narrow hat walks that
+  // ratio out from the mode; a wide one takes it as four log-factorial
+  // ratios. The candidate loop is written out for each: one loop shared
+  // through a generic lambda timed the wide-hat path ~15% slower a call.
+  if (variance < hypergeometric_walk_variance_below) {
+    while (true) {
+      const double u = gen.next_double();
+      const double v = gen.next_double();
+      if (u == 0.0) continue;
+      const double x = a + h * (v - 0.5) / u;
+      if (x < 0.0 || x >= support_end) continue;
+      const auto k = static_cast<std::uint64_t>(x);
+      if (hypergeometric_walk_accepts(marked, draws, rest, mode, k, u * u)) {
+        return k;
+      }
+    }
+  }
   // pmf(x) is proportional to 1 / (x! (marked - x)! (draws - x)!
   // (rest + x)!), rest >= 0; each factor is compared with its value at the
   // mode.

@@ -215,6 +215,10 @@ TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
   // (617 draws from n = 10^6) over its stationary census's small GTFT
   // levels 32, 128 and 513, the same draw through the marked/unmarked
   // flip, and means just below 1 (inversion) and just above it (HRUA).
+  // Then HRUA at igt_ensemble's middle GTFT levels 2051, 8203 and 131252
+  // (sd 1.1, 2.2 and 8.4: the narrow-hat pmf-ratio walk) and on the two
+  // sides of the walk's variance cutover at 256 (sd 15.96 walks, sd 16.04
+  // takes the Stirling ratios).
   struct hypergeometric_case {
     std::uint64_t total;
     std::uint64_t marked;
@@ -232,7 +236,12 @@ TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
         hypergeometric_case{1'000'000, 513, 617},
         hypergeometric_case{1'000'000, 1'000'000 - 128, 617},
         hypergeometric_case{1'000'000, 999, 1000},
-        hypergeometric_case{1'000'000, 1001, 1000}}) {
+        hypergeometric_case{1'000'000, 1001, 1000},
+        hypergeometric_case{1'000'000, 2051, 617},
+        hypergeometric_case{1'000'000, 8203, 617},
+        hypergeometric_case{1'000'000, 131'252, 617},
+        hypergeometric_case{1'000'000, 500'000, 1020},
+        hypergeometric_case{1'000'000, 500'000, 1030}}) {
     rng gen(++seed);
     const double nf = static_cast<double>(c.total);
     const double p = static_cast<double>(c.marked) / nf;

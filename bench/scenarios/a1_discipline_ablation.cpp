@@ -23,8 +23,7 @@ std::vector<double> stationary_census(const abg_population& pop,
                                       revision_discipline discipline,
                                       std::uint64_t steps, rng gen) {
   const igt_protocol proto(k, discipline);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k),
+  const sim_spec spec(proto, make_igt_census(pop, k, 0),
                       pair_sampling::with_replacement);
   const auto sim = spec.make_engine(engine_kind::census, gen);
   sim->run(steps);
@@ -52,8 +51,7 @@ double hitting_time(const abg_population& pop, std::size_t k,
   }
   target *= 0.9;
   const igt_protocol proto(k, discipline);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k),
+  const sim_spec spec(proto, make_igt_census(pop, k, 0),
                       pair_sampling::with_replacement);
   const auto sim = spec.make_engine(engine_kind::census, gen);
   for (std::uint64_t t = 32; t <= 100'000'000; t += 32) {

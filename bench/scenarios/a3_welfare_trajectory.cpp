@@ -47,13 +47,12 @@ scenario_result run_a3(const scenario_context& ctx) {
     const auto pop =
         abg_population::from_fractions(n, alpha, beta, 0.9 - beta);
     const igt_protocol proto(k);
-    const sim_spec spec(
-        proto, population(make_igt_population_states(pop, k, 0), 2 + k),
-        pair_sampling::with_replacement);
+    const sim_spec spec(proto, make_igt_census(pop, k, 0),
+                        pair_sampling::with_replacement);
 
     // One replica: the generosity trace followed by the welfare trace,
     // sampled on the shared time grid.
-    const auto batch = replicate_trajectory(
+    const auto batch = replicate_census(
         ctx.batch(replicas, salt++), [&](const replica_context&, rng& gen) {
           const auto sim = spec.make_engine(engine_kind::census, gen);
           std::vector<double> trace;
@@ -81,8 +80,8 @@ scenario_result run_a3(const scenario_context& ctx) {
           return trace;
         });
 
-    const auto mean = batch.mean_curve();
-    const auto band = batch.ci_band();
+    const auto mean = batch.mean();
+    const auto band = batch.ci_half_width();
     double peak_welfare = 0.0;
     for (std::size_t i = 0; i < points; ++i) {
       peak_welfare = std::max(peak_welfare, mean[points + i]);

@@ -51,9 +51,7 @@ scenario_result run_e3(const scenario_context& ctx) {
     for (const auto sampling :
          {pair_sampling::distinct, pair_sampling::with_replacement}) {
       const igt_protocol proto(k);
-      const sim_spec spec(
-          proto, population(make_igt_population_states(pop, k, 0), 2 + k),
-          sampling);
+      const sim_spec spec(proto, make_igt_census(pop, k, 0), sampling);
       const auto batch = replicate_time_averaged_census(
           spec, engine_kind::census, burn, samples, ctx.batch(replicas, salt++),
           [&](const census_view& census) {

@@ -78,9 +78,8 @@ scenario_result run_e5(const scenario_context& ctx) {
     const igt_equilibrium_analyzer analyzer(instance.setting, alpha, beta,
                                             gamma, k, instance.g_max);
     const igt_protocol proto(k);
-    const sim_spec spec(
-        proto, population(make_igt_population_states(pop, k, 0), 2 + k),
-        pair_sampling::with_replacement);
+    const sim_spec spec(proto, make_igt_census(pop, k, 0),
+                        pair_sampling::with_replacement);
     const auto burn =
         static_cast<std::uint64_t>(igt_mixing_upper_bound(pop, k));
     const auto batch = replicate_time_averaged_census(

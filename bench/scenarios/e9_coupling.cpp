@@ -64,7 +64,7 @@ scenario_result run_e9(const scenario_context& ctx) {
                                                     : budget),
                   !run.coalesced};
             });
-    scalar_aggregator tau;
+    running_summary tau;
     std::vector<double> taus;
     taus.reserve(samples.size());
     std::size_t exceed_count = 0;

@@ -55,8 +55,9 @@ int main() {
   // --- Leader election from all-leaders, on the agent engine.
   {
     const leader_election_protocol proto;
-    const sim_spec spec(
-        proto, population(n, leader_election_protocol::state_leader, 2));
+    std::vector<std::uint64_t> counts(2, 0);
+    counts[leader_election_protocol::state_leader] = n;
+    const sim_spec spec(proto, counts);
     running_summary steps;
     for (int t = 0; t < trials; ++t) {
       rng gen(200 + static_cast<std::uint64_t>(t));

@@ -35,8 +35,7 @@ int main() {
   // The replica recipe: agent-level IGT dynamics, every GTFT agent starting
   // at the stingiest level g_1 = 0.
   const igt_protocol proto(k);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k));
+  const sim_spec spec(proto, make_igt_census(pop, k, 0));
 
   // Burn in past the mixing time (Theorem 2.7: O(k n log n) interactions),
   // then time-average the level census — once per replica.

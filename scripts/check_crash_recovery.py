@@ -25,7 +25,6 @@ On success the store directory is removed; on failure it is left in place
 (CI uploads it as a diagnostic artifact). Exits nonzero on any violation.
 """
 
-import http.client
 import json
 import os
 import re
@@ -36,35 +35,11 @@ import sys
 import threading
 import time
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from serve_http import Failure, fail, request  # noqa: E402
+
 SPILL_EVERY = 4
 CHUNK = 2048
-
-
-class Failure(Exception):
-    pass
-
-
-def fail(msg):
-    raise Failure(msg)
-
-
-def request(port, method, target, body=None, expect=200, raw=False):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        payload = json.dumps(body) if body is not None else None
-        conn.request(method, target, body=payload)
-        response = conn.getresponse()
-        text = response.read().decode()
-        if response.status != expect:
-            fail(
-                f"{method} {target}: expected {expect}, "
-                f"got {response.status}: {text[:200]}"
-            )
-        if raw:
-            return text
-        return json.loads(text) if text else None
-    finally:
-        conn.close()
 
 
 def start_daemon(binary, store_dir):

@@ -30,8 +30,6 @@ the C++ suite drives serve_app in-process; this script proves the shipped
 binary speaks the protocol over an actual socket.
 """
 
-import http.client
-import json
 import os
 import re
 import signal
@@ -40,37 +38,13 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_checkpoint import Violation, check_spec, check_engine  # noqa: E402
+from serve_http import Failure, fail, request  # noqa: E402
 
 RECIPE = {
     "protocol": {"name": "approximate-majority", "params": {}},
     "initial_counts": [600, 400, 0],
     "sampling": "distinct",
 }
-
-
-class Failure(Exception):
-    pass
-
-
-def fail(msg):
-    raise Failure(msg)
-
-
-def request(port, method, target, body=None, expect=200):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        payload = json.dumps(body) if body is not None else None
-        conn.request(method, target, body=payload)
-        response = conn.getresponse()
-        text = response.read().decode()
-        if response.status != expect:
-            fail(
-                f"{method} {target}: expected {expect}, "
-                f"got {response.status}: {text[:200]}"
-            )
-        return json.loads(text) if text else None
-    finally:
-        conn.close()
 
 
 def start_daemon(binary):

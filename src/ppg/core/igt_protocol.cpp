@@ -25,37 +25,16 @@ igt_protocol::igt_protocol(std::size_t k, revision_discipline discipline)
                     std::make_shared<igt_ladder_rule>(k), discipline),
       k_(k) {}
 
-std::vector<agent_state> make_igt_population_states(
-    const abg_population& pop, std::size_t k,
-    const std::vector<std::uint32_t>& gtft_levels) {
+std::vector<std::uint64_t> make_igt_census(const abg_population& pop,
+                                           std::size_t k, std::size_t level) {
   PPG_CHECK(pop.valid(), "invalid population");
   PPG_CHECK(k >= 2, "k-IGT requires k >= 2");
-  PPG_CHECK(gtft_levels.size() == pop.num_gtft,
-            "need one level per GTFT agent");
-  for (const auto level : gtft_levels) {
-    PPG_CHECK(level < k, "GTFT level out of range for this k");
-  }
-  std::vector<agent_state> states;
-  states.reserve(pop.n());
-  for (std::uint64_t i = 0; i < pop.num_ac; ++i) {
-    states.push_back(igt_encoding::ac);
-  }
-  for (std::uint64_t i = 0; i < pop.num_ad; ++i) {
-    states.push_back(igt_encoding::ad);
-  }
-  for (const auto level : gtft_levels) {
-    states.push_back(igt_encoding::gtft(level));
-  }
-  return states;
-}
-
-std::vector<agent_state> make_igt_population_states(
-    const abg_population& pop, std::size_t k, std::size_t uniform_level) {
-  PPG_CHECK(uniform_level < k, "initial level out of range");
-  return make_igt_population_states(
-      pop, k,
-      std::vector<std::uint32_t>(
-          pop.num_gtft, static_cast<std::uint32_t>(uniform_level)));
+  PPG_CHECK(level < k, "GTFT level out of range for this k");
+  std::vector<std::uint64_t> counts(igt_encoding::first_gtft + k, 0);
+  counts[igt_encoding::ac] = pop.num_ac;
+  counts[igt_encoding::ad] = pop.num_ad;
+  counts[igt_encoding::gtft(level)] = pop.num_gtft;
+  return counts;
 }
 
 std::vector<std::uint64_t> gtft_level_counts(const census_view& agents,

@@ -60,21 +60,15 @@ class igt_protocol final : public game_protocol {
   std::size_t k_;
 };
 
-/// Builds the agent-state vector of an (alpha, beta, gamma) population with
-/// the given initial GTFT levels (one entry per GTFT agent, values in
-/// {0, ..., k-1}; validated against k).
-[[nodiscard]] std::vector<agent_state> make_igt_population_states(
-    const abg_population& pop, std::size_t k,
-    const std::vector<std::uint32_t>& gtft_levels);
-
-/// Convenience: all GTFT agents start at the same level.
-[[nodiscard]] std::vector<agent_state> make_igt_population_states(
-    const abg_population& pop, std::size_t k, std::size_t uniform_level);
+/// The initial census (length 2 + k, in igt_encoding order) of an
+/// (alpha, beta, gamma) population whose GTFT agents all start at `level`,
+/// in {0, ..., k-1}.
+[[nodiscard]] std::vector<std::uint64_t> make_igt_census(
+    const abg_population& pop, std::size_t k, std::size_t level);
 
 /// Extracts the GTFT level census (length-k count vector, the z_t of the
-/// paper) from the census of a simulation run under igt_protocol.
-/// Accepts any engine's census() as well as a population (implicitly
-/// viewed).
+/// paper) from the census of a simulation run under igt_protocol, on any
+/// engine.
 [[nodiscard]] std::vector<std::uint64_t> gtft_level_counts(
     const census_view& agents, std::size_t k);
 

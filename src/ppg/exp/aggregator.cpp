@@ -38,8 +38,4 @@ std::vector<double> census_aggregator::ci_half_width(double z) const {
   return result;
 }
 
-void trajectory_aggregator::add(const std::vector<double>& trajectory) {
-  curve_.add(trajectory);
-}
-
 }  // namespace ppg

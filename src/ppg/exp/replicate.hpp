@@ -1,7 +1,7 @@
-// One-call replicate-and-reduce entry points: the three shapes every
+// One-call replicate-and-reduce entry points: the two shapes every
 // Monte-Carlo driver in bench/ and examples/ needs. Each runs R replicas on
-// a batch_runner and folds them, in replica order, into the matching
-// aggregator.
+// a batch_runner and folds them, in replica order, into a running_summary
+// (scalar results) or a census_aggregator (fixed-length vectors).
 //
 //   auto agg = replicate_scalar(opts, [&](const replica_context&, rng& gen) {
 //     const auto run = simulate_corner_coupling(params, budget, gen);
@@ -24,29 +24,20 @@ namespace ppg {
 
 /// Replicates a scalar-valued experiment (body returns double).
 template <typename Body>
-[[nodiscard]] scalar_aggregator replicate_scalar(const batch_options& opts,
-                                                 Body&& body) {
-  scalar_aggregator agg;
+[[nodiscard]] running_summary replicate_scalar(const batch_options& opts,
+                                               Body&& body) {
+  running_summary agg;
   batch_runner(opts).run_into(std::forward<Body>(body), agg);
   return agg;
 }
 
-/// Replicates a census-valued experiment (body returns std::vector<double>
-/// of a fixed length).
+/// Replicates a vector-valued experiment (body returns std::vector<double>
+/// of a fixed length: a census, or one replica's trace on a time grid
+/// shared by every replica).
 template <typename Body>
 [[nodiscard]] census_aggregator replicate_census(const batch_options& opts,
                                                  Body&& body) {
   census_aggregator agg;
-  batch_runner(opts).run_into(std::forward<Body>(body), agg);
-  return agg;
-}
-
-/// Replicates a trajectory-valued experiment (body returns the values of one
-/// replica's trace at a fixed shared time grid).
-template <typename Body>
-[[nodiscard]] trajectory_aggregator replicate_trajectory(
-    const batch_options& opts, Body&& body) {
-  trajectory_aggregator agg;
   batch_runner(opts).run_into(std::forward<Body>(body), agg);
   return agg;
 }

@@ -10,9 +10,6 @@ census_view::census_view(const std::vector<std::uint64_t>& counts,
   PPG_CHECK(!counts.empty(), "census needs at least one state kind");
 }
 
-census_view::census_view(const population& agents)
-    : counts_(&agents.counts()), n_(agents.size()) {}
-
 std::uint64_t census_view::count(agent_state state) const {
   PPG_CHECK(state < counts_->size(), "state out of range");
   return (*counts_)[state];

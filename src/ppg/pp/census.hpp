@@ -21,12 +21,6 @@ class census_view {
   census_view(const std::vector<std::uint64_t>& counts,
               std::uint64_t population_size);
 
-  /// Implicit: every population exposes its census. This keeps old
-  /// population-based call sites (`gtft_level_counts(sim.agents(), k)`,
-  /// `has_consensus(sim.agents())`) compiling against the census-based
-  /// signatures.
-  census_view(const population& agents);  // NOLINT(google-explicit-*)
-
   /// Number of agents currently in `state`.
   [[nodiscard]] std::uint64_t count(agent_state state) const;
 

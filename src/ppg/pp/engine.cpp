@@ -252,8 +252,9 @@ void census_level_engine::commit(counts_state state) {
 
 namespace {
 
-/// Expands a census into a population, grouped by state. Agents are
-/// anonymous, so any ordering induces the same interaction law.
+/// Expands a census into a population, grouped by ascending state. Agents
+/// are anonymous, so any ordering induces the same interaction law; this one
+/// fixes where the agent engine's draws land.
 population agents_from_counts(const std::vector<std::uint64_t>& counts) {
   std::vector<agent_state> states;
   states.reserve(static_cast<std::size_t>(census_size(counts)));
@@ -266,18 +267,6 @@ population agents_from_counts(const std::vector<std::uint64_t>& counts) {
 }
 
 }  // namespace
-
-sim_spec::sim_spec(const protocol& proto, population initial,
-                   pair_sampling sampling)
-    : proto_(&proto),
-      initial_(std::move(initial)),
-      initial_counts_(initial_->counts()),
-      n_(initial_->size()),
-      sampling_(sampling) {
-  PPG_CHECK(initial_->num_state_kinds() >= proto_->num_states(),
-            "population state space smaller than the protocol's");
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
-}
 
 sim_spec::sim_spec(const protocol& proto,
                    std::vector<std::uint64_t> initial_counts,
@@ -307,8 +296,8 @@ std::unique_ptr<sim_engine> sim_spec::make_engine(
   switch (kind) {
     case engine_kind::agent:
       return std::make_unique<simulation>(
-          *proto_, initial_ ? *initial_ : agents_from_counts(initial_counts_),
-          gen.split(), sampling_, std::move(kernel));
+          *proto_, agents_from_counts(initial_counts_), gen.split(), sampling_,
+          std::move(kernel));
     case engine_kind::census:
       return std::make_unique<census_engine>(
           std::move(kernel), initial_counts_, gen.split(), sampling_);

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -155,7 +154,9 @@ class simulation final : public sim_engine {
   void run(std::uint64_t steps) override;
 
   [[nodiscard]] const population& agents() const { return agents_; }
-  [[nodiscard]] census_view census() const override { return {agents_}; }
+  [[nodiscard]] census_view census() const override {
+    return {agents_.counts(), agents_.size()};
+  }
   [[nodiscard]] std::uint64_t interactions() const override {
     return interactions_;
   }
@@ -243,23 +244,19 @@ class census_level_engine : public sim_engine {
   std::uint64_t interactions_ = 0;
 };
 
-/// A seedless recipe for a simulation: protocol, initial condition, and
-/// sampling discipline. Replica R of a batch is `make_engine(kind, gen_R)` —
-/// every replica starts from the identical initial condition and differs
-/// only in its RNG stream, which is what the batch engine needs to fan one
-/// configuration out across a worker pool.
+/// A seedless recipe for a simulation: protocol, initial census (agents per
+/// state), and sampling discipline. Replica R of a batch is
+/// `make_engine(kind, gen_R)` — every replica starts from the identical
+/// initial condition and differs only in its RNG stream, which is what the
+/// batch engine needs to fan one configuration out across a worker pool.
 /// The protocol must outlive the spec and every engine built from it.
 ///
-/// The initial condition may be given per-agent (a population) or as a bare
-/// census (counts per state). The census form never allocates per-agent
-/// state, so the census-level engines scale to populations far beyond what
-/// an agent array can hold; the agent engine materializes agents from the
-/// census (grouped by state) on demand.
+/// Agents are anonymous, so the census fixes the run's law. The census-level
+/// engines never allocate per-agent state, so they scale to populations far
+/// beyond what an agent array can hold; the agent engine lays its agents out
+/// grouped by ascending state.
 class sim_spec {
  public:
-  sim_spec(const protocol& proto, population initial,
-           pair_sampling sampling = pair_sampling::distinct);
-
   sim_spec(const protocol& proto, std::vector<std::uint64_t> initial_counts,
            pair_sampling sampling = pair_sampling::distinct);
 
@@ -279,7 +276,7 @@ class sim_spec {
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;
 
-  /// The initial census (always available).
+  /// The initial census.
   [[nodiscard]] const std::vector<std::uint64_t>& initial_counts() const {
     return initial_counts_;
   }
@@ -293,7 +290,6 @@ class sim_spec {
 
  private:
   const protocol* proto_;
-  std::optional<population> initial_;
   std::vector<std::uint64_t> initial_counts_;
   std::uint64_t n_ = 0;
   pair_sampling sampling_;

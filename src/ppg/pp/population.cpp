@@ -15,10 +15,6 @@ population::population(std::vector<agent_state> states,
   }
 }
 
-population::population(std::size_t n, agent_state state,
-                       std::size_t num_state_kinds)
-    : population(std::vector<agent_state>(n, state), num_state_kinds) {}
-
 agent_state population::state_of(std::size_t agent) const {
   PPG_CHECK(agent < states_.size(), "agent index out of range");
   return states_[agent];

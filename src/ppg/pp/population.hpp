@@ -15,9 +15,6 @@ class population {
   /// `num_state_kinds`.
   population(std::vector<agent_state> states, std::size_t num_state_kinds);
 
-  /// Homogeneous population: everyone starts in `state`.
-  population(std::size_t n, agent_state state, std::size_t num_state_kinds);
-
   [[nodiscard]] std::size_t size() const { return states_.size(); }
   [[nodiscard]] std::size_t num_state_kinds() const { return counts_.size(); }
 

@@ -420,12 +420,25 @@ TEST(Kernel, PartnerKeyedCompiles) {
 
 TEST(Engines, MultibatchRequiresDistinctSampling) {
   const rumor_protocol proto;
-  const sim_spec spec(proto, population({1, 0, 0, 0}, 2),
+  const sim_spec spec(proto, std::vector<std::uint64_t>{3, 1},
                       pair_sampling::with_replacement);
   rng gen(5);
   EXPECT_THROW((void)spec.make_engine(engine_kind::multibatch, gen),
                invariant_error);
   EXPECT_NO_THROW((void)spec.make_engine(engine_kind::census, gen));
+}
+
+TEST(Engines, AgentEngineGroupsItsCensusByAscendingState) {
+  // The agent engine lays a census out as agents grouped by ascending
+  // state; its draws pick agents by index, so this layout fixes every
+  // agent-engine trajectory.
+  const approximate_majority_protocol proto;
+  const sim_spec spec(proto, std::vector<std::uint64_t>{2, 0, 3});
+  rng gen(7);
+  const auto engine = spec.make_engine(engine_kind::agent, gen);
+  const auto& agent = dynamic_cast<const simulation&>(*engine);
+  EXPECT_EQ(agent.agents().states(), (std::vector<agent_state>{0, 0, 2, 2, 2}));
+  EXPECT_EQ(agent.census().counts(), spec.initial_counts());
 }
 
 TEST(Engines, MakeEngineRejectsAKernelOfAnotherProtocol) {
@@ -453,8 +466,7 @@ TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
   const std::size_t k = 4;
   const auto pop = abg_population::from_fractions(240, 0.1, 0.25, 0.65);
   const igt_protocol proto(k);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k));
+  const sim_spec spec(proto, make_igt_census(pop, k, 0));
   const std::uint64_t steps = 40 * pop.n();  // parallel time 40
   const auto statistic = [&](const census_view& census) {
     const auto z = gtft_level_counts(census, k);
@@ -478,11 +490,11 @@ TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
 TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
   using amp = approximate_majority_protocol;
   const amp proto;
-  std::vector<agent_state> states;
-  states.insert(states.end(), 60, amp::state_x);
-  states.insert(states.end(), 40, amp::state_y);
-  states.insert(states.end(), 20, amp::state_blank);
-  const sim_spec spec(proto, population(std::move(states), 3));
+  std::vector<std::uint64_t> counts(3, 0);
+  counts[amp::state_x] = 60;
+  counts[amp::state_y] = 40;
+  counts[amp::state_blank] = 20;
+  const sim_spec spec(proto, counts);
   const std::uint64_t steps = 2 * 120;  // parallel time 2: mid-dynamics
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(census.count(amp::state_x)) -
@@ -501,9 +513,10 @@ TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
 
 TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(150, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  const sim_spec spec(proto, population(std::move(states), 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = 149;
+  counts[rumor_protocol::state_informed] = 1;
+  const sim_spec spec(proto, counts);
   const std::uint64_t steps = 3 * 150;  // parallel time 3: mid-spread
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(census.count(rumor_protocol::state_informed));
@@ -521,8 +534,9 @@ TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
 
 TEST(Engines, AgreeOnLeaderElectionAtFixedParallelTime) {
   const leader_election_protocol proto;
-  const sim_spec spec(
-      proto, population(150, leader_election_protocol::state_leader, 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[leader_election_protocol::state_leader] = 150;
+  const sim_spec spec(proto, counts);
   const std::uint64_t steps = 2 * 150;  // parallel time 2: mid-election
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(
@@ -576,9 +590,10 @@ TEST(Engines, ChiSquareCrossCheckDetectsDifferentLaws) {
   // Negative control for the helper: the same engine at different parallel
   // times follows different laws, which the test statistic must flag.
   const rumor_protocol proto;
-  std::vector<agent_state> states(150, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  const sim_spec spec(proto, population(std::move(states), 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = 149;
+  counts[rumor_protocol::state_informed] = 1;
+  const sim_spec spec(proto, counts);
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(census.count(rumor_protocol::state_informed));
   };
@@ -596,8 +611,7 @@ TEST(Engines, CensusEngineMatchesCountChainStationary) {
   const std::size_t k = 5;
   const auto pop = abg_population::from_fractions(200, 0.1, 0.25, 0.65);
   const igt_protocol proto(k);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k),
+  const sim_spec spec(proto, make_igt_census(pop, k, 0),
                       pair_sampling::with_replacement);
   const auto burn =
       static_cast<std::uint64_t>(igt_mixing_upper_bound(pop, k));
@@ -733,8 +747,7 @@ TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {
   // accounting and the census intact.
   const igt_protocol proto(3);
   const auto pop = abg_population::from_fractions(500, 0.2, 0.3, 0.5);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, 3, 0), 5));
+  const sim_spec spec(proto, make_igt_census(pop, 3, 0));
   rng gen(109);
   const auto engine = spec.make_engine(engine_kind::multibatch, gen);
   std::uint64_t done = 0;
@@ -864,8 +877,9 @@ TEST(Engines, MultibatchFrozenCensusBurnsTheBudget) {
   // All agents informed: every pair is an identity, non-identity mass 0,
   // so one skip batch takes each whole budget and no round is drawn.
   const rumor_protocol proto;
-  const sim_spec spec(proto,
-                      population(50, rumor_protocol::state_informed, 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_informed] = 50;
+  const sim_spec spec(proto, counts);
   rng gen(105);
   const auto engine = spec.make_engine(engine_kind::multibatch, gen);
   engine->run(5000);
@@ -926,9 +940,10 @@ TEST(Engines, MultibatchSkipBatchWaitIsOnePlusGeometricOfTheExactMass) {
 
 TEST(Engines, RunUntilConvergesOnEveryEngine) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(100, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  const sim_spec spec(proto, population(std::move(states), 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = 99;
+  counts[rumor_protocol::state_informed] = 1;
+  const sim_spec spec(proto, counts);
   for (const auto kind :
        {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
     rng gen(106);
@@ -944,8 +959,7 @@ TEST(Engines, RunUntilConvergesOnEveryEngine) {
 TEST(Engines, SnapshotCadenceIsUniformAcrossEngines) {
   const igt_protocol proto(3);
   const auto pop = abg_population::from_fractions(40, 0.2, 0.3, 0.5);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, 3, 0), 5));
+  const sim_spec spec(proto, make_igt_census(pop, 3, 0));
   for (const auto kind :
        {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
     rng gen(107);

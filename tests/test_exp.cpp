@@ -152,8 +152,7 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
   const auto pop = abg_population::from_fractions(60, 0.1, 0.2, 0.7);
   const std::size_t k = 4;
   const igt_protocol proto(k);
-  const sim_spec spec(proto, population(make_igt_population_states(pop, k, 0),
-                                        2 + k));
+  const sim_spec spec(proto, make_igt_census(pop, k, 0));
   const auto body = [&](const replica_context&, rng& gen) {
     const auto sim = spec.make_engine(engine_kind::agent, gen);
     sim->run(2000);
@@ -230,12 +229,12 @@ TEST(BatchRunner, RejectsEmptyBatch) {
   EXPECT_THROW(batch_runner({0, 0, 1}), invariant_error);
 }
 
-TEST(Aggregators, TrajectoryBand) {
-  trajectory_aggregator band;
+TEST(Aggregators, CensusAggregatorAveragesEachCoordinate) {
+  census_aggregator band;
   band.add({0.0, 1.0, 2.0});
   band.add({2.0, 3.0, 4.0});
-  ASSERT_EQ(band.points(), 3u);
-  const auto mean = band.mean_curve();
+  ASSERT_EQ(band.dimensions(), 3u);
+  const auto mean = band.mean();
   EXPECT_DOUBLE_EQ(mean[0], 1.0);
   EXPECT_DOUBLE_EQ(mean[1], 2.0);
   EXPECT_DOUBLE_EQ(mean[2], 3.0);
@@ -246,8 +245,7 @@ TEST(SimSpec, ReplicasStartFromIdenticalInitialCondition) {
   const auto pop = abg_population::from_fractions(40, 0.1, 0.2, 0.7);
   const std::size_t k = 3;
   const igt_protocol proto(k);
-  const sim_spec spec(proto, population(make_igt_population_states(pop, k, 1),
-                                        2 + k));
+  const sim_spec spec(proto, make_igt_census(pop, k, 1));
   rng gen_a(1);
   rng gen_b(2);
   const auto first = spec.make_engine(engine_kind::agent, gen_a);
@@ -265,8 +263,7 @@ TEST(SimSpec, MakeEngineDoesNotShareTheCallersStream) {
   const auto pop = abg_population::from_fractions(40, 0.1, 0.2, 0.7);
   const std::size_t k = 3;
   const igt_protocol proto(k);
-  const sim_spec spec(proto, population(make_igt_population_states(pop, k, 0),
-                                        2 + k));
+  const sim_spec spec(proto, make_igt_census(pop, k, 0));
   // Two simulations drawn from one generator must follow different
   // trajectories, and the caller's generator must have advanced.
   rng gen(9);

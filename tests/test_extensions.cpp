@@ -61,15 +61,16 @@ TEST(TwoWayIgt, SameStationaryCensusAsOneWay) {
   for (const auto discipline :
        {revision_discipline::one_way, revision_discipline::two_way}) {
     const igt_protocol proto(k, discipline);
-    simulation sim(proto,
-                   population(make_igt_population_states(pop, k, 0), 2 + k),
-                   rng(704), pair_sampling::with_replacement);
-    sim.run(300'000);
+    const sim_spec spec(proto, make_igt_census(pop, k, 0),
+                        pair_sampling::with_replacement);
+    rng gen(704);
+    const auto sim = spec.make_engine(engine_kind::agent, gen);
+    sim->run(300'000);
     std::vector<double> occupancy(k, 0.0);
     const std::uint64_t samples = 400'000;
     for (std::uint64_t i = 0; i < samples; ++i) {
-      sim.step();
-      const auto census = gtft_level_counts(sim.agents(), k);
+      sim->step();
+      const auto census = gtft_level_counts(sim->census(), k);
       for (std::size_t j = 0; j < k; ++j) {
         occupancy[j] += static_cast<double>(census[j]);
       }
@@ -98,13 +99,14 @@ TEST(TwoWayIgt, ConvergesFasterThanOneWay) {
 
   auto hitting = [&](revision_discipline discipline, std::uint64_t seed) {
     const igt_protocol proto(k, discipline);
-    simulation sim(proto,
-                   population(make_igt_population_states(pop, k, 0), 2 + k),
-                   rng(seed), pair_sampling::with_replacement);
+    const sim_spec spec(proto, make_igt_census(pop, k, 0),
+                        pair_sampling::with_replacement);
+    rng gen(seed);
+    const auto sim = spec.make_engine(engine_kind::agent, gen);
     for (std::uint64_t t = 1; t <= 50'000'000; ++t) {
-      sim.step();
+      sim->step();
       if (t % 32 != 0) continue;
-      const auto census = gtft_level_counts(sim.agents(), k);
+      const auto census = gtft_level_counts(sim->census(), k);
       double mean_level = 0.0;
       for (std::size_t j = 0; j < k; ++j) {
         mean_level +=

@@ -130,9 +130,7 @@ TEST(FailureInjection, ChiSquareRejectsEmptyAndMismatchedInput) {
 TEST(FailureInjection, CorruptCensusLevelsRejected) {
   const abg_population pop{1, 1, 2};
   // Level 9 does not exist for k = 4.
-  EXPECT_THROW((void)make_igt_population_states(
-                   pop, 4, std::vector<std::uint32_t>{0, 9}),
-               invariant_error);
+  EXPECT_THROW((void)make_igt_census(pop, 4, 9), invariant_error);
 }
 
 // --- deterministic fault plans (ppg-serve durability layer) ----------------

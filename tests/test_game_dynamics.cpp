@@ -631,10 +631,8 @@ TEST(IgtCompilation, BitwiseIdenticalToTheLegacyImplementation) {
     // ...and shared-seed trajectories are bitwise equal on the agent and
     // census engines (compared censuswise at every checkpoint).
     const auto pop = abg_population::from_fractions(90, 0.2, 0.3, 0.5);
-    const sim_spec spec_compiled(
-        compiled, population(make_igt_population_states(pop, k, 1), 2 + k));
-    const sim_spec spec_legacy(
-        legacy, population(make_igt_population_states(pop, k, 1), 2 + k));
+    const sim_spec spec_compiled(compiled, make_igt_census(pop, k, 1));
+    const sim_spec spec_legacy(legacy, make_igt_census(pop, k, 1));
     for (const auto kind : {engine_kind::agent, engine_kind::census}) {
       rng gen_a(2024);
       rng gen_b(2024);

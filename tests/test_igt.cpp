@@ -2,6 +2,7 @@
 // population construction and the count-chain reduction (equation (5)).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "ppg/core/igt_count_chain.hpp"
@@ -125,26 +126,20 @@ TEST(AbgPopulation, EhrenfestReduction) {
   EXPECT_NEAR(params.lambda(), pop.lambda(), 1e-12);
 }
 
-TEST(IgtPopulationStates, LayoutAndCensus) {
+TEST(IgtCensus, AcAdAndEveryGtftAgentAtOneLevel) {
   const abg_population pop{2, 3, 4};
-  const auto states = make_igt_population_states(pop, 5, 2);
-  ASSERT_EQ(states.size(), 9u);
-  const population agents(states, 2 + 5);
-  EXPECT_EQ(agents.counts()[igt_encoding::ac], 2u);
-  EXPECT_EQ(agents.counts()[igt_encoding::ad], 3u);
-  const auto census = gtft_level_counts(agents, 5);
-  EXPECT_EQ(census[2], 4u);
-  EXPECT_EQ(std::accumulate(census.begin(), census.end(), std::uint64_t{0}),
-            4u);
+  const auto counts = make_igt_census(pop, 5, 2);
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{2, 3, 0, 0, 4, 0, 0}));
+  const census_view census(counts, pop.n());
+  EXPECT_EQ(gtft_level_counts(census, 5),
+            (std::vector<std::uint64_t>{0, 0, 4, 0, 0}));
 }
 
-TEST(IgtPopulationStates, ExplicitLevels) {
-  const abg_population pop{1, 1, 3};
-  const auto states = make_igt_population_states(
-      pop, 4, std::vector<std::uint32_t>{0, 1, 3});
-  const population agents(states, 6);
-  const auto census = gtft_level_counts(agents, 4);
-  EXPECT_EQ(census, (std::vector<std::uint64_t>{1, 1, 0, 1}));
+TEST(IgtCensus, RejectsALevelAtOrPastK) {
+  const abg_population pop{2, 3, 4};
+  EXPECT_NO_THROW((void)make_igt_census(pop, 5, 4));
+  EXPECT_THROW((void)make_igt_census(pop, 5, 5), invariant_error);
+  EXPECT_THROW((void)make_igt_census(pop, 1, 0), invariant_error);
 }
 
 TEST(IgtCountChain, PreservesGtftCount) {
@@ -192,18 +187,18 @@ TEST(IgtReduction, AgentLevelTransitionFrequenciesMatchEquation5) {
   const abg_population pop{30, 20, 50};
   const igt_protocol proto(k);
   // Freeze the census at a known state: all GTFT at level 1 (middle).
-  const auto states = make_igt_population_states(pop, k, 1);
-  rng gen(607);
   // Use with-replacement sampling to match (5) exactly.
+  const sim_spec spec(proto, make_igt_census(pop, k, 1),
+                      pair_sampling::with_replacement);
+  const auto kernel = std::make_shared<const kernel_table>(proto);
+  rng gen(607);
   constexpr int trials = 400000;
   int up_moves = 0;
   int down_moves = 0;
   for (int i = 0; i < trials; ++i) {
-    population agents(states, 2 + k);
-    simulation sim(proto, std::move(agents), gen.split(),
-                   pair_sampling::with_replacement);
-    sim.step();
-    const auto census = gtft_level_counts(sim.agents(), k);
+    const auto sim = spec.make_engine(engine_kind::agent, gen, kernel);
+    sim->step();
+    const auto census = gtft_level_counts(sim->census(), k);
     if (census[2] == 1) ++up_moves;
     if (census[0] == 1) ++down_moves;
   }

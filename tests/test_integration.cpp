@@ -29,14 +29,15 @@ std::vector<double> simulate_agent_occupancy(const abg_population& pop,
                                              std::uint64_t samples,
                                              std::uint64_t seed) {
   const igt_protocol proto(k);
-  simulation sim(proto,
-                 population(make_igt_population_states(pop, k, 0), 2 + k),
-                 rng(seed), pair_sampling::with_replacement);
-  sim.run(burn);
+  const sim_spec spec(proto, make_igt_census(pop, k, 0),
+                      pair_sampling::with_replacement);
+  rng gen(seed);
+  const auto sim = spec.make_engine(engine_kind::agent, gen);
+  sim->run(burn);
   std::vector<double> occupancy(k, 0.0);
   for (std::uint64_t i = 0; i < samples; ++i) {
-    sim.step();
-    const auto census = gtft_level_counts(sim.agents(), k);
+    sim->step();
+    const auto census = gtft_level_counts(sim->census(), k);
     for (std::size_t j = 0; j < k; ++j) {
       occupancy[j] += static_cast<double>(census[j]);
     }

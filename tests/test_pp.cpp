@@ -33,7 +33,7 @@ TEST(Population, SelfAssignmentIsNoop) {
 
 TEST(Population, FractionsSumToOne) {
   const population pop({0, 1, 1, 1}, 2);
-  const auto f = census_view(pop).fractions();
+  const auto f = census_view(pop.counts(), pop.size()).fractions();
   EXPECT_DOUBLE_EQ(f[0], 0.25);
   EXPECT_DOUBLE_EQ(f[1], 0.75);
 }
@@ -164,7 +164,7 @@ TEST(Population, ApplyInteractionDebugChecksBounds) {
 
 TEST(CensusView, ViewsPopulationCounts) {
   const population pop({0, 1, 1, 2, 2, 2}, 3);
-  const census_view view(pop);
+  const census_view view(pop.counts(), pop.size());
   EXPECT_EQ(view.population_size(), 6u);
   EXPECT_EQ(view.num_state_kinds(), 3u);
   EXPECT_EQ(view.count(2), 3u);

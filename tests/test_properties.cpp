@@ -1,20 +1,17 @@
 // Randomized property tests: invariants that must hold for *arbitrary*
 // valid inputs, exercised over seeded random sweeps. Complements the
 // example-based suites with broad-spectrum checks on the payoff engine, the
-// Ehrenfest machinery, the equilibrium gap, and the trace recorder.
+// Ehrenfest machinery and the equilibrium gap.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "ppg/core/equilibrium.hpp"
 #include "ppg/ehrenfest/exact_chain.hpp"
 #include "ppg/ehrenfest/stationary.hpp"
 #include "ppg/games/exact_payoff.hpp"
 #include "ppg/markov/stationary.hpp"
-#include "ppg/pp/engine.hpp"
-#include "ppg/pp/trace.hpp"
 #include "ppg/stats/empirical.hpp"
 #include "ppg/util/rng.hpp"
 
@@ -158,46 +155,6 @@ TEST_P(RandomMuSweep, EquilibriumGapInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMuSweep,
                          ::testing::Range<std::uint64_t>(3000, 3020));
-
-TEST(CensusRecorder, RecordsAndWritesCsv) {
-  census_recorder recorder({"X", "Y"});
-  recorder.record(10, 5, {3, 2});
-  recorder.record(20, 5, {1, 4});
-  EXPECT_EQ(recorder.row_count(), 2u);
-  EXPECT_DOUBLE_EQ(recorder.rows()[0].parallel_time, 2.0);
-  std::ostringstream out;
-  recorder.write_csv(out);
-  EXPECT_EQ(out.str(),
-            "interactions,parallel_time,X,Y\n10,2,3,2\n20,4,1,4\n");
-}
-
-TEST(CensusRecorder, RecordsFromSimulation) {
-  class id_protocol final : public protocol {
-   public:
-    [[nodiscard]] std::size_t num_states() const override { return 2; }
-    [[nodiscard]] std::vector<outcome> outcome_distribution(
-        agent_state a, agent_state b) const override {
-      return {{a, b, 1.0}};
-    }
-  };
-  const id_protocol proto;
-  simulation sim(proto, population({0, 1, 1}, 2), rng(5));
-  census_recorder recorder({"s0", "s1"});
-  recorder.record(sim);
-  sim.run(3);
-  recorder.record(sim);
-  ASSERT_EQ(recorder.row_count(), 2u);
-  EXPECT_EQ(recorder.rows()[1].interactions, 3u);
-  EXPECT_EQ(recorder.rows()[1].counts[1], 2u);
-}
-
-TEST(CensusRecorder, Validation) {
-  EXPECT_THROW(census_recorder({}), invariant_error);
-  EXPECT_THROW(census_recorder({"a,b"}), invariant_error);
-  census_recorder recorder({"a"});
-  EXPECT_THROW(recorder.record(1, 0, {1}), invariant_error);
-  EXPECT_THROW(recorder.record(1, 5, {1, 2}), invariant_error);
-}
 
 }  // namespace
 }  // namespace ppg

@@ -50,7 +50,7 @@ TEST(ApproximateMajority, ReachesConsensus) {
   const auto steps = sim.run_until(approximate_majority_protocol::has_consensus,
                                    2'000'000);
   ASSERT_LT(steps, 2'000'000u);
-  EXPECT_TRUE(approximate_majority_protocol::has_consensus(sim.agents()));
+  EXPECT_TRUE(approximate_majority_protocol::has_consensus(sim.census()));
 }
 
 TEST(ApproximateMajority, LargeInitialGapElectsMajority) {
@@ -113,10 +113,9 @@ TEST(LeaderElection, TransitionTable) {
 
 TEST(LeaderElection, AlwaysElectsExactlyOneLeader) {
   const leader_election_protocol proto;
-  const std::size_t n = 100;
-  simulation sim(proto,
-                 population(n, leader_election_protocol::state_leader, 2),
-                 rng(506));
+  const std::vector<agent_state> all_leaders(
+      100, leader_election_protocol::state_leader);
+  simulation sim(proto, population(all_leaders, 2), rng(506));
   const auto steps = sim.run_until(
       leader_election_protocol::has_unique_leader, 100'000'000);
   ASSERT_LT(steps, 100'000'000u);
@@ -125,9 +124,9 @@ TEST(LeaderElection, AlwaysElectsExactlyOneLeader) {
 
 TEST(LeaderElection, LeaderCountIsMonotoneNonIncreasing) {
   const leader_election_protocol proto;
-  simulation sim(proto,
-                 population(50, leader_election_protocol::state_leader, 2),
-                 rng(507));
+  const std::vector<agent_state> all_leaders(
+      50, leader_election_protocol::state_leader);
+  simulation sim(proto, population(all_leaders, 2), rng(507));
   std::uint64_t previous = 50;
   for (int i = 0; i < 2000; ++i) {
     sim.step();
@@ -144,11 +143,12 @@ TEST(LeaderElection, ExpectedQuadraticTimeScale) {
   // (sum over pair meet times); check a small n completes within ~8 n^2 on
   // average.
   const std::size_t n = 60;
+  const std::vector<agent_state> all_leaders(
+      n, leader_election_protocol::state_leader);
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const leader_election_protocol proto;
-    simulation sim(proto,
-                   population(n, leader_election_protocol::state_leader, 2),
+    simulation sim(proto, population(all_leaders, 2),
                    rng(508 + static_cast<std::uint64_t>(t)));
     const auto steps = sim.run_until(
         leader_election_protocol::has_unique_leader, 100'000'000);
@@ -179,7 +179,7 @@ TEST(Rumor, SpreadsToEveryone) {
   simulation sim(proto, population(std::move(states), 2), rng(510));
   const auto steps = sim.run_until(rumor_protocol::all_informed, 10'000'000);
   ASSERT_LT(steps, 10'000'000u);
-  EXPECT_TRUE(rumor_protocol::all_informed(sim.agents()));
+  EXPECT_TRUE(rumor_protocol::all_informed(sim.census()));
 }
 
 TEST(Rumor, CompletionIsNLogNScale) {

@@ -477,9 +477,11 @@ scenario_result run_micro(const scenario_context& ctx) {
     // variance 256 (sd 15.96 and 16.04), a hawk-dove outcome cell,
     // conditional binomials of a q = 8 logit partner law (n 790, inversion
     // at means 2, 5, 9 and 13, BTRS at 15: the two sides of the cutover at
-    // 14), and one of mean 20. Each row is the median of three timings
-    // taken in round-robin passes over all rows, so a slow stretch of the
-    // host lands in one pass of every row rather than in all of one row.
+    // 14), one of mean 20, and the multibatch engine's birthday draw at
+    // n = 10^6 and 10^8, with the build of its n = 10^8 table (in us). Each
+    // row is the median of three timings taken in round-robin passes over
+    // all rows, so a slow stretch of the host lands in one pass of every
+    // row rather than in all of one row.
     const double call_seconds = ctx.pick(0.1, 0.01);
     constexpr int passes = 3;
     auto& sampler_table =
@@ -536,18 +538,31 @@ scenario_result run_micro(const scenario_context& ctx) {
     }
     add_sampler("binomial_mean20", "n 2000 p 0.01",
                 [&gen] { return sample_binomial(2000, 0.01, gen); });
+    const collision_run_sampler birthday_1e6(1'000'000);
+    const collision_run_sampler birthday_1e8(100'000'000);
+    add_sampler("birthday_n1e6", "n 10^6",
+                [&gen, &birthday_1e6] { return birthday_1e6.sample(gen); });
+    add_sampler("birthday_n1e8", "n 10^8",
+                [&gen, &birthday_1e8] { return birthday_1e8.sample(gen); });
+    const auto build_table = [&sink] {
+      const collision_run_sampler built(100'000'000);
+      sink += built.survival().size();
+    };
+    std::vector<double> table_us;
     const double items = static_cast<double>(chunk);
     const double seconds = call_seconds / passes;
     for (int pass = 0; pass < passes; ++pass) {
       for (auto& row : rows) {
         row.ns.push_back(1e9 / measure_rate(row.run_chunk, items, seconds));
       }
+      table_us.push_back(1e6 / measure_rate(build_table, 1.0, seconds));
     }
     for (const auto& row : rows) {
       const double ns = lower_quantile(row.ns, 0.5);
       result.metric("sampler_ns_" + row.name, ns);
       sampler_table.add_row({row.name, row.parameters, format_metric(ns, 4)});
     }
+    result.metric("birthday_table_us_n1e8", lower_quantile(table_us, 0.5));
     result.param("sampler_sink", sink > 0);
   }
 
@@ -556,7 +571,9 @@ scenario_result run_micro(const scenario_context& ctx) {
       "machines\nvary run to run). Samplers: a binomial costs ~1/3 of a "
       "hypergeometric. BTRS\nand, from variance 256 on, HRUA do not grow "
       "with the standard deviation;\nbelow 256 HRUA walks its acceptance "
-      "ratio from the mode, ~1.2 sd steps a\ncandidate.");
+      "ratio from the mode, ~1.2 sd steps a\ncandidate. A birthday draw is "
+      "a guide lookup and a search of ~2 survival\nentries, flat in n; its "
+      "table build is linear in sqrt(n).");
   return result;
 }
 

@@ -14,8 +14,8 @@ multibatch_engine::multibatch_engine(
     std::vector<std::uint64_t> initial_counts, rng gen)
     : census_level_engine(std::move(kernel), std::move(initial_counts), gen),
       birthday_(n_) {
-  // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
-  PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
+  // birthday_ caps n at 3e9 before it allocates, which also keeps the
+  // collision-category weights (t*u etc.) from overflowing: n^2 < 2^63.
   // Beyond its MVH samples (one q-way MVH of all 2J agents on a two-way
   // partner-keyed kernel; otherwise an initiator MVH and a responder MVH,
   // q-way, or C-way when the responders are drawn by class), an aggregate

@@ -18,8 +18,9 @@
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
 //     P(J > j) = prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)), drawn by inversion
-//     over a log-survival table built once per population size
-//     (stats/discrete_sampling's collision_run_sampler);
+//     of one uniform over a survival table and its bucket guide, both
+//     built once per population size (stats/discrete_sampling's
+//     collision_run_sampler);
 //  2. the initiator census A and the responder census B of those J
 //     interactions are drawn as multivariate hypergeometrics over the
 //     untouched census (initiator sample, then responder sample — any
@@ -275,8 +276,8 @@ class multibatch_engine final : public census_level_engine {
   /// Collision-free interactions of the current round not yet applied; when
   /// it reaches 0 mid-round, the next interaction collides.
   std::uint64_t pending_free_ = 0;
-  /// The birthday law's log-survival table: one O(sqrt(n)) table shared by
-  /// every round of the trajectory.
+  /// The birthday law's survival table and guide: O(sqrt(n)) entries
+  /// shared by every round of the trajectory.
   collision_run_sampler birthday_;
   std::uint64_t aggregate_threshold_;
   std::uint64_t skip_batches_ = 0;

@@ -304,47 +304,67 @@ void sample_multinomial(std::uint64_t m, const double* probs,
 
 collision_run_sampler::collision_run_sampler(std::uint64_t n) : n_(n) {
   PPG_CHECK(n >= 2, "the birthday law needs at least two agents");
+  PPG_CHECK(n <= 3'000'000'000ull, "the birthday law caps n at 3e9");
   // Tabulate until the survival falls below every level a positive
-  // next_double() can produce: the smallest positive 53-bit uniform is
-  // 2^-53, log = -36.74, so entries below -38 are unreachable by inversion.
-  constexpr double log_cutoff = -38.0;
-  const double log_pairs = std::log(static_cast<double>(n)) +
-                           std::log(static_cast<double>(n - 1));
+  // next_double() can produce (2^-53): inversion never selects such an
+  // entry, and the first one bounds every search. S(j) ~ exp(-2 j^2 / n),
+  // so that takes ~sqrt(18.4 n) entries.
+  constexpr double cutoff = 0x1.0p-53;
   const std::uint64_t support_max = n / 2;
-  log_survival_.reserve(static_cast<std::size_t>(std::min<double>(
+  const std::uint64_t pairs = n * (n - 1);
+  const double pairs_d = static_cast<double>(pairs);
+  survival_.reserve(static_cast<std::size_t>(std::min<double>(
       static_cast<double>(support_max) + 1.0,
-      std::sqrt(19.5 * static_cast<double>(n)) + 16.0)));
-  double ls = 0.0;
-  log_survival_.push_back(ls);
+      std::sqrt(18.5 * static_cast<double>(n)) + 16.0)));
+  survival_.push_back(1.0);
+  double s = 1.0;
   for (std::uint64_t j = 0; j < support_max; ++j) {
-    ls += std::log(static_cast<double>(n - 2 * j)) +
-          std::log(static_cast<double>(n - 2 * j - 1)) - log_pairs;
-    log_survival_.push_back(ls);
-    if (ls < log_cutoff) break;
+    // Each factor as 1 - lost / pairs, lost = n(n-1) - fresh(fresh-1) <
+    // 4jn exact in a double, so the factor rounds about once. Rounding
+    // fresh(fresh-1) to a double instead left the table 1.3e-11 off at
+    // n = 3e9 (2.4e-14 this way).
+    const std::uint64_t fresh = n - 2 * j;
+    const std::uint64_t lost = pairs - fresh * (fresh - 1);
+    s *= 1.0 - static_cast<double>(lost) / pairs_d;
+    survival_.push_back(s);
+    if (s < cutoff) break;
   }
+  // guide[b] = max{j : S(j) G >= b}, with S(j) G rounded exactly as
+  // invert() rounds u G: both sides of the bracket then hold by the
+  // monotonicity of rounding, whatever u falls near a bucket edge.
+  const std::size_t buckets = std::max<std::size_t>(1, survival_.size() / 4);
+  buckets_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::size_t last = survival_.size() - 1;
+  for (std::size_t b = 0; b <= buckets; ++b) {
+    while (survival_[last] * buckets_ < static_cast<double>(b)) --last;
+    guide_[b] = static_cast<std::uint32_t>(last);
+  }
+}
+
+std::uint64_t collision_run_sampler::invert(double u) const {
+  // With b = floor(u G): S(j) G >= b + 1 implies S(j) > u, and S(j) >= u
+  // implies S(j) G >= b, so the answer lies in [guide[b+1], guide[b]].
+  // u < 1 keeps b + 1 <= G.
+  PPG_DCHECK(u < 1.0, "the birthday inversion needs u < 1");
+  const auto b = static_cast<std::size_t>(u * buckets_);
+  std::size_t lo = guide_[b + 1];
+  std::size_t hi = guide_[b];
+  while (lo < hi) {
+    const std::size_t mid = hi - (hi - lo) / 2;
+    if (survival_[mid] >= u) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
 }
 
 std::uint64_t collision_run_sampler::sample(rng& gen) const {
   double u = gen.next_double();
   while (u <= 0.0) u = gen.next_double();
-  const double log_u = std::log(u);
-  // Largest tabulated j with log S(j) >= log u. Entry 0 is log 1 = 0 >
-  // log u, and the table's tail is either below every reachable log u or
-  // the end of the support (the pool holds at most n/2 disjoint pairs).
-  std::size_t lo = 0;
-  std::size_t hi = log_survival_.size() - 1;
-  if (log_survival_[hi] >= log_u) {
-    return std::max<std::uint64_t>(hi, 1);
-  }
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (log_survival_[mid] >= log_u) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::max<std::uint64_t>(lo, 1);
+  return invert(u);
 }
 
 }  // namespace ppg

@@ -66,33 +66,44 @@ void sample_multinomial(std::uint64_t m, const double* probs,
 /// replacement, from a pool of n agents before the first pair that would
 /// re-use an agent, P(J > j) = prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)).
 ///
-/// The log-survival curve is tabulated once per population size by the
-/// incremental recurrence log S(j+1) = log S(j) + log(n-2j) + log(n-2j-1)
-/// - log(n(n-1)) — O(sqrt(n)) entries, because the curve falls below the
-/// finest level a 53-bit uniform can resolve after ~sqrt(19 n) pairs — so
-/// each draw is one uniform plus a binary search with no lgamma calls
-/// (previously ~2 lgammas per probe, the dominant per-round cost on dense
-/// low-q games). The table depends only on n: a multibatch engine builds it
-/// once and reuses it for every round of its trajectory.
+/// The survival S(j) = P(J > j) is tabulated once per population size as
+/// that running product, one division and one multiply an entry and no
+/// transcendental call, until it falls below 2^-53, the smallest positive
+/// uniform: O(sqrt(n)) entries (~sqrt(18.4 n)). A guide of ~1/4 as many
+/// uint32 buckets, guide[b] = max{j : S(j) G >= b} over G buckets of
+/// (0, 1), brackets the inversion max{j : S(j) >= U}, so a draw is one
+/// uniform, one multiply and a search over [guide[b+1], guide[b]], b =
+/// floor(U G): ~2 entries on average, the whole tail only for U < 1/G.
+/// The tables depend only on n: a multibatch engine builds them once and
+/// reuses them for every round of its trajectory. Requires 2 <= n <= 3e9,
+/// so n(n-1) is exact in 64 bits; the cap is checked before anything is
+/// allocated.
 class collision_run_sampler {
  public:
   explicit collision_run_sampler(std::uint64_t n);
 
   [[nodiscard]] std::uint64_t population_size() const { return n_; }
 
-  /// Draws J by inversion: max{j : S(j) >= U} for one positive uniform U,
-  /// clamped to >= 1 (S(1) = 1 exactly — the first pair of a round cannot
-  /// collide — so the clamp only guards log-domain rounding).
+  /// Draws J = invert(U) for one positive uniform U. J >= 1: S(1) = 1
+  /// exactly, since the first pair of a round cannot collide.
   [[nodiscard]] std::uint64_t sample(rng& gen) const;
 
-  /// Tabulated log P(J > j); exposed for the law tests.
-  [[nodiscard]] const std::vector<double>& log_survival() const {
-    return log_survival_;
+  /// max{j : S(j) >= u} over the table, for u in (0, 1).
+  [[nodiscard]] std::uint64_t invert(double u) const;
+
+  /// Tabulated P(J > j), index j = 0..j_max; exposed for the law tests.
+  [[nodiscard]] const std::vector<double>& survival() const {
+    return survival_;
   }
+
+  /// The guide's bucket count G; exposed for the guide-edge tests.
+  [[nodiscard]] std::size_t guide_buckets() const { return guide_.size() - 1; }
 
  private:
   std::uint64_t n_;
-  std::vector<double> log_survival_;  ///< index j = 0..j_max
+  std::vector<double> survival_;
+  std::vector<std::uint32_t> guide_;  ///< index b = 0..G
+  double buckets_ = 1.0;              ///< G as a double
 };
 
 }  // namespace ppg

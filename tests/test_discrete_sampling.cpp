@@ -429,28 +429,114 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
   EXPECT_EQ(draw_all(rng(777)), draw_all(rng(777)));
 }
 
+/// P(J > j) for j = 0.. by the birthday product in long double, until it
+/// falls below 2^-80 or the support ends: an oracle independent of the
+/// sampler's double-precision table.
+std::vector<long double> reference_survival(std::uint64_t n) {
+  const long double pairs =
+      static_cast<long double>(n) * static_cast<long double>(n - 1);
+  std::vector<long double> s = {1.0L};
+  for (std::uint64_t j = 0; j < n / 2 && s.back() > 0x1.0p-80L; ++j) {
+    const auto fresh = static_cast<long double>(n - 2 * j);
+    s.push_back(s.back() * (fresh * (fresh - 1.0L) / pairs));
+  }
+  return s;
+}
+
 TEST(DiscreteSampling, CollisionRunSamplerTableMatchesTheBirthdayLaw) {
-  // log S(j) = log n! - log (n-2j)! - j log(n(n-1)), computed directly via
-  // lgamma, must match the incremental table within accumulated rounding.
-  for (const std::uint64_t n : {2ull, 10ull, 1000ull, 123'456ull}) {
+  // Every entry within 1e-12 relative of the long-double product, up to
+  // the 3e9 cap; the table ends at the support's end or at its first entry
+  // below 2^-53, the smallest positive uniform.
+  for (const std::uint64_t n : {2ull, 10ull, 1000ull, 123'456ull,
+                                100'000'000ull, 3'000'000'000ull}) {
     const collision_run_sampler sampler(n);
     EXPECT_EQ(sampler.population_size(), n);
-    const auto& table = sampler.log_survival();
+    const auto& table = sampler.survival();
+    const auto reference = reference_survival(n);
     ASSERT_GE(table.size(), 2u);
-    EXPECT_EQ(table[0], 0.0);
-    EXPECT_EQ(table[1], 0.0);  // S(1) = 1: the first pair cannot collide
-    const double lg_n1 = std::lgamma(static_cast<double>(n) + 1.0);
-    const double log_pairs = std::log(static_cast<double>(n)) +
-                             std::log(static_cast<double>(n - 1));
+    ASSERT_LE(table.size(), reference.size());
+    EXPECT_EQ(table[0], 1.0);
+    EXPECT_EQ(table[1], 1.0);  // S(1) = 1: the first pair cannot collide
+    double worst = 0.0;
     for (std::size_t j = 0; j < table.size(); ++j) {
-      const double direct =
-          lg_n1 - std::lgamma(static_cast<double>(n - 2 * j) + 1.0) -
-          static_cast<double>(j) * log_pairs;
-      EXPECT_NEAR(table[j], direct, 1e-7) << "n=" << n << " j=" << j;
+      const long double error =
+          (static_cast<long double>(table[j]) - reference[j]) / reference[j];
+      worst = std::max(worst, static_cast<double>(std::fabs(error)));
     }
-    // The table covers the support or reaches below every level a 53-bit
-    // uniform can ask for (log 2^-53 ~ -36.74).
-    EXPECT_TRUE(table.size() == n / 2 + 1 || table.back() < -36.8);
+    EXPECT_LE(worst, 1e-12) << "n=" << n;
+    constexpr double smallest_uniform = 0x1.0p-53;
+    if (table.size() != n / 2 + 1) {
+      EXPECT_LT(table.back(), smallest_uniform) << "n=" << n;
+      EXPECT_GE(table[table.size() - 2], smallest_uniform) << "n=" << n;
+    }
+  }
+}
+
+TEST(DiscreteSampling, CollisionRunSamplerCapsNBeforeAllocating) {
+  // n(n-1) must be exact in 64 bits; the check runs before the O(sqrt(n))
+  // table is reserved.
+  EXPECT_THROW(collision_run_sampler(3'000'000'001ull), invariant_error);
+  EXPECT_THROW(collision_run_sampler(1'000'000'000'000'000ull),
+               invariant_error);
+  EXPECT_THROW(collision_run_sampler(1), invariant_error);
+  EXPECT_EQ(collision_run_sampler(3'000'000'000ull).population_size(),
+            3'000'000'000ull);
+}
+
+TEST(DiscreteSampling, CollisionRunSamplerGuideEdgesMatchALinearScan) {
+  // invert(u) = max{j : S(j) >= u} at every bucket edge u = b/G, at every
+  // table entry, and at their floating-point neighbours: exactly the
+  // values where a bracket one bucket off, or a strict comparison, would
+  // answer differently. The reference sweeps the table once over the
+  // probes in decreasing order.
+  for (const std::uint64_t n :
+       {2ull, 3ull, 10ull, 10'000ull, 100'000'000ull}) {
+    const collision_run_sampler sampler(n);
+    const auto& table = sampler.survival();
+    const auto buckets = static_cast<double>(sampler.guide_buckets());
+    std::vector<double> probes = {std::nextafter(0.0, 1.0),
+                                  std::nextafter(1.0, 0.0)};
+    const auto add_around = [&probes](double u) {
+      for (const double v :
+           {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+        if (v > 0.0 && v < 1.0) probes.push_back(v);
+      }
+    };
+    for (std::size_t b = 1; b < sampler.guide_buckets(); ++b) {
+      add_around(static_cast<double>(b) / buckets);
+    }
+    for (const double s : table) add_around(s);
+    std::sort(probes.begin(), probes.end(), std::greater<>());
+    std::size_t j = 0;
+    for (const double u : probes) {
+      while (j + 1 < table.size() && table[j + 1] >= u) ++j;
+      ASSERT_EQ(sampler.invert(u), j) << "n=" << n << " u=" << u;
+    }
+  }
+}
+
+TEST(DiscreteSampling, CollisionRunSamplerChiSquareAgainstTheBirthdayLaw) {
+  // 10^6 draws against P(J = j) = S(j) - S(j+1) from the long-double
+  // product, the mass past its end in one last cell; cells below 5
+  // expected draws are pooled.
+  for (const std::uint64_t n : {10'000ull, 100'000'000ull}) {
+    const collision_run_sampler sampler(n);
+    const auto survival = reference_survival(n);
+    std::vector<double> expected(survival.size() + 1, 0.0);
+    for (std::size_t j = 0; j + 1 < survival.size(); ++j) {
+      expected[j] = static_cast<double>(survival[j] - survival[j + 1]);
+    }
+    expected[survival.size() - 1] = static_cast<double>(survival.back());
+    std::vector<std::uint64_t> observed(expected.size(), 0);
+    rng gen(65 + n);
+    constexpr int trials = 1'000'000;
+    for (int t = 0; t < trials; ++t) {
+      const std::uint64_t j = sampler.sample(gen);
+      ASSERT_GE(j, 1u);
+      ASSERT_LE(j, n / 2);
+      ++observed[std::min<std::size_t>(j, expected.size() - 1)];
+    }
+    EXPECT_GT(chi_square_gof(observed, expected).p_value, 1e-4) << "n=" << n;
   }
 }
 
@@ -459,7 +545,7 @@ TEST(DiscreteSampling, CollisionRunSamplerMomentsAndSupport) {
   const collision_run_sampler sampler(n);
   // E[J] = sum_j P(J > j), computable from the tabulated survival.
   double expected = 0.0;
-  for (const double ls : sampler.log_survival()) expected += std::exp(ls);
+  for (const double s : sampler.survival()) expected += s;
   rng gen(66);
   running_summary s;
   constexpr int trials = 20000;

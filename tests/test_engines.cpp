@@ -428,6 +428,17 @@ TEST(Engines, MultibatchRequiresDistinctSampling) {
   EXPECT_NO_THROW((void)spec.make_engine(engine_kind::census, gen));
 }
 
+TEST(Engines, MultibatchCapsNAt3e9) {
+  // make_engine rejects n above 3e9; the birthday sampler's constructor
+  // checks it before it reserves its O(sqrt(n)) table.
+  const rumor_protocol proto;
+  const sim_spec spec(
+      proto, std::vector<std::uint64_t>{1'500'000'000, 1'500'000'001});
+  rng gen(5);
+  EXPECT_THROW((void)spec.make_engine(engine_kind::multibatch, gen),
+               invariant_error);
+}
+
 TEST(Engines, AgentEngineGroupsItsCensusByAscendingState) {
   // The agent engine lays a census out as agents grouped by ascending
   // state; its draws pick agents by index, so this layout fixes every

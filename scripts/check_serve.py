@@ -24,6 +24,10 @@ prints), then drives one full session lifecycle through the wire protocol:
                                      SIGTERM and SIGINT in SigBlk, so only
                                      main can take the shutdown signal
 
+Before that it runs the binary with flag values that do not fit their
+field (a port past 65535, a signed port, timeouts past INT_MAX, a count
+past 2^64) and requires each to exit 2 without printing a listening line.
+
 Exits nonzero with a pointed message on the first violation, and always
 tears the daemon down. This is the CI complement to tests/test_serve.cpp:
 the C++ suite drives serve_app in-process; this script proves the shipped
@@ -45,6 +49,38 @@ RECIPE = {
     "initial_counts": [600, 400, 0],
     "sampling": "distinct",
 }
+
+
+# Each value used to wrap silently: port 70000 bound 4464, -65535 bound
+# port 1, and a timeout of 2^32 (or >= 2^31) disabled the deadline.
+OUT_OF_RANGE = [
+    ["--port", "70000"],
+    ["--port", "-65535"],
+    ["--port", "+80"],
+    ["--read-timeout-ms", "4294967296"],
+    ["--write-timeout-ms", "2147483648"],
+    ["--chunk", "18446744073709551616"],
+]
+
+
+def check_usage_errors(binary):
+    """Every out-of-range value is a usage error: exit 2 before binding."""
+    for flags in OUT_OF_RANGE:
+        # --port 0 first, so a binary that accepts the value binds an
+        # ephemeral port; the timeout then kills it.
+        args = [binary, "--port", "0", *flags]
+        try:
+            done = subprocess.run(
+                args, capture_output=True, text=True, timeout=10
+            )
+        except subprocess.TimeoutExpired:
+            fail(f"{' '.join(flags)}: daemon started instead of exiting 2")
+        if "listening on" in done.stdout or done.returncode != 2:
+            fail(
+                f"{' '.join(flags)}: exit {done.returncode}, "
+                f"stdout {done.stdout!r}, stderr {done.stderr!r}"
+            )
+    return len(OUT_OF_RANGE)
 
 
 def start_daemon(binary):
@@ -173,6 +209,11 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__.strip())
         return 2
+    try:
+        refused = check_usage_errors(argv[1])
+    except Failure as failure:
+        print(f"FAIL: {failure}")
+        return 1
     daemon, port = start_daemon(argv[1])
     try:
         stats = run_smoke(port)
@@ -192,7 +233,8 @@ def main(argv):
         f"OK   ppg-serve on 127.0.0.1:{port}: full session lifecycle, "
         f"{stats['requests']} requests, "
         f"{stats['kernel_cache']['hits']} warm kernel hits, "
-        f"{workers} worker threads block SIGTERM/SIGINT"
+        f"{workers} worker threads block SIGTERM/SIGINT, "
+        f"{refused} out-of-range flag values refused"
     )
     return 0
 

@@ -96,20 +96,7 @@ http_connection::fill_status http_connection::fill() {
         return fill_status::eof;
       }
     }
-    std::size_t want = sizeof(chunk);
-    if (faults_ != nullptr) {
-      switch (faults_->next("socket.read")) {
-        case fault_action::fail_eio:
-        case fault_action::fail_enospc:
-          return fill_status::eof;  // injected: the peer vanished mid-read
-        case fault_action::short_op:
-          want = faults_->short_size(want);
-          break;
-        default:
-          break;
-      }
-    }
-    const ssize_t got = ::recv(fd_, chunk, want, 0);
+    const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (got > 0) {
       buffer_.append(chunk, static_cast<std::size_t>(got));
       return fill_status::data;
@@ -258,23 +245,15 @@ bool http_connection::write_response(const http_response& response,
         return false;
       }
     }
-    std::size_t want = wire.size() - sent;
-    if (faults_ != nullptr) {
-      switch (faults_->next("socket.write")) {
-        case fault_action::fail_eio:
-        case fault_action::fail_enospc:
-          return false;  // injected: the peer vanished mid-write
-        case fault_action::short_op:
-          want = faults_->short_size(want);
-          break;
-        default:
-          break;
-      }
-    }
     // MSG_NOSIGNAL: a vanished peer must surface as an error, not SIGPIPE.
-    const ssize_t wrote = ::send(fd_, wire.data() + sent, want, MSG_NOSIGNAL);
+    // Under a deadline the send must not block: a blocking send waits for
+    // room for all it was given, however long the peer takes to read.
+    const int flags =
+        MSG_NOSIGNAL | (limits_.write_timeout_ms > 0 ? MSG_DONTWAIT : 0);
+    const ssize_t wrote =
+        ::send(fd_, wire.data() + sent, wire.size() - sent, flags);
     if (wrote < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);

@@ -15,15 +15,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "ppg/serve/faults.hpp"
 
 namespace ppg {
 
@@ -84,13 +81,10 @@ struct http_limits {
 
 /// One accepted connection: owns the fd, buffers reads across keep-alive
 /// requests (bytes of a pipelined next request are kept, not dropped), and
-/// closes on destruction. `faults` (nullable) injects deterministic short
-/// reads/writes and failures at the "socket.read"/"socket.write" sites.
+/// closes on destruction.
 class http_connection {
  public:
-  http_connection(int fd, http_limits limits,
-                  std::shared_ptr<fault_plan> faults = nullptr)
-      : fd_(fd), limits_(limits), faults_(std::move(faults)) {}
+  http_connection(int fd, http_limits limits) : fd_(fd), limits_(limits) {}
   ~http_connection();
 
   http_connection(const http_connection&) = delete;
@@ -116,7 +110,6 @@ class http_connection {
 
   int fd_;
   http_limits limits_;
-  std::shared_ptr<fault_plan> faults_;
   std::string buffer_;
 };
 

@@ -9,17 +9,19 @@
 // busy session's last periodic spill stands).
 //
 // Exit codes: 0 = clean shutdown (drain complete, or forced-but-spilled);
-// 1 = startup failure (bad port, unreadable store);
-// 2 = usage error.
+// 1 = startup failure (port in use, unreadable store);
+// 2 = usage error (unknown flag, or a value that is not a count in range).
 #include <pthread.h>
 
 #include <csignal>
 #include <ctime>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -46,14 +48,26 @@ void handle_signal(int) { ++termination_signals; }
   std::exit(2);
 }
 
-std::uint64_t parse_count(const std::string& flag, const char* text) {
+/// A decimal count that fits `T`. A sign, leading space or trailing text,
+/// and a value past T's maximum (ERANGE included) are usage errors, so no
+/// cast ever wraps a bad value into a valid-looking one.
+template <typename T>
+T parse_count(const std::string& flag, const char* text) {
   if (text == nullptr) usage_error(flag + " needs a value");
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
+  // strtoull itself would skip spaces and negate a leading '-'.
+  if (*text < '0' || *text > '9') {
     usage_error(flag + ": '" + text + "' is not a number");
   }
-  return value;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0') usage_error(flag + ": '" + text + "' is not a number");
+  const auto max = static_cast<unsigned long long>(
+      std::numeric_limits<T>::max());
+  if (errno == ERANGE || value > max) {
+    usage_error(flag + ": " + text + " exceeds " + std::to_string(max));
+  }
+  return static_cast<T>(value);
 }
 
 /// {SIGTERM, SIGINT}: the signals that start (and then force) shutdown.
@@ -97,35 +111,33 @@ int main(int argc, char** argv) {
     const std::string flag = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (flag == "--port") {
-      config.port = static_cast<std::uint16_t>(parse_count(flag, value));
+      config.port = parse_count<std::uint16_t>(flag, value);
       ++i;
     } else if (flag == "--threads") {
-      config.threads = static_cast<std::size_t>(parse_count(flag, value));
+      config.threads = parse_count<std::size_t>(flag, value);
       ++i;
     } else if (flag == "--chunk") {
-      config.chunk = parse_count(flag, value);
+      config.chunk = parse_count<std::uint64_t>(flag, value);
       if (config.chunk == 0) usage_error("--chunk must be positive");
       ++i;
     } else if (flag == "--connection-threads") {
-      config.connection_threads =
-          static_cast<std::size_t>(parse_count(flag, value));
+      config.connection_threads = parse_count<std::size_t>(flag, value);
       ++i;
     } else if (flag == "--max-body") {
-      config.max_body_bytes =
-          static_cast<std::size_t>(parse_count(flag, value));
+      config.max_body_bytes = parse_count<std::size_t>(flag, value);
       ++i;
     } else if (flag == "--store") {
       if (value == nullptr) usage_error("--store needs a directory");
       config.store_dir = value;
       ++i;
     } else if (flag == "--spill-every") {
-      config.spill_every_chunks = parse_count(flag, value);
+      config.spill_every_chunks = parse_count<std::uint64_t>(flag, value);
       ++i;
     } else if (flag == "--read-timeout-ms") {
-      config.read_timeout_ms = static_cast<int>(parse_count(flag, value));
+      config.read_timeout_ms = parse_count<int>(flag, value);
       ++i;
     } else if (flag == "--write-timeout-ms") {
-      config.write_timeout_ms = static_cast<int>(parse_count(flag, value));
+      config.write_timeout_ms = parse_count<int>(flag, value);
       ++i;
     } else {
       usage_error("unknown flag '" + flag + "'");

@@ -54,7 +54,7 @@ serve_app::serve_app(const serve_config& config,
       scheduler_(config.threads, config.chunk),
       store_(std::move(store)) {
   if (store_ == nullptr && !config_.store_dir.empty()) {
-    store_ = make_fs_store(config_.store_dir, config_.faults);
+    store_ = make_fs_store(config_.store_dir);
   }
   if (store_ != nullptr) recover_from_store();
 }
@@ -501,7 +501,7 @@ void http_server::serve_connection(int fd) {
   limits.max_body_bytes = config_.max_body_bytes;
   limits.read_timeout_ms = config_.read_timeout_ms;
   limits.write_timeout_ms = config_.write_timeout_ms;
-  http_connection connection(fd, limits, config_.faults);
+  http_connection connection(fd, limits);
   for (;;) {
     std::optional<http_request> request;
     try {

@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "ppg/serve/faults.hpp"
 #include "ppg/serve/http.hpp"
 #include "ppg/serve/kernel_cache.hpp"
 #include "ppg/serve/scheduler.hpp"
@@ -60,10 +59,6 @@ struct serve_config {
   // deadline.
   int read_timeout_ms = 30'000;
   int write_timeout_ms = 30'000;
-
-  /// Deterministic fault schedule for the store and socket paths, built
-  /// in-process by tests (serve/faults.hpp); nullptr = no injected faults.
-  std::shared_ptr<fault_plan> faults;
 };
 
 /// The routing core. handle() is safe to call from any number of threads

@@ -39,21 +39,15 @@ void ensure_dir(const std::string& path) {
 
 class fs_session_store final : public session_store {
  public:
-  fs_session_store(std::string dir, std::shared_ptr<fault_plan> faults)
-      : dir_(std::move(dir)), faults_(std::move(faults)) {
+  fs_session_store(std::string dir, file_ops& ops)
+      : dir_(std::move(dir)), ops_(&ops) {
     ensure_dir(dir_);
     ensure_dir(dir_ + "/quarantine");
   }
 
   bool spill(const store_file& file, std::string* error) override {
     const std::string bytes = store_envelope(file).dump_string(true);
-    bool ok;
-    if (faults_ != nullptr) {
-      faulty_file_ops ops(faults_, default_file_ops());
-      ok = atomic_write_file(path_for(file.id), bytes, error, ops);
-    } else {
-      ok = atomic_write_file(path_for(file.id), bytes, error);
-    }
+    const bool ok = atomic_write_file(path_for(file.id), bytes, error, *ops_);
     const std::lock_guard<std::mutex> lock(mutex_);
     if (ok) {
       ++spills_;
@@ -156,7 +150,7 @@ class fs_session_store final : public session_store {
   }
 
   std::string dir_;
-  std::shared_ptr<fault_plan> faults_;
+  file_ops* ops_;
   mutable std::mutex mutex_;
   std::uint64_t spills_ = 0;
   std::uint64_t spill_failures_ = 0;
@@ -165,9 +159,9 @@ class fs_session_store final : public session_store {
 
 }  // namespace
 
-std::unique_ptr<session_store> make_fs_store(
-    const std::string& dir, std::shared_ptr<fault_plan> faults) {
-  return std::make_unique<fs_session_store>(dir, std::move(faults));
+std::unique_ptr<session_store> make_fs_store(const std::string& dir,
+                                             file_ops& ops) {
+  return std::make_unique<fs_session_store>(dir, ops);
 }
 
 json store_envelope(const store_file& file) {

@@ -4,8 +4,9 @@
 // restores every valid spill under its original session id; files that
 // fail the envelope parse — truncated, torn, hand-edited — are moved into
 // a quarantine/ subdirectory and reported in /stats, never fatal. The
-// interface is injectable so tests can substitute an in-memory store and
-// the filesystem store can be wired with a fault_plan.
+// interface is injectable so tests can substitute an in-memory store, and
+// the filesystem store takes the file_ops its writes go through, so tests
+// can fail any write, fsync or rename of the shipped spill path.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "ppg/serve/faults.hpp"
+#include "ppg/util/atomic_file.hpp"
 #include "ppg/util/json.hpp"
 
 namespace ppg {
@@ -72,10 +73,10 @@ class session_store {
 /// The filesystem store: `dir`/<id>.session.json envelopes, quarantine/
 /// subdirectory for corrupt files, `*.tmp` leftovers from interrupted
 /// writes deleted on scan. Creates `dir` (and parents) if missing; throws
-/// ppg::invariant_error when it cannot. `faults` (nullable) is consulted
-/// on every write/fsync/rename.
+/// ppg::invariant_error when it cannot. Every spill goes through
+/// atomic_write_file with `ops`, which must outlive the store.
 [[nodiscard]] std::unique_ptr<session_store> make_fs_store(
-    const std::string& dir, std::shared_ptr<fault_plan> faults = nullptr);
+    const std::string& dir, file_ops& ops = default_file_ops());
 
 /// Builds the spill envelope document for a session (exposed for tests and
 /// the crash-recovery tooling, which parse spill files directly).

@@ -5,9 +5,9 @@
 // content, never a prefix. A crash mid-write can leave a `*.tmp` sibling,
 // which scanners must ignore and may delete.
 //
-// The syscall surface is injectable (`file_ops`) so fault-injection tests
-// can force EIO/ENOSPC, short writes, and torn renames through the exact
-// production code path instead of mocking around it (serve/faults.hpp).
+// The syscall surface is injectable (`file_ops`) so tests can force
+// EIO/ENOSPC, short writes, and torn renames through the exact production
+// code path instead of mocking around it (tests/failing_file_ops.hpp).
 #pragma once
 
 #include <sys/types.h>
@@ -19,8 +19,8 @@
 namespace ppg {
 
 /// The syscalls atomic_write_file performs, as overridable hooks. The
-/// default implementation forwards to the real syscalls; fault-injection
-/// wrappers (serve/faults.hpp) override individual operations.
+/// default implementation forwards to the real syscalls; a test double
+/// (tests/failing_file_ops.hpp) overrides individual operations.
 class file_ops {
  public:
   virtual ~file_ops() = default;

@@ -1,14 +1,11 @@
 // Failure-injection tests: the engine must reject corrupt inputs loudly
 // rather than silently mis-simulate. Each test wires a deliberately broken
 // component through the public API and asserts a diagnosable failure.
+// ppg-serve's I/O failures are tested where that code is: disk faults
+// through a failing file_ops in test_serve_durability.cpp, socket faults
+// from a misbehaving peer in test_serve.cpp.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,9 +14,7 @@
 #include "ppg/markov/chain.hpp"
 #include "ppg/markov/stationary.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/serve/server.hpp"
 #include "ppg/stats/chi_square.hpp"
-#include "ppg/util/atomic_file.hpp"
 #include "ppg/util/error.hpp"
 
 namespace ppg {
@@ -131,117 +126,6 @@ TEST(FailureInjection, CorruptCensusLevelsRejected) {
   const abg_population pop{1, 1, 2};
   // Level 9 does not exist for k = 4.
   EXPECT_THROW((void)make_igt_census(pop, 4, 9), invariant_error);
-}
-
-// --- deterministic fault plans (ppg-serve durability layer) ----------------
-
-TEST(FailureInjection, ShortSizesAreBoundedAndSeedDeterministic) {
-  fault_plan first({}, 77);
-  fault_plan second({}, 77);
-  for (int i = 0; i < 100; ++i) {
-    const std::size_t a = first.short_size(4096);
-    EXPECT_GE(a, 1u);
-    EXPECT_LT(a, 4096u);
-    EXPECT_EQ(a, second.short_size(4096));  // pure function of (seed, order)
-  }
-  EXPECT_EQ(first.short_size(1), 1u);  // cannot shorten below one byte
-}
-
-TEST(FailureInjection, FsyncFaultFailsTheAtomicWriteAndKeepsTheOldFile) {
-  std::string dir = "/tmp/ppg_fault_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-  const std::string path = dir + "/spill.json";
-  std::string error;
-  ASSERT_TRUE(atomic_write_file(path, "generation-1", &error)) << error;
-
-  auto plan = std::make_shared<fault_plan>(
-      std::vector<fault_rule>{{"store.fsync", 1, fault_action::fail_eio}});
-  faulty_file_ops ops(plan, default_file_ops());
-  EXPECT_FALSE(atomic_write_file(path, "generation-2", &error, ops));
-  std::string bytes;
-  ASSERT_TRUE(read_file(path, &bytes, &error)) << error;
-  EXPECT_EQ(bytes, "generation-1");
-  EXPECT_EQ(plan->fired(), 1u);
-
-  ::unlink(path.c_str());
-  ::rmdir(dir.c_str());
-}
-
-/// Bare blocking socket talking to a live http_server.
-class raw_client {
- public:
-  explicit raw_client(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    address.sin_port = htons(port);
-    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
-                        sizeof(address)),
-              0);
-  }
-  ~raw_client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_all(const std::string& bytes) const {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t wrote =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(wrote, 0);
-      sent += static_cast<std::size_t>(wrote);
-    }
-  }
-
-  /// Everything the server sends until it closes the connection.
-  std::string read_to_eof() const {
-    std::string all;
-    char chunk[4096];
-    for (;;) {
-      const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (got <= 0) return all;
-      all.append(chunk, static_cast<std::size_t>(got));
-    }
-  }
-
- private:
-  int fd_ = -1;
-};
-
-TEST(FailureInjection, InjectedSocketFaultsDropConnectionsNotTheServer) {
-  serve_config config;
-  config.connection_threads = 1;  // serialize so fault ordering is exact
-  // First response write dies with EIO; reads 2..4 are short (fragmenting
-  // request parsing); everything later is clean.
-  const std::vector<fault_rule> rules = {
-      {"socket.write", 1, fault_action::fail_eio},
-      {"socket.read", 2, fault_action::short_op},
-      {"socket.read", 3, fault_action::short_op},
-      {"socket.read", 4, fault_action::short_op},
-  };
-  config.faults = std::make_shared<fault_plan>(rules, 13);
-  serve_app app(config);
-  http_server server(app, config);
-  server.start();
-
-  {
-    // The injected write failure closes the connection before any bytes.
-    raw_client doomed(server.port());
-    doomed.send_all("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-    EXPECT_EQ(doomed.read_to_eof(), "");
-  }
-  {
-    // Short reads only fragment the stream; the request still assembles and
-    // the server answers normally — no crash, no corruption.
-    raw_client fragmented(server.port());
-    fragmented.send_all("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-    const std::string response = fragmented.read_to_eof();
-    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
-  }
-  server.stop();
 }
 
 }  // namespace

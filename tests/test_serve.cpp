@@ -1,7 +1,8 @@
 // Tests for the ppg-serve subsystem: the routing core (serve_app driven
 // directly, no sockets), the fairness/bit-exactness contract of interleaved
 // sessions, the kernel cache, the fair scheduler, a raw-socket smoke test of
-// the HTTP front end, and the client's session recovery over loopback.
+// the HTTP front end, its read and write loops against misbehaving peers,
+// and the client's session recovery over loopback.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,8 +11,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -591,6 +596,16 @@ TEST(ServeApp, BoundarySnapshotWithPendingFreeAnswers400) {
 
 // --- raw-socket smoke test of the HTTP front end ---------------------------
 
+void send_bytes(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t wrote =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(wrote, 0);
+    sent += static_cast<std::size_t>(wrote);
+  }
+}
+
 /// Minimal blocking client: one connection, send bytes, read until close or
 /// a full response (Content-Length delimited).
 class test_client {
@@ -610,14 +625,18 @@ class test_client {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  void send_all(const std::string& bytes) const {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t wrote =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(wrote, 0);
-      sent += static_cast<std::size_t>(wrote);
-    }
+  void send_all(const std::string& bytes) const { send_bytes(fd_, bytes); }
+
+  /// Half-closes the connection: the server reads EOF, we can still read.
+  void shut_down_writes() const { ::shutdown(fd_, SHUT_WR); }
+
+  /// Closes with a reset instead of an orderly FIN, unread bytes dropped.
+  void reset() {
+    const linger abort_on_close{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &abort_on_close,
+                 sizeof(abort_on_close));
+    ::close(fd_);
+    fd_ = -1;
   }
 
   /// Reads one Content-Length-delimited response.
@@ -758,6 +777,163 @@ TEST(HttpServer, StopUnblocksIdleConnections) {
   idle.send_all(http_get("/healthz"));
   (void)idle.read_response();
   server.stop();  // would deadlock if the worker never woke
+}
+
+// Peers that half-close or reset their connection meet the shipped read
+// and write loops: one worker serves them in turn, each gets what the
+// protocol owes it, and a well-behaved client is still served after them.
+TEST(HttpServer, DroppedConnectionsLeaveTheServerServing) {
+  serve_config config;
+  config.connection_threads = 1;  // a wedged worker would stall everyone
+  serve_app app(config);
+  http_server server(app, config);
+  server.start();
+  const std::string healthz =
+      "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+  {
+    // Half a head, then EOF: answered 400 on the still-open read side.
+    test_client cut(server.port());
+    cut.send_all(healthz.substr(0, 20));
+    cut.shut_down_writes();
+    const std::string response = cut.read_response();
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+    EXPECT_NE(response.find("connection closed mid-request"),
+              std::string::npos)
+        << response;
+  }
+  {
+    // A whole request, then a reset before reading the answer.
+    test_client vanished(server.port());
+    vanished.send_all(healthz);
+    vanished.reset();
+  }
+  test_client healthy(server.port());
+  healthy.send_all(http_get("/stats"));
+  EXPECT_NE(healthy.read_response().find("HTTP/1.1 200 OK"),
+            std::string::npos);
+  server.stop();
+}
+
+// --- http_connection against a misbehaving peer ----------------------------
+
+/// Reads requests until EOF or a refusal: "GET /a; POST /b body; eof", or
+/// the refusal's status and message in place of "eof".
+std::string read_until_closed(http_connection& connection) {
+  std::string trace;
+  try {
+    while (const std::optional<http_request> request =
+               connection.read_request()) {
+      trace += request->method + " " + request->target;
+      if (!request->body.empty()) trace += " " + request->body;
+      trace += "; ";
+    }
+    return trace + "eof";
+  } catch (const http_error& error) {
+    return trace + std::to_string(error.status()) + " " + error.what();
+  }
+}
+
+/// Reads one request and answers it with a `body_bytes` body: "sent", or
+/// "dropped" when the write fails within a second of starting.
+std::string answer_with(http_connection& connection, std::size_t body_bytes) {
+  if (!connection.read_request().has_value()) return "no request";
+  http_response response;
+  response.body.assign(body_bytes, 'x');
+  const auto start = std::chrono::steady_clock::now();
+  const bool sent = connection.write_response(response, true);
+  const auto took = std::chrono::steady_clock::now() - start;
+  if (sent) return "sent";
+  return took < std::chrono::seconds(1) ? "dropped" : "dropped late";
+}
+
+// Each row: what the peer does with its end of a socketpair, what the
+// server end does through http_connection, and what the server end must
+// see. The peer finishes before the server end starts, except in rows that
+// run it alongside (fragments only arrive apart while someone reads them).
+// Both deadlines are 100 ms and the server end's send buffer is small, so
+// a peer that never reads stalls a large response.
+TEST(HttpConnection, MisbehavingPeersMeetTheShippedLoops) {
+  const std::string head = "GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n";
+  const std::string post =
+      "POST /b HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789";
+  struct row {
+    const char* name;
+    std::function<void(int)> peer;
+    std::function<std::string(http_connection&)> server;
+    std::string expected;
+    bool alongside = false;
+  };
+  const auto shut = [](int fd) { ::shutdown(fd, SHUT_WR); };
+  const row rows[] = {
+      {"two pipelined requests in one send",
+       [&](int fd) {
+         send_bytes(fd, head + post);
+         shut(fd);
+       },
+       read_until_closed, "GET /healthz; POST /b 0123456789; eof"},
+      {"a request in 2-byte pieces",
+       [&](int fd) {
+         for (std::size_t at = 0; at < post.size(); at += 2) {
+           send_bytes(fd, post.substr(at, 2));
+           std::this_thread::sleep_for(std::chrono::milliseconds(1));
+         }
+         shut(fd);
+       },
+       read_until_closed, "POST /b 0123456789; eof", true},
+      {"write side shut mid-head",
+       [&](int fd) {
+         send_bytes(fd, head.substr(0, 20));
+         shut(fd);
+       },
+       read_until_closed, "400 connection closed mid-request"},
+      {"write side shut mid-body",
+       [&](int fd) {
+         send_bytes(fd, post.substr(0, post.size() - 4));
+         shut(fd);
+       },
+       read_until_closed, "400 connection closed mid-body"},
+      {"stalls mid-body past the read deadline",
+       [&](int fd) { send_bytes(fd, post.substr(0, post.size() - 4)); },
+       read_until_closed, "408 read deadline exceeded mid-body"},
+      {"never reads a 4 MiB response",
+       [&](int fd) { send_bytes(fd, head); },
+       [](http_connection& c) { return answer_with(c, 4u << 20); },
+       "dropped"},
+      {"shuts both sides before reading",
+       [&](int fd) {
+         send_bytes(fd, head);
+         ::shutdown(fd, SHUT_RDWR);
+       },
+       [](http_connection& c) { return answer_with(c, 16); }, "dropped"},
+      {"has room for a short answer", [&](int fd) { send_bytes(fd, head); },
+       [](http_connection& c) { return answer_with(c, 16); }, "sent"},
+  };
+  http_limits limits;
+  limits.read_timeout_ms = 100;
+  limits.write_timeout_ms = 100;
+  for (const row& r : rows) {
+    SCOPED_TRACE(r.name);
+    int ends[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+    const int send_buffer = 4096;
+    ::setsockopt(ends[0], SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                 sizeof(send_buffer));
+    std::thread peer(r.peer, ends[1]);
+    if (!r.alongside) peer.join();
+    auto served = std::async(std::launch::async, [&] {
+      http_connection connection(ends[0], limits);
+      return r.server(connection);
+    });
+    // A loop that ignores its deadline would block forever: unblock it so
+    // the row fails instead of hanging the suite.
+    if (served.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      ::shutdown(ends[1], SHUT_RDWR);
+    }
+    EXPECT_EQ(served.get(), r.expected);
+    if (peer.joinable()) peer.join();
+    ::close(ends[1]);
+  }
 }
 
 // --- client ----------------------------------------------------------------

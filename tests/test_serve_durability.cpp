@@ -1,8 +1,8 @@
 // Tests for the ppg-serve durability layer (DESIGN.md §13): the atomic
-// spill discipline, boot-time recovery under original ids, quarantine of
-// corrupt spills, degradation (not crashes) on injected disk failures, and
-// the bit-exactness of recovered trajectories — including a multibatch
-// engine spilled mid-residual-round.
+// spill discipline under a failing file_ops at each step, boot-time
+// recovery under original ids, quarantine of corrupt spills, degradation
+// (not crashes) when a spill fails, and the bit-exactness of recovered
+// trajectories — including a multibatch engine spilled mid-residual-round.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "failing_file_ops.hpp"
 #include "ppg/pp/checkpoint.hpp"
 #include "ppg/serve/server.hpp"
 #include "ppg/util/atomic_file.hpp"
@@ -134,18 +135,53 @@ TEST(AtomicFile, ReplacesAtomicallyAndLeavesNoTemp) {
   }
 }
 
-TEST(AtomicFile, FailedWriteKeepsPreviousContent) {
-  temp_dir dir;
-  const std::string path = dir.path() + "/value.json";
-  std::string error;
-  ASSERT_TRUE(atomic_write_file(path, "stable", &error)) << error;
+// One row per step of the write protocol that can fail. Until the rename
+// commits, a failure leaves the previous generation in place; a failed
+// directory fsync comes after the commit, so the new bytes stand but the
+// write still reports that it could not certify durability. No row leaves
+// a temp sibling behind.
+TEST(AtomicFile, EachFailingStepLeavesOneCompleteGeneration) {
+  using op = failing_file_ops::op;
+  using failure = failing_file_ops::failure;
+  struct row {
+    const char* name;
+    op at;
+    std::uint64_t nth;
+    failure how;
+    bool written;
+    const char* error_prefix;
+    const char* final_bytes;
+  };
+  const row rows[] = {
+      {"write EIO", op::write, 1, failure::error, false,
+       "write: Input/output error", "generation-1"},
+      {"short write, then the rest", op::write, 1, failure::short_write, true,
+       "", "generation-2"},
+      {"zero-byte write", op::write, 1, failure::zero_write, false,
+       "write: no progress", "generation-1"},
+      {"file fsync", op::fsync, 1, failure::error, false, "fsync: ",
+       "generation-1"},
+      {"rename", op::rename, 1, failure::error, false, "rename: ",
+       "generation-1"},
+      {"directory fsync", op::fsync, 2, failure::error, false, "fsync dir: ",
+       "generation-2"},
+  };
+  for (const row& r : rows) {
+    SCOPED_TRACE(r.name);
+    temp_dir dir;
+    const std::string path = dir.path() + "/value.json";
+    std::string error;
+    ASSERT_TRUE(atomic_write_file(path, "generation-1", &error)) << error;
 
-  auto plan = std::make_shared<fault_plan>(
-      std::vector<fault_rule>{{"store.write", 1, fault_action::fail_eio}});
-  faulty_file_ops ops(plan, default_file_ops());
-  EXPECT_FALSE(atomic_write_file(path, "torn!", &error, ops));
-  EXPECT_NE(error.find("Input/output error"), std::string::npos) << error;
-  EXPECT_EQ(read_bytes(path), "stable");  // the old spill survived
+    failing_file_ops ops(r.at, r.nth, r.how);
+    error.clear();
+    EXPECT_EQ(atomic_write_file(path, "generation-2", &error, ops), r.written);
+    EXPECT_TRUE(ops.fired());
+    EXPECT_EQ(error.rfind(r.error_prefix, 0), 0u) << error;
+    EXPECT_EQ(error.empty(), r.written) << error;
+    EXPECT_EQ(read_bytes(path), r.final_bytes);
+    EXPECT_EQ(dir.entries(), std::vector<std::string>{"value.json"});
+  }
 }
 
 // --- spill envelope --------------------------------------------------------
@@ -171,17 +207,6 @@ TEST(StoreEnvelope, RoundTripsAndRejectsMalformedDocuments) {
   json bad_version = doc;
   bad_version["store_version"] = std::uint64_t{42};
   EXPECT_THROW((void)parse_store_envelope(bad_version), invariant_error);
-}
-
-// --- fault plan ------------------------------------------------------------
-
-TEST(FaultPlan, CountsEachSiteAndFiresOnItsNthOperation) {
-  fault_plan plan({{"store.write", 2, fault_action::fail_enospc}}, 5);
-  EXPECT_EQ(plan.next("store.write"), fault_action::none);
-  EXPECT_EQ(plan.next("store.fsync"), fault_action::none);
-  EXPECT_EQ(plan.next("store.write"), fault_action::fail_enospc);
-  EXPECT_EQ(plan.next("store.write"), fault_action::none);
-  EXPECT_EQ(plan.fired(), 1u);
 }
 
 // --- spill / recover round trip --------------------------------------------
@@ -537,19 +562,18 @@ TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
   EXPECT_EQ(store.entries("quarantine").size(), 2u);
 }
 
-// --- degradation under injected disk failures ------------------------------
+// --- degradation under disk failures ---------------------------------------
 
 TEST(ServeDurability, SpillFailureDegradesSessionNotDaemon) {
   temp_dir store;
   serve_config config;
-  config.store_dir = store.path();
   config.chunk = 1000;
   config.spill_every_chunks = 1;
   // The creation spill (write #1) succeeds; the next spill hits ENOSPC.
-  config.faults = std::make_shared<fault_plan>(
-      std::vector<fault_rule>{{"store.write", 2, fault_action::fail_enospc}});
+  failing_file_ops disk(failing_file_ops::op::write, 2,
+                        failing_file_ops::failure::error, ENOSPC);
 
-  serve_app app(config);
+  serve_app app(config, make_fs_store(store.path(), disk));
   (void)handle_json(app,
                     make_request("POST", "/sessions",
                                  create_body(rumor_recipe(), "census", 4)),
@@ -567,6 +591,7 @@ TEST(ServeDurability, SpillFailureDegradesSessionNotDaemon) {
   EXPECT_EQ(stats.find("durability")->find("degraded_sessions")->as_uint64(),
             1u);
   EXPECT_EQ(stats.find("durability")->find("spill_failures")->as_uint64(), 1u);
+  EXPECT_TRUE(disk.fired());
 
   // The daemon (and the degraded session) keep serving.
   (void)handle_json(app,
@@ -586,11 +611,11 @@ TEST(ServeDurability, TornRenameIsQuarantinedOnNextBoot) {
   config.chunk = 1000;
   config.spill_every_chunks = 1;
   // The second rename (first advance's spill) tears the destination file.
-  config.faults = std::make_shared<fault_plan>(
-      std::vector<fault_rule>{{"store.rename", 2, fault_action::torn_rename}});
+  failing_file_ops disk(failing_file_ops::op::rename, 2,
+                        failing_file_ops::failure::torn_rename);
 
   {
-    serve_app app(config);
+    serve_app app(config, make_fs_store(store.path(), disk));
     (void)handle_json(app,
                       make_request("POST", "/sessions",
                                    create_body(rumor_recipe(), "census", 6)),
@@ -601,9 +626,8 @@ TEST(ServeDurability, TornRenameIsQuarantinedOnNextBoot) {
                       200);
   }
 
-  serve_config clean = config;
-  clean.faults = nullptr;
-  serve_app rebooted(clean);
+  ASSERT_TRUE(disk.fired());
+  serve_app rebooted(config);
   (void)handle_json(rebooted, make_request("GET", "/sessions/s1"), 404);
   const json stats = handle_json(rebooted, make_request("GET", "/stats"), 200);
   const json* quarantined = stats.find("durability")->find("quarantined");

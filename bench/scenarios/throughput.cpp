@@ -474,10 +474,13 @@ scenario_result run_micro(const scenario_context& ctx) {
     // an IGT pool split at n = 10^6 (sd ~7.5), an IGT initiator draw of
     // mean 0.32 (inversion), igt_ensemble's middle GTFT levels 2051, 8203
     // and 131252 of 617 draws, the two sides of HRUA's walk cutover at
-    // variance 256 (sd 15.96 and 16.04), a hawk-dove outcome cell,
+    // variance 144 (sd 11.95 and 12.04), a hawk-dove outcome cell,
     // conditional binomials of a q = 8 logit partner law (n 790, inversion
     // at means 2, 5, 9 and 13, BTRS at 15: the two sides of the cutover at
-    // 14), one of mean 20, and the multibatch engine's birthday draw at
+    // 14), one of mean 20, BTRS at variance 159 and 161 (the two sides of
+    // its tail test's walk cutover at 160), the hawk-dove partner law
+    // (n 3133, p 0.27), one whole q = 8 logit partner law of 1600 draws
+    // from its compiled chain, and the multibatch engine's birthday draw at
     // n = 10^6 and 10^8, with the build of its n = 10^8 table (in us). Each
     // row is the median of three timings taken in round-robin passes over
     // all rows, so a slow stretch of the host lands in one pass of every
@@ -522,11 +525,11 @@ scenario_result run_micro(const scenario_context& ctx) {
     add_sampler("hypergeometric_sd8_4", "10^6 / 131252 / 617", [&gen] {
       return sample_hypergeometric(1'000'000, 131'252, 617, gen);
     });
-    add_sampler("hypergeometric_sd15_96", "10^6 / 5*10^5 / 1020", [&gen] {
-      return sample_hypergeometric(1'000'000, 500'000, 1020, gen);
+    add_sampler("hypergeometric_sd11_95", "10^6 / 5*10^5 / 572", [&gen] {
+      return sample_hypergeometric(1'000'000, 500'000, 572, gen);
     });
-    add_sampler("hypergeometric_sd16_04", "10^6 / 5*10^5 / 1030", [&gen] {
-      return sample_hypergeometric(1'000'000, 500'000, 1030, gen);
+    add_sampler("hypergeometric_sd12_04", "10^6 / 5*10^5 / 580", [&gen] {
+      return sample_hypergeometric(1'000'000, 500'000, 580, gen);
     });
     add_sampler("binomial_n1500_p0_3", "n 1500 p 0.3",
                 [&gen] { return sample_binomial(1500, 0.3, gen); });
@@ -538,6 +541,26 @@ scenario_result run_micro(const scenario_context& ctx) {
     }
     add_sampler("binomial_mean20", "n 2000 p 0.01",
                 [&gen] { return sample_binomial(2000, 0.01, gen); });
+    add_sampler("binomial_var159", "n 1600 p 0.111896",
+                [&gen] { return sample_binomial(1600, 0.111896, gen); });
+    add_sampler("binomial_var161", "n 1600 p 0.113509",
+                [&gen] { return sample_binomial(1600, 0.113509, gen); });
+    add_sampler("binomial_n3133_p0_27", "n 3133 p 0.27",
+                [&gen] { return sample_binomial(3133, 0.27, gen); });
+    const kernel_table logit_q8(
+        game_protocol(random_zoo_game(1, 8, 0).game,
+                      std::make_shared<logit_response_rule>(0.5),
+                      revision_discipline::two_way));
+    const kernel_table::partner_law logit_law = logit_q8.law(0);
+    std::vector<std::uint64_t> logit_split(logit_law.size);
+    add_sampler("multinomial_logit_q8_m1600",
+                "m 1600, f(.|0) of the q = 8 logit",
+                [&gen, &logit_law, &logit_split] {
+                  sample_multinomial_chain(1600, logit_law.chain,
+                                           logit_law.size, gen,
+                                           logit_split.data());
+                  return logit_split[0];
+                });
     const collision_run_sampler birthday_1e6(1'000'000);
     const collision_run_sampler birthday_1e8(100'000'000);
     add_sampler("birthday_n1e6", "n 10^6",
@@ -569,9 +592,10 @@ scenario_result run_micro(const scenario_context& ctx) {
   result.note(
       "Single-component rates for the trajectory; no regression goals (CI "
       "machines\nvary run to run). Samplers: a binomial costs ~1/3 of a "
-      "hypergeometric. BTRS\nand, from variance 256 on, HRUA do not grow "
-      "with the standard deviation;\nbelow 256 HRUA walks its acceptance "
-      "ratio from the mode, ~1.2 sd steps a\ncandidate. A birthday draw is "
+      "hypergeometric. From\nvariance 160 (BTRS) and 144 (HRUA) on, the "
+      "rejection tests do not grow with\nthe standard deviation; below "
+      "those, each walks its acceptance ratio from\nthe mode, ~1.2 sd steps "
+      "a candidate. A birthday draw is "
       "a guide lookup and a search of ~2 survival\nentries, flat in n; its "
       "table build is linear in sqrt(n).");
   return result;

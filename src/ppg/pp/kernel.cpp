@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "ppg/stats/discrete_sampling.hpp"
 #include "ppg/util/error.hpp"
 
 namespace ppg {
@@ -244,6 +245,12 @@ void kernel_table::compile_partner_laws() {
       law_probabilities_.push_back(f[v * q_ + x]);
     }
     law_offsets_.push_back(static_cast<std::uint32_t>(law_states_.size()));
+  }
+  law_chains_.resize(law_probabilities_.size());
+  for (agent_state v = 0; v < q_; ++v) {
+    multinomial_chain(law_probabilities_.data() + law_offsets_[v],
+                      law_offsets_[v + 1] - law_offsets_[v],
+                      law_chains_.data() + law_offsets_[v]);
   }
 }
 

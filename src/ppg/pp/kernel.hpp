@@ -187,12 +187,14 @@ class kernel_table {
   }
 
   /// One partner state's law in a partner-keyed kernel: the states of
-  /// positive mass, in increasing order, and their probabilities. Only the
-  /// support is stored, because sample_multinomial puts its rounding
-  /// remainder in the last category it is given.
+  /// positive mass, in increasing order, their probabilities, and the
+  /// law's multinomial_chain, which sample_multinomial_chain draws from.
+  /// Only the support is stored, because a multinomial draw puts its
+  /// rounding remainder in the last category it is given.
   struct partner_law {
     const agent_state* states = nullptr;
     const double* probabilities = nullptr;
+    const double* chain = nullptr;
     std::size_t size = 0;
   };
 
@@ -211,7 +213,7 @@ class kernel_table {
   [[nodiscard]] partner_law law(agent_state partner) const {
     const std::uint32_t begin = law_offsets_[partner];
     return {law_states_.data() + begin, law_probabilities_.data() + begin,
-            law_offsets_[partner + 1] - begin};
+            law_chains_.data() + begin, law_offsets_[partner + 1] - begin};
   }
 
   /// The `s`-th slot of the pair's alias table (s < num_outcomes);
@@ -273,10 +275,11 @@ class kernel_table {
   std::vector<agent_state> representatives_;      ///< per class
   bool responders_stay_ = true;
   /// Partner laws, empty unless partner-keyed: f(.|w) for w < q, supports
-  /// only.
+  /// only, with each law's multinomial chain parallel to its probabilities.
   std::vector<std::uint32_t> law_offsets_;
   std::vector<agent_state> law_states_;
   std::vector<double> law_probabilities_;
+  std::vector<double> law_chains_;
 };
 
 }  // namespace ppg

@@ -325,8 +325,8 @@ void multibatch_engine::apply_partner_laws() {
   for (agent_state w = 0; w < kernel_->num_states(); ++w) {
     const kernel_table::partner_law law = kernel_->law(w);
     split_.resize(law.size);
-    sample_multinomial(responders_[w], law.probabilities, law.size, gen_,
-                       split_.data());
+    sample_multinomial_chain(responders_[w], law.chain, law.size, gen_,
+                             split_.data());
     for (std::size_t k = 0; k < law.size; ++k) {
       counts_[law.states[k]] += split_[k];
     }

@@ -29,6 +29,14 @@ std::int64_t monotonic_ms() {
          now.tv_nsec / 1'000'000;
 }
 
+/// Milliseconds left before `deadline_ms` on the monotonic clock.
+int remaining_ms(std::int64_t deadline_ms) {
+  const std::int64_t left = deadline_ms - monotonic_ms();
+  if (left <= 0) return 0;
+  if (left > 3'600'000) return 3'600'000;
+  return static_cast<int>(left);
+}
+
 void sleep_ms(int ms) {
   if (ms <= 0) return;
   timespec nap{};
@@ -59,6 +67,37 @@ std::string trim(std::string text) {
 
 }  // namespace
 
+void send_within(int fd, const std::string& bytes, int timeout_ms) {
+  const std::int64_t deadline = monotonic_ms() + timeout_ms;
+  bool sent = false;
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    pollfd waiter{};
+    waiter.fd = fd;
+    waiter.events = POLLOUT;
+    const int ready = ::poll(&waiter, 1, remaining_ms(deadline));
+    if (ready == 0 || remaining_ms(deadline) == 0) {
+      throw client_error("request deadline exceeded while writing", sent);
+    }
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      throw client_error(std::string("poll: ") + std::strerror(errno), sent);
+    }
+    // MSG_DONTWAIT: poll only promises room for some bytes, and a blocking
+    // send waits for room for all it was given, however long the peer
+    // takes to read. MSG_NOSIGNAL: a vanished peer is an error, not SIGPIPE.
+    const ssize_t wrote = ::send(fd, bytes.data() + written,
+                                 bytes.size() - written,
+                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (wrote < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      throw client_error(std::string("send: ") + std::strerror(errno), sent);
+    }
+    if (wrote > 0) sent = true;
+    written += static_cast<std::size_t>(wrote);
+  }
+}
+
 http_client::http_client(const client_config& config) : config_(config) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -76,7 +115,8 @@ http_client::http_client(const client_config& config) : config_(config) {
   }
 
   // Nonblocking connect bounded by connect_timeout_ms, then back to
-  // blocking mode — request deadlines are enforced with poll().
+  // blocking mode — request deadlines are enforced with poll(), and sends
+  // never block (send_within).
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
@@ -118,13 +158,6 @@ void http_client::close_fd() {
   }
 }
 
-int http_client::remaining_ms(std::int64_t deadline_ms) const {
-  const std::int64_t left = deadline_ms - monotonic_ms();
-  if (left <= 0) return 0;
-  if (left > 3'600'000) return 3'600'000;
-  return static_cast<int>(left);
-}
-
 client_response http_client::request(const std::string& method,
                                      const std::string& target,
                                      const std::string& body) {
@@ -138,31 +171,11 @@ client_response http_client::request(const std::string& method,
   wire += body;
 
   const std::int64_t deadline = monotonic_ms() + request_timeout_ms;
-  bool sent = false;
-  std::size_t written = 0;
-  while (written < wire.size()) {
-    pollfd waiter{};
-    waiter.fd = fd_;
-    waiter.events = POLLOUT;
-    const int ready = ::poll(&waiter, 1, remaining_ms(deadline));
-    if (ready == 0) {
-      close_fd();
-      throw client_error("request deadline exceeded while writing", sent);
-    }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      close_fd();
-      throw client_error(std::string("poll: ") + std::strerror(errno), sent);
-    }
-    const ssize_t wrote = ::send(fd_, wire.data() + written,
-                                 wire.size() - written, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      close_fd();
-      throw client_error(std::string("send: ") + std::strerror(errno), sent);
-    }
-    if (wrote > 0) sent = true;
-    written += static_cast<std::size_t>(wrote);
+  try {
+    send_within(fd_, wire, request_timeout_ms);
+  } catch (const client_error&) {
+    close_fd();
+    throw;
   }
 
   // From here every failure reports sent=true: the server saw the request.

@@ -53,6 +53,14 @@ class client_error : public std::runtime_error {
   bool sent_;
 };
 
+/// Writes all of `bytes` to the connected stream socket `fd` within
+/// `timeout_ms`, or throws client_error("request deadline exceeded while
+/// writing") once the peer has not taken them in time (client_error on a
+/// failed send too; sent() tells whether any byte went out). It never
+/// blocks in send(), so a peer that stops reading cannot hold it past the
+/// deadline. The fd stays open. http_client::request sends through it.
+void send_within(int fd, const std::string& bytes, int timeout_ms);
+
 /// One connection. Not thread-safe; serve_client owns at most one.
 class http_client {
  public:
@@ -74,8 +82,6 @@ class http_client {
 
  private:
   void close_fd();
-  /// Milliseconds left before `deadline_ms` on the monotonic clock.
-  [[nodiscard]] int remaining_ms(std::int64_t deadline_ms) const;
 
   client_config config_;
   int fd_ = -1;

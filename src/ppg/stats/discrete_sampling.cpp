@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "ppg/stats/distributions.hpp"
 #include "ppg/util/error.hpp"
@@ -15,28 +16,26 @@ namespace {
 constexpr double binomial_inversion_below = 14.0;
 
 /// HRUA hats of variance below this decide acceptance by walking the pmf
-/// ratio from the mode (`hypergeometric_walk_accepts`), the rest by
-/// Stirling log-factorial ratios. DESIGN.md §8 has the per-call timings
+/// ratio from the mode (`hypergeometric_walk_accepts`), the rest by the
+/// folded Stirling ratio (`hypergeometric_log_ratio`). DESIGN.md §8 has
+/// the per-call timings that place it.
+constexpr double hypergeometric_walk_variance_below = 144.0;
+
+/// The same cutover for BTRS's tail test: below it `binomial_walk_accepts`,
+/// from it on `binomial_log_ratio`. DESIGN.md §8 has the per-call timings
 /// that place it.
-constexpr double hypergeometric_walk_variance_below = 256.0;
+constexpr double binomial_walk_variance_below = 160.0;
 
-/// One log-factorial term log(a! / b!) anchored at b: a rejection
-/// sampler's acceptance ratio compares candidates a near its mode-side
-/// argument b, with log b computed once per draw instead of once per
-/// candidate, and the hypergeometric inversion's P(0) is two such terms.
-class log_factorial_anchor {
- public:
-  explicit log_factorial_anchor(std::uint64_t b)
-      : b_(b), log_b_(b == 0 ? 0.0 : std::log(static_cast<double>(b))) {}
+/// Stirling's correction 1/(12a) - 1/(360a^3) of log a!, from r = 1/a.
+double stirling_tail(double r) {
+  return (1.0 / 12.0 - r * r * (1.0 / 360.0)) * r;
+}
 
-  [[nodiscard]] double ratio(std::uint64_t a) const {
-    return log_factorial_ratio(a, b_, log_b_);
-  }
-
- private:
-  std::uint64_t b_;
-  double log_b_;
-};
+/// One folded Stirling term: log(a!/b!) - d log b + d - tail(b), d = a - b,
+/// given d and 1/b. Requires a, b >= log_factorial_table_size.
+double folded_term(double a, double d, double inv_b) {
+  return (a + 0.5) * std::log1p(d * inv_b) + stirling_tail(1.0 / a);
+}
 
 /// Inversion from 0: the smallest k with U < P(0) + ... + P(k), for one
 /// uniform U, walking the pmf from p0 = P(0) by ratio(k) = P(k+1) / P(k).
@@ -70,23 +69,46 @@ std::uint64_t binomial_inversion(std::uint64_t n, double q, rng& gen) {
       gen);
 }
 
+/// Whether bound <= f(k) / f(mode) for the binomial f(x) ∝ odds^x /
+/// (x! (n - x)!), with the ratio walked as a product of f(j + 1) / f(j) =
+/// (n - j) / (j + 1) * odds (above the mode) or f(j - 1) / f(j) = j /
+/// ((n - j + 1) * odds) (below it). Every factor is <= 1 on the way out
+/// from the mode, so the walk rejects as soon as the product is below
+/// bound: O(|k - mode|) multiply-divides, no logarithm.
+bool binomial_walk_accepts(std::uint64_t n, double odds, std::uint64_t mode,
+                           std::uint64_t k, double bound) {
+  double ratio = 1.0;
+  for (std::uint64_t j = mode; j < k; ++j) {
+    ratio *= static_cast<double>(n - j) * odds / static_cast<double>(j + 1);
+    if (ratio < bound) return false;
+  }
+  for (std::uint64_t j = mode; j > k; --j) {
+    ratio *= static_cast<double>(j) / (static_cast<double>(n - j + 1) * odds);
+    if (ratio < bound) return false;
+  }
+  return bound <= ratio;
+}
+
 /// Binomial(n, p) by Hörmann's BTRS, transformed rejection with squeeze
 /// (1993): O(1) expected uniform pairs for every n. Requires p <= 1/2 and
 /// n p >= 10, the range where its hat is valid.
 std::uint64_t binomial_btrs(std::uint64_t n, double p, rng& gen) {
   const double nf = static_cast<double>(n);
-  const double spq = std::sqrt(nf * p * (1.0 - p));
+  const double variance = nf * p * (1.0 - p);
+  const double spq = std::sqrt(variance);
   const double b = 1.15 + 2.53 * spq;
   const double a = -0.0873 + 0.0248 * b + 0.01 * p;
   const double c = nf * p + 0.5;
   const double v_r = 0.92 - 4.2 / b;
-  // The tail test's constants, set up by the first candidate that needs
-  // them: most draws end in the squeeze and never do.
+  // The tail test accepts k when v alpha / (a/us^2 + b) <= f(k) / f(mode):
+  // a narrow hat walks that ratio out from the mode, a wide one compares
+  // logs. Its constants are set up by the first candidate that needs them:
+  // most draws end in the squeeze and never do.
+  const bool walk = variance < binomial_walk_variance_below;
   double alpha = 0.0;
-  double log_odds = 0.0;
+  double odds = 0.0;
   std::uint64_t mode = 0;
-  log_factorial_anchor at_mode(0);
-  log_factorial_anchor at_rest(0);
+  std::optional<binomial_log_ratio> log_ratio;
   bool tail_ready = false;
   while (true) {
     const double u = gen.next_double() - 0.5;
@@ -98,16 +120,19 @@ std::uint64_t binomial_btrs(std::uint64_t n, double p, rng& gen) {
     if (us >= 0.07 && v <= v_r) return k;
     if (!tail_ready) {
       alpha = (2.83 + 5.1 / b) * spq;
-      log_odds = std::log(p / (1.0 - p));
       mode = std::min(n, static_cast<std::uint64_t>((nf + 1.0) * p));
-      at_mode = log_factorial_anchor(mode);
-      at_rest = log_factorial_anchor(n - mode);
+      if (walk) {
+        odds = p / (1.0 - p);
+      } else {
+        log_ratio.emplace(n, p, mode);
+      }
       tail_ready = true;
     }
-    // log f(k) - log f(mode), as two mode-anchored factorial ratios.
-    const double log_ratio = -(at_mode.ratio(k) + at_rest.ratio(n - k)) +
-                             (kf - static_cast<double>(mode)) * log_odds;
-    if (std::log(v * alpha / (a / (us * us) + b)) <= log_ratio) return k;
+    const double bound = v * alpha / (a / (us * us) + b);
+    if (walk ? binomial_walk_accepts(n, odds, mode, k, bound)
+             : std::log(bound) <= (*log_ratio)(k)) {
+      return k;
+    }
   }
 }
 
@@ -157,9 +182,8 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
     // their rounding, at ~small * log(total). P(k+1) / P(k) = (marked - k)
     // (draws - k) / ((k + 1) (rest + k + 1)); its numerator is below total.
     const std::uint64_t small = std::min(marked, draws);
-    const double p0 =
-        std::exp(log_factorial_anchor(rest).ratio(rest + small) -
-                 log_factorial_anchor(total - small).ratio(total));
+    const double p0 = std::exp(log_factorial_ratio(rest + small, rest) -
+                               log_factorial_ratio(total, total - small));
     return invert_from_zero(
         p0,
         [marked, draws, rest](std::uint64_t k) {
@@ -185,9 +209,9 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
       static_cast<unsigned __int128>(draws + 1) * (marked + 1) /
       (static_cast<unsigned __int128>(total) + 2));
   // Accept k when u^2 <= pmf(k) / pmf(mode). A narrow hat walks that
-  // ratio out from the mode; a wide one takes it as four log-factorial
-  // ratios. The candidate loop is written out for each: one loop shared
-  // through a generic lambda timed the wide-hat path ~15% slower a call.
+  // ratio out from the mode; a wide one takes its log, folded. The
+  // candidate loop is written out for each: one loop shared through a
+  // generic lambda timed the wide-hat path ~15% slower a call.
   if (variance < hypergeometric_walk_variance_below) {
     while (true) {
       const double u = gen.next_double();
@@ -201,13 +225,7 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
       }
     }
   }
-  // pmf(x) is proportional to 1 / (x! (marked - x)! (draws - x)!
-  // (rest + x)!), rest >= 0; each factor is compared with its value at the
-  // mode.
-  const log_factorial_anchor at_x(mode);
-  const log_factorial_anchor at_marked(marked - mode);
-  const log_factorial_anchor at_draws(draws - mode);
-  const log_factorial_anchor at_rest(rest + mode);
+  const hypergeometric_log_ratio log_ratio(marked, draws, rest, mode);
   while (true) {
     const double u = gen.next_double();
     const double v = gen.next_double();
@@ -215,9 +233,7 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
     const double x = a + h * (v - 0.5) / u;
     if (x < 0.0 || x >= support_end) continue;
     const auto k = static_cast<std::uint64_t>(x);
-    // log pmf(k) - log pmf(mode).
-    const double t = -(at_x.ratio(k) + at_marked.ratio(marked - k) +
-                       at_draws.ratio(draws - k) + at_rest.ratio(rest + k));
+    const double t = log_ratio(k);
     // Squeezes on (0, 1]: u - 1/u <= 2 log u <= u (4 - u) - 3.
     if (u * (4.0 - u) - 3.0 <= t) return k;
     if (u * (u - t) >= 1.0) continue;
@@ -225,10 +241,8 @@ std::uint64_t hypergeometric_core(std::uint64_t total, std::uint64_t marked,
   }
 }
 
-}  // namespace
-
-std::uint64_t sample_binomial(std::uint64_t n, double p, rng& gen) {
-  PPG_CHECK(p >= 0.0 && p <= 1.0, "sample_binomial requires p in [0, 1]");
+/// The binomial draw behind sample_binomial, for p already in [0, 1].
+std::uint64_t binomial(std::uint64_t n, double p, rng& gen) {
   if (p == 0.0 || n == 0) return 0;
   if (p == 1.0) return n;
   // Work with q = min(p, 1-p): inversion walks O(n*q) terms after one
@@ -240,6 +254,107 @@ std::uint64_t sample_binomial(std::uint64_t n, double p, rng& gen) {
           ? binomial_inversion(n, q, gen)
           : binomial_btrs(n, q, gen);
   return flipped ? n - successes : successes;
+}
+
+/// One link of a multinomial's conditional chain: the success probability
+/// of category i given the mass `remaining_prob` left before it, which it
+/// then takes off.
+double chain_link(double prob, double& remaining_prob) {
+  const double conditional =
+      remaining_prob <= 0.0 ? 0.0 : prob / remaining_prob;
+  remaining_prob -= prob;
+  return std::min(1.0, std::max(0.0, conditional));
+}
+
+}  // namespace
+
+hypergeometric_log_ratio::hypergeometric_log_ratio(std::uint64_t marked,
+                                                   std::uint64_t draws,
+                                                   std::uint64_t rest,
+                                                   std::uint64_t mode)
+    : marked_(marked),
+      draws_(draws),
+      rest_(rest),
+      mode_(mode),
+      anchors_tabulated_(std::min({mode, marked - mode, draws - mode}) <
+                         log_factorial_table_size),
+      mode_f_(static_cast<double>(mode)),
+      log_anchors_(0.0),
+      inv_{},
+      anchor_tails_(0.0) {
+  if (anchors_tabulated_) return;
+  // The anchors of log(k!/mode!), log((marked-k)!/(marked-mode)!),
+  // log((draws-k)!/(draws-mode)!) and log((rest+k)!/(rest+mode)!): the
+  // d log b parts are D log mode - D log(marked-mode) - D log(draws-mode)
+  // + D log(rest+mode), D = k - mode, and the -d parts cancel.
+  const double anchors[4] = {mode_f_, static_cast<double>(marked - mode),
+                             static_cast<double>(draws - mode),
+                             static_cast<double>(rest + mode)};
+  log_anchors_ = std::log(anchors[0] * anchors[3] / (anchors[1] * anchors[2]));
+  for (int i = 0; i < 4; ++i) {
+    inv_[i] = 1.0 / anchors[i];
+    anchor_tails_ += stirling_tail(inv_[i]);
+  }
+}
+
+double hypergeometric_log_ratio::operator()(std::uint64_t k) const {
+  // rest + k >= k, so three arguments decide whether the fold applies.
+  if (anchors_tabulated_ ||
+      std::min({k, marked_ - k, draws_ - k}) < log_factorial_table_size) {
+    return -(log_factorial_ratio(k, mode_) +
+             log_factorial_ratio(marked_ - k, marked_ - mode_) +
+             log_factorial_ratio(draws_ - k, draws_ - mode_) +
+             log_factorial_ratio(rest_ + k, rest_ + mode_));
+  }
+  const double kf = static_cast<double>(k);
+  const double d = kf - mode_f_;
+  return -(d * log_anchors_ + folded_term(kf, d, inv_[0]) +
+           folded_term(static_cast<double>(marked_ - k), -d, inv_[1]) +
+           folded_term(static_cast<double>(draws_ - k), -d, inv_[2]) +
+           folded_term(static_cast<double>(rest_ + k), d, inv_[3]) -
+           anchor_tails_);
+}
+
+binomial_log_ratio::binomial_log_ratio(std::uint64_t n, double p,
+                                       std::uint64_t mode)
+    : n_(n),
+      mode_(mode),
+      p_(p),
+      anchors_tabulated_(std::min(mode, n - mode) < log_factorial_table_size),
+      mode_f_(static_cast<double>(mode)),
+      log_anchors_(0.0),
+      inv_{},
+      anchor_tails_(0.0) {
+  if (anchors_tabulated_) return;
+  // log f(k)/f(mode) = D log(p/(1-p)) - log(k!/mode!) - log((n-k)!/(n-mode)!),
+  // D = k - mode: the d log b parts and the odds fold into D log((n-mode)
+  // p / (mode (1-p))), and the -d parts cancel.
+  const double anchors[2] = {mode_f_, static_cast<double>(n - mode)};
+  log_anchors_ = std::log(anchors[1] * p / (anchors[0] * (1.0 - p)));
+  for (int i = 0; i < 2; ++i) {
+    inv_[i] = 1.0 / anchors[i];
+    anchor_tails_ += stirling_tail(inv_[i]);
+  }
+}
+
+double binomial_log_ratio::operator()(std::uint64_t k) const {
+  const double kf = static_cast<double>(k);
+  const double d = kf - mode_f_;
+  if (anchors_tabulated_ ||
+      std::min(k, n_ - k) < log_factorial_table_size) {
+    return d * std::log(p_ / (1.0 - p_)) -
+           (log_factorial_ratio(k, mode_) +
+            log_factorial_ratio(n_ - k, n_ - mode_));
+  }
+  return d * log_anchors_ -
+         (folded_term(kf, d, inv_[0]) +
+          folded_term(static_cast<double>(n_ - k), -d, inv_[1]) -
+          anchor_tails_);
+}
+
+std::uint64_t sample_binomial(std::uint64_t n, double p, rng& gen) {
+  PPG_CHECK(p >= 0.0 && p <= 1.0, "sample_binomial requires p in [0, 1]");
+  return binomial(n, p, gen);
 }
 
 std::uint64_t sample_hypergeometric(std::uint64_t total, std::uint64_t marked,
@@ -290,14 +405,31 @@ void sample_multinomial(std::uint64_t m, const double* probs,
   double remaining_prob = 1.0;
   std::uint64_t remaining = m;
   for (std::size_t i = 0; i + 1 < size && remaining > 0; ++i) {
-    const double conditional =
-        remaining_prob <= 0.0 ? 0.0 : probs[i] / remaining_prob;
     const std::uint64_t draw =
-        sample_binomial(remaining, std::min(1.0, std::max(0.0, conditional)),
-                        gen);
+        binomial(remaining, chain_link(probs[i], remaining_prob), gen);
     out[i] = draw;
     remaining -= draw;
-    remaining_prob -= probs[i];
+  }
+  out[size - 1] += remaining;
+}
+
+void multinomial_chain(const double* probs, std::size_t size, double* chain) {
+  double remaining_prob = 1.0;
+  for (std::size_t i = 0; i + 1 < size; ++i) {
+    chain[i] = chain_link(probs[i], remaining_prob);
+  }
+  if (size > 0) chain[size - 1] = 1.0;
+}
+
+void sample_multinomial_chain(std::uint64_t m, const double* chain,
+                              std::size_t size, rng& gen,
+                              std::uint64_t* out) {
+  for (std::size_t i = 0; i < size; ++i) out[i] = 0;
+  std::uint64_t remaining = m;
+  for (std::size_t i = 0; i + 1 < size && remaining > 0; ++i) {
+    const std::uint64_t draw = binomial(remaining, chain[i], gen);
+    out[i] = draw;
+    remaining -= draw;
   }
   out[size - 1] += remaining;
 }

@@ -10,9 +10,11 @@
 // to ~n). Small expected counts take one uniform and a walk of the pmf from
 // 0 (binomial mean < 14, hypergeometric mean < 1) or sequential draws in
 // integer arithmetic (hypergeometric draws <= 8); larger ones take the
-// textbook rejection samplers BTRS (binomial) and HRUA (hypergeometric),
-// whose acceptance tests take a few logs and no lgamma. See DESIGN.md §8
-// for each branch's law error and per-call cost.
+// textbook rejection samplers BTRS (binomial) and HRUA (hypergeometric).
+// Their acceptance tests walk the pmf ratio from the mode while the hat is
+// narrow, and otherwise take one log a draw and one log1p per Stirling
+// term a candidate, never lgamma. See DESIGN.md §8 for each branch's law
+// error and per-call cost.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,7 @@ namespace ppg {
 /// p > 1/2 draw is flipped) and n*q < 14 it inverts one uniform by walking
 /// the pmf up from (1-q)^n, O(n*q + 1) multiplies; from n*q = 14 on it runs
 /// Hörmann's BTRS, transformed rejection with squeeze (1993), in O(1)
-/// expected uniform pairs.
+/// expected uniform pairs. Requires p in [0, 1] (checked).
 [[nodiscard]] std::uint64_t sample_binomial(std::uint64_t n, double p,
                                             rng& gen);
 
@@ -60,6 +62,67 @@ void sample_multivariate_hypergeometric(const std::uint64_t* counts,
 /// remainder). Allocation-free.
 void sample_multinomial(std::uint64_t m, const double* probs,
                         std::size_t size, rng& gen, std::uint64_t* out);
+
+/// Writes into chain[0..size) the conditional success probabilities that
+/// sample_multinomial computes on every call: chain[i] = probs[i] / (1 -
+/// probs[0] - ... - probs[i-1]), with the remaining mass subtracted in
+/// order, 0 once it is <= 0, and clamped to [0, 1]; chain[size - 1] = 1.
+/// A law drawn many times compiles its chain once.
+void multinomial_chain(const double* probs, std::size_t size, double* chain);
+
+/// sample_multinomial(m, probs, size, gen, out) from probs' compiled
+/// multinomial_chain: bit-identical draws, with no division, clamp or
+/// range check per call. Requires size > 0 and a chain from
+/// multinomial_chain.
+void sample_multinomial_chain(std::uint64_t m, const double* chain,
+                              std::size_t size, rng& gen, std::uint64_t* out);
+
+/// The rejection samplers' folded acceptance arithmetic, exposed for the
+/// arithmetic tests. Each ratio log(a!/b!) of a candidate-side argument a
+/// over its mode-side anchor b >= 126 is, by Stirling's series,
+/// d log b + (a + 1/2) log1p(d/b) - d + tail(a) - tail(b) with d = a - b.
+/// Across the terms of one pmf the d's cancel and the d log b's sum to
+/// (k - mode) times the log of one ratio of anchors, so a draw takes one
+/// log and each candidate one log1p and one division per term. A
+/// candidate with an argument below 126, log_factorial's table, takes
+/// log_factorial_ratio per term instead.
+///
+/// log pmf(k) - log pmf(mode) of Hypergeometric: pmf(x) is proportional to
+/// 1 / (x! (marked - x)! (draws - x)! (rest + x)!). Requires mode <= marked,
+/// mode <= draws, and candidates k <= min(marked, draws).
+class hypergeometric_log_ratio {
+ public:
+  hypergeometric_log_ratio(std::uint64_t marked, std::uint64_t draws,
+                           std::uint64_t rest, std::uint64_t mode);
+  [[nodiscard]] double operator()(std::uint64_t k) const;
+
+ private:
+  std::uint64_t marked_, draws_, rest_, mode_;
+  bool anchors_tabulated_;  ///< an anchor below 126: every k is generic
+  double mode_f_;
+  /// log(mode (rest + mode) / ((marked - mode) (draws - mode))).
+  double log_anchors_;
+  /// 1 / anchor: mode, marked - mode, draws - mode, rest + mode.
+  double inv_[4];
+  double anchor_tails_;  ///< the sum of the anchors' Stirling tails
+};
+
+/// log f(k) - log f(mode) of Binomial(n, p): f(x) is proportional to
+/// (p/(1-p))^x / (x! (n - x)!). Requires 0 < p < 1, mode <= n and k <= n.
+class binomial_log_ratio {
+ public:
+  binomial_log_ratio(std::uint64_t n, double p, std::uint64_t mode);
+  [[nodiscard]] double operator()(std::uint64_t k) const;
+
+ private:
+  std::uint64_t n_, mode_;
+  double p_;
+  bool anchors_tabulated_;  ///< an anchor below 126: every k is generic
+  double mode_f_;
+  double log_anchors_;   ///< log((n - mode) p / (mode (1 - p)))
+  double inv_[2];        ///< 1 / anchor: mode, n - mode
+  double anchor_tails_;  ///< the sum of the anchors' Stirling tails
+};
 
 /// The exact "birthday" law of the multibatch engine's aggregated rounds:
 /// the number J of collision-free ordered agent pairs drawn, without

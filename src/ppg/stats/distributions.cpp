@@ -19,9 +19,6 @@ double log_gamma(double x) {
 
 namespace {
 
-/// log_factorial is tabulated below this, Stirling's series above.
-constexpr std::uint64_t log_factorial_table_size = 126;
-
 /// The truncated Stirling correction 1/(12k) - 1/(360k^3) of log k!.
 double stirling_tail(double k) {
   return (1.0 / 12.0 - 1.0 / (360.0 * k * k)) / k;
@@ -46,12 +43,6 @@ double log_factorial(std::uint64_t k) {
 }
 
 double log_factorial_ratio(std::uint64_t a, std::uint64_t b) {
-  const double log_b =
-      b < log_factorial_table_size ? 0.0 : std::log(static_cast<double>(b));
-  return log_factorial_ratio(a, b, log_b);
-}
-
-double log_factorial_ratio(std::uint64_t a, std::uint64_t b, double log_b) {
   if (a == b) return 0.0;
   if (a < log_factorial_table_size || b < log_factorial_table_size) {
     return log_factorial(a) - log_factorial(b);
@@ -62,7 +53,7 @@ double log_factorial_ratio(std::uint64_t a, std::uint64_t b, double log_b) {
   const double af = static_cast<double>(a);
   const double bf = static_cast<double>(b);
   const double d = af - bf;
-  return d * log_b + ((af + 0.5) * std::log1p(d / bf) - d) +
+  return d * std::log(bf) + ((af + 0.5) * std::log1p(d / bf) - d) +
          (stirling_tail(af) - stirling_tail(bf));
 }
 

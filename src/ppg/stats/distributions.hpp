@@ -15,6 +15,9 @@ namespace ppg {
 /// which uses the reentrant lgamma_r where the platform provides it.
 [[nodiscard]] double log_gamma(double x);
 
+/// log_factorial is tabulated below this, Stirling's series above.
+inline constexpr std::uint64_t log_factorial_table_size = 126;
+
 /// log k!: exact to double rounding from a table below 126, and the
 /// Stirling series (k + 1/2) log k - k + log(2 pi)/2 + 1/(12k) - 1/(360k^3)
 /// above, whose truncation error there is below 3e-14. No lgamma call, so
@@ -24,15 +27,11 @@ namespace ppg {
 
 /// log(a! / b!), to ~1e-13 relative even when a and b are close and huge
 /// (up to ~3e9), where log_factorial(a) - log_factorial(b) would cancel
-/// terms of magnitude up to ~6e10. Zero when a == b.
-/// Test oracle: tests/test_discrete_sampling.cpp checks the samplers' form.
+/// terms of magnitude up to ~6e10. Zero when a == b. The hypergeometric
+/// inversion's P(0) is two of these; the rejection samplers fold theirs
+/// (stats/discrete_sampling.hpp) and call this only where an argument is
+/// below 126, and the fold's tests check the fold against it.
 [[nodiscard]] double log_factorial_ratio(std::uint64_t a, std::uint64_t b);
-
-/// log_factorial_ratio(a, b) with log_b = log(b) supplied by the caller
-/// (ignored when b < 126): one log1p per call, so a sampler comparing many
-/// candidates a against one fixed b hoists the log of b out of its loop.
-[[nodiscard]] double log_factorial_ratio(std::uint64_t a, std::uint64_t b,
-                                         double log_b);
 
 /// log of the binomial coefficient C(n, k).
 [[nodiscard]] double log_binomial_coefficient(std::uint64_t n,

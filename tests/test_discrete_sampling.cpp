@@ -5,8 +5,9 @@
 // on both sides of each cutover), at its boundary parameters (p in {0, 1},
 // draws = population, single category), and under the
 // two-runs-bit-identical determinism contract the engines rely on. The
-// rejection samplers' log-factorial arithmetic is checked against
-// independent references.
+// rejection samplers' log-factorial arithmetic, and its folded form, are
+// checked against independent references, and a compiled multinomial
+// chain against the uncompiled split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,6 +90,92 @@ TEST(DiscreteSampling, LogFactorialRatioMatchesLongDoubleSum) {
       EXPECT_NEAR(log_factorial_ratio(a, b), ref, 1e-13 * std::fabs(ref))
           << "a=" << a << " b=" << b;
     }
+  }
+}
+
+/// A log-uniform integer in [lo, hi].
+std::uint64_t log_uniform(rng& gen, double lo, double hi) {
+  return static_cast<std::uint64_t>(
+      std::exp(std::log(lo) + gen.next_double() * std::log(hi / lo)));
+}
+
+/// mode + round(z sd) for z uniform in [-12, 12], clamped to [0, max].
+std::uint64_t near_mode(rng& gen, std::uint64_t mode, double sd,
+                        std::uint64_t max) {
+  const double x = std::round(static_cast<double>(mode) +
+                              (24.0 * gen.next_double() - 12.0) * sd);
+  return static_cast<std::uint64_t>(
+      std::clamp(x, 0.0, static_cast<double>(max)));
+}
+
+TEST(DiscreteSampling, FoldedHypergeometricRatioMatchesFourTerms) {
+  // HRUA's wide-hat test folds the four log-factorial ratios' d log b
+  // parts into (k - mode) times one log. Over 10^5 random wide shapes
+  // (variance >= 144, total up to 3e9, draws up to 2*10^4 as a multibatch
+  // round at n ~ 10^9 draws them) and candidates within 12 sd of the mode,
+  // it stays within 1e-12 (relative above 1) of the four-term sum. The
+  // tolerance is the reference's: each of its four d log b terms rounds
+  // alone, ~10x the fold's error (DESIGN.md §8), so shapes far wider than
+  // the engine's would exceed it on the reference's side.
+  rng gen(31);
+  int checked = 0;
+  while (checked < 100'000) {
+    const std::uint64_t total = log_uniform(gen, 2e3, 3e9);
+    const std::uint64_t marked =
+        1 + log_uniform(gen, 1.0, static_cast<double>(total / 2));
+    const std::uint64_t draws = 1 + log_uniform(gen, 1.0, 2e4);
+    if (2 * marked > total || 2 * draws > total) continue;
+    const double nf = static_cast<double>(total);
+    const double p = static_cast<double>(marked) / nf;
+    const double mf = static_cast<double>(draws);
+    const double variance = (nf - mf) * mf * p * (1.0 - p) / (nf - 1.0);
+    if (variance < 144.0) continue;
+    const std::uint64_t rest = total - marked - draws;
+    const auto mode = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(draws + 1) * (marked + 1) /
+        (static_cast<unsigned __int128>(total) + 2));
+    const hypergeometric_log_ratio folded(marked, draws, rest, mode);
+    const std::uint64_t k =
+        near_mode(gen, mode, std::sqrt(variance), std::min(marked, draws));
+    const double reference =
+        -(log_factorial_ratio(k, mode) +
+          log_factorial_ratio(marked - k, marked - mode) +
+          log_factorial_ratio(draws - k, draws - mode) +
+          log_factorial_ratio(rest + k, rest + mode));
+    const double error = std::fabs(folded(k) - reference) /
+                         std::max(1.0, std::fabs(reference));
+    ASSERT_LE(error, 1e-12) << total << "/" << marked << "/" << draws
+                            << " k=" << k << " mode=" << mode;
+    ++checked;
+  }
+}
+
+TEST(DiscreteSampling, FoldedBinomialRatioMatchesTwoTerms) {
+  // BTRS's tail test folds log(p/(1-p)) and the two ratios' d log b parts
+  // into (k - mode) times one log. The same check over 10^5 random shapes
+  // of variance 100 to 5000 with n up to 3e9; below variance 160 the
+  // sampler walks instead, so those shapes check the fold's arithmetic
+  // only, including candidates under log_factorial's table.
+  rng gen(32);
+  int checked = 0;
+  while (checked < 100'000) {
+    const std::uint64_t n = log_uniform(gen, 4e2, 3e9);
+    const double p = 0.5 * std::exp(gen.next_double() * std::log(1e-9));
+    const double nf = static_cast<double>(n);
+    const double variance = nf * p * (1.0 - p);
+    if (variance < 100.0 || variance > 5e3) continue;
+    const std::uint64_t mode =
+        std::min(n, static_cast<std::uint64_t>((nf + 1.0) * p));
+    const binomial_log_ratio folded(n, p, mode);
+    const std::uint64_t k = near_mode(gen, mode, std::sqrt(variance), n);
+    const double reference =
+        (static_cast<double>(k) - static_cast<double>(mode)) *
+            std::log(p / (1.0 - p)) -
+        (log_factorial_ratio(k, mode) + log_factorial_ratio(n - k, n - mode));
+    const double error = std::fabs(folded(k) - reference) /
+                         std::max(1.0, std::fabs(reference));
+    ASSERT_LE(error, 1e-12) << "n=" << n << " p=" << p << " k=" << k;
+    ++checked;
   }
 }
 
@@ -180,6 +267,11 @@ TEST(DiscreteSampling, BinomialChiSquareAtEveryBranch) {
   // conditional binomials (~790 pairs per partner law, means 2, 5 and 9),
   // at n = 10^8 with mean 5, where P(0) = exp(n log1p(-p)) carries the
   // whole n, and the p > 1/2 flip into inversion (mean 5 of failures).
+  // Then BTRS on the two sides of its tail test's walk cutover at variance
+  // 160 (159 walks, 161 takes the folded logs) at n = 1600 and n = 10^8,
+  // where candidates 3 sd below the mode fall under log_factorial's table
+  // and take the generic ratios; and the hawk-dove partner law (n 3133,
+  // p 0.27, variance 617: the fold).
   struct binomial_case {
     std::uint64_t n;
     double p;
@@ -195,7 +287,12 @@ TEST(DiscreteSampling, BinomialChiSquareAtEveryBranch) {
                                 binomial_case{790, 5.0 / 790.0},
                                 binomial_case{790, 9.0 / 790.0},
                                 binomial_case{100'000'000, 5e-8},
-                                binomial_case{1000, 0.995}}) {
+                                binomial_case{1000, 0.995},
+                                binomial_case{1600, 0.111896},
+                                binomial_case{1600, 0.113509},
+                                binomial_case{100'000'000, 1.59e-6},
+                                binomial_case{100'000'000, 1.61e-6},
+                                binomial_case{3133, 0.27}}) {
     rng gen(++seed);
     const double mean = static_cast<double>(c.n) * c.p;
     const auto [lo, hi] = window(mean, std::sqrt(mean * (1.0 - c.p)), c.n);
@@ -217,8 +314,11 @@ TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
   // flip, and means just below 1 (inversion) and just above it (HRUA).
   // Then HRUA at igt_ensemble's middle GTFT levels 2051, 8203 and 131252
   // (sd 1.1, 2.2 and 8.4: the narrow-hat pmf-ratio walk) and on the two
-  // sides of the walk's variance cutover at 256 (sd 15.96 walks, sd 16.04
-  // takes the Stirling ratios).
+  // sides of the walk's variance cutover at 144 (sd 11.95 walks, sd 12.04
+  // takes the folded Stirling ratios). Last, two more shapes of the fold
+  // besides the hawk-dove splits above (sd 40 and 20): the q = 8 logit
+  // round's first initiator split at n = 10^8 (sd 26), and the 3e9 extreme
+  // (sd 16.6), whose far-left candidates fall under log_factorial's table.
   struct hypergeometric_case {
     std::uint64_t total;
     std::uint64_t marked;
@@ -240,8 +340,10 @@ TEST(DiscreteSampling, HypergeometricChiSquareAtMultibatchScale) {
         hypergeometric_case{1'000'000, 2051, 617},
         hypergeometric_case{1'000'000, 8203, 617},
         hypergeometric_case{1'000'000, 131'252, 617},
-        hypergeometric_case{1'000'000, 500'000, 1020},
-        hypergeometric_case{1'000'000, 500'000, 1030}}) {
+        hypergeometric_case{1'000'000, 500'000, 572},
+        hypergeometric_case{1'000'000, 500'000, 580},
+        hypergeometric_case{100'000'000, 12'500'000, 6267},
+        hypergeometric_case{3'000'000'000, 1'500'000'000, 1100}}) {
     rng gen(++seed);
     const double nf = static_cast<double>(c.total);
     const double p = static_cast<double>(c.marked) / nf;
@@ -403,6 +505,40 @@ TEST(DiscreteSampling, MultinomialBoundaries) {
   EXPECT_EQ(x, (std::vector<std::uint64_t>{0, 20, 0}));
   EXPECT_EQ(draw_multinomial(0, {0.5, 0.5}, gen),
             (std::vector<std::uint64_t>{0, 0}));
+}
+
+TEST(DiscreteSampling, MultinomialChainDrawsAsTheUncompiledSplit) {
+  // A compiled chain must give sample_multinomial's draws bit for bit:
+  // laws that sum to 1, a little under and over it (the remaining mass
+  // reaches <= 0 before the last category), zeros inside, one category,
+  // and an 8-way logit-like law, at m from 0 past BTRS's range.
+  const std::vector<std::vector<double>> laws = {
+      {0.25, 0.25, 0.5},
+      {0.1, 0.2, 0.3, 0.4 - 1e-10},
+      {0.6, 0.4 + 1e-10, 0.0},
+      {0.0, 0.7, 0.0, 0.3},
+      {1.0},
+      {0.02, 0.31, 0.005, 0.12, 0.2, 0.09, 0.055, 0.2}};
+  for (std::size_t l = 0; l < laws.size(); ++l) {
+    const std::vector<double>& law = laws[l];
+    std::vector<double> chain(law.size());
+    multinomial_chain(law.data(), law.size(), chain.data());
+    EXPECT_EQ(chain.back(), 1.0);
+    rng split_gen(40 + l);
+    rng chain_gen(40 + l);
+    std::vector<std::uint64_t> split(law.size());
+    std::vector<std::uint64_t> chained(law.size());
+    for (const std::uint64_t m : {0ull, 1ull, 7ull, 40ull, 1600ull,
+                                  100'000ull, 3'000'000'000ull}) {
+      for (int t = 0; t < 50; ++t) {
+        sample_multinomial(m, law.data(), law.size(), split_gen,
+                           split.data());
+        sample_multinomial_chain(m, chain.data(), law.size(), chain_gen,
+                                 chained.data());
+        ASSERT_EQ(split, chained) << "law " << l << " m=" << m;
+      }
+    }
+  }
 }
 
 TEST(DiscreteSampling, TwoRunsAreBitIdentical) {

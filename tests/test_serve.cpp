@@ -2,7 +2,8 @@
 // directly, no sockets), the fairness/bit-exactness contract of interleaved
 // sessions, the kernel cache, the fair scheduler, a raw-socket smoke test of
 // the HTTP front end, its read and write loops against misbehaving peers,
-// and the client's session recovery over loopback.
+// the client's send deadline against a peer that never reads, and its
+// session recovery over loopback.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -944,6 +945,66 @@ json census_of(serve_client& client, const std::string& id) {
       client.request("GET", "/sessions/" + id + "/census");
   EXPECT_EQ(response.status, 200) << response.body;
   return json::parse(response.body);
+}
+
+// A loopback peer that accepts and never reads: the client's send loop
+// must give up at its deadline however much of the body is left. Both
+// socket buffers are small, so an 8 MiB body cannot fit in them.
+TEST(ServeClient, SendGivesUpOnAPeerThatNeverReads) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const int small_buffer = 4096;
+  ::setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &small_buffer,
+               sizeof(small_buffer));
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  address.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address),
+                   sizeof(address)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t size = sizeof(address);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&address), &size),
+      0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small_buffer,
+               sizeof(small_buffer));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+
+  const std::string body(8u << 20, 'x');
+  const auto start = std::chrono::steady_clock::now();
+  auto sending = std::async(std::launch::async, [&]() -> std::string {
+    try {
+      send_within(fd, body, 200);
+    } catch (const client_error& e) {
+      return std::string(e.what()) + (e.sent() ? " (sent)" : "");
+    }
+    return "sent";
+  });
+  // A send that ignores its deadline would block until the peer reads:
+  // close the peer, whose unread bytes make that a reset, so the test
+  // fails instead of hanging the suite.
+  if (sending.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    ::close(peer);
+    peer = -1;
+  }
+  const std::string outcome = sending.get();
+  const auto took_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_EQ(outcome, "request deadline exceeded while writing (sent)");
+  EXPECT_LT(took_ms, 1000);
+  if (peer >= 0) ::close(peer);
+  ::close(fd);
+  ::close(listener);
 }
 
 TEST(ServeClient, SessionHandleRestoresADeletedSessionBitExactly) {

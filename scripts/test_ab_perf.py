@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Self-tests of scripts/ab_perf.py's statistics, seed lists and pair
-order (no build, no run).
+"""Self-tests of scripts/ab_perf.py's statistics, seed lists, pair order
+and ppg-bench row handling (no build; one run of a stand-in binary).
 
     python3 scripts/test_ab_perf.py
 """
 
 import os
+import re
+import stat
 import statistics
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -105,6 +108,87 @@ class SeedsAndOrderTest(unittest.TestCase):
         self.assertEqual(ab_perf.order(1), ("change", "parent"))
         firsts = [ab_perf.order(i)[0] for i in range(10)]
         self.assertEqual(firsts.count("parent"), 5)
+
+
+class BenchRowTest(unittest.TestCase):
+    ARTIFACT = {"scenarios": [
+        {"name": "throughput_engines",
+         "metrics": {"ips_logit_q8_multibatch_n100000000": 3.2e9,
+                     "ips_logit_q8_multibatch_n100000000_chunk8192": 8e8},
+         "metric_goals": {}},
+        {"name": "p1_parallel_engines",
+         "metrics": {"mb_rounds": 2277.0, "ips_solo_loop": 1e9},
+         "metric_goals": {"mb_rounds": "max"}},
+    ]}
+
+    def test_parses_scenario_and_metric(self):
+        self.assertEqual(
+            ab_perf.parse_row("throughput_micro.sampler_ns_binomial_var159"),
+            ("throughput_micro", "sampler_ns_binomial_var159"))
+        for bad in ("ips_solo_loop", ".ips", "throughput_engines."):
+            with self.assertRaises(ValueError):
+                ab_perf.parse_row(bad)
+
+    def test_direction_from_the_name_tokens(self):
+        self.assertEqual(ab_perf.row_direction("ips_dense_agent_n10000"),
+                         "higher")
+        self.assertEqual(ab_perf.row_direction("batch_ips_t4"), "higher")
+        self.assertEqual(ab_perf.row_direction("rate_rollout_game"), "higher")
+        self.assertEqual(
+            ab_perf.row_direction("sampler_ns_binomial_var159"), "lower")
+        self.assertEqual(ab_perf.row_direction("recovery_ms"), "lower")
+        # A unit counts only as a whole token, and a row with none has no
+        # direction.
+        with self.assertRaises(ValueError):
+            ab_perf.row_direction("events_multibatch_hawk_dove")
+        with self.assertRaises(ValueError):
+            ab_perf.row_direction("spill_overhead_pct")
+
+    def test_filter_selects_exactly_the_rows_scenarios(self):
+        regex = ab_perf.bench_filter([("throughput_micro", "a_ns"),
+                                      ("throughput_engines", "ips_x"),
+                                      ("throughput_micro", "b_ns")])
+        self.assertEqual(regex, "^(throughput_engines|throughput_micro)$")
+        for name in ("throughput_engines", "throughput_micro"):
+            self.assertTrue(re.search(regex, name))
+        for name in ("throughput_batch", "throughput_engines_2", "x"):
+            self.assertIsNone(re.search(regex, name))
+
+    def test_reads_ungated_rows_and_refuses_the_rest(self):
+        self.assertEqual(
+            ab_perf.row_value(self.ARTIFACT, "throughput_engines",
+                              "ips_logit_q8_multibatch_n100000000"), 3.2e9)
+        self.assertEqual(ab_perf.row_value(self.ARTIFACT,
+                                           "p1_parallel_engines",
+                                           "ips_solo_loop"), 1e9)
+        with self.assertRaises(ValueError):  # gated: seed-deterministic
+            ab_perf.row_value(self.ARTIFACT, "p1_parallel_engines",
+                              "mb_rounds")
+        with self.assertRaises(ValueError):
+            ab_perf.row_value(self.ARTIFACT, "throughput_engines", "nope")
+        with self.assertRaises(ValueError):
+            ab_perf.row_value(self.ARTIFACT, "throughput_micro", "ips_x")
+
+    def test_runs_a_binary_with_the_filter_and_seed(self):
+        # A stand-in for ppg-bench: it writes its arguments into the
+        # artifact that --json names.
+        script = (f"#!{sys.executable}\n"
+                  "import json, sys\n"
+                  "args = sys.argv[1:]\n"
+                  "path = args[args.index('--json') + 1]\n"
+                  "json.dump({'args': args, 'scenarios': []}, "
+                  "open(path, 'w'))\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            binary = os.path.join(tmp, "ppg-bench")
+            with open(binary, "w") as f:
+                f.write(script)
+            os.chmod(binary, os.stat(binary).st_mode | stat.S_IXUSR)
+            artifact = ab_perf.run_bench(binary, "^(throughput_engines)$", 7)
+        args = artifact["args"]
+        self.assertEqual(args[args.index("--filter") + 1],
+                         "^(throughput_engines)$")
+        self.assertEqual(args[args.index("--seed") + 1], "7")
+        self.assertNotIn("--smoke", args)
 
 
 if __name__ == "__main__":

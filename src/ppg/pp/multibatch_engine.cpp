@@ -28,7 +28,10 @@ multibatch_engine::multibatch_engine(
   // scales them as ~sqrt(n)) fall back to the sequential path and the
   // engine degrades to census-engine cost. The class-level responder MVH
   // makes a one-way round cheaper by up to q - C hypergeometrics, which D
-  // leaves out: the threshold is the same for both responder draws.
+  // leaves out: the threshold is the same for both responder draws. A
+  // two-way partner-keyed round defers its D binomials to the reveals
+  // (class comment, step 2); the threshold still prices them, and its
+  // sample reveals by law from the threshold on.
   using row_shape = kernel_table::row_shape;
   std::uint64_t draws = 0;
   if (kernel_->partner_keyed()) {
@@ -99,6 +102,16 @@ multibatch_engine::multibatch_engine(
           : 200.0 + 140.0 * static_cast<double>(mvh_categories + draws);
   const double change_ns = 60.0 + 9.0 * states;
   const double limit = round_ns * ordered_pairs_ / (mean_run * change_ns);
+  if (kernel_->partner_keyed() && !kernel_->responders_stay()) {
+    // Two-way rounds leave their agents unrevealed by law. A round's
+    // sample reveals ~2 E[J] P / n of them, P the unrevealed count, so a
+    // boundary reveals them all once that would reach the threshold.
+    unrevealed_.assign(q, 0);
+    unrevealed_untouched_.assign(q, 0);
+    reveal_limit_ = static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(aggregate_threshold_) *
+                  static_cast<double>(n_) / (2.0 * mean_run)));
+  }
   if (non_identity_pairs == q * q) {
     // Every census has mass n(n-1): decide once.
     skip_mass_limit_ = limit > ordered_pairs_
@@ -122,7 +135,22 @@ void multibatch_engine::check_round_invariants() const {
                "multibatch invariant: untouched pool exceeds the census");
     untouched_sum += untouched_[s];
   }
-  PPG_DCHECK(untouched_sum == untouched_total_,
+  std::uint64_t unrevealed_sum = 0;
+  std::uint64_t unrevealed_untouched_sum = 0;
+  for (std::size_t w = 0; w < unrevealed_.size(); ++w) {
+    PPG_DCHECK(unrevealed_untouched_[w] <= unrevealed_[w],
+               "multibatch invariant: a law's untouched unrevealed agents "
+               "exceed its unrevealed total");
+    unrevealed_sum += unrevealed_[w];
+    unrevealed_untouched_sum += unrevealed_untouched_[w];
+  }
+  PPG_DCHECK(unrevealed_sum == unrevealed_total_ &&
+                 unrevealed_untouched_sum == unrevealed_untouched_total_,
+             "multibatch invariant: stale unrevealed totals");
+  PPG_DCHECK(unrevealed_total_ == 0,
+             "multibatch invariant: an agent left unrevealed at a run() "
+             "boundary");
+  PPG_DCHECK(untouched_sum + unrevealed_untouched_total_ == untouched_total_,
              "multibatch invariant: stale untouched_total");
   PPG_DCHECK(mid_round() || pending_free_ == 0,
              "multibatch invariant: residual carry outside a round");
@@ -209,23 +237,23 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
   initiators_.resize(width);
   responders_.resize(width);
   row_.resize(width);
-  untouched_total_ -= 2 * free;
   // The 2*free agents of a collision-free run are a uniform sample without
   // replacement from the untouched pool.
-  if (kernel_->partner_keyed() && !kernel_->responders_stay()) {
-    // Every agent of the run moves by the law of its partner's state, and
-    // the partners of the 2*free agents are those agents themselves: one
-    // MVH of them all is both the census that leaves and the partner
-    // census.
-    sample_multivariate_hypergeometric(untouched_.data(), width, 2 * free,
-                                       gen_, responders_.data());
-    for (std::size_t s = 0; s < width; ++s) {
-      untouched_[s] -= responders_[s];
-      counts_[s] -= responders_[s];
+  if (!unrevealed_.empty()) {
+    // Two-way partner-keyed: every agent of the run moves by the law of
+    // its partner's state, and the partners of the 2*free agents are those
+    // agents themselves, so their census X is also the partner census.
+    // Each then stays an undrawn sample of f(.|w), w its partner's state,
+    // counted by w among the touched unrevealed agents.
+    sample_partner_census(2 * free);
+    untouched_total_ -= 2 * free;
+    for (std::size_t w = 0; w < unrevealed_.size(); ++w) {
+      unrevealed_[w] += responders_[w];
     }
-    apply_partner_laws();
+    unrevealed_total_ += 2 * free;
     return;
   }
+  untouched_total_ -= 2 * free;
   // Otherwise odd positions (initiators) are a simple random sample, even
   // positions (responders) one from the remainder, and conditioned on both
   // multisets the initiator-responder matching is uniform — realized by
@@ -318,27 +346,131 @@ void multibatch_engine::resolve_responder_states() {
   responders_unresolved_ = false;
 }
 
+kernel_table::partner_law multibatch_engine::draw_partner_law(
+    agent_state w, std::uint64_t m) {
+  // A multinomial of m = 0, or over one state, draws nothing.
+  const kernel_table::partner_law law = kernel_->law(w);
+  split_.resize(law.size);
+  sample_multinomial_chain(m, law.chain, law.size, gen_, split_.data());
+  return law;
+}
+
 void multibatch_engine::apply_partner_laws() {
   // The laws exist for the kernel's states only; a census wider than the
-  // kernel holds no agent past them. A multinomial of m = 0, or over one
-  // state, draws nothing.
+  // kernel holds no agent past them.
   for (agent_state w = 0; w < kernel_->num_states(); ++w) {
-    const kernel_table::partner_law law = kernel_->law(w);
-    split_.resize(law.size);
-    sample_multinomial_chain(responders_[w], law.chain, law.size, gen_,
-                             split_.data());
+    const kernel_table::partner_law law = draw_partner_law(w, responders_[w]);
     for (std::size_t k = 0; k < law.size; ++k) {
       counts_[law.states[k]] += split_[k];
     }
   }
 }
 
+agent_state multibatch_engine::reveal(agent_state law) {
+  // f(.|w) is the initiator marginal of pair (0, w), whose alias table
+  // draws it (kernel_table::compile_partner_laws).
+  return kernel_->sample(0, law, gen_).first;
+}
+
+void multibatch_engine::sample_partner_census(std::uint64_t agents) {
+  const std::size_t width = counts_.size();
+  // The sample's revealed and unrevealed agents are two categories of the
+  // untouched pool: one hypergeometric splits it.
+  const std::uint64_t hidden =
+      unrevealed_untouched_total_ == 0
+          ? 0
+          : sample_hypergeometric(untouched_total_,
+                                  unrevealed_untouched_total_, agents, gen_);
+  sample_multivariate_hypergeometric(untouched_.data(), width, agents - hidden,
+                                     gen_, responders_.data());
+  for (std::size_t s = 0; s < width; ++s) {
+    untouched_[s] -= responders_[s];
+    counts_[s] -= responders_[s];
+  }
+  if (hidden == 0) return;
+  // The unrevealed part is a simple random sample of the untouched
+  // unrevealed agents, and each of its members is an independent draw of
+  // its law: picked and revealed one by one, or, from the threshold on,
+  // split by law in one MVH and revealed by one multinomial per law.
+  if (hidden < aggregate_threshold_) {
+    for (std::uint64_t i = 0; i < hidden; ++i) {
+      ++responders_[take_unrevealed(
+          gen_.next_below(unrevealed_untouched_total_))];
+    }
+    return;
+  }
+  unrevealed_untouched_total_ -= hidden;
+  unrevealed_total_ -= hidden;
+  sample_multivariate_hypergeometric(unrevealed_untouched_.data(),
+                                     unrevealed_untouched_.size(), hidden,
+                                     gen_, row_.data());
+  for (agent_state w = 0; w < unrevealed_.size(); ++w) {
+    unrevealed_untouched_[w] -= row_[w];
+    unrevealed_[w] -= row_[w];
+    const kernel_table::partner_law law = draw_partner_law(w, row_[w]);
+    for (std::size_t k = 0; k < law.size; ++k) {
+      responders_[law.states[k]] += split_[k];
+    }
+  }
+}
+
+void multibatch_engine::reveal_all() {
+  if (unrevealed_total_ == 0) return;
+  // Per law, the untouched part joins the census and the untouched pool,
+  // the touched part the census alone.
+  for (agent_state w = 0; w < unrevealed_.size(); ++w) {
+    const std::uint64_t untouched = unrevealed_untouched_[w];
+    const std::uint64_t touched = unrevealed_[w] - untouched;
+    if (untouched > 0) {
+      const kernel_table::partner_law law = draw_partner_law(w, untouched);
+      for (std::size_t k = 0; k < law.size; ++k) {
+        counts_[law.states[k]] += split_[k];
+        untouched_[law.states[k]] += split_[k];
+      }
+    }
+    if (touched > 0) {
+      const kernel_table::partner_law law = draw_partner_law(w, touched);
+      for (std::size_t k = 0; k < law.size; ++k) {
+        counts_[law.states[k]] += split_[k];
+      }
+    }
+    unrevealed_[w] = 0;
+    unrevealed_untouched_[w] = 0;
+  }
+  unrevealed_total_ = 0;
+  unrevealed_untouched_total_ = 0;
+}
+
+agent_state multibatch_engine::take_unrevealed(std::uint64_t target) {
+  const agent_state w =
+      locate(unrevealed_untouched_, target, no_excluded_state);
+  --unrevealed_untouched_[w];
+  --unrevealed_[w];
+  --unrevealed_untouched_total_;
+  --unrevealed_total_;
+  return reveal(w);
+}
+
+agent_state multibatch_engine::pick_untouched(std::uint64_t target,
+                                              agent_state excluded) {
+  // The pool lists the revealed agents by state, then the unrevealed ones
+  // by law; `excluded` is a revealed agent already picked.
+  const std::uint64_t revealed =
+      untouched_total_ - unrevealed_untouched_total_ -
+      (excluded == no_excluded_state ? 0u : 1u);
+  if (target < revealed) return locate(untouched_, target, excluded);
+  const agent_state x = take_unrevealed(target - revealed);
+  ++counts_[x];
+  ++untouched_[x];
+  return x;
+}
+
 void multibatch_engine::apply_free_sequential(std::uint64_t free) {
   for (std::uint64_t i = 0; i < free; ++i) {
-    const agent_state u = locate(untouched_, gen_.next_below(untouched_total_),
-                                 no_excluded_state);
+    const agent_state u =
+        pick_untouched(gen_.next_below(untouched_total_), no_excluded_state);
     const agent_state v =
-        locate(untouched_, gen_.next_below(untouched_total_ - 1), u);
+        pick_untouched(gen_.next_below(untouched_total_ - 1), u);
     const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
     --untouched_[u];
     --untouched_[v];
@@ -358,11 +490,13 @@ void multibatch_engine::resolve_collision() {
   // untouched_ still counts while they are unresolved. The touched pool is
   // the census minus untouched_, plus the unresolved responders by class;
   // the untouched pool is untouched_, or its class totals less those
-  // responders.
+  // responders. Past the classes, each pool holds its unrevealed agents
+  // by law.
   const std::size_t width = counts_.size();
   const std::size_t classes = class_responders_.size();
-  touched_pool_.resize(width + classes);
-  untouched_pool_.resize(width + classes);
+  const std::size_t laws_at = width + classes;
+  touched_pool_.resize(laws_at + unrevealed_.size());
+  untouched_pool_.resize(laws_at + unrevealed_.size());
   for (std::size_t s = 0; s < width; ++s) {
     touched_pool_[s] = counts_[s] - untouched_[s];
     untouched_pool_[s] = responders_unresolved_ ? 0 : untouched_[s];
@@ -371,6 +505,10 @@ void multibatch_engine::resolve_collision() {
     touched_pool_[width + c] = class_responders_[c];
     untouched_pool_[width + c] =
         responders_unresolved_ ? class_pool_[c] - class_responders_[c] : 0;
+  }
+  for (std::size_t w = 0; w < unrevealed_.size(); ++w) {
+    touched_pool_[laws_at + w] = unrevealed_[w] - unrevealed_untouched_[w];
+    untouched_pool_[laws_at + w] = unrevealed_untouched_[w];
   }
   const std::uint64_t u_total = untouched_total_;
   const std::uint64_t t_total = n_ - u_total;
@@ -396,6 +534,16 @@ void multibatch_engine::resolve_collision() {
         locate(untouched_pool_, gen_.next_below(u_total), no_excluded_state);
     responder =
         locate(touched_pool_, gen_.next_below(t_total), no_excluded_state);
+  }
+  // An unrevealed agent picked on either side is revealed by its law; the
+  // untouched unrevealed counts are reset below.
+  for (agent_state* side : {&initiator, &responder}) {
+    if (*side < laws_at) continue;
+    const agent_state w = *side - static_cast<agent_state>(laws_at);
+    --unrevealed_[w];
+    --unrevealed_total_;
+    *side = reveal(w);
+    ++counts_[*side];
   }
   if (initiator >= width) {
     // A member of class c: its state is that of a uniform agent of the
@@ -425,12 +573,16 @@ void multibatch_engine::resolve_collision() {
   // The round ends: every agent rejoins the untouched pool.
   untouched_ = counts_;
   untouched_total_ = n_;
+  unrevealed_untouched_ = unrevealed_;
+  unrevealed_untouched_total_ = unrevealed_total_;
   class_responders_.assign(classes, 0);
   responders_unresolved_ = false;
 }
 
 bool multibatch_engine::skips_pay() {
   if (skip_mass_limit_ == 0) return false;
+  // The mass reads every agent's state.
+  reveal_all();
   derive_active_mass();
   return active_weight_ < skip_mass_limit_;
 }
@@ -544,12 +696,14 @@ void multibatch_engine::run(std::uint64_t steps) {
   check_round_invariants();
   std::uint64_t remaining = steps;
   while (remaining > 0) {
+    if (!mid_round() && unrevealed_total_ >= reveal_limit_) reveal_all();
     remaining -= !mid_round() && skips_pay() ? skip_batch(remaining)
                                              : advance_round(remaining);
   }
   // The round goes on in the next call, and that call and any snapshot
-  // taken before it need the untouched pool by state.
+  // taken before it need the untouched pool by state, and the census.
   if (responders_unresolved_) resolve_responder_states();
+  reveal_all();
 }
 
 std::uint64_t multibatch_engine::run_until(const census_predicate& converged,
@@ -557,7 +711,8 @@ std::uint64_t multibatch_engine::run_until(const census_predicate& converged,
   check_round_invariants();
   std::uint64_t executed = 0;
   // Stepping a round singly takes the sequential path (1 < the aggregate
-  // threshold), so no responder is ever left held by class here.
+  // threshold), so no responder is ever left held by class here, and no
+  // agent unrevealed.
   while (executed < max_steps && !converged(census())) {
     executed += !mid_round() && skips_pay() ? skip_batch(max_steps - executed)
                                             : advance_round(1);

@@ -13,7 +13,8 @@
 // The engine's state is the census, the untouched pool and the residual
 // carry (below); the touched pool, by current state, is the census less
 // the untouched pool, and the engine is mid-round exactly when some agent
-// is touched.
+// is touched. Inside run(), two-way partner-keyed rounds also hold agents
+// unrevealed by law (step 2), none of them left when run() returns.
 //
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
@@ -32,9 +33,22 @@
 //     the initiators move: A leaves the census and one multinomial of
 //     B_w draws from f(.|w) per state w joins it. Two-way, every agent
 //     moves, and the partners of the 2J agents are those agents
-//     themselves: the round draws one MVH X of all 2J agents instead of A
-//     and B, X leaves the census, and one multinomial of X_w draws from
-//     f(.|w) per state w joins it.
+//     themselves: the round draws their census X instead of A and B, X
+//     leaves the census, and X_w agents join the *unrevealed* agents of
+//     law w with no draw. By deferred decisions, such an agent's state
+//     is an undrawn sample of f(.|w) until something reads it. The next
+//     rounds' samples, the sequential path and the collision, which pick
+//     agents from the untouched or the touched pool, reveal each
+//     unrevealed agent they pick by one alias draw of f(.|w). The
+//     skip-batch choice, which reads the census, and run(), before it
+//     returns, reveal them all: one multinomial per law for the untouched
+//     part and one for the touched part. So does a round boundary once
+//     the next sample would reveal the aggregate threshold of them on
+//     average, 2 E[J] P / n >= threshold for P unrevealed agents. X is
+//     one hypergeometric K for its unrevealed part (none while P = 0),
+//     one MVH of 2J - K over the revealed untouched pool, and K reveals:
+//     one by one below the threshold, else one MVH by law and one
+//     multinomial per law.
 //     When every row is one-way (no general row, not partner-keyed, as in
 //     k-IGT), no responder moves and the round needs B only by class: B is
 //     then one C-way MVH over the class totals of the untouched pool after
@@ -65,11 +79,14 @@
 //
 // Every step is an exact decomposition of the sequential scheduler's law,
 // so the census at any run() boundary is distribution-identical to the
-// agent and census engines' (DESIGN.md §8 gives the argument). A
-// partner-keyed round costs O(q) hypergeometrics (q - 1 two-way, 2(q - 1)
-// one-way) plus D binomials, D the partner laws' support points past the
-// first of each law (q(q-1) at full support under either discipline),
-// whatever J. Any other round costs O(q + D + sum over occupied pair
+// agent and census engines' (DESIGN.md §8 gives the argument). A one-way
+// partner-keyed round costs 2(q - 1) hypergeometrics plus D binomials, D
+// the partner laws' support points past the first of each law (q(q-1) at
+// full support), whatever J. A two-way one costs q hypergeometrics and
+// ~2J P / n alias draws, below the threshold on average; its D binomials
+// are paid once per boundary reveal and twice (untouched and touched
+// parts) when run() returns, not per round. Any other round costs
+// O(q + D + sum over occupied pair
 // cells of (support - 1)) binomials and hypergeometrics, where
 // D = q * #general rows + C * #classed rows is the matching's category
 // count (q^2 when every row is general, 2k for one-way k-IGT), whatever
@@ -114,18 +131,24 @@
 // batch draws its geometric, then its pair and the pair's outcome. A round
 // draws the birthday length, the initiator and responder MVH samples over
 // the untouched pool (the responders' by class when every row is one-way;
-// one MVH of all 2J agents instead of both on a two-way partner-keyed
-// kernel); then, partner-keyed, the outcome sums by partner state in state
-// order; otherwise the conditional MVH matching rows (general rows, then
-// classed rows), each cell's outcome multinomial as the matching row
-// fills it, and the multinomials of the rows that ignore their responder;
-// and last the collision, or, when the
-// budget cuts a round whose responders were drawn by class, their
-// per-class MVHs. A trajectory is therefore a pure function of its seed
-// and run() chunk schedule.
+// on a two-way partner-keyed kernel instead the sample's unrevealed count,
+// the MVH of its revealed part and the reveals of the rest, in pick order
+// or law by law); then, one-way partner-keyed, the outcome sums by partner
+// state in state order; otherwise the conditional MVH matching rows
+// (general rows, then classed rows), each cell's outcome multinomial as
+// the matching row fills it, and the multinomials of the rows that ignore
+// their responder; and last the collision (its category, both picks, the
+// reveal of the initiator and then of the responder if unrevealed, and
+// the outcome), or, when the budget cuts a round whose responders were
+// drawn by class, their per-class MVHs. A sequential pair reveals each
+// side it picks unrevealed before it draws the outcome. Revealing every
+// agent, at a boundary or before run() returns, draws law by law in state
+// order, the untouched part before the touched part. A trajectory is
+// therefore a pure function of its seed and run() chunk schedule.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -216,7 +239,8 @@ class multibatch_engine final : public census_level_engine {
  private:
   /// Debug-asserted structural invariants of the round state (the
   /// untouched pool fits in the census and sums to its total, carry only
-  /// mid-round, no responder left held by class); active
+  /// mid-round, no responder left held by class, no agent left unrevealed
+  /// and no law's untouched unrevealed count above its total); active
   /// at every run() entry in Debug/ASan builds, compiled out in Release.
   /// restore_state enforces the same relations unconditionally via
   /// PPG_CHECK.
@@ -248,11 +272,33 @@ class multibatch_engine final : public census_level_engine {
   /// boundary.
   void resolve_responder_states();
   void apply_free_sequential(std::uint64_t free);
-  /// The aggregate step of a partner-keyed kernel, once the agents that
-  /// move have left the census and responders_ holds their partners'
-  /// census (B one-way, all 2J agents two-way): adds one multinomial of
-  /// responders_[w] draws from f(.|w) per kernel state w.
+  /// The aggregate step of a one-way partner-keyed kernel, once the
+  /// initiators have left the census and responders_ holds their partners'
+  /// census B: adds one multinomial of B_w draws from f(.|w) per kernel
+  /// state w.
   void apply_partner_laws();
+  /// Draws m agents' states from f(.|w), one multinomial over the law's
+  /// support, into split_; returns the law, whose states index split_.
+  kernel_table::partner_law draw_partner_law(agent_state w, std::uint64_t m);
+  /// The state of one unrevealed agent of law w: one alias draw of f(.|w).
+  [[nodiscard]] agent_state reveal(agent_state law);
+  /// A two-way partner-keyed run's sample of `agents` untouched agents:
+  /// removes them from the untouched pool and the census (or the
+  /// unrevealed counts) and writes their census by state, the unrevealed
+  /// ones among them revealed, into responders_.
+  void sample_partner_census(std::uint64_t agents);
+  /// Reveals every unrevealed agent: one multinomial per law for the
+  /// untouched part, which joins the census and the untouched pool, and
+  /// one for the touched part, which joins the census.
+  void reveal_all();
+  /// Takes the untouched unrevealed agent at `target` (listed by law) out
+  /// of the unrevealed counts and returns its revealed state.
+  [[nodiscard]] agent_state take_unrevealed(std::uint64_t target);
+  /// The untouched agent at `target` of the pool listed by state, then by
+  /// law, `excluded` (a revealed agent) removed; an unrevealed agent is
+  /// revealed, and counted by its state, before its state is returned.
+  [[nodiscard]] agent_state pick_untouched(std::uint64_t target,
+                                           agent_state excluded);
   /// Applies `m` disjoint (u, v) interactions to the census: removes the
   /// pairs and adds their outcomes, split by one multinomial over the
   /// pair's outcome law (no draw for a deterministic pair). A one-way row passes its class
@@ -268,10 +314,23 @@ class multibatch_engine final : public census_level_engine {
   /// Agents no interaction of the current round has drawn, by state; the
   /// census itself between rounds. counts_ - untouched_ is the touched pool,
   /// except inside run() while responders_unresolved_: untouched_ then
-  /// still counts the run's responders, which are held by class.
+  /// still counts the run's responders, which are held by class. Inside
+  /// run(), counts_ and untouched_ hold revealed agents only.
   std::vector<std::uint64_t> untouched_;
-  /// The untouched pool's sum: n exactly at a round boundary.
+  /// The untouched pool's sum, unrevealed agents included: n exactly at a
+  /// round boundary.
   std::uint64_t untouched_total_ = 0;
+  /// Two-way partner-keyed kernels only (empty otherwise): the agents an
+  /// aggregate run moved whose states are still undrawn samples of f(.|w),
+  /// counted by law w, and the untouched part of those counts. Zero at
+  /// every run() boundary.
+  std::vector<std::uint64_t> unrevealed_;
+  std::vector<std::uint64_t> unrevealed_untouched_;
+  std::uint64_t unrevealed_total_ = 0;
+  std::uint64_t unrevealed_untouched_total_ = 0;
+  /// A round boundary reveals every agent once this many are unrevealed
+  /// (never when nothing is deferred).
+  std::uint64_t reveal_limit_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t collisions_ = 0;
   /// Collision-free interactions of the current round not yet applied; when
   /// it reaches 0 mid-round, the next interaction collides.

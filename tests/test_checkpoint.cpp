@@ -260,6 +260,38 @@ TEST(Checkpoint, BitExactResumeHawkDoveLogitPartnerKeyedRound) {
   expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 506, true);
 }
 
+// Its q = 3 sibling: two-way logit over rock-paper-scissors at n = 10^5,
+// threshold 4 * 3 * 2 = 24 against rounds of ~199 pairs. Each run(1000)
+// of the snapshot cadence runs several aggregated rounds, so the rounds
+// after the first sample agents the earlier ones left unrevealed, and the
+// cut reveals both pools before the snapshot.
+TEST(Checkpoint, BitExactResumeLogitQ3TwoWayPartnerKeyedRounds) {
+  const char* recipe_text =
+      R"({"protocol": {"name": "matrix-game",
+                       "params": {"game": {"name": "rock-paper-scissors",
+                                           "win": 1.0, "loss": 0.5},
+                                  "rule": {"name": "logit",
+                                           "temperature": 0.7},
+                                  "discipline": "two_way"}},
+          "initial_counts": [10000, 20000, 70000], "sampling": "distinct"})";
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(recipe_text));
+  const kernel_table kernel(recipe.spec().proto());
+  ASSERT_TRUE(kernel.partner_keyed());
+  ASSERT_FALSE(kernel.responders_stay());
+  rng gen(510);
+  const auto engine = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+  EXPECT_EQ(mb.aggregate_threshold(), 24u);
+  for (int call = 0; call < 3; ++call) engine->run(1000);
+  const std::uint64_t collisions = mb.collisions();
+  engine->run(1000);
+  // The call that ends at the cut closed at least two rounds, and rounds
+  // average more than four thresholds.
+  EXPECT_GE(mb.collisions() - collisions, 2u);
+  EXPECT_GT(mb.interactions(), 4 * mb.aggregate_threshold() * mb.rounds());
+  expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 510, true);
+}
+
 // Proportional-imitation RPS at n = 10^5: its kernel is not partner-keyed
 // and every row is general, so rounds of ~199 pairs against a threshold of
 // 36 draw a q x q matching and split each randomized cell by one

@@ -381,8 +381,8 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
   igt_counts[igt_encoding::ac] = 10'000;
   igt_counts[igt_encoding::ad] = 20'000;
   igt_counts[igt_encoding::gtft(0)] = 70'000;
-  // Two-way logit over three strategies at n = 10^5 (threshold 4 * 2 * 3 *
-  // 2 = 48, rounds of ~190 pairs). From the tilted start the statistic
+  // Two-way logit over three strategies at n = 10^5 (threshold 4 * 3 * 2
+  // = 24, rounds of ~199 pairs). From the tilted start the statistic
   // drifts by ~2.3e4 against a spread of ~210.
   const game_protocol logit_q3(
       game_matrix({"a", "b", "c"}, {3.0, 0.0, 1.0,  //
@@ -500,6 +500,24 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       {"igt k=8 one-way, classed rows, run() chunks cycling 1..300",
        game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
        igt_counts, 50'000, split::deterministic, true, 300, 0, true},
+      // Two-way partner-keyed rounds leave their agents unrevealed by law
+      // until run() returns. In chunks of 1, 2, ..., 300 the budget cuts
+      // most rounds, so the reveals at each cut, the sequential tails and
+      // the collisions all meet unrevealed agents, touched ones from the
+      // round in progress and untouched ones from the round before it.
+      {"logit q=3 two-way, run() chunks cycling 1..300", logit_q3,
+       logit_q3_counts, 50'000, split::partner_keyed, false, 300, 0, true},
+      // Five units of parallel time in one run() call, ~1100 rounds of ~89
+      // pairs against a threshold of 16: every ~10 rounds the unrevealed
+      // agents reach 2 E[J] P / n = 16, and a boundary reveals them all;
+      // just before it, the samples of long rounds reveal 16 or more by
+      // law. The statistic settles at the logit fixed point from the far
+      // side of the first hawk-dove case's start.
+      {"logit/hawk-dove two-way, one long run() call",
+       game_protocol(hawk_dove_matrix(1.0, 3.0),
+                     std::make_shared<logit_response_rule>(0.5),
+                     revision_discipline::two_way),
+       {4'000, 16'000}, 100'000, split::partner_keyed, false},
   };
   const auto statistic = [](const census_view& census) {
     double mass = 0.0;

@@ -30,8 +30,7 @@ multibatch_engine::multibatch_engine(
   // makes a one-way round cheaper by up to q - C hypergeometrics, which D
   // leaves out: the threshold is the same for both responder draws. A
   // two-way partner-keyed round defers its D binomials to the reveals
-  // (class comment, step 2); the threshold still prices them, and its
-  // sample reveals by law from the threshold on.
+  // (class comment, step 2); the threshold still prices them.
   using row_shape = kernel_table::row_shape;
   std::uint64_t draws = 0;
   if (kernel_->partner_keyed()) {
@@ -103,14 +102,31 @@ multibatch_engine::multibatch_engine(
   const double change_ns = 60.0 + 9.0 * states;
   const double limit = round_ns * ordered_pairs_ / (mean_run * change_ns);
   if (kernel_->partner_keyed() && !kernel_->responders_stay()) {
-    // Two-way rounds leave their agents unrevealed by law. A round's
-    // sample reveals ~2 E[J] P / n of them, P the unrevealed count, so a
-    // boundary reveals them all once that would reach the threshold.
-    unrevealed_.assign(q, 0);
-    unrevealed_untouched_.assign(q, 0);
-    reveal_limit_ = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(aggregate_threshold_) *
-                  static_cast<double>(n_) / (2.0 * mean_run)));
+    // A two-way round may leave its agents unrevealed by law (class
+    // comment, step 2). A round's sample then picks and reveals
+    // ~2 E[J] P / n of them, P the unrevealed count; P grows by 2 E[J] a
+    // round and 4 E[J]^2 / n = pi / 2, so the i-th round after a boundary
+    // reveal picks ~(pi / 2) i. That reveal costs D binomials, so one
+    // every m rounds costs (pi / 4) m + D / m picks and binomials a round,
+    // least at m = 2 sqrt(D / pi), when a sample would pick sqrt(pi D).
+    // With the sample's hypergeometric for its unrevealed part, a round
+    // then costs 1 + sqrt(pi D) draws, against the D binomials of drawing
+    // its laws itself. Priced alike, as the cost model prices every draw,
+    // deferring pays from D = 5 on: q = 3 at full support, not two-way
+    // hawk-dove (D = 2). Skipping a due reveal saves its D binomials and
+    // makes each of the R rounds left before run() returns, which
+    // reveals all anyway, pick (pi / 2) m* more, so the reveal pays only
+    // while R > m* / 2 = sqrt(D / pi).
+    const auto d = static_cast<double>(draws);
+    const double picks = std::sqrt(3.141592653589793 * d);
+    if (1.0 + picks < d) {
+      unrevealed_.assign(q, 0);
+      unrevealed_untouched_.assign(q, 0);
+      reveal_limit_ = static_cast<std::uint64_t>(
+          std::ceil(picks * static_cast<double>(n_) / (2.0 * mean_run)));
+      reveal_horizon_ = static_cast<std::uint64_t>(
+          std::ceil(std::sqrt(d / 3.141592653589793) * mean_run));
+    }
   }
   if (non_identity_pairs == q * q) {
     // Every census has mass n(n-1): decide once.
@@ -239,18 +255,45 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
   row_.resize(width);
   // The 2*free agents of a collision-free run are a uniform sample without
   // replacement from the untouched pool.
-  if (!unrevealed_.empty()) {
+  if (kernel_->partner_keyed() && !kernel_->responders_stay()) {
     // Two-way partner-keyed: every agent of the run moves by the law of
     // its partner's state, and the partners of the 2*free agents are those
-    // agents themselves, so their census X is also the partner census.
-    // Each then stays an undrawn sample of f(.|w), w its partner's state,
-    // counted by w among the touched unrevealed agents.
-    sample_partner_census(2 * free);
-    untouched_total_ -= 2 * free;
+    // agents themselves, so their census X is both the census that leaves
+    // and the partner census. Its revealed and unrevealed agents are two
+    // categories of the untouched pool: one hypergeometric splits it. The
+    // unrevealed part is a simple random sample of the untouched
+    // unrevealed agents, each an independent draw of its law: they are
+    // picked and revealed one by one. The boundary reveal keeps their mean
+    // count per round near sqrt(pi D) (constructor).
+    const std::uint64_t agents = 2 * free;
+    const std::uint64_t hidden =
+        unrevealed_untouched_total_ == 0
+            ? 0
+            : sample_hypergeometric(untouched_total_,
+                                    unrevealed_untouched_total_, agents, gen_);
+    untouched_total_ -= agents;
+    sample_multivariate_hypergeometric(untouched_.data(), width,
+                                       agents - hidden, gen_,
+                                       responders_.data());
+    for (std::size_t s = 0; s < width; ++s) {
+      untouched_[s] -= responders_[s];
+      counts_[s] -= responders_[s];
+    }
+    for (std::uint64_t i = 0; i < hidden; ++i) {
+      ++responders_[take_unrevealed(
+          gen_.next_below(unrevealed_untouched_total_))];
+    }
+    if (unrevealed_.empty()) {
+      apply_partner_laws();
+      return;
+    }
+    // The engine defers its laws: each agent of X stays an undrawn sample
+    // of f(.|w), w its partner's state, counted by w among the touched
+    // unrevealed agents.
     for (std::size_t w = 0; w < unrevealed_.size(); ++w) {
       unrevealed_[w] += responders_[w];
     }
-    unrevealed_total_ += 2 * free;
+    unrevealed_total_ += agents;
     return;
   }
   untouched_total_ -= 2 * free;
@@ -346,20 +389,15 @@ void multibatch_engine::resolve_responder_states() {
   responders_unresolved_ = false;
 }
 
-kernel_table::partner_law multibatch_engine::draw_partner_law(
-    agent_state w, std::uint64_t m) {
-  // A multinomial of m = 0, or over one state, draws nothing.
-  const kernel_table::partner_law law = kernel_->law(w);
-  split_.resize(law.size);
-  sample_multinomial_chain(m, law.chain, law.size, gen_, split_.data());
-  return law;
-}
-
 void multibatch_engine::apply_partner_laws() {
   // The laws exist for the kernel's states only; a census wider than the
-  // kernel holds no agent past them.
+  // kernel holds no agent past them. A multinomial of m = 0, or over one
+  // state, draws nothing.
   for (agent_state w = 0; w < kernel_->num_states(); ++w) {
-    const kernel_table::partner_law law = draw_partner_law(w, responders_[w]);
+    const kernel_table::partner_law law = kernel_->law(w);
+    split_.resize(law.size);
+    sample_multinomial_chain(responders_[w], law.chain, law.size, gen_,
+                             split_.data());
     for (std::size_t k = 0; k < law.size; ++k) {
       counts_[law.states[k]] += split_[k];
     }
@@ -372,67 +410,24 @@ agent_state multibatch_engine::reveal(agent_state law) {
   return kernel_->sample(0, law, gen_).first;
 }
 
-void multibatch_engine::sample_partner_census(std::uint64_t agents) {
-  const std::size_t width = counts_.size();
-  // The sample's revealed and unrevealed agents are two categories of the
-  // untouched pool: one hypergeometric splits it.
-  const std::uint64_t hidden =
-      unrevealed_untouched_total_ == 0
-          ? 0
-          : sample_hypergeometric(untouched_total_,
-                                  unrevealed_untouched_total_, agents, gen_);
-  sample_multivariate_hypergeometric(untouched_.data(), width, agents - hidden,
-                                     gen_, responders_.data());
-  for (std::size_t s = 0; s < width; ++s) {
-    untouched_[s] -= responders_[s];
-    counts_[s] -= responders_[s];
-  }
-  if (hidden == 0) return;
-  // The unrevealed part is a simple random sample of the untouched
-  // unrevealed agents, and each of its members is an independent draw of
-  // its law: picked and revealed one by one, or, from the threshold on,
-  // split by law in one MVH and revealed by one multinomial per law.
-  if (hidden < aggregate_threshold_) {
-    for (std::uint64_t i = 0; i < hidden; ++i) {
-      ++responders_[take_unrevealed(
-          gen_.next_below(unrevealed_untouched_total_))];
-    }
-    return;
-  }
-  unrevealed_untouched_total_ -= hidden;
-  unrevealed_total_ -= hidden;
-  sample_multivariate_hypergeometric(unrevealed_untouched_.data(),
-                                     unrevealed_untouched_.size(), hidden,
-                                     gen_, row_.data());
-  for (agent_state w = 0; w < unrevealed_.size(); ++w) {
-    unrevealed_untouched_[w] -= row_[w];
-    unrevealed_[w] -= row_[w];
-    const kernel_table::partner_law law = draw_partner_law(w, row_[w]);
-    for (std::size_t k = 0; k < law.size; ++k) {
-      responders_[law.states[k]] += split_[k];
-    }
-  }
-}
-
 void multibatch_engine::reveal_all() {
   if (unrevealed_total_ == 0) return;
-  // Per law, the untouched part joins the census and the untouched pool,
-  // the touched part the census alone.
+  // Per law, one multinomial for the untouched part, which joins the
+  // census and the untouched pool, then one for the touched part, which
+  // joins the census alone. A multinomial of m = 0 draws nothing.
   for (agent_state w = 0; w < unrevealed_.size(); ++w) {
-    const std::uint64_t untouched = unrevealed_untouched_[w];
-    const std::uint64_t touched = unrevealed_[w] - untouched;
-    if (untouched > 0) {
-      const kernel_table::partner_law law = draw_partner_law(w, untouched);
-      for (std::size_t k = 0; k < law.size; ++k) {
-        counts_[law.states[k]] += split_[k];
-        untouched_[law.states[k]] += split_[k];
-      }
+    const kernel_table::partner_law law = kernel_->law(w);
+    split_.resize(law.size);
+    sample_multinomial_chain(unrevealed_untouched_[w], law.chain, law.size,
+                             gen_, split_.data());
+    for (std::size_t k = 0; k < law.size; ++k) {
+      counts_[law.states[k]] += split_[k];
+      untouched_[law.states[k]] += split_[k];
     }
-    if (touched > 0) {
-      const kernel_table::partner_law law = draw_partner_law(w, touched);
-      for (std::size_t k = 0; k < law.size; ++k) {
-        counts_[law.states[k]] += split_[k];
-      }
+    sample_multinomial_chain(unrevealed_[w] - unrevealed_untouched_[w],
+                             law.chain, law.size, gen_, split_.data());
+    for (std::size_t k = 0; k < law.size; ++k) {
+      counts_[law.states[k]] += split_[k];
     }
     unrevealed_[w] = 0;
     unrevealed_untouched_[w] = 0;
@@ -667,7 +662,11 @@ std::uint64_t multibatch_engine::advance_round(std::uint64_t budget) {
   if (!mid_round()) {
     // New round: every agent is untouched, so the birthday law starts
     // from the full pool. J >= 1 and budget > 0, so at least one free pair
-    // lands below and the round stays open until its collision.
+    // lands below and the round stays open until its collision. Deferred
+    // laws are revealed here once enough agents wait on them (constructor).
+    if (unrevealed_total_ >= reveal_limit_ && budget >= reveal_horizon_) {
+      reveal_all();
+    }
     pending_free_ = birthday_.sample(gen_);
   }
   // A run truncated by the budget stays lawful: the remainder is carried
@@ -696,7 +695,6 @@ void multibatch_engine::run(std::uint64_t steps) {
   check_round_invariants();
   std::uint64_t remaining = steps;
   while (remaining > 0) {
-    if (!mid_round() && unrevealed_total_ >= reveal_limit_) reveal_all();
     remaining -= !mid_round() && skips_pay() ? skip_batch(remaining)
                                              : advance_round(remaining);
   }

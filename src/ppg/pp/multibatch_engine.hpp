@@ -13,8 +13,8 @@
 // The engine's state is the census, the untouched pool and the residual
 // carry (below); the touched pool, by current state, is the census less
 // the untouched pool, and the engine is mid-round exactly when some agent
-// is touched. Inside run(), two-way partner-keyed rounds also hold agents
-// unrevealed by law (step 2), none of them left when run() returns.
+// is touched. Inside run(), two-way partner-keyed rounds may also hold
+// agents unrevealed by law (step 2), none of them left when run() returns.
 //
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
@@ -33,22 +33,23 @@
 //     the initiators move: A leaves the census and one multinomial of
 //     B_w draws from f(.|w) per state w joins it. Two-way, every agent
 //     moves, and the partners of the 2J agents are those agents
-//     themselves: the round draws their census X instead of A and B, X
-//     leaves the census, and X_w agents join the *unrevealed* agents of
-//     law w with no draw. By deferred decisions, such an agent's state
-//     is an undrawn sample of f(.|w) until something reads it. The next
-//     rounds' samples, the sequential path and the collision, which pick
-//     agents from the untouched or the touched pool, reveal each
-//     unrevealed agent they pick by one alias draw of f(.|w). The
-//     skip-batch choice, which reads the census, and run(), before it
-//     returns, reveal them all: one multinomial per law for the untouched
-//     part and one for the touched part. So does a round boundary once
-//     the next sample would reveal the aggregate threshold of them on
-//     average, 2 E[J] P / n >= threshold for P unrevealed agents. X is
-//     one hypergeometric K for its unrevealed part (none while P = 0),
-//     one MVH of 2J - K over the revealed untouched pool, and K reveals:
-//     one by one below the threshold, else one MVH by law and one
-//     multinomial per law.
+//     themselves: the round draws their census X instead of A and B, and
+//     X leaves the census. With few support points, D < 1 + sqrt(pi D)
+//     (D below), one multinomial of X_w draws from f(.|w) per state w
+//     joins it. Otherwise X_w agents join the *unrevealed* agents of law
+//     w with no draw: by deferred decisions, such an agent's state is an
+//     undrawn sample of f(.|w) until something reads it. The next rounds'
+//     samples, the sequential path and the collision, which pick agents
+//     from the untouched or the touched pool, reveal each unrevealed
+//     agent they pick by one alias draw of f(.|w). The skip-batch choice,
+//     which reads the census, and run(), before it returns, reveal them
+//     all: one multinomial per law for the untouched part and one for the
+//     touched part. So does a round boundary once the next sample would
+//     pick sqrt(pi D) of them on average, 2 E[J] P / n >= sqrt(pi D) for
+//     P unrevealed agents, unless the run() budget ends within
+//     sqrt(D / pi) E[J] interactions. X is one hypergeometric K for its
+//     unrevealed part (none while P = 0), one MVH of 2J - K over the
+//     revealed untouched pool, and K picks revealed one by one.
 //     When every row is one-way (no general row, not partner-keyed, as in
 //     k-IGT), no responder moves and the round needs B only by class: B is
 //     then one C-way MVH over the class totals of the untouched pool after
@@ -82,10 +83,11 @@
 // agent and census engines' (DESIGN.md §8 gives the argument). A one-way
 // partner-keyed round costs 2(q - 1) hypergeometrics plus D binomials, D
 // the partner laws' support points past the first of each law (q(q-1) at
-// full support), whatever J. A two-way one costs q hypergeometrics and
-// ~2J P / n alias draws, below the threshold on average; its D binomials
-// are paid once per boundary reveal and twice (untouched and touched
-// parts) when run() returns, not per round. Any other round costs
+// full support), whatever J. A two-way one costs q - 1 hypergeometrics
+// and D binomials; when it defers them, q hypergeometrics and ~2J P / n
+// alias draws, sqrt(pi D) at most on average, and its D binomials are
+// paid once per boundary reveal and twice (untouched and touched parts)
+// when run() returns, not per round. Any other round costs
 // O(q + D + sum over occupied pair
 // cells of (support - 1)) binomials and hypergeometrics, where
 // D = q * #general rows + C * #classed rows is the matching's category
@@ -131,9 +133,10 @@
 // batch draws its geometric, then its pair and the pair's outcome. A round
 // draws the birthday length, the initiator and responder MVH samples over
 // the untouched pool (the responders' by class when every row is one-way;
-// on a two-way partner-keyed kernel instead the sample's unrevealed count,
-// the MVH of its revealed part and the reveals of the rest, in pick order
-// or law by law); then, one-way partner-keyed, the outcome sums by partner
+// on a two-way partner-keyed kernel instead one MVH of its 2J agents, or,
+// when it defers its laws, the sample's unrevealed count, the MVH of its
+// revealed part and the reveals of the rest, in pick order); then, on a
+// partner-keyed kernel that does not defer, the outcome sums by partner
 // state in state order; otherwise the conditional MVH matching rows
 // (general rows, then classed rows), each cell's outcome multinomial as
 // the matching row fills it, and the multinomials of the rows that ignore
@@ -272,21 +275,14 @@ class multibatch_engine final : public census_level_engine {
   /// boundary.
   void resolve_responder_states();
   void apply_free_sequential(std::uint64_t free);
-  /// The aggregate step of a one-way partner-keyed kernel, once the
-  /// initiators have left the census and responders_ holds their partners'
-  /// census B: adds one multinomial of B_w draws from f(.|w) per kernel
-  /// state w.
+  /// The aggregate step of a partner-keyed kernel that does not defer its
+  /// laws, once the agents that move have left the census and responders_
+  /// holds their partners' census (B one-way, all 2J agents two-way): adds
+  /// one multinomial of responders_[w] draws from f(.|w) per kernel state
+  /// w.
   void apply_partner_laws();
-  /// Draws m agents' states from f(.|w), one multinomial over the law's
-  /// support, into split_; returns the law, whose states index split_.
-  kernel_table::partner_law draw_partner_law(agent_state w, std::uint64_t m);
   /// The state of one unrevealed agent of law w: one alias draw of f(.|w).
   [[nodiscard]] agent_state reveal(agent_state law);
-  /// A two-way partner-keyed run's sample of `agents` untouched agents:
-  /// removes them from the untouched pool and the census (or the
-  /// unrevealed counts) and writes their census by state, the unrevealed
-  /// ones among them revealed, into responders_.
-  void sample_partner_census(std::uint64_t agents);
   /// Reveals every unrevealed agent: one multinomial per law for the
   /// untouched part, which joins the census and the untouched pool, and
   /// one for the touched part, which joins the census.
@@ -320,17 +316,19 @@ class multibatch_engine final : public census_level_engine {
   /// The untouched pool's sum, unrevealed agents included: n exactly at a
   /// round boundary.
   std::uint64_t untouched_total_ = 0;
-  /// Two-way partner-keyed kernels only (empty otherwise): the agents an
-  /// aggregate run moved whose states are still undrawn samples of f(.|w),
-  /// counted by law w, and the untouched part of those counts. Zero at
-  /// every run() boundary.
+  /// Two-way partner-keyed kernels that defer their laws only (empty
+  /// otherwise): the agents an aggregate run moved whose states are still
+  /// undrawn samples of f(.|w), counted by law w, and the untouched part
+  /// of those counts. Zero at every run() boundary.
   std::vector<std::uint64_t> unrevealed_;
   std::vector<std::uint64_t> unrevealed_untouched_;
   std::uint64_t unrevealed_total_ = 0;
   std::uint64_t unrevealed_untouched_total_ = 0;
   /// A round boundary reveals every agent once this many are unrevealed
-  /// (never when nothing is deferred).
+  /// (never when nothing is deferred), unless fewer than reveal_horizon_
+  /// interactions of the run() budget are left.
   std::uint64_t reveal_limit_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t reveal_horizon_ = 0;
   std::uint64_t collisions_ = 0;
   /// Collision-free interactions of the current round not yet applied; when
   /// it reaches 0 mid-round, the next interaction collides.

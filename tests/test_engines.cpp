@@ -884,6 +884,73 @@ TEST(Engines, MultibatchTwoWayPartnerKeyedRoundDrawsItsAgentsExactly) {
   EXPECT_GT(chi_square_gof(hawks, change).p_value, 1e-4);
 }
 
+// Over an even number q of strategies, adopts the partner's strategy
+// plus a uniform odd offset mod q. Under two-way revision this is a
+// partner-keyed kernel whose every law has q / 2 support points, and each
+// interaction keeps the parity of the sum of the agents' states.
+class odd_offset_rule final : public update_rule {
+ public:
+  [[nodiscard]] std::vector<double> revise(
+      const game_matrix& g, std::size_t /*self*/,
+      std::size_t partner) const override {
+    const std::size_t q = g.num_strategies();
+    std::vector<double> out(q, 0.0);
+    for (std::size_t offset = 1; offset < q; offset += 2) {
+      out[(partner + offset) % q] = 2.0 / static_cast<double>(q);
+    }
+    return out;
+  }
+  [[nodiscard]] std::string name() const override { return "odd-offset"; }
+};
+
+TEST(Engines, MultibatchTwoWayDeferredRevealsKeepAParityInvariant) {
+  // Pair (u, v) becomes (v + a, u + b) mod 6 with a and b odd, so the sum
+  // of the agents' states keeps its parity whatever the draws, and an
+  // agent revealed by any law but its own (its partner's state, or the
+  // law of the next state) flips it: the check needs no statistical
+  // bound. Each law has 3 support points, so D = 12 and the engine
+  // defers its laws; no pair is an identity, so the skip-batch choice is
+  // made once and agents stay unrevealed across rounds. At n = 10^5
+  // rounds hold ~200 pairs against a threshold of 48, a sample picks and
+  // reveals up to ~6 agents the rounds before it left unrevealed, and a
+  // boundary reveals them all every ~5 rounds. Every other run() call is
+  // 10^4 interactions long, so those reveals fire; the rest cycle through
+  // 1..300 interactions, so cuts, sequential tails and collisions meet
+  // unrevealed agents in both pools too.
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f"};
+  const game_protocol proto(game_matrix(names, std::vector<double>(36, 0.0)),
+                            std::make_shared<odd_offset_rule>(),
+                            revision_discipline::two_way);
+  const kernel_table kernel(proto);
+  ASSERT_TRUE(kernel.partner_keyed());
+  ASSERT_FALSE(kernel.responders_stay());
+  const std::vector<std::uint64_t> x0 = {10'000, 20'000, 30'000,
+                                         15'000, 15'000, 10'001};
+  const auto parity = [](const std::vector<std::uint64_t>& counts) {
+    std::uint64_t odd = 0;
+    for (std::size_t s = 1; s < counts.size(); s += 2) odd += counts[s];
+    return odd % 2;
+  };
+  const sim_spec spec(proto, x0);
+  for (std::size_t r = 0; r < 8; ++r) {
+    rng gen = make_stream_rng(3101, r);
+    const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+    const auto& mb = dynamic_cast<const multibatch_engine&>(*engine);
+    EXPECT_EQ(mb.aggregate_threshold(), 48u);
+    for (std::uint64_t i = 0; engine->interactions() < 200'000; ++i) {
+      engine->run(i % 2 == 0 ? 10'000 : i % 300 + 1);
+      const auto& counts = engine->census().counts();
+      ASSERT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+                100'001u);
+      if (parity(counts) != parity(x0)) break;
+    }
+    EXPECT_EQ(parity(engine->census().counts()), parity(x0))
+        << "replica " << r << " after " << engine->interactions();
+    EXPECT_GT(mb.rounds(), 500u);
+    EXPECT_EQ(mb.skip_batches(), 0u);
+  }
+}
+
 TEST(Engines, MultibatchFrozenCensusBurnsTheBudget) {
   // All agents informed: every pair is an identity, non-identity mass 0,
   // so one skip batch takes each whole budget and no round is drawn.

@@ -446,6 +446,9 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
                      std::make_shared<mutating_imitation_rule>(0.8, 0.2),
                      revision_discipline::two_way),
        {10'000, 90'000}, 100'000, split::multinomial, false, 0, 4},
+      // D = 6 support points past the first: its rounds defer their laws,
+      // and in one run() call a boundary reveals every agent each ~3.5
+      // rounds (2 E[J] P / n reaching sqrt(6 pi) ~ 4.3), ~70 times.
       {"logit q=3 two-way", logit_q3, logit_q3_counts, 50'000,
        split::partner_keyed, false},
       {"coordination logit one-way", game_protocol(coordination, sharp_logit),
@@ -500,24 +503,13 @@ TEST(Engines, MultibatchAggregatePathAgreesWithTheCensusEngine) {
       {"igt k=8 one-way, classed rows, run() chunks cycling 1..300",
        game_protocol(igt_game_matrix(8), std::make_shared<igt_ladder_rule>(8)),
        igt_counts, 50'000, split::deterministic, true, 300, 0, true},
-      // Two-way partner-keyed rounds leave their agents unrevealed by law
+      // The q = 3 two-way rounds leave their agents unrevealed by law
       // until run() returns. In chunks of 1, 2, ..., 300 the budget cuts
       // most rounds, so the reveals at each cut, the sequential tails and
       // the collisions all meet unrevealed agents, touched ones from the
       // round in progress and untouched ones from the round before it.
       {"logit q=3 two-way, run() chunks cycling 1..300", logit_q3,
        logit_q3_counts, 50'000, split::partner_keyed, false, 300, 0, true},
-      // Five units of parallel time in one run() call, ~1100 rounds of ~89
-      // pairs against a threshold of 16: every ~10 rounds the unrevealed
-      // agents reach 2 E[J] P / n = 16, and a boundary reveals them all;
-      // just before it, the samples of long rounds reveal 16 or more by
-      // law. The statistic settles at the logit fixed point from the far
-      // side of the first hawk-dove case's start.
-      {"logit/hawk-dove two-way, one long run() call",
-       game_protocol(hawk_dove_matrix(1.0, 3.0),
-                     std::make_shared<logit_response_rule>(0.5),
-                     revision_discipline::two_way),
-       {4'000, 16'000}, 100'000, split::partner_keyed, false},
   };
   const auto statistic = [](const census_view& census) {
     double mass = 0.0;

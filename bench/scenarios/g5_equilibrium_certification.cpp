@@ -2,7 +2,7 @@
 // zoo entry — the named classics plus seeded random games on q = 2..6
 // strategies — the solver stack computes the symmetric Nash set by support
 // enumeration and the logit-homotopy limiting point, the certifier derives
-// the rule's own predicted limit from the mean-field ODE, and all three
+// the rule's own predicted limit from the mean-field ODE, and both
 // engines' time-averaged censuses are certified against that prediction.
 // The one-way logit rule makes the mean-field drift linear (a positive
 // column-stochastic response matrix), so every game in the zoo has a unique
@@ -62,15 +62,15 @@ scenario_result run_g5(const scenario_context& ctx) {
   const auto zoo =
       make_game_zoo(derive_stream_seed(ctx.seed, 0x675), random_per_size);
   const auto rule = std::make_shared<logit_response_rule>(temperature);
-  constexpr engine_kind kinds[] = {engine_kind::agent, engine_kind::census,
+  constexpr engine_kind kinds[] = {engine_kind::census,
                                    engine_kind::multibatch};
-  // Each engine's seed salt within a game's four: the third belonged to
-  // the batched engine, which multibatch absorbed, and stays unused so the
-  // other engines keep their seeds.
-  constexpr std::uint64_t kind_salts[] = {0, 1, 3};
+  // Each engine's seed salt within a game's four: the first belonged to
+  // the agent engine and the third to the batched engine, both retired;
+  // they stay unused so the other engines keep their seeds.
+  constexpr std::uint64_t kind_salts[] = {1, 3};
 
   auto& table = result.table(
-      "per-game solver structure and three-engine certification",
+      "per-game solver structure and two-engine certification",
       {"game", "q", "equilibria", "homotopy residual", "rungs", "certified",
        "max TV to prediction", "max z"});
   std::size_t total_equilibria = 0;
@@ -172,7 +172,8 @@ scenario_result run_g5(const scenario_context& ctx) {
          format_metric(static_cast<double>(certifier.equilibria().size())),
          format_metric(homotopy.residual, 3),
          format_metric(static_cast<double>(homotopy.path.size())),
-         format_metric(static_cast<double>(game_certified)) + "/3",
+         format_metric(static_cast<double>(game_certified)) + "/" +
+             std::to_string(std::size(kinds)),
          format_metric(game_max_tv, 4), format_metric(game_max_z, 3)});
   }
 
@@ -218,6 +219,6 @@ scenario_result run_g5(const scenario_context& ctx) {
 
 [[maybe_unused]] const bool registered = register_scenario(
     "g5_equilibrium_certification", "games,solver,engines",
-    "Three-engine equilibrium certification across the game zoo", run_g5);
+    "Two-engine equilibrium certification across the game zoo", run_g5);
 
 }  // namespace

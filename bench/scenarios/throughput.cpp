@@ -3,7 +3,7 @@
 // rates land in the same JSON trajectory as every other experiment).
 //
 //  - throughput_engines: interactions per second of the pluggable
-//    simulation engines (agent / census / multibatch, selected via
+//    simulation engines (census / multibatch, selected via
 //    sim_spec::make_engine) on the one-way IGT kernel (dense and dilute)
 //    and on dense matrix games (hawk-dove, rock-paper-scissors, and at
 //    n = 10^8 a random q = 8 game under two-way logit, whose 64 outcomes
@@ -63,10 +63,11 @@ using namespace ppg;
 constexpr std::uint64_t engine_chunk = std::uint64_t{1} << 16;
 constexpr std::uint64_t witness_chunk = 8192;
 
-// A row's seed salt for its engine. The rows' seeds predate the batched
-// engine's removal, so multibatch keeps the slot 3 it had then.
+// A row's seed salt for its engine. The rows' seeds predate the agent and
+// batched engines' removal, so census keeps the slot 1 and multibatch the
+// slot 3 they had then.
 std::uint64_t engine_salt(engine_kind kind) {
-  return kind == engine_kind::multibatch ? 3 : static_cast<std::uint64_t>(kind);
+  return kind == engine_kind::multibatch ? 3 : 1;
 }
 
 // Runs `chunk()` (which performs `items` units of work) until `min_seconds`
@@ -127,15 +128,12 @@ scenario_result run_engines(const scenario_context& ctx) {
     bool full_only;  // n = 10^8 rows are skipped in smoke mode
   };
   const std::vector<row_spec> rows = {
-      {engine_kind::agent, 10'000, false, false},
-      {engine_kind::agent, 1'000'000, false, false},
       {engine_kind::census, 10'000, false, false},
       {engine_kind::census, 1'000'000, false, false},
       {engine_kind::census, 100'000'000, false, true},
       {engine_kind::multibatch, 10'000, false, false},
       {engine_kind::multibatch, 1'000'000, false, false},
       {engine_kind::multibatch, 100'000'000, false, true},
-      {engine_kind::agent, 1'000'000, true, false},
       {engine_kind::census, 1'000'000, true, false},
       {engine_kind::census, 100'000'000, true, true},
       {engine_kind::multibatch, 1'000'000, true, false},
@@ -146,10 +144,6 @@ scenario_result run_engines(const scenario_context& ctx) {
       "interactions/second on the one-way IGT kernel (dense gamma = 0.7, "
       "dilute\ngamma = 0.05; stationary-census start)",
       {"engine", "n", "regime", "interactions/s"});
-  double ips_dense_agent_1e6 = 0.0;
-  double ips_dense_multibatch_1e6 = 0.0;
-  double ips_dilute_agent_1e6 = 0.0;
-  double ips_dilute_multibatch_1e6 = 0.0;
   for (const auto& row : rows) {
     if (row.full_only && ctx.smoke) continue;
     const double gamma = row.dilute ? 0.05 : 0.7;
@@ -164,20 +158,6 @@ scenario_result run_engines(const scenario_context& ctx) {
                             engine_kind_name(row.kind) + "_n" +
                             std::to_string(row.n);
     result.metric(key, ips);
-    if (row.n == 1'000'000) {
-      if (!row.dilute && row.kind == engine_kind::agent) {
-        ips_dense_agent_1e6 = ips;
-      }
-      if (!row.dilute && row.kind == engine_kind::multibatch) {
-        ips_dense_multibatch_1e6 = ips;
-      }
-      if (row.dilute && row.kind == engine_kind::agent) {
-        ips_dilute_agent_1e6 = ips;
-      }
-      if (row.dilute && row.kind == engine_kind::multibatch) {
-        ips_dilute_multibatch_1e6 = ips;
-      }
-    }
     table.add_row({engine_kind_name(row.kind),
                    fmt_count(row.n), row.dilute ? "dilute" : "dense",
                    format_metric(ips, 4)});
@@ -210,9 +190,7 @@ scenario_result run_engines(const scenario_context& ctx) {
   std::vector<game_row> game_rows;
   for (const auto n : {std::uint64_t{1'000'000}, std::uint64_t{100'000'000}}) {
     const bool full_only = n == 100'000'000;
-    for (const auto kind :
-         {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
-      if (full_only && kind == engine_kind::agent) continue;  // 400 MB array
+    for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
       game_rows.push_back({"hawk-dove", "hawk_dove", &hd_proto, kind, n,
                            full_only});
       game_rows.push_back({"rps", "rps", &rps_proto, kind, n, full_only});
@@ -300,20 +278,13 @@ scenario_result run_engines(const scenario_context& ctx) {
                        format_metric(ips[0], 4), format_metric(ips[2], 4)});
   }
 
-  // Cross-engine ratios land in the trajectory but carry no regression
-  // goal: they depend on the host's cache hierarchy (the agent engine is
-  // n-sensitive, the others are not), so a baseline from one machine would
-  // gate CI runs on another. The seed-deterministic multibatch speedup
-  // gate lives in g4_multibatch_dense.
-  result.metric("speedup_multibatch_vs_agent_dense_n1e6",
-                ips_dense_multibatch_1e6 / ips_dense_agent_1e6);
-  result.metric("speedup_multibatch_vs_agent_dilute_n1e6",
-                ips_dilute_multibatch_1e6 / ips_dilute_agent_1e6);
+  // The seed-deterministic multibatch speedup gate lives in
+  // g4_multibatch_dense.
   result.note(
-      "Expected shape: census rates independent of n; multibatch >> agent "
-      "everywhere:\nin the dilute regime at n = 10^6 it skips identity "
-      "interactions in geometric\nbatches, and on the dense games, where "
-      "few or no interactions are identities,\nits aggregated rounds avoid "
+      "Expected shape: census rates independent of n; multibatch >> census "
+      "at n >= 10^6:\nin the dilute regime it skips identity interactions "
+      "in geometric batches, and\non the dense games, where few or no "
+      "interactions are identities, its\naggregated rounds avoid "
       "per-interaction sampling.");
   return result;
 }
@@ -335,14 +306,14 @@ scenario_result run_batch(const scenario_context& ctx) {
     return replicate_census(
         {replicas, derive_stream_seed(ctx.seed, 99), threads},
         [&](const replica_context&, rng& gen) {
-          const auto sim = spec.make_engine(engine_kind::agent, gen);
+          const auto sim = spec.make_engine(engine_kind::census, gen);
           sim->run(steps);
           return sim->census().fractions();
         });
   };
 
   auto& table = result.table(
-      "agent-level batch replication: aggregate interactions/second vs "
+      "census-engine batch replication: aggregate interactions/second vs "
       "worker\nthreads (8 replicas)",
       {"threads", "total interactions/s", "speedup vs 1 thread"});
   double base_rate = 0.0;
@@ -603,8 +574,8 @@ scenario_result run_micro(const scenario_context& ctx) {
 
 [[maybe_unused]] const bool registered_engines = register_scenario(
     "throughput_engines", "throughput,engines,perf",
-    "Interactions/s of the agent/census/multibatch engines on the "
-    "IGT kernel and dense games",
+    "Interactions/s of the census and multibatch engines on the IGT kernel "
+    "and dense games",
     run_engines);
 
 [[maybe_unused]] const bool registered_batch = register_scenario(

@@ -1,9 +1,9 @@
 // Substrate demonstration: the population-protocol engines running three
 // classic dynamics — approximate majority, leader election, and rumor
-// spreading — with their textbook convergence behavior. Each block picks a
-// different execution backend through sim_spec::make_engine (census,
-// agent, multibatch); all engines implement the same interaction law, so
-// the choice is purely a speed/memory trade-off (see DESIGN.md §3).
+// spreading — with their textbook convergence behavior. Each block picks an
+// execution backend through sim_spec::make_engine (census or multibatch);
+// both engines implement the same interaction law, so the choice is purely
+// a speed trade-off (see DESIGN.md §3).
 #include <cmath>
 #include <cstddef>
 #include <iostream>
@@ -52,7 +52,7 @@ int main() {
               << " trials\n\n";
   }
 
-  // --- Leader election from all-leaders, on the agent engine.
+  // --- Leader election from all-leaders, on the census engine.
   {
     const leader_election_protocol proto;
     std::vector<std::uint64_t> counts(2, 0);
@@ -61,12 +61,12 @@ int main() {
     running_summary steps;
     for (int t = 0; t < trials; ++t) {
       rng gen(200 + static_cast<std::uint64_t>(t));
-      const auto sim = spec.make_engine(engine_kind::agent, gen);
+      const auto sim = spec.make_engine(engine_kind::census, gen);
       sim->run_until(leader_election_protocol::has_unique_leader,
                      200'000'000);
       steps.add(sim->parallel_time());
     }
-    std::cout << "Leader election (pairwise demotion, agent engine):\n"
+    std::cout << "Leader election (pairwise demotion, census engine):\n"
               << "  unique leader in " << fmt(steps.mean(), 1) << " +- "
               << fmt(steps.ci_half_width(), 1)
               << " parallel time (theory: Theta(n) = " << n << ")\n\n";

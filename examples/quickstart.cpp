@@ -5,11 +5,11 @@
 // The measurement runs as a batch of 4 independent replicas on the
 // batch-replication engine: one sim_spec describes the experiment, an
 // engine_kind picks the execution backend (here the census engine, which
-// simulates the count vector directly — same law as the agent-level loop,
-// no per-agent state), the batch engine fans the replicas across a worker
-// pool (deterministically — the numbers below are bit-identical at any
-// thread count), and the census aggregator reduces them to a mean estimate
-// with replica-level confidence intervals.
+// simulates the count vector directly — agents are anonymous, so the
+// census is the chain's whole state), the batch engine fans the replicas
+// across a worker pool (deterministically — the numbers below are
+// bit-identical at any thread count), and the census aggregator reduces
+// them to a mean estimate with replica-level confidence intervals.
 //
 // Build & run:   ./build/examples/quickstart
 #include <cstddef>

@@ -10,8 +10,8 @@ Checks, per file:
     nonnegative integers summing to at least 2 and below 2^64, a known
     sampling discipline;
   - the engine snapshot: state_version == 1, a known engine kind ("batched"
-    is rejected: that engine was folded into multibatch), the
-    shared fields (interactions, the 4-word xoshiro256 state, not all
+    and "agent" are rejected: the first was folded into multibatch, the
+    second retired for the exact census chain), the shared fields (interactions, the 4-word xoshiro256 state, not all
     zero), and the kind-specific payload — including census consistency
     (counts sum to the spec's population size) and the multibatch round
     relations (the untouched pool fits in the census state by state, a
@@ -35,7 +35,6 @@ STATE_VERSION = 1
 SAMPLINGS = {"distinct", "with_replacement"}
 ENGINE_COMMON = {"state_version", "engine", "interactions", "rng"}
 ENGINE_KEYS = {
-    "agent": ENGINE_COMMON | {"states"},
     "census": ENGINE_COMMON | {"counts"},
     "multibatch": ENGINE_COMMON | {"counts", "untouched", "pending_free"},
 }
@@ -102,6 +101,10 @@ def check_engine(snapshot, population, width):
     if kind == "batched":
         fail("engine: engine kind 'batched' was folded into 'multibatch'; "
              "a batched checkpoint cannot be restored")
+    if kind == "agent":
+        fail("engine: engine kind 'agent' was retired: agents are anonymous, "
+             "so the census is the whole state; an agent checkpoint cannot "
+             "be restored")
     if kind not in ENGINE_KEYS:
         fail(f"engine: unknown engine kind {kind!r}")
     where = f"engine[{kind}]"
@@ -114,14 +117,6 @@ def check_engine(snapshot, population, width):
         fail(f"{where}: all-zero rng state (xoshiro fixed point; corrupt)")
     if any(w >= 1 << 64 for w in rng):
         fail(f"{where}: rng word out of 64-bit range")
-
-    if kind == "agent":
-        states = require_uint_array(snapshot, "states", where)
-        if len(states) != population:
-            fail(f"{where}: {len(states)} agent states for n={population}")
-        if any(s >= width for s in states):
-            fail(f"{where}: agent state out of range (width {width})")
-        return
 
     counts = require_uint_array(snapshot, "counts", where, length=width)
     if sum(counts) != population:

@@ -28,7 +28,7 @@ class simplex_index {
   [[nodiscard]] std::size_t rank(const std::vector<std::uint64_t>& x) const;
 
   /// Inverse of rank().
-  /// Planned production use: ROADMAP item 11's exact-law oracle.
+  /// Test oracle: tests/test_pp.cpp names equation (5)'s terms with it.
   [[nodiscard]] std::vector<std::uint64_t> unrank(std::size_t index) const;
 
   /// First composition in lexicographic order: (0, 0, ..., m).

@@ -46,8 +46,7 @@ template <typename Body>
 /// over the engine API: each replica builds a fresh engine of `kind` from
 /// `spec`, burns `burn` interactions, then steps `samples` times, averaging
 /// `project(census)` (a fixed-length vector) over the sampled interactions.
-/// With engine_kind::census this runs the measurement entirely at the
-/// count-vector level — same law as the agent engine, far faster.
+/// Every engine runs the measurement at the count-vector level.
 template <typename Project>
 [[nodiscard]] census_aggregator replicate_time_averaged_census(
     const sim_spec& spec, engine_kind kind, std::uint64_t burn,

@@ -40,7 +40,7 @@ class finite_chain {
   [[nodiscard]] std::vector<double> step(const std::vector<double>& mu) const;
 
   /// Evolves a distribution t steps.
-  /// Planned production use: ROADMAP item 11's exact-law oracle.
+  /// Test oracle: the exact census chain's law (tests/census_chain.hpp).
   [[nodiscard]] std::vector<double> evolve(std::vector<double> mu,
                                            std::size_t t) const;
 

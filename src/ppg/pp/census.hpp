@@ -1,16 +1,15 @@
 // Census-level observation of a population: the per-state count vector plus
 // the population size, without any per-agent data. All engine-facing
 // observation — convergence predicates, snapshots, trace recording — is
-// phrased against this view, so it works identically whether the executing
-// engine keeps a per-agent array (agent engine) or only the counts (census
-// and multibatch engines). See DESIGN.md §3.
+// phrased against this view, so it works identically on every engine. See
+// DESIGN.md §3.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "ppg/pp/population.hpp"
+#include "ppg/pp/kernel.hpp"
 
 namespace ppg {
 

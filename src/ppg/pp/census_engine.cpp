@@ -15,8 +15,8 @@ void census_engine::run(std::uint64_t steps) {
     if (sampling_ == pair_sampling::with_replacement &&
         gen_.next_below(n_) == 0) {
       // A self-interaction (probability 1/n): the ordered pair lands on one
-      // agent twice; only the initiator update applies, mirroring the agent
-      // engine's self-pair handling.
+      // agent twice, and only the initiator update applies (the literal
+      // scheduler enumeration in tests/test_pp.cpp pins this rule).
       const agent_state u =
           locate(counts_, gen_.next_below(n_), no_excluded_state);
       const auto [next_initiator, next_responder] =

@@ -5,8 +5,8 @@
 //     discipline — i.e. a serialized sim_spec, so the file reconstructs its
 //     own simulation with no out-of-band context; and
 //   - the *engine* snapshot: one engine's complete dynamical state
-//     (sim_engine::save_state — census or agent array, interaction counter,
-//     aggregation carries, full 256-bit RNG position).
+//     (sim_engine::save_state — census, interaction counter, aggregation
+//     carries, full 256-bit RNG position).
 // The contract is bit-exact resume: restore_checkpoint in a fresh process
 // yields an engine whose continued trajectory is identical, draw for draw,
 // to the engine that was saved (see DESIGN.md §9, including what "identical"

@@ -12,8 +12,6 @@ namespace ppg {
 
 const char* engine_kind_name(engine_kind kind) {
   switch (kind) {
-    case engine_kind::agent:
-      return "agent";
     case engine_kind::census:
       return "census";
     case engine_kind::multibatch:
@@ -23,14 +21,18 @@ const char* engine_kind_name(engine_kind kind) {
 }
 
 engine_kind engine_kind_from_name(std::string_view name) {
-  for (const auto kind :
-       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     if (name == engine_kind_name(kind)) return kind;
   }
   PPG_CHECK(name != "batched",
             "engine kind 'batched' was folded into 'multibatch', which skips "
             "identity interactions itself; a batched checkpoint cannot be "
             "restored (DESIGN.md §9)");
+  PPG_CHECK(name != "agent",
+            "engine kind 'agent' was retired: agents are anonymous, so the "
+            "census is the whole state, and the exact census chain replaced "
+            "the per-agent reference; an agent checkpoint cannot be restored "
+            "(DESIGN.md §9)");
   PPG_CHECK(false, "unknown engine kind '" + std::string(name) + "'");
 }
 
@@ -100,13 +102,6 @@ double sim_engine::parallel_time() const {
 
 namespace {
 
-/// Whether every state is below q, so kernel_table::sample, which does not
-/// range-check, can take it.
-bool all_below(const std::vector<agent_state>& states, std::size_t q) {
-  return std::all_of(states.begin(), states.end(),
-                     [q](agent_state s) { return s < q; });
-}
-
 /// The number of agents in a census; a sum past 2^64 - 1 is rejected
 /// rather than wrapped.
 std::uint64_t census_size(const std::vector<std::uint64_t>& counts) {
@@ -119,84 +114,6 @@ std::uint64_t census_size(const std::vector<std::uint64_t>& counts) {
 }
 
 }  // namespace
-
-simulation::simulation(const protocol& proto, population agents, rng gen,
-                       pair_sampling sampling,
-                       std::shared_ptr<const kernel_table> kernel)
-    : kernel_(std::move(kernel)),
-      agents_(std::move(agents)),
-      gen_(gen),
-      sampling_(sampling) {
-  PPG_CHECK(agents_.num_state_kinds() >= proto.num_states(),
-            "population state space smaller than the protocol's");
-  PPG_CHECK(agents_.size() >= 2, "a protocol needs at least two agents");
-  if (kernel_ == nullptr) {
-    kernel_ = std::make_shared<const kernel_table>(proto);
-  }
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "precompiled kernel does not match the protocol");
-  PPG_CHECK(all_below(agents_.states(), kernel_->num_states()),
-            "agent engine: agents in states outside the protocol's space");
-}
-
-void simulation::run(std::uint64_t steps) {
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    const interaction pair =
-        sampling_ == pair_sampling::distinct
-            ? sample_distinct_pair(agents_.size(), gen_)
-            : sample_with_replacement_pair(agents_.size(), gen_);
-    const agent_state initiator = agents_.state_of(pair.initiator);
-    const agent_state responder = agents_.state_of(pair.responder);
-    // Kernel outcomes are range-checked when the table is compiled and the
-    // pair indices come from the scheduler, so the applications below take
-    // the debug-checked fast path.
-    const auto [next_initiator, next_responder] =
-        kernel_->sample(initiator, responder, gen_);
-    agents_.apply_interaction(pair.initiator, next_initiator);
-    // Self-interactions can occur under with_replacement sampling; applying
-    // the responder update second would clobber the initiator's: skip it.
-    if (pair.responder != pair.initiator) {
-      agents_.apply_interaction(pair.responder, next_responder);
-    }
-    ++interactions_;
-  }
-}
-
-json simulation::save_state() const {
-  json snapshot = snapshot_envelope(interactions_, gen_);
-  std::vector<std::uint64_t> states;
-  states.reserve(agents_.size());
-  for (const auto state : agents_.states()) {
-    states.push_back(state);
-  }
-  snapshot["states"] = json_uint_array(states);
-  return snapshot;
-}
-
-void simulation::restore_state(const json& snapshot) {
-  json_require_keys(
-      snapshot, {"state_version", "engine", "interactions", "rng", "states"},
-      "agent snapshot");
-  const auto core = check_snapshot_envelope(snapshot);
-  const auto raw =
-      json_require_uint_array(snapshot, "states", "agent snapshot");
-  PPG_CHECK(raw.size() == agents_.size(),
-            "agent snapshot: population size mismatch");
-  std::vector<agent_state> states;
-  states.reserve(raw.size());
-  for (const auto state : raw) {
-    PPG_CHECK(state < agents_.num_state_kinds(),
-              "agent snapshot: state outside the population's space");
-    states.push_back(static_cast<agent_state>(state));
-  }
-  PPG_CHECK(all_below(states, kernel_->num_states()),
-            "agent snapshot: agents in states outside the protocol's space");
-  // The population constructor re-derives the census from the states, so a
-  // restored engine can never disagree with its own counts.
-  agents_ = population(std::move(states), agents_.num_state_kinds());
-  interactions_ = core.interactions;
-  gen_ = core.gen;
-}
 
 census_level_engine::census_level_engine(
     std::shared_ptr<const kernel_table> kernel,
@@ -250,24 +167,6 @@ void census_level_engine::commit(counts_state state) {
   gen_ = state.gen;
 }
 
-namespace {
-
-/// Expands a census into a population, grouped by ascending state. Agents
-/// are anonymous, so any ordering induces the same interaction law; this one
-/// fixes where the agent engine's draws land.
-population agents_from_counts(const std::vector<std::uint64_t>& counts) {
-  std::vector<agent_state> states;
-  states.reserve(static_cast<std::size_t>(census_size(counts)));
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    for (std::uint64_t i = 0; i < counts[s]; ++i) {
-      states.push_back(static_cast<agent_state>(s));
-    }
-  }
-  return population(std::move(states), counts.size());
-}
-
-}  // namespace
-
 sim_spec::sim_spec(const protocol& proto,
                    std::vector<std::uint64_t> initial_counts,
                    pair_sampling sampling)
@@ -288,16 +187,11 @@ std::unique_ptr<sim_engine> sim_spec::make_engine(
   }
   PPG_CHECK(kernel->num_states() == proto_->num_states(),
             "precompiled kernel does not match the protocol");
-  PPG_CHECK(kind == engine_kind::agent || kind == engine_kind::census ||
-                sampling_ == pair_sampling::distinct,
+  PPG_CHECK(kind == engine_kind::census || sampling_ == pair_sampling::distinct,
             std::string(engine_kind_name(kind)) +
                 " engine supports pair_sampling::distinct only; use the "
                 "census engine for with_replacement sampling");
   switch (kind) {
-    case engine_kind::agent:
-      return std::make_unique<simulation>(
-          *proto_, agents_from_counts(initial_counts_), gen.split(), sampling_,
-          std::move(kernel));
     case engine_kind::census:
       return std::make_unique<census_engine>(
           std::move(kernel), initial_counts_, gen.split(), sampling_);

@@ -1,11 +1,11 @@
-// The uniform simulation-engine interface: every execution backend —
-// agent-level loop, census-only sampler, multibatch sampler (aggregated
-// rounds and identity-skipping batches) — exposes the same surface (step /
-// run / run_until / run_with_snapshots / census / interactions /
-// parallel_time), so drivers and experiments are written once and the
-// backend is a runtime choice (sim_spec::make_engine). The two
-// census-level backends share one shell, census_level_engine, that owns
-// their count vector, construction checks and snapshot codec.
+// The uniform simulation-engine interface: both execution backends —
+// census-only sampler, multibatch sampler (aggregated rounds and
+// identity-skipping batches) — expose the same surface (step / run /
+// run_until / run_with_snapshots / census / interactions / parallel_time),
+// so drivers and experiments are written once and the backend is a runtime
+// choice (sim_spec::make_engine). They share one shell,
+// census_level_engine, that owns their count vector, construction checks
+// and snapshot codec.
 // The protocol abstraction itself lives in pp/kernel.hpp.
 // See DESIGN.md §3 for the engine architecture.
 #pragma once
@@ -18,15 +18,19 @@
 
 #include "ppg/pp/census.hpp"
 #include "ppg/pp/kernel.hpp"
-#include "ppg/pp/scheduler.hpp"
 #include "ppg/util/error.hpp"
 #include "ppg/util/json.hpp"
 
 namespace ppg {
 
+/// How the scheduler draws the interacting pair (DESIGN.md §4).
+enum class pair_sampling : std::uint8_t {
+  distinct,          ///< ordered pair of distinct agents (standard PP model)
+  with_replacement,  ///< independent draws (paper's idealized probabilities)
+};
+
 /// Which execution backend runs a sim_spec.
 enum class engine_kind : std::uint8_t {
-  agent,    ///< per-agent state array, one kernel_table::sample per step
   census,   ///< count vector only; samples the ordered *state* pair in O(q)
   /// census + aggregated ~sqrt(n)-interaction rounds (exact birthday /
   /// hypergeometric law, one multinomial outcome split per pair type),
@@ -39,8 +43,9 @@ enum class engine_kind : std::uint8_t {
 [[nodiscard]] const char* engine_kind_name(engine_kind kind);
 
 /// Inverse of engine_kind_name; throws ppg::invariant_error on an unknown
-/// name (strict checkpoint parsing), and on "batched", the engine the
-/// multibatch engine absorbed, with a message saying so.
+/// name (strict checkpoint parsing), and with a message saying why on the
+/// names of retired engines: "batched", which the multibatch engine
+/// absorbed, and "agent", whose reference role the exact census chain took.
 [[nodiscard]] engine_kind engine_kind_from_name(std::string_view name);
 
 /// Version stamped into every engine snapshot ("state_version"). Additive
@@ -64,8 +69,8 @@ class sim_engine {
   void step() { run(1); }
 
   /// Executes `steps` interactions. Each engine advances in its own unit:
-  /// one interaction (agent, census), or one aggregated round or one
-  /// geometric batch of identity interactions (multibatch).
+  /// one interaction (census), or one aggregated round or one geometric
+  /// batch of identity interactions (multibatch).
   virtual void run(std::uint64_t steps) = 0;
 
   /// Runs until `converged(census())` is true or `max_steps` is reached;
@@ -88,9 +93,9 @@ class sim_engine {
   [[nodiscard]] virtual engine_kind kind() const = 0;
 
   /// The engine's *complete* dynamical state as a versioned, JSON-
-  /// serializable snapshot: census or per-agent array, interaction counter,
-  /// any cross-run() carry (the multibatch residual round), and the full
-  /// 256-bit RNG position. Restoring the snapshot into a fresh engine of
+  /// serializable snapshot: census, interaction counter, any cross-run()
+  /// carry (the multibatch residual round), and the full 256-bit RNG
+  /// position. Restoring the snapshot into a fresh engine of
   /// the same kind built from the same spec — in this process or another —
   /// continues the trajectory bit-exactly: a run that passes through
   /// save_state()/restore_state() at a run() boundary is indistinguishable,
@@ -130,49 +135,12 @@ class sim_engine {
   [[nodiscard]] snapshot_core check_snapshot_envelope(
       const json& snapshot) const;
 
-  /// Copy/move are protected: concrete engines stay copyable (simulation is
-  /// returned by value), but copying or assigning through a sim_engine&
-  /// would slice away the derived state.
+  /// Copy/move are protected: concrete engines stay copyable, but copying
+  /// or assigning through a sim_engine& would slice away the derived state.
   sim_engine(const sim_engine&) = default;
   sim_engine(sim_engine&&) = default;
   sim_engine& operator=(const sim_engine&) = default;
   sim_engine& operator=(sim_engine&&) = default;
-};
-
-/// The agent-level engine: a per-agent state array, one kernel_table::sample
-/// per scheduled pair. This is the reference implementation every other
-/// engine is law-equivalent to.
-class simulation final : public sim_engine {
- public:
-  /// A null `kernel` compiles one from the protocol; a non-null one must
-  /// have the protocol's state count. Every agent must start in a state
-  /// below the kernel's q.
-  simulation(const protocol& proto, population agents, rng gen,
-             pair_sampling sampling = pair_sampling::distinct,
-             std::shared_ptr<const kernel_table> kernel = nullptr);
-
-  void run(std::uint64_t steps) override;
-
-  [[nodiscard]] const population& agents() const { return agents_; }
-  [[nodiscard]] census_view census() const override {
-    return {agents_.counts(), agents_.size()};
-  }
-  [[nodiscard]] std::uint64_t interactions() const override {
-    return interactions_;
-  }
-  [[nodiscard]] engine_kind kind() const override { return engine_kind::agent; }
-
-  /// Snapshot payload: the per-agent state array (the census is derived
-  /// from it on restore).
-  [[nodiscard]] json save_state() const override;
-  void restore_state(const json& snapshot) override;
-
- private:
-  std::shared_ptr<const kernel_table> kernel_;
-  population agents_;
-  rng gen_;
-  pair_sampling sampling_;
-  std::uint64_t interactions_ = 0;
 };
 
 /// The shell of the census-level engines (census, multibatch): the
@@ -251,10 +219,9 @@ class census_level_engine : public sim_engine {
 /// batch engine needs to fan one configuration out across a worker pool.
 /// The protocol must outlive the spec and every engine built from it.
 ///
-/// Agents are anonymous, so the census fixes the run's law. The census-level
-/// engines never allocate per-agent state, so they scale to populations far
-/// beyond what an agent array can hold; the agent engine lays its agents out
-/// grouped by ascending state.
+/// Agents are anonymous, so the census fixes the run's law; the engines
+/// never allocate per-agent state, so they scale to populations far beyond
+/// what an agent array can hold.
 class sim_spec {
  public:
   sim_spec(const protocol& proto, std::vector<std::uint64_t> initial_counts,

@@ -12,10 +12,11 @@
 #include <utility>
 #include <vector>
 
-#include "ppg/pp/population.hpp"
 #include "ppg/util/rng.hpp"
 
 namespace ppg {
+
+using agent_state = std::uint32_t;
 
 /// One support point of a transition kernel: the post-interaction
 /// (initiator, responder) states and their probability.
@@ -28,9 +29,8 @@ struct outcome {
 /// A population protocol: a (possibly randomized) transition function over
 /// ordered pairs of states, described once by its kernel:
 /// outcome_distribution(q_i, q_r) enumerates the finite distribution over
-/// post-interaction pairs. Every engine, the agent engine included, compiles
-/// it into a kernel_table and draws each interaction from
-/// kernel_table::sample.
+/// post-interaction pairs. Every engine compiles it into a kernel_table and
+/// draws from that table.
 class protocol {
  public:
   virtual ~protocol() = default;

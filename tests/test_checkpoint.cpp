@@ -26,7 +26,7 @@
 namespace ppg {
 namespace {
 
-constexpr engine_kind all_kinds[] = {engine_kind::agent, engine_kind::census,
+constexpr engine_kind all_kinds[] = {engine_kind::census,
                                      engine_kind::multibatch};
 
 // --- RNG state capture ----------------------------------------------------
@@ -153,7 +153,7 @@ TEST(SimRecipe, StrictParseRejectsUnknownGameAndRule) {
                invariant_error);
 }
 
-// --- bit-exact resume across all three engines ----------------------------
+// --- bit-exact resume across both engines ---------------------------------
 
 const char* igt_recipe_text() {
   return R"({"protocol": {"name": "igt",
@@ -352,31 +352,39 @@ TEST(Checkpoint, BitExactResumeInsideSkipBatches) {
   expect_bit_exact_resume(recipe_text, engine_kind::multibatch, 508);
 }
 
-TEST(Checkpoint, BatchedCheckpointsAreRejectedByName) {
-  // The batched engine was folded into multibatch; its checkpoints carry a
-  // schema no engine reads, and the rejection says why.
+TEST(Checkpoint, RetiredEngineCheckpointsAreRejectedByName) {
+  // The batched engine was folded into multibatch, and the agent engine
+  // was retired for the exact census chain; their checkpoints carry
+  // schemas no engine reads, and the rejection says why.
   const sim_recipe recipe =
       sim_recipe::from_json(json::parse(rumor_recipe_text()));
   rng gen(509);
   const auto engine = recipe.spec().make_engine(engine_kind::census, gen);
   engine->run(500);
-  json file = save_checkpoint(recipe, *engine);
-  json snapshot = file["engine"];
-  snapshot["engine"] = "batched";
-  snapshot["batches"] = std::uint64_t{17};
-  snapshot["active_weight"] = std::uint64_t{5600};
-  file["engine"] = snapshot;
-  for (const auto& attempt :
-       std::vector<std::function<void()>>{
-           [] { (void)engine_kind_from_name("batched"); },
-           [&file] { (void)restore_checkpoint(file); }}) {
-    try {
-      attempt();
-      ADD_FAILURE() << "accepted the engine name 'batched'";
-    } catch (const invariant_error& e) {
-      EXPECT_NE(std::string(e.what()).find("folded into 'multibatch'"),
-                std::string::npos)
-          << e.what();
+  const json file = save_checkpoint(recipe, *engine);
+  struct retired {
+    const char* name;
+    const char* field;  ///< a field of the retired schema
+    const char* why;
+  };
+  for (const retired& r :
+       {retired{"batched", "batches", "folded into 'multibatch'"},
+        retired{"agent", "states", "'agent' was retired"}}) {
+    json snapshot = *file.find("engine");
+    snapshot["engine"] = r.name;
+    snapshot[r.field] = json_uint_array({0, 1});
+    json renamed = file;
+    renamed["engine"] = snapshot;
+    for (const auto& attempt : std::vector<std::function<void()>>{
+             [&r] { (void)engine_kind_from_name(r.name); },
+             [&renamed] { (void)restore_checkpoint(renamed); }}) {
+      try {
+        attempt();
+        ADD_FAILURE() << "accepted the engine name '" << r.name << "'";
+      } catch (const invariant_error& e) {
+        EXPECT_NE(std::string(e.what()).find(r.why), std::string::npos)
+            << e.what();
+      }
     }
   }
 }
@@ -551,29 +559,34 @@ TEST(Checkpoint, RestoreWithPrecompiledKernelIsBitExact) {
 
 // --- snapshot round trip and strictness -----------------------------------
 
-TEST(Checkpoint, AgentRestoreRejectsStatesOutsideTheKernel) {
-  // A census one state wider than rumor's q = 2: a snapshot may name state
-  // 2 without leaving the population's space, but the kernel has no row
-  // for it, so restore_state must refuse it and keep the engine as it was.
+TEST(Checkpoint, RestoreRejectsCountsOutsideTheKernel) {
+  // A census one state wider than rumor's q = 2: a snapshot may count an
+  // agent in state 2 without leaving the census's space, but the kernel
+  // has no row for it, so restore_state must refuse it and keep the engine
+  // as it was.
   const rumor_protocol rumor;
   const sim_spec spec(rumor, std::vector<std::uint64_t>{30, 2, 0});
-  rng gen(903);
-  const auto engine = spec.make_engine(engine_kind::agent, gen);
-  engine->run(200);
-  const json good = engine->save_state();
-  auto states = json_require_uint_array(good, "states", "agent snapshot");
-  states.front() = 2;
-  json bad = good;
-  bad["states"] = json_uint_array(states);
-  try {
-    engine->restore_state(bad);
-    ADD_FAILURE() << "accepted an agent outside the kernel's states";
-  } catch (const invariant_error& e) {
-    EXPECT_NE(std::string(e.what()).find("outside the protocol's space"),
-              std::string::npos)
-        << e.what();
+  for (const auto kind : all_kinds) {
+    rng gen(903);
+    const auto engine = spec.make_engine(kind, gen);
+    engine->run(200);
+    const json good = engine->save_state();
+    auto counts = json_require_uint_array(good, "counts", "snapshot");
+    --counts.front();
+    ++counts.back();
+    json bad = good;
+    bad["counts"] = json_uint_array(counts);
+    try {
+      engine->restore_state(bad);
+      ADD_FAILURE() << engine_kind_name(kind)
+                    << " accepted an agent outside the kernel's states";
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find("outside the protocol's space"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(engine->save_state(), good) << engine_kind_name(kind);
   }
-  EXPECT_EQ(engine->save_state(), good);
 }
 
 TEST(Checkpoint, SnapshotIsAFixedPointOfRestore) {
@@ -667,14 +680,6 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     const auto target = diverged_target(kind);
     ASSERT_NE(target->save_state(), snapshot);
     const char* where = "tampered snapshot";
-    if (kind == engine_kind::agent) {
-      auto states = json_require_uint_array(snapshot, "states", where);
-      states.back() = 99;
-      json bad = snapshot;
-      bad["states"] = json_uint_array(states);
-      expect_rejected(*target, bad, "state outside the population's space");
-      continue;
-    }
     {  // One agent too many: the census no longer sums to the population.
       auto counts = json_require_uint_array(snapshot, "counts", where);
       ++counts.back();

@@ -1,10 +1,11 @@
-// Engine equivalence suite: the agent, census, and multibatch engines
-// execute the same interaction law for a given (protocol, initial
-// census, sampling) triple. Pinned here via (a) exact agreement of the
-// compiled kernel with outcome_distribution, (b) bitwise agent-engine/
-// legacy-simulation agreement under shared seeds, (c) two-sample
-// chi-square cross-checks of replica statistics at a fixed parallel time
-// for IGT, approximate majority, rumor, and leader election, and (d)
+// Engine equivalence suite: the census and multibatch engines execute the
+// interaction law of the exact census chain (census_chain.hpp) for a given
+// (protocol, initial census, sampling) triple. Pinned here via (a) exact
+// agreement of the compiled kernel with outcome_distribution, (b)
+// one-sample chi-squares of replica statistics at a fixed parallel time
+// against the chain's law evolve(δ_x0, t) for IGT, approximate majority,
+// rumor and leader election, with the census engine as the multibatch
+// engine's reference where the chain is too large to evolve, and (c)
 // agreement of census-engine stationary statistics with igt_count_chain
 // (equation (5)) and the Theorem 2.7 closed form.
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "census_chain.hpp"
 #include "engine_agreement.hpp"
 #include "ppg/core/igt_count_chain.hpp"
 #include "ppg/core/igt_protocol.hpp"
@@ -26,6 +28,7 @@
 #include "ppg/games/solver/zoo.hpp"
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/census_engine.hpp"
+#include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/kernel.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/pp/protocols/approximate_majority.hpp"
@@ -439,19 +442,6 @@ TEST(Engines, MultibatchCapsNAt3e9) {
                invariant_error);
 }
 
-TEST(Engines, AgentEngineGroupsItsCensusByAscendingState) {
-  // The agent engine lays a census out as agents grouped by ascending
-  // state; its draws pick agents by index, so this layout fixes every
-  // agent-engine trajectory.
-  const approximate_majority_protocol proto;
-  const sim_spec spec(proto, std::vector<std::uint64_t>{2, 0, 3});
-  rng gen(7);
-  const auto engine = spec.make_engine(engine_kind::agent, gen);
-  const auto& agent = dynamic_cast<const simulation&>(*engine);
-  EXPECT_EQ(agent.agents().states(), (std::vector<agent_state>{0, 0, 2, 2, 2}));
-  EXPECT_EQ(agent.census().counts(), spec.initial_counts());
-}
-
 TEST(Engines, MakeEngineRejectsAKernelOfAnotherProtocol) {
   // A precompiled kernel must come from the spec's protocol; make_engine
   // checks the state-space size for every census-level kind.
@@ -474,6 +464,9 @@ TEST(Engines, MakeEngineRejectsAKernelOfAnotherProtocol) {
 }
 
 TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
+  // 156 GTFT agents over k = 4 levels reach C(159, 3) ~ 6.6e5 censuses, too
+  // many to evolve: the census engine, pinned to the exact law below, is
+  // the multibatch engine's reference.
   const std::size_t k = 4;
   const auto pop = abg_population::from_fractions(240, 0.1, 0.25, 0.65);
   const igt_protocol proto(k);
@@ -488,14 +481,11 @@ TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
     return level_mass;
   };
   constexpr std::size_t replicas = 300;
-  const auto agent = testing::replica_statistics(
-      spec, engine_kind::agent, replicas, steps, 90, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 91, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 292, statistic);
-  EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
+  EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4);
 }
 
 TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
@@ -512,14 +502,15 @@ TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
            static_cast<double>(census.count(amp::state_y));
   };
   constexpr std::size_t replicas = 300;
-  const auto agent = testing::replica_statistics(
-      spec, engine_kind::agent, replicas, steps, 93, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 94, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 295, statistic);
-  EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
+  const auto law = testing::build_census_chain(kernel_table(proto), counts,
+                                               pair_sampling::distinct)
+                       .statistic_law_after(steps, statistic);
+  EXPECT_GT(testing::exact_p(census, law, 8), 1e-4);
+  EXPECT_GT(testing::exact_p(multibatch, law, 8), 1e-4);
 }
 
 TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
@@ -533,14 +524,15 @@ TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
     return static_cast<double>(census.count(rumor_protocol::state_informed));
   };
   constexpr std::size_t replicas = 300;
-  const auto agent = testing::replica_statistics(
-      spec, engine_kind::agent, replicas, steps, 96, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 97, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 298, statistic);
-  EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
+  const auto law = testing::build_census_chain(kernel_table(proto), counts,
+                                               pair_sampling::distinct)
+                       .statistic_law_after(steps, statistic);
+  EXPECT_GT(testing::exact_p(census, law, 8), 1e-4);
+  EXPECT_GT(testing::exact_p(multibatch, law, 8), 1e-4);
 }
 
 TEST(Engines, AgreeOnLeaderElectionAtFixedParallelTime) {
@@ -554,14 +546,124 @@ TEST(Engines, AgreeOnLeaderElectionAtFixedParallelTime) {
         census.count(leader_election_protocol::state_leader));
   };
   constexpr std::size_t replicas = 300;
-  const auto agent = testing::replica_statistics(
-      spec, engine_kind::agent, replicas, steps, 110, statistic);
   const auto census = testing::replica_statistics(
       spec, engine_kind::census, replicas, steps, 111, statistic);
   const auto multibatch = testing::replica_statistics(
       spec, engine_kind::multibatch, replicas, steps, 312, statistic);
-  EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4);
-  EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4);
+  const auto law = testing::build_census_chain(kernel_table(proto), counts,
+                                               pair_sampling::distinct)
+                       .statistic_law_after(steps, statistic);
+  EXPECT_GT(testing::exact_p(census, law, 8), 1e-4);
+  EXPECT_GT(testing::exact_p(multibatch, law, 8), 1e-4);
+}
+
+// Where the reachable chain is small (n <= 12), the whole census law at
+// parallel time 3 is checked census by census: the census and multibatch
+// engines under distinct pairs, and the census engine under
+// with_replacement. The k-IGT cases keep an IGT kernel pinned exactly
+// (the n = 240 case above is too large to evolve); the two-way cases move
+// both agents of a pair, so a with_replacement self-pair's rule shows. At
+// this n the multibatch engine's cost model picks skip batches at every
+// boundary, even where no pair is an identity; its rounds and collisions
+// are pinned exactly by the next test.
+TEST(Engines, FollowTheExactCensusLawAtSmallN) {
+  struct small_case {
+    std::string label;
+    std::shared_ptr<const protocol> proto;
+    std::vector<std::uint64_t> counts;
+  };
+  const abg_population igt_pop{2, 3, 7};
+  const std::vector<small_case> cases = {
+      {"igt k = 3 one-way", std::make_shared<igt_protocol>(3),
+       make_igt_census(igt_pop, 3, 0)},
+      {"igt k = 3 two-way",
+       std::make_shared<igt_protocol>(3, revision_discipline::two_way),
+       make_igt_census(igt_pop, 3, 0)},
+      {"rumor", std::make_shared<rumor_protocol>(), {11, 1}},
+      {"approximate majority",
+       std::make_shared<approximate_majority_protocol>(), {5, 4, 1}},
+      {"two-way logit hawk-dove",
+       std::make_shared<game_protocol>(
+           hawk_dove_matrix(1.0, 3.0),
+           std::make_shared<logit_response_rule>(0.5),
+           revision_discipline::two_way),
+       {6, 6}},
+      {"proportional rps",
+       std::make_shared<game_protocol>(
+           rock_paper_scissors_matrix(),
+           std::make_shared<proportional_imitation_rule>(0.8)),
+       {5, 4, 3}},
+  };
+  constexpr std::size_t replicas = 2000;
+  std::uint64_t master = 700;
+  for (const auto& c : cases) {
+    const auto kernel = std::make_shared<const kernel_table>(*c.proto);
+    for (const auto sampling :
+         {pair_sampling::distinct, pair_sampling::with_replacement}) {
+      const sim_spec spec(*c.proto, c.counts, sampling);
+      const std::uint64_t steps = 3 * spec.population_size();
+      const auto chain =
+          testing::build_census_chain(*kernel, c.counts, sampling);
+      const auto law = chain.law_after(steps);
+      for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
+        // The multibatch engine runs distinct pairs only.
+        if (kind == engine_kind::multibatch &&
+            sampling != pair_sampling::distinct) {
+          continue;
+        }
+        const auto observed = testing::ending_census_counts(
+            spec, kind, kernel, replicas, steps, master++, chain);
+        EXPECT_GT(chi_square_gof(observed, law).p_value, 1e-4)
+            << c.label << ", " << engine_kind_name(kind) << ", "
+            << pair_sampling_name(sampling);
+      }
+    }
+  }
+}
+
+// Flips the initiator's own state whatever its partner's; the responder
+// stays. No pair is an identity, so from n ~ 140 on the multibatch engine
+// runs rounds only.
+class flip_protocol final : public protocol {
+ public:
+  [[nodiscard]] std::size_t num_states() const override { return 2; }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state initiator, agent_state responder) const override {
+    return {{1 - initiator, responder, 1.0}};
+  }
+};
+
+// The collision step's law, exactly: from all agents in state 0 at
+// n = 200, a round's touched initiators have flipped to 1 while the
+// untouched pool is still all 0, so a collision moves the census by
+// whether its initiator is touched or untouched — the categories
+// touched-touched, touched-untouched and untouched-touched, weighted
+// t(t - 1), tu and ut. Each run takes ~10 rounds, each ending in a
+// collision, by parallel time 1/2; its census must follow the chain's law.
+TEST(Engines, MultibatchCollisionsFollowTheExactLaw) {
+  const flip_protocol proto;
+  const auto kernel = std::make_shared<const kernel_table>(proto);
+  const std::vector<std::uint64_t> counts = {200, 0};
+  const sim_spec spec(proto, counts);
+  const std::uint64_t steps = 100;
+  const auto chain =
+      testing::build_census_chain(*kernel, counts, pair_sampling::distinct);
+  const auto law = chain.law_after(steps);
+  rng probe_gen(722);
+  const auto probe = spec.make_engine(engine_kind::multibatch, probe_gen);
+  probe->run(steps);
+  const auto& mb = dynamic_cast<const multibatch_engine&>(*probe);
+  EXPECT_EQ(mb.skip_batches(), 0u);
+  EXPECT_GE(mb.collisions(), 5u);
+  constexpr std::size_t replicas = 2000;
+  for (const auto& [kind, master] :
+       {std::pair{engine_kind::census, std::uint64_t{720}},
+        std::pair{engine_kind::multibatch, std::uint64_t{721}}}) {
+    const auto observed = testing::ending_census_counts(
+        spec, kind, kernel, replicas, steps, master, chain);
+    EXPECT_GT(chi_square_gof(observed, law).p_value, 1e-4)
+        << engine_kind_name(kind);
+  }
 }
 
 TEST(Engines, MultibatchMixesSkipBatchesAndRoundsLawfully) {
@@ -1022,8 +1124,7 @@ TEST(Engines, RunUntilConvergesOnEveryEngine) {
   counts[rumor_protocol::state_susceptible] = 99;
   counts[rumor_protocol::state_informed] = 1;
   const sim_spec spec(proto, counts);
-  for (const auto kind :
-       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     rng gen(106);
     const auto engine = spec.make_engine(kind, gen);
     const auto executed =
@@ -1031,6 +1132,8 @@ TEST(Engines, RunUntilConvergesOnEveryEngine) {
     ASSERT_LT(executed, 10'000'000u) << engine_kind_name(kind);
     EXPECT_TRUE(rumor_protocol::all_informed(engine->census()));
     EXPECT_EQ(engine->interactions(), executed);
+    // Converged already: no interaction runs.
+    EXPECT_EQ(engine->run_until(rumor_protocol::all_informed, 10), 0u);
   }
 }
 
@@ -1038,8 +1141,7 @@ TEST(Engines, SnapshotCadenceIsUniformAcrossEngines) {
   const igt_protocol proto(3);
   const auto pop = abg_population::from_fractions(40, 0.2, 0.3, 0.5);
   const sim_spec spec(proto, make_igt_census(pop, 3, 0));
-  for (const auto kind :
-       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     rng gen(107);
     const auto engine = spec.make_engine(kind, gen);
     const auto snaps = engine->run_with_snapshots(25, 10);
@@ -1047,6 +1149,7 @@ TEST(Engines, SnapshotCadenceIsUniformAcrossEngines) {
     EXPECT_EQ(snaps[0].interactions, 10u);
     EXPECT_EQ(snaps[1].interactions, 20u);
     EXPECT_EQ(snaps[2].interactions, 25u);
+    EXPECT_DOUBLE_EQ(engine->parallel_time(), 25.0 / 40.0);
     for (const auto& snap : snaps) {
       std::uint64_t total = 0;
       for (const auto c : snap.counts) total += c;

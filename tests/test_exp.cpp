@@ -154,7 +154,7 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
   const igt_protocol proto(k);
   const sim_spec spec(proto, make_igt_census(pop, k, 0));
   const auto body = [&](const replica_context&, rng& gen) {
-    const auto sim = spec.make_engine(engine_kind::agent, gen);
+    const auto sim = spec.make_engine(engine_kind::census, gen);
     sim->run(2000);
     std::vector<double> census(k);
     const auto z = gtft_level_counts(sim->census(), k);
@@ -175,7 +175,7 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
   }
 
   // Replicas that share one precompiled kernel across threads, on a dense
-  // two-way hawk-dove game: agent engines draw every interaction from it,
+  // two-way hawk-dove game: census engines draw every interaction from it,
   // and multibatch rounds exercise the MVH tables and the multinomial
   // splits concurrently.
   const game_protocol dense(hawk_dove_matrix(1.0, 2.0),
@@ -183,7 +183,7 @@ TEST(BatchRunner, AggregatesBitIdenticalAcrossThreadCounts) {
                             revision_discipline::two_way);
   const sim_spec dense_spec(dense, {25'000, 25'000});
   const auto kernel = std::make_shared<const kernel_table>(dense);
-  for (const auto kind : {engine_kind::agent, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     const auto dense_body = [&](const replica_context&, rng& gen) {
       const auto engine = dense_spec.make_engine(kind, gen, kernel);
       engine->run(40'000);
@@ -248,12 +248,12 @@ TEST(SimSpec, ReplicasStartFromIdenticalInitialCondition) {
   const sim_spec spec(proto, make_igt_census(pop, k, 1));
   rng gen_a(1);
   rng gen_b(2);
-  const auto first = spec.make_engine(engine_kind::agent, gen_a);
-  const auto second = spec.make_engine(engine_kind::agent, gen_b);
+  const auto first = spec.make_engine(engine_kind::census, gen_a);
+  const auto second = spec.make_engine(engine_kind::census, gen_b);
   EXPECT_EQ(first->census().counts(), second->census().counts());
   // Same seed => identical replica trajectories.
   rng gen_c(1);
-  const auto third = spec.make_engine(engine_kind::agent, gen_c);
+  const auto third = spec.make_engine(engine_kind::census, gen_c);
   first->run(500);
   third->run(500);
   EXPECT_EQ(first->census().counts(), third->census().counts());
@@ -268,8 +268,8 @@ TEST(SimSpec, MakeEngineDoesNotShareTheCallersStream) {
   // trajectories, and the caller's generator must have advanced.
   rng gen(9);
   rng untouched(9);
-  const auto a = spec.make_engine(engine_kind::agent, gen);
-  const auto b = spec.make_engine(engine_kind::agent, gen);
+  const auto a = spec.make_engine(engine_kind::census, gen);
+  const auto b = spec.make_engine(engine_kind::census, gen);
   a->run(2000);
   b->run(2000);
   EXPECT_NE(a->census().counts(), b->census().counts());

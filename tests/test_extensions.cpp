@@ -64,7 +64,7 @@ TEST(TwoWayIgt, SameStationaryCensusAsOneWay) {
     const sim_spec spec(proto, make_igt_census(pop, k, 0),
                         pair_sampling::with_replacement);
     rng gen(704);
-    const auto sim = spec.make_engine(engine_kind::agent, gen);
+    const auto sim = spec.make_engine(engine_kind::census, gen);
     sim->run(300'000);
     std::vector<double> occupancy(k, 0.0);
     const std::uint64_t samples = 400'000;
@@ -102,7 +102,7 @@ TEST(TwoWayIgt, ConvergesFasterThanOneWay) {
     const sim_spec spec(proto, make_igt_census(pop, k, 0),
                         pair_sampling::with_replacement);
     rng gen(seed);
-    const auto sim = spec.make_engine(engine_kind::agent, gen);
+    const auto sim = spec.make_engine(engine_kind::census, gen);
     for (std::uint64_t t = 1; t <= 50'000'000; ++t) {
       sim->step();
       if (t % 32 != 0) continue;

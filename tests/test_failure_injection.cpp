@@ -1,4 +1,4 @@
-// Failure-injection tests: the engine must reject corrupt inputs loudly
+// Failure-injection tests: the engines must reject corrupt inputs loudly
 // rather than silently mis-simulate. Each test wires a deliberately broken
 // component through the public API and asserts a diagnosable failure.
 // ppg-serve's I/O failures are tested where that code is: disk faults
@@ -31,20 +31,12 @@ class rogue_protocol final : public protocol {
 };
 
 // The kernel compile rejects the rogue outcome before any engine runs a
-// step: direct agent-engine construction and every make_engine kind.
+// step, for every make_engine kind.
 TEST(FailureInjection, RogueKernelStateIsCaughtAtCompilation) {
   const rogue_protocol proto;
   const std::string expected = "kernel outcome state out of range";
-  try {
-    (void)simulation(proto, population({0, 1}, 2), rng(1));
-    ADD_FAILURE() << "simulation accepted a rogue kernel";
-  } catch (const invariant_error& e) {
-    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
-        << e.what();
-  }
   const sim_spec spec(proto, std::vector<std::uint64_t>{1, 1});
-  for (const auto kind :
-       {engine_kind::agent, engine_kind::census, engine_kind::multibatch}) {
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
     rng gen(2);
     try {
       (void)spec.make_engine(kind, gen);
@@ -56,27 +48,33 @@ TEST(FailureInjection, RogueKernelStateIsCaughtAtCompilation) {
   }
 }
 
-// A protocol that under-declares its state space relative to the
-// population's encoding.
-TEST(FailureInjection, PopulationSmallerThanProtocolIsRejected) {
-  const igt_protocol proto(8);  // needs 10 states
-  EXPECT_THROW(simulation(proto, population({0, 1}, 3), rng(2)),
-               invariant_error);
-}
-
-// kernel_table::sample does not range-check its states, so the agent
-// engine must refuse an agent in a state the kernel does not cover, even
-// when the population's wider state space admits it.
-TEST(FailureInjection, AgentOutsideTheKernelIsRejectedAtConstruction) {
+// A census of fewer than two agents, or narrower than the protocol's
+// state space, is rejected by the spec. kernel_table::sample does not
+// range-check its states, so the engines must refuse agents in a state the
+// kernel does not cover, even when the census's wider state space admits
+// it.
+TEST(FailureInjection, MalformedCensusIsRejectedAtConstruction) {
   const igt_protocol proto(2);  // q = 4
-  EXPECT_THROW(simulation(proto, population({0, 4}, 5), rng(2)),
+  EXPECT_THROW((void)sim_spec(proto, std::vector<std::uint64_t>{1, 0, 0, 0}),
                invariant_error);
-  rng gen(3);
-  const sim_spec spec(proto, std::vector<std::uint64_t>{3, 0, 0, 0, 1});
-  EXPECT_THROW((void)spec.make_engine(engine_kind::agent, gen),
+  EXPECT_THROW((void)sim_spec(proto, std::vector<std::uint64_t>{1, 1, 0}),
                invariant_error);
-  // In-kernel states of the same wide space are fine.
-  EXPECT_NO_THROW(simulation(proto, population({0, 3}, 5), rng(4)));
+  const sim_spec outside(proto, std::vector<std::uint64_t>{3, 0, 0, 0, 1});
+  const sim_spec inside(proto, std::vector<std::uint64_t>{3, 0, 0, 1, 0});
+  for (const auto kind : {engine_kind::census, engine_kind::multibatch}) {
+    rng gen(3);
+    try {
+      (void)outside.make_engine(kind, gen);
+      ADD_FAILURE() << engine_kind_name(kind)
+                    << " accepted an agent outside the kernel's states";
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find("outside the protocol's space"),
+                std::string::npos)
+          << e.what();
+    }
+    // In-kernel states of the same wide space are fine.
+    EXPECT_NO_THROW((void)inside.make_engine(kind, gen));
+  }
 }
 
 TEST(FailureInjection, NonStochasticChainDetected) {

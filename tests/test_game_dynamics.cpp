@@ -1,9 +1,8 @@
 // The generic game-dynamics layer: game_matrix builders, update-rule
 // contracts, the game_protocol compilation (game + rule -> kernel), engine
-// agreement (two-sample chi-square at fixed parallel time across the agent,
-// census, and multibatch engines for every update rule on at least two
-// games),
-// and bitwise equivalence of igt_protocol — now a game_protocol
+// agreement (chi-square at fixed parallel time of the census and multibatch
+// engines against the exact census chain for every update rule on at least
+// two games), and bitwise equivalence of igt_protocol — now a game_protocol
 // specialization — with the paper's hand-written Definition 2.1 transition
 // function, frozen here as the reference.
 #include <gtest/gtest.h>
@@ -237,9 +236,11 @@ TEST(GameProtocol, TwoWayKernelIsTheProductOfIndependentRevisions) {
 
 // ---------------------------------------------------------------------------
 // The shared engine-agreement suite: for every update rule, on two games
-// each, the agent, census, and multibatch engines must agree in
-// distribution at a fixed parallel time (two-sample chi-square on a census
-// statistic).
+// each, the census and multibatch engines must follow the exact census
+// chain's law at a fixed parallel time (one-sample chi-square on a census
+// statistic). Where the reachable chain is too large to evolve — ladder/
+// igt-k4's 90 GTFT agents over 4 levels reach C(93, 3) ~ 1.3e5 censuses —
+// the census engine is the multibatch engine's reference (two-sample).
 // ---------------------------------------------------------------------------
 
 struct engine_case {
@@ -247,6 +248,8 @@ struct engine_case {
   std::shared_ptr<const update_rule> rule;
   game_matrix game;
   std::vector<std::uint64_t> initial_counts;
+  /// Whether the reachable census chain is small enough to evolve.
+  bool exact = true;
 };
 
 std::vector<engine_case> engine_cases() {
@@ -279,7 +282,7 @@ std::vector<engine_case> engine_cases() {
   cases.push_back({"ladder/igt-k3", std::make_shared<igt_ladder_rule>(3),
                    igt_game_matrix(3), {20, 40, 90, 0, 0}});
   cases.push_back({"ladder/igt-k4", std::make_shared<igt_ladder_rule>(4),
-                   igt_game_matrix(4), {20, 40, 90, 0, 0, 0}});
+                   igt_game_matrix(4), {20, 40, 90, 0, 0, 0}, false});
   return cases;
 }
 
@@ -301,17 +304,24 @@ TEST(Engines, AllUpdateRulesAgreeAcrossEnginesAtFixedParallelTime) {
       return mass;
     };
     constexpr std::size_t replicas = 200;
-    // Four seeds per case: master + 2 belonged to the batched engine, which
-    // multibatch absorbed, and stays unused so the others keep theirs.
-    const auto agent = testing::replica_statistics(
-        spec, engine_kind::agent, replicas, steps, master, statistic);
+    // Four seeds per case: master belonged to the agent engine and
+    // master + 2 to the batched engine, both retired, and stay unused so
+    // the others keep theirs.
     const auto census = testing::replica_statistics(
         spec, engine_kind::census, replicas, steps, master + 1, statistic);
     const auto multibatch = testing::replica_statistics(
         spec, engine_kind::multibatch, replicas, steps, master + 3, statistic);
     master += 4;
-    EXPECT_GT(testing::two_sample_p(agent, census, 8), 1e-4) << c.label;
-    EXPECT_GT(testing::two_sample_p(agent, multibatch, 8), 1e-4) << c.label;
+    if (c.exact) {
+      const auto law =
+          testing::build_census_chain(kernel_table(proto), c.initial_counts,
+                                      pair_sampling::distinct)
+              .statistic_law_after(steps, statistic);
+      EXPECT_GT(testing::exact_p(census, law, 8), 1e-4) << c.label;
+      EXPECT_GT(testing::exact_p(multibatch, law, 8), 1e-4) << c.label;
+    } else {
+      EXPECT_GT(testing::two_sample_p(census, multibatch, 8), 1e-4) << c.label;
+    }
   }
 }
 
@@ -638,22 +648,20 @@ TEST(IgtCompilation, BitwiseIdenticalToTheLegacyImplementation) {
         EXPECT_EQ(a[0].responder, b[0].responder);
       }
     }
-    // ...and shared-seed trajectories are bitwise equal on the agent and
-    // census engines (compared censuswise at every checkpoint).
+    // ...and shared-seed trajectories are bitwise equal on the census
+    // engine (compared censuswise at every checkpoint).
     const auto pop = abg_population::from_fractions(90, 0.2, 0.3, 0.5);
     const sim_spec spec_compiled(compiled, make_igt_census(pop, k, 1));
     const sim_spec spec_legacy(legacy, make_igt_census(pop, k, 1));
-    for (const auto kind : {engine_kind::agent, engine_kind::census}) {
-      rng gen_a(2024);
-      rng gen_b(2024);
-      const auto lhs = spec_compiled.make_engine(kind, gen_a);
-      const auto rhs = spec_legacy.make_engine(kind, gen_b);
-      for (int checkpoint = 0; checkpoint < 20; ++checkpoint) {
-        lhs->run(1000);
-        rhs->run(1000);
-        ASSERT_EQ(lhs->census().counts(), rhs->census().counts())
-            << engine_kind_name(kind) << " checkpoint " << checkpoint;
-      }
+    rng gen_a(2024);
+    rng gen_b(2024);
+    const auto lhs = spec_compiled.make_engine(engine_kind::census, gen_a);
+    const auto rhs = spec_legacy.make_engine(engine_kind::census, gen_b);
+    for (int checkpoint = 0; checkpoint < 20; ++checkpoint) {
+      lhs->run(1000);
+      rhs->run(1000);
+      ASSERT_EQ(lhs->census().counts(), rhs->census().counts())
+          << "checkpoint " << checkpoint;
     }
   }
 }

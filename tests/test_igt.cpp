@@ -196,7 +196,7 @@ TEST(IgtReduction, AgentLevelTransitionFrequenciesMatchEquation5) {
   int up_moves = 0;
   int down_moves = 0;
   for (int i = 0; i < trials; ++i) {
-    const auto sim = spec.make_engine(engine_kind::agent, gen, kernel);
+    const auto sim = spec.make_engine(engine_kind::census, gen, kernel);
     sim->step();
     const auto census = gtft_level_counts(sim->census(), k);
     if (census[2] == 1) ++up_moves;

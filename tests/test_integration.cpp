@@ -1,6 +1,6 @@
-// End-to-end integration tests: the full agent-level k-IGT dynamics is
-// simulated with the population-protocol engine and checked against the
-// paper's predictions — the Ehrenfest reduction (Theorem 2.7), the
+// End-to-end integration tests: the full agent-level k-IGT dynamics
+// (Definition 2.1) is simulated with the census engine and checked against
+// the paper's predictions — the Ehrenfest reduction (Theorem 2.7), the
 // stationary occupancy, the average stationary generosity (Proposition 2.8),
 // and the equilibrium gap measured from the *simulated* census
 // (Theorem 2.9).
@@ -21,18 +21,19 @@
 namespace ppg {
 namespace {
 
-// Runs the agent-level protocol and returns time-averaged level occupancy
-// (fraction of GTFT agents per level, averaged over post-burn-in samples).
-std::vector<double> simulate_agent_occupancy(const abg_population& pop,
-                                             std::size_t k,
-                                             std::uint64_t burn,
-                                             std::uint64_t samples,
-                                             std::uint64_t seed) {
+// Runs the agent-level protocol on the census engine and returns
+// time-averaged level occupancy (fraction of GTFT agents per level,
+// averaged over post-burn-in samples).
+std::vector<double> simulate_protocol_occupancy(const abg_population& pop,
+                                                std::size_t k,
+                                                std::uint64_t burn,
+                                                std::uint64_t samples,
+                                                std::uint64_t seed) {
   const igt_protocol proto(k);
   const sim_spec spec(proto, make_igt_census(pop, k, 0),
                       pair_sampling::with_replacement);
   rng gen(seed);
-  const auto sim = spec.make_engine(engine_kind::agent, gen);
+  const auto sim = spec.make_engine(engine_kind::census, gen);
   sim->run(burn);
   std::vector<double> occupancy(k, 0.0);
   for (std::uint64_t i = 0; i < samples; ++i) {
@@ -54,7 +55,7 @@ TEST(Integration, AgentLevelOccupancyMatchesTheorem27) {
   const std::size_t k = 4;
   const abg_population pop{20, 20, 60};  // beta = 0.2, lambda = 4
   const auto occupancy =
-      simulate_agent_occupancy(pop, k, 400'000, 600'000, 901);
+      simulate_protocol_occupancy(pop, k, 400'000, 600'000, 901);
   const auto expected = igt_stationary_probs(pop, k);
   EXPECT_LT(total_variation(occupancy, expected), 0.02);
 }
@@ -66,7 +67,7 @@ TEST(Integration, AgentLevelMatchesCountChain) {
   const std::size_t k = 3;
   const abg_population pop{25, 25, 50};
   const auto agent_occ =
-      simulate_agent_occupancy(pop, k, 200'000, 400'000, 902);
+      simulate_protocol_occupancy(pop, k, 200'000, 400'000, 902);
 
   igt_count_chain chain(pop, k, 0);
   rng gen(903);
@@ -142,7 +143,7 @@ TEST(Integration, SimulatedCensusIsApproximateDe) {
   const std::size_t k = 8;
   const auto pop = abg_population::from_fractions(200, alpha, beta, gamma);
   const auto occupancy =
-      simulate_agent_occupancy(pop, k, 600'000, 800'000, 906);
+      simulate_protocol_occupancy(pop, k, 600'000, 800'000, 906);
 
   const igt_equilibrium_analyzer analyzer(instance.setting, alpha, beta,
                                           gamma, k, instance.g_max);

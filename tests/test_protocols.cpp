@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/protocols/approximate_majority.hpp"
@@ -13,14 +15,36 @@
 namespace ppg {
 namespace {
 
-population majority_population(std::size_t x, std::size_t y,
-                               std::size_t blank) {
-  std::vector<agent_state> states;
-  states.insert(states.end(), x, approximate_majority_protocol::state_x);
-  states.insert(states.end(), y, approximate_majority_protocol::state_y);
-  states.insert(states.end(), blank,
-                approximate_majority_protocol::state_blank);
-  return population(std::move(states), 3);
+// A census engine running `proto` from `counts`, seeded from `seed`.
+std::unique_ptr<sim_engine> census_sim(const protocol& proto,
+                                       std::vector<std::uint64_t> counts,
+                                       std::uint64_t seed) {
+  rng gen(seed);
+  return sim_spec(proto, std::move(counts))
+      .make_engine(engine_kind::census, gen);
+}
+
+// Approximate majority's census: x, y and blank agents.
+std::vector<std::uint64_t> majority_counts(std::uint64_t x, std::uint64_t y,
+                                           std::uint64_t blank) {
+  std::vector<std::uint64_t> counts(3, 0);
+  counts[approximate_majority_protocol::state_x] = x;
+  counts[approximate_majority_protocol::state_y] = y;
+  counts[approximate_majority_protocol::state_blank] = blank;
+  return counts;
+}
+
+// Leader election's census: n leaders; rumor's: one informed agent among n.
+std::vector<std::uint64_t> all_leaders(std::uint64_t n) {
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[leader_election_protocol::state_leader] = n;
+  return counts;
+}
+std::vector<std::uint64_t> one_informed(std::uint64_t n) {
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = n - 1;
+  counts[rumor_protocol::state_informed] = 1;
+  return counts;
 }
 
 TEST(ApproximateMajority, TransitionTable) {
@@ -46,11 +70,11 @@ TEST(ApproximateMajority, TransitionTable) {
 
 TEST(ApproximateMajority, ReachesConsensus) {
   const approximate_majority_protocol proto;
-  simulation sim(proto, majority_population(60, 40, 0), rng(502));
-  const auto steps = sim.run_until(approximate_majority_protocol::has_consensus,
-                                   2'000'000);
+  const auto sim = census_sim(proto, majority_counts(60, 40, 0), 502);
+  const auto steps = sim->run_until(
+      approximate_majority_protocol::has_consensus, 2'000'000);
   ASSERT_LT(steps, 2'000'000u);
-  EXPECT_TRUE(approximate_majority_protocol::has_consensus(sim.census()));
+  EXPECT_TRUE(approximate_majority_protocol::has_consensus(sim->census()));
 }
 
 TEST(ApproximateMajority, LargeInitialGapElectsMajority) {
@@ -60,11 +84,11 @@ TEST(ApproximateMajority, LargeInitialGapElectsMajority) {
   constexpr int trials = 30;
   for (int t = 0; t < trials; ++t) {
     const approximate_majority_protocol proto;
-    simulation sim(proto, majority_population(80, 20, 0),
-                   rng(503 + static_cast<std::uint64_t>(t)));
-    sim.run_until(approximate_majority_protocol::has_consensus, 2'000'000);
-    if (sim.census().count(approximate_majority_protocol::state_x) ==
-        sim.agents().size()) {
+    const auto sim = census_sim(proto, majority_counts(80, 20, 0),
+                                503 + static_cast<std::uint64_t>(t));
+    sim->run_until(approximate_majority_protocol::has_consensus, 2'000'000);
+    if (sim->census().count(approximate_majority_protocol::state_x) ==
+        sim->population_size()) {
       ++x_wins;
     }
   }
@@ -77,9 +101,9 @@ TEST(ApproximateMajority, ConsensusIsFast) {
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const approximate_majority_protocol proto;
-    simulation sim(proto, majority_population(2 * n / 3, n / 3, 0),
-                   rng(504 + static_cast<std::uint64_t>(t)));
-    const auto steps = sim.run_until(
+    const auto sim = census_sim(proto, majority_counts(2 * n / 3, n / 3, 0),
+                                504 + static_cast<std::uint64_t>(t));
+    const auto steps = sim->run_until(
         approximate_majority_protocol::has_consensus, 50'000'000);
     ASSERT_LT(steps, 50'000'000u);
     times.add(static_cast<double>(steps));
@@ -113,25 +137,21 @@ TEST(LeaderElection, TransitionTable) {
 
 TEST(LeaderElection, AlwaysElectsExactlyOneLeader) {
   const leader_election_protocol proto;
-  const std::vector<agent_state> all_leaders(
-      100, leader_election_protocol::state_leader);
-  simulation sim(proto, population(all_leaders, 2), rng(506));
-  const auto steps = sim.run_until(
+  const auto sim = census_sim(proto, all_leaders(100), 506);
+  const auto steps = sim->run_until(
       leader_election_protocol::has_unique_leader, 100'000'000);
   ASSERT_LT(steps, 100'000'000u);
-  EXPECT_EQ(sim.census().count(leader_election_protocol::state_leader), 1u);
+  EXPECT_EQ(sim->census().count(leader_election_protocol::state_leader), 1u);
 }
 
 TEST(LeaderElection, LeaderCountIsMonotoneNonIncreasing) {
   const leader_election_protocol proto;
-  const std::vector<agent_state> all_leaders(
-      50, leader_election_protocol::state_leader);
-  simulation sim(proto, population(all_leaders, 2), rng(507));
+  const auto sim = census_sim(proto, all_leaders(50), 507);
   std::uint64_t previous = 50;
   for (int i = 0; i < 2000; ++i) {
-    sim.step();
+    sim->step();
     const auto leaders =
-        sim.census().count(leader_election_protocol::state_leader);
+        sim->census().count(leader_election_protocol::state_leader);
     EXPECT_LE(leaders, previous);
     previous = leaders;
   }
@@ -143,14 +163,12 @@ TEST(LeaderElection, ExpectedQuadraticTimeScale) {
   // (sum over pair meet times); check a small n completes within ~8 n^2 on
   // average.
   const std::size_t n = 60;
-  const std::vector<agent_state> all_leaders(
-      n, leader_election_protocol::state_leader);
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const leader_election_protocol proto;
-    simulation sim(proto, population(all_leaders, 2),
-                   rng(508 + static_cast<std::uint64_t>(t)));
-    const auto steps = sim.run_until(
+    const auto sim =
+        census_sim(proto, all_leaders(n), 508 + static_cast<std::uint64_t>(t));
+    const auto steps = sim->run_until(
         leader_election_protocol::has_unique_leader, 100'000'000);
     ASSERT_LT(steps, 100'000'000u);
     times.add(static_cast<double>(steps));
@@ -174,12 +192,10 @@ TEST(Rumor, TransitionTable) {
 
 TEST(Rumor, SpreadsToEveryone) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(200, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  simulation sim(proto, population(std::move(states), 2), rng(510));
-  const auto steps = sim.run_until(rumor_protocol::all_informed, 10'000'000);
+  const auto sim = census_sim(proto, one_informed(200), 510);
+  const auto steps = sim->run_until(rumor_protocol::all_informed, 10'000'000);
   ASSERT_LT(steps, 10'000'000u);
-  EXPECT_TRUE(rumor_protocol::all_informed(sim.census()));
+  EXPECT_TRUE(rumor_protocol::all_informed(sim->census()));
 }
 
 TEST(Rumor, CompletionIsNLogNScale) {
@@ -187,12 +203,10 @@ TEST(Rumor, CompletionIsNLogNScale) {
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const rumor_protocol proto;
-    std::vector<agent_state> states(n, rumor_protocol::state_susceptible);
-    states[0] = rumor_protocol::state_informed;
-    simulation sim(proto, population(std::move(states), 2),
-                   rng(511 + static_cast<std::uint64_t>(t)));
+    const auto sim = census_sim(proto, one_informed(n),
+                                511 + static_cast<std::uint64_t>(t));
     const auto steps =
-        sim.run_until(rumor_protocol::all_informed, 100'000'000);
+        sim->run_until(rumor_protocol::all_informed, 100'000'000);
     ASSERT_LT(steps, 100'000'000u);
     times.add(static_cast<double>(steps));
   }
@@ -203,13 +217,11 @@ TEST(Rumor, CompletionIsNLogNScale) {
 
 TEST(Rumor, InformedCountNeverDecreases) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(50, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  simulation sim(proto, population(std::move(states), 2), rng(512));
+  const auto sim = census_sim(proto, one_informed(50), 512);
   std::uint64_t previous = 1;
   for (int i = 0; i < 5000; ++i) {
-    sim.step();
-    const auto informed = sim.census().count(rumor_protocol::state_informed);
+    sim->step();
+    const auto informed = sim->census().count(rumor_protocol::state_informed);
     EXPECT_GE(informed, previous);
     previous = informed;
   }

@@ -223,21 +223,25 @@ TEST(ServeApp, ErrorPaths) {
       make_request("POST", "/sessions",
                    create_body(rumor_recipe(), "warp-drive", 1)),
       400);
-  // The batched engine was folded into multibatch; the 400 says so.
-  const json folded = handle_json(
-      app,
-      make_request("POST", "/sessions",
-                   create_body(rumor_recipe(), "batched", 1)),
-      400);
-  EXPECT_NE(folded.dump_string(false).find("folded into 'multibatch'"),
-            std::string::npos)
-      << folded.dump_string(false);
+  // The batched engine was folded into multibatch and the agent engine
+  // retired; the 400 says so.
+  for (const auto& [name, why] :
+       {std::pair<const char*, const char*>{"batched",
+                                            "folded into 'multibatch'"},
+        {"agent", "'agent' was retired"}}) {
+    const json retired = handle_json(
+        app,
+        make_request("POST", "/sessions", create_body(rumor_recipe(), name, 1)),
+        400);
+    EXPECT_NE(retired.dump_string(false).find(why), std::string::npos)
+        << retired.dump_string(false);
+  }
 
   // Advance validation.
   const std::string id =
       handle_json(app,
                   make_request("POST", "/sessions",
-                               create_body(rumor_recipe(), "agent", 3)),
+                               create_body(rumor_recipe(), "census", 3)),
                   201)
           .find("id")
           ->as_string();
@@ -350,7 +354,7 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
       201);
   EXPECT_TRUE(second.find("kernel_cache_hit")->as_bool());
 
-  // A different protocol compiles its own kernel, and the agent engine on
+  // A different protocol compiles its own kernel, and the census engine on
   // that protocol draws from the same cached kernel.
   const json third = handle_json(
       app,
@@ -361,7 +365,7 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
   const json fourth = handle_json(
       app,
       make_request("POST", "/sessions",
-                   create_body(rumor_recipe(), "agent", 4)),
+                   create_body(rumor_recipe(), "census", 4)),
       201);
   EXPECT_TRUE(fourth.find("kernel_cache_hit")->as_bool());
 
@@ -414,7 +418,7 @@ TEST(ServeApp, InterleavedSessionsMatchSoloRunsBitExactly) {
       {rumor_recipe(), "census", engine_kind::census, 11, ""},
       {majority_recipe(), "multibatch", engine_kind::multibatch, 22, ""},
       {hawk_dove_recipe(), "multibatch", engine_kind::multibatch, 33, ""},
-      {rumor_recipe(), "agent", engine_kind::agent, 44, ""},
+      {majority_recipe(), "census", engine_kind::census, 44, ""},
   };
   for (auto& c : cases) {
     c.id = handle_json(app,
@@ -524,7 +528,7 @@ TEST(ServeApp, CensusSumsPast64BitsAnswer400) {
   EXPECT_THROW((void)sim_recipe::from_json(json::parse(overflowing)),
                invariant_error);
   serve_app app;
-  for (const char* engine : {"agent", "census", "multibatch"}) {
+  for (const char* engine : {"census", "multibatch"}) {
     (void)handle_json(
         app,
         make_request("POST", "/sessions", create_body(overflowing, engine, 1)),

@@ -464,11 +464,12 @@ TEST(ServeDurability, CorruptSpillsAreQuarantinedNotFatal) {
   }
 }
 
-// The batched engine was folded into multibatch, and the multibatch
-// snapshot later dropped its derived fields, so a store written before
-// then may hold a session no engine loads. Boot quarantines each such
-// spill with the reason, and recovers every other session.
-TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
+// The batched engine was folded into multibatch, the multibatch snapshot
+// later dropped its derived fields, and the agent engine was retired, so a
+// store written before then may hold a session no engine loads. Boot
+// quarantines each such spill with the reason, and recovers every other
+// session.
+TEST(ServeDurability, RetiredSpillsAreQuarantinedAtBoot) {
   temp_dir store;
   serve_config config;
   config.store_dir = store.path();
@@ -486,7 +487,11 @@ TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
         make_request("POST", "/sessions",
                      create_body(rumor_recipe(), "multibatch", 10)),
         201);
-    for (const char* id : {"s2", "s3"}) {
+    (void)handle_json(app,
+                      make_request("POST", "/sessions",
+                                   create_body(rumor_recipe(), "census", 11)),
+                      201);
+    for (const char* id : {"s2", "s3", "s4"}) {
       (void)handle_json(app,
                         make_request("POST",
                                      std::string("/sessions/") + id +
@@ -535,31 +540,44 @@ TEST(ServeDurability, BatchedSpillIsQuarantinedAtBoot) {
       atomic_write_file(s3, store_envelope(old).dump_string(true), &error))
       << error;
 
+  // s4's spill renamed to the agent engine: boot refuses the name before
+  // it reads any payload.
+  const std::string s4 = spill_path(store, "s4");
+  store_file per_agent = parse_store_envelope(json::parse(read_bytes(s4)));
+  per_agent.checkpoint["engine"]["engine"] = "agent";
+  ASSERT_TRUE(atomic_write_file(
+      s4, store_envelope(per_agent).dump_string(true), &error))
+      << error;
+
   serve_app rebooted(config);
   (void)handle_json(rebooted, make_request("GET", "/sessions/s1"), 200);
-  (void)handle_json(rebooted, make_request("GET", "/sessions/s2"), 404);
-  (void)handle_json(rebooted, make_request("GET", "/sessions/s3"), 404);
+  for (const char* id : {"s2", "s3", "s4"}) {
+    (void)handle_json(rebooted,
+                      make_request("GET", std::string("/sessions/") + id), 404);
+  }
   const json stats = handle_json(rebooted, make_request("GET", "/stats"), 200);
   const json* durability = stats.find("durability");
   EXPECT_EQ(durability->find("recovered_sessions")->as_uint64(), 1u);
   const json* quarantined = durability->find("quarantined");
-  ASSERT_EQ(quarantined->size(), 2u);
+  ASSERT_EQ(quarantined->size(), 3u);
   // Each file is quarantined with the reason its schema no longer loads.
   std::map<std::string, std::string> reasons;
   for (const json& item : quarantined->items()) {
     const std::string entry = item.as_string();
-    for (const char* id : {"s2", "s3"}) {
+    for (const char* id : {"s2", "s3", "s4"}) {
       if (entry.find(std::string(id) + ".session.json") != std::string::npos) {
         reasons[id] = entry;
       }
     }
   }
-  ASSERT_EQ(reasons.size(), 2u);
+  ASSERT_EQ(reasons.size(), 3u);
   EXPECT_NE(reasons["s2"].find("folded into 'multibatch'"), std::string::npos)
       << reasons["s2"];
   EXPECT_NE(reasons["s3"].find("unknown key"), std::string::npos)
       << reasons["s3"];
-  EXPECT_EQ(store.entries("quarantine").size(), 2u);
+  EXPECT_NE(reasons["s4"].find("'agent' was retired"), std::string::npos)
+      << reasons["s4"];
+  EXPECT_EQ(store.entries("quarantine").size(), 3u);
 }
 
 // --- degradation under disk failures ---------------------------------------
